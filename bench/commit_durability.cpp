@@ -87,15 +87,15 @@ RunResult run_config(bool wal, server::WriteAheadLog::Sync sync, int cycles) {
 
     for (int c = 0; c < cycles; ++c) {
       Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-        p.append_lp_string(kSeg);
-        p.append_u32(version);
+        p.append_vstring(kSeg);
+        p.append_varint(version);
       });
-      uint32_t next_serial = acq.reader().read_u32();
+      uint32_t next_serial = acq.reader().read_varint32();
       // Only the release is timed: that is where the journal append (and
       // any fdatasync) sits between the commit and its acknowledgement.
       auto start = Clock::now();
       call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-        p.append_lp_string(kSeg);
+        p.append_vstring(kSeg);
         DiffWriter w(p, version, version + 1);
         if (serial == 0) {
           serial = next_serial;
@@ -187,10 +187,10 @@ PayloadResult run_payload(bool compress, bool compressible, int cycles) {
     auto run_start = Clock::now();
     for (int c = 0; c < cycles; ++c) {
       Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-        p.append_lp_string(kSeg);
-        p.append_u32(version);
+        p.append_vstring(kSeg);
+        p.append_varint(version);
       });
-      uint32_t next_serial = acq.reader().read_u32();
+      uint32_t next_serial = acq.reader().read_varint32();
       auto unit = [&]() -> uint32_t {
         if (compressible) return static_cast<uint32_t>(c);
         noise ^= noise << 13;
@@ -200,7 +200,7 @@ PayloadResult run_payload(bool compress, bool compressible, int cycles) {
       };
       auto start = Clock::now();
       call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-        p.append_lp_string(kSeg);
+        p.append_vstring(kSeg);
         DiffWriter w(p, version, version + 1);
         if (serial == 0) {
           serial = next_serial;

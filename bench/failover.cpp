@@ -62,13 +62,13 @@ double run_commits(InProcChannel& ch, int cycles,
   auto run_start = Clock::now();
   for (int c = 0; c < cycles; ++c) {
     Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-      p.append_lp_string(kSeg);
-      p.append_u32(version);
+      p.append_vstring(kSeg);
+      p.append_varint(version);
     });
-    uint32_t next_serial = acq.reader().read_u32();
+    uint32_t next_serial = acq.reader().read_varint32();
     auto start = Clock::now();
     call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_lp_string(kSeg);
+      p.append_vstring(kSeg);
       DiffWriter w(p, version, version + 1);
       if (serial == 0) {
         serial = next_serial;

@@ -149,12 +149,12 @@ std::vector<uint64_t> client_loop(uint16_t port, int thread_id, int cycles,
   for (int c = 0; c < cycles; ++c) {
     auto start = Clock::now();
     Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-      p.append_lp_string(seg);
-      p.append_u32(version);
+      p.append_vstring(seg);
+      p.append_varint(version);
     });
-    uint32_t next_serial = acq.reader().read_u32();
+    uint32_t next_serial = acq.reader().read_varint32();
     call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_lp_string(seg);
+      p.append_vstring(seg);
       DiffWriter w(p, version, version + 1);
       if (serial == 0) {
         serial = next_serial;
@@ -176,10 +176,10 @@ std::vector<uint64_t> client_loop(uint16_t port, int thread_id, int cycles,
       // A cold reader: assumed version 0 forces the server to collect and
       // ship the full block under the segment lock.
       call(ch, MsgType::kAcquireRead, [&](Buffer& p) {
-        p.append_lp_string(seg);
-        p.append_u32(0);
+        p.append_vstring(seg);
+        p.append_varint(0);
         p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-        p.append_u64(0);
+        p.append_varint(0);
       });
       ++requests;
     }
@@ -366,12 +366,12 @@ void seed_conn_segments(ConnScalingShared* sh) {
           p);
     });
     Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-      p.append_lp_string(seg);
-      p.append_u32(1);
+      p.append_vstring(seg);
+      p.append_varint(1);
     });
-    uint32_t serial = acq.reader().read_u32();
+    uint32_t serial = acq.reader().read_varint32();
     Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_lp_string(seg);
+      p.append_vstring(seg);
       DiffWriter w(p, 1, 2);
       w.begin_block(serial, diff_flags::kNew | diff_flags::kWhole, 1, "d");
       w.begin_run(0, kConnUnits);
@@ -380,7 +380,7 @@ void seed_conn_segments(ConnScalingShared* sh) {
       w.finish();
     });
     sh->serials.push_back(serial);
-    sh->versions.push_back(rel.reader().read_u32());
+    sh->versions.push_back(rel.reader().read_varint32());
   }
 }
 
@@ -410,11 +410,11 @@ void conn_writer_loop(ConnScalingShared* sh, int index) {
     uint64_t iter = 0;
     while (!sh->stop.load(std::memory_order_acquire)) {
       call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-        p.append_lp_string(seg);
-        p.append_u32(version);
+        p.append_vstring(seg);
+        p.append_varint(version);
       });
       Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-        p.append_lp_string(seg);
+        p.append_vstring(seg);
         DiffWriter w(p, version, version + 1);
         w.begin_block(serial, 0);
         uint32_t at = static_cast<uint32_t>(iter * kConnRunUnits) %
@@ -426,7 +426,7 @@ void conn_writer_loop(ConnScalingShared* sh, int index) {
         w.end_block();
         w.finish();
       });
-      version = rel.reader().read_u32();
+      version = rel.reader().read_varint32();
       sh->requests.fetch_add(2, std::memory_order_relaxed);
       ++iter;
       uint64_t jitter_us = mix64(static_cast<uint64_t>(index) * 7919 + iter) %
@@ -477,10 +477,10 @@ void conn_reader_loop(ConnScalingShared* sh, int index,
       }
       if (iter % 4 == 0) {
         Buffer rp;
-        rp.append_lp_string(seg);
-        rp.append_u32(0);  // cold: server collects the whole block
+        rp.append_vstring(seg);
+        rp.append_varint(0);  // cold: server collects the whole block
         rp.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-        rp.append_u64(0);
+        rp.append_varint(0);
         Buffer one = encode_req(MsgType::kAcquireRead, next_id++, rp);
         burst.append(one.data(), one.size());
         ++expected;

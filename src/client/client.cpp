@@ -47,7 +47,7 @@ class ClientHooks final : public InlineStringHooks {
     ++client_->stats_.swizzles_out;
     void* addr = client_->read_pointer_field(field);
     if (addr == nullptr) {
-      out.append_u32(0);  // null pointer: empty MIP
+      out.append_varint(0);  // null pointer: empty MIP
       return;
     }
     client_->ptr_to_mip_append_locked(addr, out);
@@ -152,13 +152,13 @@ std::shared_ptr<ClientChannel> Client::channel_for(const std::string& url) {
     try {
       if (frame.type == MsgType::kNotifyVersion) {
         BufReader r = frame.reader();
-        std::string url = r.read_lp_string();
-        uint32_t version = r.read_u32();
+        std::string url = r.read_vstring();
+        uint32_t version = r.read_varint32();
         note_version(url, version);
       } else if (frame.type == MsgType::kRevokeRead) {
         BufReader r = frame.reader();
-        std::string url = r.read_lp_string();
-        uint32_t gen = r.remaining() >= 4 ? r.read_u32() : 0;
+        std::string url = r.read_vstring();
+        uint32_t gen = r.read_varint32();
         handle_revoke(url, gen, weak);
       }
     } catch (const Error&) {
@@ -188,6 +188,7 @@ void Client::handle_revoke(const std::string& url, uint32_t gen,
   bool ack_now = false;
   {
     std::lock_guard cl(lock_cache_mu_);
+    ++revoke_seq_[url];
     auto it = lock_cache_.find(url);
     if (it == lock_cache_.end() || it->second.active == 0) {
       // Idle (or nothing cached — a duplicate or raced revoke): release
@@ -221,8 +222,8 @@ void Client::revoke_ack_loop() {
     cl.unlock();
     try {
       Buffer payload;
-      payload.append_lp_string(ack.url);
-      payload.append_u32(ack.gen);
+      payload.append_vstring(ack.url);
+      payload.append_varint(ack.gen);
       ack.channel->call(MsgType::kRevokeAck, std::move(payload));
       revokes_acked_.fetch_add(1, std::memory_order_relaxed);
     } catch (const Error&) {
@@ -482,7 +483,8 @@ BlockHeader* Client::resolve_ptr_locked(const void* ptr) {
   return block;
 }
 
-/// Formats "<url>#<block>#<unit>" for `ptr` into `out` (length-prefixed).
+/// Formats "<url>#<block>#<unit>" for `ptr` into `out` (varint length
+/// first).
 void Client::ptr_to_mip_append_locked(const void* ptr, Buffer& out) {
   BlockHeader* block = resolve_ptr_locked(ptr);
   uint32_t byte_off =
@@ -491,30 +493,34 @@ void Client::ptr_to_mip_append_locked(const void* ptr, Buffer& out) {
   const std::string& url = block->subseg->segment->url_;
   const std::string* name = block->name;
 
-  size_t len_off = out.append_placeholder_u32();
-  size_t start = out.size();
-  out.append(url.data(), url.size());
+  // Format the "#<serial>#<unit>" tail (or "#" + name + "#<unit>") first,
+  // so the length prefix is known before any byte is appended.
   char digits[2 * 20 + 3];
   char* d = digits;
   *d++ = '#';
+  if (name == nullptr) {
+    d = std::to_chars(d, digits + sizeof digits, block->serial).ptr;
+  }
+  char* unit_start = d;
+  *d++ = '#';
+  d = std::to_chars(d, digits + sizeof digits, unit).ptr;
+  const size_t name_len = name != nullptr ? name->size() : 0;
+  out.append_varint(url.size() + name_len + static_cast<size_t>(d - digits));
+  out.append(url.data(), url.size());
   if (name != nullptr) {
     out.append(digits, 1);
     out.append(name->data(), name->size());
-    d = digits;
+    out.append(unit_start, static_cast<size_t>(d - unit_start));
   } else {
-    d = std::to_chars(d, digits + sizeof digits, block->serial).ptr;
+    out.append(digits, static_cast<size_t>(d - digits));
   }
-  *d++ = '#';
-  d = std::to_chars(d, digits + sizeof digits, unit).ptr;
-  out.append(digits, static_cast<size_t>(d - digits));
-  out.patch_u32(len_off, static_cast<uint32_t>(out.size() - start));
 }
 
 std::string Client::ptr_to_mip_locked(const void* ptr) {
   Buffer tmp;
   ptr_to_mip_append_locked(ptr, tmp);
   BufReader r(tmp.span());
-  return r.read_lp_string();
+  return r.read_vstring();
 }
 
 void* Client::mip_to_ptr_locked(std::string_view mip) {
@@ -718,8 +724,10 @@ void Client::read_lock(ClientSegment* seg) {
     return;
   }
   revalidate_if_reconnected_locked(seg);
+  uint64_t revokes_before = 0;
   if (lock_cache_enabled_) {
     std::lock_guard cl(lock_cache_mu_);
+    revokes_before = revoke_seq_[seg->url_];
     auto it = lock_cache_.find(seg->url_);
     // A cached, unrevoked lock makes the repeat acquire free. Under Full
     // coherence the cached data is provably current — a committing writer
@@ -745,10 +753,10 @@ void Client::read_lock(ClientSegment* seg) {
   }
   ++stats_.read_lock_server_calls;
   Buffer payload;
-  payload.append_lp_string(seg->url_);
-  payload.append_u32(seg->version_);
+  payload.append_vstring(seg->url_);
+  payload.append_varint(seg->version_);
   payload.append_u8(static_cast<uint8_t>(seg->policy_.model));
-  payload.append_u64(seg->policy_.param);
+  payload.append_varint(seg->policy_.param);
   Frame resp = seg->channel_->call(MsgType::kAcquireRead, std::move(payload));
   BufReader r = resp.reader();
   apply_update_locked(seg, r);
@@ -758,7 +766,10 @@ void Client::read_lock(ClientSegment* seg) {
   if (lock_cache_enabled_ && r.remaining() >= 1) {
     const bool granted = r.read_u8() != 0;
     std::lock_guard cl(lock_cache_mu_);
-    if (granted) {
+    // A revoke received while the RPC was in flight may have retired this
+    // very grant (it was acked at once, with no entry to defer on): a
+    // cached copy would then serve reads no writer ever revokes.
+    if (granted && revoke_seq_[seg->url_] == revokes_before) {
       lock_cache_[seg->url_] = LockCacheEntry{true, false, 1};
     } else {
       lock_cache_.erase(seg->url_);
@@ -806,11 +817,11 @@ void Client::write_lock(ClientSegment* seg) {
   }
   revalidate_if_reconnected_locked(seg);
   Buffer payload;
-  payload.append_lp_string(seg->url_);
-  payload.append_u32(seg->version_);
+  payload.append_vstring(seg->url_);
+  payload.append_varint(seg->version_);
   Frame resp = seg->channel_->call(MsgType::kAcquireWrite, std::move(payload));
   BufReader r = resp.reader();
-  seg->next_serial_ = r.read_u32();
+  seg->next_serial_ = r.read_varint32();
   try {
     apply_update_locked(seg, r);
   } catch (...) {
@@ -819,7 +830,7 @@ void Client::write_lock(ClientSegment* seg) {
     // the server reads a method byte from every release, so even the empty
     // diff carries the kRaw envelope.
     Buffer release;
-    release.append_lp_string(seg->url_);
+    release.append_vstring(seg->url_);
     if (seg->channel_->supports_payload_compression()) {
       release.append_u8(payload_method::kRaw);
     }
@@ -943,7 +954,7 @@ void Client::abort_transaction(ClientSegment* seg) {
   }
   // 4. Release the server-side writer lock with an empty critical section.
   Buffer release;
-  release.append_lp_string(seg->url_);
+  release.append_vstring(seg->url_);
   if (seg->channel_->supports_payload_compression()) {
     release.append_u8(payload_method::kRaw);
   }
@@ -956,7 +967,7 @@ void Client::abort_transaction(ClientSegment* seg) {
     throw;
   }
   BufReader r = resp.reader();
-  seg->version_ = r.read_u32();
+  seg->version_ = r.read_varint32();
 
   end_tracking_locked(seg);
   seg->write_locked_ = false;
@@ -1043,7 +1054,7 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
   // send), so steady-state releases allocate nothing for the payload.
   Buffer& payload = seg->collect_buf_;
   payload.clear();
-  payload.append_lp_string(seg->url_);
+  payload.append_vstring(seg->url_);
   // On a compressing connection the diff section sits behind a method
   // byte; the whole section is collected into this reuse buffer first and
   // compressed in place only when it pays, so the vectored-send shape (one
@@ -1069,7 +1080,10 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
       if (block->name != nullptr) name = *block->name;
     }
     uint64_t units = block->type->prim_units();
-    writer.begin_block(block->serial, flags, type_serial, name);
+    std::optional<uint64_t> wire =
+        fixed_wire_size(*block->type, rules, 0, units);
+    writer.begin_block(block->serial, flags, type_serial, name,
+                       wire ? DiffWriter::run_bytes(0, units, *wire) : 0);
     writer.begin_run(0, static_cast<uint32_t>(units));
     encode_units(*block->type, rules, block->data(), 0, units, hooks,
                  writer.buffer());
@@ -1230,7 +1244,7 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
 
   Frame resp = seg->channel_->call(MsgType::kReleaseWrite, payload);
   BufReader r = resp.reader();
-  seg->version_ = r.read_u32();
+  seg->version_ = r.read_varint32();
 
   // The critical section is over; its blocks are ordinary blocks now.
   for (BlockHeader* block : seg->new_blocks_) {
@@ -1262,11 +1276,11 @@ bool Client::apply_update_locked(ClientSegment* seg, BufReader& in) {
   uint8_t status = in.read_u8();
   if (status == 0) return false;
 
-  uint32_t n_types = in.read_u32();
+  uint32_t n_types = in.read_varint32();
   for (uint32_t i = 0; i < n_types; ++i) {
-    uint32_t serial = in.read_u32();
-    uint32_t len = in.read_u32();
-    auto graph = in.read_bytes(len);
+    uint32_t serial = in.read_varint32();
+    auto graph = in.read_bytes(in.read_varint32());
+    if (serial == 0) throw Error(ErrorCode::kProtocol, "type serial 0");
     if (seg->types_.size() < serial) seg->types_.resize(serial, nullptr);
     if (seg->types_[serial - 1] == nullptr) {
       BufReader gr(graph.data(), graph.size());
@@ -1357,7 +1371,7 @@ void Client::apply_diff_locked(ClientSegment* seg, BufReader& in) {
     }
     const uint64_t units = block->type->prim_units();
     while (!e.runs.at_end()) {
-      DiffRun run = DiffReader::read_run(e.runs);
+      DiffRun run = e.read_run();
       if (run.start_unit + static_cast<uint64_t>(run.unit_count) > units) {
         throw Error(ErrorCode::kProtocol, "diff run exceeds block");
       }

@@ -381,6 +381,12 @@ class Client {
   /// Leaf lock (after mu_ in the ordering; notify handlers take it alone).
   mutable std::mutex lock_cache_mu_;
   std::unordered_map<std::string, LockCacheEntry> lock_cache_;
+  /// kRevokeRead notifications received per URL (guarded by
+  /// lock_cache_mu_). read_lock compares it across its acquire RPC: a
+  /// revoke that lands while the RPC is in flight finds no cache entry and
+  /// is acked at once, so the grant in the response may already be retired
+  /// server-side and must not be cached.
+  std::unordered_map<std::string, uint64_t> revoke_seq_;
   /// cache_read_locks resolved against IW_LOCK_CACHE and auto_reconnect.
   bool lock_cache_enabled_ = false;
   // Lock-cache counters are atomics, not ClientStats fields: the revoke

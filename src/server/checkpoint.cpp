@@ -14,7 +14,8 @@ namespace iw::server {
 namespace {
 
 constexpr uint32_t kChainMagic = 0x49574943;  // "IWIC"
-constexpr uint32_t kChainFormat = 1;
+// Format 2: the folded diffs use the varint encoding (wire/diff.hpp).
+constexpr uint32_t kChainFormat = 2;
 constexpr size_t kChainHeaderBytes = 8;
 
 void write_all(int fd, const std::string& path, const uint8_t* p, size_t n) {
@@ -68,9 +69,17 @@ ChainScan scan_chain(const std::string& path) {
     ::close(fd);
   }
 
-  if (bytes.size() < kChainHeaderBytes ||
-      load_be32(bytes.data()) != kChainMagic ||
+  if (bytes.size() >= kChainHeaderBytes &&
+      load_be32(bytes.data()) == kChainMagic &&
       load_be32(bytes.data() + 4) != kChainFormat) {
+    throw Error(ErrorCode::kUnimplemented,
+                path + ": checkpoint chain format " +
+                    std::to_string(load_be32(bytes.data() + 4)) +
+                    " (this build reads format " +
+                    std::to_string(kChainFormat) + ")");
+  }
+  if (bytes.size() < kChainHeaderBytes ||
+      load_be32(bytes.data()) != kChainMagic) {
     out.torn = !bytes.empty();
     out.valid_bytes = 0;
     return out;

@@ -12,7 +12,8 @@
 // On-disk layout (all integers big-endian):
 //
 //   file   := header record*
-//   header := magic u32 "IWIC" | format u32 (=1)
+//   header := magic u32 "IWIC" | format u32 (=2; a format 1 chain holds
+//             fixed-width diffs and is refused with Error(kUnimplemented))
 //   record := the shared CRC32C framing (wire/payload.hpp):
 //             body_len u32 | crc u32 | tag u8 | payload
 //   tag    := kChainDelta (1), possibly ORed with kPayloadCompressedTagBit
@@ -75,7 +76,8 @@ struct ChainScan {
 };
 
 /// Scans `path`, parsing every valid record. Torn or corrupt content is
-/// reported via the result; only genuine I/O failure throws Error(kIo).
+/// reported via the result; genuine I/O failure throws Error(kIo), and a
+/// chain in another format Error(kUnimplemented).
 ChainScan scan_chain(const std::string& path);
 
 /// Appends one delta record to `path`, creating the file (with header) on

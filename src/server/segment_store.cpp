@@ -223,9 +223,8 @@ uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
     ServerHooks hooks(block, &var_map(block->type));
     const uint64_t units = block->prim_units();
     while (!entry.runs.at_end()) {
-      DiffRun run = DiffReader::read_run(entry.runs);
-      if (run.unit_count == 0 ||
-          run.start_unit + static_cast<uint64_t>(run.unit_count) > units) {
+      DiffRun run = entry.read_run();
+      if (run.start_unit + static_cast<uint64_t>(run.unit_count) > units) {
         throw Error(ErrorCode::kProtocol, "diff run out of block bounds");
       }
       decode_units(*block->type, registry_.rules(), block->data.data(),
@@ -240,51 +239,61 @@ uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
     }
   };
 
-  while (reader.next(&entry)) {
-    if (entry.flags & diff_flags::kFree) {
-      SvrBlock* block = blocks_by_serial_.find(entry.serial);
+  try {
+    while (reader.next(&entry)) {
+      if (entry.flags & diff_flags::kFree) {
+        SvrBlock* block = blocks_by_serial_.find(entry.serial);
+        if (block == nullptr) {
+          throw Error(ErrorCode::kProtocol, "free of unknown block");
+        }
+        if (predicted == block) predicted = nullptr;
+        destroy_block(block, new_version);
+        continue;
+      }
+      if (entry.flags & diff_flags::kNew) {
+        if (blocks_by_serial_.find(entry.serial) != nullptr) {
+          throw Error(ErrorCode::kProtocol, "new block serial already exists");
+        }
+        SvrBlock* block = create_block(entry.serial, entry.type_serial,
+                                       std::move(entry.name), new_version);
+        apply_runs(block);
+        predicted = nullptr;  // new blocks sit at the tail already
+        continue;
+      }
+      // Modified block: try the prediction before the serial tree (§3.3).
+      SvrBlock* block = nullptr;
+      if (options_.enable_last_block_prediction && predicted != nullptr &&
+          predicted->serial == entry.serial) {
+        block = predicted;
+        stats_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
+      }
       if (block == nullptr) {
-        throw Error(ErrorCode::kProtocol, "free of unknown block");
+        stats_.prediction_misses.fetch_add(1, std::memory_order_relaxed);
+        block = blocks_by_serial_.find(entry.serial);
       }
-      if (predicted == block) predicted = nullptr;
-      destroy_block(block, new_version);
-      continue;
-    }
-    if (entry.flags & diff_flags::kNew) {
-      if (blocks_by_serial_.find(entry.serial) != nullptr) {
-        throw Error(ErrorCode::kProtocol, "new block serial already exists");
+      if (block == nullptr) {
+        throw Error(ErrorCode::kProtocol, "update of unknown block");
       }
-      SvrBlock* block = create_block(entry.serial, entry.type_serial,
-                                     std::move(entry.name), new_version);
+      // Capture the follower before move_to_back rearranges the list.
+      VersionNode* node = version_list_.next(*block);
+      while (node != nullptr && node->is_marker) {
+        node = version_list_.next(*node);
+      }
+      predicted = static_cast<SvrBlock*>(node);
+      total_data_bytes_ -= std::min(total_data_bytes_, block_bytes(*block));
       apply_runs(block);
-      predicted = nullptr;  // new blocks sit at the tail already
-      continue;
+      total_data_bytes_ += block_bytes(*block);
+      version_list_.move_to_back(*block);
+      block->version = new_version;
     }
-    // Modified block: try the prediction before the serial tree (§3.3).
-    SvrBlock* block = nullptr;
-    if (options_.enable_last_block_prediction && predicted != nullptr &&
-        predicted->serial == entry.serial) {
-      block = predicted;
-      stats_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (block == nullptr) {
-      stats_.prediction_misses.fetch_add(1, std::memory_order_relaxed);
-      block = blocks_by_serial_.find(entry.serial);
-    }
-    if (block == nullptr) {
-      throw Error(ErrorCode::kProtocol, "update of unknown block");
-    }
-    // Capture the follower before move_to_back rearranges the list.
-    VersionNode* node = version_list_.next(*block);
-    while (node != nullptr && node->is_marker) {
-      node = version_list_.next(*node);
-    }
-    predicted = static_cast<SvrBlock*>(node);
-    total_data_bytes_ -= std::min(total_data_bytes_, block_bytes(*block));
-    apply_runs(block);
-    total_data_bytes_ += block_bytes(*block);
-    version_list_.move_to_back(*block);
-    block->version = new_version;
+  } catch (...) {
+    // A malformed diff must not leave its marker behind: the next commit
+    // claims the same version, and a duplicate marker would refuse it.
+    // (Blocks the diff touched before the bad entry keep their new bytes.)
+    markers_.erase(*marker);
+    version_list_.erase(*marker);
+    owned_markers_.pop_back();
+    throw;
   }
 
   version_ = new_version;
@@ -303,36 +312,57 @@ uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
 void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
                                        uint32_t from_version) {
   ServerHooks hooks(&block, &var_map(block.type));
+  const LayoutRules& rules = registry_.rules();
   const uint64_t units = block.prim_units();
+  // Types without strings or pointers have a wire size known up front,
+  // which lets the writer place the section's length without moving it.
+  const std::optional<uint64_t> block_wire =
+      fixed_wire_size(*block.type, rules, 0, units);
   if (block.created_version > from_version) {
     writer.begin_block(block.serial, diff_flags::kNew | diff_flags::kWhole,
-                       block.type_serial, block.name);
+                       block.type_serial, block.name,
+                       block_wire ? DiffWriter::run_bytes(0, units, *block_wire)
+                                  : 0);
     writer.begin_run(0, static_cast<uint32_t>(units));
-    encode_units(*block.type, registry_.rules(), block.data.data(), 0, units,
-                 hooks, writer.buffer());
+    encode_units(*block.type, rules, block.data.data(), 0, units, hooks,
+                 writer.buffer());
     writer.end_block();
     return;
   }
   // Send full content of every subblock newer than from_version, merging
   // adjacent stale runs (the client just sees runs of modified data).
-  writer.begin_block(block.serial, 0);
   const uint32_t su = options_.subblock_units;
   const uint32_t n_sb = block.subblock_count();
-  uint32_t sb = 0;
-  while (sb < n_sb) {
-    if (block.subblock_versions[sb] <= from_version) {
-      ++sb;
-      continue;
+  auto for_each_run = [&](auto&& fn) {
+    uint32_t sb = 0;
+    while (sb < n_sb) {
+      if (block.subblock_versions[sb] <= from_version) {
+        ++sb;
+        continue;
+      }
+      uint32_t first = sb;
+      while (sb < n_sb && block.subblock_versions[sb] > from_version) ++sb;
+      fn(static_cast<uint64_t>(first) * su,
+         std::min(units, static_cast<uint64_t>(sb) * su));
     }
-    uint32_t first = sb;
-    while (sb < n_sb && block.subblock_versions[sb] > from_version) ++sb;
-    uint64_t unit_begin = static_cast<uint64_t>(first) * su;
-    uint64_t unit_end = std::min(units, static_cast<uint64_t>(sb) * su);
+  };
+  uint64_t section_bytes = 0;
+  if (block_wire) {
+    uint64_t prev_end = 0;
+    for_each_run([&](uint64_t unit_begin, uint64_t unit_end) {
+      section_bytes += DiffWriter::run_bytes(
+          unit_begin - prev_end, unit_end - unit_begin,
+          *fixed_wire_size(*block.type, rules, unit_begin, unit_end));
+      prev_end = unit_end;
+    });
+  }
+  writer.begin_block(block.serial, 0, 0, {}, section_bytes);
+  for_each_run([&](uint64_t unit_begin, uint64_t unit_end) {
     writer.begin_run(static_cast<uint32_t>(unit_begin),
                      static_cast<uint32_t>(unit_end - unit_begin));
-    encode_units(*block.type, registry_.rules(), block.data.data(), unit_begin,
-                 unit_end, hooks, writer.buffer());
-  }
+    encode_units(*block.type, rules, block.data.data(), unit_begin, unit_end,
+                 hooks, writer.buffer());
+  });
   writer.end_block();
 }
 

@@ -302,8 +302,8 @@ void SegmentServer::revoke_cached_readers_locked(
     Frame note;
     note.type = MsgType::kRevokeRead;
     Buffer np;
-    np.append_lp_string(name);
-    np.append_u32(++entry.revoke_gen);
+    np.append_vstring(name);
+    np.append_varint(++entry.revoke_gen);
     note.payload = np.take();
     stats_.revokes_sent.fetch_add(targets.size(), std::memory_order_relaxed);
     // In-process transports run the holder's revoke handler — and its
@@ -395,11 +395,11 @@ bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
   // Ship type definitions the client has not seen yet.
   SegmentStore& store = *entry.store;
   uint32_t count = store.type_count();
-  payload.append_u32(count - ss.types_sent);
+  payload.append_varint(count - ss.types_sent);
   for (uint32_t serial = ss.types_sent + 1; serial <= count; ++serial) {
-    payload.append_u32(serial);
+    payload.append_varint(serial);
     auto graph = store.type_graph(serial);
-    payload.append_u32(static_cast<uint32_t>(graph.size()));
+    payload.append_varint(graph.size());
     payload.append(graph.data(), graph.size());
   }
   ss.types_sent = count;
@@ -569,11 +569,11 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kAcquireRead: {
-      std::string name = in.read_lp_string();
-      uint32_t client_version = in.read_u32();
+      std::string name = in.read_vstring();
+      uint32_t client_version = in.read_varint32();
       CoherencePolicy policy;
       policy.model = static_cast<CoherenceModel>(in.read_u8());
-      policy.param = in.read_u64();
+      policy.param = in.read_varint64();
       SegmentEntry& entry = segment(name);
       std::lock_guard el(entry.mu);
       SegmentSession& ss = seg_session(entry, session);
@@ -607,7 +607,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kReleaseRead: {
-      std::string name = in.read_lp_string();
+      std::string name = in.read_vstring();
       // Optional trailing byte: the client asks to keep the lock cached.
       bool keep_cached = in.remaining() >= 1 && in.read_u8() != 0;
       // Reader locks are otherwise pure client-side bookkeeping; tolerate
@@ -643,7 +643,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kRevokeAck: {
-      std::string name = in.read_lp_string();
+      std::string name = in.read_vstring();
       // Idempotent: a duplicated or late ack (lock already force-expired,
       // segment unknown) is still success. An ack only retires a
       // registration whose revocation is actually *pending*: acks travel on
@@ -654,7 +654,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       // echoed generation closes the remaining async window: a floating
       // stale ack cannot retire a *newer* pending revocation the client
       // has not processed yet.
-      uint32_t gen = in.remaining() >= 4 ? in.read_u32() : 0;
+      uint32_t gen = in.read_varint32();
       SegmentEntry* entry = find_segment(name, false);
       if (entry != nullptr) {
         std::lock_guard el(entry->mu);
@@ -672,8 +672,8 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kAcquireWrite: {
-      std::string name = in.read_lp_string();
-      uint32_t client_version = in.read_u32();
+      std::string name = in.read_vstring();
+      uint32_t client_version = in.read_varint32();
       SegmentEntry& entry = segment(name);
       std::unique_lock el(entry.mu);
       if (options_.replicator != nullptr && options_.replicator->fenced(name)) {
@@ -691,7 +691,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       acquire_writer_locked(entry, name, session, el);
       SegmentSession& ss = seg_session(entry, session);
       resp.type = MsgType::kAcquireWriteResp;
-      payload.append_u32(entry.store->next_block_serial());
+      payload.append_varint(entry.store->next_block_serial());
       // A writer must start from the current version.
       if (append_update(entry, ss, client_version, CoherencePolicy::full(),
                         payload)) {
@@ -703,7 +703,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kReleaseWrite: {
-      std::string name = in.read_lp_string();
+      std::string name = in.read_vstring();
       SegmentEntry& entry = segment(name);
       std::lock_guard el(entry.mu);
       if (entry.writer != session) {
@@ -833,8 +833,8 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
           Frame note;
           note.type = MsgType::kNotifyVersion;
           Buffer np;
-          np.append_lp_string(name);
-          np.append_u32(new_version);
+          np.append_vstring(name);
+          np.append_varint(new_version);
           note.payload = np.take();
           notifies->push_back({ss.notify, std::move(note)});
           stats_.notifications_sent.fetch_add(1, std::memory_order_relaxed);
@@ -848,7 +848,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         checkpoint_segment_locked(entry);
       }
       resp.type = MsgType::kReleaseWriteResp;
-      payload.append_u32(new_version);
+      payload.append_varint(new_version);
       break;
     }
 

@@ -18,7 +18,9 @@ namespace iw::server {
 namespace {
 
 constexpr uint32_t kWalMagic = 0x4957414C;  // "IWAL"
-constexpr uint32_t kWalFormat = 1;
+// Format 2: commit diffs use the varint encoding (wire/diff.hpp). Format 1
+// journals hold fixed-width diffs this build cannot parse.
+constexpr uint32_t kWalFormat = 2;
 constexpr size_t kHeaderBytes = WriteAheadLog::kHeaderSize;
 
 }  // namespace
@@ -60,8 +62,17 @@ WriteAheadLog::Replay WriteAheadLog::replay(const std::string& path) {
     ::close(fd);
   }
 
-  if (bytes.size() < kHeaderBytes || load_be32(bytes.data()) != kWalMagic ||
+  if (bytes.size() >= kHeaderBytes && load_be32(bytes.data()) == kWalMagic &&
       load_be32(bytes.data() + 4) != kWalFormat) {
+    // A real journal in another format: refuse it rather than discard
+    // acknowledged commits or misparse their diffs.
+    throw Error(ErrorCode::kUnimplemented,
+                path + ": journal format " +
+                    std::to_string(load_be32(bytes.data() + 4)) +
+                    " (this build reads format " +
+                    std::to_string(kWalFormat) + ")");
+  }
+  if (bytes.size() < kHeaderBytes || load_be32(bytes.data()) != kWalMagic) {
     // Not a log we can trust at all; the caller starts fresh (valid_bytes 0
     // makes the reopen rewrite the header).
     out.torn_tail = !bytes.empty();

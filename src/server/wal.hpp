@@ -9,7 +9,7 @@
 // On-disk layout (all integers big-endian, matching the wire format):
 //
 //   file   := header record*
-//   header := magic u32 "IWAL" | format u32 (=1)
+//   header := magic u32 "IWAL" | format u32 (=2)
 //   record := body_len u32 | crc u32 | body
 //   body   := tag u8 | payload           (body_len = 1 + payload size)
 //   tag    := type u8, possibly ORed with kPayloadCompressedTagBit (0x80)
@@ -18,10 +18,10 @@
 // composes it with the WAL's header, sync policies, and torn-tail rule.
 // When the tag carries kPayloadCompressedTagBit the payload is a
 // compress_record_payload envelope (`u32 raw_len | lz bytes`); replay
-// decompresses transparently, so Record::payload is always the raw bytes.
-// Uncompressed records are byte-identical to format 1 journals written
-// before compression existed, and replay sniffs the flag per record, so
-// old journals (and mixed old/new journals) replay unchanged.
+// decompresses transparently, so Record::payload is always the raw bytes,
+// and a journal may mix compressed and raw records. Format 2 journals
+// carry varint-encoded diffs (wire/diff.hpp); a format 1 journal, whose
+// diffs are fixed-width, is refused with Error(kUnimplemented).
 //
 // `crc` is CRC-32C over the whole body. The torn-tail rule: a record is
 // valid only if its full header fits, its length is sane, its full body
@@ -127,9 +127,10 @@ class WriteAheadLog {
     bool missing = false;
   };
 
-  /// Scans `path` and parses every valid record. Throws Error(kIo) only on
-  /// genuine I/O failure (open/read of an existing file); torn or corrupt
-  /// content is reported via the result, never thrown.
+  /// Scans `path` and parses every valid record. Throws Error(kIo) on
+  /// genuine I/O failure (open/read of an existing file) and
+  /// Error(kUnimplemented) for a journal in another format; torn or
+  /// corrupt content is reported via the result, never thrown.
   static Replay replay(const std::string& path);
 
   /// Opens `path` for appending. `resume_at` is Replay::valid_bytes from a

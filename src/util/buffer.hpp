@@ -4,10 +4,17 @@
 // helpers in canonical (big-endian) order. BufReader is a bounds-checked
 // cursor over immutable bytes; it throws Error(kProtocol) on overrun, which
 // is the right behaviour when the bytes came off the network.
+//
+// Besides fixed-width integers both speak LEB128 varints: 7 value bits per
+// byte, least significant group first, high bit set on every byte but the
+// last. Small numbers — versions, serials, unit offsets, lengths — are the
+// common case on the wire, and a varint spends one byte on each below 128.
+// `vstring` is a byte string behind a varint length.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -17,6 +24,25 @@
 #include "util/error.hpp"
 
 namespace iw {
+
+/// Most bytes a varint of a 64-bit value takes (10 x 7 >= 64).
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/// Bytes the LEB128 encoding of `v` takes.
+constexpr size_t varint_size(uint64_t v) noexcept {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Writes the LEB128 encoding of `v` to `out` (at least varint_size(v)
+/// bytes of room) and returns the number of bytes written.
+inline size_t encode_varint(uint64_t v, uint8_t* out) noexcept {
+  size_t n = 0;
+  for (; v >= 0x80; v >>= 7) out[n++] = static_cast<uint8_t>(v | 0x80);
+  out[n++] = static_cast<uint8_t>(v);
+  return n;
+}
 
 /// One contiguous piece of an iovec-style scatter/gather chain. Borrowed:
 /// the bytes must stay alive while the slice is in use.
@@ -62,6 +88,48 @@ class Buffer {
     append(s.data(), s.size());
   }
 
+  /// Appends `v` as a LEB128 varint.
+  void append_varint(uint64_t v) {
+    if (v < 0x80) {
+      bytes_.push_back(static_cast<uint8_t>(v));
+      return;
+    }
+    uint8_t tmp[kMaxVarintBytes];
+    append(tmp, encode_varint(v, tmp));
+  }
+
+  /// Appends a varint-length-prefixed byte string.
+  void append_vstring(std::string_view s) {
+    uint8_t* p = extend(varint_size(s.size()) + s.size());
+    p += encode_varint(s.size(), p);
+    if (!s.empty()) std::memcpy(p, s.data(), s.size());
+  }
+
+  /// Reserves `width` bytes for a varint whose value is known only later,
+  /// and returns their offset; fill them with patch_varint.
+  size_t append_varint_placeholder(size_t width = 1) {
+    size_t off = bytes_.size();
+    bytes_.resize(off + width);
+    return off;
+  }
+
+  /// Stores `v` as a varint in the `width` bytes reserved at `offset`. When
+  /// its encoding takes another number of bytes, everything after the
+  /// placeholder moves to fit, so offsets taken past `offset` are stale
+  /// afterwards; a writer that guesses the width right moves nothing.
+  void patch_varint(size_t offset, size_t width, uint64_t v) {
+    check_internal(offset + width <= bytes_.size(),
+                   "patch_varint out of range");
+    const size_t n = varint_size(v);
+    const auto at = bytes_.begin() + static_cast<ptrdiff_t>(offset + width);
+    if (n > width) {
+      bytes_.insert(at, n - width, uint8_t{0});
+    } else if (n < width) {
+      bytes_.erase(at - static_cast<ptrdiff_t>(width - n), at);
+    }
+    encode_varint(v, bytes_.data() + offset);
+  }
+
   /// Grows by `n` bytes and returns a pointer to the new region (bulk
   /// writers fill it directly, avoiding per-element size checks).
   uint8_t* extend(size_t n) {
@@ -76,17 +144,6 @@ class Buffer {
   void truncate(size_t n) {
     check_internal(n <= bytes_.size(), "truncate past end");
     bytes_.resize(n);
-  }
-
-  /// Reserves `n` bytes and returns their offset; patch later via patch_u32.
-  size_t append_placeholder_u32() {
-    size_t off = bytes_.size();
-    append_u32(0);
-    return off;
-  }
-  void patch_u32(size_t offset, uint32_t v) {
-    check_internal(offset + 4 <= bytes_.size(), "patch_u32 out of range");
-    store_be32(bytes_.data() + offset, v);
   }
 
   std::vector<uint8_t> take() noexcept { return std::move(bytes_); }
@@ -159,6 +216,28 @@ class BufReader {
   float read_f32() { return load_be_float(take(4)); }
   double read_f64() { return load_be_double(take(8)); }
 
+  /// Reads a varint that must fit in 32 bits. Throws Error(kProtocol) when
+  /// the input ends inside it, or when it is overlong: more than 5 bytes,
+  /// a value past 32 bits, or a redundant zero-valued last byte.
+  uint32_t read_varint32() {
+    if (p_ != end_ && *p_ < 0x80) [[likely]] return *p_++;  // one byte
+    return static_cast<uint32_t>(read_varint(5, UINT32_MAX));
+  }
+
+  /// Reads a varint of up to 64 bits (at most 10 bytes); errors as for
+  /// read_varint32.
+  uint64_t read_varint64() { return read_varint(kMaxVarintBytes, UINT64_MAX); }
+
+  /// Reads a varint-length-prefixed byte string as a view into the
+  /// underlying storage (same lifetime rule as read_lp_view).
+  std::string_view read_vstring_view() {
+    auto s = read_bytes(read_varint32());
+    return {reinterpret_cast<const char*>(s.data()), s.size()};
+  }
+
+  /// Reads a varint-length-prefixed byte string as a std::string.
+  std::string read_vstring() { return std::string(read_vstring_view()); }
+
   /// Reads `n` raw bytes, returning a view into the underlying storage.
   std::span<const uint8_t> read_bytes(size_t n) {
     return {take(n), n};
@@ -182,6 +261,28 @@ class BufReader {
   void skip(size_t n) { take(n); }
 
  private:
+  // Out of line so that read_varint32's one-byte path inlines.
+  [[gnu::noinline]] uint64_t read_varint(size_t max_bytes,
+                                         uint64_t max_value) {
+    uint64_t v = 0;
+    for (size_t i = 0;; ++i) {
+      if (p_ == end_) throw Error(ErrorCode::kProtocol, "varint truncated");
+      if (i == max_bytes) throw Error(ErrorCode::kProtocol, "varint overlong");
+      const uint64_t group = *p_ & 0x7F;
+      const bool more = (*p_++ & 0x80) != 0;
+      // The last group a 64-bit value can use holds one bit.
+      if (i == kMaxVarintBytes - 1 && group > 1) {
+        throw Error(ErrorCode::kProtocol, "varint overlong");
+      }
+      v |= group << (7 * i);
+      if (more) continue;
+      if ((group == 0 && i > 0) || v > max_value) {
+        throw Error(ErrorCode::kProtocol, "varint overlong");
+      }
+      return v;
+    }
+  }
+
   const uint8_t* take(size_t n) {
     if (remaining() < n) {
       throw Error(ErrorCode::kProtocol, "message truncated");

@@ -7,13 +7,19 @@
 // run-length-encoded changes. Runs address *primitive data units*, never
 // bytes, so a diff collected on one architecture applies on any other.
 //
-// Entry layout (all integers big-endian):
-//   u32 serial
-//   u8  flags (kNew | kFree | kWhole)
-//   [kNew]  u32 type_serial, lp name
-//   [!kFree] u32 diff_bytes            -- paper's "block diff length"
-//            runs, diff_bytes long:
-//              u32 start_unit, u32 unit_count, unit data (wire format)
+// Layout (v = LEB128 varint, see util/buffer.hpp):
+//   v from_version, v (to_version - from_version), v n_entries
+//   entry:
+//     v  serial
+//     u8 flags (kNew | kFree | kWhole)
+//     [kNew]  v type_serial, v name_len, name
+//     [!kFree] v diff_bytes               -- paper's "block diff length"
+//              runs, diff_bytes long:
+//                v gap, v unit_count, unit data (wire format)
+//
+// A run starts `gap` units after the end of the previous run of the same
+// entry (the first run: after unit 0), so runs are ascending and disjoint
+// by construction; unit_count is never 0.
 //
 // DiffWriter streams entries into a Buffer (patching lengths); DiffReader
 // re-walks them. Translation of unit data is done by the caller via
@@ -42,12 +48,24 @@ class DiffWriter {
   /// Appends a freed-block entry.
   void add_free(uint32_t serial);
 
-  /// Opens a block entry; runs follow until end_block().
+  /// Opens a block entry; runs follow until end_block(). `section_bytes`
+  /// is the expected size of the entry's run section, when the caller can
+  /// tell (see run_bytes): the section's varint length goes in front of it,
+  /// and a right guess lets end_block fill it in without moving the
+  /// section. A wrong or absent guess only costs that move.
   void begin_block(uint32_t serial, uint8_t flags, uint32_t type_serial = 0,
-                   std::string_view name = {});
+                   std::string_view name = {}, uint64_t section_bytes = 0);
+
+  /// Encoded size of one run: its gap and unit count, then `unit_bytes` of
+  /// unit data.
+  static uint64_t run_bytes(uint64_t gap, uint64_t unit_count,
+                            uint64_t unit_bytes) {
+    return varint_size(gap) + varint_size(unit_count) + unit_bytes;
+  }
 
   /// Opens one run; the caller must then append exactly the wire encoding of
-  /// `unit_count` units (via encode_units) to buffer().
+  /// `unit_count` units (via encode_units) to buffer(). Runs of a block must
+  /// be ascending and disjoint, and `unit_count` nonzero.
   void begin_run(uint32_t start_unit, uint32_t unit_count);
 
   /// Buffer run data is appended to.
@@ -65,10 +83,18 @@ class DiffWriter {
   size_t start_offset_;
   size_t count_offset_;
   size_t block_len_offset_ = 0;
+  size_t block_len_width_ = 0;
   size_t block_data_start_ = 0;
+  uint64_t run_end_ = 0;  ///< end unit of the open block's last run
   uint32_t entries_ = 0;
   bool in_block_ = false;
   bool finished_ = false;
+};
+
+/// One run header inside an entry's run section.
+struct DiffRun {
+  uint32_t start_unit;
+  uint32_t unit_count;
 };
 
 /// One parsed diff entry header. For data-carrying entries, `runs` is
@@ -79,12 +105,12 @@ struct DiffEntry {
   uint32_t type_serial = 0;  ///< valid when kNew
   std::string name;          ///< valid when kNew
   BufReader runs{nullptr, 0};
-};
+  uint64_t run_end = 0;      ///< end unit of the last run read
 
-/// One run header inside an entry's run section.
-struct DiffRun {
-  uint32_t start_unit;
-  uint32_t unit_count;
+  /// Reads the next run header from `runs`; the caller then decodes the
+  /// run's units from `runs`. Throws Error(kProtocol) for a zero-count run
+  /// or one that ends past unit 2^32 - 1.
+  DiffRun read_run();
 };
 
 /// Sequential reader over a segment diff.
@@ -98,9 +124,6 @@ class DiffReader {
 
   /// Reads the next entry; returns false when the diff is exhausted.
   bool next(DiffEntry* entry);
-
-  /// Reads one run header from an entry's run section.
-  static DiffRun read_run(BufReader& runs);
 
  private:
   BufReader& in_;

@@ -1,5 +1,6 @@
 #include "wire/payload.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/crc32c.hpp"
@@ -48,18 +49,33 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
   const uint8_t* src = raw.data();
   const size_t start = out.size();
 
-  // Positions are stored +1 so a zero entry means "empty".
-  std::vector<uint32_t> table(size_t{1} << kHashBits, 0);
+  // The match table outlives the call, so no call pays to clear its 8K
+  // slots. A slot holds base + position + 1, and each call's base is the
+  // previous call's base plus its input size: whatever an earlier call
+  // stored is at most this call's base, so it reads as empty. When the
+  // bases would pass 2^32 the table is cleared once and they restart at 0.
+  static thread_local std::vector<uint32_t> table(size_t{1} << kHashBits, 0);
+  static thread_local uint32_t next_base = 0;
+  if (n > UINT32_MAX - next_base) {
+    std::fill(table.begin(), table.end(), 0);
+    next_base = 0;
+  }
+  // Plain locals: the matcher loop should not go through TLS per access.
+  const uint32_t base = next_base;
+  next_base = static_cast<uint32_t>(base + n);
+  uint32_t* const slots = table.data();
 
   size_t ip = 0, anchor = 0;
   while (ip + kMinMatch <= n) {
     const uint32_t seq = load_raw32(src + ip);
-    const uint32_t slot = sequence_slot(seq);
-    const size_t cand = table[slot];
-    table[slot] = static_cast<uint32_t>(ip + 1);
-    if (cand != 0) {
-      const size_t cpos = cand - 1;
-      if (ip - cpos <= kMaxOffset && load_raw32(src + cpos) == seq) {
+    uint32_t& slot = slots[sequence_slot(seq)];
+    const uint32_t stored = slot;
+    const uint32_t tag = static_cast<uint32_t>(base + ip + 1);
+    slot = tag;
+    const uint32_t dist = tag - stored;  // ip - candidate position
+    if (stored > base && dist <= kMaxOffset) {
+      const size_t cpos = ip - dist;
+      if (load_raw32(src + cpos) == seq) {
         size_t len = kMinMatch;
         while (ip + len < n && src[cpos + len] == src[ip + len]) ++len;
 
@@ -205,12 +221,15 @@ bool compress_section_in_place(Buffer& buf, size_t method_offset) {
   if (!lz_compress({buf.data() + method_offset + 1, raw_len}, scratch)) {
     return false;
   }
-  // The envelope adds 8 bytes of lengths; require a real saving.
-  if (scratch.size() + 8 >= raw_len) return false;
+  // The envelope adds two varint lengths; require a real saving.
+  if (scratch.size() + varint_size(scratch.size()) + varint_size(raw_len) >=
+      raw_len) {
+    return false;
+  }
   buf.truncate(method_offset);
   buf.append_u8(payload_method::kLz);
-  buf.append_u32(static_cast<uint32_t>(scratch.size()));
-  buf.append_u32(static_cast<uint32_t>(raw_len));
+  buf.append_varint(scratch.size());
+  buf.append_varint(raw_len);
   buf.append(scratch.span());
   return true;
 }
@@ -219,8 +238,8 @@ bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch) {
   const uint8_t method = in.read_u8();
   if (method == payload_method::kRaw) return false;
   if (method != payload_method::kLz) corrupt("unknown payload method");
-  const uint32_t comp_len = in.read_u32();
-  const uint32_t raw_len = in.read_u32();
+  const uint32_t comp_len = in.read_varint32();
+  const uint32_t raw_len = in.read_varint32();
   if (raw_len > kMaxFramedBody) corrupt("section raw length implausible");
   if (comp_len > in.remaining()) corrupt("section truncated");
   auto comp = in.read_bytes(comp_len);

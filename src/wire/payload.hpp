@@ -18,8 +18,8 @@
 //     with kPayloadCompressedTagBit. Wire diff sections use a leading
 //     method byte (payload_method::kRaw keeps the section byte-identical
 //     to the pre-compression format so the zero-copy iovec path survives;
-//     kLz carries `u32 comp_len | u32 raw_len | bytes`, explicitly sized so
-//     trailing frame bytes still parse). Compression is always *measured*:
+//     kLz carries `varint comp_len | varint raw_len | bytes`, explicitly
+//     sized so trailing frame bytes still parse). Compression is always *measured*:
 //     when the encoded bytes would not beat the raw bytes, the raw form is
 //     kept and the flag says so.
 //
@@ -94,7 +94,7 @@ std::vector<uint8_t> decompress_record_payload(
 namespace payload_method {
 /// Section bytes follow unmodified (self-delimiting; parse in place).
 inline constexpr uint8_t kRaw = 0;
-/// Section is `u32 comp_len | u32 raw_len | comp bytes`.
+/// Section is `varint comp_len | varint raw_len | comp bytes`.
 inline constexpr uint8_t kLz = 1;
 }  // namespace payload_method
 

@@ -55,6 +55,9 @@ void decode_numeric_run(uint8_t* p, uint64_t count, uint32_t stride,
   }
 }
 
+// Wire size of a string or MIP unit of `len` bytes: varint length + bytes.
+inline uint64_t vstring_size(size_t len) { return varint_size(len) + len; }
+
 }  // namespace
 
 std::string_view InlineStringHooks::read_string(const void* field,
@@ -130,7 +133,7 @@ void encode_run(const PlanOp& op, const uint8_t* p, uint64_t count, bool swap,
       break;
     case PrimitiveKind::kString:
       for (uint64_t i = 0; i < count; ++i, p += op.local_stride)
-        out.append_lp_string(hooks.read_string(p, op.string_capacity));
+        out.append_vstring(hooks.read_string(p, op.string_capacity));
       break;
   }
 }
@@ -171,15 +174,15 @@ void decode_run(const PlanOp& op, uint8_t* p, uint64_t count, bool swap,
       }
       break;
     case PrimitiveKind::kPointer:
-      // read_lp_view: the MIP/string bytes are consumed (copied or
+      // read_vstring_view: the MIP/string bytes are consumed (copied or
       // resolved) by the hook before the next read, so a view into the
       // input buffer avoids one heap allocation per unit.
       for (uint64_t i = 0; i < count; ++i, p += op.local_stride)
-        hooks.swizzle_in(in.read_lp_view(), p);
+        hooks.swizzle_in(in.read_vstring_view(), p);
       break;
     case PrimitiveKind::kString:
       for (uint64_t i = 0; i < count; ++i, p += op.local_stride)
-        hooks.write_string(p, op.string_capacity, in.read_lp_view());
+        hooks.write_string(p, op.string_capacity, in.read_vstring_view());
       break;
   }
 }
@@ -472,11 +475,12 @@ uint64_t plan_measure(const TranslationPlan& plan, const uint8_t* base,
       switch (op.prim) {
         case PrimitiveKind::kPointer:
           for (uint64_t u = b; u < e; ++u, p += op.local_stride)
-            total += 4 + hooks.swizzle_out(p).size();
+            total += vstring_size(hooks.swizzle_out(p).size());
           break;
         case PrimitiveKind::kString:
           for (uint64_t u = b; u < e; ++u, p += op.local_stride)
-            total += 4 + hooks.read_string(p, op.string_capacity).size();
+            total +=
+                vstring_size(hooks.read_string(p, op.string_capacity).size());
           break;
         default:
           total += (e - b) * wire_size_of(op.prim);
@@ -542,6 +546,15 @@ void decode_units(const TypeDescriptor& type, const LayoutRules& rules,
       c->isomorphic_fast_path_blocks.fetch_add(1, std::memory_order_relaxed);
     }
   }
+}
+
+std::optional<uint64_t> fixed_wire_size(const TypeDescriptor& type,
+                                        const LayoutRules& rules,
+                                        uint64_t begin, uint64_t end) {
+  const TranslationPlan& plan = TranslationPlan::of(type, rules);
+  if (plan.variable()) return std::nullopt;
+  if (begin >= end) return 0;
+  return plan.fixed_wire_offset_of(end) - plan.fixed_wire_offset_of(begin);
 }
 
 uint64_t measure_units(const TypeDescriptor& type, const LayoutRules& rules,
@@ -758,7 +771,7 @@ void encode_units_legacy(const TypeDescriptor& type, const LayoutRules& rules,
         break;
       case PrimitiveKind::kString:
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          out.append_lp_string(hooks.read_string(p, run.string_capacity));
+          out.append_vstring(hooks.read_string(p, run.string_capacity));
         break;
     }
   });
@@ -839,12 +852,12 @@ void decode_units_legacy(const TypeDescriptor& type, const LayoutRules& rules,
         break;
       case PrimitiveKind::kPointer:
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride) {
-          hooks.swizzle_in(in.read_lp_view(), p);
+          hooks.swizzle_in(in.read_vstring_view(), p);
         }
         break;
       case PrimitiveKind::kString:
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride) {
-          hooks.write_string(p, run.string_capacity, in.read_lp_view());
+          hooks.write_string(p, run.string_capacity, in.read_vstring_view());
         }
         break;
     }
@@ -863,13 +876,14 @@ uint64_t measure_units_legacy(const TypeDescriptor& type,
       case PrimitiveKind::kPointer: {
         const uint8_t* p = b + run.local_offset;
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          total += 4 + hooks.swizzle_out(p).size();
+          total += vstring_size(hooks.swizzle_out(p).size());
         break;
       }
       case PrimitiveKind::kString: {
         const uint8_t* p = b + run.local_offset;
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          total += 4 + hooks.read_string(p, run.string_capacity).size();
+          total +=
+              vstring_size(hooks.read_string(p, run.string_capacity).size());
         break;
       }
       default:

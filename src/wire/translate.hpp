@@ -4,7 +4,7 @@
 // (instantiated for some LayoutRules) and a range of *primitive data units*,
 // encode_units converts local bytes to canonical wire bytes and decode_units
 // does the inverse. Numeric units are byte-order-converted; strings travel
-// length-prefixed; pointers are swizzled to/from MIP strings through the
+// behind a varint length; pointers are swizzled to/from MIP strings through the
 // caller-supplied hooks (the client library implements them with its segment
 // metadata, the server with its out-of-line slot tables, tests with fakes).
 //
@@ -17,6 +17,7 @@
 // competitive with rpcgen-generated marshaling (Fig. 4).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -35,12 +36,12 @@ class TranslationHooks {
   /// naming what it points to ("" for null).
   virtual std::string swizzle_out(const void* field) = 0;
 
-  /// Appends the length-prefixed MIP for `field` directly to `out`.
+  /// Appends the MIP for `field`, behind its varint length, to `out`.
   /// Performance hook: the default routes through swizzle_out; the client
   /// overrides it to format without an intermediate allocation (pointer
   /// swizzling is the hot path for pointer-rich data, Fig. 4/6).
   virtual void swizzle_out_append(const void* field, Buffer& out) {
-    out.append_lp_string(swizzle_out(field));
+    out.append_vstring(swizzle_out(field));
   }
 
   /// Converts `mip` ("" for null) and stores the local pointer
@@ -88,6 +89,13 @@ void encode_units(const TypeDescriptor& type, const LayoutRules& rules,
 void decode_units(const TypeDescriptor& type, const LayoutRules& rules,
                   void* base, uint64_t begin, uint64_t end,
                   TranslationHooks& hooks, BufReader& in);
+
+/// Wire size of units [begin, end) of `type` when it holds no strings or
+/// pointers, computed from the plan alone (no data is read); nullopt for
+/// types whose wire size depends on their contents.
+std::optional<uint64_t> fixed_wire_size(const TypeDescriptor& type,
+                                        const LayoutRules& rules,
+                                        uint64_t begin, uint64_t end);
 
 /// Wire size in bytes that units [begin, end) of `type` would occupy, given
 /// the actual current contents at `base` (strings/pointers are variable).

@@ -183,14 +183,14 @@ TEST_F(Checkpoint, ClientAheadOfRecoveredServerResyncs) {
   // ahead of the server and check we get a full resync rather than an error.
   auto channel = std::make_shared<InProcChannel>(*server);
   Buffer payload;
-  payload.append_lp_string("host/ahead");
-  payload.append_u32(99);  // far ahead
+  payload.append_vstring("host/ahead");
+  payload.append_varint(99);  // far ahead
   payload.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-  payload.append_u64(0);
+  payload.append_varint(0);
   Frame resp = channel->call(MsgType::kAcquireRead, std::move(payload));
   BufReader r = resp.reader();
   EXPECT_EQ(r.read_u8(), 1) << "must be an update, not 'recent enough'";
-  r.read_u32();  // type count
+  r.read_varint32();  // type count
 }
 
 // Shared setup for the corruption regressions: two segments, both
@@ -491,17 +491,17 @@ TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
   // response diff must free the victim block.
   InProcChannel channel(revived);
   Buffer payload;
-  payload.append_lp_string("host/ghost");
-  payload.append_u32(mid_version);
+  payload.append_vstring("host/ghost");
+  payload.append_varint(mid_version);
   payload.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-  payload.append_u64(0);
+  payload.append_varint(0);
   Frame resp = channel.call(MsgType::kAcquireRead, std::move(payload));
   BufReader r = resp.reader();
   ASSERT_EQ(r.read_u8(), 1) << "must be an update, not 'recent enough'";
-  uint32_t n_types = r.read_u32();
+  uint32_t n_types = r.read_varint32();
   for (uint32_t i = 0; i < n_types; ++i) {
-    r.read_u32();
-    uint32_t len = r.read_u32();
+    r.read_varint32();
+    uint32_t len = r.read_varint32();
     r.read_bytes(len);
   }
   DiffReader reader(r);

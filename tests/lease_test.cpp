@@ -54,14 +54,14 @@ Buffer open_payload(const std::string& url) {
 
 Buffer acquire_write_payload(const std::string& url, uint32_t version = 0) {
   Buffer p;
-  p.append_lp_string(url);
-  p.append_u32(version);
+  p.append_vstring(url);
+  p.append_varint(version);
   return p;
 }
 
 Buffer empty_release_payload(const std::string& url, uint32_t version) {
   Buffer p;
-  p.append_lp_string(url);
+  p.append_vstring(url);
   DiffWriter(p, version, version).finish();
   return p;
 }

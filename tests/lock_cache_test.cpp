@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -128,6 +129,69 @@ TEST(LockCache, WriterRevokesIdleCachedLock) {
   EXPECT_EQ(reader.stats().lock_cache_misses, misses + 1);
 }
 
+/// Wraps a reader's channel and, once, runs `*race` after the server has
+/// answered a kAcquireRead but before the client sees the answer: the
+/// window in which a writer's kRevokeRead can overtake the grant.
+class RevokeBeforeResponseChannel final : public ClientChannel {
+ public:
+  RevokeBeforeResponseChannel(std::shared_ptr<ClientChannel> inner,
+                              std::function<void()>* race)
+      : inner_(std::move(inner)), race_(race) {}
+
+  using ClientChannel::call;
+  Frame call(MsgType type, Buffer& payload) override {
+    Frame resp = inner_->call(type, payload);
+    if (type == MsgType::kAcquireRead && *race_) {
+      std::function<void()> race = std::move(*race_);
+      *race_ = nullptr;
+      race();
+    }
+    return resp;
+  }
+  void set_notify_handler(std::function<void(const Frame&)> fn) override {
+    inner_->set_notify_handler(std::move(fn));
+  }
+  uint64_t bytes_sent() const override { return inner_->bytes_sent(); }
+  uint64_t bytes_received() const override { return inner_->bytes_received(); }
+
+ private:
+  std::shared_ptr<ClientChannel> inner_;
+  std::function<void()>* race_;
+};
+
+TEST(LockCache, RevokeOvertakingItsGrantIsNotCached) {
+  server::SegmentServer core;
+  const std::string url = "host/revoke-race";
+  Client writer(inproc_factory(core));
+  ClientSegment* ws = writer.open_segment(url);
+  seed_segment(writer, ws, 1);
+
+  std::function<void()> race;
+  Client reader([&core, &race](const std::string&) {
+    return std::make_shared<RevokeBeforeResponseChannel>(
+        std::make_shared<InProcChannel>(core), &race);
+  });
+  ClientSegment* rs = reader.open_segment(url);
+  // The server grants the reader a cached lock, then — before the grant
+  // reaches the client — a writer commits 2. Its kRevokeRead arrives first,
+  // finds no cache entry, and is acked at once, retiring the grant.
+  race = [&] { seed_segment(writer, ws, 2); };
+  EXPECT_EQ(read_value(reader, rs, url), 1);  // answered before the commit
+  EXPECT_FALSE(race) << "the race never ran";
+  server::SegmentServer::Stats sstats = core.stats();
+  EXPECT_EQ(sstats.revokes_sent, 1u);
+  EXPECT_EQ(sstats.revokes_acked, 1u);
+  EXPECT_EQ(sstats.revokes_expired, 0u);
+  // The retired grant must not be cached: the next read goes to the server
+  // and sees the commit.
+  const uint64_t misses = reader.stats().lock_cache_misses;
+  EXPECT_EQ(read_value(reader, rs, url), 2);
+  EXPECT_EQ(reader.stats().lock_cache_misses, misses + 1);
+  // That read earned a fresh grant, which does cache.
+  EXPECT_EQ(read_value(reader, rs, url), 2);
+  EXPECT_EQ(reader.stats().lock_cache_misses, misses + 1);
+}
+
 TEST(LockCache, RevokeDefersToCriticalSectionExit) {
   server::SegmentServer core;
   const std::string url = "host/revoke-defer";
@@ -225,23 +289,23 @@ Buffer open_payload(const std::string& url) {
 
 Buffer acquire_read_payload(const std::string& url) {
   Buffer p;
-  p.append_lp_string(url);
-  p.append_u32(0);
+  p.append_vstring(url);
+  p.append_varint(0);
   p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-  p.append_u64(0);
+  p.append_varint(0);
   return p;
 }
 
 Buffer acquire_write_payload(const std::string& url) {
   Buffer p;
-  p.append_lp_string(url);
-  p.append_u32(0);
+  p.append_vstring(url);
+  p.append_varint(0);
   return p;
 }
 
 Buffer empty_release_payload(const std::string& url, uint32_t version) {
   Buffer p;
-  p.append_lp_string(url);
+  p.append_vstring(url);
   DiffWriter(p, version, version).finish();
   return p;
 }
@@ -276,7 +340,7 @@ TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
   ASSERT_FALSE(resp.payload.empty());
   EXPECT_EQ(resp.payload.back(), 1u) << "grant byte missing or denied";
   Buffer plain;
-  plain.append_lp_string(url);
+  plain.append_vstring(url);
   raw_call(*reader, MsgType::kReleaseRead, std::move(plain));
 
   auto start = steady_clock::now();
@@ -294,7 +358,7 @@ TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
   ASSERT_FALSE(resp.payload.empty());
   EXPECT_EQ(resp.payload.back(), 1u);
   Buffer keep;
-  keep.append_lp_string(url);
+  keep.append_vstring(url);
   keep.append_u8(1);
   raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
 
@@ -331,7 +395,7 @@ TEST(LockCache, ExpiredGrantSweepReclaimsWedgedHolder) {
   ASSERT_FALSE(resp.payload.empty());
   ASSERT_EQ(resp.payload.back(), 1u) << "grant byte missing or denied";
   Buffer keep;
-  keep.append_lp_string(url);
+  keep.append_vstring(url);
   keep.append_u8(1);
   raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
 
@@ -375,7 +439,7 @@ TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
   ASSERT_FALSE(resp.payload.empty());
   ASSERT_EQ(resp.payload.back(), 1u);
   Buffer keep;
-  keep.append_lp_string(url);
+  keep.append_vstring(url);
   keep.append_u8(1);
   raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
   std::this_thread::sleep_for(milliseconds(120));

@@ -190,12 +190,12 @@ TEST(Reactor, BackpressurePausesReadsForSlowReader) {
         reg);
     setup.call(MsgType::kRegisterType, std::move(reg));
     Buffer acq;
-    acq.append_lp_string(seg);
-    acq.append_u32(1);
+    acq.append_vstring(seg);
+    acq.append_varint(1);
     Frame a = setup.call(MsgType::kAcquireWrite, std::move(acq));
-    uint32_t serial = a.reader().read_u32();
+    uint32_t serial = a.reader().read_varint32();
     Buffer rel;
-    rel.append_lp_string(seg);
+    rel.append_vstring(seg);
     DiffWriter w(rel, 1, 2);
     w.begin_block(serial, diff_flags::kNew | diff_flags::kWhole, 1, "d");
     w.begin_run(0, kUnits);
@@ -221,10 +221,10 @@ TEST(Reactor, BackpressurePausesReadsForSlowReader) {
   Buffer burst;
   for (uint32_t i = 0; i < kReads; ++i) {
     Buffer rp;
-    rp.append_lp_string(seg);
-    rp.append_u32(0);  // cold: forces a full collection each time
+    rp.append_vstring(seg);
+    rp.append_varint(0);  // cold: forces a full collection each time
     rp.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-    rp.append_u64(0);
+    rp.append_varint(0);
     Buffer one = encode_request(MsgType::kAcquireRead, 100 + i, rp);
     burst.append(one.data(), one.size());
   }
@@ -325,8 +325,8 @@ TEST(Reactor, ElasticWorkersOutliveBlockedHandlers) {
   open(b);
   auto acquire_payload = [&] {
     Buffer p;
-    p.append_lp_string(seg);
-    p.append_u32(0);
+    p.append_vstring(seg);
+    p.append_varint(0);
     return p;
   };
   a.call(MsgType::kAcquireWrite, acquire_payload());
@@ -343,7 +343,7 @@ TEST(Reactor, ElasticWorkersOutliveBlockedHandlers) {
   // A's release can only be handled by a freshly spawned worker.
   auto start = steady_clock::now();
   Buffer rel;
-  rel.append_lp_string(seg);
+  rel.append_vstring(seg);
   DiffWriter(rel, 0, 0).finish();
   a.call(MsgType::kReleaseWrite, std::move(rel));
   waiter.join();
@@ -354,7 +354,7 @@ TEST(Reactor, ElasticWorkersOutliveBlockedHandlers) {
   EXPECT_GE(server.stats().workers_spawned, 2u);
 
   Buffer rel2;
-  rel2.append_lp_string(seg);
+  rel2.append_vstring(seg);
   DiffWriter(rel2, 0, 0).finish();
   b.call(MsgType::kReleaseWrite, std::move(rel2));
 }

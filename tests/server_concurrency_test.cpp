@@ -44,10 +44,10 @@ Frame call(TcpClientChannel& ch, MsgType type,
 /// `assumed` when already up to date).
 uint32_t consume_update(BufReader& r, uint32_t assumed) {
   if (r.read_u8() == 0) return assumed;
-  uint32_t n_types = r.read_u32();
+  uint32_t n_types = r.read_varint32();
   for (uint32_t i = 0; i < n_types; ++i) {
-    r.read_u32();  // serial
-    r.skip(r.read_u32());
+    r.read_varint32();  // serial
+    r.skip(r.read_varint32());
   }
   DiffReader dr(r);
   DiffEntry e;
@@ -116,15 +116,15 @@ void worker(uint16_t port, int t, Shared& sh) {
       const int32_t value = t * 1000 + round;
 
       Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-        p.append_lp_string(seg_name(s));
-        p.append_u32(version[s]);
+        p.append_vstring(seg_name(s));
+        p.append_varint(version[s]);
       });
       BufReader ar = acq.reader();
-      uint32_t next_serial = ar.read_u32();
+      uint32_t next_serial = ar.read_varint32();
       version[s] = consume_update(ar, version[s]);
 
       Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-        p.append_lp_string(seg_name(s));
+        p.append_vstring(seg_name(s));
         DiffWriter w(p, version[s], version[s] + 1);
         if (block_serial[s] == 0) {
           block_serial[s] = next_serial;
@@ -152,17 +152,17 @@ void worker(uint16_t port, int t, Shared& sh) {
         w.finish();
       });
       BufReader rr = rel.reader();
-      version[s] = rr.read_u32();
+      version[s] = rr.read_varint32();
       sh.releases[s].fetch_add(1, std::memory_order_relaxed);
 
       // Read back the own segment under Full coherence; also drags in the
       // neighbor thread's concurrent writes.
       if (round % 4 == 0) {
         Frame rd = call(ch, MsgType::kAcquireRead, [&](Buffer& p) {
-          p.append_lp_string(seg_name(own));
-          p.append_u32(version[own]);
+          p.append_vstring(seg_name(own));
+          p.append_varint(version[own]);
           p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-          p.append_u64(0);
+          p.append_varint(0);
         });
         BufReader r = rd.reader();
         version[own] = consume_update(r, version[own]);
@@ -224,17 +224,17 @@ TEST(ServerConcurrency, ShardedSegmentsStayConsistent) {
   TcpClientChannel verify(server.port());
   for (int s = 0; s < kSegments; ++s) {
     Frame rd = call(verify, MsgType::kAcquireRead, [&](Buffer& p) {
-      p.append_lp_string(seg_name(s));
-      p.append_u32(0);
+      p.append_vstring(seg_name(s));
+      p.append_varint(0);
       p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-      p.append_u64(0);
+      p.append_varint(0);
     });
     BufReader r = rd.reader();
     ASSERT_EQ(r.read_u8(), 1) << seg_name(s);
-    uint32_t n_types = r.read_u32();
+    uint32_t n_types = r.read_varint32();
     for (uint32_t i = 0; i < n_types; ++i) {
-      r.read_u32();
-      r.skip(r.read_u32());
+      r.read_varint32();
+      r.skip(r.read_varint32());
     }
     DiffReader dr(r);
     DiffEntry e;
@@ -243,7 +243,7 @@ TEST(ServerConcurrency, ShardedSegmentsStayConsistent) {
       ASSERT_TRUE(e.flags & diff_flags::kNew) << seg_name(s);
       std::vector<int32_t> data(kUnits, 0);
       while (!e.runs.at_end()) {
-        DiffRun run = DiffReader::read_run(e.runs);
+        DiffRun run = e.read_run();
         for (uint32_t i = 0; i < run.unit_count; ++i) {
           data[run.start_unit + i] = e.runs.read_i32();
         }

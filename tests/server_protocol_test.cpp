@@ -93,7 +93,7 @@ TEST_F(Protocol, ReleaseWithoutAcquireFails) {
   InProcChannel ch(server_);
   open(ch, "p/lock");
   EXPECT_EQ(call_expect_error(ch, MsgType::kReleaseWrite, [](Buffer& p) {
-    p.append_lp_string("p/lock");
+    p.append_vstring("p/lock");
     DiffWriter(p, 1, 1).finish();
   }), ErrorCode::kState);
 }
@@ -102,12 +102,12 @@ TEST_F(Protocol, DoubleAcquireBySameSessionFails) {
   InProcChannel ch(server_);
   open(ch, "p/dbl");
   call(ch, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_lp_string("p/dbl");
-    p.append_u32(0);
+    p.append_vstring("p/dbl");
+    p.append_varint(0);
   });
   EXPECT_EQ(call_expect_error(ch, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_lp_string("p/dbl");
-    p.append_u32(0);
+    p.append_vstring("p/dbl");
+    p.append_varint(0);
   }), ErrorCode::kState);
 }
 
@@ -117,15 +117,15 @@ TEST_F(Protocol, WriteLockFlowWithRealDiff) {
   uint32_t type_serial = register_int_array(ch, "p/flow", 8);
 
   Frame acq = call(ch, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_lp_string("p/flow");
-    p.append_u32(0);
+    p.append_vstring("p/flow");
+    p.append_varint(0);
   });
   BufReader ar = acq.reader();
-  uint32_t next_serial = ar.read_u32();
+  uint32_t next_serial = ar.read_varint32();
   EXPECT_EQ(next_serial, 1u);
 
   Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-    p.append_lp_string("p/flow");
+    p.append_vstring("p/flow");
     DiffWriter w(p, 1, 2);
     w.begin_block(next_serial, diff_flags::kNew | diff_flags::kWhole,
                   type_serial, "blk");
@@ -135,18 +135,18 @@ TEST_F(Protocol, WriteLockFlowWithRealDiff) {
     w.finish();
   });
   BufReader rr = rel.reader();
-  EXPECT_EQ(rr.read_u32(), 2u);  // new version
+  EXPECT_EQ(rr.read_varint32(), 2u);  // new version
 
   // A fresh read from version 0 returns the block and the type.
   Frame read = call(ch, MsgType::kAcquireRead, [](Buffer& p) {
-    p.append_lp_string("p/flow");
-    p.append_u32(0);
+    p.append_vstring("p/flow");
+    p.append_varint(0);
     p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-    p.append_u64(0);
+    p.append_varint(0);
   });
   BufReader r = read.reader();
   EXPECT_EQ(r.read_u8(), 1);
-  uint32_t n_types = r.read_u32();
+  uint32_t n_types = r.read_varint32();
   EXPECT_EQ(n_types, 0u) << "this session already knows the type";
   BufReader diff_r = r;
   DiffReader dr(diff_r);
@@ -163,11 +163,11 @@ TEST_F(Protocol, SecondSessionGetsTypeDefinitions) {
   open(a, "p/tsync");
   uint32_t type_serial = register_int_array(a, "p/tsync", 4);
   call(a, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_lp_string("p/tsync");
-    p.append_u32(0);
+    p.append_vstring("p/tsync");
+    p.append_varint(0);
   });
   call(a, MsgType::kReleaseWrite, [&](Buffer& p) {
-    p.append_lp_string("p/tsync");
+    p.append_vstring("p/tsync");
     DiffWriter w(p, 1, 2);
     w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
     w.begin_run(0, 4);
@@ -178,16 +178,16 @@ TEST_F(Protocol, SecondSessionGetsTypeDefinitions) {
 
   open(b, "p/tsync");
   Frame read = call(b, MsgType::kAcquireRead, [](Buffer& p) {
-    p.append_lp_string("p/tsync");
-    p.append_u32(0);
+    p.append_vstring("p/tsync");
+    p.append_varint(0);
     p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-    p.append_u64(0);
+    p.append_varint(0);
   });
   BufReader r = read.reader();
   EXPECT_EQ(r.read_u8(), 1);
-  uint32_t n_types = r.read_u32();
+  uint32_t n_types = r.read_varint32();
   ASSERT_EQ(n_types, 1u) << "b has never seen the type";
-  EXPECT_EQ(r.read_u32(), type_serial);
+  EXPECT_EQ(r.read_varint32(), type_serial);
 }
 
 TEST_F(Protocol, SubscribeAndNotify) {
@@ -200,8 +200,8 @@ TEST_F(Protocol, SubscribeAndNotify) {
   watcher.set_notify_handler([&](const Frame& f) {
     if (f.type != MsgType::kNotifyVersion) return;
     BufReader r = f.reader();
-    std::string seg = r.read_lp_string();
-    notes.emplace_back(seg, r.read_u32());
+    std::string seg = r.read_vstring();
+    notes.emplace_back(seg, r.read_varint32());
   });
   open(watcher, "p/watch");
   call(watcher, MsgType::kSubscribe, [](Buffer& p) {
@@ -209,11 +209,11 @@ TEST_F(Protocol, SubscribeAndNotify) {
   });
 
   call(writer, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_lp_string("p/watch");
-    p.append_u32(0);
+    p.append_vstring("p/watch");
+    p.append_varint(0);
   });
   call(writer, MsgType::kReleaseWrite, [&](Buffer& p) {
-    p.append_lp_string("p/watch");
+    p.append_vstring("p/watch");
     DiffWriter w(p, 1, 2);
     w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
     w.begin_run(0, 4);
@@ -230,15 +230,15 @@ TEST_F(Protocol, DisconnectReleasesWriterLock) {
   auto holder = std::make_unique<InProcChannel>(server_);
   open(*holder, "p/orphan");
   call(*holder, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_lp_string("p/orphan");
-    p.append_u32(0);
+    p.append_vstring("p/orphan");
+    p.append_varint(0);
   });
   holder.reset();  // disconnect while holding the lock
 
   InProcChannel other(server_);
   Frame resp = call(other, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_lp_string("p/orphan");
-    p.append_u32(0);
+    p.append_vstring("p/orphan");
+    p.append_varint(0);
   });
   EXPECT_EQ(resp.type, MsgType::kAcquireWriteResp);
 }
@@ -250,11 +250,11 @@ TEST_F(Protocol, DeltaCoherenceAnsweredServerSide) {
   uint32_t type_serial = register_int_array(writer, "p/delta", 4);
   auto write_once = [&](uint32_t base) {
     call(writer, MsgType::kAcquireWrite, [](Buffer& p) {
-      p.append_lp_string("p/delta");
-      p.append_u32(0);
+      p.append_vstring("p/delta");
+      p.append_varint(0);
     });
     call(writer, MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_lp_string("p/delta");
+      p.append_vstring("p/delta");
       DiffWriter w(p, base, base + 1);
       if (base == 1) {
         w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
@@ -271,18 +271,18 @@ TEST_F(Protocol, DeltaCoherenceAnsweredServerSide) {
   // Reader syncs to v2.
   open(reader, "p/delta");
   call(reader, MsgType::kAcquireRead, [](Buffer& p) {
-    p.append_lp_string("p/delta");
-    p.append_u32(0);
+    p.append_vstring("p/delta");
+    p.append_varint(0);
     p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
-    p.append_u64(0);
+    p.append_varint(0);
   });
   write_once(2);  // v3
   // Delta-2 read at v2: one behind, "recent enough".
   Frame resp = call(reader, MsgType::kAcquireRead, [](Buffer& p) {
-    p.append_lp_string("p/delta");
-    p.append_u32(2);
+    p.append_vstring("p/delta");
+    p.append_varint(2);
     p.append_u8(static_cast<uint8_t>(CoherenceModel::kDelta));
-    p.append_u64(2);
+    p.append_varint(2);
   });
   BufReader r = resp.reader();
   EXPECT_EQ(r.read_u8(), 0);

@@ -115,7 +115,7 @@ TEST(SegmentStore, CollectDiffForStaleClientSendsOnlyNewSubblocks) {
   ASSERT_TRUE(r.next(&e));
   EXPECT_EQ(e.serial, 1u);
   EXPECT_EQ(e.flags, 0);
-  DiffRun run = DiffReader::read_run(e.runs);
+  DiffRun run = e.read_run();
   EXPECT_EQ(run.start_unit, 0u);
   EXPECT_EQ(run.unit_count, 16u);
 }
@@ -133,7 +133,7 @@ TEST(SegmentStore, CollectMergesAdjacentDirtySubblocks) {
   DiffReader r(in);
   DiffEntry e;
   ASSERT_TRUE(r.next(&e));
-  DiffRun run = DiffReader::read_run(e.runs);
+  DiffRun run = e.read_run();
   EXPECT_EQ(run.start_unit, 0u);
   EXPECT_EQ(run.unit_count, 48u);  // one merged run, 3 subblocks
   EXPECT_TRUE(e.runs.remaining() == 48 * 4);
@@ -267,8 +267,8 @@ TEST(SegmentStore, StringsAndPointersStoredOutOfLine) {
   DiffWriter w(out, 1, 2);
   w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, t, "");
   w.begin_run(0, 2);
-  out.append_lp_string("hello");            // string unit
-  out.append_lp_string("host/other#1#0");   // MIP unit
+  out.append_vstring("hello");            // string unit
+  out.append_vstring("host/other#1#0");   // MIP unit
   w.end_block();
   w.finish();
   store.apply_diff(out.span());
@@ -284,9 +284,9 @@ TEST(SegmentStore, StringsAndPointersStoredOutOfLine) {
   DiffReader r(in);
   DiffEntry e;
   ASSERT_TRUE(r.next(&e));
-  DiffReader::read_run(e.runs);
-  EXPECT_EQ(e.runs.read_lp_string(), "hello");
-  EXPECT_EQ(e.runs.read_lp_string(), "host/other#1#0");
+  e.read_run();
+  EXPECT_EQ(e.runs.read_vstring(), "hello");
+  EXPECT_EQ(e.runs.read_vstring(), "host/other#1#0");
 }
 
 TEST(SegmentStore, SerializeDeserializeRoundTrip) {

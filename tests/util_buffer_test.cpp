@@ -78,21 +78,84 @@ TEST(Buffer, EmptyLpString) {
 }
 
 TEST(Buffer, PlaceholderPatching) {
-  Buffer b;
-  b.append_u8(1);
-  size_t off = b.append_placeholder_u32();
-  b.append_lp_string("payload");
-  b.patch_u32(off, 777);
-  BufReader r(b.span());
-  EXPECT_EQ(r.read_u8(), 1);
-  EXPECT_EQ(r.read_u32(), 777u);
-  EXPECT_EQ(r.read_lp_string(), "payload");
+  // A varint placeholder is patched in place when the value fits its
+  // width; otherwise the bytes after it move up or down to fit.
+  for (uint64_t v : {uint64_t{5}, uint64_t{777}, uint64_t{1} << 40}) {
+    for (size_t width : {size_t{1}, size_t{2}, size_t{3}}) {
+      Buffer b;
+      b.append_u8(1);
+      size_t off = b.append_varint_placeholder(width);
+      b.append_lp_string("payload");
+      b.patch_varint(off, width, v);
+      EXPECT_EQ(b.size(), 1 + varint_size(v) + 4 + 7);
+      BufReader r(b.span());
+      EXPECT_EQ(r.read_u8(), 1);
+      EXPECT_EQ(r.read_varint64(), v);
+      EXPECT_EQ(r.read_lp_string(), "payload");
+    }
+  }
 }
 
 TEST(Buffer, PatchOutOfRangeThrows) {
   Buffer b;
   b.append_u8(1);
-  EXPECT_THROW(b.patch_u32(0, 1), Error);
+  EXPECT_THROW(b.patch_varint(0, 2, 1), Error);
+  EXPECT_THROW(b.patch_varint(1, 1, 1), Error);
+}
+
+TEST(Buffer, VarintsRoundTripWithMinimalSize) {
+  const uint64_t values[] = {0,           1,          127,
+                             128,         16383,      16384,
+                             UINT32_MAX,  uint64_t{UINT32_MAX} + 1,
+                             UINT64_MAX};
+  Buffer b;
+  size_t expected = 0;
+  for (uint64_t v : values) {
+    b.append_varint(v);
+    expected += varint_size(v);
+  }
+  b.append_vstring("");
+  b.append_vstring(std::string(200, 'q'));
+  EXPECT_EQ(b.size(), expected + 1 + 2 + 200);
+  EXPECT_EQ(varint_size(127), 1u);
+  EXPECT_EQ(varint_size(128), 2u);
+  EXPECT_EQ(varint_size(UINT32_MAX), 5u);
+  EXPECT_EQ(varint_size(UINT64_MAX), 10u);
+
+  BufReader r(b.span());
+  for (uint64_t v : values) {
+    if (v <= UINT32_MAX) {
+      EXPECT_EQ(r.read_varint32(), v);
+    } else {
+      EXPECT_EQ(r.read_varint64(), v);
+    }
+  }
+  EXPECT_EQ(r.read_vstring(), "");
+  EXPECT_EQ(r.read_vstring_view(), std::string(200, 'q'));
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(BufReader, MalformedVarintsThrowProtocolError) {
+  const std::vector<std::vector<uint8_t>> bad = {
+      {},                                  // empty
+      {0x80},                              // truncated
+      {0xFF, 0xFF, 0xFF, 0xFF, 0x10},      // 33 bits
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x00},  // six bytes
+      {0x85, 0x00},                        // redundant zero last byte
+  };
+  for (const auto& bytes : bad) {
+    BufReader r(bytes.data(), bytes.size());
+    try {
+      (void)r.read_varint32();
+      ADD_FAILURE() << "accepted " << bytes.size() << " bytes";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+    }
+  }
+  // A vstring whose varint length overruns the input.
+  const uint8_t overrun[] = {0x05, 'a', 'b'};
+  BufReader r(overrun, sizeof overrun);
+  EXPECT_THROW((void)r.read_vstring(), Error);
 }
 
 TEST(BufReader, OverrunThrowsProtocolError) {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "interweave/interweave.hpp"
+#include "server/checkpoint.hpp"
 #include "server/wal.hpp"
 #include "wire/payload.hpp"
 
@@ -197,6 +198,58 @@ TEST_F(WalLog, GarbageFileReplaysAsEmpty) {
   EXPECT_EQ(replay.valid_bytes, 0u);
   EXPECT_TRUE(replay.records.empty());
   EXPECT_EQ(replay.truncated_bytes, fs::file_size(log_path()));
+}
+
+// Writes a file with `magic` and `format` as its 8-byte header followed by
+// one well-framed record: the shape of a journal or chain written by an
+// older build.
+void write_versioned_file(const std::string& path, uint32_t magic,
+                          uint32_t format) {
+  Buffer bytes;
+  bytes.append_u32(magic);
+  bytes.append_u32(format);
+  append_framed_record(bytes, 1, bytes_of("a payload of 12+ bytes"));
+  std::ofstream f(path, std::ios::binary);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename F>
+ErrorCode error_code_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "no error thrown";
+  return ErrorCode::kInternal;
+}
+
+TEST_F(WalLog, FormatOneJournalIsRefused) {
+  // Format 1 journals hold fixed-width diffs: replaying them as format 2
+  // would misparse every commit, and discarding them would lose acked
+  // commits, so both the log and whole-server recovery refuse them.
+  write_versioned_file(log_path(), 0x4957414C /* "IWAL" */, 1);
+  EXPECT_EQ(error_code_of([&] { WriteAheadLog::replay(log_path()); }),
+            ErrorCode::kUnimplemented);
+  SegmentServer::Options o;
+  o.checkpoint_dir = dir_.string();
+  SegmentServer server(o);
+  EXPECT_EQ(error_code_of([&] { server.recover(); }),
+            ErrorCode::kUnimplemented);
+  // The journal is left as it was for an operator to deal with.
+  EXPECT_TRUE(fs::exists(log_path()));
+}
+
+TEST_F(WalLog, FormatOneCheckpointChainIsRefused) {
+  const std::string chain = (dir_ / "seg.iwinc").string();
+  write_versioned_file(chain, 0x49574943 /* "IWIC" */, 1);
+  EXPECT_EQ(error_code_of([&] { server::scan_chain(chain); }),
+            ErrorCode::kUnimplemented);
+  // The current format scans.
+  write_versioned_file(chain, 0x49574943, 2);
+  server::ChainScan scan = server::scan_chain(chain);
+  EXPECT_FALSE(scan.torn);
 }
 
 TEST_F(WalLog, TruncateAfterCheckpointDiscardsRecords) {

@@ -125,8 +125,8 @@ TEST(Translate, StringsTravelLengthPrefixedAndNulPad) {
   FakeHooks hooks(reg.rules());
   Buffer wire;
   encode_units(*arr, reg.rules(), local, 0, 3, hooks, wire);
-  // 3 lp strings: (4+2) + (4+8) + (4+0) = 22 bytes.
-  EXPECT_EQ(wire.size(), 22u);
+  // 3 strings behind varint lengths: (1+2) + (1+8) + (1+0) = 13 bytes.
+  EXPECT_EQ(wire.size(), 13u);
 
   char back[24];
   std::memset(back, '?', sizeof back);
@@ -166,7 +166,7 @@ TEST(Translate, NullPointerIsEmptyMip) {
   FakeHooks hooks(reg.rules());
   Buffer wire;
   encode_units(*ptr, reg.rules(), &local, 0, 1, hooks, wire);
-  EXPECT_EQ(wire.size(), 4u);  // lp "" = length word only
+  EXPECT_EQ(wire.size(), 1u);  // "" = a one-byte zero length only
 
   uint64_t back = 123;
   BufReader r(wire.span());
@@ -315,6 +315,11 @@ struct PlatformPair {
   const char* src;
   const char* dst;
 };
+// Without this gtest prints the two pointers' bytes, which ASLR changes on
+// every run, so the listed test names would never be the same twice.
+void PrintTo(const PlatformPair& p, std::ostream* os) {
+  *os << '{' << p.src << ',' << p.dst << '}';
+}
 class CrossPlatformRoundTrip : public ::testing::TestWithParam<PlatformPair> {};
 
 Platform by_name(const std::string& name) {
