@@ -29,6 +29,7 @@
 #include "server/server.hpp"
 #include "types/registry.hpp"
 #include "wire/diff.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -96,6 +97,7 @@ RunResult run_config(bool wal, server::WriteAheadLog::Sync sync, int cycles) {
       auto start = Clock::now();
       call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
         p.append_vstring(kSeg);
+        p.append_u8(payload_method::kRaw);
         DiffWriter w(p, version, version + 1);
         if (serial == 0) {
           serial = next_serial;
@@ -201,6 +203,7 @@ PayloadResult run_payload(bool compress, bool compressible, int cycles) {
       auto start = Clock::now();
       call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
         p.append_vstring(kSeg);
+        p.append_u8(payload_method::kRaw);
         DiffWriter w(p, version, version + 1);
         if (serial == 0) {
           serial = next_serial;
@@ -294,9 +297,6 @@ int run_payload_main(int cycles) {
 }
 
 int main(int argc, char** argv) {
-  // The env override would force every cell to one setting; the payload
-  // matrix owns the compression toggle.
-  ::unsetenv("IW_COMPRESS");
   if (argc > 1 && std::string(argv[1]) == "--payload") {
     return run_payload_main(argc > 2 ? std::atoi(argv[2]) : 2000);
   }

@@ -26,6 +26,7 @@
 #include "types/registry.hpp"
 #include "util/error.hpp"
 #include "wire/diff.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -69,6 +70,7 @@ double run_commits(InProcChannel& ch, int cycles,
     auto start = Clock::now();
     call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
       p.append_vstring(kSeg);
+      p.append_u8(payload_method::kRaw);
       DiffWriter w(p, version, version + 1);
       if (serial == 0) {
         serial = next_serial;

@@ -38,7 +38,8 @@
 //
 // N reader clients spin on read critical sections over one shared kFull
 // segment while a writer commits every ~250 ms, run once with client-side
-// lock caching on and once off. Reported as JSON: lock RPCs per critical
+// lock caching on and once off (readers without auto_reconnect never say
+// hello, so they are never granted a cached lock). Reported as JSON: lock RPCs per critical
 // section (the headline number — off pays 1.0, on amortizes one RPC across
 // every CS between commits), CS/sec, CS latency p50/p99, the server's
 // revocation counters, and the writer's worst-case acquire latency (bounded
@@ -48,10 +49,12 @@
 //
 //   server_scaling --update-bytes [--rounds N]
 //
-// A negotiated writer/reader pair against one in-process server: the
-// writer commits a 64 KiB int array every round and the reader pulls the
-// resulting update, over a {compression on/off} x {compressible/
-// incompressible content} matrix. Reported as JSON: the server's raw vs
+// A writer/reader pair against one in-process server: the writer commits
+// a 64 KiB int array every round and the reader pulls the resulting
+// update, over a {server compression on/off} x {compressible/
+// incompressible content} matrix. The server setting governs only what it
+// encodes (updates, journal); the client compresses its commits in every
+// cell. Reported as JSON: the server's raw vs
 // on-the-wire update bytes (server -> client), the client's sent bytes
 // and compressed-release count (client -> server), and the reduction
 // ratio per cell.
@@ -81,6 +84,7 @@
 #include "types/registry.hpp"
 #include "wire/coherence.hpp"
 #include "wire/diff.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -155,6 +159,7 @@ std::vector<uint64_t> client_loop(uint16_t port, int thread_id, int cycles,
     uint32_t next_serial = acq.reader().read_varint32();
     call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
       p.append_vstring(seg);
+      p.append_u8(payload_method::kRaw);
       DiffWriter w(p, version, version + 1);
       if (serial == 0) {
         serial = next_serial;
@@ -372,6 +377,7 @@ void seed_conn_segments(ConnScalingShared* sh) {
     uint32_t serial = acq.reader().read_varint32();
     Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
       p.append_vstring(seg);
+      p.append_u8(payload_method::kRaw);
       DiffWriter w(p, 1, 2);
       w.begin_block(serial, diff_flags::kNew | diff_flags::kWhole, 1, "d");
       w.begin_run(0, kConnUnits);
@@ -415,6 +421,7 @@ void conn_writer_loop(ConnScalingShared* sh, int index) {
       });
       Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
         p.append_vstring(seg);
+        p.append_u8(payload_method::kRaw);
         DiffWriter w(p, version, version + 1);
         w.begin_block(serial, 0);
         uint32_t at = static_cast<uint32_t>(iter * kConnRunUnits) %
@@ -626,11 +633,13 @@ struct HotReadResult {
 
 /// One hot-read run: `readers` full clients spin on read critical sections
 /// over a single shared kFull segment while a writer commits every ~250 ms.
-/// With caching off every critical section pays one kAcquireRead RPC (the
-/// client never sends a kReleaseRead for an unmodified kFull read, so the
-/// honest baseline is 1.0 RPC per CS, not 2.0). With caching on, one RPC is
-/// amortized across every CS between writer commits; the commits trigger
-/// revocations whose acks bound the writer's acquire latency.
+/// The no-cache baseline runs its readers without auto_reconnect: they never
+/// say hello, so the server never grants them a cached lock and every
+/// critical section pays one kAcquireRead RPC (the client never sends a
+/// kReleaseRead for an unmodified kFull read, so the honest baseline is 1.0
+/// RPC per CS, not 2.0). With caching on, one RPC is amortized across every
+/// CS between writer commits; the commits trigger revocations whose acks
+/// bound the writer's acquire latency.
 HotReadResult run_hot_read(bool caching, int readers, double seconds) {
   server::SegmentServer core;  // default revocation deadline: 2000 ms
   TcpServer server(core, 0);
@@ -651,7 +660,7 @@ HotReadResult run_hot_read(bool caching, int readers, double seconds) {
   writer.write_unlock(wseg);
 
   Client::Options ropts;
-  ropts.cache_read_locks = caching;
+  ropts.auto_reconnect = caching;  // no hello, no cached grants
   std::vector<std::unique_ptr<Client>> clients;
   std::vector<ClientSegment*> segs;
   for (int i = 0; i < readers; ++i) {
@@ -812,7 +821,7 @@ struct UpdateBytesResult {
 /// One payload-wire cell: the writer commits the whole array each round
 /// (constant fill = compressible, xorshift fill = not) and the reader's
 /// read_lock pulls the update, so every diff crosses the section envelope
-/// in both directions when the hello handshake negotiated it.
+/// in both directions.
 UpdateBytesResult run_update_bytes(bool compress, bool compressible,
                                    int rounds) {
   server::SegmentServer::Options sopts;
@@ -921,15 +930,9 @@ int main(int argc, char** argv) {
     }
   }
   if (update_bytes) {
-    // The env override would force every cell to one setting; the payload
-    // matrix owns the compression toggle.
-    ::unsetenv("IW_COMPRESS");
     return iw::run_update_bytes_main(rounds);
   }
   if (hot_read) {
-    // The env override would force both runs to one setting; the bench owns
-    // the caching toggle.
-    ::unsetenv("IW_LOCK_CACHE");
     return iw::run_hot_read_main(readers, bench_seconds);
   }
   if (connections > 0) {

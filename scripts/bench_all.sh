@@ -16,8 +16,9 @@
 #                                      counts, and recover() time per
 #                                      {compression x compressibility} cell
 #   server_scaling --update-bytes    — update bytes raw vs on-the-wire in
-#                                      both directions for a negotiated
-#                                      client pair, same matrix
+#                                      both directions for a client pair,
+#                                      same matrix (the setting is the
+#                                      server's; clients always compress)
 #
 # Each binary already emits a JSON array; the report is an object keyed by
 # bench name so downstream tooling can diff runs field-by-field.

@@ -11,13 +11,13 @@
 # burst coalescing, backpressure, worker-pool elasticity) under both
 # sanitizers and the chaos/lease suites again over TCP, so the epoll
 # reactor's cross-thread outbox/retirement protocol is raced under TSan.
-# The lock-cache suite and an IW_LOCK_CACHE=1 chaos lane run under both
-# sanitizers too: revocation acks ride a background worker thread racing
-# lock acquires, releases, and channel teardown — TSan bait by design.
-# IW_COMPRESS=1 chaos/lease lanes run under both sanitizers as well: the
-# section envelope, the LZ codec's pointer arithmetic, and compressed
-# journal/chain recovery (the UBSan lane includes the restart seeds) are
-# raced and bounds-checked the same way.
+# Lock caching and payload compression are part of the one protocol
+# version, so every chaos/lease run above already carries cached reader
+# locks (revocation acks ride a background worker thread racing acquires,
+# releases, and channel teardown — TSan bait by design), the section
+# envelope, the LZ codec, and compressed journal/chain recovery (the
+# restart seeds in the recovery soak); the lock-cache suite runs under both
+# sanitizers too.
 # The replication chaos suite (WAL streaming, directory failover, epoch
 # fencing, and the fork+SIGKILL zero-lost-acks matrix) runs under UBSan,
 # and its thread-safe subset plus a real-sockets failover lane under TSan —
@@ -83,16 +83,6 @@ IW_CHAOS_TRANSPORT=tcp UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
 IW_LEASE_TRANSPORT=tcp UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/lease_test
-echo "== chaos suite with cached reader locks under UBSan =="
-IW_LOCK_CACHE=1 UBSAN_OPTIONS=halt_on_error=1 \
-    "$UBSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
-echo "== chaos suite with payload compression under UBSan =="
-# Seeds/* also covers the restart suite, so compressed journals and
-# incremental-checkpoint folds recover under the sanitizer too.
-IW_COMPRESS=1 UBSAN_OPTIONS=halt_on_error=1 \
-    "$UBSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/*'
-IW_COMPRESS=1 UBSAN_OPTIONS=halt_on_error=1 \
-    "$UBSAN_BUILD"/tests/lease_test
 
 echo "== recovery soak: crash/restart cycles under UBSan =="
 # Each repetition re-runs the fork+SIGKILL crash matrix and the seeded
@@ -128,14 +118,6 @@ echo "== chaos/lease suites over the reactor transport under TSan =="
 IW_CHAOS_TRANSPORT=tcp TSAN_OPTIONS=halt_on_error=1 \
     "$TSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
 IW_LEASE_TRANSPORT=tcp TSAN_OPTIONS=halt_on_error=1 \
-    "$TSAN_BUILD"/tests/lease_test
-echo "== chaos suite with cached reader locks under TSan =="
-IW_LOCK_CACHE=1 TSAN_OPTIONS=halt_on_error=1 \
-    "$TSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
-echo "== chaos suite with payload compression under TSan =="
-IW_COMPRESS=1 TSAN_OPTIONS=halt_on_error=1 \
-    "$TSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
-IW_COMPRESS=1 TSAN_OPTIONS=halt_on_error=1 \
     "$TSAN_BUILD"/tests/lease_test
 
 echo "== verify.sh: all green =="

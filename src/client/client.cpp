@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_set>
 
@@ -71,24 +70,9 @@ Client::Client(ChannelFactory factory, Options options)
   const LayoutRules native = Platform::native().rules;
   native_pointers_ = rules.size[kPtrIdx] == native.size[kPtrIdx] &&
                      rules.byte_order == native.byte_order;
-  // Lock caching needs the hello handshake, which only the reconnect
-  // supervisor performs; the environment variable overrides the option in
-  // both directions so test lanes can force either mode.
-  bool cache = options_.cache_read_locks;
-  if (const char* env = std::getenv("IW_LOCK_CACHE")) {
-    cache = std::string_view(env) != "0";
-  }
-  lock_cache_enabled_ = cache && options_.auto_reconnect;
-  options_.reconnect.announce_lock_caching = lock_cache_enabled_;
-  // Payload compression rides the same handshake; per-connection
-  // effectiveness is still the server's answer (supports_payload_compression
-  // on the channel), so a mixed fleet degrades to the raw byte stream.
-  bool compress = options_.compress_payloads;
-  if (const char* env = std::getenv("IW_COMPRESS")) {
-    compress = std::string_view(env) != "0";
-  }
-  options_.reconnect.announce_payload_compression =
-      compress && options_.auto_reconnect;
+  // Only the reconnect supervisor says hello, and only sessions that did
+  // are granted cached read locks.
+  lock_cache_enabled_ = options_.auto_reconnect;
   if (lock_cache_enabled_) {
     revoke_ack_worker_ = std::thread([this] { revoke_ack_loop(); });
   }
@@ -760,11 +744,11 @@ void Client::read_lock(ClientSegment* seg) {
   Frame resp = seg->channel_->call(MsgType::kAcquireRead, std::move(payload));
   BufReader r = resp.reader();
   apply_update_locked(seg, r);
-  // Trailing grant byte (present only when this session negotiated lock
-  // caching): the server registered us as a cached holder — or refused,
-  // implicitly surrendering any stale registration.
-  if (lock_cache_enabled_ && r.remaining() >= 1) {
-    const bool granted = r.read_u8() != 0;
+  // Grant byte: the server registered us as a cached holder — or refused,
+  // implicitly surrendering any stale registration. It never grants a
+  // session that did not say hello.
+  const bool granted = r.read_u8() != 0;
+  if (lock_cache_enabled_) {
     std::lock_guard cl(lock_cache_mu_);
     // A revoke received while the RPC was in flight may have retired this
     // very grant (it was acked at once, with no entry to defer on): a
@@ -826,14 +810,11 @@ void Client::write_lock(ClientSegment* seg) {
     apply_update_locked(seg, r);
   } catch (...) {
     // We hold the server-side writer lock; release it with an empty diff so
-    // other clients are not wedged by our failure. On a compressing session
-    // the server reads a method byte from every release, so even the empty
-    // diff carries the kRaw envelope.
+    // other clients are not wedged by our failure. Every release carries
+    // the section envelope, so even the empty diff has its kRaw byte.
     Buffer release;
     release.append_vstring(seg->url_);
-    if (seg->channel_->supports_payload_compression()) {
-      release.append_u8(payload_method::kRaw);
-    }
+    release.append_u8(payload_method::kRaw);
     DiffWriter(release, seg->version_, seg->version_).finish();
     try {
       seg->channel_->call(MsgType::kReleaseWrite, std::move(release));
@@ -955,9 +936,7 @@ void Client::abort_transaction(ClientSegment* seg) {
   // 4. Release the server-side writer lock with an empty critical section.
   Buffer release;
   release.append_vstring(seg->url_);
-  if (seg->channel_->supports_payload_compression()) {
-    release.append_u8(payload_method::kRaw);
-  }
+  release.append_u8(payload_method::kRaw);
   DiffWriter(release, seg->version_, seg->version_).finish();
   Frame resp;
   try {
@@ -1055,13 +1034,12 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
   Buffer& payload = seg->collect_buf_;
   payload.clear();
   payload.append_vstring(seg->url_);
-  // On a compressing connection the diff section sits behind a method
-  // byte; the whole section is collected into this reuse buffer first and
-  // compressed in place only when it pays, so the vectored-send shape (one
-  // contiguous payload straight from collect_buf_) is unchanged.
-  const bool enveloped = seg->channel_->supports_payload_compression();
+  // The diff section sits behind a method byte; the whole section is
+  // collected into this reuse buffer first and compressed in place only
+  // when it pays, so the vectored-send shape (one contiguous payload
+  // straight from collect_buf_) is unchanged.
   const size_t method_offset = payload.size();
-  if (enveloped) payload.append_u8(payload_method::kRaw);
+  payload.append_u8(payload_method::kRaw);
   DiffWriter writer(payload, seg->version_, seg->version_ + 1);
 
   for (uint32_t serial : seg->freed_serials_) {
@@ -1235,7 +1213,7 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
   }
 
   writer.finish();
-  if (enveloped && compress_section_in_place(payload, method_offset)) {
+  if (compress_section_in_place(payload, method_offset)) {
     ++stats_.diffs_compressed;
   }
   stats_.units_sent += units_sent;
@@ -1287,17 +1265,13 @@ bool Client::apply_update_locked(ClientSegment* seg, BufReader& in) {
       seg->types_[serial - 1] = TypeCodec::decode_graph(gr, registry_);
     }
   }
-  if (seg->channel_->supports_payload_compression()) {
-    // Negotiated sessions wrap the diff section in the method-byte envelope
-    // (kLz is explicitly sized, so any trailing bytes — the kAcquireRead
-    // grant flag — still parse from `in` afterwards).
-    std::vector<uint8_t> scratch;
-    if (read_compressed_section(in, scratch)) {
-      BufReader section(scratch.data(), scratch.size());
-      apply_diff_locked(seg, section);
-    } else {
-      apply_diff_locked(seg, in);
-    }
+  // The diff section sits behind the method-byte envelope (kLz is
+  // explicitly sized, so the trailing kAcquireRead grant byte still parses
+  // from `in` afterwards).
+  std::vector<uint8_t> scratch;
+  if (read_compressed_section(in, scratch)) {
+    BufReader section(scratch.data(), scratch.size());
+    apply_diff_locked(seg, section);
   } else {
     apply_diff_locked(seg, in);
   }

@@ -168,22 +168,13 @@ class Client {
     bool last_block_prediction = true;
     /// Subscribe to server version notifications (adaptive polling).
     bool subscribe_notifications = true;
-    /// Retain reader locks across read_unlock and satisfy repeat acquires
-    /// from the cache with zero RPCs, honouring server kRevokeRead
-    /// callbacks. Needs auto_reconnect (the hello handshake negotiates it);
-    /// the IW_LOCK_CACHE environment variable overrides this ("0" off,
-    /// anything else on).
-    bool cache_read_locks = true;
-    /// Negotiate payload compression (wire/payload.hpp) in the hello and,
-    /// when the server confirms, exchange diff sections behind the
-    /// method-byte envelope in both directions. Needs auto_reconnect for
-    /// the handshake; the IW_COMPRESS environment variable overrides this
-    /// ("0" off, anything else on).
-    bool compress_payloads = true;
     /// Wrap every channel in a ReconnectingChannel: transport failures tear
     /// the connection down, reconnect with backoff under a new session
     /// epoch, and re-send idempotent calls. Disable for tests that drive
-    /// raw channels or assert exact failure propagation.
+    /// raw channels or assert exact failure propagation. The supervisor's
+    /// kHello also makes the session a lock-caching one: read locks are
+    /// retained across read_unlock and repeat acquires are served from the
+    /// cache with zero RPCs, honouring server kRevokeRead callbacks.
     bool auto_reconnect = true;
     /// Backoff/retry tuning for the reconnect supervisor.
     ReconnectingChannel::Options reconnect;
@@ -387,7 +378,7 @@ class Client {
   /// is acked at once, so the grant in the response may already be retired
   /// server-side and must not be cached.
   std::unordered_map<std::string, uint64_t> revoke_seq_;
-  /// cache_read_locks resolved against IW_LOCK_CACHE and auto_reconnect.
+  /// Read locks are cached: set from auto_reconnect (see Options).
   bool lock_cache_enabled_ = false;
   // Lock-cache counters are atomics, not ClientStats fields: the revoke
   // path bumps them without mu_.

@@ -31,29 +31,15 @@ void ReconnectingChannel::connect_locked() {
   }
   if (notify_) ch->set_notify_handler(notify_);
   ++epoch_;
-  if (options_.hello_on_connect) {
-    Buffer hello;
-    hello.append_u64(client_id_);
-    hello.append_u32(static_cast<uint32_t>(epoch_));
-    hello.append_u8((options_.announce_lock_caching ? 1 : 0) |
-                    (options_.announce_payload_compression ? 2 : 0));
-    Frame resp = ch->call(MsgType::kHello, std::move(hello));
-    BufReader r = resp.reader();
-    server_lease_ms_ = r.read_u32();
-    // Trailing feature bits + revocation deadline are absent from
-    // pre-lock-caching servers; their absence means "no revocation" and
-    // "no compression" — the old byte stream in both directions.
-    lock_caching_ok_ = false;
-    payload_compression_ok_ = false;
-    server_revoke_deadline_ms_ = 0;
-    if (r.remaining() >= 1) {
-      uint8_t features = r.read_u8();
-      lock_caching_ok_ = options_.announce_lock_caching && (features & 1) != 0;
-      payload_compression_ok_ =
-          options_.announce_payload_compression && (features & 2) != 0;
-      if (r.remaining() >= 4) server_revoke_deadline_ms_ = r.read_u32();
-    }
-  }
+  // Every connection opens with the versioned hello; a server speaking
+  // another protocol version answers kProtocol, which is not retryable.
+  Buffer hello;
+  hello.append_u8(kProtocolVersion);
+  hello.append_varint(client_id_);
+  hello.append_varint(epoch_);
+  Frame resp = ch->call(MsgType::kHello, std::move(hello));
+  BufReader r = resp.reader();
+  server_lease_ms_ = r.read_varint32();
   inner_ = std::move(ch);
 }
 
@@ -191,21 +177,6 @@ uint64_t ReconnectingChannel::session_epoch() const {
 uint32_t ReconnectingChannel::server_lease_ms() const {
   std::lock_guard lock(mu_);
   return server_lease_ms_;
-}
-
-bool ReconnectingChannel::supports_lock_caching() const {
-  std::lock_guard lock(mu_);
-  return lock_caching_ok_;
-}
-
-bool ReconnectingChannel::supports_payload_compression() const {
-  std::lock_guard lock(mu_);
-  return payload_compression_ok_;
-}
-
-uint32_t ReconnectingChannel::server_revoke_deadline_ms() const {
-  std::lock_guard lock(mu_);
-  return server_revoke_deadline_ms_;
 }
 
 ChannelFaultStats ReconnectingChannel::fault_stats() const {

@@ -9,7 +9,9 @@
 // jitter. Each successful reconnect starts a new *session epoch*; the
 // owning Client compares epochs at lock acquisition to know its
 // server-side session state (subscriptions, sent-type prefix) is gone and
-// its notification-derived freshness can no longer be trusted.
+// its notification-derived freshness can no longer be trusted. Every
+// connection opens with kHello (protocol version, client id, epoch); the
+// server may grant cached read locks only to a session that said hello.
 //
 // Idempotent calls are re-sent transparently on the new channel. The one
 // exception is kReleaseWrite: when the transport dies mid-release it is
@@ -44,17 +46,6 @@ class ReconnectingChannel final : public ClientChannel {
     uint32_t max_call_retries = 8;
     /// Jitter seed; 0 derives one from the channel's client id.
     uint64_t jitter_seed = 0;
-    /// Send kHello (client id + session epoch) after every connect; the
-    /// response carries the server's writer-lease duration.
-    bool hello_on_connect = true;
-    /// Announce client-side lock caching in the hello feature bits; the
-    /// negotiation succeeds only if the server answers that it revokes
-    /// (see supports_lock_caching()).
-    bool announce_lock_caching = false;
-    /// Announce payload compression in the hello feature bits; effective
-    /// only when the server confirms it in its response (see
-    /// supports_payload_compression()).
-    bool announce_payload_compression = false;
   };
 
   /// Builds the underlying channel; called once at construction and again
@@ -76,16 +67,8 @@ class ReconnectingChannel final : public ClientChannel {
   ChannelFaultStats fault_stats() const override;
 
   /// Writer-lease duration announced by the server in kHelloResp (0 when
-  /// leases are disabled or hello_on_connect is off).
+  /// leases are disabled).
   uint32_t server_lease_ms() const;
-  /// True when both sides negotiated lock caching on the current
-  /// connection.
-  bool supports_lock_caching() const override;
-  /// True when both sides negotiated payload compression on the current
-  /// connection.
-  bool supports_payload_compression() const override;
-  /// Revocation deadline announced by the server (0 = unknown/disabled).
-  uint32_t server_revoke_deadline_ms() const;
 
  private:
   /// Replaces inner_ with a fresh connection, bumps the epoch, replays the
@@ -103,9 +86,6 @@ class ReconnectingChannel final : public ClientChannel {
   uint64_t client_id_;
   uint64_t epoch_ = 0;  // connect_locked() makes the first connection epoch 1
   uint32_t server_lease_ms_ = 0;
-  bool lock_caching_ok_ = false;
-  bool payload_compression_ok_ = false;
-  uint32_t server_revoke_deadline_ms_ = 0;
   /// Byte counters of dead channel incarnations, folded in at teardown so
   /// bandwidth accounting survives reconnects.
   uint64_t dead_bytes_sent_ = 0;

@@ -69,15 +69,9 @@ class ClientChannel {
   /// Failure-handling counters (zero for channels that never retry).
   virtual ChannelFaultStats fault_stats() const { return {}; }
 
-  /// True when this channel negotiated distributed lock caching with the
-  /// server (kHello/kHelloResp feature bits). Raw channels never handshake,
-  /// so they never cache — old clients and servers interoperate unchanged.
+  // No caller in src/: these two stay only because perfbench's
+  // TimingChannel overrides them; delete both with those overrides.
   virtual bool supports_lock_caching() const { return false; }
-
-  /// True when this channel negotiated payload compression with the server
-  /// (kHello/kHelloResp feature bit 1): diff sections in both directions
-  /// carry the method-byte envelope of wire/payload.hpp. Raw channels never
-  /// handshake, so they speak the pre-compression byte stream unchanged.
   virtual bool supports_payload_compression() const { return false; }
 
   /// Severs the underlying connection *now*, independent of object

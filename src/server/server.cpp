@@ -1,7 +1,6 @@
 #include "server/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -62,9 +61,6 @@ std::string decode_file_name(const std::string& stem) {
 SegmentServer::SegmentServer() : SegmentServer(Options{}) {}
 
 SegmentServer::SegmentServer(Options options) : options_(std::move(options)) {
-  if (const char* env = std::getenv("IW_COMPRESS")) {
-    options_.compress_payloads = std::string_view(env) != "0";
-  }
   if (!options_.checkpoint_dir.empty()) {
     std::filesystem::create_directories(options_.checkpoint_dir);
   }
@@ -100,7 +96,6 @@ void SegmentServer::on_disconnect(SessionId session) {
   std::unique_lock lock(sessions_mu_);
   sessions_.erase(session);
   caching_sessions_.erase(session);
-  compress_sessions_.erase(session);
 }
 
 SegmentServer::SegmentEntry* SegmentServer::find_segment(
@@ -191,7 +186,6 @@ SegmentServer::SegmentSession& SegmentServer::seg_session(SegmentEntry& entry,
   // notification fan-out later needs no lock beyond the entry's.
   Notifier notify;
   bool may_cache = false;
-  bool may_compress = false;
   {
     std::shared_lock lock(sessions_mu_);
     auto sit = sessions_.find(id);
@@ -200,12 +194,10 @@ SegmentServer::SegmentSession& SegmentServer::seg_session(SegmentEntry& entry,
     }
     notify = sit->second;
     may_cache = caching_sessions_.count(id) > 0;
-    may_compress = compress_sessions_.count(id) > 0;
   }
   SegmentSession ss;
   ss.notify = std::move(notify);
   ss.may_cache = may_cache;
-  ss.may_compress = may_compress;
   return entry.sessions.emplace(id, std::move(ss)).first->second;
 }
 
@@ -404,26 +396,20 @@ bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
   }
   ss.types_sent = count;
   auto diff = store.collect_diff(client_version);
-  if (ss.may_compress) {
-    // Negotiated connections carry the diff behind a method byte; the
-    // compressor measures and keeps the raw form (plus the one-byte flag)
-    // whenever the envelope would not pay, so incompressible diffs cost
-    // one byte, not a wasted pass downstream.
-    const size_t method_offset = payload.size();
-    payload.append_u8(payload_method::kRaw);
-    payload.append(diff->data(), diff->size());
-    if (compress_section_in_place(payload, method_offset)) {
-      stats_.updates_compressed.fetch_add(1, std::memory_order_relaxed);
-    }
-    stats_.update_raw_bytes.fetch_add(diff->size(), std::memory_order_relaxed);
-    stats_.update_wire_bytes.fetch_add(payload.size() - method_offset,
-                                       std::memory_order_relaxed);
-  } else {
-    payload.append(diff->data(), diff->size());
-    stats_.update_raw_bytes.fetch_add(diff->size(), std::memory_order_relaxed);
-    stats_.update_wire_bytes.fetch_add(diff->size(),
-                                       std::memory_order_relaxed);
+  // The diff travels behind a method byte. With compress_payloads on the
+  // compressor measures and keeps the raw form (plus the one-byte flag)
+  // whenever the envelope would not pay, so incompressible diffs cost one
+  // byte, not a wasted pass downstream.
+  const size_t method_offset = payload.size();
+  payload.append_u8(payload_method::kRaw);
+  payload.append(diff->data(), diff->size());
+  if (options_.compress_payloads &&
+      compress_section_in_place(payload, method_offset)) {
+    stats_.updates_compressed.fetch_add(1, std::memory_order_relaxed);
   }
+  stats_.update_raw_bytes.fetch_add(diff->size(), std::memory_order_relaxed);
+  stats_.update_wire_bytes.fetch_add(payload.size() - method_offset,
+                                     std::memory_order_relaxed);
   ss.modified_since_update = 0;
   return true;
 }
@@ -462,38 +448,31 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kHello: {
-      // Session handshake from a reconnect-capable client: identifies the
-      // client across channel incarnations and announces its session epoch
-      // (1 = first connect, +1 per reconnect). The response tells the
-      // client how long its writer leases last so it can pace renewals.
-      uint64_t client_id = in.read_u64();
-      uint32_t epoch = in.read_u32();
+      // Session handshake from a reconnect-capable client: checks the
+      // protocol version, identifies the client across channel incarnations
+      // and announces its session epoch (1 = first connect, +1 per
+      // reconnect). A session that said hello caches read locks and honours
+      // kRevokeRead. The response tells the client how long its writer
+      // leases last so it can pace renewals.
+      const uint8_t version = in.read_u8();
+      if (version != kProtocolVersion) {
+        throw Error(ErrorCode::kProtocol,
+                    "client speaks protocol version " +
+                        std::to_string(version) + ", server speaks " +
+                        std::to_string(kProtocolVersion));
+      }
+      uint64_t client_id = in.read_varint64();
+      uint32_t epoch = in.read_varint32();
       if (epoch > 1) {
         IW_LOG(kInfo) << "client " << client_id << " reconnected (epoch "
                       << epoch << ") as session " << session;
       }
-      // Optional trailing feature byte (absent from pre-lock-caching
-      // clients): bit 0 announces the client caches read locks and honours
-      // kRevokeRead; bit 1 announces it speaks the payload-compression
-      // section envelope. A connection only compresses when both sides
-      // opted in, so a pre-compression peer on either end sees the old
-      // byte stream unchanged.
-      uint8_t features = in.remaining() >= 1 ? in.read_u8() : 0;
-      bool wants_caching = (features & 1) != 0;
-      bool wants_compress = (features & 2) != 0 && options_.compress_payloads;
-      if (wants_caching || wants_compress) {
+      {
         std::unique_lock lock(sessions_mu_);
-        if (wants_caching) caching_sessions_.insert(session);
-        if (wants_compress) compress_sessions_.insert(session);
+        caching_sessions_.insert(session);
       }
       resp.type = MsgType::kHelloResp;
-      payload.append_u32(options_.writer_lease_ms);
-      // Trailing feature byte + revocation deadline; old clients never read
-      // past the lease field and ignore these bytes. Bit 1 confirms
-      // compression, telling the client it may envelope its commit diffs.
-      payload.append_u8((options_.revoke_deadline_ms != 0 ? 1 : 0) |
-                        (wants_compress ? 2 : 0));
-      payload.append_u32(options_.revoke_deadline_ms);
+      payload.append_varint(options_.writer_lease_ms);
       break;
     }
 
@@ -583,13 +562,13 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       } else {
         stats_.uptodate_responses.fetch_add(1, std::memory_order_relaxed);
       }
+      bool grant = false;
       if (ss.may_cache && options_.revoke_deadline_ms != 0) {
         // Grant a cached read lock only when no writer holds or is draining
         // the segment (writer preference: cached readers can never starve a
         // waiting writer) and the client runs Full coherence — the only
         // model whose repeat acquires otherwise always pay an RPC.
-        const bool grant =
-            entry.writer == 0 && policy.model == CoherenceModel::kFull;
+        grant = entry.writer == 0 && policy.model == CoherenceModel::kFull;
         if (ss.cached_read && !grant) {
           // This acquire implicitly surrenders a cached lock we were
           // draining: the client re-contacted us, so it is not sick.
@@ -601,15 +580,15 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
           ss.grant_time = std::chrono::steady_clock::now();
           stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
         }
-        payload.append_u8(grant ? 1 : 0);
       }
+      payload.append_u8(grant ? 1 : 0);
       break;
     }
 
     case MsgType::kReleaseRead: {
       std::string name = in.read_vstring();
-      // Optional trailing byte: the client asks to keep the lock cached.
-      bool keep_cached = in.remaining() >= 1 && in.read_u8() != 0;
+      // The client asks to keep the lock cached.
+      bool keep_cached = in.read_u8() != 0;
       // Reader locks are otherwise pure client-side bookkeeping; tolerate
       // releases for segments or sessions we have no record of.
       SegmentEntry* entry = find_segment(name, false);
@@ -719,16 +698,15 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         }
         throw Error(ErrorCode::kState, "releasing write lock not held");
       }
-      // Negotiated connections wrap the diff in the section envelope; a
-      // corrupt envelope must not wedge the segment any more than a
-      // malformed diff may, so the lock drops on a decode failure too.
+      // The diff sits in the section envelope; a corrupt envelope must not
+      // wedge the segment any more than a malformed diff may, so the lock
+      // drops on a decode failure too.
       std::span<const uint8_t> diff_bytes;
       std::vector<uint8_t> inflated;
       uint32_t old_version = entry.store->version();
       uint32_t new_version;
       try {
-        if (seg_session(entry, session).may_compress &&
-            read_compressed_section(in, inflated)) {
+        if (read_compressed_section(in, inflated)) {
           diff_bytes = inflated;
         } else {
           diff_bytes = in.read_bytes(in.remaining());

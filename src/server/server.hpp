@@ -86,13 +86,10 @@ class SegmentServer : public ServerCore {
     /// Snapshot bytes per kSyncChunk response when a sync falls back to a
     /// full snapshot; small values force multi-chunk streaming (tests).
     uint32_t sync_chunk_bytes = 1u << 20;
-    /// Payload compression (wire/payload.hpp). When on, the server offers
-    /// per-connection diff compression in its hello (feature bit 1; only
-    /// connections whose client announced the same bit get the section
-    /// envelope, so pre-compression peers see the old byte stream) and
-    /// journals commit records as compressed envelopes when the sampled
-    /// ratio pays. The IW_COMPRESS environment variable overrides this at
-    /// construction ("0" disables, anything else enables).
+    /// Payload compression (wire/payload.hpp) of what this server encodes:
+    /// update diff sections, journal and replication records and checkpoint
+    /// chains, each when the sampled ratio pays. It never limits what the
+    /// server accepts: a compressed commit is decoded either way.
     bool compress_payloads = true;
     /// Incremental checkpoints: after `checkpoint_chain_limit` delta
     /// records have accumulated in a segment's `.iwinc` chain, the next
@@ -228,13 +225,9 @@ class SegmentServer : public ServerCore {
     bool cached_read = false;
     /// A kRevokeRead has been pushed and not yet acked.
     bool revoke_pending = false;
-    /// Session announced lock-caching support in its hello (copied from
-    /// `caching_sessions_` at first touch); never granted otherwise.
+    /// Session said kHello (copied from `caching_sessions_` at first
+    /// touch); a session that did not is never granted a cached lock.
     bool may_cache = false;
-    /// Both sides of this connection negotiated payload compression in the
-    /// hello (copied from `compress_sessions_` at first touch): diff
-    /// sections to and from this session carry the method-byte envelope.
-    bool may_compress = false;
     /// When the current cached grant was issued; the grant-TTL sweep
     /// compares against it.
     std::chrono::steady_clock::time_point grant_time{};
@@ -453,13 +446,9 @@ class SegmentServer : public ServerCore {
   /// acquiring the directory or an entry lock.
   mutable std::shared_mutex sessions_mu_;
   std::unordered_map<SessionId, Notifier> sessions_;
-  /// Sessions whose kHello announced client-side lock caching (feature
-  /// bit 0). Guarded by sessions_mu_ like the connection table.
+  /// Sessions that said kHello and so cache read locks. Guarded by
+  /// sessions_mu_ like the connection table.
   std::unordered_set<SessionId> caching_sessions_;
-  /// Sessions whose kHello announced payload compression (feature bit 1)
-  /// while the server has it enabled too — only these ever see the diff
-  /// section envelope. Guarded by sessions_mu_.
-  std::unordered_set<SessionId> compress_sessions_;
 
   /// Ring identity (set_node_identity); leaf lock like the session table.
   mutable std::mutex node_mu_;

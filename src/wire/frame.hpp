@@ -13,34 +13,45 @@
 
 namespace iw {
 
+/// Version of the client/server protocol, sent as the first byte of every
+/// kHello. There is one dialect per version: every field below is required,
+/// and any change to a frame layout bumps this number. A server answers a
+/// hello carrying another version with a kProtocol error.
+inline constexpr uint8_t kProtocolVersion = 1;
+
+// Field notation: u8/u32/u64 fixed width (big-endian), v LEB128 varint,
+// vs varint-length string, lp u32-length string. "envelope diff" is a diff
+// behind the one-byte section method of wire/payload.hpp (kRaw or kLz).
 enum class MsgType : uint8_t {
   kError = 0,            ///< response: lp error-code name, lp message
   kOpenSegment = 1,      ///< lp segment name, u8 create_if_missing
   kOpenSegmentResp = 2,  ///< u32 version, u32 next_block_serial
   kRegisterType = 3,     ///< lp segment name, type graph
   kRegisterTypeResp = 4, ///< u32 type serial (segment-scoped)
-  kAcquireRead = 5,      ///< lp segment, u32 cached version, u8 model, u64 param
-  kAcquireReadResp = 6,  ///< u8 uptodate, [type table, diff]
-  kReleaseRead = 7,      ///< lp segment, [u8 cached: keep lock client-side]
-  kAcquireWrite = 8,     ///< lp segment, u32 cached version
-  kAcquireWriteResp = 9, ///< u32 next_block_serial, u8 uptodate, [types, diff]
-  kReleaseWrite = 10,    ///< lp segment, diff payload
-  kReleaseWriteResp = 11,///< u32 new version
+  kAcquireRead = 5,      ///< vs segment, v cached version, u8 model, v param
+  kAcquireReadResp = 6,  ///< u8 uptodate, [v n_types, types, envelope diff],
+                         ///< u8 granted: lock may stay cached client-side
+  // No client sends kReleaseRead; it stays because perfbench counts it.
+  kReleaseRead = 7,      ///< vs segment, u8 keep_cached
+  kAcquireWrite = 8,     ///< vs segment, v cached version
+  kAcquireWriteResp = 9, ///< v next_block_serial, u8 uptodate, [v n_types,
+                         ///< types, envelope diff]
+  kReleaseWrite = 10,    ///< vs segment, envelope diff
+  kReleaseWriteResp = 11,///< v new version
   kSegmentInfo = 12,     ///< lp segment name (metadata for space reservation)
   kSegmentInfoResp = 13, ///< block directory: serials, types, names
   kSubscribe = 14,       ///< lp segment
-  kNotifyVersion = 15,   ///< notification: lp segment, u32 new version
+  kNotifyVersion = 15,   ///< notification: vs segment, v new version
   kPing = 16,            ///< liveness probe
   kPingResp = 17,
   kAck = 18,             ///< generic empty success response
   kCloseSegment = 19,    ///< lp segment: drop this session's segment state
-  kHello = 20,           ///< u64 client id, u32 session epoch (reconnects),
-                         ///< [u8 feature bits: bit0 = caches read locks]
-  kHelloResp = 21,       ///< u32 writer lease ms (0 = leases disabled),
-                         ///< [u8 feature bits: bit0 = server revokes]
-  kRevokeRead = 22,      ///< notification: lp segment, u32 revoke_gen —
+  kHello = 20,           ///< u8 protocol version, v client id, v session
+                         ///< epoch (reconnects); the session caches locks
+  kHelloResp = 21,       ///< v writer lease ms (0 = leases disabled)
+  kRevokeRead = 22,      ///< notification: vs segment, v revoke_gen —
                          ///< release cached lock, echo gen in the ack
-  kRevokeAck = 23,       ///< lp segment, u32 revoke_gen: cached read lock
+  kRevokeAck = 23,       ///< vs segment, v revoke_gen: cached read lock
                          ///< has been dropped (stale gen = ignored)
   // --- federation (server-to-server replication + segment directory) ---
   kWalAppend = 24,       ///< primary -> replica: u32 record count, then per

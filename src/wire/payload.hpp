@@ -16,9 +16,9 @@
 //  2. Payload envelopes. Record payloads (WAL / replication) prepend
 //     `u32 raw_len` to the compressed bytes and mark the record's tag byte
 //     with kPayloadCompressedTagBit. Wire diff sections use a leading
-//     method byte (payload_method::kRaw keeps the section byte-identical
-//     to the pre-compression format so the zero-copy iovec path survives;
-//     kLz carries `varint comp_len | varint raw_len | bytes`, explicitly
+//     method byte on every session (payload_method::kRaw leaves the
+//     section bytes untouched so the zero-copy iovec path survives; kLz
+//     carries `varint comp_len | varint raw_len | bytes`, explicitly
 //     sized so trailing frame bytes still parse). Compression is always *measured*:
 //     when the encoded bytes would not beat the raw bytes, the raw form is
 //     kept and the flag says so.

@@ -9,6 +9,7 @@
 #include "interweave/interweave.hpp"
 #include "server/checkpoint.hpp"
 #include "wire/diff.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -504,7 +505,10 @@ TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
     uint32_t len = r.read_varint32();
     r.read_bytes(len);
   }
-  DiffReader reader(r);
+  std::vector<uint8_t> scratch;
+  const bool lz = read_compressed_section(r, scratch);
+  BufReader section = lz ? BufReader(scratch.data(), scratch.size()) : r;
+  DiffReader reader(section);
   DiffEntry entry;
   bool freed = false;
   while (reader.next(&entry)) {

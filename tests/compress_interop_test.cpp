@@ -1,29 +1,25 @@
-// Interop tests for payload-compression negotiation: a mixed fleet must
-// converge byte-for-byte. Peers that predate compression (no hello
-// handshake at all, or a hello without the feature bit) share segments
-// with negotiated peers against one compressing server, and a compressing
-// client degrades cleanly against a server with compression disabled.
-// Both byte directions are covered: commits (client -> server) and
-// updates (server -> client).
+// Interop tests for payload compression: every session carries the
+// method-byte envelope on every diff section, so whether a frame is
+// compressed is a per-frame content decision. A client that never says
+// hello compresses like any other, and a server with compression off
+// still accepts compressed commits; every mix must converge
+// byte-for-byte. Both byte directions are covered: commits (client ->
+// server) and updates (server -> client).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <unistd.h>
 
 #include "interweave/interweave.hpp"
 
 namespace iw {
 namespace {
 
-// IW_COMPRESS overrides the compression option on both ends; these tests
-// pin specific old/new peer mixes, so the override must not apply no
-// matter which ctest lane runs the binary.
 class CompressInterop : public ::testing::Test {
  protected:
-  void SetUp() override { ::unsetenv("IW_COMPRESS"); }
-
   static std::unique_ptr<Client> make_client(server::SegmentServer& core,
                                              Client::Options opts = {}) {
     return std::make_unique<Client>(
@@ -33,10 +29,9 @@ class CompressInterop : public ::testing::Test {
         opts);
   }
 
-  // A peer from before the compression feature existed: no reconnect
-  // supervisor means no hello handshake, so it speaks the raw byte
-  // stream in both directions regardless of what the server supports.
-  static Client::Options pre_compression_peer() {
+  // No reconnect supervisor, so no hello: the session is not a
+  // lock-caching one, but its diff sections use the same envelope.
+  static Client::Options without_hello() {
     Client::Options o;
     o.auto_reconnect = false;
     return o;
@@ -54,10 +49,11 @@ TEST_F(CompressInterop, PreCompressionPeersAgainstCompressingServer) {
   sopts.compress_payloads = true;
   server::SegmentServer core(sopts);
 
-  auto writer = make_client(core, pre_compression_peer());
-  auto reader = make_client(core, pre_compression_peer());
+  // Both peers have the shape of a client from before compression: no
+  // reconnect supervisor, so no hello. They still speak the envelope.
+  auto writer = make_client(core, without_hello());
+  auto reader = make_client(core, without_hello());
 
-  // Old peer -> compressing server: the commit arrives as a bare diff.
   ClientSegment* ws = writer->open_segment("host/legacy");
   writer->write_lock(ws);
   auto* d = static_cast<int32_t*>(
@@ -65,7 +61,6 @@ TEST_F(CompressInterop, PreCompressionPeersAgainstCompressingServer) {
   for (int i = 0; i < kInts; ++i) d[i] = 7;
   writer->write_unlock(ws);
 
-  // Compressing server -> old peer: the update goes out as a bare diff.
   ClientSegment* rs = reader->open_segment("host/legacy");
   reader->read_lock(rs);
   auto* block = rs->heap().find_by_name("data");
@@ -74,69 +69,87 @@ TEST_F(CompressInterop, PreCompressionPeersAgainstCompressingServer) {
   for (int i = 0; i < kInts; ++i) ASSERT_EQ(rd[i], 7) << "at " << i;
   reader->read_unlock(rs);
 
-  // Neither direction may have used the envelope on the wire.
-  EXPECT_EQ(writer->stats().diffs_compressed, 0u);
+  // Both directions compressed, and neither session was granted a cached
+  // lock.
+  EXPECT_GT(writer->stats().diffs_compressed, 0u);
   EXPECT_EQ(reader->stats().diffs_compressed, 0u);
-  EXPECT_EQ(core.stats().updates_compressed, 0u);
+  EXPECT_GT(core.stats().updates_compressed, 0u);
+  EXPECT_EQ(core.stats().cached_read_grants, 0u);
 }
 
-TEST_F(CompressInterop, HelloWithoutFeatureBitStaysRaw) {
+TEST_F(CompressInterop, MixedFleetSharesOneSegment) {
   server::SegmentServer::Options sopts;
   sopts.compress_payloads = true;
   server::SegmentServer core(sopts);
 
-  // This peer performs the hello handshake (it has the reconnect
-  // supervisor) but never announces the compression bit.
-  Client::Options copts;
-  copts.compress_payloads = false;
-  auto writer = make_client(core, copts);
-  auto reader = make_client(core, copts);
+  auto plain = make_client(core, without_hello());
+  auto hello = make_client(core);
 
-  ClientSegment* ws = writer->open_segment("host/nobit");
-  writer->write_lock(ws);
+  // Client without hello -> server: the commit shrinks in the envelope.
+  ClientSegment* ps = plain->open_segment("host/nohello");
+  plain->write_lock(ps);
   auto* d = static_cast<int32_t*>(
-      writer->malloc_block(ws, int_array(*writer, kInts), "data"));
-  for (int i = 0; i < kInts; ++i) d[i] = i & 3;
-  writer->write_unlock(ws);
+      plain->malloc_block(ps, int_array(*plain, kInts), "data"));
+  for (int i = 0; i < kInts; ++i) d[i] = 5;
+  plain->write_unlock(ps);
+  EXPECT_GT(plain->stats().diffs_compressed, 0u);
 
-  ClientSegment* rs = reader->open_segment("host/nobit");
-  reader->read_lock(rs);
-  auto* block = rs->heap().find_by_name("data");
-  ASSERT_NE(block, nullptr);
-  const auto* rd = reinterpret_cast<const int32_t*>(block->data());
-  for (int i = 0; i < kInts; ++i) ASSERT_EQ(rd[i], i & 3) << "at " << i;
-  reader->read_unlock(rs);
+  // The other client writes back; the update to the client without hello
+  // ships compressed as well.
+  ClientSegment* hs = hello->open_segment("host/nohello");
+  hello->write_lock(hs);
+  auto* hw = const_cast<int32_t*>(reinterpret_cast<const int32_t*>(
+      hs->heap().find_by_name("data")->data()));
+  for (int i = 0; i < kInts; ++i) ASSERT_EQ(hw[i], 5) << "at " << i;
+  for (int i = 0; i < kInts; ++i) hw[i] = 6;
+  hello->write_unlock(hs);
 
-  EXPECT_EQ(writer->stats().diffs_compressed, 0u);
-  EXPECT_EQ(core.stats().updates_compressed, 0u);
+  const uint64_t updates_before = core.stats().updates_compressed;
+  plain->read_lock(ps);
+  for (int i = 0; i < kInts; ++i) ASSERT_EQ(d[i], 6) << "at " << i;
+  plain->read_unlock(ps);
+  EXPECT_GT(core.stats().updates_compressed, updates_before);
+  EXPECT_EQ(plain->stats().lock_cache_hits, 0u);
+  EXPECT_EQ(core.stats().cached_read_grants, 0u)
+      << "a client without hello is never granted a cached lock";
 }
 
-TEST_F(CompressInterop, CompressingClientAgainstOldServer) {
-  server::SegmentServer::Options sopts;
-  sopts.compress_payloads = false;  // server predates the feature
-  server::SegmentServer core(sopts);
+TEST_F(CompressInterop, RawServerAcceptsCompressedCommits) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("iw-rawsrv-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    server::SegmentServer::Options sopts;
+    sopts.compress_payloads = false;  // encodes raw, decodes anything
+    sopts.checkpoint_dir = dir.string();  // journal on: commits are encoded
+    server::SegmentServer core(sopts);
 
-  auto writer = make_client(core);  // announces compression, gets refused
-  auto reader = make_client(core);
+    auto writer = make_client(core);
+    auto reader = make_client(core);
 
-  ClientSegment* ws = writer->open_segment("host/oldsrv");
-  writer->write_lock(ws);
-  auto* d = static_cast<int32_t*>(
-      writer->malloc_block(ws, int_array(*writer, kInts), "data"));
-  for (int i = 0; i < kInts; ++i) d[i] = 42;
-  writer->write_unlock(ws);
+    ClientSegment* ws = writer->open_segment("host/rawsrv");
+    writer->write_lock(ws);
+    auto* d = static_cast<int32_t*>(
+        writer->malloc_block(ws, int_array(*writer, kInts), "data"));
+    for (int i = 0; i < kInts; ++i) d[i] = 42;
+    writer->write_unlock(ws);
 
-  ClientSegment* rs = reader->open_segment("host/oldsrv");
-  reader->read_lock(rs);
-  auto* block = rs->heap().find_by_name("data");
-  ASSERT_NE(block, nullptr);
-  const auto* rd = reinterpret_cast<const int32_t*>(block->data());
-  for (int i = 0; i < kInts; ++i) ASSERT_EQ(rd[i], 42) << "at " << i;
-  reader->read_unlock(rs);
+    ClientSegment* rs = reader->open_segment("host/rawsrv");
+    reader->read_lock(rs);
+    auto* block = rs->heap().find_by_name("data");
+    ASSERT_NE(block, nullptr);
+    const auto* rd = reinterpret_cast<const int32_t*>(block->data());
+    for (int i = 0; i < kInts; ++i) ASSERT_EQ(rd[i], 42) << "at " << i;
+    reader->read_unlock(rs);
 
-  EXPECT_EQ(writer->stats().diffs_compressed, 0u);
-  EXPECT_EQ(core.stats().updates_compressed, 0u);
-  EXPECT_EQ(core.stats().commits_compressed, 0u);
+    EXPECT_GT(writer->stats().diffs_compressed, 0u);
+    auto stats = core.stats();
+    EXPECT_EQ(stats.commits_compressed, 0u);
+    EXPECT_EQ(stats.updates_compressed, 0u);
+    EXPECT_GT(stats.commit_raw_bytes, 0u) << "the commit was journaled";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(CompressInterop, NegotiatedPairCompressesBothDirections) {
@@ -171,47 +184,6 @@ TEST_F(CompressInterop, NegotiatedPairCompressesBothDirections) {
   EXPECT_LT(stats.update_wire_bytes, stats.update_raw_bytes);
 }
 
-TEST_F(CompressInterop, MixedFleetSharesOneSegment) {
-  server::SegmentServer::Options sopts;
-  sopts.compress_payloads = true;
-  server::SegmentServer core(sopts);
-
-  auto modern = make_client(core);
-  auto legacy = make_client(core, pre_compression_peer());
-
-  // Modern writes, legacy reads.
-  ClientSegment* ms = modern->open_segment("host/mixed");
-  modern->write_lock(ms);
-  auto* d = static_cast<int32_t*>(
-      modern->malloc_block(ms, int_array(*modern, kInts), "data"));
-  for (int i = 0; i < kInts; ++i) d[i] = 5;
-  modern->write_unlock(ms);
-
-  ClientSegment* ls = legacy->open_segment("host/mixed");
-  legacy->read_lock(ls);
-  auto* lb = ls->heap().find_by_name("data");
-  ASSERT_NE(lb, nullptr);
-  auto* ld = reinterpret_cast<const int32_t*>(lb->data());
-  for (int i = 0; i < kInts; ++i) ASSERT_EQ(ld[i], 5) << "at " << i;
-  legacy->read_unlock(ls);
-
-  // Legacy writes back, modern reads: the server re-encodes per session,
-  // so the same commit reaches one peer raw and the other compressed.
-  legacy->write_lock(ls);
-  auto* lw = const_cast<int32_t*>(
-      reinterpret_cast<const int32_t*>(ls->heap().find_by_name("data")->data()));
-  for (int i = 0; i < kInts; ++i) lw[i] = 6;
-  legacy->write_unlock(ls);
-
-  modern->read_lock(ms);
-  for (int i = 0; i < kInts; ++i) ASSERT_EQ(d[i], 6) << "at " << i;
-  modern->read_unlock(ms);
-
-  EXPECT_EQ(legacy->stats().diffs_compressed, 0u);
-  EXPECT_GT(modern->stats().diffs_compressed, 0u);
-  EXPECT_GT(core.stats().updates_compressed, 0u);
-}
-
 TEST_F(CompressInterop, IncompressibleDiffsStayRawInsideTheEnvelope) {
   server::SegmentServer::Options sopts;
   sopts.compress_payloads = true;
@@ -222,7 +194,7 @@ TEST_F(CompressInterop, IncompressibleDiffsStayRawInsideTheEnvelope) {
 
   // A high-entropy payload (xorshift stream) defeats the LZ pass; the
   // per-frame decision must fall back to the raw method byte and the
-  // data must still round-trip through negotiated channels.
+  // data must still round-trip.
   ClientSegment* ws = writer->open_segment("host/entropy");
   writer->write_lock(ws);
   auto* d = static_cast<int32_t*>(

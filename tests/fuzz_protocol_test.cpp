@@ -182,6 +182,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   acquire(1);
   call(MsgType::kReleaseWrite, [&](Buffer& p) {
     p.append_vstring(url);
+    p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 1, 2);
     w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial);
     w.begin_run(0, 4);
@@ -195,6 +196,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
     acquire(2);
     return code_of(MsgType::kReleaseWrite, [&](Buffer& p) {
       p.append_vstring(url);
+      p.append_u8(payload_method::kRaw);
       p.append_varint(2);  // from_version
       p.append_varint(1);  // to_version - from_version
       p.append_varint(1);  // n_entries
@@ -252,6 +254,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   EXPECT_EQ(code_of(MsgType::kReleaseWrite,
                     [&](Buffer& p) {
                       p.append_vstring(url);
+                      p.append_u8(payload_method::kRaw);
                       p.append_varint(0xFFFFFFFFu);  // from_version
                       p.append_varint(1);  // to_version overflows u32
                       p.append_varint(0);
@@ -262,6 +265,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   acquire(2);
   Frame resp = call(MsgType::kReleaseWrite, [&](Buffer& p) {
     p.append_vstring(url);
+    p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 2, 3);
     w.begin_block(1, 0);
     w.begin_run(3, 1);
@@ -311,7 +315,9 @@ TEST(FuzzClient, UpdateWithTypeSerialZeroIsProtocolError) {
   update.append_varint(1);  // n_types
   update.append_varint(0);  // serial
   update.append_varint(0);  // graph_len
+  update.append_u8(payload_method::kRaw);
   DiffWriter(update, 0, 1).finish();
+  update.append_u8(0);  // grant
   client::Client::Options opts;
   opts.auto_reconnect = false;
   Client c(
@@ -370,6 +376,7 @@ TEST(FuzzServer, MalformedReleaseDoesNotWedgeTheLock) {
   a.call(MsgType::kAcquireWrite, std::move(acq));
   Buffer bad;
   bad.append_vstring("host/wedge");
+  bad.append_u8(payload_method::kRaw);
   bad.append_varint(0);    // from_version
   bad.append_varint(1);    // to_version - from_version
   bad.append_varint(123);  // n_entries, none of which follow: not a valid diff
@@ -383,6 +390,7 @@ TEST(FuzzServer, MalformedReleaseDoesNotWedgeTheLock) {
   EXPECT_EQ(resp.type, MsgType::kAcquireWriteResp);
   Buffer rel;
   rel.append_vstring("host/wedge");
+  rel.append_u8(payload_method::kRaw);
   DiffWriter(rel, 1, 1).finish();
   b.call(MsgType::kReleaseWrite, std::move(rel));
 }

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "interweave/interweave.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -62,6 +63,7 @@ Buffer acquire_write_payload(const std::string& url, uint32_t version = 0) {
 Buffer empty_release_payload(const std::string& url, uint32_t version) {
   Buffer p;
   p.append_vstring(url);
+  p.append_u8(payload_method::kRaw);
   DiffWriter(p, version, version).finish();
   return p;
 }

@@ -1,20 +1,20 @@
 // Distributed lock caching: a client retains its reader lock after
 // release and satisfies repeat acquires with zero RPCs; the server revokes
 // cached locks when a writer arrives (bounded by the revocation deadline);
-// concurrent local threads sub-let one cached lock. Protocol negotiation
-// keeps old clients working unchanged.
+// concurrent local threads sub-let one cached lock. A session that never
+// said kHello is never granted a cached lock.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 #include "interweave/interweave.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -74,16 +74,15 @@ TEST(LockCache, RepeatReadAcquiresHitCacheWithoutRpc) {
 }
 
 TEST(LockCache, DisabledOptionFallsBackToRpcPerAcquire) {
-  if (std::getenv("IW_LOCK_CACHE") != nullptr) {
-    GTEST_SKIP() << "IW_LOCK_CACHE overrides the option under test";
-  }
   server::SegmentServer core;
   const std::string url = "host/cache-off";
   Client writer(inproc_factory(core));
   seed_segment(writer, writer.open_segment(url), 3);
 
+  // Caching is off for a client without the reconnect supervisor: it
+  // never says hello, so its session is not a caching one.
   Client::Options copts;
-  copts.cache_read_locks = false;
+  copts.auto_reconnect = false;
   Client reader(inproc_factory(core), copts);
   ClientSegment* rs = reader.open_segment(url);
   for (int i = 0; i < 5; ++i) {
@@ -306,6 +305,7 @@ Buffer acquire_write_payload(const std::string& url) {
 Buffer empty_release_payload(const std::string& url, uint32_t version) {
   Buffer p;
   p.append_vstring(url);
+  p.append_u8(payload_method::kRaw);
   DiffWriter(p, version, version).finish();
   return p;
 }
@@ -317,20 +317,15 @@ TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
   server::SegmentServer core(sopts);
   const std::string url = "host/keep-flag";
 
-  // A negotiating session (the hello handshake announces lock caching).
-  ReconnectingChannel::Options ropts;
-  ropts.announce_lock_caching = true;
+  // A caching session: the supervisor's hello makes it one.
   auto reader = std::make_shared<ReconnectingChannel>(
       [&core]() -> std::shared_ptr<ClientChannel> {
         return std::make_shared<InProcChannel>(core);
       },
-      ropts);
+      ReconnectingChannel::Options{});
   raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
-  EXPECT_TRUE(reader->supports_lock_caching());
-  EXPECT_EQ(reader->server_revoke_deadline_ms(), 100u);
 
-  auto writer = std::make_shared<InProcChannel>(core);
-  EXPECT_FALSE(writer->supports_lock_caching());  // no hello, no caching
+  auto writer = std::make_shared<InProcChannel>(core);  // no hello
   raw_call(*writer, MsgType::kOpenSegment, open_payload(url));
 
   // Acquire grants a cached lock (trailing byte); a *plain* release
@@ -341,6 +336,7 @@ TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
   EXPECT_EQ(resp.payload.back(), 1u) << "grant byte missing or denied";
   Buffer plain;
   plain.append_vstring(url);
+  plain.append_u8(0);
   raw_call(*reader, MsgType::kReleaseRead, std::move(plain));
 
   auto start = steady_clock::now();
@@ -380,15 +376,13 @@ TEST(LockCache, ExpiredGrantSweepReclaimsWedgedHolder) {
   server::SegmentServer core(sopts);
   const std::string url = "host/ttl-sweep";
 
-  // A wedged holder: negotiates caching, keeps the registration on release,
+  // A wedged holder: says hello, keeps the registration on release,
   // and will never ack a revoke. The TTL exists for exactly this client.
-  ReconnectingChannel::Options ropts;
-  ropts.announce_lock_caching = true;
   auto reader = std::make_shared<ReconnectingChannel>(
       [&core]() -> std::shared_ptr<ClientChannel> {
         return std::make_shared<InProcChannel>(core);
       },
-      ropts);
+      ReconnectingChannel::Options{});
   raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
   Frame resp = raw_call(*reader, MsgType::kAcquireRead,
                         acquire_read_payload(url));
@@ -426,13 +420,11 @@ TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
   server::SegmentServer core(sopts);
   const std::string url = "host/ttl-inline";
 
-  ReconnectingChannel::Options ropts;
-  ropts.announce_lock_caching = true;
   auto reader = std::make_shared<ReconnectingChannel>(
       [&core]() -> std::shared_ptr<ClientChannel> {
         return std::make_shared<InProcChannel>(core);
       },
-      ropts);
+      ReconnectingChannel::Options{});
   raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
   Frame resp = raw_call(*reader, MsgType::kAcquireRead,
                         acquire_read_payload(url));
@@ -465,8 +457,8 @@ TEST(LockCache, NonNegotiatingClientsSeeNoGrants) {
   Client writer(inproc_factory(core));
   seed_segment(writer, writer.open_segment(url), 4);
 
-  // auto_reconnect off: raw channel, no hello, no negotiation — the exact
-  // shape of a pre-lock-caching client. Everything must work unchanged.
+  // auto_reconnect off: raw channel and no hello, so no cached grants.
+  // Full coherence then pays one acquire RPC per lock.
   Client::Options copts;
   copts.auto_reconnect = false;
   Client reader(inproc_factory(core), copts);
@@ -475,6 +467,8 @@ TEST(LockCache, NonNegotiatingClientsSeeNoGrants) {
     EXPECT_EQ(read_value(reader, rs, url), 4);
   }
   EXPECT_EQ(reader.stats().lock_cache_hits, 0u);
+  EXPECT_EQ(reader.stats().lock_cache_misses, 0u);
+  EXPECT_EQ(reader.stats().read_lock_server_calls, 3u);
   EXPECT_EQ(core.stats().cached_read_grants, 0u);
   EXPECT_EQ(core.stats().revokes_sent, 0u);
 }

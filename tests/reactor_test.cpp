@@ -22,6 +22,7 @@
 #include "types/registry.hpp"
 #include "wire/coherence.hpp"
 #include "wire/diff.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -196,6 +197,7 @@ TEST(Reactor, BackpressurePausesReadsForSlowReader) {
     uint32_t serial = a.reader().read_varint32();
     Buffer rel;
     rel.append_vstring(seg);
+    rel.append_u8(payload_method::kRaw);
     DiffWriter w(rel, 1, 2);
     w.begin_block(serial, diff_flags::kNew | diff_flags::kWhole, 1, "d");
     w.begin_run(0, kUnits);
@@ -344,6 +346,7 @@ TEST(Reactor, ElasticWorkersOutliveBlockedHandlers) {
   auto start = steady_clock::now();
   Buffer rel;
   rel.append_vstring(seg);
+  rel.append_u8(payload_method::kRaw);
   DiffWriter(rel, 0, 0).finish();
   a.call(MsgType::kReleaseWrite, std::move(rel));
   waiter.join();
@@ -355,6 +358,7 @@ TEST(Reactor, ElasticWorkersOutliveBlockedHandlers) {
 
   Buffer rel2;
   rel2.append_vstring(seg);
+  rel2.append_u8(payload_method::kRaw);
   DiffWriter(rel2, 0, 0).finish();
   b.call(MsgType::kReleaseWrite, std::move(rel2));
 }

@@ -18,6 +18,7 @@
 #include "types/registry.hpp"
 #include "wire/coherence.hpp"
 #include "wire/diff.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -49,7 +50,10 @@ uint32_t consume_update(BufReader& r, uint32_t assumed) {
     r.read_varint32();  // serial
     r.skip(r.read_varint32());
   }
-  DiffReader dr(r);
+  std::vector<uint8_t> scratch;
+  const bool lz = read_compressed_section(r, scratch);
+  BufReader section = lz ? BufReader(scratch.data(), scratch.size()) : r;
+  DiffReader dr(section);
   DiffEntry e;
   while (dr.next(&e)) {
   }
@@ -125,6 +129,7 @@ void worker(uint16_t port, int t, Shared& sh) {
 
       Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
         p.append_vstring(seg_name(s));
+        p.append_u8(payload_method::kRaw);
         DiffWriter w(p, version[s], version[s] + 1);
         if (block_serial[s] == 0) {
           block_serial[s] = next_serial;
@@ -236,7 +241,10 @@ TEST(ServerConcurrency, ShardedSegmentsStayConsistent) {
       r.read_varint32();
       r.skip(r.read_varint32());
     }
-    DiffReader dr(r);
+    std::vector<uint8_t> scratch;
+    const bool lz = read_compressed_section(r, scratch);
+    BufReader section = lz ? BufReader(scratch.data(), scratch.size()) : r;
+    DiffReader dr(section);
     DiffEntry e;
     std::map<std::string, std::vector<int32_t>> blocks;
     while (dr.next(&e)) {

@@ -7,6 +7,7 @@
 #include "types/registry.hpp"
 #include "wire/coherence.hpp"
 #include "wire/diff.hpp"
+#include "wire/payload.hpp"
 
 namespace iw {
 namespace {
@@ -94,6 +95,7 @@ TEST_F(Protocol, ReleaseWithoutAcquireFails) {
   open(ch, "p/lock");
   EXPECT_EQ(call_expect_error(ch, MsgType::kReleaseWrite, [](Buffer& p) {
     p.append_vstring("p/lock");
+    p.append_u8(payload_method::kRaw);
     DiffWriter(p, 1, 1).finish();
   }), ErrorCode::kState);
 }
@@ -126,6 +128,7 @@ TEST_F(Protocol, WriteLockFlowWithRealDiff) {
 
   Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
     p.append_vstring("p/flow");
+    p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 1, 2);
     w.begin_block(next_serial, diff_flags::kNew | diff_flags::kWhole,
                   type_serial, "blk");
@@ -148,6 +151,7 @@ TEST_F(Protocol, WriteLockFlowWithRealDiff) {
   EXPECT_EQ(r.read_u8(), 1);
   uint32_t n_types = r.read_varint32();
   EXPECT_EQ(n_types, 0u) << "this session already knows the type";
+  EXPECT_EQ(r.read_u8(), payload_method::kRaw) << "too small to compress";
   BufReader diff_r = r;
   DiffReader dr(diff_r);
   EXPECT_EQ(dr.to_version(), 2u);
@@ -168,6 +172,7 @@ TEST_F(Protocol, SecondSessionGetsTypeDefinitions) {
   });
   call(a, MsgType::kReleaseWrite, [&](Buffer& p) {
     p.append_vstring("p/tsync");
+    p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 1, 2);
     w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
     w.begin_run(0, 4);
@@ -214,6 +219,7 @@ TEST_F(Protocol, SubscribeAndNotify) {
   });
   call(writer, MsgType::kReleaseWrite, [&](Buffer& p) {
     p.append_vstring("p/watch");
+    p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 1, 2);
     w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
     w.begin_run(0, 4);
@@ -255,6 +261,7 @@ TEST_F(Protocol, DeltaCoherenceAnsweredServerSide) {
     });
     call(writer, MsgType::kReleaseWrite, [&](Buffer& p) {
       p.append_vstring("p/delta");
+      p.append_u8(payload_method::kRaw);
       DiffWriter w(p, base, base + 1);
       if (base == 1) {
         w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
@@ -286,6 +293,61 @@ TEST_F(Protocol, DeltaCoherenceAnsweredServerSide) {
   });
   BufReader r = resp.reader();
   EXPECT_EQ(r.read_u8(), 0);
+}
+
+TEST_F(Protocol, HelloWithOtherVersionIsRefusedAndNeverCaches) {
+  auto read_full = [&](InProcChannel& ch) {
+    Frame resp = call(ch, MsgType::kAcquireRead, [](Buffer& p) {
+      p.append_vstring("p/hello");
+      p.append_varint(1);  // the empty segment's version
+      p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
+      p.append_varint(0);
+    });
+    BufReader r = resp.reader();
+    EXPECT_EQ(r.read_u8(), 0) << "already up to date";
+    return r.read_u8();  // grant byte
+  };
+  InProcChannel other(server_);
+  try {
+    call(other, MsgType::kHello, [](Buffer& p) {
+      p.append_u8(kProtocolVersion + 1);
+      p.append_varint(7);
+      p.append_varint(1);
+    });
+    ADD_FAILURE() << "a foreign protocol version was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version " + std::to_string(kProtocolVersion + 1)),
+              std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(kProtocolVersion)), std::string::npos)
+        << what;
+  }
+  open(other, "p/hello");
+  EXPECT_EQ(read_full(other), 0) << "refused hello: no cached grant";
+  call(other, MsgType::kReleaseRead, [](Buffer& p) {
+    p.append_vstring("p/hello");
+    p.append_u8(1);  // asks to keep the lock cached
+  });
+  EXPECT_EQ(server_.stats().cached_read_grants, 0u);
+
+  // The same requests after a hello in this protocol version are granted.
+  InProcChannel current(server_);
+  Frame resp = call(current, MsgType::kHello, [](Buffer& p) {
+    p.append_u8(kProtocolVersion);
+    p.append_varint(8);
+    p.append_varint(1);
+  });
+  EXPECT_EQ(resp.type, MsgType::kHelloResp);
+  EXPECT_EQ(read_full(current), 1);
+  EXPECT_EQ(server_.stats().cached_read_grants, 1u);
+}
+
+TEST_F(Protocol, TruncatedHelloIsProtocolError) {
+  InProcChannel ch(server_);
+  EXPECT_EQ(call_expect_error(ch, MsgType::kHello, [](Buffer& p) {
+    p.append_u8(kProtocolVersion);  // client id and epoch missing
+  }), ErrorCode::kProtocol);
 }
 
 }  // namespace
