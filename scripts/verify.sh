@@ -4,7 +4,8 @@
 # arithmetic is exactly what -fsanitize=undefined is good at catching),
 # with the wire decoder suites beside it (varint decoding, gap-coded diff
 # runs, the section envelope and the LZ codec: shift and bound arithmetic
-# over bytes off the network),
+# over bytes off the network), and the checkpoint suite (chain fold and
+# sync backfill share one decoder of on-disk tail bytes),
 # then the fault/lease/chaos suites under UBSan and TSan — the chaos
 # workload's reconnect/lease interleavings are exactly what -fsanitize=thread
 # is good at catching — plus the reactor transport suite (partial frames,
@@ -49,10 +50,11 @@ cmake -B "$UBSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=undefined
 cmake --build "$UBSAN_BUILD" -j "$JOBS" \
       --target wire_translate_test wire_diff_test fuzz_protocol_test \
-      server_store_test compress_interop_test fault_test lease_test \
-      chaos_test reactor_test lock_cache_test replication_chaos_test
+      server_store_test compress_interop_test checkpoint_test fault_test \
+      lease_test chaos_test reactor_test lock_cache_test \
+      replication_chaos_test
 for t in wire_translate_test wire_diff_test fuzz_protocol_test \
-         server_store_test compress_interop_test; do
+         server_store_test compress_interop_test checkpoint_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/"$t"
 done
 for t in fault_test lease_test chaos_test reactor_test lock_cache_test \

@@ -209,7 +209,7 @@ void Client::revoke_ack_loop() {
       payload.append_vstring(ack.url);
       payload.append_varint(ack.gen);
       ack.channel->call(MsgType::kRevokeAck, std::move(payload));
-      revokes_acked_.fetch_add(1, std::memory_order_relaxed);
+      cache_counters_.revokes_acked.fetch_add(1, std::memory_order_relaxed);
     } catch (const Error&) {
       // Channel died: the disconnect (or reconnect's new session)
       // surrenders the cached lock server-side without our help.
@@ -702,7 +702,7 @@ void Client::read_lock(ClientSegment* seg) {
       auto it = lock_cache_.find(seg->url_);
       if (it != lock_cache_.end() && it->second.active > 0) {
         ++it->second.active;
-        sublet_grants_.fetch_add(1, std::memory_order_relaxed);
+        cache_counters_.sublet_grants.fetch_add(1, std::memory_order_relaxed);
       }
     }
     return;
@@ -721,7 +721,7 @@ void Client::read_lock(ClientSegment* seg) {
         (seg->policy_.model == CoherenceModel::kFull ||
          !read_needs_server_locked(seg))) {
       ++it->second.active;
-      lock_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      cache_counters_.lock_cache_hits.fetch_add(1, std::memory_order_relaxed);
       ++stats_.read_lock_local_hits;
       ++seg->read_locks_;
       return;
@@ -733,7 +733,7 @@ void Client::read_lock(ClientSegment* seg) {
     return;
   }
   if (lock_cache_enabled_) {
-    lock_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    cache_counters_.lock_cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
   ++stats_.read_lock_server_calls;
   Buffer payload;

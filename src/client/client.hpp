@@ -13,7 +13,6 @@
 // byte order, alignment and pointer width.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -42,17 +41,23 @@ enum class TrackingMode : uint8_t {
   kNoDiff = 3,    ///< always transmit whole blocks, no twins
 };
 
+/// Client counters kept as relaxed atomics (util/counters.hpp) rather than
+/// under the client mutex: the lock-cache paths and the revoke handler bump
+/// them without it. Distributed lock caching retains reader locks across
+/// release.
+#define IW_CLIENT_LOCK_CACHE_COUNTERS(X)                         \
+  X(lock_cache_hits)   /* acquires satisfied by a cached lock */ \
+  X(lock_cache_misses) /* acquires that paid the RPC anyway */   \
+  X(revokes_acked)     /* kRevokeRead callbacks honoured */      \
+  X(sublet_grants)     /* extra local threads under one lock */
+
 /// Client-side instrumentation. Phase timers separate word diffing from
 /// wire-format translation (the two curves of Fig. 5).
 struct ClientStats {
   uint64_t read_lock_server_calls = 0;
   uint64_t read_lock_local_hits = 0;  ///< satisfied without communication
 
-  // Distributed lock caching (reader locks retained across release).
-  uint64_t lock_cache_hits = 0;    ///< acquires satisfied by a cached lock
-  uint64_t lock_cache_misses = 0;  ///< acquires that paid the RPC anyway
-  uint64_t revokes_acked = 0;      ///< kRevokeRead callbacks honoured
-  uint64_t sublet_grants = 0;      ///< extra local threads under one lock
+  IW_CLIENT_LOCK_CACHE_COUNTERS(IW_COUNTER_FIELD)
   uint64_t updates_applied = 0;
   uint64_t diffs_collected = 0;
   uint64_t diffs_compressed = 0;  ///< releases whose diff section shrank
@@ -71,18 +76,12 @@ struct ClientStats {
 
   // Plan-compiled translation counters, merged from the client's type
   // registry (see types/translation_plan.hpp).
-  uint64_t bytes_encoded = 0;
-  uint64_t bytes_decoded = 0;
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t isomorphic_fast_path_blocks = 0;
+  IW_TRANSLATION_COUNTERS(IW_COUNTER_FIELD)
 
   // Fault-tolerance counters, aggregated from the client's channels (the
   // reconnect supervisor maintains them; raw channels report zeros except
   // for TCP call deadlines).
-  uint64_t reconnects = 0;
-  uint64_t retried_calls = 0;
-  uint64_t call_timeouts = 0;
+  IW_CHANNEL_FAULT_COUNTERS(IW_COUNTER_FIELD)
   /// From-scratch diffs applied over an already-populated cache — the
   /// signature of converging on a server that recovered behind us.
   uint64_t full_resyncs = 0;
@@ -258,31 +257,20 @@ class Client {
   ClientStats stats() const {
     std::lock_guard lock(mu_);
     ClientStats s = stats_;
-    TranslationStats t = registry_.translation_stats();
-    s.bytes_encoded = t.bytes_encoded;
-    s.bytes_decoded = t.bytes_decoded;
-    s.plan_cache_hits = t.plan_cache_hits;
-    s.plan_cache_misses = t.plan_cache_misses;
-    s.isomorphic_fast_path_blocks = t.isomorphic_fast_path_blocks;
+    registry_.translation_counters().snapshot_into(s);
+    cache_counters_.snapshot_into(s);
     for (const auto& [host, channel] : channels_) {
       ChannelFaultStats f = channel->fault_stats();
-      s.reconnects += f.reconnects;
-      s.retried_calls += f.retried_calls;
-      s.call_timeouts += f.call_timeouts;
+#define IW_CLIENT_SUM_FAULTS(name) s.name += f.name;
+      IW_CHANNEL_FAULT_COUNTERS(IW_CLIENT_SUM_FAULTS)
+#undef IW_CLIENT_SUM_FAULTS
     }
-    s.lock_cache_hits = lock_cache_hits_.load(std::memory_order_relaxed);
-    s.lock_cache_misses = lock_cache_misses_.load(std::memory_order_relaxed);
-    s.revokes_acked = revokes_acked_.load(std::memory_order_relaxed);
-    s.sublet_grants = sublet_grants_.load(std::memory_order_relaxed);
     return s;
   }
   void reset_stats() noexcept {
     stats_ = ClientStats{};
     registry_.reset_translation_stats();
-    lock_cache_hits_.store(0, std::memory_order_relaxed);
-    lock_cache_misses_.store(0, std::memory_order_relaxed);
-    revokes_acked_.store(0, std::memory_order_relaxed);
-    sublet_grants_.store(0, std::memory_order_relaxed);
+    cache_counters_.reset();
   }
   /// Total bytes across all channels (bandwidth accounting).
   uint64_t bytes_sent() const;
@@ -380,12 +368,11 @@ class Client {
   std::unordered_map<std::string, uint64_t> revoke_seq_;
   /// Read locks are cached: set from auto_reconnect (see Options).
   bool lock_cache_enabled_ = false;
-  // Lock-cache counters are atomics, not ClientStats fields: the revoke
-  // path bumps them without mu_.
-  std::atomic<uint64_t> lock_cache_hits_{0};
-  std::atomic<uint64_t> lock_cache_misses_{0};
-  std::atomic<uint64_t> revokes_acked_{0};
-  std::atomic<uint64_t> sublet_grants_{0};
+  struct CacheCounters {
+    IW_COUNTER_ATOMICS(IW_CLIENT_LOCK_CACHE_COUNTERS)
+    void reset() noexcept { IW_CLIENT_LOCK_CACHE_COUNTERS(IW_COUNTER_CLEAR) }
+  };
+  CacheCounters cache_counters_;
   /// Pending kRevokeAck sends, drained by revoke_ack_worker_. Guarded by
   /// lock_cache_mu_ (the enqueue sites already hold it). The shared_ptr
   /// keeps the channel alive until the ack lands; if the worker ends up

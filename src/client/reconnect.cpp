@@ -73,7 +73,7 @@ void ReconnectingChannel::reconnect_locked(
     }
     try {
       connect_locked();
-      reconnects_.fetch_add(1, std::memory_order_relaxed);
+      faults_.reconnects.fetch_add(1, std::memory_order_relaxed);
       return;
     } catch (const Error& e) {
       last = e;
@@ -89,7 +89,7 @@ Frame ReconnectingChannel::call(MsgType type, Buffer& payload) {
   // Revoke acks are fire-and-forget: one attempt on whatever channel is
   // live, no reconnect and no retry/timeout accounting. They run on the
   // client's background ack worker, so entering the reconnect machinery
-  // here would bump reconnects_/retried_calls_ at thread-scheduling whim —
+  // here would bump the reconnect/retry counters at thread-scheduling whim —
   // and the chaos suite asserts those counters are bit-reproducible per
   // seed. Dropping the ack is safe: the server retires a cached-read
   // registration implicitly on disconnect, on a denied re-acquire, or at
@@ -136,7 +136,7 @@ Frame ReconnectingChannel::call(MsgType type, Buffer& payload) {
           !e.is_transport() && e.code() == ErrorCode::kStaleEpoch;
       if (!stale && !is_retryable_transport(e)) throw;
       if (e.code() == ErrorCode::kTimedOut) {
-        call_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        faults_.call_timeouts.fetch_add(1, std::memory_order_relaxed);
       }
       {
         std::lock_guard lock(mu_);
@@ -145,7 +145,7 @@ Frame ReconnectingChannel::call(MsgType type, Buffer& payload) {
       if ((!replayable && !stale) || retry + 1 >= options_.max_call_retries) {
         throw;
       }
-      retried_calls_.fetch_add(1, std::memory_order_relaxed);
+      faults_.retried_calls.fetch_add(1, std::memory_order_relaxed);
       payload.clear();
       payload.append(snapshot.data(), snapshot.size());
     }
@@ -180,13 +180,11 @@ uint32_t ReconnectingChannel::server_lease_ms() const {
 }
 
 ChannelFaultStats ReconnectingChannel::fault_stats() const {
-  ChannelFaultStats s;
-  s.reconnects = reconnects_.load(std::memory_order_relaxed);
-  s.retried_calls = retried_calls_.load(std::memory_order_relaxed);
   // Timeouts are tallied here (one per caught kTimedOut) rather than summed
   // with the inner channel's own counter, which would double-count the
   // same events.
-  s.call_timeouts = call_timeouts_.load(std::memory_order_relaxed);
+  ChannelFaultStats s;
+  faults_.snapshot_into(s);
   return s;
 }
 

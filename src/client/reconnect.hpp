@@ -23,7 +23,6 @@
 // application retries the critical section.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -93,9 +92,7 @@ class ReconnectingChannel final : public ClientChannel {
   std::function<void(const Frame&)> notify_;
   SplitMix64 jitter_;
 
-  std::atomic<uint64_t> reconnects_{0};
-  std::atomic<uint64_t> retried_calls_{0};
-  std::atomic<uint64_t> call_timeouts_{0};
+  ChannelFaultCounters faults_;
 };
 
 }  // namespace iw::client

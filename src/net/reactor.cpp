@@ -68,18 +68,7 @@ int make_listener(uint16_t port, uint16_t* bound_port) {
 }  // namespace
 
 struct Reactor::AtomicStats {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_closed{0};
-  std::atomic<uint64_t> epoll_wakeups{0};
-  std::atomic<uint64_t> frames_received{0};
-  std::atomic<uint64_t> frames_sent{0};
-  std::atomic<uint64_t> frames_batched{0};
-  std::atomic<uint64_t> sendmsg_calls{0};
-  std::atomic<uint64_t> recv_calls{0};
-  std::atomic<uint64_t> worker_queue_depth_max{0};
-  std::atomic<uint64_t> workers_spawned{0};
-  std::atomic<uint64_t> backpressure_stalls{0};
-  std::atomic<uint64_t> accept_backoffs{0};
+  IW_COUNTER_ATOMICS(IW_REACTOR_COUNTERS)
 
   void bump_queue_depth(uint64_t depth) {
     uint64_t cur = worker_queue_depth_max.load(std::memory_order_relaxed);
@@ -194,18 +183,7 @@ void Reactor::shutdown() {
 
 ReactorStats Reactor::stats() const {
   ReactorStats s;
-  s.connections_accepted = stats_->connections_accepted.load();
-  s.connections_closed = stats_->connections_closed.load();
-  s.epoll_wakeups = stats_->epoll_wakeups.load();
-  s.frames_received = stats_->frames_received.load();
-  s.frames_sent = stats_->frames_sent.load();
-  s.frames_batched = stats_->frames_batched.load();
-  s.sendmsg_calls = stats_->sendmsg_calls.load();
-  s.recv_calls = stats_->recv_calls.load();
-  s.worker_queue_depth_max = stats_->worker_queue_depth_max.load();
-  s.workers_spawned = stats_->workers_spawned.load();
-  s.backpressure_stalls = stats_->backpressure_stalls.load();
-  s.accept_backoffs = stats_->accept_backoffs.load();
+  stats_->snapshot_into(s);
   return s;
 }
 

@@ -47,24 +47,28 @@
 #include <vector>
 
 #include "net/transport.hpp"
+#include "util/counters.hpp"
 
 namespace iw {
 
 /// Counters the reactor maintains as relaxed atomics and snapshots on
-/// demand — same idiom as SegmentServer::Stats.
+/// demand (util/counters.hpp).
+#define IW_REACTOR_COUNTERS(X)                                                \
+  X(connections_accepted)                                                     \
+  X(connections_closed)                                                       \
+  X(epoll_wakeups)          /* epoll_wait returns */                          \
+  X(frames_received)        /* request frames decoded */                      \
+  X(frames_sent)            /* response/notification frames sent */           \
+  X(frames_batched)         /* frames that shared a sendmsg with >=1 other */ \
+  X(sendmsg_calls)          /* flush syscalls (sendmsg) */                    \
+  X(recv_calls)             /* read syscalls (recv) */                        \
+  X(worker_queue_depth_max) /* high-water mark of ready queue */              \
+  X(workers_spawned)        /* pool threads ever created */                   \
+  X(backpressure_stalls)    /* reads paused on a full outbox */               \
+  X(accept_backoffs)        /* EMFILE/ENFILE listener pauses */
+
 struct ReactorStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_closed = 0;
-  uint64_t epoll_wakeups = 0;        ///< epoll_wait returns
-  uint64_t frames_received = 0;      ///< request frames decoded
-  uint64_t frames_sent = 0;          ///< response/notification frames sent
-  uint64_t frames_batched = 0;       ///< frames that shared a sendmsg with >=1 other
-  uint64_t sendmsg_calls = 0;        ///< flush syscalls (sendmsg)
-  uint64_t recv_calls = 0;           ///< read syscalls (recv)
-  uint64_t worker_queue_depth_max = 0;  ///< high-water mark of ready queue
-  uint64_t workers_spawned = 0;      ///< pool threads ever created
-  uint64_t backpressure_stalls = 0;  ///< reads paused on a full outbox
-  uint64_t accept_backoffs = 0;      ///< EMFILE/ENFILE listener pauses
+  IW_REACTOR_COUNTERS(IW_COUNTER_FIELD)
 };
 
 class Reactor {

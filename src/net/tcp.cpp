@@ -330,8 +330,8 @@ void TcpClientChannel::send_frame_coalesced(const uint8_t* header,
       throw *err;
     }
     send_cv_.notify_all();  // frames queued meanwhile need a new flusher
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    send_syscalls_.fetch_add(syscalls, std::memory_order_relaxed);
+    batch_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+    batch_.send_syscalls.fetch_add(syscalls, std::memory_order_relaxed);
     bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
     return;
   }
@@ -385,10 +385,11 @@ void TcpClientChannel::send_frame_coalesced(const uint8_t* header,
         throw *err;
       }
       send_flushed_pos_ = batch_end;
-      frames_sent_.fetch_add(batch_frames, std::memory_order_relaxed);
-      send_syscalls_.fetch_add(syscalls, std::memory_order_relaxed);
+      batch_.frames_sent.fetch_add(batch_frames, std::memory_order_relaxed);
+      batch_.send_syscalls.fetch_add(syscalls, std::memory_order_relaxed);
       if (batch_frames > 1) {
-        frames_batched_.fetch_add(batch_frames, std::memory_order_relaxed);
+        batch_.frames_batched.fetch_add(batch_frames,
+                                        std::memory_order_relaxed);
       }
       bytes_sent_.fetch_add(batch.size(), std::memory_order_relaxed);
       send_cv_.notify_all();
@@ -436,7 +437,7 @@ Frame TcpClientChannel::call(MsgType type, Buffer& payload) {
                  lock, std::chrono::milliseconds(options_.call_timeout_ms),
                  ready)) {
     abandoned_.insert(request.request_id);
-    call_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    faults_.call_timeouts.fetch_add(1, std::memory_order_relaxed);
     throw Error::transport(ErrorCode::kTimedOut,
                            "call deadline exceeded (" +
                                call_context(type, request.request_id, start) +

@@ -62,6 +62,12 @@ class TcpServer {
   std::unique_ptr<Reactor> reactor_;
 };
 
+/// TcpClientChannel's send-path counters (util/counters.hpp).
+#define IW_TCP_BATCH_COUNTERS(X)                         \
+  X(frames_sent)    /* request frames written */         \
+  X(send_syscalls)  /* send() calls that carried them */ \
+  X(frames_batched) /* frames that shared a syscall */
+
 class TcpClientChannel final : public ClientChannel {
  public:
   struct Options {
@@ -84,9 +90,7 @@ class TcpClientChannel final : public ClientChannel {
 
   /// Aggregation counters for the send path (relaxed-atomic snapshot).
   struct BatchStats {
-    uint64_t frames_sent = 0;     ///< request frames written
-    uint64_t send_syscalls = 0;   ///< send() calls that carried them
-    uint64_t frames_batched = 0;  ///< frames that shared a syscall
+    IW_TCP_BATCH_COUNTERS(IW_COUNTER_FIELD)
   };
 
   /// Connects to 127.0.0.1:`port`. Throws a transport Error on failure
@@ -110,14 +114,12 @@ class TcpClientChannel final : public ClientChannel {
   void shutdown() noexcept override { ::shutdown(fd_, SHUT_RDWR); }
   ChannelFaultStats fault_stats() const override {
     ChannelFaultStats s;
-    s.call_timeouts = call_timeouts_.load(std::memory_order_relaxed);
+    faults_.snapshot_into(s);
     return s;
   }
   BatchStats batch_stats() const {
     BatchStats s;
-    s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-    s.send_syscalls = send_syscalls_.load(std::memory_order_relaxed);
-    s.frames_batched = frames_batched_.load(std::memory_order_relaxed);
+    batch_.snapshot_into(s);
     return s;
   }
 
@@ -181,10 +183,11 @@ class TcpClientChannel final : public ClientChannel {
 
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
-  std::atomic<uint64_t> call_timeouts_{0};
-  std::atomic<uint64_t> frames_sent_{0};
-  std::atomic<uint64_t> send_syscalls_{0};
-  std::atomic<uint64_t> frames_batched_{0};
+  ChannelFaultCounters faults_;
+  struct BatchCounters {
+    IW_COUNTER_ATOMICS(IW_TCP_BATCH_COUNTERS)
+  };
+  BatchCounters batch_;
 };
 
 }  // namespace iw

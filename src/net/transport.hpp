@@ -17,16 +17,26 @@
 #include <functional>
 #include <memory>
 
+#include "util/counters.hpp"
 #include "wire/frame.hpp"
 
 namespace iw {
 
-/// Failure-handling counters a channel maintains. Plain channels time out
-/// calls; the reconnecting decorator additionally reconnects and replays.
+/// Failure-handling counters a channel maintains (util/counters.hpp).
+/// Plain channels time out calls; the reconnecting decorator additionally
+/// reconnects and replays.
+#define IW_CHANNEL_FAULT_COUNTERS(X)                              \
+  X(reconnects)    /* successful re-establishments */             \
+  X(retried_calls) /* calls replayed after a transport failure */ \
+  X(call_timeouts) /* calls that hit their deadline */
+
 struct ChannelFaultStats {
-  uint64_t reconnects = 0;     ///< successful re-establishments
-  uint64_t retried_calls = 0;  ///< calls replayed after a transport failure
-  uint64_t call_timeouts = 0;  ///< calls that hit their deadline
+  IW_CHANNEL_FAULT_COUNTERS(IW_COUNTER_FIELD)
+};
+
+/// The relaxed atomics a channel keeps behind its ChannelFaultStats.
+struct ChannelFaultCounters {
+  IW_COUNTER_ATOMICS(IW_CHANNEL_FAULT_COUNTERS)
 };
 
 /// Client endpoint of a connection to one server.

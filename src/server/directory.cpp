@@ -107,7 +107,7 @@ SegmentDirectory::Placement SegmentDirectory::compute_locked(
 
 SegmentDirectory::Placement SegmentDirectory::resolve(
     const std::string& segment) {
-  resolves_.fetch_add(1, std::memory_order_relaxed);
+  counters_.resolves.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lock(mu_);
   auto it = placements_.find(segment);
   if (it == placements_.end()) {
@@ -119,8 +119,8 @@ SegmentDirectory::Placement SegmentDirectory::resolve(
 SegmentDirectory::Placement SegmentDirectory::resolve_for_failover(
     const std::string& segment, uint32_t observed_epoch) {
   using clock = std::chrono::steady_clock;
-  resolves_.fetch_add(1, std::memory_order_relaxed);
-  failover_resolves_.fetch_add(1, std::memory_order_relaxed);
+  counters_.resolves.fetch_add(1, std::memory_order_relaxed);
+  counters_.failover_resolves.fetch_add(1, std::memory_order_relaxed);
   // One mutex for the whole probe-and-promote: two callers that observed
   // the same dead primary serialize here, and the second sees the bumped
   // epoch instead of promoting again.
@@ -138,7 +138,7 @@ SegmentDirectory::Placement SegmentDirectory::resolve_for_failover(
     probe->call(MsgType::kPing, Buffer());
     return p;  // primary alive; the caller's failure was transient
   } catch (const std::exception&) {
-    probes_failed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.probes_failed.fetch_add(1, std::memory_order_relaxed);
   }
 
   // The primary is dead: promote the most-caught-up reachable replica.
@@ -197,14 +197,14 @@ SegmentDirectory::Placement SegmentDirectory::resolve_for_failover(
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            clock::now() - started)
                            .count();
-  promotions_.fetch_add(1, std::memory_order_relaxed);
-  promote_ms_last_.store(static_cast<uint64_t>(elapsed),
-                         std::memory_order_relaxed);
-  uint64_t prev = promote_ms_max_.load(std::memory_order_relaxed);
+  counters_.promotions.fetch_add(1, std::memory_order_relaxed);
+  counters_.promote_ms_last.store(static_cast<uint64_t>(elapsed),
+                                  std::memory_order_relaxed);
+  uint64_t prev = counters_.promote_ms_max.load(std::memory_order_relaxed);
   while (static_cast<uint64_t>(elapsed) > prev &&
-         !promote_ms_max_.compare_exchange_weak(prev,
-                                                static_cast<uint64_t>(elapsed),
-                                                std::memory_order_relaxed)) {
+         !counters_.promote_ms_max.compare_exchange_weak(
+             prev, static_cast<uint64_t>(elapsed),
+             std::memory_order_relaxed)) {
   }
   IW_LOG(kInfo) << "promoted " << best_node << " to primary of " << segment
                 << " (epoch " << p.epoch << ", v" << best_version << ", "
@@ -287,12 +287,7 @@ std::vector<std::string> SegmentDirectory::node_ids() const {
 
 SegmentDirectory::Stats SegmentDirectory::stats() const {
   Stats s;
-  s.resolves = resolves_.load(std::memory_order_relaxed);
-  s.failover_resolves = failover_resolves_.load(std::memory_order_relaxed);
-  s.probes_failed = probes_failed_.load(std::memory_order_relaxed);
-  s.promotions = promotions_.load(std::memory_order_relaxed);
-  s.promote_ms_last = promote_ms_last_.load(std::memory_order_relaxed);
-  s.promote_ms_max = promote_ms_max_.load(std::memory_order_relaxed);
+  counters_.snapshot_into(s);
   return s;
 }
 
@@ -343,7 +338,7 @@ bool ReplicationRepairer::recruit(const std::string& segment, uint32_t epoch,
                                   const std::string& node,
                                   const std::string& primary_address,
                                   bool* transport_dead) {
-  recruits_attempted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.recruits_attempted.fetch_add(1, std::memory_order_relaxed);
   try {
     auto channel = directory_.dialer()(directory_.address_of(node));
     Buffer req;
@@ -353,20 +348,20 @@ bool ReplicationRepairer::recruit(const std::string& segment, uint32_t epoch,
     channel->call(MsgType::kRecruit, std::move(req));
     return true;
   } catch (const Error& e) {
-    recruits_failed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.recruits_failed.fetch_add(1, std::memory_order_relaxed);
     if (e.is_transport()) {
       if (transport_dead != nullptr) *transport_dead = true;
     } else if (e.code() == ErrorCode::kStaleEpoch) {
       // Raced a newer failover: the replica (or the primary it pulled
       // from) already follows a newer epoch than our placement snapshot.
       // The next tick re-reads the placement and recruits under it.
-      recruits_rejected_stale_.fetch_add(1, std::memory_order_relaxed);
+      counters_.recruits_rejected_stale.fetch_add(1, std::memory_order_relaxed);
     }
     IW_LOG(kWarn) << "recruit of " << node << " for " << segment
                   << " (epoch " << epoch << ") failed: " << e.what();
     return false;
   } catch (const std::exception& e) {
-    recruits_failed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.recruits_failed.fetch_add(1, std::memory_order_relaxed);
     IW_LOG(kWarn) << "recruit of " << node << " for " << segment
                   << " (epoch " << epoch << ") failed: " << e.what();
     return false;
@@ -374,7 +369,7 @@ bool ReplicationRepairer::recruit(const std::string& segment, uint32_t epoch,
 }
 
 uint64_t ReplicationRepairer::tick() {
-  ticks_.fetch_add(1, std::memory_order_relaxed);
+  counters_.ticks.fetch_add(1, std::memory_order_relaxed);
   SegmentDirectory::Dialer dial = directory_.dialer();
   const std::vector<std::string> ids = directory_.node_ids();
   uint64_t under = 0;
@@ -399,7 +394,7 @@ uint64_t ReplicationRepairer::tick() {
         SegmentDirectory::Placement np =
             directory_.resolve_for_failover(segment, p.epoch);
         if (np.epoch != p.epoch) {
-          failovers_.fetch_add(1, std::memory_order_relaxed);
+          counters_.failovers.fetch_add(1, std::memory_order_relaxed);
         }
         p = std::move(np);
       } catch (const std::exception& e) {
@@ -441,7 +436,7 @@ uint64_t ReplicationRepairer::tick() {
         }
         try {
           directory_.substitute_replica(segment, node, candidate);
-          substitutions_.fetch_add(1, std::memory_order_relaxed);
+          counters_.substitutions.fetch_add(1, std::memory_order_relaxed);
           p.nodes[i] = candidate;
           ++live;
         } catch (const Error& e) {
@@ -455,22 +450,13 @@ uint64_t ReplicationRepairer::tick() {
     }
     if (live < target) ++under;
   }
-  under_replicated_.store(under, std::memory_order_relaxed);
+  counters_.under_replicated_segments.store(under, std::memory_order_relaxed);
   return under;
 }
 
 ReplicationRepairer::Stats ReplicationRepairer::stats() const {
   Stats s;
-  s.ticks = ticks_.load(std::memory_order_relaxed);
-  s.failovers = failovers_.load(std::memory_order_relaxed);
-  s.recruits_attempted =
-      recruits_attempted_.load(std::memory_order_relaxed);
-  s.recruits_failed = recruits_failed_.load(std::memory_order_relaxed);
-  s.recruits_rejected_stale =
-      recruits_rejected_stale_.load(std::memory_order_relaxed);
-  s.substitutions = substitutions_.load(std::memory_order_relaxed);
-  s.under_replicated_segments =
-      under_replicated_.load(std::memory_order_relaxed);
+  counters_.snapshot_into(s);
   return s;
 }
 

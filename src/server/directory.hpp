@@ -30,7 +30,6 @@
 // in-process directory or through a directory channel.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -43,8 +42,18 @@
 #include <vector>
 
 #include "net/transport.hpp"
+#include "util/counters.hpp"
 
 namespace iw::server {
+
+/// SegmentDirectory's counters (util/counters.hpp).
+#define IW_DIRECTORY_COUNTERS(X)                              \
+  X(resolves)          /* placement lookups served */         \
+  X(failover_resolves) /* lookups that probed the primary */  \
+  X(probes_failed)     /* primaries found dead */             \
+  X(promotions)        /* replicas promoted to primary */     \
+  X(promote_ms_last)   /* duration of the latest promotion */ \
+  X(promote_ms_max)    /* slowest promotion observed */
 
 class SegmentDirectory {
  public:
@@ -69,12 +78,7 @@ class SegmentDirectory {
   };
 
   struct Stats {
-    uint64_t resolves = 0;           ///< placement lookups served
-    uint64_t failover_resolves = 0;  ///< lookups that probed the primary
-    uint64_t probes_failed = 0;      ///< primaries found dead
-    uint64_t promotions = 0;         ///< replicas promoted to primary
-    uint64_t promote_ms_last = 0;    ///< duration of the latest promotion
-    uint64_t promote_ms_max = 0;     ///< slowest promotion observed
+    IW_DIRECTORY_COUNTERS(IW_COUNTER_FIELD)
   };
 
   SegmentDirectory(Options options, Dialer dial);
@@ -144,13 +148,22 @@ class SegmentDirectory {
   std::map<uint64_t, std::string> ring_;
   std::unordered_map<std::string, Placement> placements_;
 
-  std::atomic<uint64_t> resolves_{0};
-  std::atomic<uint64_t> failover_resolves_{0};
-  std::atomic<uint64_t> probes_failed_{0};
-  std::atomic<uint64_t> promotions_{0};
-  std::atomic<uint64_t> promote_ms_last_{0};
-  std::atomic<uint64_t> promote_ms_max_{0};
+  struct Counters {
+    IW_COUNTER_ATOMICS(IW_DIRECTORY_COUNTERS)
+  };
+  Counters counters_;
 };
+
+/// ReplicationRepairer's counters; the last is a gauge: segments below
+/// their replication factor after the last tick.
+#define IW_REPAIRER_COUNTERS(X)                                    \
+  X(ticks)                                                         \
+  X(failovers)               /* dead primaries promoted away */    \
+  X(recruits_attempted)      /* kRecruit RPCs sent */              \
+  X(recruits_failed)         /* kRecruit RPCs that threw */        \
+  X(recruits_rejected_stale) /* refused: raced newer epoch */      \
+  X(substitutions)           /* replicas replaced from the ring */ \
+  X(under_replicated_segments)
 
 /// Anti-entropy repair loop: periodically walks every placed segment and
 /// restores its replication factor.
@@ -179,14 +192,7 @@ class ReplicationRepairer {
   };
 
   struct Stats {
-    uint64_t ticks = 0;
-    uint64_t failovers = 0;           ///< dead primaries promoted away
-    uint64_t recruits_attempted = 0;  ///< kRecruit RPCs sent
-    uint64_t recruits_failed = 0;     ///< kRecruit RPCs that threw
-    uint64_t recruits_rejected_stale = 0;  ///< refused: raced newer epoch
-    uint64_t substitutions = 0;       ///< replicas replaced from the ring
-    /// Gauge: segments below their replication factor after the last tick.
-    uint64_t under_replicated_segments = 0;
+    IW_REPAIRER_COUNTERS(IW_COUNTER_FIELD)
   };
 
   explicit ReplicationRepairer(SegmentDirectory& directory);
@@ -223,13 +229,10 @@ class ReplicationRepairer {
   bool running_ = false;
   std::thread worker_;
 
-  std::atomic<uint64_t> ticks_{0};
-  std::atomic<uint64_t> failovers_{0};
-  std::atomic<uint64_t> recruits_attempted_{0};
-  std::atomic<uint64_t> recruits_failed_{0};
-  std::atomic<uint64_t> recruits_rejected_stale_{0};
-  std::atomic<uint64_t> substitutions_{0};
-  std::atomic<uint64_t> under_replicated_{0};
+  struct Counters {
+    IW_COUNTER_ATOMICS(IW_REPAIRER_COUNTERS)
+  };
+  Counters counters_;
 };
 
 /// ServerCore fronting a SegmentDirectory, so clients in other processes

@@ -12,6 +12,9 @@ namespace iw::server {
 
 namespace {
 using steady_clock = std::chrono::steady_clock;
+/// Records per kWalAppend frame; a deeper backlog is sent as several
+/// consecutive frames.
+constexpr size_t kMaxBatchRecords = 256;
 }  // namespace
 
 WalReplicator::WalReplicator(Options options) : options_(options) {}
@@ -96,7 +99,7 @@ bool WalReplicator::register_sync(const std::string& id, Dialer dial) {
     // segment lock), everything after is retained and replayed on resume —
     // the no-gap handoff.
     link->acked = next_seq_;
-    backfills_started_.fetch_add(1, std::memory_order_relaxed);
+    counters_.backfills_started.fetch_add(1, std::memory_order_relaxed);
   }
   if (stale_channel != nullptr) stale_channel->shutdown();
   return true;
@@ -109,7 +112,7 @@ bool WalReplicator::resume_replica(const std::string& id) {
   if (link->paused) {
     link->paused = false;
     link->paused_since = {};
-    backfills_completed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.backfills_completed.fetch_add(1, std::memory_order_relaxed);
     send_cv_.notify_all();
     ack_cv_.notify_all();
   }
@@ -147,8 +150,8 @@ void WalReplicator::advance_quorum_frontier_locked() {
     frontier = acked[need - 1];
   }
   if (frontier > quorum_frontier_) {
-    records_acked_.fetch_add(frontier - quorum_frontier_,
-                             std::memory_order_relaxed);
+    counters_.records_acked.fetch_add(frontier - quorum_frontier_,
+                                      std::memory_order_relaxed);
     quorum_frontier_ = frontier;
   }
 }
@@ -221,7 +224,7 @@ void WalReplicator::replicate(const std::string& segment, uint32_t epoch,
   rec.payload.insert(rec.payload.end(), body.begin(), body.end());
   const uint64_t seq = rec.seq;
   log_.push_back(std::move(rec));
-  records_enqueued_.fetch_add(1, std::memory_order_relaxed);
+  counters_.records_enqueued.fetch_add(1, std::memory_order_relaxed);
   bool any_alive = false;
   for (const auto& link : links_) {
     if (!link->dead) {
@@ -255,7 +258,7 @@ void WalReplicator::replicate(const std::string& segment, uint32_t epoch,
     }
     if (ack_cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
         clock::now() >= deadline) {
-      ack_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      counters_.ack_timeouts.fetch_add(1, std::memory_order_relaxed);
       // The ack gate failed, not the delivery: the record stays queued and
       // the links keep sending, so the client's retry converges instead of
       // opening a version gap on the replicas.
@@ -289,7 +292,7 @@ void WalReplicator::link_loop(Link* link) {
     for (const Rec& r : log_) {
       if (r.seq <= link->acked) continue;
       batch.push_back(&r);
-      if (batch.size() >= options_.max_batch_records) break;
+      if (batch.size() >= kMaxBatchRecords) break;
     }
     if (batch.empty()) continue;  // raced a trim; frontier already moved
     const uint64_t last_seq = batch.back()->seq;
@@ -306,7 +309,7 @@ void WalReplicator::link_loop(Link* link) {
       if (channel == nullptr) {
         channel = dial();
         if (ever_connected) {
-          link_reconnects_.fetch_add(1, std::memory_order_relaxed);
+          counters_.link_reconnects.fetch_add(1, std::memory_order_relaxed);
         }
         ever_connected = true;
         std::lock_guard g(mu_);
@@ -329,10 +332,10 @@ void WalReplicator::link_loop(Link* link) {
         stale.push_back(in.read_lp_string());
       }
       sent = true;
-      batches_sent_.fetch_add(1, std::memory_order_relaxed);
-      records_sent_.fetch_add(batch.size(), std::memory_order_relaxed);
+      counters_.batches_sent.fetch_add(1, std::memory_order_relaxed);
+      counters_.records_sent.fetch_add(batch.size(), std::memory_order_relaxed);
     } catch (const std::exception& e) {
-      link_errors_.fetch_add(1, std::memory_order_relaxed);
+      counters_.link_errors.fetch_add(1, std::memory_order_relaxed);
       IW_LOG(kWarn) << "replica link " << link->id
                     << " append failed: " << e.what();
     }
@@ -347,7 +350,7 @@ void WalReplicator::link_loop(Link* link) {
       link->acked = std::max(link->acked, last_seq);
       for (std::string& s : stale) {
         if (fenced_segments_.insert(std::move(s)).second) {
-          stale_epoch_fences_.fetch_add(1, std::memory_order_relaxed);
+          counters_.stale_epoch_fences.fetch_add(1, std::memory_order_relaxed);
         }
       }
       reap_expired_locked();
@@ -422,17 +425,7 @@ size_t WalReplicator::replica_count() const {
 
 WalReplicator::Stats WalReplicator::stats() const {
   Stats s;
-  s.records_enqueued = records_enqueued_.load(std::memory_order_relaxed);
-  s.records_acked = records_acked_.load(std::memory_order_relaxed);
-  s.batches_sent = batches_sent_.load(std::memory_order_relaxed);
-  s.records_sent = records_sent_.load(std::memory_order_relaxed);
-  s.link_reconnects = link_reconnects_.load(std::memory_order_relaxed);
-  s.link_errors = link_errors_.load(std::memory_order_relaxed);
-  s.stale_epoch_fences = stale_epoch_fences_.load(std::memory_order_relaxed);
-  s.ack_timeouts = ack_timeouts_.load(std::memory_order_relaxed);
-  s.backfills_started = backfills_started_.load(std::memory_order_relaxed);
-  s.backfills_completed =
-      backfills_completed_.load(std::memory_order_relaxed);
+  counters_.snapshot_into(s);
   std::lock_guard lock(mu_);
   s.backlog_records = log_.size();
   uint32_t active = 0;

@@ -49,7 +49,6 @@
 // sync grace bounds how long an abandoned backfill may pin the log.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -65,8 +64,22 @@
 
 #include "net/transport.hpp"
 #include "server/wal.hpp"
+#include "util/counters.hpp"
 
 namespace iw::server {
+
+/// WalReplicator's counters (util/counters.hpp).
+#define IW_REPLICATOR_COUNTERS(X)                                 \
+  X(records_enqueued)    /* records offered for replication */    \
+  X(records_acked)       /* records that reached the factor */    \
+  X(batches_sent)        /* kWalAppend frames (all links) */      \
+  X(records_sent)        /* records carried, re-sends included */ \
+  X(link_reconnects)     /* link redials after a failure */       \
+  X(link_errors)         /* failed kWalAppend calls */            \
+  X(stale_epoch_fences)  /* segments fenced by a replica */       \
+  X(ack_timeouts)        /* replicate() waits that expired */     \
+  X(backfills_started)   /* paused sync registrations */          \
+  X(backfills_completed) /* syncs flipped to live tailing */
 
 class WalReplicator {
  public:
@@ -94,9 +107,6 @@ class WalReplicator {
     /// A sync-paused link whose backfill has not resumed within this
     /// deadline is declared dead for the same reason. 0 = wait forever.
     uint32_t sync_grace_ms = 30'000;
-    /// Records per kWalAppend frame; a deeper backlog is sent as several
-    /// consecutive frames.
-    uint32_t max_batch_records = 256;
   };
 
   /// Point-in-time view of one replica link.
@@ -109,17 +119,8 @@ class WalReplicator {
   };
 
   struct Stats {
-    uint64_t records_enqueued = 0;   ///< records offered for replication
-    uint64_t records_acked = 0;      ///< records that reached the factor
-    uint64_t batches_sent = 0;       ///< kWalAppend frames (all links)
-    uint64_t records_sent = 0;       ///< records carried, re-sends included
-    uint64_t link_reconnects = 0;    ///< link redials after a failure
-    uint64_t link_errors = 0;        ///< failed kWalAppend calls
-    uint64_t stale_epoch_fences = 0; ///< segments fenced by a replica
+    IW_REPLICATOR_COUNTERS(IW_COUNTER_FIELD)
     uint64_t backlog_records = 0;    ///< records not yet acked by every link
-    uint64_t ack_timeouts = 0;       ///< replicate() waits that expired
-    uint64_t backfills_started = 0;  ///< paused sync registrations
-    uint64_t backfills_completed = 0;///< syncs flipped to live tailing
     uint64_t dead_links = 0;         ///< links currently declared dead
     /// Segments journaled by this primary while fewer live, unpaused links
     /// exist than the replication factor (0 when the factor is met).
@@ -231,16 +232,10 @@ class WalReplicator {
   bool stop_ = false;
 
   // Counters not derivable from the log (relaxed; stats() snapshots).
-  std::atomic<uint64_t> records_enqueued_{0};
-  std::atomic<uint64_t> records_acked_{0};
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> records_sent_{0};
-  std::atomic<uint64_t> link_reconnects_{0};
-  std::atomic<uint64_t> link_errors_{0};
-  std::atomic<uint64_t> stale_epoch_fences_{0};
-  std::atomic<uint64_t> ack_timeouts_{0};
-  std::atomic<uint64_t> backfills_started_{0};
-  std::atomic<uint64_t> backfills_completed_{0};
+  struct Counters {
+    IW_COUNTER_ATOMICS(IW_REPLICATOR_COUNTERS)
+  };
+  Counters counters_;
 };
 
 }  // namespace iw::server

@@ -9,8 +9,11 @@
 namespace iw::server {
 
 namespace {
-uint32_t subblocks_for(uint64_t units, uint32_t subblock_units) {
-  return static_cast<uint32_t>((units + subblock_units - 1) / subblock_units);
+/// Cached diffs kept per segment, oldest evicted first.
+constexpr size_t kDiffCacheEntries = 16;
+
+uint32_t subblocks_for(uint64_t units) {
+  return static_cast<uint32_t>((units + kSubblockUnits - 1) / kSubblockUnits);
 }
 }  // namespace
 
@@ -56,24 +59,8 @@ SegmentStore::SegmentStore(std::string name, Options options)
 
 StoreStats SegmentStore::stats() const noexcept {
   StoreStats s;
-  s.diffs_applied = stats_.diffs_applied.load(std::memory_order_relaxed);
-  s.diffs_collected = stats_.diffs_collected.load(std::memory_order_relaxed);
-  s.diff_cache_hits = stats_.diff_cache_hits.load(std::memory_order_relaxed);
-  s.diff_cache_misses =
-      stats_.diff_cache_misses.load(std::memory_order_relaxed);
-  s.prediction_hits = stats_.prediction_hits.load(std::memory_order_relaxed);
-  s.prediction_misses =
-      stats_.prediction_misses.load(std::memory_order_relaxed);
-  s.bytes_applied = stats_.bytes_applied.load(std::memory_order_relaxed);
-  s.bytes_collected = stats_.bytes_collected.load(std::memory_order_relaxed);
-  s.apply_ns = stats_.apply_ns.load(std::memory_order_relaxed);
-  s.collect_ns = stats_.collect_ns.load(std::memory_order_relaxed);
-  TranslationStats t = registry_.translation_stats();
-  s.bytes_encoded = t.bytes_encoded;
-  s.bytes_decoded = t.bytes_decoded;
-  s.plan_cache_hits = t.plan_cache_hits;
-  s.plan_cache_misses = t.plan_cache_misses;
-  s.isomorphic_fast_path_blocks = t.isomorphic_fast_path_blocks;
+  stats_.snapshot_into(s);
+  registry_.translation_counters().snapshot_into(s);
   return s;
 }
 
@@ -167,8 +154,7 @@ SvrBlock* SegmentStore::create_block(uint32_t serial, uint32_t type_serial,
   const VarMap& vm = var_map(block->type);
   block->vardata.assign(vm.slot_count, std::string());
   block->subblock_versions.assign(
-      subblocks_for(block->type->prim_units(), options_.subblock_units),
-      at_version);
+      subblocks_for(block->type->prim_units()), at_version);
   if (!blocks_by_serial_.insert(*block)) {
     free_pool_.push_back(block);
     throw Error(ErrorCode::kProtocol, "duplicate block serial");
@@ -230,9 +216,9 @@ uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
       decode_units(*block->type, registry_.rules(), block->data.data(),
                    run.start_unit, run.start_unit + run.unit_count, hooks,
                    entry.runs);
-      uint32_t first_sb = run.start_unit / options_.subblock_units;
+      uint32_t first_sb = run.start_unit / kSubblockUnits;
       uint32_t last_sb =
-          (run.start_unit + run.unit_count - 1) / options_.subblock_units;
+          (run.start_unit + run.unit_count - 1) / kSubblockUnits;
       for (uint32_t sb = first_sb; sb <= last_sb; ++sb) {
         block->subblock_versions[sb] = new_version;
       }
@@ -262,8 +248,7 @@ uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
       }
       // Modified block: try the prediction before the serial tree (§3.3).
       SvrBlock* block = nullptr;
-      if (options_.enable_last_block_prediction && predicted != nullptr &&
-          predicted->serial == entry.serial) {
+      if (predicted != nullptr && predicted->serial == entry.serial) {
         block = predicted;
         stats_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
       }
@@ -331,7 +316,6 @@ void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
   }
   // Send full content of every subblock newer than from_version, merging
   // adjacent stale runs (the client just sees runs of modified data).
-  const uint32_t su = options_.subblock_units;
   const uint32_t n_sb = block.subblock_count();
   auto for_each_run = [&](auto&& fn) {
     uint32_t sb = 0;
@@ -342,8 +326,8 @@ void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
       }
       uint32_t first = sb;
       while (sb < n_sb && block.subblock_versions[sb] > from_version) ++sb;
-      fn(static_cast<uint64_t>(first) * su,
-         std::min(units, static_cast<uint64_t>(sb) * su));
+      fn(static_cast<uint64_t>(first) * kSubblockUnits,
+         std::min(units, static_cast<uint64_t>(sb) * kSubblockUnits));
     }
   };
   uint64_t section_bytes = 0;
@@ -488,7 +472,7 @@ void SegmentStore::cache_insert(
     uint32_t from_version, uint32_t to_version,
     std::shared_ptr<const std::vector<uint8_t>> bytes) {
   diff_cache_.push_back({from_version, to_version, std::move(bytes)});
-  while (diff_cache_.size() > options_.diff_cache_entries) {
+  while (diff_cache_.size() > kDiffCacheEntries) {
     diff_cache_.pop_front();
   }
 }

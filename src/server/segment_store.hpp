@@ -15,7 +15,6 @@
 // a version AVL tree so "first change after version c" is O(log n).
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -25,6 +24,7 @@
 
 #include "types/registry.hpp"
 #include "util/avl_tree.hpp"
+#include "util/counters.hpp"
 #include "util/intrusive_list.hpp"
 #include "wire/diff.hpp"
 
@@ -93,29 +93,27 @@ struct CachedDiff {
   std::shared_ptr<const std::vector<uint8_t>> bytes;
 };
 
-/// Statistics snapshot a SegmentStore accumulates (consumed by
-/// tests/benches). Maintained internally as relaxed atomics so concurrent
-/// readers (stats scrapers, benches) never make the mutation hot path take
-/// a lock.
-struct StoreStats {
-  uint64_t diffs_applied = 0;
-  uint64_t diffs_collected = 0;
-  uint64_t diff_cache_hits = 0;
-  uint64_t diff_cache_misses = 0;
-  uint64_t prediction_hits = 0;
-  uint64_t prediction_misses = 0;
-  uint64_t bytes_applied = 0;
-  uint64_t bytes_collected = 0;
-  uint64_t apply_ns = 0;    ///< time spent in apply_diff
-  uint64_t collect_ns = 0;  ///< time spent building diffs (cache hits free)
+/// Counters a SegmentStore accumulates (consumed by tests/benches), kept
+/// as relaxed atomics so concurrent readers (stats scrapers, benches) never
+/// make the mutation hot path take a lock.
+#define IW_STORE_COUNTERS(X)                   \
+  X(diffs_applied)                             \
+  X(diffs_collected)                           \
+  X(diff_cache_hits)                           \
+  X(diff_cache_misses)                         \
+  X(prediction_hits)                           \
+  X(prediction_misses)                         \
+  X(bytes_applied)                             \
+  X(bytes_collected)                           \
+  X(apply_ns)   /* time spent in apply_diff */ \
+  X(collect_ns) /* time spent building diffs (cache hits free) */
 
-  // Plan-compiled translation counters, merged from the store's
-  // packed-canonical type registry (see types/translation_plan.hpp).
-  uint64_t bytes_encoded = 0;
-  uint64_t bytes_decoded = 0;
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t isomorphic_fast_path_blocks = 0;
+/// Snapshot of the store counters, plus the plan-compiled translation
+/// counters merged from the store's packed-canonical type registry (see
+/// types/translation_plan.hpp).
+struct StoreStats {
+  IW_STORE_COUNTERS(IW_COUNTER_FIELD)
+  IW_TRANSLATION_COUNTERS(IW_COUNTER_FIELD)
 };
 
 /// One segment's master copy plus all its metadata.
@@ -123,9 +121,6 @@ class SegmentStore {
  public:
   struct Options {
     bool enable_diff_cache = true;
-    size_t diff_cache_entries = 16;
-    bool enable_last_block_prediction = true;
-    uint32_t subblock_units = kSubblockUnits;
   };
 
   SegmentStore(std::string name, Options options);
@@ -244,16 +239,7 @@ class SegmentStore {
   std::deque<CachedDiff> diff_cache_;
 
   struct AtomicStoreStats {
-    std::atomic<uint64_t> diffs_applied{0};
-    std::atomic<uint64_t> diffs_collected{0};
-    std::atomic<uint64_t> diff_cache_hits{0};
-    std::atomic<uint64_t> diff_cache_misses{0};
-    std::atomic<uint64_t> prediction_hits{0};
-    std::atomic<uint64_t> prediction_misses{0};
-    std::atomic<uint64_t> bytes_applied{0};
-    std::atomic<uint64_t> bytes_collected{0};
-    std::atomic<uint64_t> apply_ns{0};
-    std::atomic<uint64_t> collect_ns{0};
+    IW_COUNTER_ATOMICS(IW_STORE_COUNTERS)
   };
   AtomicStoreStats stats_;
 };

@@ -56,6 +56,54 @@ std::string decode_file_name(const std::string& stem) {
   return out;
 }
 
+Error gap_error(const SegmentStore& store, const char* what, uint32_t record,
+                uint32_t at) {
+  return Error(ErrorCode::kProtocol,
+               std::string(what) + " gap on '" + store.name() + "' (record " +
+                   std::to_string(record) + ", store at " +
+                   std::to_string(at) + ")");
+}
+
+/// Writes what a store at (`from_version`, `from_types`) lacks to reach the
+/// store's head, in the layout a checkpoint delta record and a WAL-tail
+/// sync share (checkpoint.hpp): the type graphs registered since, the fold
+/// history, one diff. Throws when the store's history no longer reaches
+/// back to `from_version`.
+void append_tail(SegmentStore& store, uint32_t from_version,
+                 uint32_t from_types, Buffer& out) {
+  const uint32_t types = store.type_count();
+  out.append_u32(types - from_types);
+  for (uint32_t serial = from_types + 1; serial <= types; ++serial) {
+    auto graph = store.type_graph(serial);
+    out.append_u32(serial);
+    out.append_u32(static_cast<uint32_t>(graph.size()));
+    out.append(graph.data(), graph.size());
+  }
+  store.collect_fold_history(from_version, out);
+  auto diff = store.collect_diff(from_version);
+  out.append(diff->data(), diff->size());
+}
+
+/// Applies an append_tail body: registers the type graphs the store lacks,
+/// then folds up to `to_version` unless the store is already there.
+/// Throws kProtocol on a type serial or version gap.
+void apply_tail(SegmentStore& store, uint32_t to_version, BufReader& in) {
+  const uint32_t new_types = in.read_u32();
+  for (uint32_t i = 0; i < new_types; ++i) {
+    const uint32_t serial = in.read_u32();
+    auto graph = in.read_bytes(in.read_u32());
+    if (serial <= store.type_count()) continue;
+    if (serial != store.type_count() + 1 ||
+        store.register_type(graph) != serial) {
+      throw gap_error(store, "type serial", serial, store.type_count());
+    }
+  }
+  if (to_version > store.version() &&
+      store.apply_fold(to_version, in) != to_version) {
+    throw gap_error(store, "version", to_version, store.version());
+  }
+}
+
 }  // namespace
 
 SegmentServer::SegmentServer() : SegmentServer(Options{}) {}
@@ -128,7 +176,6 @@ bool SegmentServer::wal_on() const noexcept {
 WriteAheadLog::Options SegmentServer::wal_options() {
   WriteAheadLog::Options o;
   o.sync = options_.wal_sync;
-  o.batch_interval_ms = options_.wal_batch_interval_ms;
   o.counters = &wal_counters_;
   o.crash = options_.wal_crash;
   return o;
@@ -152,10 +199,10 @@ void SegmentServer::open_fresh_wal(SegmentEntry& entry,
 }
 
 void SegmentServer::journal_lineage_locked(SegmentEntry& entry) {
-  if (entry.wal == nullptr || entry.lineage_epoch <= 1) return;
+  if (entry.lineage_epoch <= 1) return;
   uint8_t head[4];
   store_be32(head, entry.lineage_epoch);
-  entry.wal->append(WalRecordType::kEpochAdopt, {head, sizeof head});
+  append_locked(entry, WalRecordType::kEpochAdopt, {head, sizeof head});
 }
 
 void SegmentServer::adopt_epoch_locked(SegmentEntry& entry, uint32_t epoch) {
@@ -163,6 +210,65 @@ void SegmentServer::adopt_epoch_locked(SegmentEntry& entry, uint32_t epoch) {
   if (epoch == entry.lineage_epoch) return;
   entry.lineage_epoch = epoch;
   journal_lineage_locked(entry);
+  // A checkpoint re-journals the lineage after truncating the journal.
+  if (entry.wal_broken) checkpoint_segment_locked(entry);
+}
+
+void SegmentServer::append_locked(SegmentEntry& entry, WalRecordType type,
+                                  std::span<const uint8_t> head,
+                                  std::span<const uint8_t> body,
+                                  bool compressed) {
+  if (entry.wal == nullptr || entry.wal_broken) return;
+  try {
+    entry.wal->append(type, head, body, compressed);
+  } catch (const std::exception& e) {
+    // The failed append may have left a torn record, and a record appended
+    // after it would be cut off with it at recovery.
+    entry.wal_broken = true;
+    IW_LOG(kWarn) << "journal append on " << entry.store->name()
+                  << " failed (" << e.what() << "); re-anchoring on a "
+                  << "checkpoint";
+  }
+}
+
+void SegmentServer::journal_locked(SegmentEntry& entry,
+                                   const std::string& name,
+                                   WalRecordType type,
+                                   std::span<const uint8_t> head,
+                                   std::span<const uint8_t> body) {
+  if (entry.wal == nullptr && options_.replicator == nullptr) return;
+  // One compression decision feeds both sinks: the journal and the
+  // replication stream carry the identical encoding, so replicas journal
+  // what the primary journaled, byte for byte.
+  Buffer packed;
+  const bool compressed = options_.compress_payloads &&
+                          compress_record_payload(head, body, packed);
+  if (type == WalRecordType::kCommit) {
+    const uint64_t raw_bytes = head.size() + body.size();
+    stats_.commit_raw_bytes.fetch_add(raw_bytes, std::memory_order_relaxed);
+    stats_.commit_stored_bytes.fetch_add(
+        compressed ? packed.size() : raw_bytes, std::memory_order_relaxed);
+    if (compressed) {
+      stats_.commits_compressed.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (compressed) {
+    head = packed.span();
+    body = {};
+  }
+  append_locked(entry, type, head, body, compressed);
+  // Replicate before ack, even when the journal leg failed: the store holds
+  // the record, and a replica that missed it would refuse every later one
+  // as a version gap. A replicate that throws (factor not confirmed in
+  // time, or this server fenced as deposed) leaves the record queued on the
+  // links, so a retried commit lands after it in stream order.
+  if (options_.replicator != nullptr) {
+    options_.replicator->replicate(name, entry.repl_epoch, type, head, body,
+                                   compressed);
+  }
+  // Nothing is acked over a broken journal: a checkpoint, which covers this
+  // record, re-anchors the segment, and if that fails the ack fails too.
+  if (entry.wal_broken) checkpoint_segment_locked(entry);
 }
 
 SegmentServer::SegmentEntry& SegmentServer::segment(const std::string& name) {
@@ -510,33 +616,12 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         // replicas, before any streamed commit references it.
         uint8_t head[4];
         store_be32(head, serial);
-        // One compression decision feeds both sinks: the journal and the
-        // replication stream carry the identical encoding, so replicas
-        // journal what the primary journaled, byte for byte.
-        Buffer packed;
-        const bool compressed =
-            options_.compress_payloads &&
-            compress_record_payload({head, sizeof head}, graph, packed);
-        if (entry.wal != nullptr) {
-          if (compressed) {
-            entry.wal->append(WalRecordType::kRegisterType, packed.span(), {},
-                              true);
-          } else {
-            entry.wal->append(WalRecordType::kRegisterType,
-                              {head, sizeof head}, graph);
-          }
-        }
-        if (options_.replicator != nullptr) {
-          if (compressed) {
-            options_.replicator->replicate(name, entry.repl_epoch,
-                                           WalRecordType::kRegisterType,
-                                           packed.span(), {}, true);
-          } else {
-            options_.replicator->replicate(name, entry.repl_epoch,
-                                           WalRecordType::kRegisterType,
-                                           {head, sizeof head}, graph);
-          }
-        }
+        journal_locked(entry, name, WalRecordType::kRegisterType,
+                       {head, sizeof head}, graph);
+      } else if (entry.wal_broken) {
+        // A dedup hit may be the retry of a registration whose append
+        // failed: re-anchor before acking it.
+        checkpoint_segment_locked(entry);
       }
       // The registering client now knows this serial; extend its known
       // prefix when contiguous.
@@ -698,105 +783,32 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         }
         throw Error(ErrorCode::kState, "releasing write lock not held");
       }
-      // The diff sits in the section envelope; a corrupt envelope must not
-      // wedge the segment any more than a malformed diff may, so the lock
-      // drops on a decode failure too.
-      std::span<const uint8_t> diff_bytes;
+      // However the release ends — a malformed diff or envelope, a failed
+      // journal or replication leg — the lock drops: the segment must not
+      // wedge.
+      struct DropWriter {
+        SegmentEntry& entry;
+        ~DropWriter() {
+          entry.writer = 0;
+          entry.writer_cv.notify_all();
+        }
+      } drop_writer{entry};
       std::vector<uint8_t> inflated;
-      uint32_t old_version = entry.store->version();
-      uint32_t new_version;
-      try {
-        if (read_compressed_section(in, inflated)) {
-          diff_bytes = inflated;
-        } else {
-          diff_bytes = in.read_bytes(in.remaining());
-        }
-        new_version = entry.store->apply_diff(diff_bytes);
-      } catch (...) {
-        // A malformed diff must not wedge the segment: drop the lock.
-        entry.writer = 0;
-        entry.writer_cv.notify_all();
-        throw;
+      const std::span<const uint8_t> diff_bytes =
+          read_compressed_section(in, inflated)
+              ? std::span<const uint8_t>(inflated)
+              : in.read_bytes(in.remaining());
+      const uint32_t old_version = entry.store->version();
+      const uint32_t new_version = entry.store->apply_diff(diff_bytes);
+      // Apply first (it validates the diff, so garbage never reaches the
+      // log), journal and replicate second, ack last. A crash after the
+      // append is recoverable; a crash before it was never acknowledged.
+      if (new_version != old_version) {
+        uint8_t head[4];
+        store_be32(head, new_version);
+        journal_locked(entry, name, WalRecordType::kCommit,
+                       {head, sizeof head}, diff_bytes);
       }
-      // One compression decision for the commit record, shared by the
-      // journal append and the replication stream below — the record is
-      // encoded once, and every downstream copy (local log, replica wire,
-      // replica log) inherits the same bytes.
-      uint8_t head[4];
-      store_be32(head, new_version);
-      Buffer packed;
-      bool packed_ok = false;
-      if (new_version != old_version &&
-          (entry.wal != nullptr || options_.replicator != nullptr)) {
-        packed_ok = options_.compress_payloads &&
-                    compress_record_payload({head, sizeof head}, diff_bytes,
-                                            packed);
-        const uint64_t raw_bytes = sizeof head + diff_bytes.size();
-        stats_.commit_raw_bytes.fetch_add(raw_bytes,
-                                          std::memory_order_relaxed);
-        stats_.commit_stored_bytes.fetch_add(
-            packed_ok ? packed.size() : raw_bytes, std::memory_order_relaxed);
-        if (packed_ok) {
-          stats_.commits_compressed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      // Journal the commit *before* acknowledging it — apply first (it
-      // validates the diff so garbage never reaches the log), append
-      // second, ack last. A crash after the append is recoverable; a crash
-      // before it was never acknowledged.
-      if (entry.wal != nullptr && new_version != old_version) {
-        try {
-          if (packed_ok) {
-            entry.wal->append(WalRecordType::kCommit, packed.span(), {},
-                              true);
-          } else {
-            entry.wal->append(WalRecordType::kCommit, {head, sizeof head},
-                              diff_bytes);
-          }
-        } catch (...) {
-          // The diff is applied in memory but missing from the journal, so
-          // the log alone can no longer reproduce this state. Drop the lock
-          // (the segment must not wedge), then re-anchor durability on a
-          // fresh snapshot; if that also fails the client's kIo answer
-          // honestly reports the commit as not durable.
-          entry.writer = 0;
-          entry.writer_cv.notify_all();
-          try {
-            checkpoint_segment_locked(entry);
-          } catch (...) {
-            IW_LOG(kWarn) << "checkpoint after failed journal append on "
-                          << name << " also failed";
-          }
-          throw;
-        }
-      }
-      // Replicate before ack: the commit is only acknowledged once the
-      // configured replication factor has journaled it, so a primary crash
-      // after this point cannot lose it (the promoted replica has it).
-      if (options_.replicator != nullptr && new_version != old_version) {
-        try {
-          if (packed_ok) {
-            options_.replicator->replicate(name, entry.repl_epoch,
-                                           WalRecordType::kCommit,
-                                           packed.span(), {}, true);
-          } else {
-            options_.replicator->replicate(name, entry.repl_epoch,
-                                           WalRecordType::kCommit,
-                                           {head, sizeof head}, diff_bytes);
-          }
-        } catch (...) {
-          // Applied and locally journaled, but the factor did not confirm
-          // in time (or this server was fenced as deposed). Fail the ack
-          // and free the segment; the record stays queued on the links, so
-          // the client's retried commit lands *after* it in stream order —
-          // no replica ever sees a version gap.
-          entry.writer = 0;
-          entry.writer_cv.notify_all();
-          throw;
-        }
-      }
-      entry.writer = 0;
-      entry.writer_cv.notify_all();
 
       // Conservative Diff-coherence accounting and notifications, all from
       // this entry's session table: fan-out for this segment never touches
@@ -934,7 +946,18 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
           adopt_epoch_locked(*entry, epoch);
         }
         entry->repl_epoch = epoch;
-        apply_replicated_locked(*entry, name, rtype, body, compressed, raw);
+        // Journal before the batch is acked: the ack tells the primary this
+        // record survives *this* server's crash too. The encoded bytes go in
+        // verbatim — compression was the primary's decision and is
+        // inherited, never redone. A record the store already holds (a batch
+        // re-sent after a link reconnect) is skipped, but may be the re-send
+        // of one whose append failed here: a broken journal is re-anchored
+        // before the ack either way.
+        if (apply_record_locked(*entry, rtype, raw)) {
+          stats_.repl_records_applied.fetch_add(1, std::memory_order_relaxed);
+          append_locked(*entry, rtype, body, {}, compressed);
+        }
+        if (entry->wal_broken) checkpoint_segment_locked(*entry);
         ++applied;
       }
       resp.type = MsgType::kWalAck;
@@ -1045,66 +1068,53 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
   return resp;
 }
 
-void SegmentServer::apply_replicated_locked(SegmentEntry& entry,
-                                            const std::string& name,
-                                            WalRecordType type,
-                                            std::span<const uint8_t> body,
-                                            bool compressed,
-                                            std::span<const uint8_t> raw) {
-  BufReader in(raw.data(), raw.size());
-  bool mutated = false;
+bool SegmentServer::apply_record_locked(SegmentEntry& entry,
+                                        WalRecordType type,
+                                        std::span<const uint8_t> payload) {
+  SegmentStore& store = *entry.store;
+  BufReader in(payload.data(), payload.size());
   switch (type) {
     case WalRecordType::kSegmentCreate:
-      // find_segment(create) already materialized the segment; the record
-      // is still journaled below so a recovering replica has the anchor.
-      mutated = entry.store->version() == 0 && entry.store->type_count() == 0;
-      break;
-    case WalRecordType::kRegisterType: {
-      uint32_t serial = in.read_u32();
-      auto graph = in.read_bytes(in.remaining());
-      if (serial <= entry.store->type_count()) break;  // re-sent batch
-      uint32_t got = entry.store->register_type(graph);
-      if (got != serial) {
+      // The segment exists already; the record only anchors the journal.
+      if (in.read_lp_string() != store.name()) {
         throw Error(ErrorCode::kProtocol,
-                    "replicated type serial gap on '" + name + "' (stream " +
-                        std::to_string(serial) + ", store assigned " +
-                        std::to_string(got) + ")");
+                    "record for '" + store.name() + "' names another segment");
       }
-      mutated = true;
-      break;
+      return false;
+    case WalRecordType::kRegisterType: {
+      const uint32_t serial = in.read_u32();
+      if (serial <= store.type_count()) return false;
+      if (serial != store.type_count() + 1 ||
+          store.register_type(in.read_bytes(in.remaining())) != serial) {
+        throw gap_error(store, "type serial", serial, store.type_count());
+      }
+      return true;
     }
     case WalRecordType::kCommit: {
-      uint32_t version = in.read_u32();
+      const uint32_t version = in.read_u32();
+      if (version <= store.version()) return false;
       auto diff = in.read_bytes(in.remaining());
-      if (version <= entry.store->version()) break;  // re-sent batch
-      uint32_t got = entry.store->apply_diff(diff);
-      if (got != version) {
-        throw Error(ErrorCode::kProtocol,
-                    "replicated version gap on '" + name + "' (stream v" +
-                        std::to_string(version) + ", store reached v" +
-                        std::to_string(got) + ")");
+      // Where the diff lands is checked before it is applied, so a record
+      // that skips a version leaves the store untouched.
+      BufReader header(diff.data(), diff.size());
+      const uint32_t lands =
+          std::max(DiffReader(header).to_version(), store.version() + 1);
+      if (lands != version || store.apply_diff(diff) != version) {
+        throw gap_error(store, "version", version, store.version());
       }
-      mutated = true;
-      break;
+      return true;
     }
     case WalRecordType::kSegmentDestroy:
-      entry.store = std::make_unique<SegmentStore>(name, options_.store);
-      // The reborn segment shares nothing with the old checkpoint chain;
-      // the next checkpoint must start from a fresh full snapshot.
-      entry.checkpoint_base_version = 0;
-      entry.last_checkpoint_version = 0;
-      entry.checkpoint_chain_len = 0;
-      entry.checkpoint_types_recorded = 0;
-      mutated = true;
-      break;
+      entry.store = std::make_unique<SegmentStore>(store.name(),
+                                                   options_.store);
+      // The reborn segment shares nothing with the old checkpoint chain.
+      entry.chain = {};
+      return true;
+    case WalRecordType::kEpochAdopt:
+      entry.lineage_epoch = std::max(entry.lineage_epoch, in.read_u32());
+      return false;
   }
-  if (!mutated) return;
-  stats_.repl_records_applied.fetch_add(1, std::memory_order_relaxed);
-  // Journal before the batch is acked: the ack tells the primary this
-  // record survives *this* server's crash too, which is exactly what the
-  // primary promises its client. The encoded bytes go in verbatim —
-  // compression was the primary's decision and is inherited, never redone.
-  if (entry.wal != nullptr) entry.wal->append(type, body, {}, compressed);
+  return false;
 }
 
 void SegmentServer::set_node_identity(std::string id, std::string address) {
@@ -1163,16 +1173,7 @@ Frame SegmentServer::serve_sync_request(SessionId session, BufReader& in) {
       // tail; an equal-position requester gets an empty body.
       try {
         if (have_version != version || have_types != types) {
-          tail.append_u32(types - have_types);
-          for (uint32_t serial = have_types + 1; serial <= types; ++serial) {
-            auto graph = entry.store->type_graph(serial);
-            tail.append_u32(serial);
-            tail.append_u32(static_cast<uint32_t>(graph.size()));
-            tail.append(graph.data(), graph.size());
-          }
-          entry.store->collect_fold_history(have_version, tail);
-          auto diff = entry.store->collect_diff(have_version);
-          tail.append(diff->data(), diff->size());
+          append_tail(*entry.store, have_version, have_types, tail);
         }
         tail_ok = true;
       } catch (const std::exception&) {
@@ -1228,20 +1229,6 @@ Frame SegmentServer::serve_sync_request(SessionId session, BufReader& in) {
   return resp;
 }
 
-void SegmentServer::seal_backfill_locked(SegmentEntry& entry, uint32_t epoch) {
-  entry.repl_epoch = std::max(entry.repl_epoch, epoch);
-  entry.lineage_epoch = epoch;
-  // The journal may carry a divergent unacked suffix from this server's
-  // deposed incarnation; the state just installed supersedes it, so a full
-  // checkpoint followed by journal truncation retires it for good.
-  if (!options_.checkpoint_dir.empty()) checkpoint_full_locked(entry);
-  if (entry.wal != nullptr) {
-    entry.wal->truncate_after_checkpoint();
-    journal_lineage_locked(entry);
-  }
-  entry.versions_since_checkpoint = 0;
-}
-
 uint32_t SegmentServer::backfill_segment(const std::string& name,
                                          const std::string& primary_address,
                                          uint32_t want_epoch) {
@@ -1273,7 +1260,9 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
   uint32_t version = 0;
   bool done = false;
   bool snapshot_mode = false;
-  std::vector<uint8_t> snapshot;
+  // A WAL-tail fold (same lineage) is a single chunk by construction; a
+  // snapshot streams in as many as it takes.
+  std::vector<uint8_t> body;
   while (!done) {
     Buffer req;
     req.append_lp_string(name);
@@ -1288,86 +1277,45 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
     BufReader cin = chunk.reader();
     epoch = cin.read_u32();
     version = cin.read_u32();
-    const uint8_t mode = cin.read_u8();
+    snapshot_mode = cin.read_u8() != 0;
     done = cin.read_u8() != 0;
     cursor = cin.read_u64();
     auto bytes = cin.read_bytes(cin.remaining());
-    if (mode == 0) {
-      // WAL-tail fold: same lineage, applied in place (single chunk by
-      // construction). The fence below rejects content from a lineage
-      // older than either what this replica already follows or what the
-      // recruiter demanded — repair racing a newer failover resolves
-      // toward the newer lineage.
-      std::lock_guard el(entry->mu);
-      if (epoch < entry->repl_epoch ||
-          (want_epoch != 0 && epoch < want_epoch)) {
-        throw Error(ErrorCode::kStaleEpoch,
-                    "sync tail for '" + name + "' carries epoch " +
-                        std::to_string(epoch) + " behind epoch " +
-                        std::to_string(std::max(entry->repl_epoch,
-                                                want_epoch)));
-      }
-      bool changed = false;
-      if (!bytes.empty()) {
-        BufReader tin(bytes.data(), bytes.size());
-        uint32_t new_types = tin.read_u32();
-        for (uint32_t i = 0; i < new_types; ++i) {
-          uint32_t serial = tin.read_u32();
-          uint32_t len = tin.read_u32();
-          auto graph = tin.read_bytes(len);
-          if (serial <= entry->store->type_count()) continue;
-          uint32_t got = entry->store->register_type(graph);
-          if (got != serial) {
-            throw Error(ErrorCode::kProtocol,
-                        "sync type serial gap on '" + name + "' (stream " +
-                            std::to_string(serial) + ", store assigned " +
-                            std::to_string(got) + ")");
-          }
-          changed = true;
-        }
-        if (version > entry->store->version()) {
-          uint32_t got = entry->store->apply_fold(version, tin);
-          if (got != version) {
-            throw Error(ErrorCode::kProtocol,
-                        "sync version gap on '" + name + "' (stream v" +
-                            std::to_string(version) + ", store reached v" +
-                            std::to_string(got) + ")");
-          }
-          changed = true;
-        }
-      }
-      if (changed || epoch != entry->lineage_epoch) {
-        // The fold moved the store past the recorded checkpoint chain
-        // positions; seal over a fresh full base.
-        entry->checkpoint_base_version = 0;
-        entry->last_checkpoint_version = 0;
-        entry->checkpoint_chain_len = 0;
-        entry->checkpoint_types_recorded = 0;
-        seal_backfill_locked(*entry, epoch);
-      }
-      version = entry->store->version();
-    } else {
-      snapshot_mode = true;
-      snapshot.insert(snapshot.end(), bytes.begin(), bytes.end());
-    }
+    body.insert(body.end(), bytes.begin(), bytes.end());
   }
-  if (snapshot_mode) {
+  {
     std::lock_guard el(entry->mu);
+    // Content from a lineage older than either what this replica already
+    // follows or what the recruiter demanded is refused: repair racing a
+    // newer failover resolves toward the newer lineage.
     if (epoch < entry->repl_epoch ||
         (want_epoch != 0 && epoch < want_epoch)) {
       throw Error(ErrorCode::kStaleEpoch,
-                  "sync snapshot for '" + name + "' carries epoch " +
+                  "sync of '" + name + "' carries epoch " +
                       std::to_string(epoch) + " behind epoch " +
                       std::to_string(std::max(entry->repl_epoch,
                                               want_epoch)));
     }
-    BufReader sin(snapshot.data(), snapshot.size());
-    entry->store = SegmentStore::deserialize(name, options_.store, sin);
-    entry->checkpoint_base_version = 0;
-    entry->last_checkpoint_version = 0;
-    entry->checkpoint_chain_len = 0;
-    entry->checkpoint_types_recorded = 0;
-    seal_backfill_locked(*entry, epoch);
+    const uint32_t before_version = entry->store->version();
+    const uint32_t before_types = entry->store->type_count();
+    BufReader bin(body.data(), body.size());
+    if (snapshot_mode) {
+      entry->store = SegmentStore::deserialize(name, options_.store, bin);
+    } else if (!body.empty()) {
+      apply_tail(*entry->store, version, bin);
+    }
+    if (snapshot_mode || entry->store->version() != before_version ||
+        entry->store->type_count() != before_types ||
+        epoch != entry->lineage_epoch) {
+      // Make the install durable: adopt the sync's lineage, then a full
+      // checkpoint (the chain positions no longer describe the store) and
+      // the journal truncation that follows it retire any divergent unacked
+      // suffix this server's deposed incarnation may have journaled.
+      entry->repl_epoch = std::max(entry->repl_epoch, epoch);
+      entry->lineage_epoch = epoch;
+      entry->chain = {};
+      checkpoint_segment_locked(*entry);
+    }
     version = entry->store->version();
   }
   stats_.backfills_completed.fetch_add(1, std::memory_order_relaxed);
@@ -1443,74 +1391,65 @@ void SegmentServer::checkpoint_full_locked(SegmentEntry& entry) {
   if (fs::remove(chain_file_path(entry.store->name()), ec)) {
     fsync_parent_dir(final_path.string());
   }
-  entry.checkpoint_base_version = entry.store->version();
-  entry.last_checkpoint_version = entry.store->version();
-  entry.checkpoint_chain_len = 0;
-  entry.checkpoint_types_recorded = entry.store->type_count();
+  entry.chain = {.base_version = entry.store->version(),
+                 .last_version = entry.store->version(),
+                 .types_recorded = entry.store->type_count()};
   stats_.checkpoints_written.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SegmentServer::checkpoint_segment_locked(SegmentEntry& entry) {
   if (options_.checkpoint_dir.empty()) return;
-  const uint32_t version = entry.store->version();
-  const uint32_t types = entry.store->type_count();
+  SegmentStore& store = *entry.store;
+  CheckpointChain& chain = entry.chain;
+  const uint32_t version = store.version();
+  const uint32_t types = store.type_count();
   // A delta record only makes sense when this incarnation wrote the base
   // it extends, the chain is under its rewrite bound, and the store has
   // moved forward (a destroy/recover resets the chain state instead).
   const bool chain_ok = options_.checkpoint_chain_limit != 0 &&
-                        entry.checkpoint_base_version != 0 &&
-                        entry.checkpoint_chain_len <
-                            options_.checkpoint_chain_limit &&
-                        version >= entry.last_checkpoint_version &&
-                        types >= entry.checkpoint_types_recorded;
-  if (chain_ok && version == entry.last_checkpoint_version &&
-      types == entry.checkpoint_types_recorded) {
-    // Nothing new since the last checkpoint record: just retire the
-    // journal, which the existing base + chain already covers.
-    if (entry.wal != nullptr) {
-      entry.wal->truncate_after_checkpoint();
-      journal_lineage_locked(entry);
+                        chain.base_version != 0 &&
+                        chain.length < options_.checkpoint_chain_limit &&
+                        version >= chain.last_version &&
+                        types >= chain.types_recorded;
+  if (!chain_ok) {
+    checkpoint_full_locked(entry);
+  } else if (version != chain.last_version || types != chain.types_recorded) {
+    // Delta record: only what changed since the last checkpoint (the store
+    // tracks dirty subblocks, so this is proportional to what was touched,
+    // not to the segment). With nothing new, base + chain already cover the
+    // journal and only the truncation below remains.
+    Buffer tail;
+    append_tail(store, chain.last_version, chain.types_recorded, tail);
+    try {
+      append_chain_record(chain_file_path(store.name()), chain.base_version,
+                          chain.last_version, version, tail.span(),
+                          options_.compress_payloads);
+    } catch (...) {
+      // The failed append may have left a torn record, which would cut off
+      // every record after it at recovery: the next checkpoint rewrites the
+      // base and drops the chain instead.
+      chain = {};
+      throw;
     }
-    entry.versions_since_checkpoint = 0;
-    return;
-  }
-  if (chain_ok) {
-    // Delta record: only what changed since the last checkpoint — the type
-    // graphs registered since, and the diff from the last covered version
-    // (the store tracks dirty subblocks, so this is proportional to what
-    // was touched, not to the segment).
-    SegmentStore& store = *entry.store;
-    Buffer sections;
-    sections.append_u32(types - entry.checkpoint_types_recorded);
-    for (uint32_t serial = entry.checkpoint_types_recorded + 1;
-         serial <= types; ++serial) {
-      auto graph = store.type_graph(serial);
-      sections.append_u32(serial);
-      sections.append_u32(static_cast<uint32_t>(graph.size()));
-      sections.append(graph.data(), graph.size());
-    }
-    store.collect_fold_history(entry.last_checkpoint_version, sections);
-    auto diff = store.collect_diff(entry.last_checkpoint_version);
-    sections.append(diff->data(), diff->size());
-    append_chain_record(chain_file_path(store.name()),
-                        entry.checkpoint_base_version,
-                        entry.last_checkpoint_version, version,
-                        sections.span(), options_.compress_payloads);
-    entry.last_checkpoint_version = version;
-    entry.checkpoint_types_recorded = types;
-    ++entry.checkpoint_chain_len;
+    chain.last_version = version;
+    chain.types_recorded = types;
+    ++chain.length;
     stats_.checkpoints_incremental.fetch_add(1, std::memory_order_relaxed);
     stats_.checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    checkpoint_full_locked(entry);
   }
   // Only once the checkpoint is durably in place may the journal records it
   // supersedes be discarded. A crash between the two is benign: replay
-  // skips records at or below the covered version. The lineage marker is
-  // not covered by the snapshot, so it is re-journaled after the cut.
+  // skips records at or below the covered version. The truncation also
+  // drops whatever a failed append left behind. The lineage marker is not
+  // covered by the snapshot, so it is re-journaled after the cut.
   if (entry.wal != nullptr) {
     entry.wal->truncate_after_checkpoint();
+    entry.wal_broken = false;
     journal_lineage_locked(entry);
+    if (entry.wal_broken) {
+      throw Error(ErrorCode::kIo, "cannot journal the lineage of '" +
+                                      store.name() + "' after a checkpoint");
+    }
   }
   entry.versions_since_checkpoint = 0;
 }
@@ -1521,76 +1460,6 @@ void SegmentServer::checkpoint() {
     std::lock_guard el(entry->mu);
     checkpoint_segment_locked(*entry);
   }
-}
-
-uint64_t SegmentServer::replay_wal_records(
-    const std::string& name, std::unique_ptr<SegmentStore>& store,
-    const WriteAheadLog::Replay& replay, uint32_t* lineage_epoch) {
-  uint64_t applied_end = 0;
-  uint64_t applied = 0;
-  for (const WriteAheadLog::Record& rec : replay.records) {
-    try {
-      BufReader in(rec.payload.data(), rec.payload.size());
-      switch (rec.type) {
-        case WalRecordType::kSegmentCreate: {
-          std::string recorded = in.read_lp_string();
-          if (recorded != name) {
-            throw Error(ErrorCode::kProtocol,
-                        "journal names segment '" + recorded + "'");
-          }
-          break;
-        }
-        case WalRecordType::kRegisterType: {
-          uint32_t serial = in.read_u32();
-          auto graph = in.read_bytes(in.remaining());
-          if (serial <= store->type_count()) break;  // already in snapshot
-          uint32_t got = store->register_type(graph);
-          if (got != serial) {
-            throw Error(ErrorCode::kProtocol,
-                        "type serial gap (journal " + std::to_string(serial) +
-                            ", store assigned " + std::to_string(got) + ")");
-          }
-          break;
-        }
-        case WalRecordType::kCommit: {
-          uint32_t version = in.read_u32();
-          auto diff = in.read_bytes(in.remaining());
-          // At or below the snapshot: the checkpoint already contains this
-          // commit (the crash-between-checkpoint-and-truncate window).
-          if (version <= store->version()) break;
-          uint32_t got = store->apply_diff(diff);
-          if (got != version) {
-            throw Error(ErrorCode::kProtocol,
-                        "version gap (journal v" + std::to_string(version) +
-                            ", store reached v" + std::to_string(got) + ")");
-          }
-          break;
-        }
-        case WalRecordType::kSegmentDestroy:
-          store = std::make_unique<SegmentStore>(name, options_.store);
-          break;
-        case WalRecordType::kEpochAdopt: {
-          uint32_t epoch = in.read_u32();
-          if (lineage_epoch != nullptr) {
-            *lineage_epoch = std::max(*lineage_epoch, epoch);
-          }
-          break;
-        }
-      }
-    } catch (const std::exception& e) {
-      // A record that cannot be applied (version gap after a quarantined
-      // checkpoint, malformed payload) ends replay; everything after it
-      // depends on state we do not have. The prefix already applied is
-      // kept — the journal is truncated to match it.
-      IW_LOG(kWarn) << "journal replay for " << name << " stopped after "
-                    << applied << " records: " << e.what();
-      break;
-    }
-    applied_end = rec.end_offset;
-    ++applied;
-  }
-  stats_.wal_replayed_records.fetch_add(applied, std::memory_order_relaxed);
-  return applied_end;
 }
 
 void SegmentServer::fold_checkpoint_chain(
@@ -1627,27 +1496,7 @@ void SegmentServer::fold_checkpoint_chain(
     }
     try {
       BufReader in(rec.sections.data(), rec.sections.size());
-      uint32_t new_types = in.read_u32();
-      for (uint32_t i = 0; i < new_types; ++i) {
-        uint32_t serial = in.read_u32();
-        uint32_t len = in.read_u32();
-        auto graph = in.read_bytes(len);
-        if (serial <= store->type_count()) continue;
-        uint32_t got = store->register_type(graph);
-        if (got != serial) {
-          throw Error(ErrorCode::kProtocol,
-                      "type serial gap in chain (record " +
-                          std::to_string(serial) + ", store assigned " +
-                          std::to_string(got) + ")");
-        }
-      }
-      uint32_t got = store->apply_fold(rec.to_version, in);
-      if (got != rec.to_version) {
-        throw Error(ErrorCode::kProtocol,
-                    "chain version gap (record to v" +
-                        std::to_string(rec.to_version) +
-                        ", store reached v" + std::to_string(got) + ")");
-      }
+      apply_tail(*store, rec.to_version, in);
     } catch (const std::exception& e) {
       corrupt = true;
       why = e.what();
@@ -1673,15 +1522,18 @@ void SegmentServer::fold_checkpoint_chain(
     // Keep the good prefix we folded and set the rest aside, exactly like
     // a quarantined snapshot; the journal replay that follows stops at the
     // resulting version gap, so recovery lands on the last good fold.
-    fs::path quarantine = fs::path(path);
-    quarantine += ".corrupt";
-    std::error_code ec;
-    fs::rename(path, quarantine, ec);
-    IW_LOG(kWarn) << "quarantining checkpoint chain " << path << " after "
-                  << folded << " records (" << why << ")"
-                  << (ec ? "; rename failed: " + ec.message() : "");
-    stats_.checkpoints_quarantined.fetch_add(1, std::memory_order_relaxed);
+    quarantine(path, "checkpoint chain after " + std::to_string(folded) +
+                         " records: " + why);
   }
+}
+
+void SegmentServer::quarantine(const std::string& path,
+                               const std::string& why) {
+  std::error_code ec;
+  std::filesystem::rename(path, path + ".corrupt", ec);
+  IW_LOG(kWarn) << "quarantining " << path << " (" << why << ")"
+                << (ec ? "; rename failed: " + ec.message() : "");
+  stats_.checkpoints_quarantined.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SegmentServer::recover() {
@@ -1721,14 +1573,7 @@ void SegmentServer::recover() {
       name = in.read_lp_string();
       store = SegmentStore::deserialize(name, options_.store, in);
     } catch (const Error& e) {
-      fs::path quarantine = path;
-      quarantine += ".corrupt";
-      std::error_code ec;
-      fs::rename(path, quarantine, ec);
-      IW_LOG(kWarn) << "quarantining corrupt checkpoint " << path << " ("
-                    << e.what() << ")"
-                    << (ec ? "; rename failed: " + ec.message() : "");
-      stats_.checkpoints_quarantined.fetch_add(1, std::memory_order_relaxed);
+      quarantine(path.string(), std::string("corrupt checkpoint: ") + e.what());
       continue;
     }
     // Fold the segment's incremental chain (if any) onto the snapshot
@@ -1741,12 +1586,10 @@ void SegmentServer::recover() {
       it->second->store = std::move(store);
       it->second->versions_since_checkpoint = 0;
       it->second->wal.reset();  // reopened against the journal below
+      it->second->wal_broken = false;
       // Recovery never resumes an inherited chain; the next checkpoint
       // lays down a fresh full base.
-      it->second->checkpoint_base_version = 0;
-      it->second->last_checkpoint_version = 0;
-      it->second->checkpoint_chain_len = 0;
-      it->second->checkpoint_types_recorded = 0;
+      it->second->chain = {};
     } else {
       auto entry = std::make_unique<SegmentEntry>();
       entry->store = std::move(store);
@@ -1760,14 +1603,7 @@ void SegmentServer::recover() {
   for (const fs::path& path : chains) {
     std::string name = decode_file_name(path.stem().string());
     if (segments_.count(name) != 0 || !fs::exists(path)) continue;
-    fs::path quarantine = path;
-    quarantine += ".corrupt";
-    std::error_code ec;
-    fs::rename(path, quarantine, ec);
-    IW_LOG(kWarn) << "quarantining orphan checkpoint chain " << path
-                  << " (no base snapshot)"
-                  << (ec ? "; rename failed: " + ec.message() : "");
-    stats_.checkpoints_quarantined.fetch_add(1, std::memory_order_relaxed);
+    quarantine(path.string(), "orphan checkpoint chain: no base snapshot");
   }
 
   // Pass 2: replay each journal's tail on top of its snapshot (or from
@@ -1792,13 +1628,28 @@ void SegmentServer::recover() {
     }
     SegmentEntry& entry = *it->second;
     std::lock_guard el(entry.mu);
-    uint32_t lineage = 1;
-    uint64_t resume =
-        replay_wal_records(it->first, entry.store, replay, &lineage);
-    // A recovered replica resumes fenced at the lineage it had adopted: a
-    // deposed primary that restarts must not believe it still owns the
-    // segment's newest epoch.
-    entry.lineage_epoch = std::max(entry.lineage_epoch, lineage);
+    // Records apply in order up to the first that cannot be (a version gap
+    // after a quarantined checkpoint, a malformed payload): everything after
+    // it depends on state we do not have. The prefix applied is kept and
+    // the reopened journal is truncated to match it.
+    uint64_t resume = 0;
+    uint64_t applied = 0;
+    for (const WriteAheadLog::Record& rec : replay.records) {
+      try {
+        apply_record_locked(entry, rec.type, rec.payload);
+      } catch (const std::exception& e) {
+        IW_LOG(kWarn) << "journal replay for " << it->first
+                      << " stopped after " << applied << " records: "
+                      << e.what();
+        break;
+      }
+      resume = rec.end_offset;
+      ++applied;
+    }
+    stats_.wal_replayed_records.fetch_add(applied, std::memory_order_relaxed);
+    // A recovered replica resumes fenced at the lineage it had adopted (the
+    // replayed kEpochAdopt records): a deposed primary that restarts must
+    // not believe it still owns the segment's newest epoch.
     entry.repl_epoch = std::max(entry.repl_epoch, entry.lineage_epoch);
     if (!wal_on()) continue;  // journal preserved but not extended
     if (resume >= WriteAheadLog::kHeaderSize) {
@@ -1822,66 +1673,11 @@ void SegmentServer::recover() {
 
 SegmentServer::Stats SegmentServer::stats() const {
   Stats s;
-  s.requests = stats_.requests.load(std::memory_order_relaxed);
-  s.updates_sent = stats_.updates_sent.load(std::memory_order_relaxed);
-  s.uptodate_responses =
-      stats_.uptodate_responses.load(std::memory_order_relaxed);
-  s.notifications_sent =
-      stats_.notifications_sent.load(std::memory_order_relaxed);
-  s.checkpoints_written =
-      stats_.checkpoints_written.load(std::memory_order_relaxed);
-  s.lease_expirations = stats_.lease_expirations.load(std::memory_order_relaxed);
-  s.stale_releases_rejected =
-      stats_.stale_releases_rejected.load(std::memory_order_relaxed);
-  s.cached_read_grants =
-      stats_.cached_read_grants.load(std::memory_order_relaxed);
-  s.revokes_sent = stats_.revokes_sent.load(std::memory_order_relaxed);
-  s.revokes_acked = stats_.revokes_acked.load(std::memory_order_relaxed);
-  s.revokes_expired = stats_.revokes_expired.load(std::memory_order_relaxed);
-  s.wal_records_appended =
-      wal_counters_.records_appended.load(std::memory_order_relaxed);
-  s.wal_bytes_appended =
-      wal_counters_.bytes_appended.load(std::memory_order_relaxed);
-  s.wal_fsyncs = wal_counters_.fsyncs.load(std::memory_order_relaxed);
-  s.wal_replayed_records =
-      stats_.wal_replayed_records.load(std::memory_order_relaxed);
-  s.wal_truncated_bytes =
-      stats_.wal_truncated_bytes.load(std::memory_order_relaxed);
-  s.recoveries_completed =
-      stats_.recoveries_completed.load(std::memory_order_relaxed);
-  s.checkpoints_quarantined =
-      stats_.checkpoints_quarantined.load(std::memory_order_relaxed);
-  s.checkpoints_incremental =
-      stats_.checkpoints_incremental.load(std::memory_order_relaxed);
-  s.checkpoint_chain_folds =
-      stats_.checkpoint_chain_folds.load(std::memory_order_relaxed);
-  s.updates_compressed =
-      stats_.updates_compressed.load(std::memory_order_relaxed);
-  s.update_raw_bytes = stats_.update_raw_bytes.load(std::memory_order_relaxed);
-  s.update_wire_bytes =
-      stats_.update_wire_bytes.load(std::memory_order_relaxed);
-  s.commits_compressed =
-      stats_.commits_compressed.load(std::memory_order_relaxed);
-  s.commit_raw_bytes = stats_.commit_raw_bytes.load(std::memory_order_relaxed);
-  s.commit_stored_bytes =
-      stats_.commit_stored_bytes.load(std::memory_order_relaxed);
-  s.repl_records_applied =
-      stats_.repl_records_applied.load(std::memory_order_relaxed);
-  s.repl_stale_rejected =
-      stats_.repl_stale_rejected.load(std::memory_order_relaxed);
-  s.promotions_accepted =
-      stats_.promotions_accepted.load(std::memory_order_relaxed);
-  s.expired_grants_swept =
-      stats_.expired_grants_swept.load(std::memory_order_relaxed);
-  s.sync_requests = stats_.sync_requests.load(std::memory_order_relaxed);
-  s.sync_tails_served =
-      stats_.sync_tails_served.load(std::memory_order_relaxed);
-  s.sync_snapshots_served =
-      stats_.sync_snapshots_served.load(std::memory_order_relaxed);
-  s.backfills_completed =
-      stats_.backfills_completed.load(std::memory_order_relaxed);
-  s.recruits_rejected_stale =
-      stats_.recruits_rejected_stale.load(std::memory_order_relaxed);
+  stats_.snapshot_into(s);
+#define IW_SERVER_WAL_LOAD(name) \
+  s.wal_##name = wal_counters_.name.load(std::memory_order_relaxed);
+  IW_WAL_COUNTERS(IW_SERVER_WAL_LOAD)
+#undef IW_SERVER_WAL_LOAD
   return s;
 }
 

@@ -17,7 +17,6 @@
 // session table; see DESIGN.md "Server concurrency model".
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -34,6 +33,50 @@
 #include "wire/coherence.hpp"
 
 namespace iw::server {
+
+/// SegmentServer's counters (util/counters.hpp), maintained as relaxed
+/// atomics: the request hot path never takes a stats lock.
+#define IW_SERVER_COUNTERS(X)                                            \
+  X(requests)                                                            \
+  X(updates_sent)                                                        \
+  X(uptodate_responses)                                                  \
+  X(notifications_sent)                                                  \
+  X(checkpoints_written)                                                 \
+  X(lease_expirations)       /* writer locks reclaimed */                \
+  X(stale_releases_rejected) /* kLeaseExpired responses */               \
+  /* Distributed lock caching (reader locks retained client-side). */    \
+  X(cached_read_grants)      /* releases that kept the lock cached */    \
+  X(revokes_sent)            /* kRevokeRead notifications pushed */      \
+  X(revokes_acked)           /* cached locks released by clients */      \
+  X(revokes_expired)         /* cached locks reclaimed on deadline */    \
+  /* Durability (write-ahead log + recovery). */                         \
+  X(wal_replayed_records)    /* records applied by recover() */          \
+  X(wal_truncated_bytes)     /* torn-tail bytes cut at recover */        \
+  X(recoveries_completed)    /* recover() invocations done */            \
+  X(checkpoints_quarantined) /* corrupt .iwseg/.iwinc files set aside */ \
+  X(checkpoints_incremental) /* delta records appended */                \
+  X(checkpoint_chain_folds)  /* delta records folded at recover */       \
+  /* Payload pipeline: what the section and record envelopes saved. */   \
+  X(updates_compressed)      /* update diffs sent compressed */          \
+  X(update_raw_bytes)        /* diff bytes before the envelope */        \
+  X(update_wire_bytes)       /* diff section bytes on the wire */        \
+  X(commits_compressed)      /* commit records journaled packed */       \
+  X(commit_raw_bytes)        /* commit payload bytes pre-envelope */     \
+  X(commit_stored_bytes)     /* commit payload bytes journaled */        \
+  /* Federation (replica role) and placement-epoch enforcement. */       \
+  X(repl_records_applied)    /* kWalAppend records applied */            \
+  X(repl_stale_rejected)     /* records refused by epoch fence */        \
+  X(promotions_accepted)     /* kPromote epochs adopted */               \
+  X(expired_grants_swept)    /* cached grants dropped by TTL */          \
+  /* Self-healing replication (sync serving + backfill pulls). */        \
+  X(sync_requests)           /* kSyncRequest frames served */            \
+  X(sync_tails_served)       /* syncs answered with a WAL-tail fold */   \
+  X(sync_snapshots_served)   /* syncs answered with a snapshot */        \
+  X(backfills_completed)     /* backfill_segment() installs */           \
+  X(recruits_rejected_stale) /* kRecruit refused by epoch fence */
+
+/// The journal counters appear in SegmentServer::Stats as wal_<name>.
+#define IW_SERVER_WAL_FIELD(name) uint64_t wal_##name = 0;
 
 class SegmentServer : public ServerCore {
  public:
@@ -53,10 +96,9 @@ class SegmentServer : public ServerCore {
     /// instead of silently discarding them.
     bool wal_enabled = true;
     /// When the journal reaches the device (see WriteAheadLog::Sync):
-    /// kNone / kBatch (group commit) / kCommit (fdatasync per release).
+    /// kNone / kBatch (group commit every WriteAheadLog::kBatchIntervalMs)
+    /// / kCommit (fdatasync per release).
     WriteAheadLog::Sync wal_sync = WriteAheadLog::Sync::kBatch;
-    /// Group-commit flush interval for wal_sync == kBatch.
-    uint32_t wal_batch_interval_ms = 5;
     /// Seeded crash injection inside WAL appends (crash-harness tests
     /// only); null in production.
     std::shared_ptr<WalCrashSchedule> wal_crash;
@@ -99,56 +141,16 @@ class SegmentServer : public ServerCore {
     /// disables incremental checkpoints — every checkpoint is a full
     /// rewrite, the pre-chain behavior.
     uint32_t checkpoint_chain_limit = 8;
-    /// Store tuning (diff cache, prediction, subblock size).
+    /// Store tuning (diff cache).
     SegmentStore::Options store;
   };
 
-  /// Snapshot of the server-wide counters (maintained as relaxed atomics;
-  /// the request hot path never takes a stats lock).
+  /// Snapshot of the server-wide counters, plus every segment journal's
+  /// counters summed (wal_records_appended, wal_bytes_appended,
+  /// wal_fsyncs).
   struct Stats {
-    uint64_t requests = 0;
-    uint64_t updates_sent = 0;
-    uint64_t uptodate_responses = 0;
-    uint64_t notifications_sent = 0;
-    uint64_t checkpoints_written = 0;
-    uint64_t lease_expirations = 0;        ///< writer locks reclaimed
-    uint64_t stale_releases_rejected = 0;  ///< kLeaseExpired responses
-    // Distributed lock caching (reader locks retained client-side).
-    uint64_t cached_read_grants = 0;  ///< releases that kept the lock cached
-    uint64_t revokes_sent = 0;        ///< kRevokeRead notifications pushed
-    uint64_t revokes_acked = 0;       ///< cached locks released by clients
-    uint64_t revokes_expired = 0;     ///< cached locks reclaimed on deadline
-    // Durability counters (write-ahead log + recovery), summed over every
-    // segment's journal.
-    uint64_t wal_records_appended = 0;
-    uint64_t wal_bytes_appended = 0;
-    uint64_t wal_fsyncs = 0;
-    uint64_t wal_replayed_records = 0;      ///< records applied by recover()
-    uint64_t wal_truncated_bytes = 0;       ///< torn-tail bytes cut at recover
-    uint64_t recoveries_completed = 0;      ///< recover() invocations done
-    uint64_t checkpoints_quarantined = 0;   ///< corrupt *.iwseg/*.iwinc aside
-    uint64_t checkpoints_incremental = 0;   ///< delta records appended
-    uint64_t checkpoint_chain_folds = 0;    ///< delta records folded at recover
-    // Payload pipeline: what the section envelope and the record envelope
-    // saved, measured where the bytes would otherwise have been paid.
-    uint64_t updates_compressed = 0;     ///< update diffs sent compressed
-    uint64_t update_raw_bytes = 0;       ///< diff bytes before the envelope
-    uint64_t update_wire_bytes = 0;      ///< diff section bytes on the wire
-    uint64_t commits_compressed = 0;     ///< commit records journaled packed
-    uint64_t commit_raw_bytes = 0;       ///< commit payload bytes pre-envelope
-    uint64_t commit_stored_bytes = 0;    ///< commit payload bytes journaled
-    // Federation (replica role): records streamed in by a primary and
-    // placement-epoch enforcement.
-    uint64_t repl_records_applied = 0;   ///< kWalAppend records applied
-    uint64_t repl_stale_rejected = 0;    ///< records refused by epoch fence
-    uint64_t promotions_accepted = 0;    ///< kPromote epochs adopted
-    uint64_t expired_grants_swept = 0;   ///< cached grants dropped by TTL
-    // Self-healing replication (sync serving + backfill pulls).
-    uint64_t sync_requests = 0;          ///< kSyncRequest frames served
-    uint64_t sync_tails_served = 0;      ///< syncs answered with a WAL-tail fold
-    uint64_t sync_snapshots_served = 0;  ///< syncs answered with a snapshot
-    uint64_t backfills_completed = 0;    ///< backfill_segment() installs
-    uint64_t recruits_rejected_stale = 0;///< kRecruit refused by epoch fence
+    IW_SERVER_COUNTERS(IW_COUNTER_FIELD)
+    IW_WAL_COUNTERS(IW_SERVER_WAL_FIELD)
   };
 
   SegmentServer();
@@ -240,6 +242,21 @@ class SegmentServer : public ServerCore {
     uint32_t sync_epoch = 0;    ///< placement epoch stamped on the cut
     Notifier notify;  // copied from the session record at first touch
   };
+  /// Incremental-checkpoint chain state (see checkpoint.hpp). The default
+  /// has no base, so the next checkpoint is a full rewrite — the state
+  /// after recover(), which never resumes an inherited chain, and after
+  /// anything that moves the store off the recorded positions.
+  struct CheckpointChain {
+    /// Version of the last full `.iwseg` this incarnation wrote (0 = none).
+    uint32_t base_version = 0;
+    /// Version covered by base + chain; the next delta record diffs from
+    /// here. Meaningful only when base_version != 0.
+    uint32_t last_version = 0;
+    /// Delta records in the live `.iwinc`; a full rewrite resets it.
+    uint32_t length = 0;
+    /// Type-table prefix already captured by base + chain.
+    uint32_t types_recorded = 0;
+  };
   /// One segment plus everything guarded by its lock. Heap-allocated and
   /// never removed from the directory, so raw pointers taken under the
   /// directory lock stay valid without holding it.
@@ -274,22 +291,15 @@ class SegmentServer : public ServerCore {
     /// WalRecordType::kEpochAdopt.
     uint32_t lineage_epoch = 1;
     uint32_t versions_since_checkpoint = 0;
-    /// Incremental-checkpoint chain state (see checkpoint.hpp). The base is
-    /// the version of the last full `.iwseg` this incarnation wrote (0 =
-    /// none yet, so the next checkpoint must be a full rewrite — also the
-    /// state after recover(), which never resumes an inherited chain).
-    uint32_t checkpoint_base_version = 0;
-    /// Version covered by base + chain; the next delta record diffs from
-    /// here. Meaningful only when checkpoint_base_version != 0.
-    uint32_t last_checkpoint_version = 0;
-    /// Delta records in the live `.iwinc`; a full rewrite resets it.
-    uint32_t checkpoint_chain_len = 0;
-    /// Type-table prefix already captured by base + chain.
-    uint32_t checkpoint_types_recorded = 0;
+    CheckpointChain chain;
     /// Append-only diff journal; null when persistence is disabled. Guarded
     /// by `mu` like the store, so append-before-ack and
     /// truncate-on-checkpoint serialize naturally with commits.
     std::unique_ptr<WriteAheadLog> wal;
+    /// An append failed and may have left a torn record mid-journal: no
+    /// append is attempted until checkpoint_segment_locked truncates the
+    /// journal, and nothing is acked before it has (see journal_locked).
+    bool wal_broken = false;
     std::unordered_map<SessionId, SegmentSession> sessions;
   };
   struct PendingNotify {
@@ -297,38 +307,7 @@ class SegmentServer : public ServerCore {
     Frame frame;
   };
   struct AtomicStats {
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> updates_sent{0};
-    std::atomic<uint64_t> uptodate_responses{0};
-    std::atomic<uint64_t> notifications_sent{0};
-    std::atomic<uint64_t> checkpoints_written{0};
-    std::atomic<uint64_t> lease_expirations{0};
-    std::atomic<uint64_t> stale_releases_rejected{0};
-    std::atomic<uint64_t> cached_read_grants{0};
-    std::atomic<uint64_t> revokes_sent{0};
-    std::atomic<uint64_t> revokes_acked{0};
-    std::atomic<uint64_t> revokes_expired{0};
-    std::atomic<uint64_t> wal_replayed_records{0};
-    std::atomic<uint64_t> wal_truncated_bytes{0};
-    std::atomic<uint64_t> recoveries_completed{0};
-    std::atomic<uint64_t> checkpoints_quarantined{0};
-    std::atomic<uint64_t> checkpoints_incremental{0};
-    std::atomic<uint64_t> checkpoint_chain_folds{0};
-    std::atomic<uint64_t> updates_compressed{0};
-    std::atomic<uint64_t> update_raw_bytes{0};
-    std::atomic<uint64_t> update_wire_bytes{0};
-    std::atomic<uint64_t> commits_compressed{0};
-    std::atomic<uint64_t> commit_raw_bytes{0};
-    std::atomic<uint64_t> commit_stored_bytes{0};
-    std::atomic<uint64_t> repl_records_applied{0};
-    std::atomic<uint64_t> repl_stale_rejected{0};
-    std::atomic<uint64_t> promotions_accepted{0};
-    std::atomic<uint64_t> expired_grants_swept{0};
-    std::atomic<uint64_t> sync_requests{0};
-    std::atomic<uint64_t> sync_tails_served{0};
-    std::atomic<uint64_t> sync_snapshots_served{0};
-    std::atomic<uint64_t> backfills_completed{0};
-    std::atomic<uint64_t> recruits_rejected_stale{0};
+    IW_COUNTER_ATOMICS(IW_SERVER_COUNTERS)
   };
 
   Frame dispatch(SessionId session, const Frame& request,
@@ -370,23 +349,35 @@ class SegmentServer : public ServerCore {
   /// Checkpoints one segment: a delta record onto its `.iwinc` chain when
   /// a base exists and the chain is under the limit, a full `.iwseg`
   /// rewrite otherwise. Either way the journal is truncated after the
-  /// checkpoint lands durably. Caller holds entry.mu.
+  /// checkpoint lands durably, which also mends a broken journal; throws
+  /// when any step fails. Caller holds entry.mu.
   void checkpoint_segment_locked(SegmentEntry& entry);
   /// The full-rewrite half: durable snapshot, chain file removed, chain
   /// state reset. Caller holds entry.mu.
   void checkpoint_full_locked(SegmentEntry& entry);
-  /// Applies one record streamed by a primary (kWalAppend) to the store
-  /// and journals it — the replica half of journal-before-ack. Idempotent:
-  /// a commit at or below the store version (a re-sent batch after a link
-  /// reconnect) is skipped. `body` is the on-wire (possibly compressed)
-  /// payload and is journaled verbatim with `compressed` on the tag, so
-  /// the primary's encoding is inherited; `raw` is the decoded payload the
-  /// record is applied from. Caller holds entry.mu and has already passed
-  /// the epoch fence.
-  void apply_replicated_locked(SegmentEntry& entry, const std::string& name,
-                               WalRecordType type,
-                               std::span<const uint8_t> body, bool compressed,
-                               std::span<const uint8_t> raw);
+  /// The one journal path of a record the store just applied on this
+  /// primary (a commit or a new type): encodes it once, journals it,
+  /// replicates it, and re-anchors a broken journal on a checkpoint, so the
+  /// caller may ack on return. Throws when replication or the re-anchor
+  /// fails. Caller holds entry.mu.
+  void journal_locked(SegmentEntry& entry, const std::string& name,
+                      WalRecordType type, std::span<const uint8_t> head,
+                      std::span<const uint8_t> body);
+  /// Appends one record to the entry's journal unless there is none or it
+  /// is broken; a failed append marks it broken instead of throwing.
+  /// Caller holds entry.mu.
+  void append_locked(SegmentEntry& entry, WalRecordType type,
+                     std::span<const uint8_t> head,
+                     std::span<const uint8_t> body = {},
+                     bool compressed = false);
+  /// Applies one journal record (raw payload) to the entry's store — the
+  /// one record apply shared by journal replay and kWalAppend. Returns
+  /// false when the store already holds it (a re-sent batch, or a record a
+  /// checkpoint covers). A record that skips a version or a type serial
+  /// throws kProtocol and leaves the store unchanged. Caller holds
+  /// entry.mu.
+  bool apply_record_locked(SegmentEntry& entry, WalRecordType type,
+                           std::span<const uint8_t> payload);
 
   // --- self-healing replication plumbing ---
   /// Serves one kSyncRequest: registers the requester's link paused (first
@@ -397,10 +388,6 @@ class SegmentServer : public ServerCore {
   /// applied history, journaling a kEpochAdopt record (local-only) so the
   /// lineage survives restart. Caller holds entry.mu.
   void adopt_epoch_locked(SegmentEntry& entry, uint32_t epoch);
-  /// Makes a freshly installed/folded backfill durable: full checkpoint,
-  /// journal truncated to it (discarding any divergent unacked suffix from
-  /// a deposed incarnation), lineage re-journaled. Caller holds entry.mu.
-  void seal_backfill_locked(SegmentEntry& entry, uint32_t epoch);
   /// Re-appends the lineage marker to the journal (no-op at lineage 1 or
   /// without a journal) — called after every journal truncation/reopen so
   /// the lineage survives checkpoint retirement. Caller holds entry.mu.
@@ -422,16 +409,8 @@ class SegmentServer : public ServerCore {
   /// Opens a brand-new journal for `entry` (discarding any stale log file
   /// left by an earlier incarnation) and records the segment's birth.
   void open_fresh_wal(SegmentEntry& entry, const std::string& name);
-  /// Applies replayed journal records to `store` in order, stopping at the
-  /// first record that cannot be applied. Returns the end offset of the
-  /// last applied record (so the reopened log is truncated to exactly the
-  /// applied prefix) and counts applied records into the stats. When
-  /// `lineage_epoch` is non-null it receives the newest kEpochAdopt value
-  /// in the applied prefix (untouched when the journal has none).
-  uint64_t replay_wal_records(const std::string& name,
-                              std::unique_ptr<SegmentStore>& store,
-                              const WriteAheadLog::Replay& replay,
-                              uint32_t* lineage_epoch = nullptr);
+  /// Renames a corrupt checkpoint file to `<path>.corrupt` and counts it.
+  void quarantine(const std::string& path, const std::string& why);
 
   Options options_;
   /// Aggregated append/fsync counters shared by every segment's journal.

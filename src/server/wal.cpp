@@ -244,8 +244,7 @@ void WriteAheadLog::append(WalRecordType type, std::span<const uint8_t> head,
       break;
     case Sync::kBatch: {
       auto now = std::chrono::steady_clock::now();
-      if (now - last_flush_ >=
-          std::chrono::milliseconds(options_.batch_interval_ms)) {
+      if (now - last_flush_ >= std::chrono::milliseconds(kBatchIntervalMs)) {
         fdatasync_now();
       }
       break;

@@ -34,7 +34,7 @@
 // Sync policies trade commit latency for durability against OS/power
 // failure (process death alone never loses a completed append):
 //   kNone   — never fdatasync; the page cache decides.
-//   kBatch  — group commit: fdatasync at most once per batch_interval_ms,
+//   kBatch  — group commit: fdatasync at most once per kBatchIntervalMs,
 //             piggybacking every commit in between on one flush.
 //   kCommit — fdatasync before every commit acknowledgement.
 //
@@ -42,7 +42,6 @@
 // only touched under that entry's mutex, exactly like the store.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -51,6 +50,7 @@
 #include <vector>
 
 #include "net/fault.hpp"
+#include "util/counters.hpp"
 
 namespace iw::server {
 
@@ -68,12 +68,12 @@ enum class WalRecordType : uint8_t {
                        ///< lineage matches the promoted one.
 };
 
-/// Shared relaxed-atomic counters; the owning server aggregates one
-/// instance across every segment's log.
+/// Journal counters (util/counters.hpp); the owning server aggregates one
+/// WalCounters across every segment's log.
+#define IW_WAL_COUNTERS(X) X(records_appended) X(bytes_appended) X(fsyncs)
+
 struct WalCounters {
-  std::atomic<uint64_t> records_appended{0};
-  std::atomic<uint64_t> bytes_appended{0};
-  std::atomic<uint64_t> fsyncs{0};
+  IW_COUNTER_ATOMICS(IW_WAL_COUNTERS)
 };
 
 class WriteAheadLog {
@@ -83,11 +83,11 @@ class WriteAheadLog {
   /// Size of the file header (magic + format); the offset of the first
   /// record, and the smallest meaningful `resume_at`.
   static constexpr uint64_t kHeaderSize = 8;
+  /// Group-commit flush interval for Sync::kBatch.
+  static constexpr uint32_t kBatchIntervalMs = 5;
 
   struct Options {
     Sync sync = Sync::kBatch;
-    /// Group-commit flush interval for Sync::kBatch.
-    uint32_t batch_interval_ms = 5;
     /// Aggregated server-wide counters; may be null.
     WalCounters* counters = nullptr;
     /// Crash injection (tests only); may be null.

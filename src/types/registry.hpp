@@ -97,7 +97,12 @@ class TypeRegistry {
   /// encode/decode over this registry's descriptors (relaxed atomics; safe
   /// without any lock).
   TranslationStats translation_stats() const noexcept {
-    return translation_counters_.snapshot();
+    TranslationStats s;
+    translation_counters_.snapshot_into(s);
+    return s;
+  }
+  const TranslationCounters& translation_counters() const noexcept {
+    return translation_counters_;
   }
   void reset_translation_stats() noexcept { translation_counters_.reset(); }
 

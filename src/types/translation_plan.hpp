@@ -18,52 +18,34 @@
 // registry's LayoutRules.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "types/platform.hpp"
+#include "util/counters.hpp"
 
 namespace iw {
 
 class TypeDescriptor;
 class TranslationPlan;
 
+/// Translation counters of one TypeRegistry, shared by all its descriptors.
+#define IW_TRANSLATION_COUNTERS(X) \
+  X(plan_cache_hits)               \
+  X(plan_cache_misses)             \
+  X(bytes_encoded)                 \
+  X(bytes_decoded)                 \
+  X(isomorphic_fast_path_blocks)
+
 /// Snapshot of one registry's translation counters.
 struct TranslationStats {
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t bytes_encoded = 0;
-  uint64_t bytes_decoded = 0;
-  uint64_t isomorphic_fast_path_blocks = 0;
+  IW_TRANSLATION_COUNTERS(IW_COUNTER_FIELD)
 };
 
-/// Relaxed-atomic counters shared by every descriptor of one TypeRegistry
-/// (same pattern as the server's AtomicStats: mutation paths never lock).
+/// The live counters (util/counters.hpp: mutation paths never lock).
 struct TranslationCounters {
-  std::atomic<uint64_t> plan_cache_hits{0};
-  std::atomic<uint64_t> plan_cache_misses{0};
-  std::atomic<uint64_t> bytes_encoded{0};
-  std::atomic<uint64_t> bytes_decoded{0};
-  std::atomic<uint64_t> isomorphic_fast_path_blocks{0};
-
-  TranslationStats snapshot() const noexcept {
-    TranslationStats s;
-    s.plan_cache_hits = plan_cache_hits.load(std::memory_order_relaxed);
-    s.plan_cache_misses = plan_cache_misses.load(std::memory_order_relaxed);
-    s.bytes_encoded = bytes_encoded.load(std::memory_order_relaxed);
-    s.bytes_decoded = bytes_decoded.load(std::memory_order_relaxed);
-    s.isomorphic_fast_path_blocks =
-        isomorphic_fast_path_blocks.load(std::memory_order_relaxed);
-    return s;
-  }
-  void reset() noexcept {
-    plan_cache_hits.store(0, std::memory_order_relaxed);
-    plan_cache_misses.store(0, std::memory_order_relaxed);
-    bytes_encoded.store(0, std::memory_order_relaxed);
-    bytes_decoded.store(0, std::memory_order_relaxed);
-    isomorphic_fast_path_blocks.store(0, std::memory_order_relaxed);
-  }
+  IW_COUNTER_ATOMICS(IW_TRANSLATION_COUNTERS)
+  void reset() noexcept { IW_TRANSLATION_COUNTERS(IW_COUNTER_CLEAR) }
 };
 
 /// One instruction of a compiled plan. Ops are sorted by first_unit and

@@ -21,7 +21,8 @@
 //   * directory edge cases — consistent-hash placement, explicit
 //     placement overrides, orphan-journal revival on a promoted replica,
 //     the double-promotion race, a deposed primary's late kWalAppend
-//     being fenced by epoch, and remote resolution through DirectoryCore.
+//     being fenced by epoch, a replica refusing a record that skips a
+//     version or type serial, and remote resolution through DirectoryCore.
 //
 // The workload idiom matches chaos_test.cpp: named blocks, absolute values
 // derived from (seed, step), whole-critical-section retry — so an
@@ -34,6 +35,7 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -48,6 +50,7 @@
 
 #include "interweave/interweave.hpp"
 #include "server/replication.hpp"
+#include "util/endian.hpp"
 
 namespace iw {
 namespace {
@@ -107,10 +110,15 @@ Model snapshot_of(Client& c, ClientSegment* seg) {
 /// connection — the failure that drives a client into failover resolution.
 class KillableCore final : public ServerCore {
  public:
+  /// Swaps the backing server. New calls are refused at once; the swap then
+  /// waits for the calls already inside the old server to return, so the
+  /// caller may tear it down.
   void set_server(server::SegmentServer* server) {
-    std::lock_guard lock(mu_);
+    std::unique_lock lock(mu_);
+    const bool had_server = server_ != nullptr;
     server_ = server;
     known_.clear();
+    if (had_server) idle_.wait(lock, [&] { return in_flight_ == 0; });
   }
 
   void on_connect(SessionId session, Notifier notify) override {
@@ -130,15 +138,32 @@ class KillableCore final : public ServerCore {
   }
 
   Frame handle(SessionId session, const Frame& request) override {
-    std::lock_guard lock(mu_);
-    if (server_ == nullptr || known_.find(session) == known_.end()) {
-      throw Error::transport(ErrorCode::kConnReset, "server killed");
+    server::SegmentServer* server = nullptr;
+    {
+      std::lock_guard lock(mu_);
+      if (server_ == nullptr || known_.find(session) == known_.end()) {
+        throw Error::transport(ErrorCode::kConnReset, "server killed");
+      }
+      server = server_;
+      ++in_flight_;
     }
-    return server_->handle(session, request);
+    // The call runs without mu_: a recruit's backfill dials another node's
+    // proxy from inside it, and holding mu_ across that would take two
+    // proxies' mutexes in both orders.
+    struct Leave {
+      KillableCore& core;
+      ~Leave() {
+        std::lock_guard lock(core.mu_);
+        if (--core.in_flight_ == 0) core.idle_.notify_all();
+      }
+    } leave{*this};
+    return server->handle(session, request);
   }
 
  private:
   std::mutex mu_;
+  std::condition_variable idle_;  ///< in_flight_ dropped to 0
+  int in_flight_ = 0;             ///< handle() calls inside server_
   server::SegmentServer* server_ = nullptr;
   std::unordered_set<SessionId> known_;
 };
@@ -740,6 +765,106 @@ TEST(ReplicationEdgeTest, StalePrimaryLateWalAppendRejectedByEpoch) {
   EXPECT_THROW(replicator.replicate(kUrl, 2, WalRecordType::kCommit, head),
                Error);
   replicator.shutdown();
+}
+
+// The one record apply, replica side: a kWalAppend record whose commit
+// skips a version, or whose type serial skips one, is refused with
+// kProtocol before it touches anything — the replica's store version, type
+// table and journal stay exactly as they were, and the stream resumes once
+// the missing record arrives.
+TEST(ReplicationEdgeTest, ReplicaRefusesVersionAndTypeSerialGaps) {
+  fs::path dir = fs::temp_directory_path() /
+                 ("iw-repl-gap-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const std::string log_name = "host%2Freplicated.iwlog";
+
+  // A source server journals the real records the stream would carry: two
+  // type registrations and the commits that use them.
+  server::SegmentServer::Options sopts;
+  sopts.checkpoint_dir = (dir / "source").string();
+  sopts.compress_payloads = false;
+  {
+    server::SegmentServer source(sopts);
+    Client client([&source](const std::string&) {
+      return std::make_shared<InProcChannel>(source);
+    });
+    ClientSegment* seg = client.open_segment(kUrl);
+    const TypeDescriptor* i32 =
+        client.types().primitive(PrimitiveKind::kInt32);
+    client.write_lock(seg);
+    client.malloc_block(seg, client.types().array_of(i32, kUnits), "a");
+    client.write_unlock(seg);  // v2
+    client.write_lock(seg);
+    client.malloc_block(seg, client.types().array_of(i32, kUnits + 1), "b");
+    client.write_unlock(seg);  // v3
+  }
+  std::vector<std::vector<uint8_t>> types;
+  std::vector<uint8_t> commit_v2;
+  for (const WriteAheadLog::Record& rec :
+       WriteAheadLog::replay((dir / "source" / log_name).string()).records) {
+    if (rec.type == WalRecordType::kRegisterType) types.push_back(rec.payload);
+    if (rec.type == WalRecordType::kCommit && commit_v2.empty()) {
+      commit_v2 = rec.payload;
+    }
+  }
+  ASSERT_EQ(types.size(), 2u);
+  ASSERT_FALSE(commit_v2.empty());
+  // Records re-labelled with another serial or version prefix.
+  auto relabel = [](std::vector<uint8_t> payload, uint32_t prefix) {
+    store_be32(payload.data(), prefix);
+    return payload;
+  };
+
+  server::SegmentServer::Options ropts;
+  ropts.checkpoint_dir = (dir / "replica").string();
+  server::SegmentServer replica(ropts);
+  auto ch = std::make_shared<InProcChannel>(replica);
+  auto append = [&](WalRecordType type, const std::vector<uint8_t>& body) {
+    Buffer batch;
+    batch.append_u32(1);
+    batch.append_lp_string(kUrl);
+    batch.append_u32(1);  // placement epoch
+    batch.append_u8(static_cast<uint8_t>(type));
+    batch.append_u32(static_cast<uint32_t>(body.size()));
+    batch.append(body.data(), body.size());
+    ch->call(MsgType::kWalAppend, std::move(batch));
+  };
+  auto expect_refused = [&](WalRecordType type,
+                            const std::vector<uint8_t>& body) {
+    try {
+      append(type, body);
+      ADD_FAILURE() << "gapped record accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kProtocol) << e.what();
+    }
+  };
+  auto type_count = [&] {
+    Buffer req;
+    req.append_lp_string(kUrl);
+    Frame info = ch->call(MsgType::kSegmentInfo, std::move(req));
+    BufReader in = info.reader();
+    in.read_u32();  // version
+    return in.read_u32();
+  };
+  const fs::path journal = dir / "replica" / log_name;
+
+  append(WalRecordType::kRegisterType, types[0]);
+  const uintmax_t journal_bytes = fs::file_size(journal);
+  // v2's diff is well-formed against v1; only its version label skips one.
+  expect_refused(WalRecordType::kCommit, relabel(commit_v2, 3));
+  // The second type's graph is new; only its serial label skips one.
+  expect_refused(WalRecordType::kRegisterType, relabel(types[1], 3));
+  EXPECT_EQ(replica.segment_version(kUrl), 1u);
+  EXPECT_EQ(type_count(), 1u);
+  EXPECT_EQ(fs::file_size(journal), journal_bytes);
+  EXPECT_EQ(replica.stats().repl_records_applied, 1u);
+
+  append(WalRecordType::kCommit, commit_v2);
+  append(WalRecordType::kRegisterType, types[1]);
+  EXPECT_EQ(replica.segment_version(kUrl), 2u);
+  EXPECT_EQ(type_count(), 2u);
+  EXPECT_GT(fs::file_size(journal), journal_bytes);
+  fs::remove_all(dir);
 }
 
 // Resolution over the wire: a client with no directory object of its own

@@ -5,7 +5,8 @@
 //     truncation, corruption stopping replay, checkpoint truncation.
 //  2. WalRecovery — whole-server recovery composition: journal-only
 //     recovery, snapshot+tail replay, the crash window between a
-//     checkpoint landing and its journal truncate, and the stats surface.
+//     checkpoint landing and its journal truncate, appends that fail (a
+//     file-size cap) without losing any later ack, and the stats surface.
 //  3. CrashMatrix — the real thing: fork a SegmentServer, let a seeded
 //     WalCrashSchedule SIGKILL it at an exact point inside an append
 //     (short header / mid-record / before sync), restart in the parent,
@@ -17,10 +18,12 @@
 //     guarantee.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +36,7 @@
 
 #include "interweave/interweave.hpp"
 #include "server/checkpoint.hpp"
+#include "server/replication.hpp"
 #include "server/wal.hpp"
 #include "wire/payload.hpp"
 
@@ -42,6 +46,7 @@ namespace {
 namespace fs = std::filesystem;
 using server::SegmentServer;
 using server::WalRecordType;
+using server::WalReplicator;
 using server::WriteAheadLog;
 
 std::vector<uint8_t> bytes_of(const std::string& s) {
@@ -548,6 +553,128 @@ TEST_F(WalRecovery, DisabledWalWritesNoJournal) {
   run_commits(server, 1, 3);
   EXPECT_EQ(server.stats().wal_records_appended, 0u);
   EXPECT_FALSE(fs::exists(dir_ / "host%2Fdurable.iwlog"));
+}
+
+/// Caps every file this process writes at `bytes` (RLIMIT_FSIZE, with
+/// SIGXFSZ ignored so an over-cap write fails with EFBIG instead of killing
+/// the process) until destroyed: a journal append or a checkpoint then
+/// fails on demand, partway through when the cap falls inside it.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = saved_;
+    cap.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &cap);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = SIG_DFL;
+};
+
+TEST_F(WalRecovery, FailedTypeAppendIsCheckpointedBeforeTheNextAck) {
+  // A type registration's append fails outright. The store holds the type
+  // and the journal does not, and the client's retry only hits the dedup
+  // path: unless the segment is re-anchored on a checkpoint before anything
+  // is acked, recovery cannot apply the commit that uses the type.
+  uint32_t acked = 0;
+  {
+    SegmentServer server(server_options());
+    run_commits(server, 1, 4);
+    server.checkpoint();  // the journal is back to its bare header
+    ASSERT_EQ(fs::file_size(dir_ / "host%2Fdurable.iwlog"),
+              WriteAheadLog::kHeaderSize);
+    Client c([&](const std::string&) {
+      return std::make_shared<InProcChannel>(server);
+    });
+    const TypeDescriptor* pair =
+        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 2);
+    ClientSegment* seg = c.open_segment(kSegName);
+    c.write_lock(seg);
+    {
+      FileSizeCap cap(WriteAheadLog::kHeaderSize);
+      EXPECT_THROW(c.malloc_block(seg, pair, "p"), Error);
+    }
+    auto* p = static_cast<int32_t*>(c.malloc_block(seg, pair, "p"));
+    p[0] = 7;
+    p[1] = 9;
+    c.write_unlock(seg);
+    acked = seg->version();
+  }
+  SegmentServer revived(server_options());
+  revived.recover();
+  EXPECT_EQ(revived.segment_version(kSegName), acked);
+  expect_converged(revived, 4);
+  Client c([&](const std::string&) {
+    return std::make_shared<InProcChannel>(revived);
+  });
+  ClientSegment* seg = c.open_segment(kSegName, false);
+  c.read_lock(seg);
+  client::BlockHeader* blk = seg->heap().find_by_name("p");
+  ASSERT_NE(blk, nullptr);
+  EXPECT_EQ(reinterpret_cast<const int32_t*>(blk->data())[1], 9);
+  c.read_unlock(seg);
+}
+
+TEST_F(WalRecovery, TornCommitAppendIsCheckpointedBeforeTheNextAck) {
+  // A commit's append writes 3 bytes and fails, and so does the checkpoint
+  // that tries to re-anchor it, leaving a torn record at the end of the
+  // journal. Recovery cuts off every record appended after it, so the
+  // next commit may only be acked over a checkpoint that truncates it.
+  uint32_t acked = 0;
+  {
+    SegmentServer server(server_options());
+    run_commits(server, 1, 4);
+    server.checkpoint();
+    {
+      FileSizeCap cap(WriteAheadLog::kHeaderSize + 3);
+      EXPECT_THROW(run_commits(server, 5, 1), Error);
+    }
+    run_commits(server, 6, 3, [&](uint32_t v) { acked = v; });
+  }
+  SegmentServer revived(server_options());
+  revived.recover();
+  EXPECT_EQ(revived.segment_version(kSegName), acked);
+  // Step 5 was applied before its append failed; the checkpoint keeps it.
+  expect_converged(revived, 8);
+}
+
+TEST_F(WalRecovery, ReplicateLegRunsWhenTheJournalAppendFails) {
+  // The replica keeps no files, so the cap below only fails the primary's
+  // journal. The commit whose append fails is applied on the primary, so
+  // it must reach the replica too: a replica that missed it would refuse
+  // the next commit as a version gap and stall the link.
+  SegmentServer replica;
+  WalReplicator::Options wopts;
+  wopts.replication_factor = 1;
+  wopts.ack_timeout_ms = 2'000;
+  auto replicator = std::make_shared<WalReplicator>(wopts);
+  replicator->add_replica("replica",
+                          [&replica]() -> std::shared_ptr<ClientChannel> {
+                            return std::make_shared<InProcChannel>(replica);
+                          });
+  SegmentServer::Options popts = server_options();
+  popts.replicator = replicator;
+  SegmentServer primary(popts);
+  run_commits(primary, 1, 2);
+  primary.checkpoint();
+  {
+    FileSizeCap cap(WriteAheadLog::kHeaderSize);
+    EXPECT_THROW(run_commits(primary, 3, 1), Error);
+  }
+  EXPECT_EQ(replica.segment_version(kSegName),
+            primary.segment_version(kSegName));
+  uint32_t acked = 0;
+  ASSERT_NO_THROW(run_commits(primary, 4, 2, [&](uint32_t v) { acked = v; }));
+  EXPECT_EQ(replica.segment_version(kSegName), acked);
+  expect_converged(replica, 5);
+  replicator->shutdown();
 }
 
 /// Minimal restartable-core proxy (the chaos test has the full-featured
