@@ -37,6 +37,8 @@ namespace {
 constexpr uint32_t kUnits = 8192;     // int32 units per block (32 KiB)
 constexpr uint32_t kRunUnits = 2048;  // units modified per commit (8 KiB)
 const char* const kSeg = "bench/durable";
+/// The handle each session binds kSeg to.
+constexpr uint32_t kSegHandle = 1;
 
 Frame call(InProcChannel& ch, MsgType type,
            const std::function<void(Buffer&)>& fill) {
@@ -68,12 +70,13 @@ RunResult run_config(bool wal, server::WriteAheadLog::Sync sync, int cycles) {
     InProcChannel ch(server);
 
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-      p.append_lp_string(kSeg);
+      p.append_varint(kSegHandle);
+      p.append_vstring(kSeg);
       p.append_u8(1);
     });
     TypeRegistry scratch(Platform::native().rules);
     call(ch, MsgType::kRegisterType, [&](Buffer& p) {
-      p.append_lp_string(kSeg);
+      p.append_varint(kSegHandle);
       TypeCodec::encode_graph(
           scratch.array_of(scratch.primitive(PrimitiveKind::kInt32), kUnits),
           p);
@@ -88,7 +91,7 @@ RunResult run_config(bool wal, server::WriteAheadLog::Sync sync, int cycles) {
 
     for (int c = 0; c < cycles; ++c) {
       Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-        p.append_vstring(kSeg);
+        p.append_varint(kSegHandle);
         p.append_varint(version);
       });
       uint32_t next_serial = acq.reader().read_varint32();
@@ -96,7 +99,7 @@ RunResult run_config(bool wal, server::WriteAheadLog::Sync sync, int cycles) {
       // any fdatasync) sits between the commit and its acknowledgement.
       auto start = Clock::now();
       call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-        p.append_vstring(kSeg);
+        p.append_varint(kSegHandle);
         p.append_u8(payload_method::kRaw);
         DiffWriter w(p, version, version + 1);
         if (serial == 0) {
@@ -170,12 +173,13 @@ PayloadResult run_payload(bool compress, bool compressible, int cycles) {
     server::SegmentServer server(sopts);
     InProcChannel ch(server);
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-      p.append_lp_string(kSeg);
+      p.append_varint(kSegHandle);
+      p.append_vstring(kSeg);
       p.append_u8(1);
     });
     TypeRegistry scratch(Platform::native().rules);
     call(ch, MsgType::kRegisterType, [&](Buffer& p) {
-      p.append_lp_string(kSeg);
+      p.append_varint(kSegHandle);
       TypeCodec::encode_graph(
           scratch.array_of(scratch.primitive(PrimitiveKind::kInt32), kUnits),
           p);
@@ -189,7 +193,7 @@ PayloadResult run_payload(bool compress, bool compressible, int cycles) {
     auto run_start = Clock::now();
     for (int c = 0; c < cycles; ++c) {
       Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-        p.append_vstring(kSeg);
+        p.append_varint(kSegHandle);
         p.append_varint(version);
       });
       uint32_t next_serial = acq.reader().read_varint32();
@@ -202,7 +206,7 @@ PayloadResult run_payload(bool compress, bool compressible, int cycles) {
       };
       auto start = Clock::now();
       call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-        p.append_vstring(kSeg);
+        p.append_varint(kSegHandle);
         p.append_u8(payload_method::kRaw);
         DiffWriter w(p, version, version + 1);
         if (serial == 0) {

@@ -34,6 +34,8 @@ namespace {
 constexpr uint32_t kUnits = 8192;     // int32 units per block (32 KiB)
 constexpr uint32_t kRunUnits = 2048;  // units modified per commit (8 KiB)
 const char* const kSeg = "bench/failover";
+/// The handle each session binds kSeg to.
+constexpr uint32_t kSegHandle = 1;
 
 Frame call(InProcChannel& ch, MsgType type,
            const std::function<void(Buffer&)>& fill) {
@@ -47,12 +49,13 @@ Frame call(InProcChannel& ch, MsgType type,
 double run_commits(InProcChannel& ch, int cycles,
                    std::vector<uint64_t>* latencies_ns) {
   call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-    p.append_lp_string(kSeg);
+    p.append_varint(kSegHandle);
+    p.append_vstring(kSeg);
     p.append_u8(1);
   });
   TypeRegistry scratch(Platform::native().rules);
   call(ch, MsgType::kRegisterType, [&](Buffer& p) {
-    p.append_lp_string(kSeg);
+    p.append_varint(kSegHandle);
     TypeCodec::encode_graph(
         scratch.array_of(scratch.primitive(PrimitiveKind::kInt32), kUnits), p);
   });
@@ -63,13 +66,13 @@ double run_commits(InProcChannel& ch, int cycles,
   auto run_start = Clock::now();
   for (int c = 0; c < cycles; ++c) {
     Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-      p.append_vstring(kSeg);
+      p.append_varint(kSegHandle);
       p.append_varint(version);
     });
     uint32_t next_serial = acq.reader().read_varint32();
     auto start = Clock::now();
     call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_vstring(kSeg);
+      p.append_varint(kSegHandle);
       p.append_u8(payload_method::kRaw);
       DiffWriter w(p, version, version + 1);
       if (serial == 0) {
@@ -196,10 +199,11 @@ Promote bench_promote(int trials, int prefix_commits) {
     out.max_ms = std::max(out.max_ms, ms);
     InProcChannel rch(*replica);
     Buffer req;
-    req.append_lp_string(kSeg);
+    req.append_varint(0);  // handle 0: a probe binds nothing
+    req.append_vstring(kSeg);
     req.append_u8(0);
-    out.replica_version =
-        rch.call(MsgType::kOpenSegment, std::move(req)).reader().read_u32();
+    Frame opened = rch.call(MsgType::kOpenSegment, std::move(req));
+    out.replica_version = opened.reader().read_varint32();
   }
   out.mean_ms = trials > 0 ? total_ms / trials : 0;
   return out;
@@ -265,7 +269,8 @@ RestoreRf bench_restore_rf(int trials, int prefix_commits) {
       // after two replicas journaled it — the state a real kill interrupts.
       InProcChannel ch(*nodes[0]);
       call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-        p.append_lp_string(kSeg);
+        p.append_varint(kSegHandle);
+        p.append_vstring(kSeg);
         p.append_u8(1);
       });
       if (repairer.tick() != 0) {

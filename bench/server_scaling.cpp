@@ -91,6 +91,8 @@ namespace {
 
 constexpr uint32_t kUnits = 8192;     // int32 array units per block (32 KiB)
 constexpr uint32_t kRunUnits = 2048;  // units modified per cycle (8 KiB)
+/// Segment handle a bench connection binds its one segment to.
+constexpr uint32_t kSegHandle = 1;
 
 /// The seed's concurrency model: one mutex in front of the whole server.
 class GlobalLockCore final : public ServerCore {
@@ -134,12 +136,13 @@ std::vector<uint64_t> client_loop(uint16_t port, int thread_id, int cycles,
   uint64_t requests = 0;
 
   call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-    p.append_lp_string(seg);
+    p.append_varint(kSegHandle);
+    p.append_vstring(seg);
     p.append_u8(1);
   });
   TypeRegistry scratch(Platform::native().rules);
   call(ch, MsgType::kRegisterType, [&](Buffer& p) {
-    p.append_lp_string(seg);
+    p.append_varint(kSegHandle);
     TypeCodec::encode_graph(
         scratch.array_of(scratch.primitive(PrimitiveKind::kInt32), kUnits), p);
   });
@@ -153,12 +156,12 @@ std::vector<uint64_t> client_loop(uint16_t port, int thread_id, int cycles,
   for (int c = 0; c < cycles; ++c) {
     auto start = Clock::now();
     Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-      p.append_vstring(seg);
+      p.append_varint(kSegHandle);
       p.append_varint(version);
     });
     uint32_t next_serial = acq.reader().read_varint32();
     call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_vstring(seg);
+      p.append_varint(kSegHandle);
       p.append_u8(payload_method::kRaw);
       DiffWriter w(p, version, version + 1);
       if (serial == 0) {
@@ -181,7 +184,7 @@ std::vector<uint64_t> client_loop(uint16_t port, int thread_id, int cycles,
       // A cold reader: assumed version 0 forces the server to collect and
       // ship the full block under the segment lock.
       call(ch, MsgType::kAcquireRead, [&](Buffer& p) {
-        p.append_vstring(seg);
+        p.append_varint(kSegHandle);
         p.append_varint(0);
         p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
         p.append_varint(0);
@@ -303,21 +306,15 @@ struct RawConn {
 
   Frame read_frame() {
     for (;;) {
-      if (buf.size() - pos >= kFrameHeaderSize) {
-        FrameHeader h = decode_frame_header(buf.data() + pos);
-        if (buf.size() - pos >= kFrameHeaderSize + h.payload_size) {
-          Frame f;
-          f.type = h.type;
-          f.request_id = h.request_id;
-          const uint8_t* body = buf.data() + pos + kFrameHeaderSize;
-          f.payload.assign(body, body + h.payload_size);
-          pos += kFrameHeaderSize + h.payload_size;
-          if (pos == buf.size()) {
-            buf.clear();
-            pos = 0;
-          }
-          return f;
+      Frame f;
+      if (size_t used =
+              decode_frame({buf.data() + pos, buf.size() - pos}, &f)) {
+        pos += used;
+        if (pos == buf.size()) {
+          buf.clear();
+          pos = 0;
         }
+        return f;
       }
       if (pos > 0 && buf.size() > (64u << 10)) {
         buf.erase(buf.begin(), buf.begin() + static_cast<long>(pos));
@@ -359,24 +356,26 @@ void seed_conn_segments(ConnScalingShared* sh) {
   TypeRegistry scratch(Platform::native().rules);
   for (int s = 0; s < kConnSegments; ++s) {
     std::string seg = conn_segment(s);
+    const uint32_t handle = static_cast<uint32_t>(s) + 1;
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-      p.append_lp_string(seg);
+      p.append_varint(handle);
+      p.append_vstring(seg);
       p.append_u8(1);
     });
     call(ch, MsgType::kRegisterType, [&](Buffer& p) {
-      p.append_lp_string(seg);
+      p.append_varint(handle);
       TypeCodec::encode_graph(
           scratch.array_of(scratch.primitive(PrimitiveKind::kInt32),
                            kConnUnits),
           p);
     });
     Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-      p.append_vstring(seg);
+      p.append_varint(handle);
       p.append_varint(1);
     });
     uint32_t serial = acq.reader().read_varint32();
     Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_vstring(seg);
+      p.append_varint(handle);
       p.append_u8(payload_method::kRaw);
       DiffWriter w(p, 1, 2);
       w.begin_block(serial, diff_flags::kNew | diff_flags::kWhole, 1, "d");
@@ -400,11 +399,12 @@ void conn_writer_loop(ConnScalingShared* sh, int index) {
       sh->notifications.fetch_add(1, std::memory_order_relaxed);
     });
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-      p.append_lp_string(seg);
+      p.append_varint(kSegHandle);
+      p.append_vstring(seg);
       p.append_u8(0);
     });
     call(ch, MsgType::kSubscribe,
-         [&](Buffer& p) { p.append_lp_string(seg); });
+         [&](Buffer& p) { p.append_varint(kSegHandle); });
     uint32_t version = sh->versions[static_cast<size_t>(index)];
     uint32_t serial = sh->serials[static_cast<size_t>(index)];
     sh->ready.fetch_add(1);
@@ -416,11 +416,11 @@ void conn_writer_loop(ConnScalingShared* sh, int index) {
     uint64_t iter = 0;
     while (!sh->stop.load(std::memory_order_acquire)) {
       call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-        p.append_vstring(seg);
+        p.append_varint(kSegHandle);
         p.append_varint(version);
       });
       Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-        p.append_vstring(seg);
+        p.append_varint(kSegHandle);
         p.append_u8(payload_method::kRaw);
         DiffWriter w(p, version, version + 1);
         w.begin_block(serial, 0);
@@ -457,11 +457,12 @@ void conn_reader_loop(ConnScalingShared* sh, int index,
     std::string seg = conn_segment(index);
     RawConn conn(sh->port);
     Buffer open_payload;
-    open_payload.append_lp_string(seg);
+    open_payload.append_varint(kSegHandle);
+    open_payload.append_vstring(seg);
     open_payload.append_u8(0);
     conn.send_all(encode_req(MsgType::kOpenSegment, 1, open_payload));
     Buffer sub_payload;
-    sub_payload.append_lp_string(seg);
+    sub_payload.append_varint(kSegHandle);
     conn.send_all(encode_req(MsgType::kSubscribe, 2, sub_payload));
     for (int got = 0; got < 2;) {
       if (conn.read_frame().request_id != 0) ++got;
@@ -484,7 +485,7 @@ void conn_reader_loop(ConnScalingShared* sh, int index,
       }
       if (iter % 4 == 0) {
         Buffer rp;
-        rp.append_vstring(seg);
+        rp.append_varint(kSegHandle);
         rp.append_varint(0);  // cold: server collects the whole block
         rp.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
         rp.append_varint(0);

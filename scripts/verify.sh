@@ -9,9 +9,11 @@
 # then the fault/lease/chaos suites under UBSan and TSan — the chaos
 # workload's reconnect/lease interleavings are exactly what -fsanitize=thread
 # is good at catching — plus the reactor transport suite (partial frames,
-# burst coalescing, backpressure, worker-pool elasticity) under both
-# sanitizers and the chaos/lease suites again over TCP, so the epoll
-# reactor's cross-thread outbox/retirement protocol is raced under TSan.
+# burst coalescing, backpressure, worker-pool elasticity) and the TCP
+# client channel suite (its receive loop decodes header varints off the
+# socket and races the callers it hands frames to) under both sanitizers,
+# and the chaos/lease suites again over TCP, so the epoll reactor's
+# cross-thread outbox/retirement protocol is raced under TSan.
 # Lock caching and payload compression are part of the one protocol
 # version, so every chaos/lease run above already carries cached reader
 # locks (revocation acks ride a background worker thread racing acquires,
@@ -51,14 +53,14 @@ cmake -B "$UBSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$UBSAN_BUILD" -j "$JOBS" \
       --target wire_translate_test wire_diff_test fuzz_protocol_test \
       server_store_test compress_interop_test checkpoint_test fault_test \
-      lease_test chaos_test reactor_test lock_cache_test \
+      lease_test chaos_test reactor_test net_tcp_test lock_cache_test \
       replication_chaos_test
 for t in wire_translate_test wire_diff_test fuzz_protocol_test \
          server_store_test compress_interop_test checkpoint_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/"$t"
 done
-for t in fault_test lease_test chaos_test reactor_test lock_cache_test \
-         replication_chaos_test; do
+for t in fault_test lease_test chaos_test reactor_test net_tcp_test \
+         lock_cache_test replication_chaos_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/"$t"
 done
 echo "== replicated failover over real sockets under UBSan =="
@@ -102,9 +104,10 @@ echo "== fault/lease/chaos tests under TSan =="
 cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j "$JOBS" \
-      --target fault_test lease_test chaos_test reactor_test lock_cache_test \
-      replication_chaos_test
-for t in fault_test lease_test chaos_test reactor_test lock_cache_test; do
+      --target fault_test lease_test chaos_test reactor_test net_tcp_test \
+      lock_cache_test replication_chaos_test
+for t in fault_test lease_test chaos_test reactor_test net_tcp_test \
+         lock_cache_test; do
   TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD"/tests/"$t"
 done
 # The SIGKILL suite forks a multi-threaded child, which TSan's runtime

@@ -180,8 +180,12 @@ void Client::handle_revoke(const std::string& url, uint32_t gen,
       // server ignores acks whose generation doesn't match a pending
       // revocation.
       lock_cache_.erase(url);
-      if (std::shared_ptr<ClientChannel> strong = ch.lock()) {
-        revoke_ack_queue_.push_back({url, gen, std::move(strong)});
+      // No handle: the segment is closed, and its close dropped the
+      // server-side state the revoke was about.
+      auto h = handle_by_url_.find(url);
+      std::shared_ptr<ClientChannel> strong = ch.lock();
+      if (h != handle_by_url_.end() && strong != nullptr) {
+        revoke_ack_queue_.push_back({h->second, gen, std::move(strong)});
         ack_now = true;
       }
     } else {
@@ -206,7 +210,7 @@ void Client::revoke_ack_loop() {
     cl.unlock();
     try {
       Buffer payload;
-      payload.append_vstring(ack.url);
+      payload.append_varint(ack.handle);
       payload.append_varint(ack.gen);
       ack.channel->call(MsgType::kRevokeAck, std::move(payload));
       cache_counters_.revokes_acked.fetch_add(1, std::memory_order_relaxed);
@@ -243,56 +247,44 @@ ClientSegment* Client::segment_for_url_locked(const std::string& url,
   if (it != segments_.end()) return it->second.get();
 
   auto channel = channel_for(url);
+  const uint32_t handle = next_handle_++;
   Buffer payload;
-  payload.append_lp_string(url);
+  payload.append_varint(handle);
+  payload.append_vstring(url);
   payload.append_u8(create ? 1 : 0);
   Frame resp = channel->call(MsgType::kOpenSegment, std::move(payload));
   BufReader r = resp.reader();
-  uint32_t server_version = r.read_u32();
-  (void)r.read_u32();  // next serial; only meaningful under a write lock
-
-  auto seg = std::unique_ptr<ClientSegment>(
-      new ClientSegment(this, url, channel));
-  ClientSegment* raw = seg.get();
-  raw->channel_epoch_ = channel->session_epoch();
-  segments_.emplace(url, std::move(seg));
-  note_version(url, server_version);
-
-  if (options_.subscribe_notifications) {
-    Buffer sub;
-    sub.append_lp_string(url);
-    channel->call(MsgType::kSubscribe, std::move(sub));
-  }
-  return raw;
+  uint32_t server_version = r.read_varint32();
+  (void)r.read_varint32();  // next serial; only meaningful under a write lock
+  ClientSegment* seg =
+      add_segment_locked(url, handle, std::move(channel), server_version);
+  subscribe_locked(seg);
+  return seg;
 }
 
 ClientSegment* Client::reserve_remote_segment_locked(const std::string& url) {
   auto channel = channel_for(url);
+  const uint32_t handle = next_handle_++;
   Buffer payload;
-  payload.append_lp_string(url);
+  payload.append_varint(handle);
+  payload.append_vstring(url);
   Frame resp = channel->call(MsgType::kSegmentInfo, std::move(payload));
   BufReader r = resp.reader();
-  uint32_t server_version = r.read_u32();
+  uint32_t server_version = r.read_varint32();
+  ClientSegment* raw =
+      add_segment_locked(url, handle, std::move(channel), server_version);
 
-  auto seg = std::unique_ptr<ClientSegment>(
-      new ClientSegment(this, url, channel));
-  ClientSegment* raw = seg.get();
-  raw->channel_epoch_ = channel->session_epoch();
-  segments_.emplace(url, std::move(seg));
-  note_version(url, server_version);
-
-  uint32_t n_types = r.read_u32();
+  uint32_t n_types = r.read_varint32();
   for (uint32_t serial = 1; serial <= n_types; ++serial) {
-    uint32_t len = r.read_u32();
-    auto graph = r.read_bytes(len);
+    auto graph = r.read_bytes(r.read_varint32());
     BufReader gr(graph.data(), graph.size());
     raw->types_.push_back(TypeCodec::decode_graph(gr, registry_));
   }
-  uint32_t n_blocks = r.read_u32();
+  uint32_t n_blocks = r.read_varint32();
   for (uint32_t i = 0; i < n_blocks; ++i) {
-    uint32_t serial = r.read_u32();
-    uint32_t type_serial = r.read_u32();
-    std::string name = r.read_lp_string();
+    uint32_t serial = r.read_varint32();
+    uint32_t type_serial = r.read_varint32();
+    std::string name = r.read_vstring();
     const std::string* name_ptr = nullptr;
     if (!name.empty()) {
       raw->name_arena_.push_back(std::move(name));
@@ -302,12 +294,29 @@ ClientSegment* Client::reserve_remote_segment_locked(const std::string& url) {
   }
   // Data was not fetched: the copy stays at version 0, so the first lock
   // acquisition pulls everything (and reconciles the directory).
-  if (options_.subscribe_notifications) {
-    Buffer sub;
-    sub.append_lp_string(url);
-    channel->call(MsgType::kSubscribe, std::move(sub));
-  }
+  subscribe_locked(raw);
   return raw;
+}
+
+ClientSegment* Client::add_segment_locked(
+    const std::string& url, uint32_t handle,
+    std::shared_ptr<ClientChannel> channel, uint32_t server_version) {
+  auto seg = std::unique_ptr<ClientSegment>(
+      new ClientSegment(this, url, handle, std::move(channel)));
+  ClientSegment* raw = seg.get();
+  raw->channel_epoch_ = raw->channel_->session_epoch();
+  segments_.emplace(url, std::move(seg));
+  note_version(url, server_version);
+  std::lock_guard cl(lock_cache_mu_);
+  handle_by_url_[url] = handle;
+  return raw;
+}
+
+void Client::subscribe_locked(ClientSegment* seg) {
+  if (!options_.subscribe_notifications) return;
+  Buffer sub;
+  sub.append_varint(seg->handle_);
+  seg->channel_->call(MsgType::kSubscribe, std::move(sub));
 }
 
 void Client::close_segment(ClientSegment* segment) {
@@ -322,13 +331,17 @@ void Client::close_segment(ClientSegment* segment) {
   // the local drop must succeed regardless.
   try {
     Buffer payload;
-    payload.append_lp_string(segment->url_);
+    payload.append_varint(segment->handle_);
     segment->channel_->call(MsgType::kCloseSegment, std::move(payload));
   } catch (const Error&) {
   }
   // kCloseSegment dropped our per-segment server state, cached lock
-  // included.
-  forget_cached_lock(segment->url_);
+  // included, and unbound the handle.
+  {
+    std::lock_guard cl(lock_cache_mu_);
+    lock_cache_.erase(segment->url_);
+    handle_by_url_.erase(segment->url_);
+  }
   // The heap destructor unregisters every subsegment and unmaps its pages.
   segments_.erase(segment->url_);
 }
@@ -354,11 +367,11 @@ uint32_t Client::ensure_type_registered_locked(ClientSegment* seg,
   if (it != seg->type_serials_.end()) return it->second;
 
   Buffer payload;
-  payload.append_lp_string(seg->url_);
+  payload.append_varint(seg->handle_);
   TypeCodec::encode_graph(type, payload);
   Frame resp = seg->channel_->call(MsgType::kRegisterType, std::move(payload));
   BufReader r = resp.reader();
-  uint32_t serial = r.read_u32();
+  uint32_t serial = r.read_varint32();
 
   if (seg->types_.size() < serial) seg->types_.resize(serial, nullptr);
   if (seg->types_[serial - 1] == nullptr) seg->types_[serial - 1] = type;
@@ -632,11 +645,7 @@ void Client::revalidate_if_reconnected_locked(ClientSegment* seg) {
     std::lock_guard nl(notify_mu_);
     latest_versions_.erase(seg->url_);
   }
-  if (options_.subscribe_notifications) {
-    Buffer sub;
-    sub.append_lp_string(seg->url_);
-    seg->channel_->call(MsgType::kSubscribe, std::move(sub));
-  }
+  subscribe_locked(seg);
 }
 
 void Client::recover_failed_release_locked(ClientSegment* seg) {
@@ -737,7 +746,7 @@ void Client::read_lock(ClientSegment* seg) {
   }
   ++stats_.read_lock_server_calls;
   Buffer payload;
-  payload.append_vstring(seg->url_);
+  payload.append_varint(seg->handle_);
   payload.append_varint(seg->version_);
   payload.append_u8(static_cast<uint8_t>(seg->policy_.model));
   payload.append_varint(seg->policy_.param);
@@ -784,7 +793,7 @@ void Client::read_unlock(ClientSegment* seg) {
       // writer is unblocked by it, not by this thread).
       uint32_t gen = it->second.revoke_gen;
       lock_cache_.erase(it);
-      revoke_ack_queue_.push_back({seg->url_, gen, seg->channel_});
+      revoke_ack_queue_.push_back({seg->handle_, gen, seg->channel_});
       ack = true;
     }
   }
@@ -801,7 +810,7 @@ void Client::write_lock(ClientSegment* seg) {
   }
   revalidate_if_reconnected_locked(seg);
   Buffer payload;
-  payload.append_vstring(seg->url_);
+  payload.append_varint(seg->handle_);
   payload.append_varint(seg->version_);
   Frame resp = seg->channel_->call(MsgType::kAcquireWrite, std::move(payload));
   BufReader r = resp.reader();
@@ -813,7 +822,7 @@ void Client::write_lock(ClientSegment* seg) {
     // other clients are not wedged by our failure. Every release carries
     // the section envelope, so even the empty diff has its kRaw byte.
     Buffer release;
-    release.append_vstring(seg->url_);
+    release.append_varint(seg->handle_);
     release.append_u8(payload_method::kRaw);
     DiffWriter(release, seg->version_, seg->version_).finish();
     try {
@@ -935,7 +944,7 @@ void Client::abort_transaction(ClientSegment* seg) {
   }
   // 4. Release the server-side writer lock with an empty critical section.
   Buffer release;
-  release.append_vstring(seg->url_);
+  release.append_varint(seg->handle_);
   release.append_u8(payload_method::kRaw);
   DiffWriter(release, seg->version_, seg->version_).finish();
   Frame resp;
@@ -1033,7 +1042,7 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
   // send), so steady-state releases allocate nothing for the payload.
   Buffer& payload = seg->collect_buf_;
   payload.clear();
-  payload.append_vstring(seg->url_);
+  payload.append_varint(seg->handle_);
   // The diff section sits behind a method byte; the whole section is
   // collected into this reuse buffer first and compressed in place only
   // when it pays, so the vectored-send shape (one contiguous payload

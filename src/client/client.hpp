@@ -103,13 +103,15 @@ class ClientSegment {
  private:
   friend class Client;
   friend class ClientHooks;
-  ClientSegment(Client* client, std::string url,
+  ClientSegment(Client* client, std::string url, uint32_t handle,
                 std::shared_ptr<ClientChannel> channel)
-      : client_(client), url_(std::move(url)), channel_(std::move(channel)),
-        heap_(this) {}
+      : client_(client), url_(std::move(url)), handle_(handle),
+        channel_(std::move(channel)), heap_(this) {}
 
   Client* client_;
   std::string url_;
+  /// Names the segment in every frame after the open (wire/frame.hpp).
+  uint32_t handle_;
   std::shared_ptr<ClientChannel> channel_;
   SegmentHeap heap_;
 
@@ -283,6 +285,13 @@ class Client {
   std::shared_ptr<ClientChannel> channel_for(const std::string& url);
   ClientSegment* segment_for_url_locked(const std::string& url, bool create);
   ClientSegment* reserve_remote_segment_locked(const std::string& url);
+  /// Creates the local segment for `url` once the server has bound
+  /// `handle` to it on `channel`.
+  ClientSegment* add_segment_locked(const std::string& url, uint32_t handle,
+                                    std::shared_ptr<ClientChannel> channel,
+                                    uint32_t server_version);
+  /// Subscribes `seg`'s session to version notifications when enabled.
+  void subscribe_locked(ClientSegment* seg);
   uint32_t ensure_type_registered_locked(ClientSegment* seg,
                                          const TypeDescriptor* type);
   /// Parses an update payload (status/types/diff) and applies it.
@@ -333,6 +342,8 @@ class Client {
   ChannelFactory factory_;
   std::unordered_map<std::string, std::shared_ptr<ClientChannel>> channels_;
   std::unordered_map<std::string, std::unique_ptr<ClientSegment>> segments_;
+  /// Next segment handle; a handle is never reused within a client.
+  uint32_t next_handle_ = 1;
 
   // Pointer-token table for non-native platforms.
   std::vector<void*> ptr_tokens_;
@@ -366,6 +377,9 @@ class Client {
   /// is acked at once, so the grant in the response may already be retired
   /// server-side and must not be cached.
   std::unordered_map<std::string, uint64_t> revoke_seq_;
+  /// Handles of the open segments by URL (guarded by lock_cache_mu_): a
+  /// kRevokeRead names its segment, and the ack names it by handle.
+  std::unordered_map<std::string, uint32_t> handle_by_url_;
   /// Read locks are cached: set from auto_reconnect (see Options).
   bool lock_cache_enabled_ = false;
   struct CacheCounters {
@@ -379,7 +393,7 @@ class Client {
   /// holding the last reference, the channel is destroyed on the worker
   /// thread — never on its own notification thread.
   struct RevokeAck {
-    std::string url;
+    uint32_t handle = 0;
     uint32_t gen = 0;  ///< server's revocation generation, echoed back
     std::shared_ptr<ClientChannel> channel;
   };

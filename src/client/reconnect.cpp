@@ -37,6 +37,11 @@ void ReconnectingChannel::connect_locked() {
   hello.append_u8(kProtocolVersion);
   hello.append_varint(client_id_);
   hello.append_varint(epoch_);
+  hello.append_varint(bindings_.size());
+  for (const auto& [handle, name] : bindings_) {
+    hello.append_varint(handle);
+    hello.append_vstring(name);
+  }
   Frame resp = ch->call(MsgType::kHello, std::move(hello));
   BufReader r = resp.reader();
   server_lease_ms_ = r.read_varint32();
@@ -123,7 +128,13 @@ Frame ReconnectingChannel::call(MsgType type, Buffer& payload) {
       inner = inner_;
     }
     try {
-      return inner->call(type, payload);
+      Frame response = inner->call(type, payload);
+      if (type == MsgType::kOpenSegment || type == MsgType::kSegmentInfo ||
+          type == MsgType::kCloseSegment) {
+        std::lock_guard lock(mu_);
+        note_binding_locked(type, snapshot);
+      }
+      return response;
     } catch (const Error& e) {
       // A kStaleEpoch response means the server has been deposed by a newer
       // placement epoch — and, crucially, that it did NOT apply the request
@@ -149,6 +160,17 @@ Frame ReconnectingChannel::call(MsgType type, Buffer& payload) {
       payload.clear();
       payload.append(snapshot.data(), snapshot.size());
     }
+  }
+}
+
+void ReconnectingChannel::note_binding_locked(MsgType type,
+                                              const Buffer& request) {
+  BufReader r(request.data(), request.size());
+  const uint32_t handle = r.read_varint32();
+  if (type == MsgType::kCloseSegment) {
+    bindings_.erase(handle);
+  } else if (handle != 0) {
+    bindings_[handle] = r.read_vstring();
   }
 }
 

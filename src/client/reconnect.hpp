@@ -10,8 +10,15 @@
 // owning Client compares epochs at lock acquisition to know its
 // server-side session state (subscriptions, sent-type prefix) is gone and
 // its notification-derived freshness can no longer be trusted. Every
-// connection opens with kHello (protocol version, client id, epoch); the
-// server may grant cached read locks only to a session that said hello.
+// connection opens with kHello (protocol version, client id, epoch, and the
+// segment handles bound so far); the server may grant cached read locks
+// only to a session that said hello.
+//
+// Segment handles: the client names an open segment by a small handle that
+// kOpenSegment or kSegmentInfo bound for the session. The channel records
+// every binding its sessions confirmed (and drops it at kCloseSegment), and
+// the hello of each new session rebinds them all, so a replayed acquire
+// names its segment the same way on the new session.
 //
 // Idempotent calls are re-sent transparently on the new channel. The one
 // exception is kReleaseWrite: when the transport dies mid-release it is
@@ -24,8 +31,10 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "net/transport.hpp"
 #include "util/rand.hpp"
@@ -73,6 +82,9 @@ class ReconnectingChannel final : public ClientChannel {
   /// Replaces inner_ with a fresh connection, bumps the epoch, replays the
   /// hello handshake and re-installs the notify handler. Caller holds mu_.
   void connect_locked();
+  /// Records the handle binding of a kOpenSegment/kSegmentInfo that
+  /// succeeded, or forgets it for a kCloseSegment. Caller holds mu_.
+  void note_binding_locked(MsgType type, const Buffer& request);
   /// Tears down `failed` (if it is still current) and reconnects with
   /// backoff; throws the last connect error after max_reconnect_attempts.
   /// No-op when another thread already replaced the channel.
@@ -85,6 +97,8 @@ class ReconnectingChannel final : public ClientChannel {
   uint64_t client_id_;
   uint64_t epoch_ = 0;  // connect_locked() makes the first connection epoch 1
   uint32_t server_lease_ms_ = 0;
+  /// Segment handles bound on this channel, rebound by every hello.
+  std::map<uint32_t, std::string> bindings_;
   /// Byte counters of dead channel incarnations, folded in at teardown so
   /// bandwidth accounting survives reconnects.
   uint64_t dead_bytes_sent_ = 0;

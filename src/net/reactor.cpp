@@ -85,8 +85,11 @@ struct Reactor::AtomicStats {
 struct Reactor::Conn {
   /// One encoded response/notification awaiting flush.
   struct OutFrame {
-    uint8_t header[kFrameHeaderSize];
+    uint8_t header[kMaxFrameHeaderSize];
+    uint8_t header_len = 0;
     std::vector<uint8_t> payload;
+
+    size_t wire_size() const { return header_len + payload.size(); }
   };
 
   std::mutex mu;  // guards fd lifecycle, inbox, outbox, and flags below
@@ -381,27 +384,25 @@ void Reactor::handle_readable(const std::shared_ptr<Conn>& conn) {
     }
   }
 
-  // Decode every complete frame in the buffer; keep the partial tail.
+  // Decode every complete frame in the buffer; keep the partial tail (a
+  // header may end mid-varint: it waits for the next read like a payload).
   size_t off = 0;
   std::vector<Frame> decoded;
-  while (conn->rdbuf.size() - off >= kFrameHeaderSize) {
-    FrameHeader h;
+  for (;;) {
+    Frame frame;
+    size_t used;
     try {
-      h = decode_frame_header(conn->rdbuf.data() + off);
+      used = decode_frame({conn->rdbuf.data() + off, conn->rdbuf.size() - off},
+                          &frame);
     } catch (const Error& e) {
       IW_LOG(kDebug) << "protocol error from session " << conn->session
                      << ": " << e.what();
       eof = true;  // poisoned stream: tear the connection down
       break;
     }
-    if (conn->rdbuf.size() - off - kFrameHeaderSize < h.payload_size) break;
-    Frame frame;
-    frame.type = h.type;
-    frame.request_id = h.request_id;
-    const uint8_t* p = conn->rdbuf.data() + off + kFrameHeaderSize;
-    frame.payload.assign(p, p + h.payload_size);
+    if (used == 0) break;
     decoded.push_back(std::move(frame));
-    off += kFrameHeaderSize + h.payload_size;
+    off += used;
   }
   if (off > 0) {
     conn->rdbuf.erase(conn->rdbuf.begin(),
@@ -588,10 +589,10 @@ void Reactor::enqueue_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   std::lock_guard lock(conn->mu);
   if (conn->fd < 0 || conn->dead) return;  // connection is going away
   Conn::OutFrame out;
-  encode_frame_header(frame.type, frame.request_id, frame.payload.size(),
-                      out.header);
+  out.header_len = static_cast<uint8_t>(encode_frame_header(
+      frame.type, frame.request_id, frame.payload.size(), out.header));
   out.payload = std::move(frame.payload);
-  conn->out_bytes += kFrameHeaderSize + out.payload.size();
+  conn->out_bytes += out.wire_size();
   conn->outbox.push_back(std::move(out));
   update_read_interest(conn);
 }
@@ -630,14 +631,12 @@ void Reactor::flush(const std::shared_ptr<Conn>& conn) {
       for (const auto& f : conn->outbox) {
         if (nframes == kMaxFramesPerSendmsg) break;
         size_t skip = nframes == 0 ? conn->out_head_off : 0;
-        size_t hdr_take = kFrameHeaderSize > skip ? kFrameHeaderSize - skip : 0;
-        if (hdr_take > 0) {
-          iov[niov].iov_base =
-              const_cast<uint8_t*>(f.header + (kFrameHeaderSize - hdr_take));
-          iov[niov].iov_len = hdr_take;
+        if (f.header_len > skip) {
+          iov[niov].iov_base = const_cast<uint8_t*>(f.header + skip);
+          iov[niov].iov_len = f.header_len - skip;
           ++niov;
         }
-        size_t pay_skip = skip > kFrameHeaderSize ? skip - kFrameHeaderSize : 0;
+        size_t pay_skip = skip > f.header_len ? skip - f.header_len : 0;
         if (f.payload.size() > pay_skip) {
           iov[niov].iov_base =
               const_cast<uint8_t*>(f.payload.data() + pay_skip);
@@ -685,8 +684,7 @@ void Reactor::flush(const std::shared_ptr<Conn>& conn) {
       conn->out_bytes -= rem;
       while (rem > 0 && !conn->outbox.empty()) {
         const auto& head = conn->outbox.front();
-        size_t head_total = kFrameHeaderSize + head.payload.size();
-        size_t head_left = head_total - conn->out_head_off;
+        size_t head_left = head.wire_size() - conn->out_head_off;
         if (rem >= head_left) {
           rem -= head_left;
           conn->outbox.pop_front();

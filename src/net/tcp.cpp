@@ -69,44 +69,9 @@ size_t write_all_vec(int fd, const IoChain& chain) {
   return syscalls;
 }
 
-/// Reads exactly n bytes; returns false on clean EOF at a frame boundary.
-bool read_exact(int fd, uint8_t* data, size_t n) {
-  size_t got = 0;
-  while (got < n) {
-    ssize_t r = ::recv(fd, data + got, n - got, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("recv");
-    }
-    if (r == 0) {
-      if (got == 0) return false;
-      throw Error::transport(ErrorCode::kConnReset,
-                             "connection closed mid-frame");
-    }
-    got += static_cast<size_t>(r);
-  }
-  return true;
-}
-
-/// Returns false on clean EOF.
-bool recv_frame(int fd, Frame* frame, std::atomic<uint64_t>* bytes_counter) {
-  uint8_t header[kFrameHeaderSize];
-  if (!read_exact(fd, header, sizeof header)) return false;
-  FrameHeader h = decode_frame_header(header);
-  frame->type = h.type;
-  frame->request_id = h.request_id;
-  frame->payload.resize(h.payload_size);
-  if (h.payload_size > 0 &&
-      !read_exact(fd, frame->payload.data(), h.payload_size)) {
-    throw Error::transport(ErrorCode::kConnReset,
-                           "connection closed mid-frame");
-  }
-  if (bytes_counter) {
-    bytes_counter->fetch_add(kFrameHeaderSize + h.payload_size,
-                             std::memory_order_relaxed);
-  }
-  return true;
-}
+/// Receive buffer of a client channel: grows only for a frame larger than
+/// it, and shrinks back once such a frame has been delivered.
+constexpr size_t kRecvBufferBytes = 64 * 1024;
 
 /// "kAcquireWrite req#42 after 123ms" — the request context every transport
 /// throw out of TcpClientChannel::call carries, so a failure in a long
@@ -251,27 +216,48 @@ void TcpClientChannel::notify_dispatch_loop(
 void TcpClientChannel::receive_loop() {
   std::string reason = "connection closed by server";
   try {
-    Frame frame;
-    while (recv_frame(fd_, &frame, &bytes_received_)) {
-      if (frame.request_id == 0) {
-        {
-          std::lock_guard lock(notify_state_->mu);
-          notify_state_->queue.push_back(std::move(frame));
+    // One recv takes whatever the socket holds; every complete frame in
+    // it is delivered before the next recv, and a partial one (a header
+    // may end mid-varint) waits at the front of the buffer for its rest.
+    std::vector<uint8_t> buf(kRecvBufferBytes);
+    size_t begin = 0;
+    size_t end = 0;
+    for (;;) {
+      Frame frame;
+      while (size_t used = decode_frame({buf.data() + begin, end - begin},
+                                        &frame)) {
+        begin += used;
+        bytes_received_.fetch_add(used, std::memory_order_relaxed);
+        deliver(std::move(frame));
+      }
+      if (begin == end) {
+        begin = end = 0;
+        if (buf.size() > kRecvBufferBytes) {
+          buf.assign(kRecvBufferBytes, 0);
+          buf.shrink_to_fit();
         }
-        notify_state_->cv.notify_one();
-        frame = Frame{};
-        continue;
+      } else if (end == buf.size()) {
+        std::memmove(buf.data(), buf.data() + begin, end - begin);
+        end -= begin;
+        begin = 0;
+        // A frame that alone fills the buffer: its header is in, so grow
+        // to exactly its size.
+        FrameHeader h;
+        if (end == buf.size() && decode_frame_header(buf.data(), end, &h)) {
+          buf.resize(h.size + h.payload_size);
+        }
       }
-      std::lock_guard lock(mu_);
-      if (abandoned_.erase(frame.request_id) > 0) {
-        // Late response to a call whose caller already hit its deadline —
-        // discard rather than park it in `responses_` forever.
-        frame = Frame{};
-        continue;
+      ssize_t r = ::recv(fd_, buf.data() + end, buf.size() - end, 0);
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        throw_errno("recv");
       }
-      responses_.emplace(frame.request_id, std::move(frame));
-      cv_.notify_all();
-      frame = Frame{};
+      if (r == 0) {
+        if (begin == end) break;  // clean EOF at a frame boundary
+        throw Error::transport(ErrorCode::kConnReset,
+                               "connection closed mid-frame");
+      }
+      end += static_cast<size_t>(r);
     }
   } catch (const Error& e) {
     IW_LOG(kDebug) << "tcp receive loop: " << e.what();
@@ -284,6 +270,23 @@ void TcpClientChannel::receive_loop() {
     reason = e.what();
   }
   fail_channel(Error::transport(ErrorCode::kConnReset, reason));
+}
+
+void TcpClientChannel::deliver(Frame&& frame) {
+  if (frame.request_id == 0) {
+    {
+      std::lock_guard lock(notify_state_->mu);
+      notify_state_->queue.push_back(std::move(frame));
+    }
+    notify_state_->cv.notify_one();
+    return;
+  }
+  std::lock_guard lock(mu_);
+  // Late response to a call whose caller already hit its deadline: discard
+  // rather than park it in `responses_` forever.
+  if (abandoned_.erase(frame.request_id) > 0) return;
+  responses_.emplace(frame.request_id, std::move(frame));
+  cv_.notify_all();
 }
 
 void TcpClientChannel::fail_channel(const Error& reason) {
@@ -300,8 +303,9 @@ void TcpClientChannel::fail_channel(const Error& reason) {
 }
 
 void TcpClientChannel::send_frame_coalesced(const uint8_t* header,
+                                            size_t header_len,
                                             const Buffer& payload) {
-  const size_t frame_bytes = kFrameHeaderSize + payload.size();
+  const size_t frame_bytes = header_len + payload.size();
   std::unique_lock lock(send_mu_);
   if (send_error_) throw *send_error_;
 
@@ -316,7 +320,7 @@ void TcpClientChannel::send_frame_coalesced(const uint8_t* header,
     size_t syscalls = 0;
     try {
       IoChain chain;
-      chain.add(header, kFrameHeaderSize);
+      chain.add(header, header_len);
       chain.add(payload.slice());
       syscalls = write_all_vec(fd_, chain);
     } catch (const Error& e) {
@@ -338,7 +342,7 @@ void TcpClientChannel::send_frame_coalesced(const uint8_t* header,
 
   // Slow path: queue the frame, then either carry the batch ourselves or
   // wait for the active flusher to carry it for us.
-  send_pending_.append(header, kFrameHeaderSize);
+  send_pending_.append(header, header_len);
   send_pending_.append(payload.data(), payload.size());
   send_queued_pos_ += frame_bytes;
   ++send_pending_frames_;
@@ -414,11 +418,11 @@ Frame TcpClientChannel::call(MsgType type, Buffer& payload) {
     }
     request.request_id = next_request_id_++;
   }
-  uint8_t header[kFrameHeaderSize];
-  encode_frame_header(request.type, request.request_id, payload.size(),
-                      header);
+  uint8_t header[kMaxFrameHeaderSize];
+  const size_t header_len = encode_frame_header(
+      request.type, request.request_id, payload.size(), header);
   try {
-    send_frame_coalesced(header, payload);
+    send_frame_coalesced(header, header_len, payload);
   } catch (const Error& e) {
     throw Error::transport(e.code(),
                            std::string(e.what()) + " (sending " +

@@ -10,11 +10,12 @@
 //
 // TcpClientChannel owns the client end: calls are multiplexed by request
 // id and a dedicated receiver thread demultiplexes responses from
-// notifications (request_id == 0). Concurrent callers' request frames are
-// coalesced: whoever finds no flush in progress becomes the flusher and
-// sends every queued frame in one syscall (optionally lingering
-// `batch_window_us` to let a burst accumulate), so many small lock/commit
-// RPCs from a busy process ride one send.
+// notifications (request_id == 0), decoding every complete frame out of
+// each recv. Concurrent callers' request frames are coalesced: whoever
+// finds no flush in progress becomes the flusher and sends every queued
+// frame in one syscall (optionally lingering `batch_window_us` to let a
+// burst accumulate), so many small lock/commit RPCs from a busy process
+// ride one send.
 #pragma once
 
 #include <sys/socket.h>
@@ -125,11 +126,15 @@ class TcpClientChannel final : public ClientChannel {
 
  private:
   void receive_loop();
+  /// Hands one received frame to its waiting caller, or to the notify
+  /// dispatcher when it is a notification (request id 0).
+  void deliver(Frame&& frame);
   /// Queues one encoded frame and sees it onto the wire: either becomes
   /// the flusher (sending every queued byte in one syscall) or waits for
   /// the active flusher to carry it. Throws the transport error that
   /// killed the send, to every affected caller.
-  void send_frame_coalesced(const uint8_t* header, const Buffer& payload);
+  void send_frame_coalesced(const uint8_t* header, size_t header_len,
+                            const Buffer& payload);
   /// Marks the channel dead with `reason` and wakes every waiter — callers
   /// blocked on responses and callers parked in the send path.
   void fail_channel(const Error& reason);

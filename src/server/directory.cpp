@@ -153,12 +153,13 @@ SegmentDirectory::Placement SegmentDirectory::resolve_for_failover(
     try {
       auto ch = dial_(address_of_locked(node));
       Buffer req;
-      req.append_lp_string(segment);
+      req.append_varint(0);  // handle 0: a probe binds nothing
+      req.append_vstring(segment);
       req.append_u8(0);  // do not create: we are asking, not writing
       uint32_t version = 0;
       try {
         Frame resp = ch->call(MsgType::kOpenSegment, std::move(req));
-        version = resp.reader().read_u32();
+        version = resp.reader().read_varint32();
       } catch (const Error& e) {
         if (e.is_transport() || e.code() != ErrorCode::kNotFound) throw;
         // Reachable but never saw the segment: a viable version-0 pick

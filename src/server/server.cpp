@@ -64,6 +64,12 @@ Error gap_error(const SegmentStore& store, const char* what, uint32_t record,
                    std::to_string(at) + ")");
 }
 
+/// A frame named a segment handle its session never bound.
+Error unbound_handle(uint32_t handle) {
+  return Error(ErrorCode::kProtocol,
+               "segment handle " + std::to_string(handle) + " is not bound");
+}
+
 /// Writes what a store at (`from_version`, `from_types`) lacks to reach the
 /// store's head, in the layout a checkpoint delta record and a WAL-tail
 /// sync share (checkpoint.hpp): the type graphs registered since, the fold
@@ -118,7 +124,7 @@ SegmentServer::~SegmentServer() = default;
 
 void SegmentServer::on_connect(SessionId session, Notifier notify) {
   std::unique_lock lock(sessions_mu_);
-  sessions_[session] = std::move(notify);
+  sessions_[session] = SessionRecord{std::move(notify), false, {}};
 }
 
 void SegmentServer::on_disconnect(SessionId session) {
@@ -143,7 +149,6 @@ void SegmentServer::on_disconnect(SessionId session) {
   }
   std::unique_lock lock(sessions_mu_);
   sessions_.erase(session);
-  caching_sessions_.erase(session);
 }
 
 SegmentServer::SegmentEntry* SegmentServer::find_segment(
@@ -284,26 +289,64 @@ const SegmentServer::SegmentEntry& SegmentServer::segment(
   return const_cast<SegmentServer*>(this)->segment(name);
 }
 
+SegmentServer::SessionRecord& SegmentServer::session_locked(SessionId id) {
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) throw Error(ErrorCode::kState, "unknown session");
+  return it->second;
+}
+
+void SegmentServer::bind_handle(SessionId session, uint32_t handle,
+                                const std::string& name, SegmentEntry* entry) {
+  if (handle == 0) return;
+  std::unique_lock lock(sessions_mu_);
+  auto [it, fresh] = session_locked(session).handles.try_emplace(
+      handle, HandleBinding{name, entry});
+  if (fresh) return;
+  if (it->second.name != name) {
+    throw Error(ErrorCode::kProtocol,
+                "handle " + std::to_string(handle) + " is bound to '" +
+                    it->second.name + "', not '" + name + "'");
+  }
+  if (entry != nullptr) it->second.entry = entry;
+}
+
+SegmentServer::HandleBinding SegmentServer::resolve_handle(SessionId session,
+                                                           BufReader& in) {
+  const uint32_t handle = in.read_varint32();
+  HandleBinding bound;
+  {
+    std::shared_lock lock(sessions_mu_);
+    const auto& handles = session_locked(session).handles;
+    auto it = handles.find(handle);
+    if (it == handles.end()) throw unbound_handle(handle);
+    bound = it->second;
+  }
+  if (bound.entry != nullptr) return bound;
+  // Bound by a hello: look the name up now, exactly as a by-name call
+  // would, and keep the entry (entries are never removed) for next time.
+  bound.entry = &segment(bound.name);
+  std::unique_lock lock(sessions_mu_);
+  auto& handles = session_locked(session).handles;
+  auto it = handles.find(handle);
+  if (it != handles.end() && it->second.name == bound.name) {
+    it->second.entry = bound.entry;
+  }
+  return bound;
+}
+
 SegmentServer::SegmentSession& SegmentServer::seg_session(SegmentEntry& entry,
                                                           SessionId id) {
   auto it = entry.sessions.find(id);
   if (it != entry.sessions.end()) return it->second;
   // First touch of this segment by this session: capture the notifier so
   // notification fan-out later needs no lock beyond the entry's.
-  Notifier notify;
-  bool may_cache = false;
+  SegmentSession ss;
   {
     std::shared_lock lock(sessions_mu_);
-    auto sit = sessions_.find(id);
-    if (sit == sessions_.end()) {
-      throw Error(ErrorCode::kState, "unknown session");
-    }
-    notify = sit->second;
-    may_cache = caching_sessions_.count(id) > 0;
+    const SessionRecord& record = session_locked(id);
+    ss.notify = record.notify;
+    ss.may_cache = record.caching;
   }
-  SegmentSession ss;
-  ss.notify = std::move(notify);
-  ss.may_cache = may_cache;
   return entry.sessions.emplace(id, std::move(ss)).first->second;
 }
 
@@ -573,9 +616,16 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         IW_LOG(kInfo) << "client " << client_id << " reconnected (epoch "
                       << epoch << ") as session " << session;
       }
+      // A reconnecting client rebinds the handles of the segments it has
+      // open, so its replayed calls need no extra round trip. Names are
+      // resolved on first use, like a by-name call.
+      for (uint32_t n = in.read_varint32(); n > 0; --n) {
+        const uint32_t handle = in.read_varint32();
+        bind_handle(session, handle, in.read_vstring(), nullptr);
+      }
       {
         std::unique_lock lock(sessions_mu_);
-        caching_sessions_.insert(session);
+        session_locked(session).caching = true;
       }
       resp.type = MsgType::kHelloResp;
       payload.append_varint(options_.writer_lease_ms);
@@ -583,22 +633,25 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kOpenSegment: {
-      std::string name = in.read_lp_string();
+      const uint32_t handle = in.read_varint32();
+      std::string name = in.read_vstring();
       bool create = in.read_u8() != 0;
       SegmentEntry* entry = find_segment(name, create);
       if (entry == nullptr) {
         throw Error(ErrorCode::kNotFound, "segment '" + name + "'");
       }
+      bind_handle(session, handle, name, entry);
       std::lock_guard el(entry->mu);
       resp.type = MsgType::kOpenSegmentResp;
-      payload.append_u32(entry->store->version());
-      payload.append_u32(entry->store->next_block_serial());
+      payload.append_varint(entry->store->version());
+      payload.append_varint(entry->store->next_block_serial());
       break;
     }
 
     case MsgType::kRegisterType: {
-      std::string name = in.read_lp_string();
-      SegmentEntry& entry = segment(name);
+      const HandleBinding bound = resolve_handle(session, in);
+      const std::string& name = bound.name;
+      SegmentEntry& entry = *bound.entry;
       auto graph = in.read_bytes(in.remaining());
       std::lock_guard el(entry.mu);
       // Mid-critical-section activity proves the writer is alive: renew its
@@ -628,17 +681,16 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       SegmentSession& ss = seg_session(entry, session);
       if (serial == ss.types_sent + 1) ss.types_sent = serial;
       resp.type = MsgType::kRegisterTypeResp;
-      payload.append_u32(serial);
+      payload.append_varint(serial);
       break;
     }
 
     case MsgType::kAcquireRead: {
-      std::string name = in.read_vstring();
+      SegmentEntry& entry = *resolve_handle(session, in).entry;
       uint32_t client_version = in.read_varint32();
       CoherencePolicy policy;
       policy.model = static_cast<CoherenceModel>(in.read_u8());
       policy.param = in.read_varint64();
-      SegmentEntry& entry = segment(name);
       std::lock_guard el(entry.mu);
       SegmentSession& ss = seg_session(entry, session);
       resp.type = MsgType::kAcquireReadResp;
@@ -671,35 +723,31 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kReleaseRead: {
-      std::string name = in.read_vstring();
+      SegmentEntry& entry = *resolve_handle(session, in).entry;
       // The client asks to keep the lock cached.
       bool keep_cached = in.read_u8() != 0;
       // Reader locks are otherwise pure client-side bookkeeping; tolerate
-      // releases for segments or sessions we have no record of.
-      SegmentEntry* entry = find_segment(name, false);
-      if (entry != nullptr) {
-        std::lock_guard el(entry->mu);
-        auto it = entry->sessions.find(session);
-        if (it != entry->sessions.end()) {
-          SegmentSession& ss = it->second;
-          const bool retain = keep_cached && ss.may_cache &&
-                              options_.revoke_deadline_ms != 0 &&
-                              entry->writer == 0;
-          if (retain) {
-            if (!ss.cached_read) {
-              stats_.cached_read_grants.fetch_add(1,
-                                                  std::memory_order_relaxed);
-            }
-            ss.cached_read = true;
-            ss.revoke_pending = false;
-            ss.grant_time = std::chrono::steady_clock::now();
-          } else if (ss.cached_read || ss.revoke_pending) {
-            // Plain release surrenders any cached lock — and acks an
-            // in-flight revoke, waking the draining writer.
-            ss.cached_read = false;
-            ss.revoke_pending = false;
-            entry->writer_cv.notify_all();
+      // releases from sessions with no state on the segment.
+      std::lock_guard el(entry.mu);
+      auto it = entry.sessions.find(session);
+      if (it != entry.sessions.end()) {
+        SegmentSession& ss = it->second;
+        const bool retain = keep_cached && ss.may_cache &&
+                            options_.revoke_deadline_ms != 0 &&
+                            entry.writer == 0;
+        if (retain) {
+          if (!ss.cached_read) {
+            stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
           }
+          ss.cached_read = true;
+          ss.revoke_pending = false;
+          ss.grant_time = std::chrono::steady_clock::now();
+        } else if (ss.cached_read || ss.revoke_pending) {
+          // Plain release surrenders any cached lock — and acks an
+          // in-flight revoke, waking the draining writer.
+          ss.cached_read = false;
+          ss.revoke_pending = false;
+          entry.writer_cv.notify_all();
         }
       }
       resp.type = MsgType::kAck;
@@ -707,38 +755,36 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kRevokeAck: {
-      std::string name = in.read_vstring();
-      // Idempotent: a duplicated or late ack (lock already force-expired,
-      // segment unknown) is still success. An ack only retires a
-      // registration whose revocation is actually *pending*: acks travel on
-      // a background client thread, so a floating duplicate can arrive
-      // after this session re-acquired and earned a fresh grant — clearing
-      // that grant here would leave the client serving cache hits the
-      // server will never revoke (stale reads past the next commit). The
-      // echoed generation closes the remaining async window: a floating
-      // stale ack cannot retire a *newer* pending revocation the client
-      // has not processed yet.
+      SegmentEntry& entry = *resolve_handle(session, in).entry;
+      // Idempotent: a duplicated or late ack (lock already force-expired)
+      // is still success. An ack only retires a registration whose
+      // revocation is actually *pending*: acks travel on a background
+      // client thread, so a floating duplicate can arrive after this
+      // session re-acquired and earned a fresh grant — clearing that grant
+      // here would leave the client serving cache hits the server will
+      // never revoke (stale reads past the next commit). The echoed
+      // generation closes the remaining async window: a floating stale ack
+      // cannot retire a *newer* pending revocation the client has not
+      // processed yet.
       uint32_t gen = in.read_varint32();
-      SegmentEntry* entry = find_segment(name, false);
-      if (entry != nullptr) {
-        std::lock_guard el(entry->mu);
-        auto it = entry->sessions.find(session);
-        if (it != entry->sessions.end() && it->second.revoke_pending &&
-            gen == entry->revoke_gen) {
-          it->second.cached_read = false;
-          it->second.revoke_pending = false;
-          stats_.revokes_acked.fetch_add(1, std::memory_order_relaxed);
-          entry->writer_cv.notify_all();
-        }
+      std::lock_guard el(entry.mu);
+      auto it = entry.sessions.find(session);
+      if (it != entry.sessions.end() && it->second.revoke_pending &&
+          gen == entry.revoke_gen) {
+        it->second.cached_read = false;
+        it->second.revoke_pending = false;
+        stats_.revokes_acked.fetch_add(1, std::memory_order_relaxed);
+        entry.writer_cv.notify_all();
       }
       resp.type = MsgType::kAck;
       break;
     }
 
     case MsgType::kAcquireWrite: {
-      std::string name = in.read_vstring();
+      const HandleBinding bound = resolve_handle(session, in);
+      const std::string& name = bound.name;
+      SegmentEntry& entry = *bound.entry;
       uint32_t client_version = in.read_varint32();
-      SegmentEntry& entry = segment(name);
       std::unique_lock el(entry.mu);
       if (options_.replicator != nullptr && options_.replicator->fenced(name)) {
         // Deposed primary: fail the acquire fast so the client re-resolves
@@ -767,8 +813,9 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kReleaseWrite: {
-      std::string name = in.read_vstring();
-      SegmentEntry& entry = segment(name);
+      const HandleBinding bound = resolve_handle(session, in);
+      const std::string& name = bound.name;
+      SegmentEntry& entry = *bound.entry;
       std::lock_guard el(entry.mu);
       if (entry.writer != session) {
         if (entry.expired_writers.erase(session) > 0) {
@@ -843,24 +890,26 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kSegmentInfo: {
-      std::string name = in.read_lp_string();
+      const uint32_t handle = in.read_varint32();
+      std::string name = in.read_vstring();
       SegmentEntry& entry = segment(name);
+      bind_handle(session, handle, name, &entry);
       std::lock_guard el(entry.mu);
       SegmentStore& store = *entry.store;
       resp.type = MsgType::kSegmentInfoResp;
-      payload.append_u32(store.version());
+      payload.append_varint(store.version());
       uint32_t count = store.type_count();
-      payload.append_u32(count);
+      payload.append_varint(count);
       for (uint32_t serial = 1; serial <= count; ++serial) {
         auto graph = store.type_graph(serial);
-        payload.append_u32(static_cast<uint32_t>(graph.size()));
+        payload.append_varint(graph.size());
         payload.append(graph.data(), graph.size());
       }
-      payload.append_u32(static_cast<uint32_t>(store.block_count()));
+      payload.append_varint(store.block_count());
       store.for_each_block([&](const SvrBlock& b) {
-        payload.append_u32(b.serial);
-        payload.append_u32(b.type_serial);
-        payload.append_lp_string(b.name);
+        payload.append_varint(b.serial);
+        payload.append_varint(b.type_serial);
+        payload.append_vstring(b.name);
       });
       // The directory lets a client reserve address space; it still fetches
       // data with a from-version of 0, so mark the session as having seen
@@ -870,11 +919,22 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kCloseSegment: {
-      std::string name = in.read_lp_string();
       // The client dropped its cache: forget what we sent it (type-table
-      // prefix, subscription, coherence counters). Closing a segment the
-      // server never saw is a no-op.
-      SegmentEntry* entry = find_segment(name, false);
+      // prefix, subscription, coherence counters) and the handle. A handle
+      // bound by a hello to a segment this server never saw just unbinds.
+      const uint32_t handle = in.read_varint32();
+      HandleBinding bound;
+      {
+        std::unique_lock lock(sessions_mu_);
+        auto& handles = session_locked(session).handles;
+        auto it = handles.find(handle);
+        if (it == handles.end()) throw unbound_handle(handle);
+        bound = std::move(it->second);
+        handles.erase(it);
+      }
+      SegmentEntry* entry = bound.entry != nullptr
+                                ? bound.entry
+                                : find_segment(bound.name, false);
       if (entry != nullptr) {
         std::lock_guard el(entry->mu);
         entry->sessions.erase(session);
@@ -887,8 +947,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kSubscribe: {
-      std::string name = in.read_lp_string();
-      SegmentEntry& entry = segment(name);
+      SegmentEntry& entry = *resolve_handle(session, in).entry;
       std::lock_guard el(entry.mu);
       seg_session(entry, session).subscribed = true;
       resp.type = MsgType::kAck;

@@ -227,8 +227,8 @@ class SegmentServer : public ServerCore {
     bool cached_read = false;
     /// A kRevokeRead has been pushed and not yet acked.
     bool revoke_pending = false;
-    /// Session said kHello (copied from `caching_sessions_` at first
-    /// touch); a session that did not is never granted a cached lock.
+    /// Session said kHello (copied from its SessionRecord at first touch);
+    /// a session that did not is never granted a cached lock.
     bool may_cache = false;
     /// When the current cached grant was issued; the grant-TTL sweep
     /// compares against it.
@@ -302,6 +302,20 @@ class SegmentServer : public ServerCore {
     bool wal_broken = false;
     std::unordered_map<SessionId, SegmentSession> sessions;
   };
+  /// A segment one session bound to a handle (kOpenSegment, kSegmentInfo
+  /// or kHello). `entry` stays null until the name is first resolved: a
+  /// hello rebinds names this server may never have seen.
+  struct HandleBinding {
+    std::string name;
+    SegmentEntry* entry = nullptr;
+  };
+  /// One connection: its notifier, whether it said kHello (and so caches
+  /// read locks), and its segment handles.
+  struct SessionRecord {
+    Notifier notify;
+    bool caching = false;
+    std::unordered_map<uint32_t, HandleBinding> handles;
+  };
   struct PendingNotify {
     Notifier notify;
     Frame frame;
@@ -318,6 +332,18 @@ class SegmentServer : public ServerCore {
   /// Like find_segment(name, false) but throws kNotFound when absent.
   SegmentEntry& segment(const std::string& name);
   const SegmentEntry& segment(const std::string& name) const;
+  /// Binds `handle` to `name` (and `entry`, when known) for `session`.
+  /// Handle 0 binds nothing; rebinding a handle to another name is a
+  /// kProtocol error.
+  void bind_handle(SessionId session, uint32_t handle, const std::string& name,
+                   SegmentEntry* entry);
+  /// Reads a handle from `in` and returns what `session` bound it to,
+  /// resolving the name on first use (kNotFound when this server has no
+  /// such segment). A handle the session never bound is a kProtocol error.
+  HandleBinding resolve_handle(SessionId session, BufReader& in);
+  /// The record of a connected session; kState for an unknown one. Caller
+  /// holds sessions_mu_.
+  SessionRecord& session_locked(SessionId id);
   /// This session's state for `entry`'s segment, created on first touch
   /// (validating the session against the connection table). Caller holds
   /// entry.mu.
@@ -421,13 +447,10 @@ class SegmentServer : public ServerCore {
   mutable std::shared_mutex dir_mu_;
   std::unordered_map<std::string, std::unique_ptr<SegmentEntry>> segments_;
 
-  /// Connection table (session → notifier). Leaf lock: never held while
-  /// acquiring the directory or an entry lock.
+  /// Connection table. Leaf lock: never held while acquiring the directory
+  /// or an entry lock.
   mutable std::shared_mutex sessions_mu_;
-  std::unordered_map<SessionId, Notifier> sessions_;
-  /// Sessions that said kHello and so cache read locks. Guarded by
-  /// sessions_mu_ like the connection table.
-  std::unordered_set<SessionId> caching_sessions_;
+  std::unordered_map<SessionId, SessionRecord> sessions_;
 
   /// Ring identity (set_node_identity); leaf lock like the session table.
   mutable std::mutex node_mu_;

@@ -44,31 +44,72 @@ std::string msg_type_name(MsgType type) {
 }
 
 void encode_frame(const Frame& frame, Buffer& out) {
-  out.append_u8(static_cast<uint8_t>(frame.type));
-  out.append_u32(frame.request_id);
-  out.append_u32(static_cast<uint32_t>(frame.payload.size()));
+  uint8_t header[kMaxFrameHeaderSize];
+  out.append(header, encode_frame_header(frame.type, frame.request_id,
+                                         frame.payload.size(), header));
   out.append(frame.payload.data(), frame.payload.size());
 }
 
-void encode_frame_header(MsgType type, uint32_t request_id,
-                         size_t payload_size, uint8_t out[kFrameHeaderSize]) {
+size_t encode_frame_header(MsgType type, uint32_t request_id,
+                           size_t payload_size,
+                           uint8_t out[kMaxFrameHeaderSize]) {
   if (payload_size > kMaxFramePayload) {
     throw Error(ErrorCode::kProtocol, "frame payload too large");
   }
-  out[0] = static_cast<uint8_t>(type);
-  store_be32(out + 1, request_id);
-  store_be32(out + 5, static_cast<uint32_t>(payload_size));
+  size_t n = 0;
+  out[n++] = static_cast<uint8_t>(type);
+  n += encode_varint(request_id, out + n);
+  n += encode_varint(payload_size, out + n);
+  return n;
 }
 
-FrameHeader decode_frame_header(const uint8_t* header_bytes) {
+namespace {
+
+/// Decodes one header varint of at most five bytes (a u32) from the `n`
+/// bytes at `p`. Returns the bytes it took, 0 when they end inside it.
+size_t decode_header_varint(const uint8_t* p, size_t n, uint32_t* out) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 5; ++i) {
+    if (i == n) return 0;
+    v |= static_cast<uint64_t>(p[i] & 0x7F) << (7 * i);
+    if ((p[i] & 0x80) != 0) continue;
+    if ((p[i] == 0 && i > 0) || v > UINT32_MAX) break;
+    *out = static_cast<uint32_t>(v);
+    return i + 1;
+  }
+  throw Error(ErrorCode::kProtocol, "frame header varint overlong");
+}
+
+}  // namespace
+
+bool decode_frame_header(const uint8_t* bytes, size_t n, FrameHeader* out) {
+  if (n == 0) return false;
   FrameHeader h;
-  h.type = static_cast<MsgType>(header_bytes[0]);
-  h.request_id = load_be32(header_bytes + 1);
-  h.payload_size = load_be32(header_bytes + 5);
+  h.type = static_cast<MsgType>(bytes[0]);
+  const size_t id_len = decode_header_varint(bytes + 1, n - 1, &h.request_id);
+  if (id_len == 0) return false;
+  const size_t len_len = decode_header_varint(
+      bytes + 1 + id_len, n - 1 - id_len, &h.payload_size);
+  if (len_len == 0) return false;
   if (h.payload_size > kMaxFramePayload) {
     throw Error(ErrorCode::kProtocol, "frame payload too large");
   }
-  return h;
+  h.size = 1 + id_len + len_len;
+  *out = h;
+  return true;
+}
+
+size_t decode_frame(std::span<const uint8_t> bytes, Frame* out) {
+  FrameHeader h;
+  if (!decode_frame_header(bytes.data(), bytes.size(), &h) ||
+      bytes.size() - h.size < h.payload_size) {
+    return 0;
+  }
+  out->type = h.type;
+  out->request_id = h.request_id;
+  const uint8_t* p = bytes.data() + h.size;
+  out->payload.assign(p, p + h.payload_size);
+  return h.size + h.payload_size;
 }
 
 }  // namespace iw

@@ -183,8 +183,13 @@ TEST_F(Checkpoint, ClientAheadOfRecoveredServerResyncs) {
   // Simulate the surviving cache: hand-craft an AcquireRead with a version
   // ahead of the server and check we get a full resync rather than an error.
   auto channel = std::make_shared<InProcChannel>(*server);
+  Buffer open;
+  open.append_varint(1);  // segment handle
+  open.append_vstring("host/ahead");
+  open.append_u8(0);
+  channel->call(MsgType::kOpenSegment, std::move(open));
   Buffer payload;
-  payload.append_vstring("host/ahead");
+  payload.append_varint(1);
   payload.append_varint(99);  // far ahead
   payload.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
   payload.append_varint(0);
@@ -491,8 +496,13 @@ TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
   // A surviving cache at the mid-window version asks for an update: the
   // response diff must free the victim block.
   InProcChannel channel(revived);
+  Buffer open;
+  open.append_varint(1);  // segment handle
+  open.append_vstring("host/ghost");
+  open.append_u8(0);
+  channel.call(MsgType::kOpenSegment, std::move(open));
   Buffer payload;
-  payload.append_vstring("host/ghost");
+  payload.append_varint(1);
   payload.append_varint(mid_version);
   payload.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
   payload.append_varint(0);

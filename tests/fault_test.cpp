@@ -21,23 +21,27 @@ Frame raw_call(ClientChannel& ch, MsgType type, Buffer payload) {
   return ch.call(type, std::move(payload));
 }
 
+/// Each raw session below binds its one segment to this handle.
+constexpr uint32_t kHandle = 1;
+
 Buffer open_payload(const std::string& url) {
   Buffer p;
-  p.append_lp_string(url);
+  p.append_varint(kHandle);
+  p.append_vstring(url);
   p.append_u8(1);
   return p;
 }
 
-Buffer acquire_write_payload(const std::string& url, uint32_t version = 0) {
+Buffer acquire_write_payload(uint32_t version = 0) {
   Buffer p;
-  p.append_vstring(url);
+  p.append_varint(kHandle);
   p.append_varint(version);
   return p;
 }
 
-Buffer empty_release_payload(const std::string& url, uint32_t version) {
+Buffer empty_release_payload(uint32_t version) {
   Buffer p;
-  p.append_vstring(url);
+  p.append_varint(kHandle);
   p.append_u8(payload_method::kRaw);
   DiffWriter(p, version, version).finish();
   return p;
@@ -132,12 +136,12 @@ TEST(FaultyChannelTest, SeveredWriterUnblocksWaiter) {
   InProcChannel b(server);
 
   raw_call(a, MsgType::kOpenSegment, open_payload(url));
-  raw_call(a, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(a, MsgType::kAcquireWrite, acquire_write_payload());
 
   std::atomic<bool> b_acquired{false};
   std::thread waiter([&] {
     raw_call(b, MsgType::kOpenSegment, open_payload(url));
-    raw_call(b, MsgType::kAcquireWrite, acquire_write_payload(url));
+    raw_call(b, MsgType::kAcquireWrite, acquire_write_payload());
     b_acquired.store(true);
   });
   // Give the waiter time to block inside the server.
@@ -147,11 +151,11 @@ TEST(FaultyChannelTest, SeveredWriterUnblocksWaiter) {
   // A's release dies on the wire; the sever runs the server's
   // on_disconnect, which must release the lock for B.
   EXPECT_THROW(raw_call(a, MsgType::kReleaseWrite,
-                        empty_release_payload(url, 0)),
+                        empty_release_payload(0)),
                Error);
   waiter.join();
   EXPECT_TRUE(b_acquired.load());
-  raw_call(b, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(b, MsgType::kReleaseWrite, empty_release_payload(0));
 }
 
 TEST(ReconnectTest, ClientSurvivesSeverTransparently) {

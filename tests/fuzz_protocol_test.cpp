@@ -160,28 +160,29 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
     return ErrorCode::kInternal;
   };
   call(MsgType::kOpenSegment, [&](Buffer& p) {
-    p.append_lp_string(url);
+    p.append_varint(1);
+    p.append_vstring(url);
     p.append_u8(1);
   });
   TypeRegistry reg(Platform::native().rules);
   const TypeDescriptor* arr =
       reg.array_of(reg.primitive(PrimitiveKind::kInt32), 4);
   Frame t = call(MsgType::kRegisterType, [&](Buffer& p) {
-    p.append_lp_string(url);
+    p.append_varint(1);
     TypeCodec::encode_graph(arr, p);
   });
-  const uint32_t type_serial = t.reader().read_u32();
+  const uint32_t type_serial = t.reader().read_varint32();
 
   // A new segment is at version 1; version 2 adds one four-unit block.
   auto acquire = [&](uint32_t version) {
     call(MsgType::kAcquireWrite, [&](Buffer& p) {
-      p.append_vstring(url);
+      p.append_varint(1);
       p.append_varint(version);
     });
   };
   acquire(1);
   call(MsgType::kReleaseWrite, [&](Buffer& p) {
-    p.append_vstring(url);
+    p.append_varint(1);
     p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 1, 2);
     w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial);
@@ -195,7 +196,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   auto release_runs = [&](const std::function<void(Buffer&)>& runs) {
     acquire(2);
     return code_of(MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_vstring(url);
+      p.append_varint(1);
       p.append_u8(payload_method::kRaw);
       p.append_varint(2);  // from_version
       p.append_varint(1);  // to_version - from_version
@@ -238,13 +239,13 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   // Malformed scalars in the lock messages themselves.
   EXPECT_EQ(code_of(MsgType::kAcquireWrite,
                     [&](Buffer& p) {
-                      p.append_vstring(url);
+                      p.append_varint(1);
                       p.append_u8(0x81);  // truncated cached_version
                     }),
             ErrorCode::kProtocol);
   EXPECT_EQ(code_of(MsgType::kAcquireRead,
                     [&](Buffer& p) {
-                      p.append_vstring(url);
+                      p.append_varint(1);
                       p.append_varint(0);
                       p.append_u8(0);
                       for (int i = 0; i < 11; ++i) p.append_u8(0x80);
@@ -253,7 +254,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   acquire(2);
   EXPECT_EQ(code_of(MsgType::kReleaseWrite,
                     [&](Buffer& p) {
-                      p.append_vstring(url);
+                      p.append_varint(1);
                       p.append_u8(payload_method::kRaw);
                       p.append_varint(0xFFFFFFFFu);  // from_version
                       p.append_varint(1);  // to_version overflows u32
@@ -264,7 +265,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   // None of it wedged the segment: a valid commit still lands as v3.
   acquire(2);
   Frame resp = call(MsgType::kReleaseWrite, [&](Buffer& p) {
-    p.append_vstring(url);
+    p.append_varint(1);
     p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 2, 3);
     w.begin_block(1, 0);
@@ -288,8 +289,8 @@ class CannedUpdateChannel final : public ClientChannel {
     Buffer p;
     if (type == MsgType::kOpenSegment) {
       resp.type = MsgType::kOpenSegmentResp;
-      p.append_u32(1);  // version
-      p.append_u32(1);  // next serial
+      p.append_varint(1);  // version
+      p.append_varint(1);  // next serial
     } else if (type == MsgType::kAcquireRead) {
       resp.type = MsgType::kAcquireReadResp;
       p.append(update_.span());
@@ -354,7 +355,8 @@ TEST(FuzzServer, RandomFramesGetCleanResponses) {
   EXPECT_GT(errors, 0) << "garbage should mostly be rejected";
   // And the server must still work normally afterwards.
   Buffer open;
-  open.append_lp_string("host/after-fuzz");
+  open.append_varint(1);
+  open.append_vstring("host/after-fuzz");
   open.append_u8(1);
   Frame resp = channel.call(MsgType::kOpenSegment, std::move(open));
   EXPECT_EQ(resp.type, MsgType::kOpenSegmentResp);
@@ -365,17 +367,21 @@ TEST(FuzzServer, MalformedReleaseDoesNotWedgeTheLock) {
   InProcChannel a(server);
   InProcChannel b(server);
   Buffer open;
-  open.append_lp_string("host/wedge");
+  open.append_varint(1);
+  open.append_vstring("host/wedge");
   open.append_u8(1);
+  Buffer open_b(open.span().size());
+  open_b.append(open.span());
   a.call(MsgType::kOpenSegment, std::move(open));
+  b.call(MsgType::kOpenSegment, std::move(open_b));
 
   // a acquires the write lock, then releases with garbage.
   Buffer acq;
-  acq.append_vstring("host/wedge");
+  acq.append_varint(1);
   acq.append_varint(0);
   a.call(MsgType::kAcquireWrite, std::move(acq));
   Buffer bad;
-  bad.append_vstring("host/wedge");
+  bad.append_varint(1);
   bad.append_u8(payload_method::kRaw);
   bad.append_varint(0);    // from_version
   bad.append_varint(1);    // to_version - from_version
@@ -384,12 +390,12 @@ TEST(FuzzServer, MalformedReleaseDoesNotWedgeTheLock) {
 
   // b must be able to take the lock now.
   Buffer acq2;
-  acq2.append_vstring("host/wedge");
+  acq2.append_varint(1);
   acq2.append_varint(0);
   Frame resp = b.call(MsgType::kAcquireWrite, std::move(acq2));
   EXPECT_EQ(resp.type, MsgType::kAcquireWriteResp);
   Buffer rel;
-  rel.append_vstring("host/wedge");
+  rel.append_varint(1);
   rel.append_u8(payload_method::kRaw);
   DiffWriter(rel, 1, 1).finish();
   b.call(MsgType::kReleaseWrite, std::move(rel));
@@ -614,11 +620,15 @@ TEST(FuzzCodec, RecordScannerStopsCleanlyOnMutatedFrames) {
 TEST(FuzzFrame, HeaderDecoding) {
   SplitMix64 rng(5);
   for (int trial = 0; trial < 1000; ++trial) {
-    uint8_t header[kFrameHeaderSize];
+    uint8_t header[kMaxFrameHeaderSize];
     for (auto& b : header) b = static_cast<uint8_t>(rng());
+    const size_t n = rng.below(kMaxFrameHeaderSize + 1);
     try {
-      FrameHeader h = decode_frame_header(header);
-      EXPECT_LE(h.payload_size, kMaxFramePayload);
+      FrameHeader h;
+      if (decode_frame_header(header, n, &h)) {
+        EXPECT_LE(h.size, n);
+        EXPECT_LE(h.payload_size, kMaxFramePayload);
+      }
     } catch (const Error&) {
     }
   }

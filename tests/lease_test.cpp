@@ -46,23 +46,27 @@ struct Harness {
   std::unique_ptr<TcpServer> tcp_;
 };
 
+/// Each raw session below binds its one segment to this handle.
+constexpr uint32_t kHandle = 1;
+
 Buffer open_payload(const std::string& url) {
   Buffer p;
-  p.append_lp_string(url);
+  p.append_varint(kHandle);
+  p.append_vstring(url);
   p.append_u8(1);
   return p;
 }
 
-Buffer acquire_write_payload(const std::string& url, uint32_t version = 0) {
+Buffer acquire_write_payload(uint32_t version = 0) {
   Buffer p;
-  p.append_vstring(url);
+  p.append_varint(kHandle);
   p.append_varint(version);
   return p;
 }
 
-Buffer empty_release_payload(const std::string& url, uint32_t version) {
+Buffer empty_release_payload(uint32_t version) {
   Buffer p;
-  p.append_vstring(url);
+  p.append_varint(kHandle);
   p.append_u8(payload_method::kRaw);
   DiffWriter(p, version, version).finish();
   return p;
@@ -80,11 +84,11 @@ TEST(LeaseTest, WaiterReclaimsExpiredLease) {
   raw_call(*a, MsgType::kOpenSegment, open_payload(url));
   raw_call(*b, MsgType::kOpenSegment, open_payload(url));
 
-  raw_call(*a, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(*a, MsgType::kAcquireWrite, acquire_write_payload());
   // A now stalls (no release, no renewal traffic). B must get the lock
   // once the lease runs out — roughly one lease period, not forever.
   auto start = steady_clock::now();
-  raw_call(*b, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(*b, MsgType::kAcquireWrite, acquire_write_payload());
   auto waited = std::chrono::duration_cast<milliseconds>(
       steady_clock::now() - start);
   EXPECT_GE(waited.count(), 50);  // B really blocked on the lease
@@ -97,7 +101,7 @@ TEST(LeaseTest, WaiterReclaimsExpiredLease) {
   // a generic state error, and definitely not an applied diff.
   uint32_t version_before = server.segment_version(url);
   try {
-    raw_call(*a, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+    raw_call(*a, MsgType::kReleaseWrite, empty_release_payload(0));
     FAIL() << "stale release should be rejected";
   } catch (const Error& e) {
     EXPECT_EQ(static_cast<int>(e.code()),
@@ -111,7 +115,7 @@ TEST(LeaseTest, WaiterReclaimsExpiredLease) {
   EXPECT_THROW(
       {
         try {
-          raw_call(*a, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+          raw_call(*a, MsgType::kReleaseWrite, empty_release_payload(0));
         } catch (const Error& e) {
           EXPECT_EQ(static_cast<int>(e.code()),
                     static_cast<int>(ErrorCode::kState));
@@ -121,7 +125,7 @@ TEST(LeaseTest, WaiterReclaimsExpiredLease) {
       Error);
 
   // B still holds a valid lock and can release normally.
-  raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(0));
 }
 
 TEST(LeaseTest, DisconnectBeatsLeaseExpiry) {
@@ -133,13 +137,13 @@ TEST(LeaseTest, DisconnectBeatsLeaseExpiry) {
   Harness h(server);
   auto a = h.channel();
   raw_call(*a, MsgType::kOpenSegment, open_payload(url));
-  raw_call(*a, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(*a, MsgType::kAcquireWrite, acquire_write_payload());
 
   auto b = h.channel();
   raw_call(*b, MsgType::kOpenSegment, open_payload(url));
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {
-    raw_call(*b, MsgType::kAcquireWrite, acquire_write_payload(url));
+    raw_call(*b, MsgType::kAcquireWrite, acquire_write_payload());
     acquired.store(true);
   });
   std::this_thread::sleep_for(milliseconds(50));
@@ -149,7 +153,7 @@ TEST(LeaseTest, DisconnectBeatsLeaseExpiry) {
   waiter.join();
   EXPECT_TRUE(acquired.load());
   EXPECT_EQ(server.stats().lease_expirations, 0u);
-  raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(0));
 }
 
 TEST(LeaseTest, RenewalKeepsSlowWriterAlive) {
@@ -163,12 +167,12 @@ TEST(LeaseTest, RenewalKeepsSlowWriterAlive) {
   auto b = h.channel();
   raw_call(*a, MsgType::kOpenSegment, open_payload(url));
   raw_call(*b, MsgType::kOpenSegment, open_payload(url));
-  raw_call(*a, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(*a, MsgType::kAcquireWrite, acquire_write_payload());
 
   std::atomic<bool> a_released{false};
   std::atomic<bool> b_acquired_after_release{false};
   std::thread waiter([&] {
-    raw_call(*b, MsgType::kAcquireWrite, acquire_write_payload(url));
+    raw_call(*b, MsgType::kAcquireWrite, acquire_write_payload());
     b_acquired_after_release.store(a_released.load());
   });
 
@@ -178,19 +182,19 @@ TEST(LeaseTest, RenewalKeepsSlowWriterAlive) {
   for (int i = 0; i < 10; ++i) {
     std::this_thread::sleep_for(milliseconds(100));
     Buffer p;
-    p.append_lp_string(url);
+    p.append_varint(kHandle);
     TypeCodec::encode_graph(
         reg.array_of(reg.primitive(PrimitiveKind::kInt32), 2 + i), p);
     raw_call(*a, MsgType::kRegisterType, std::move(p));
   }
   a_released.store(true);
-  raw_call(*a, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(*a, MsgType::kReleaseWrite, empty_release_payload(0));
 
   waiter.join();
   EXPECT_TRUE(b_acquired_after_release.load());
   EXPECT_EQ(server.stats().lease_expirations, 0u);
   EXPECT_EQ(server.segment_epoch(url), 0u);
-  raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(0));
 }
 
 // Full client-level recovery from lease expiry: the stalled client's

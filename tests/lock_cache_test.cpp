@@ -275,36 +275,40 @@ TEST(LockCache, RevocationDeadlineBoundsWriterStall) {
 
 // --- protocol level -------------------------------------------------------
 
+/// Each raw session below binds its one segment to this handle.
+constexpr uint32_t kHandle = 1;
+
 Frame raw_call(ClientChannel& ch, MsgType type, Buffer payload) {
   return ch.call(type, std::move(payload));
 }
 
 Buffer open_payload(const std::string& url) {
   Buffer p;
-  p.append_lp_string(url);
+  p.append_varint(kHandle);
+  p.append_vstring(url);
   p.append_u8(1);
   return p;
 }
 
-Buffer acquire_read_payload(const std::string& url) {
+Buffer acquire_read_payload() {
   Buffer p;
-  p.append_vstring(url);
+  p.append_varint(kHandle);
   p.append_varint(0);
   p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
   p.append_varint(0);
   return p;
 }
 
-Buffer acquire_write_payload(const std::string& url) {
+Buffer acquire_write_payload() {
   Buffer p;
-  p.append_vstring(url);
+  p.append_varint(kHandle);
   p.append_varint(0);
   return p;
 }
 
-Buffer empty_release_payload(const std::string& url, uint32_t version) {
+Buffer empty_release_payload(uint32_t version) {
   Buffer p;
-  p.append_vstring(url);
+  p.append_varint(kHandle);
   p.append_u8(payload_method::kRaw);
   DiffWriter(p, version, version).finish();
   return p;
@@ -331,41 +335,41 @@ TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
   // Acquire grants a cached lock (trailing byte); a *plain* release
   // surrenders it — the writer then acquires without any revocation.
   Frame resp = raw_call(*reader, MsgType::kAcquireRead,
-                        acquire_read_payload(url));
+                        acquire_read_payload());
   ASSERT_FALSE(resp.payload.empty());
   EXPECT_EQ(resp.payload.back(), 1u) << "grant byte missing or denied";
   Buffer plain;
-  plain.append_vstring(url);
+  plain.append_varint(kHandle);
   plain.append_u8(0);
   raw_call(*reader, MsgType::kReleaseRead, std::move(plain));
 
   auto start = steady_clock::now();
-  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload());
   auto waited =
       std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
   EXPECT_LT(waited.count(), 80) << "plain release left the lock registered";
   EXPECT_EQ(core.stats().revokes_sent, 0u);
-  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(0));
 
   // With the keep flag the registration survives the release: the next
   // writer must revoke, and — this session never acks — waits out the full
   // revocation deadline.
-  resp = raw_call(*reader, MsgType::kAcquireRead, acquire_read_payload(url));
+  resp = raw_call(*reader, MsgType::kAcquireRead, acquire_read_payload());
   ASSERT_FALSE(resp.payload.empty());
   EXPECT_EQ(resp.payload.back(), 1u);
   Buffer keep;
-  keep.append_vstring(url);
+  keep.append_varint(kHandle);
   keep.append_u8(1);
   raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
 
   start = steady_clock::now();
-  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload());
   waited =
       std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
   EXPECT_GE(waited.count(), 50) << "kept lock did not force a revocation";
   EXPECT_EQ(core.stats().revokes_sent, 1u);
   EXPECT_EQ(core.stats().revokes_expired, 1u);
-  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(0));
 }
 
 TEST(LockCache, ExpiredGrantSweepReclaimsWedgedHolder) {
@@ -385,11 +389,11 @@ TEST(LockCache, ExpiredGrantSweepReclaimsWedgedHolder) {
       ReconnectingChannel::Options{});
   raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
   Frame resp = raw_call(*reader, MsgType::kAcquireRead,
-                        acquire_read_payload(url));
+                        acquire_read_payload());
   ASSERT_FALSE(resp.payload.empty());
   ASSERT_EQ(resp.payload.back(), 1u) << "grant byte missing or denied";
   Buffer keep;
-  keep.append_vstring(url);
+  keep.append_varint(kHandle);
   keep.append_u8(1);
   raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
 
@@ -404,12 +408,12 @@ TEST(LockCache, ExpiredGrantSweepReclaimsWedgedHolder) {
   auto writer = std::make_shared<InProcChannel>(core);
   raw_call(*writer, MsgType::kOpenSegment, open_payload(url));
   auto start = steady_clock::now();
-  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload());
   auto waited =
       std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
   EXPECT_LT(waited.count(), 200) << "swept grant still stalled the writer";
   EXPECT_EQ(core.stats().revokes_sent, 0u);
-  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(0));
 }
 
 TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
@@ -427,11 +431,11 @@ TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
       ReconnectingChannel::Options{});
   raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
   Frame resp = raw_call(*reader, MsgType::kAcquireRead,
-                        acquire_read_payload(url));
+                        acquire_read_payload());
   ASSERT_FALSE(resp.payload.empty());
   ASSERT_EQ(resp.payload.back(), 1u);
   Buffer keep;
-  keep.append_vstring(url);
+  keep.append_varint(kHandle);
   keep.append_u8(1);
   raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
   std::this_thread::sleep_for(milliseconds(120));
@@ -442,13 +446,13 @@ TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
   auto writer = std::make_shared<InProcChannel>(core);
   raw_call(*writer, MsgType::kOpenSegment, open_payload(url));
   auto start = steady_clock::now();
-  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload(url));
+  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload());
   auto waited =
       std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
   EXPECT_LT(waited.count(), 200) << "expired grant was revoked, not dropped";
   EXPECT_EQ(core.stats().revokes_sent, 0u);
   EXPECT_EQ(core.stats().expired_grants_swept, 1u);
-  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(0));
 }
 
 TEST(LockCache, NonNegotiatingClientsSeeNoGrants) {
@@ -525,7 +529,7 @@ TEST(LockCacheTcp, CallInsideNotifyHandlerDoesNotDeadlock) {
   });
   raw_call(sub, MsgType::kOpenSegment, open_payload(url));
   Buffer subscribe;
-  subscribe.append_lp_string(url);
+  subscribe.append_varint(kHandle);
   raw_call(sub, MsgType::kSubscribe, std::move(subscribe));
 
   uint16_t port = server.port();

@@ -840,11 +840,12 @@ TEST(ReplicationEdgeTest, ReplicaRefusesVersionAndTypeSerialGaps) {
   };
   auto type_count = [&] {
     Buffer req;
-    req.append_lp_string(kUrl);
+    req.append_varint(0);  // handle 0: a one-shot query binds nothing
+    req.append_vstring(kUrl);
     Frame info = ch->call(MsgType::kSegmentInfo, std::move(req));
     BufReader in = info.reader();
-    in.read_u32();  // version
-    return in.read_u32();
+    in.read_varint32();  // version
+    return in.read_varint32();
   };
   const fs::path journal = dir / "replica" / log_name;
 

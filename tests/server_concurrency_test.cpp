@@ -60,6 +60,9 @@ uint32_t consume_update(BufReader& r, uint32_t assumed) {
   return dr.to_version();
 }
 
+/// Every session binds segment `s` to the same handle.
+uint32_t seg_handle(int s) { return static_cast<uint32_t>(s) + 1; }
+
 struct Shared {
   // expected_version[s] = 1 + diffs applied; written under the segment's
   // server-side writer lock semantics, read after join.
@@ -99,18 +102,19 @@ void worker(uint16_t port, int t, Shared& sh) {
 
     for (int s : {own, neighbor}) {
       call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-        p.append_lp_string(seg_name(s));
+        p.append_varint(seg_handle(s));
+        p.append_vstring(seg_name(s));
         p.append_u8(1);
       });
       call(ch, MsgType::kRegisterType, [&](Buffer& p) {
-        p.append_lp_string(seg_name(s));
+        p.append_varint(seg_handle(s));
         p.append(graph.span());
       });
       version[s] = 0;
       block_serial[s] = 0;
     }
     call(ch, MsgType::kSubscribe, [&](Buffer& p) {
-      p.append_lp_string(seg_name(neighbor));
+      p.append_varint(seg_handle(neighbor));
     });
 
     for (int round = 1; round <= kRounds; ++round) {
@@ -120,7 +124,7 @@ void worker(uint16_t port, int t, Shared& sh) {
       const int32_t value = t * 1000 + round;
 
       Frame acq = call(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
-        p.append_vstring(seg_name(s));
+        p.append_varint(seg_handle(s));
         p.append_varint(version[s]);
       });
       BufReader ar = acq.reader();
@@ -128,7 +132,7 @@ void worker(uint16_t port, int t, Shared& sh) {
       version[s] = consume_update(ar, version[s]);
 
       Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-        p.append_vstring(seg_name(s));
+        p.append_varint(seg_handle(s));
         p.append_u8(payload_method::kRaw);
         DiffWriter w(p, version[s], version[s] + 1);
         if (block_serial[s] == 0) {
@@ -164,7 +168,7 @@ void worker(uint16_t port, int t, Shared& sh) {
       // neighbor thread's concurrent writes.
       if (round % 4 == 0) {
         Frame rd = call(ch, MsgType::kAcquireRead, [&](Buffer& p) {
-          p.append_vstring(seg_name(own));
+          p.append_varint(seg_handle(own));
           p.append_varint(version[own]);
           p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
           p.append_varint(0);
@@ -228,8 +232,13 @@ TEST(ServerConcurrency, ShardedSegmentsStayConsistent) {
   // live blocks, each uniformly holding its owner's last committed value.
   TcpClientChannel verify(server.port());
   for (int s = 0; s < kSegments; ++s) {
-    Frame rd = call(verify, MsgType::kAcquireRead, [&](Buffer& p) {
+    call(verify, MsgType::kOpenSegment, [&](Buffer& p) {
+      p.append_varint(seg_handle(s));
       p.append_vstring(seg_name(s));
+      p.append_u8(0);
+    });
+    Frame rd = call(verify, MsgType::kAcquireRead, [&](Buffer& p) {
+      p.append_varint(seg_handle(s));
       p.append_varint(0);
       p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
       p.append_varint(0);

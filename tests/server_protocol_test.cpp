@@ -2,6 +2,8 @@
 // success and failure paths, independent of the client library.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "net/inproc.hpp"
 #include "server/server.hpp"
 #include "types/registry.hpp"
@@ -11,6 +13,13 @@
 
 namespace iw {
 namespace {
+
+/// The segment handle these tests bind `name` to: one stable number per
+/// name, so every session that opens the segment binds the same one.
+uint32_t handle_of(const std::string& name) {
+  static std::map<std::string, uint32_t> handles;
+  return handles.try_emplace(name, handles.size() + 1).first->second;
+}
 
 class Protocol : public ::testing::Test {
  protected:
@@ -34,7 +43,8 @@ class Protocol : public ::testing::Test {
 
   void open(InProcChannel& ch, const std::string& name) {
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
-      p.append_lp_string(name);
+      p.append_varint(handle_of(name));
+      p.append_vstring(name);
       p.append_u8(1);
     });
   }
@@ -43,12 +53,12 @@ class Protocol : public ::testing::Test {
                               uint32_t n) {
     TypeRegistry scratch(Platform::native().rules);
     Frame resp = call(ch, MsgType::kRegisterType, [&](Buffer& p) {
-      p.append_lp_string(seg);
+      p.append_varint(handle_of(seg));
       TypeCodec::encode_graph(
           scratch.array_of(scratch.primitive(PrimitiveKind::kInt32), n), p);
     });
     BufReader r = resp.reader();
-    return r.read_u32();
+    return r.read_varint32();
   }
 
   server::SegmentServer server_;
@@ -64,18 +74,20 @@ TEST_F(Protocol, OpenCreatesOnce) {
   InProcChannel ch(server_);
   open(ch, "p/seg");
   Frame resp = call(ch, MsgType::kOpenSegment, [](Buffer& p) {
-    p.append_lp_string("p/seg");
+    p.append_varint(handle_of("p/seg"));
+    p.append_vstring("p/seg");
     p.append_u8(0);  // no create; must already exist
   });
   BufReader r = resp.reader();
-  EXPECT_EQ(r.read_u32(), 1u);  // version
-  EXPECT_EQ(r.read_u32(), 1u);  // next serial
+  EXPECT_EQ(r.read_varint32(), 1u);  // version
+  EXPECT_EQ(r.read_varint32(), 1u);  // next serial
 }
 
 TEST_F(Protocol, RegisterTypeDedupsAcrossSessions) {
   InProcChannel a(server_);
   InProcChannel b(server_);
   open(a, "p/types");
+  open(b, "p/types");
   EXPECT_EQ(register_int_array(a, "p/types", 10), 1u);
   EXPECT_EQ(register_int_array(b, "p/types", 10), 1u);
   EXPECT_EQ(register_int_array(b, "p/types", 20), 2u);
@@ -83,8 +95,18 @@ TEST_F(Protocol, RegisterTypeDedupsAcrossSessions) {
 
 TEST_F(Protocol, RegisterTypeOnMissingSegmentFails) {
   InProcChannel ch(server_);
+  // A hello may bind a name the server does not have; the first frame
+  // naming it finds no segment.
+  call(ch, MsgType::kHello, [](Buffer& p) {
+    p.append_u8(kProtocolVersion);
+    p.append_varint(9);
+    p.append_varint(1);
+    p.append_varint(1);  // one binding
+    p.append_varint(handle_of("p/nope"));
+    p.append_vstring("p/nope");
+  });
   EXPECT_EQ(call_expect_error(ch, MsgType::kRegisterType, [&](Buffer& p) {
-    p.append_lp_string("p/nope");
+    p.append_varint(handle_of("p/nope"));
     TypeRegistry scratch(Platform::native().rules);
     TypeCodec::encode_graph(scratch.primitive(PrimitiveKind::kInt32), p);
   }), ErrorCode::kNotFound);
@@ -94,7 +116,7 @@ TEST_F(Protocol, ReleaseWithoutAcquireFails) {
   InProcChannel ch(server_);
   open(ch, "p/lock");
   EXPECT_EQ(call_expect_error(ch, MsgType::kReleaseWrite, [](Buffer& p) {
-    p.append_vstring("p/lock");
+    p.append_varint(handle_of("p/lock"));
     p.append_u8(payload_method::kRaw);
     DiffWriter(p, 1, 1).finish();
   }), ErrorCode::kState);
@@ -104,11 +126,11 @@ TEST_F(Protocol, DoubleAcquireBySameSessionFails) {
   InProcChannel ch(server_);
   open(ch, "p/dbl");
   call(ch, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_vstring("p/dbl");
+    p.append_varint(handle_of("p/dbl"));
     p.append_varint(0);
   });
   EXPECT_EQ(call_expect_error(ch, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_vstring("p/dbl");
+    p.append_varint(handle_of("p/dbl"));
     p.append_varint(0);
   }), ErrorCode::kState);
 }
@@ -119,7 +141,7 @@ TEST_F(Protocol, WriteLockFlowWithRealDiff) {
   uint32_t type_serial = register_int_array(ch, "p/flow", 8);
 
   Frame acq = call(ch, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_vstring("p/flow");
+    p.append_varint(handle_of("p/flow"));
     p.append_varint(0);
   });
   BufReader ar = acq.reader();
@@ -127,7 +149,7 @@ TEST_F(Protocol, WriteLockFlowWithRealDiff) {
   EXPECT_EQ(next_serial, 1u);
 
   Frame rel = call(ch, MsgType::kReleaseWrite, [&](Buffer& p) {
-    p.append_vstring("p/flow");
+    p.append_varint(handle_of("p/flow"));
     p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 1, 2);
     w.begin_block(next_serial, diff_flags::kNew | diff_flags::kWhole,
@@ -142,7 +164,7 @@ TEST_F(Protocol, WriteLockFlowWithRealDiff) {
 
   // A fresh read from version 0 returns the block and the type.
   Frame read = call(ch, MsgType::kAcquireRead, [](Buffer& p) {
-    p.append_vstring("p/flow");
+    p.append_varint(handle_of("p/flow"));
     p.append_varint(0);
     p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
     p.append_varint(0);
@@ -167,11 +189,11 @@ TEST_F(Protocol, SecondSessionGetsTypeDefinitions) {
   open(a, "p/tsync");
   uint32_t type_serial = register_int_array(a, "p/tsync", 4);
   call(a, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_vstring("p/tsync");
+    p.append_varint(handle_of("p/tsync"));
     p.append_varint(0);
   });
   call(a, MsgType::kReleaseWrite, [&](Buffer& p) {
-    p.append_vstring("p/tsync");
+    p.append_varint(handle_of("p/tsync"));
     p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 1, 2);
     w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
@@ -183,7 +205,7 @@ TEST_F(Protocol, SecondSessionGetsTypeDefinitions) {
 
   open(b, "p/tsync");
   Frame read = call(b, MsgType::kAcquireRead, [](Buffer& p) {
-    p.append_vstring("p/tsync");
+    p.append_varint(handle_of("p/tsync"));
     p.append_varint(0);
     p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
     p.append_varint(0);
@@ -210,15 +232,15 @@ TEST_F(Protocol, SubscribeAndNotify) {
   });
   open(watcher, "p/watch");
   call(watcher, MsgType::kSubscribe, [](Buffer& p) {
-    p.append_lp_string("p/watch");
+    p.append_varint(handle_of("p/watch"));
   });
 
   call(writer, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_vstring("p/watch");
+    p.append_varint(handle_of("p/watch"));
     p.append_varint(0);
   });
   call(writer, MsgType::kReleaseWrite, [&](Buffer& p) {
-    p.append_vstring("p/watch");
+    p.append_varint(handle_of("p/watch"));
     p.append_u8(payload_method::kRaw);
     DiffWriter w(p, 1, 2);
     w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
@@ -236,14 +258,15 @@ TEST_F(Protocol, DisconnectReleasesWriterLock) {
   auto holder = std::make_unique<InProcChannel>(server_);
   open(*holder, "p/orphan");
   call(*holder, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_vstring("p/orphan");
+    p.append_varint(handle_of("p/orphan"));
     p.append_varint(0);
   });
   holder.reset();  // disconnect while holding the lock
 
   InProcChannel other(server_);
+  open(other, "p/orphan");
   Frame resp = call(other, MsgType::kAcquireWrite, [](Buffer& p) {
-    p.append_vstring("p/orphan");
+    p.append_varint(handle_of("p/orphan"));
     p.append_varint(0);
   });
   EXPECT_EQ(resp.type, MsgType::kAcquireWriteResp);
@@ -256,11 +279,11 @@ TEST_F(Protocol, DeltaCoherenceAnsweredServerSide) {
   uint32_t type_serial = register_int_array(writer, "p/delta", 4);
   auto write_once = [&](uint32_t base) {
     call(writer, MsgType::kAcquireWrite, [](Buffer& p) {
-      p.append_vstring("p/delta");
+      p.append_varint(handle_of("p/delta"));
       p.append_varint(0);
     });
     call(writer, MsgType::kReleaseWrite, [&](Buffer& p) {
-      p.append_vstring("p/delta");
+      p.append_varint(handle_of("p/delta"));
       p.append_u8(payload_method::kRaw);
       DiffWriter w(p, base, base + 1);
       if (base == 1) {
@@ -278,7 +301,7 @@ TEST_F(Protocol, DeltaCoherenceAnsweredServerSide) {
   // Reader syncs to v2.
   open(reader, "p/delta");
   call(reader, MsgType::kAcquireRead, [](Buffer& p) {
-    p.append_vstring("p/delta");
+    p.append_varint(handle_of("p/delta"));
     p.append_varint(0);
     p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
     p.append_varint(0);
@@ -286,7 +309,7 @@ TEST_F(Protocol, DeltaCoherenceAnsweredServerSide) {
   write_once(2);  // v3
   // Delta-2 read at v2: one behind, "recent enough".
   Frame resp = call(reader, MsgType::kAcquireRead, [](Buffer& p) {
-    p.append_vstring("p/delta");
+    p.append_varint(handle_of("p/delta"));
     p.append_varint(2);
     p.append_u8(static_cast<uint8_t>(CoherenceModel::kDelta));
     p.append_varint(2);
@@ -298,7 +321,7 @@ TEST_F(Protocol, DeltaCoherenceAnsweredServerSide) {
 TEST_F(Protocol, HelloWithOtherVersionIsRefusedAndNeverCaches) {
   auto read_full = [&](InProcChannel& ch) {
     Frame resp = call(ch, MsgType::kAcquireRead, [](Buffer& p) {
-      p.append_vstring("p/hello");
+      p.append_varint(handle_of("p/hello"));
       p.append_varint(1);  // the empty segment's version
       p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
       p.append_varint(0);
@@ -313,6 +336,7 @@ TEST_F(Protocol, HelloWithOtherVersionIsRefusedAndNeverCaches) {
       p.append_u8(kProtocolVersion + 1);
       p.append_varint(7);
       p.append_varint(1);
+      p.append_varint(0);  // no bindings
     });
     ADD_FAILURE() << "a foreign protocol version was accepted";
   } catch (const Error& e) {
@@ -326,7 +350,7 @@ TEST_F(Protocol, HelloWithOtherVersionIsRefusedAndNeverCaches) {
   open(other, "p/hello");
   EXPECT_EQ(read_full(other), 0) << "refused hello: no cached grant";
   call(other, MsgType::kReleaseRead, [](Buffer& p) {
-    p.append_vstring("p/hello");
+    p.append_varint(handle_of("p/hello"));
     p.append_u8(1);  // asks to keep the lock cached
   });
   EXPECT_EQ(server_.stats().cached_read_grants, 0u);
@@ -337,6 +361,9 @@ TEST_F(Protocol, HelloWithOtherVersionIsRefusedAndNeverCaches) {
     p.append_u8(kProtocolVersion);
     p.append_varint(8);
     p.append_varint(1);
+    p.append_varint(1);  // binds the handle read_full names
+    p.append_varint(handle_of("p/hello"));
+    p.append_vstring("p/hello");
   });
   EXPECT_EQ(resp.type, MsgType::kHelloResp);
   EXPECT_EQ(read_full(current), 1);
@@ -348,6 +375,112 @@ TEST_F(Protocol, TruncatedHelloIsProtocolError) {
   EXPECT_EQ(call_expect_error(ch, MsgType::kHello, [](Buffer& p) {
     p.append_u8(kProtocolVersion);  // client id and epoch missing
   }), ErrorCode::kProtocol);
+}
+
+TEST_F(Protocol, HelloWithProtocolVersionOneIsRefused) {
+  // Version 1 named segments by URL in every frame; its frames cannot be
+  // read as version 2 ones.
+  InProcChannel ch(server_);
+  EXPECT_EQ(call_expect_error(ch, MsgType::kHello, [](Buffer& p) {
+    p.append_u8(1);
+    p.append_varint(7);
+    p.append_varint(1);
+  }), ErrorCode::kProtocol);
+}
+
+TEST_F(Protocol, UnboundHandleIsProtocolError) {
+  InProcChannel ch(server_);
+  open(ch, "p/bound");
+  for (uint64_t handle : {uint64_t{0}, uint64_t{handle_of("p/bound") + 1},
+                          uint64_t{UINT32_MAX}}) {
+    EXPECT_EQ(call_expect_error(ch, MsgType::kAcquireWrite, [&](Buffer& p) {
+      p.append_varint(handle);
+      p.append_varint(0);
+    }), ErrorCode::kProtocol) << handle;
+  }
+  // A handle wider than 32 bits is malformed, not a lookup.
+  EXPECT_EQ(call_expect_error(ch, MsgType::kSubscribe, [](Buffer& p) {
+    p.append_varint(uint64_t{1} << 40);
+  }), ErrorCode::kProtocol);
+  // Another session's binding is not this one's.
+  InProcChannel other(server_);
+  EXPECT_EQ(call_expect_error(other, MsgType::kAcquireRead, [](Buffer& p) {
+    p.append_varint(handle_of("p/bound"));
+    p.append_varint(0);
+    p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
+    p.append_varint(0);
+  }), ErrorCode::kProtocol);
+  // The bound handle still works.
+  call(ch, MsgType::kAcquireWrite, [](Buffer& p) {
+    p.append_varint(handle_of("p/bound"));
+    p.append_varint(0);
+  });
+}
+
+TEST_F(Protocol, RebindingHandleToAnotherNameIsProtocolError) {
+  InProcChannel ch(server_);
+  auto open_as = [&](uint32_t handle, const std::string& name) {
+    return call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
+      p.append_varint(handle);
+      p.append_vstring(name);
+      p.append_u8(1);
+    });
+  };
+  open_as(5, "p/first");
+  open_as(5, "p/first");  // the same binding again is harmless
+  try {
+    open_as(5, "p/second");
+    ADD_FAILURE() << "handle 5 was rebound";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+  }
+  EXPECT_EQ(call_expect_error(ch, MsgType::kSegmentInfo, [](Buffer& p) {
+    p.append_varint(5);
+    p.append_vstring("p/second");
+  }), ErrorCode::kProtocol);
+  // A hello that binds one handle twice, to two names, is refused too.
+  InProcChannel fresh(server_);
+  EXPECT_EQ(call_expect_error(fresh, MsgType::kHello, [](Buffer& p) {
+    p.append_u8(kProtocolVersion);
+    p.append_varint(3);
+    p.append_varint(2);
+    p.append_varint(2);
+    p.append_varint(1);
+    p.append_vstring("p/first");
+    p.append_varint(1);
+    p.append_vstring("p/second");
+  }), ErrorCode::kProtocol);
+  // Handle 0 binds nothing, whatever it names.
+  open_as(0, "p/second");
+  open_as(0, "p/first");
+  EXPECT_EQ(call_expect_error(ch, MsgType::kSubscribe,
+                              [](Buffer& p) { p.append_varint(0); }),
+            ErrorCode::kProtocol);
+}
+
+TEST_F(Protocol, CloseSegmentUnbindsHandle) {
+  InProcChannel ch(server_);
+  open(ch, "p/closing");
+  call(ch, MsgType::kCloseSegment,
+       [](Buffer& p) { p.append_varint(handle_of("p/closing")); });
+  EXPECT_EQ(call_expect_error(ch, MsgType::kAcquireWrite, [](Buffer& p) {
+    p.append_varint(handle_of("p/closing"));
+    p.append_varint(0);
+  }), ErrorCode::kProtocol);
+  EXPECT_EQ(call_expect_error(ch, MsgType::kCloseSegment, [](Buffer& p) {
+    p.append_varint(handle_of("p/closing"));
+  }), ErrorCode::kProtocol);
+  // Unbound, the handle may name another segment.
+  call(ch, MsgType::kOpenSegment, [](Buffer& p) {
+    p.append_varint(handle_of("p/closing"));
+    p.append_vstring("p/reopened");
+    p.append_u8(1);
+  });
+  call(ch, MsgType::kAcquireWrite, [](Buffer& p) {
+    p.append_varint(handle_of("p/closing"));
+    p.append_varint(0);
+  });
+  EXPECT_EQ(server_.segment_version("p/reopened"), 1u);
 }
 
 }  // namespace

@@ -18,18 +18,72 @@ TEST(Frame, HeaderRoundTrip) {
   f.payload = {1, 2, 3};
   Buffer out;
   encode_frame(f, out);
-  ASSERT_EQ(out.size(), kFrameHeaderSize + 3);
-  FrameHeader h = decode_frame_header(out.data());
+  // u8 type, 3-byte varint id, 1-byte varint length.
+  ASSERT_EQ(out.size(), 5u + 3);
+  FrameHeader h;
+  ASSERT_TRUE(decode_frame_header(out.data(), out.size(), &h));
   EXPECT_EQ(h.type, MsgType::kAcquireRead);
   EXPECT_EQ(h.request_id, 0xABCDu);
   EXPECT_EQ(h.payload_size, 3u);
+  EXPECT_EQ(h.size, 5u);
   EXPECT_EQ(frame_wire_size(f), out.size());
 }
 
 TEST(Frame, OversizedPayloadRejected) {
-  uint8_t hdr[kFrameHeaderSize] = {0};
-  store_be32(hdr + 5, kMaxFramePayload + 1);
-  EXPECT_THROW(decode_frame_header(hdr), Error);
+  Buffer hdr;
+  hdr.append_u8(static_cast<uint8_t>(MsgType::kPing));
+  hdr.append_varint(1);
+  hdr.append_varint(uint64_t{kMaxFramePayload} + 1);
+  FrameHeader h;
+  EXPECT_THROW(decode_frame_header(hdr.data(), hdr.size(), &h), Error);
+  uint8_t out[kMaxFrameHeaderSize];
+  EXPECT_THROW(encode_frame_header(MsgType::kPing, 1, kMaxFramePayload + 1u,
+                                   out),
+               Error);
+}
+
+TEST(Frame, SteadyStateHeaderIsFiveBytesAndWidestIsEleven) {
+  uint8_t out[kMaxFrameHeaderSize];
+  EXPECT_EQ(encode_frame_header(MsgType::kAcquireWrite, 1000, 200, out), 5u);
+  EXPECT_EQ(frame_header_size(1000, 200), 5u);
+  EXPECT_EQ(encode_frame_header(MsgType::kAcquireWrite, UINT32_MAX,
+                                kMaxFramePayload, out),
+            kMaxFrameHeaderSize);
+  FrameHeader h;
+  ASSERT_TRUE(decode_frame_header(out, kMaxFrameHeaderSize, &h));
+  EXPECT_EQ(h.request_id, UINT32_MAX);
+  EXPECT_EQ(h.payload_size, kMaxFramePayload);
+}
+
+TEST(Frame, TruncatedHeaderWaitsForMoreBytes) {
+  Frame f;
+  f.type = MsgType::kReleaseWrite;
+  f.request_id = 300;
+  f.payload.assign(200, 7);
+  Buffer out;
+  encode_frame(f, out);
+  // Every proper prefix is "not yet": no throw, no frame.
+  for (size_t n = 0; n < out.size(); ++n) {
+    Frame got;
+    EXPECT_EQ(decode_frame({out.data(), n}, &got), 0u) << n;
+  }
+  Frame got;
+  ASSERT_EQ(decode_frame(out.span(), &got), out.size());
+  EXPECT_EQ(got.request_id, 300u);
+  EXPECT_EQ(got.payload, f.payload);
+}
+
+TEST(Frame, OverlongHeaderVarintsRejected) {
+  FrameHeader h;
+  // Six continuation bytes of request id: longer than any u32.
+  const uint8_t six[] = {1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80};
+  EXPECT_THROW(decode_frame_header(six, sizeof six, &h), Error);
+  // Five bytes whose value exceeds 32 bits.
+  const uint8_t wide[] = {1, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0};
+  EXPECT_THROW(decode_frame_header(wide, sizeof wide, &h), Error);
+  // A non-minimal encoding (trailing zero group).
+  const uint8_t padded[] = {1, 0x81, 0x00, 0};
+  EXPECT_THROW(decode_frame_header(padded, sizeof padded, &h), Error);
 }
 
 TEST(Diff, EmptyDiff) {

@@ -261,22 +261,22 @@ int main(int argc, char** argv) {
   try {
     iw::TcpClientChannel channel(static_cast<uint16_t>(port));
     iw::Buffer payload;
-    payload.append_lp_string(url);
+    payload.append_varint(0);  // handle 0: a one-shot query binds nothing
+    payload.append_vstring(url);
     iw::Frame resp =
         channel.call(iw::MsgType::kSegmentInfo, std::move(payload));
     iw::BufReader r = resp.reader();
 
-    uint32_t version = r.read_u32();
+    uint32_t version = r.read_varint32();
     std::printf("segment  %s\n", url.c_str());
     std::printf("version  %u\n", version);
 
     iw::TypeRegistry registry(iw::Platform::native().rules);
-    uint32_t n_types = r.read_u32();
+    uint32_t n_types = r.read_varint32();
     std::vector<const iw::TypeDescriptor*> types;
     std::printf("types    %u\n", n_types);
     for (uint32_t serial = 1; serial <= n_types; ++serial) {
-      uint32_t len = r.read_u32();
-      auto graph = r.read_bytes(len);
+      auto graph = r.read_bytes(r.read_varint32());
       iw::BufReader gr(graph.data(), graph.size());
       const iw::TypeDescriptor* t = iw::TypeCodec::decode_graph(gr, registry);
       types.push_back(t);
@@ -286,12 +286,12 @@ int main(int argc, char** argv) {
                   t->local_size());
     }
 
-    uint32_t n_blocks = r.read_u32();
+    uint32_t n_blocks = r.read_varint32();
     std::printf("blocks   %u\n", n_blocks);
     for (uint32_t i = 0; i < n_blocks; ++i) {
-      uint32_t serial = r.read_u32();
-      uint32_t type_serial = r.read_u32();
-      std::string name = r.read_lp_string();
+      uint32_t serial = r.read_varint32();
+      uint32_t type_serial = r.read_varint32();
+      std::string name = r.read_vstring();
       std::printf("  #%-6u type=%-3u %s\n", serial, type_serial,
                   name.empty() ? "(unnamed)" : name.c_str());
     }
