@@ -69,6 +69,7 @@ RunResult run_config(bool wal, server::WriteAheadLog::Sync sync, int cycles) {
     server::SegmentServer server(sopts);
     InProcChannel ch(server);
 
+    ch.call(MsgType::kHello, hello_payload());  // before binding a handle
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
       p.append_varint(kSegHandle);
       p.append_vstring(kSeg);
@@ -172,6 +173,7 @@ PayloadResult run_payload(bool compress, bool compressible, int cycles) {
   {
     server::SegmentServer server(sopts);
     InProcChannel ch(server);
+    ch.call(MsgType::kHello, hello_payload());  // before binding a handle
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
       p.append_varint(kSegHandle);
       p.append_vstring(kSeg);

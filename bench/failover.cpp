@@ -44,10 +44,12 @@ Frame call(InProcChannel& ch, MsgType type,
   return ch.call(type, std::move(payload));
 }
 
-/// Opens kSeg, registers the block type, and runs `cycles` write commits
-/// against `ch`; returns wall seconds for the commit loop alone.
+/// Says hello (a session binds a handle only after it), opens kSeg,
+/// registers the block type, and runs `cycles` write commits against `ch`;
+/// returns wall seconds for the commit loop alone.
 double run_commits(InProcChannel& ch, int cycles,
                    std::vector<uint64_t>* latencies_ns) {
+  ch.call(MsgType::kHello, hello_payload());
   call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
     p.append_varint(kSegHandle);
     p.append_vstring(kSeg);
@@ -268,6 +270,7 @@ RestoreRf bench_restore_rf(int trials, int prefix_commits) {
       // replicas onto the stream; every prefix commit is then acked only
       // after two replicas journaled it — the state a real kill interrupts.
       InProcChannel ch(*nodes[0]);
+      ch.call(MsgType::kHello, hello_payload());
       call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
         p.append_varint(kSegHandle);
         p.append_vstring(kSeg);

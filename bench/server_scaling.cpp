@@ -36,10 +36,12 @@
 //
 //   server_scaling --hot-read [--readers N] [--seconds S]
 //
-// N reader clients spin on read critical sections over one shared kFull
-// segment while a writer commits every ~250 ms, run once with client-side
-// lock caching on and once off (readers without auto_reconnect never say
-// hello, so they are never granted a cached lock). Reported as JSON: lock RPCs per critical
+// N reader clients spin on read critical sections over one shared segment
+// while a writer commits every ~250 ms, run once with client-side lock
+// caching on and once off. The "on" readers run kFull coherence; the "off"
+// readers run temporal(0), which always wants the current version but is
+// never granted a cached lock, so each of their critical sections costs
+// exactly one kAcquireRead. Reported as JSON: lock RPCs per critical
 // section (the headline number — off pays 1.0, on amortizes one RPC across
 // every CS between commits), CS/sec, CS latency p50/p99, the server's
 // revocation counters, and the writer's worst-case acquire latency (bounded
@@ -135,6 +137,7 @@ std::vector<uint64_t> client_loop(uint16_t port, int thread_id, int cycles,
   TcpClientChannel ch(port);
   uint64_t requests = 0;
 
+  ch.call(MsgType::kHello, hello_payload());  // before binding a handle
   call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
     p.append_varint(kSegHandle);
     p.append_vstring(seg);
@@ -353,6 +356,7 @@ struct ConnScalingShared {
 /// Seeds every shared segment with one named 1 KiB block.
 void seed_conn_segments(ConnScalingShared* sh) {
   TcpClientChannel ch(sh->port);
+  ch.call(MsgType::kHello, hello_payload());  // before binding handles
   TypeRegistry scratch(Platform::native().rules);
   for (int s = 0; s < kConnSegments; ++s) {
     std::string seg = conn_segment(s);
@@ -398,6 +402,7 @@ void conn_writer_loop(ConnScalingShared* sh, int index) {
     ch.set_notify_handler([sh](const Frame&) {
       sh->notifications.fetch_add(1, std::memory_order_relaxed);
     });
+    ch.call(MsgType::kHello, hello_payload());  // before binding a handle
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
       p.append_varint(kSegHandle);
       p.append_vstring(seg);
@@ -456,15 +461,17 @@ void conn_reader_loop(ConnScalingShared* sh, int index,
   try {
     std::string seg = conn_segment(index);
     RawConn conn(sh->port);
+    // The session says hello before it binds the handle.
+    conn.send_all(encode_req(MsgType::kHello, 1, hello_payload()));
     Buffer open_payload;
     open_payload.append_varint(kSegHandle);
     open_payload.append_vstring(seg);
     open_payload.append_u8(0);
-    conn.send_all(encode_req(MsgType::kOpenSegment, 1, open_payload));
+    conn.send_all(encode_req(MsgType::kOpenSegment, 2, open_payload));
     Buffer sub_payload;
     sub_payload.append_varint(kSegHandle);
-    conn.send_all(encode_req(MsgType::kSubscribe, 2, sub_payload));
-    for (int got = 0; got < 2;) {
+    conn.send_all(encode_req(MsgType::kSubscribe, 3, sub_payload));
+    for (int got = 0; got < 3;) {
       if (conn.read_frame().request_id != 0) ++got;
     }
     sh->ready.fetch_add(1);
@@ -633,14 +640,14 @@ struct HotReadResult {
 };
 
 /// One hot-read run: `readers` full clients spin on read critical sections
-/// over a single shared kFull segment while a writer commits every ~250 ms.
-/// The no-cache baseline runs its readers without auto_reconnect: they never
-/// say hello, so the server never grants them a cached lock and every
-/// critical section pays one kAcquireRead RPC (the client never sends a
-/// kReleaseRead for an unmodified kFull read, so the honest baseline is 1.0
-/// RPC per CS, not 2.0). With caching on, one RPC is amortized across every
-/// CS between writer commits; the commits trigger revocations whose acks
-/// bound the writer's acquire latency.
+/// over a single shared segment while a writer commits every ~250 ms. The
+/// no-cache baseline runs its readers under temporal(0) coherence: every
+/// critical section wants the current version, and the server grants a
+/// cached lock to kFull readers only, so each one pays one kAcquireRead RPC
+/// (the client never sends a kReleaseRead, so the honest baseline is 1.0
+/// RPC per CS, not 2.0). With caching on, the readers run kFull and one RPC
+/// is amortized across every CS between writer commits; the commits trigger
+/// revocations whose acks bound the writer's acquire latency.
 HotReadResult run_hot_read(bool caching, int readers, double seconds) {
   server::SegmentServer core;  // default revocation deadline: 2000 ms
   TcpServer server(core, 0);
@@ -660,13 +667,14 @@ HotReadResult run_hot_read(bool caching, int readers, double seconds) {
   for (uint32_t i = 0; i < kHotUnits; ++i) seeded[i] = 1;
   writer.write_unlock(wseg);
 
-  Client::Options ropts;
-  ropts.auto_reconnect = caching;  // no hello, no cached grants
   std::vector<std::unique_ptr<Client>> clients;
   std::vector<ClientSegment*> segs;
   for (int i = 0; i < readers; ++i) {
-    clients.push_back(std::make_unique<Client>(factory, ropts));
+    clients.push_back(std::make_unique<Client>(factory));
     segs.push_back(clients.back()->open_segment(url, false));
+    if (!caching) {
+      clients.back()->set_coherence(segs.back(), CoherencePolicy::temporal(0));
+    }
   }
 
   constexpr size_t kMaxSamples = 1u << 20;

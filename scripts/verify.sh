@@ -11,16 +11,19 @@
 # is good at catching — plus the reactor transport suite (partial frames,
 # burst coalescing, backpressure, worker-pool elasticity) and the TCP
 # client channel suite (its receive loop decodes header varints off the
-# socket and races the callers it hands frames to) under both sanitizers,
-# and the chaos/lease suites again over TCP, so the epoll reactor's
-# cross-thread outbox/retirement protocol is raced under TSan.
+# socket, races the callers it hands frames to, and runs notify handlers
+# itself) under both sanitizers, and the chaos/lease suites again over
+# TCP, so the epoll reactor's cross-thread outbox/retirement protocol is
+# raced under TSan. The server concurrency suite runs under TSan as well:
+# its raw TCP clients count notifications on the receiver thread while
+# their own calls are in flight.
 # Lock caching and payload compression are part of the one protocol
 # version, so every chaos/lease run above already carries cached reader
-# locks (revocation acks ride a background worker thread racing acquires,
-# releases, and channel teardown — TSan bait by design), the section
-# envelope, the LZ codec, and compressed journal/chain recovery (the
-# restart seeds in the recovery soak); the lock-cache suite runs under both
-# sanitizers too.
+# locks (revokes arrive on each channel's receiver thread, and their acks
+# ride the client's background worker thread racing acquires, releases,
+# and channel teardown — TSan bait by design), the section envelope, the
+# LZ codec, and compressed journal/chain recovery (the restart seeds in the
+# recovery soak); the lock-cache suite runs under both sanitizers too.
 # The replication chaos suite (WAL streaming, directory failover, epoch
 # fencing, and the fork+SIGKILL zero-lost-acks matrix) runs under UBSan,
 # and its thread-safe subset plus a real-sockets failover lane under TSan —
@@ -100,14 +103,14 @@ for _ in $(seq "$SOAK"); do
       --gtest_filter='Seeds/RestartChaosTest.*' --gtest_brief=1
 done
 
-echo "== fault/lease/chaos tests under TSan =="
+echo "== fault/lease/chaos/concurrency tests under TSan =="
 cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j "$JOBS" \
       --target fault_test lease_test chaos_test reactor_test net_tcp_test \
-      lock_cache_test replication_chaos_test
+      lock_cache_test server_concurrency_test replication_chaos_test
 for t in fault_test lease_test chaos_test reactor_test net_tcp_test \
-         lock_cache_test; do
+         lock_cache_test server_concurrency_test; do
   TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD"/tests/"$t"
 done
 # The SIGKILL suite forks a multi-threaded child, which TSan's runtime

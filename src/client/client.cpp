@@ -70,26 +70,28 @@ Client::Client(ChannelFactory factory, Options options)
   const LayoutRules native = Platform::native().rules;
   native_pointers_ = rules.size[kPtrIdx] == native.size[kPtrIdx] &&
                      rules.byte_order == native.byte_order;
-  // Only the reconnect supervisor says hello, and only sessions that did
-  // are granted cached read locks.
-  lock_cache_enabled_ = options_.auto_reconnect;
-  if (lock_cache_enabled_) {
-    revoke_ack_worker_ = std::thread([this] { revoke_ack_loop(); });
-  }
+  revoke_ack_worker_ = std::thread([this] { revoke_ack_loop(); });
 }
 
 Client::~Client() {
   // Stop the ack worker first: it holds channel references and issues
   // calls; it must be gone before the channel maps below are torn down.
-  // Un-acked revokes are surrendered by the disconnect that follows.
-  if (revoke_ack_worker_.joinable()) {
-    {
-      std::lock_guard cl(lock_cache_mu_);
-      revoke_ack_stop_ = true;
-    }
-    revoke_ack_cv_.notify_all();
-    revoke_ack_worker_.join();
+  // Once stopped, revoke handlers queue nothing more, so the acks still
+  // queued hold the last channel references the handlers could have
+  // taken; they are dropped here, on this thread, and the disconnect that
+  // follows surrenders their cached locks.
+  std::deque<RevokeAck> unsent;
+  {
+    std::lock_guard cl(lock_cache_mu_);
+    revoke_ack_stop_ = true;
   }
+  revoke_ack_cv_.notify_all();
+  revoke_ack_worker_.join();
+  {
+    std::lock_guard cl(lock_cache_mu_);
+    unsent.swap(revoke_ack_queue_);
+  }
+  unsent.clear();
   // Channels own receiver threads that call back into note_version() with
   // `this` captured; destroy them (joining those threads) before default
   // member destruction tears down latest_versions_/notify_mu_ underneath a
@@ -106,26 +108,19 @@ std::shared_ptr<ClientChannel> Client::channel_for(const std::string& url) {
   std::string host = host_of(url);
   auto it = channels_.find(host);
   if (it != channels_.end()) return it->second;
-  std::shared_ptr<ClientChannel> channel;
-  if (options_.auto_reconnect) {
-    // The supervisor calls the factory again on every reconnect; an absent
-    // host must therefore fail by throwing, not by returning nullptr.
-    auto connector = [factory = factory_,
-                      host]() -> std::shared_ptr<ClientChannel> {
-      auto ch = factory(host);
-      if (ch == nullptr) {
-        throw Error(ErrorCode::kNotFound, "no server for host '" + host + "'");
-      }
-      return ch;
-    };
-    channel = std::make_shared<ReconnectingChannel>(std::move(connector),
-                                                    options_.reconnect);
-  } else {
-    channel = factory_(host);
-  }
-  if (channel == nullptr) {
-    throw Error(ErrorCode::kNotFound, "no server for host '" + host + "'");
-  }
+  // The supervisor calls the factory again on every reconnect; an absent
+  // host must therefore fail by throwing, not by returning nullptr.
+  auto connector = [factory = factory_,
+                    host]() -> std::shared_ptr<ClientChannel> {
+    auto ch = factory(host);
+    if (ch == nullptr) {
+      throw Error(ErrorCode::kNotFound, "no server for host '" + host + "'");
+    }
+    return ch;
+  };
+  std::shared_ptr<ClientChannel> channel =
+      std::make_shared<ReconnectingChannel>(std::move(connector),
+                                            options_.reconnect);
   // Weak capture: a shared_ptr would be a reference cycle (the handler
   // lives inside the channel), and a raw pointer could dangle if a late
   // notification raced channel teardown. lock() either pins the channel
@@ -181,12 +176,16 @@ void Client::handle_revoke(const std::string& url, uint32_t gen,
       // revocation.
       lock_cache_.erase(url);
       // No handle: the segment is closed, and its close dropped the
-      // server-side state the revoke was about.
+      // server-side state the revoke was about. The channel is pinned
+      // only when the ack is queued, so no reference taken here can die
+      // on this (the channel's own receiver) thread; a stopped worker
+      // sends nothing, so the client's teardown queues nothing either.
       auto h = handle_by_url_.find(url);
-      std::shared_ptr<ClientChannel> strong = ch.lock();
-      if (h != handle_by_url_.end() && strong != nullptr) {
-        revoke_ack_queue_.push_back({h->second, gen, std::move(strong)});
-        ack_now = true;
+      if (h != handle_by_url_.end() && !revoke_ack_stop_) {
+        if (std::shared_ptr<ClientChannel> strong = ch.lock()) {
+          revoke_ack_queue_.push_back({h->second, gen, std::move(strong)});
+          ack_now = true;
+        }
       }
     } else {
       // Readers are inside the critical section: defer the release (and
@@ -313,7 +312,6 @@ ClientSegment* Client::add_segment_locked(
 }
 
 void Client::subscribe_locked(ClientSegment* seg) {
-  if (!options_.subscribe_notifications) return;
   Buffer sub;
   sub.append_varint(seg->handle_);
   seg->channel_->call(MsgType::kSubscribe, std::move(sub));
@@ -675,13 +673,11 @@ bool Client::read_needs_server_locked(ClientSegment* seg) const {
   if (seg->needs_revalidation_) return true;
   if (seg->version_ == 0) return true;  // never fetched
   const CoherencePolicy& policy = seg->policy_;
-  const bool have_notifications = options_.subscribe_notifications;
   switch (policy.model) {
     case CoherenceModel::kFull:
       // Conservative: notifications may lag on asynchronous transports.
       return true;
     case CoherenceModel::kDelta: {
-      if (!have_notifications) return true;
       uint32_t latest = latest_known_version(seg->url_);
       if (latest < seg->version_) return true;  // server regressed: resync
       return latest - seg->version_ > policy.param;
@@ -691,7 +687,6 @@ bool Client::read_needs_server_locked(ClientSegment* seg) const {
       return age_ns > static_cast<int64_t>(policy.param) * 1'000'000;
     }
     case CoherenceModel::kDiff: {
-      if (!have_notifications) return true;
       // Only the server knows the modified fraction; ask unless we know we
       // are exactly current.
       return latest_known_version(seg->url_) != seg->version_;
@@ -704,21 +699,19 @@ void Client::read_lock(ClientSegment* seg) {
   std::lock_guard lock(mu_);
   if (seg->read_locks_ > 0 || seg->write_locked_) {
     ++seg->read_locks_;  // nested; already coherent
-    if (lock_cache_enabled_) {
-      // Sub-let: another local thread enters under the lock (cached or
-      // live) the first one brought in — no server involvement.
-      std::lock_guard cl(lock_cache_mu_);
-      auto it = lock_cache_.find(seg->url_);
-      if (it != lock_cache_.end() && it->second.active > 0) {
-        ++it->second.active;
-        cache_counters_.sublet_grants.fetch_add(1, std::memory_order_relaxed);
-      }
+    // Sub-let: another local thread enters under the lock (cached or live)
+    // the first one brought in — no server involvement.
+    std::lock_guard cl(lock_cache_mu_);
+    auto it = lock_cache_.find(seg->url_);
+    if (it != lock_cache_.end() && it->second.active > 0) {
+      ++it->second.active;
+      cache_counters_.sublet_grants.fetch_add(1, std::memory_order_relaxed);
     }
     return;
   }
   revalidate_if_reconnected_locked(seg);
   uint64_t revokes_before = 0;
-  if (lock_cache_enabled_) {
+  {
     std::lock_guard cl(lock_cache_mu_);
     revokes_before = revoke_seq_[seg->url_];
     auto it = lock_cache_.find(seg->url_);
@@ -741,9 +734,7 @@ void Client::read_lock(ClientSegment* seg) {
     ++seg->read_locks_;
     return;
   }
-  if (lock_cache_enabled_) {
-    cache_counters_.lock_cache_misses.fetch_add(1, std::memory_order_relaxed);
-  }
+  cache_counters_.lock_cache_misses.fetch_add(1, std::memory_order_relaxed);
   ++stats_.read_lock_server_calls;
   Buffer payload;
   payload.append_varint(seg->handle_);
@@ -754,10 +745,9 @@ void Client::read_lock(ClientSegment* seg) {
   BufReader r = resp.reader();
   apply_update_locked(seg, r);
   // Grant byte: the server registered us as a cached holder — or refused,
-  // implicitly surrendering any stale registration. It never grants a
-  // session that did not say hello.
+  // implicitly surrendering any stale registration.
   const bool granted = r.read_u8() != 0;
-  if (lock_cache_enabled_) {
+  {
     std::lock_guard cl(lock_cache_mu_);
     // A revoke received while the RPC was in flight may have retired this
     // very grant (it was acked at once, with no entry to defer on): a
@@ -780,7 +770,6 @@ void Client::read_unlock(ClientSegment* seg) {
     throw Error(ErrorCode::kState, "read unlock without read lock");
   }
   --seg->read_locks_;
-  if (!lock_cache_enabled_) return;
   bool ack = false;
   {
     std::lock_guard cl(lock_cache_mu_);

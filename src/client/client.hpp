@@ -167,17 +167,8 @@ class Client {
     bool per_block_no_diff = true;
     /// Last-block prediction when applying diffs (§3.3).
     bool last_block_prediction = true;
-    /// Subscribe to server version notifications (adaptive polling).
-    bool subscribe_notifications = true;
-    /// Wrap every channel in a ReconnectingChannel: transport failures tear
-    /// the connection down, reconnect with backoff under a new session
-    /// epoch, and re-send idempotent calls. Disable for tests that drive
-    /// raw channels or assert exact failure propagation. The supervisor's
-    /// kHello also makes the session a lock-caching one: read locks are
-    /// retained across read_unlock and repeat acquires are served from the
-    /// cache with zero RPCs, honouring server kRevokeRead callbacks.
-    bool auto_reconnect = true;
-    /// Backoff/retry tuning for the reconnect supervisor.
+    /// Backoff/retry tuning for the reconnect supervisor every channel is
+    /// wrapped in (client/reconnect.hpp).
     ReconnectingChannel::Options reconnect;
     /// Isomorphic type descriptors etc.
     TypeRegistry::Options type_options;
@@ -290,7 +281,7 @@ class Client {
   ClientSegment* add_segment_locked(const std::string& url, uint32_t handle,
                                     std::shared_ptr<ClientChannel> channel,
                                     uint32_t server_version);
-  /// Subscribes `seg`'s session to version notifications when enabled.
+  /// Subscribes `seg`'s session to version notifications.
   void subscribe_locked(ClientSegment* seg);
   uint32_t ensure_type_registered_locked(ClientSegment* seg,
                                          const TypeDescriptor* type);
@@ -317,16 +308,17 @@ class Client {
   void note_version(const std::string& url, uint32_t version);
   /// kRevokeRead arrived for `url`: surrender the cached lock immediately
   /// when no local reader holds it, else mark it for release (and ack) at
-  /// critical-section exit. Runs on notification threads — must not take
-  /// mu_ and must not issue RPCs itself; it enqueues the ack for
-  /// revoke_ack_loop(). `ch` is the channel the ack goes out on.
+  /// critical-section exit. Runs on the notifying thread (a TCP channel's
+  /// receiver, or the writer's thread in-proc), so it must not take mu_,
+  /// call the channel, or end up holding its last reference: it pins `ch`
+  /// only to enqueue the ack for revoke_ack_loop(), the channel's sender.
   void handle_revoke(const std::string& url, uint32_t gen,
                      const std::weak_ptr<ClientChannel>& ch);
   /// Dedicated ack thread: sends kRevokeAck for each queued revoke,
   /// swallowing transport errors (a dead connection surrenders the cached
-  /// lock via on_disconnect anyway). Acks are RPCs that can block, fail,
-  /// and tear the channel down for reconnection — none of which may happen
-  /// on a channel's own notification thread, so this worker owns them all.
+  /// lock via on_disconnect anyway). Acks are RPCs that can block and
+  /// fail — neither of which may happen on the thread that delivers a
+  /// channel's notifications, so this worker owns them all.
   void revoke_ack_loop();
   /// Drops any cached read lock state for `url` without acking (used when
   /// the server-side session is already gone: reconnect, close, recovery).
@@ -380,8 +372,6 @@ class Client {
   /// Handles of the open segments by URL (guarded by lock_cache_mu_): a
   /// kRevokeRead names its segment, and the ack names it by handle.
   std::unordered_map<std::string, uint32_t> handle_by_url_;
-  /// Read locks are cached: set from auto_reconnect (see Options).
-  bool lock_cache_enabled_ = false;
   struct CacheCounters {
     IW_COUNTER_ATOMICS(IW_CLIENT_LOCK_CACHE_COUNTERS)
     void reset() noexcept { IW_CLIENT_LOCK_CACHE_COUNTERS(IW_COUNTER_CLEAR) }
@@ -389,9 +379,9 @@ class Client {
   CacheCounters cache_counters_;
   /// Pending kRevokeAck sends, drained by revoke_ack_worker_. Guarded by
   /// lock_cache_mu_ (the enqueue sites already hold it). The shared_ptr
-  /// keeps the channel alive until the ack lands; if the worker ends up
-  /// holding the last reference, the channel is destroyed on the worker
-  /// thread — never on its own notification thread.
+  /// keeps the channel alive until the ack lands; if the worker (or ~Client,
+  /// dropping unsent acks) ends up holding the last reference, the channel
+  /// is destroyed there — never on its own receiver thread.
   struct RevokeAck {
     uint32_t handle = 0;
     uint32_t gen = 0;  ///< server's revocation generation, echoed back

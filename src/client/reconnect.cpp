@@ -33,16 +33,8 @@ void ReconnectingChannel::connect_locked() {
   ++epoch_;
   // Every connection opens with the versioned hello; a server speaking
   // another protocol version answers kProtocol, which is not retryable.
-  Buffer hello;
-  hello.append_u8(kProtocolVersion);
-  hello.append_varint(client_id_);
-  hello.append_varint(epoch_);
-  hello.append_varint(bindings_.size());
-  for (const auto& [handle, name] : bindings_) {
-    hello.append_varint(handle);
-    hello.append_vstring(name);
-  }
-  Frame resp = ch->call(MsgType::kHello, std::move(hello));
+  Frame resp =
+      ch->call(MsgType::kHello, hello_payload(client_id_, epoch_, bindings_));
   BufReader r = resp.reader();
   server_lease_ms_ = r.read_varint32();
   inner_ = std::move(ch);

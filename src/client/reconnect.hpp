@@ -11,8 +11,8 @@
 // server-side session state (subscriptions, sent-type prefix) is gone and
 // its notification-derived freshness can no longer be trusted. Every
 // connection opens with kHello (protocol version, client id, epoch, and the
-// segment handles bound so far); the server may grant cached read locks
-// only to a session that said hello.
+// segment handles bound so far); the server binds a segment handle only on
+// a session that said hello, so every session is version-checked.
 //
 // Segment handles: the client names an open segment by a small handle that
 // kOpenSegment or kSegmentInfo bound for the session. The channel records

@@ -153,64 +153,13 @@ TcpClientChannel::TcpClientChannel(uint16_t port, Options options)
     ::close(fd_);
     throw;
   }
-  notify_state_ = std::make_shared<NotifyState>();
-  notify_dispatcher_ =
-      std::thread([state = notify_state_] { notify_dispatch_loop(state); });
   receiver_ = std::thread([this] { receive_loop(); });
 }
 
 TcpClientChannel::~TcpClientChannel() {
   ::shutdown(fd_, SHUT_RDWR);
   if (receiver_.joinable()) receiver_.join();
-  const bool on_dispatcher =
-      std::this_thread::get_id() == notify_dispatcher_.get_id();
-  {
-    std::lock_guard lock(notify_state_->mu);
-    notify_state_->stop = true;
-    if (on_dispatcher) {
-      // We ARE the dispatcher: a handler's call into this channel failed
-      // and its owner is tearing us down from inside the dispatch. Drop
-      // the rest of the queue — their handlers could touch objects that
-      // die with us — so the detached loop exits as soon as the current
-      // handler unwinds.
-      notify_state_->queue.clear();
-      notify_state_->handler = nullptr;
-    }
-  }
-  notify_state_->cv.notify_all();
-  if (notify_dispatcher_.joinable()) {
-    // The receiver is gone, so the queue can only shrink: the dispatcher
-    // drains what is left and exits.
-    if (on_dispatcher) {
-      notify_dispatcher_.detach();
-    } else {
-      notify_dispatcher_.join();
-    }
-  }
   ::close(fd_);
-}
-
-void TcpClientChannel::notify_dispatch_loop(
-    std::shared_ptr<NotifyState> state) {
-  std::unique_lock lock(state->mu);
-  for (;;) {
-    state->cv.wait(lock, [&] { return !state->queue.empty() || state->stop; });
-    if (state->queue.empty()) return;  // stopped and drained
-    Frame frame = std::move(state->queue.front());
-    state->queue.pop_front();
-    std::function<void(const Frame&)> fn = state->handler;
-    lock.unlock();
-    // No channel lock held: the handler may call() right back into this
-    // channel (kRevokeAck does) while the receiver delivers the response.
-    if (fn) {
-      try {
-        fn(frame);
-      } catch (const std::exception& e) {
-        IW_LOG(kWarn) << "notify handler threw: " << e.what();
-      }
-    }
-    lock.lock();
-  }
 }
 
 void TcpClientChannel::receive_loop() {
@@ -263,9 +212,9 @@ void TcpClientChannel::receive_loop() {
     IW_LOG(kDebug) << "tcp receive loop: " << e.what();
     reason = e.what();
   } catch (const std::exception& e) {
-    // A non-Error exception (allocation failure, a throwing notify
-    // handler) must still drain every in-flight call, not kill the
-    // process via an escaped thread exception.
+    // A non-Error exception (an allocation failure) must still drain every
+    // in-flight call, not kill the process via an escaped thread
+    // exception.
     IW_LOG(kWarn) << "tcp receive loop: " << e.what();
     reason = e.what();
   }
@@ -274,11 +223,19 @@ void TcpClientChannel::receive_loop() {
 
 void TcpClientChannel::deliver(Frame&& frame) {
   if (frame.request_id == 0) {
+    std::function<void(const Frame&)> fn;
     {
-      std::lock_guard lock(notify_state_->mu);
-      notify_state_->queue.push_back(std::move(frame));
+      std::lock_guard lock(notify_mu_);
+      fn = notify_;
     }
-    notify_state_->cv.notify_one();
+    if (!fn) return;
+    try {
+      fn(frame);
+    } catch (const std::exception& e) {
+      // The handler's failure is its own: the stream is intact, so the
+      // connection and every call in flight on it carry on.
+      IW_LOG(kWarn) << "notify handler threw: " << e.what();
+    }
     return;
   }
   std::lock_guard lock(mu_);
@@ -462,8 +419,8 @@ Frame TcpClientChannel::call(MsgType type, Buffer& payload) {
 }
 
 void TcpClientChannel::set_notify_handler(std::function<void(const Frame&)> fn) {
-  std::lock_guard lock(notify_state_->mu);
-  notify_state_->handler = std::move(fn);
+  std::lock_guard lock(notify_mu_);
+  notify_ = std::move(fn);
 }
 
 }  // namespace iw

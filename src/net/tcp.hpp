@@ -9,19 +9,21 @@
 // and test runs unmodified on the event-driven core.
 //
 // TcpClientChannel owns the client end: calls are multiplexed by request
-// id and a dedicated receiver thread demultiplexes responses from
+// id and its one thread, the receiver, demultiplexes responses from
 // notifications (request_id == 0), decoding every complete frame out of
-// each recv. Concurrent callers' request frames are coalesced: whoever
-// finds no flush in progress becomes the flusher and sends every queued
-// frame in one syscall (optionally lingering `batch_window_us` to let a
-// burst accumulate), so many small lock/commit RPCs from a busy process
-// ride one send.
+// each recv. It runs the notify handler itself, so a handler must not call
+// back into the channel (see ClientChannel::set_notify_handler).
+// Concurrent callers' request frames are coalesced: whoever finds no flush
+// in progress becomes the flusher and sends every queued frame in one
+// syscall (optionally lingering `batch_window_us` to let a burst
+// accumulate), so many small lock/commit RPCs from a busy process ride one
+// send.
 #pragma once
 
 #include <sys/socket.h>
 
 #include <condition_variable>
-#include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -109,9 +111,8 @@ class TcpClientChannel final : public ClientChannel {
 
   /// Half-closes the socket so the server sees EOF and reaps the session
   /// promptly, even while another thread's in-flight call still pins this
-  /// object. The receiver/dispatcher threads wind down as on destruction;
-  /// the destructor (which repeats the shutdown harmlessly) still joins
-  /// them.
+  /// object. The receiver thread winds down as on destruction; the
+  /// destructor (which repeats the shutdown harmlessly) still joins it.
   void shutdown() noexcept override { ::shutdown(fd_, SHUT_RDWR); }
   ChannelFaultStats fault_stats() const override {
     ChannelFaultStats s;
@@ -127,7 +128,9 @@ class TcpClientChannel final : public ClientChannel {
  private:
   void receive_loop();
   /// Hands one received frame to its waiting caller, or to the notify
-  /// dispatcher when it is a notification (request id 0).
+  /// handler when it is a notification (request id 0). The handler runs
+  /// here, on the receiver, with no channel lock held; one that throws is
+  /// logged and skipped, and the connection carries on.
   void deliver(Frame&& frame);
   /// Queues one encoded frame and sees it onto the wire: either becomes
   /// the flusher (sending every queued byte in one syscall) or waits for
@@ -164,27 +167,8 @@ class TcpClientChannel final : public ClientChannel {
   /// their late responses instead of parking them in `responses_` forever.
   std::set<uint32_t> abandoned_;
 
-  /// Notifications decoupled from the receiver thread: the receiver only
-  /// enqueues; notify_dispatcher_ delivers. The state lives behind a
-  /// shared_ptr because a notify handler can transitively destroy this
-  /// channel (a failed call inside the handler makes the reconnect
-  /// supervisor tear it down); the destructor then detaches the dispatcher
-  /// instead of self-joining, and the detached loop exits against state
-  /// that outlives the channel.
-  struct NotifyState {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Frame> queue;
-    std::function<void(const Frame&)> handler;
-    bool stop = false;
-  };
-  std::shared_ptr<NotifyState> notify_state_;
-  std::thread notify_dispatcher_;
-  /// Drains state->queue, invoking the installed handler outside every
-  /// channel lock. Running on its own thread (not the receiver's) lets a
-  /// handler issue calls on this channel — the receiver stays free to
-  /// deliver their responses. Touches only `state`, never the channel.
-  static void notify_dispatch_loop(std::shared_ptr<NotifyState> state);
+  std::mutex notify_mu_;
+  std::function<void(const Frame&)> notify_;
 
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};

@@ -8,8 +8,9 @@
 //     thread; notifications are direct callbacks. Zero I/O noise, which is
 //     what the paper-shape benchmarks measure, and still byte-accounted as
 //     if frames had crossed a wire.
-//   * Tcp — real sockets, one receiver thread per client channel and one
-//     service thread per server connection (net/tcp.hpp).
+//   * Tcp — real sockets: one receiver thread per client channel, which
+//     also delivers its notifications, and an epoll reactor with a worker
+//     pool on the server (net/tcp.hpp, net/reactor.hpp).
 //
 // Byte counters on every channel feed the bandwidth experiments (Fig. 7).
 #pragma once
@@ -59,12 +60,15 @@ class ClientChannel {
     return call(type, consumed);
   }
 
-  /// Installs the handler invoked for unsolicited notifications. May be
-  /// invoked from another thread (TCP dispatches from a dedicated thread,
-  /// decoupled from the receiver so a handler may issue calls on this same
-  /// channel — the revoke-ack path relies on that) or from within call()
-  /// (in-proc). Handlers should still be quick: delivery is serialized, so
-  /// a slow handler delays every later notification.
+  /// Installs the handler invoked for unsolicited notifications. It runs on
+  /// the thread that delivers them: TCP's receiver thread, or in-proc the
+  /// server thread that notifies (often inside another session's call()).
+  /// A handler must therefore not call this channel — on TCP its response
+  /// would wait behind the handler — and must not drop the last reference
+  /// to it, which would destroy the channel on its own receiver. Work of
+  /// that kind goes to another thread, as the Client's revoke-ack worker
+  /// does. Handlers should be quick: delivery is serialized with the
+  /// responses, so a slow handler delays every later frame.
   virtual void set_notify_handler(std::function<void(const Frame&)> fn) = 0;
 
   virtual uint64_t bytes_sent() const = 0;

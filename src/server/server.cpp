@@ -115,6 +115,10 @@ void apply_tail(SegmentStore& store, uint32_t to_version, BufReader& in) {
 SegmentServer::SegmentServer() : SegmentServer(Options{}) {}
 
 SegmentServer::SegmentServer(Options options) : options_(std::move(options)) {
+  if (options_.revoke_deadline_ms == 0) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "revoke_deadline_ms must be positive");
+  }
   if (!options_.checkpoint_dir.empty()) {
     std::filesystem::create_directories(options_.checkpoint_dir);
   }
@@ -299,8 +303,16 @@ void SegmentServer::bind_handle(SessionId session, uint32_t handle,
                                 const std::string& name, SegmentEntry* entry) {
   if (handle == 0) return;
   std::unique_lock lock(sessions_mu_);
-  auto [it, fresh] = session_locked(session).handles.try_emplace(
-      handle, HandleBinding{name, entry});
+  SessionRecord& record = session_locked(session);
+  // Only a version-checked session holds handles, so every session that
+  // reaches a lock frame has said hello.
+  if (!record.said_hello) {
+    throw Error(ErrorCode::kProtocol,
+                "segment handle " + std::to_string(handle) +
+                    " bound before kHello");
+  }
+  auto [it, fresh] =
+      record.handles.try_emplace(handle, HandleBinding{name, entry});
   if (fresh) return;
   if (it->second.name != name) {
     throw Error(ErrorCode::kProtocol,
@@ -343,9 +355,7 @@ SegmentServer::SegmentSession& SegmentServer::seg_session(SegmentEntry& entry,
   SegmentSession ss;
   {
     std::shared_lock lock(sessions_mu_);
-    const SessionRecord& record = session_locked(id);
-    ss.notify = record.notify;
-    ss.may_cache = record.caching;
+    ss.notify = session_locked(id).notify;
   }
   return entry.sessions.emplace(id, std::move(ss)).first->second;
 }
@@ -401,24 +411,9 @@ void SegmentServer::revoke_cached_readers_locked(
     it->second.cached_read = false;
     it->second.revoke_pending = false;
   }
-  // Grants past their TTL are dropped up front, with no revoke round trip:
-  // their holders are presumed gone, and the writer should not spend the
-  // revocation deadline waiting for acks that cannot come.
-  if (options_.cached_grant_ttl_ms != 0) {
-    const auto cutoff =
-        clock::now() - std::chrono::milliseconds(options_.cached_grant_ttl_ms);
-    uint64_t swept = 0;
-    for (auto& [sid, ss] : entry.sessions) {
-      if (sid != session && ss.cached_read && !ss.revoke_pending &&
-          ss.grant_time < cutoff) {
-        ss.cached_read = false;
-        ++swept;
-      }
-    }
-    if (swept != 0) {
-      stats_.expired_grants_swept.fetch_add(swept, std::memory_order_relaxed);
-    }
-  }
+  // Grants past their TTL are dropped up front: the writer should not
+  // spend the revocation deadline waiting for acks that cannot come.
+  drop_expired_grants_locked(entry);
   auto cached_holders = [&] {
     size_t n = 0;
     for (auto& [sid, ss] : entry.sessions) {
@@ -597,12 +592,13 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kHello: {
-      // Session handshake from a reconnect-capable client: checks the
-      // protocol version, identifies the client across channel incarnations
-      // and announces its session epoch (1 = first connect, +1 per
-      // reconnect). A session that said hello caches read locks and honours
-      // kRevokeRead. The response tells the client how long its writer
-      // leases last so it can pace renewals.
+      // Session handshake, the first frame of every client session: checks
+      // the protocol version, identifies the client across channel
+      // incarnations and announces its session epoch (1 = first connect, +1
+      // per reconnect). Only a session that said hello binds segment
+      // handles, so every lock frame comes from a version-checked session,
+      // which caches read locks and honours kRevokeRead. The response tells
+      // the client how long its writer leases last so it can pace renewals.
       const uint8_t version = in.read_u8();
       if (version != kProtocolVersion) {
         throw Error(ErrorCode::kProtocol,
@@ -616,16 +612,16 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         IW_LOG(kInfo) << "client " << client_id << " reconnected (epoch "
                       << epoch << ") as session " << session;
       }
+      {
+        std::unique_lock lock(sessions_mu_);
+        session_locked(session).said_hello = true;
+      }
       // A reconnecting client rebinds the handles of the segments it has
       // open, so its replayed calls need no extra round trip. Names are
       // resolved on first use, like a by-name call.
       for (uint32_t n = in.read_varint32(); n > 0; --n) {
         const uint32_t handle = in.read_varint32();
         bind_handle(session, handle, in.read_vstring(), nullptr);
-      }
-      {
-        std::unique_lock lock(sessions_mu_);
-        session_locked(session).caching = true;
       }
       resp.type = MsgType::kHelloResp;
       payload.append_varint(options_.writer_lease_ms);
@@ -699,24 +695,22 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       } else {
         stats_.uptodate_responses.fetch_add(1, std::memory_order_relaxed);
       }
-      bool grant = false;
-      if (ss.may_cache && options_.revoke_deadline_ms != 0) {
-        // Grant a cached read lock only when no writer holds or is draining
-        // the segment (writer preference: cached readers can never starve a
-        // waiting writer) and the client runs Full coherence — the only
-        // model whose repeat acquires otherwise always pay an RPC.
-        grant = entry.writer == 0 && policy.model == CoherenceModel::kFull;
-        if (ss.cached_read && !grant) {
-          // This acquire implicitly surrenders a cached lock we were
-          // draining: the client re-contacted us, so it is not sick.
-          entry.writer_cv.notify_all();
-        }
-        ss.cached_read = grant;
-        ss.revoke_pending = false;
-        if (grant) {
-          ss.grant_time = std::chrono::steady_clock::now();
-          stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
-        }
+      // Grant a cached read lock only when no writer holds or is draining
+      // the segment (writer preference: cached readers can never starve a
+      // waiting writer) and the client runs Full coherence — the only model
+      // whose repeat acquires otherwise always pay an RPC.
+      const bool grant =
+          entry.writer == 0 && policy.model == CoherenceModel::kFull;
+      if (ss.cached_read && !grant) {
+        // This acquire implicitly surrenders a cached lock we were
+        // draining: the client re-contacted us, so it is not sick.
+        entry.writer_cv.notify_all();
+      }
+      ss.cached_read = grant;
+      ss.revoke_pending = false;
+      if (grant) {
+        ss.grant_time = std::chrono::steady_clock::now();
+        stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
       }
       payload.append_u8(grant ? 1 : 0);
       break;
@@ -732,10 +726,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       auto it = entry.sessions.find(session);
       if (it != entry.sessions.end()) {
         SegmentSession& ss = it->second;
-        const bool retain = keep_cached && ss.may_cache &&
-                            options_.revoke_deadline_ms != 0 &&
-                            entry.writer == 0;
-        if (retain) {
+        if (keep_cached && entry.writer == 0) {
           if (!ss.cached_read) {
             stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
           }
@@ -1393,33 +1384,33 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
   return version;
 }
 
-uint64_t SegmentServer::sweep_expired_grants() {
-  if (options_.cached_grant_ttl_ms == 0 || options_.revoke_deadline_ms == 0) {
-    return 0;
-  }
+uint64_t SegmentServer::drop_expired_grants_locked(SegmentEntry& entry) {
+  if (options_.cached_grant_ttl_ms == 0) return 0;
   const auto cutoff =
       std::chrono::steady_clock::now() -
       std::chrono::milliseconds(options_.cached_grant_ttl_ms);
   uint64_t swept = 0;
-  std::shared_lock dir(dir_mu_);
-  for (auto& [name, entry] : segments_) {
-    std::lock_guard el(entry->mu);
-    uint64_t here = 0;
-    for (auto& [sid, ss] : entry->sessions) {
-      // Grants with a revocation in flight stay with the deadline
-      // machinery — the writer driving it owns their fate.
-      if (ss.cached_read && !ss.revoke_pending && ss.grant_time < cutoff) {
-        ss.cached_read = false;
-        ++here;
-      }
-    }
-    if (here != 0) {
-      swept += here;
-      entry->writer_cv.notify_all();
+  for (auto& [sid, ss] : entry.sessions) {
+    // Grants with a revocation in flight stay with the deadline machinery:
+    // the writer driving it owns their fate.
+    if (ss.cached_read && !ss.revoke_pending && ss.grant_time < cutoff) {
+      ss.cached_read = false;
+      ++swept;
     }
   }
   if (swept != 0) {
     stats_.expired_grants_swept.fetch_add(swept, std::memory_order_relaxed);
+    entry.writer_cv.notify_all();
+  }
+  return swept;
+}
+
+uint64_t SegmentServer::sweep_expired_grants() {
+  uint64_t swept = 0;
+  std::shared_lock dir(dir_mu_);
+  for (auto& [name, entry] : segments_) {
+    std::lock_guard el(entry->mu);
+    swept += drop_expired_grants_locked(*entry);
   }
   return swept;
 }

@@ -104,9 +104,9 @@ class SegmentServer : public ServerCore {
     std::shared_ptr<WalCrashSchedule> wal_crash;
     /// How long a waiting writer gives clients holding cached read locks to
     /// ack a kRevokeRead before their cached locks are forcibly dropped
-    /// (epoch bump, like a lease reclaim). 0 disables lock caching: every
-    /// kReleaseRead drops the lock server-side even when the client asked
-    /// to cache it.
+    /// (epoch bump, like a lease reclaim). Must be positive: every session
+    /// caches read locks, so the constructor rejects 0 with
+    /// kInvalidArgument.
     uint32_t revoke_deadline_ms = 2'000;
     /// Cached read grants idle longer than this are swept server-side
     /// without a revoke round trip — a crashed or wedged holder can never
@@ -227,9 +227,6 @@ class SegmentServer : public ServerCore {
     bool cached_read = false;
     /// A kRevokeRead has been pushed and not yet acked.
     bool revoke_pending = false;
-    /// Session said kHello (copied from its SessionRecord at first touch);
-    /// a session that did not is never granted a cached lock.
-    bool may_cache = false;
     /// When the current cached grant was issued; the grant-TTL sweep
     /// compares against it.
     std::chrono::steady_clock::time_point grant_time{};
@@ -309,11 +306,12 @@ class SegmentServer : public ServerCore {
     std::string name;
     SegmentEntry* entry = nullptr;
   };
-  /// One connection: its notifier, whether it said kHello (and so caches
-  /// read locks), and its segment handles.
+  /// One connection: its notifier, whether it said kHello (the version
+  /// check every session passes before it may bind a segment handle), and
+  /// its segment handles.
   struct SessionRecord {
     Notifier notify;
-    bool caching = false;
+    bool said_hello = false;
     std::unordered_map<uint32_t, HandleBinding> handles;
   };
   struct PendingNotify {
@@ -362,6 +360,12 @@ class SegmentServer : public ServerCore {
   void acquire_writer_locked(SegmentEntry& entry, const std::string& name,
                              SessionId session,
                              std::unique_lock<std::mutex>& el);
+  /// Drops the entry's cached read grants older than cached_grant_ttl_ms,
+  /// with no revoke round trip (their holders are presumed gone); grants
+  /// with a revocation in flight stay with the deadline machinery. Returns
+  /// the number dropped; 0 when the TTL is disabled. Caller holds the
+  /// entry's lock.
+  uint64_t drop_expired_grants_locked(SegmentEntry& entry);
   /// Pushes kRevokeRead to every session caching a read lock on `entry`
   /// (other than the acquiring writer) and waits until all of them ack or
   /// the revocation deadline passes; unacked holders are then forcibly

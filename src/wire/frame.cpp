@@ -112,4 +112,18 @@ size_t decode_frame(std::span<const uint8_t> bytes, Frame* out) {
   return h.size + h.payload_size;
 }
 
+Buffer hello_payload(uint64_t client_id, uint64_t session_epoch,
+                     const std::map<uint32_t, std::string>& bindings) {
+  Buffer hello;
+  hello.append_u8(kProtocolVersion);
+  hello.append_varint(client_id);
+  hello.append_varint(session_epoch);
+  hello.append_varint(bindings.size());
+  for (const auto& [handle, name] : bindings) {
+    hello.append_varint(handle);
+    hello.append_vstring(name);
+  }
+  return hello;
+}
+
 }  // namespace iw

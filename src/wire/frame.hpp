@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/buffer.hpp"
@@ -157,5 +159,12 @@ inline uint64_t frame_wire_size(const Frame& frame) {
   return frame_header_size(frame.request_id, frame.payload.size()) +
          frame.payload.size();
 }
+
+/// The kHello payload that opens every client session: kProtocolVersion,
+/// the client id, the session epoch, and the segment handles to rebind.
+/// A session must say hello before it binds a non-zero handle; the
+/// defaults suit a hand-built first session that rebinds nothing.
+Buffer hello_payload(uint64_t client_id = 0, uint64_t session_epoch = 1,
+                     const std::map<uint32_t, std::string>& bindings = {});
 
 }  // namespace iw

@@ -183,6 +183,7 @@ TEST_F(Checkpoint, ClientAheadOfRecoveredServerResyncs) {
   // Simulate the surviving cache: hand-craft an AcquireRead with a version
   // ahead of the server and check we get a full resync rather than an error.
   auto channel = std::make_shared<InProcChannel>(*server);
+  channel->call(MsgType::kHello, hello_payload());
   Buffer open;
   open.append_varint(1);  // segment handle
   open.append_vstring("host/ahead");
@@ -496,6 +497,7 @@ TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
   // A surviving cache at the mid-window version asks for an update: the
   // response diff must free the victim block.
   InProcChannel channel(revived);
+  channel.call(MsgType::kHello, hello_payload());
   Buffer open;
   open.append_varint(1);  // segment handle
   open.append_vstring("host/ghost");

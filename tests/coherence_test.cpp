@@ -17,8 +17,8 @@ class Coherence : public ::testing::Test {
     };
   }
 
-  std::unique_ptr<Client> make_client(Client::Options options = {}) {
-    return std::make_unique<Client>(factory_, options);
+  std::unique_ptr<Client> make_client() {
+    return std::make_unique<Client>(factory_);
   }
 
   /// Writer bumps the segment version by touching one int.
@@ -202,46 +202,6 @@ TEST_F(Coherence, NotificationsArriveOnWrites) {
   bump(*w, ws, data, 5);
   EXPECT_GT(r->bytes_received(), rx_before)
       << "subscribed reader should receive a version notification";
-}
-
-TEST_F(Coherence, UnsubscribedClientStillCorrect) {
-  Client::Options options;
-  options.subscribe_notifications = false;
-  auto w = make_client();
-  auto r = make_client(options);
-  auto [ws, data] = make_shared_array(*w, "host/nosub");
-  ClientSegment* rs = r->open_segment("host/nosub");
-  r->set_coherence(rs, CoherencePolicy::delta(5));
-
-  r->read_lock(rs);
-  r->read_unlock(rs);
-  bump(*w, ws, data, 9);
-
-  // Without notifications the client cannot decide locally; it must ask,
-  // and the server's delta check still applies (1 behind <= 5: up to date).
-  uint64_t calls_before = r->stats().read_lock_server_calls;
-  r->read_lock(rs);
-  r->read_unlock(rs);
-  EXPECT_EQ(r->stats().read_lock_server_calls, calls_before + 1);
-}
-
-TEST_F(Coherence, ServerDecidesDeltaForUnsubscribed) {
-  Client::Options options;
-  options.subscribe_notifications = false;
-  auto w = make_client();
-  auto r = make_client(options);
-  auto [ws, data] = make_shared_array(*w, "host/svr-delta");
-  ClientSegment* rs = r->open_segment("host/svr-delta");
-  r->set_coherence(rs, CoherencePolicy::delta(2));
-
-  r->read_lock(rs);
-  r->read_unlock(rs);
-  uint32_t v0 = rs->version();
-  bump(*w, ws, data, 1);
-
-  r->read_lock(rs);
-  EXPECT_EQ(rs->version(), v0) << "server should answer 'recent enough'";
-  r->read_unlock(rs);
 }
 
 }  // namespace

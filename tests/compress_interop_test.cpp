@@ -1,10 +1,10 @@
 // Interop tests for payload compression: every session carries the
 // method-byte envelope on every diff section, so whether a frame is
-// compressed is a per-frame content decision. A client that never says
-// hello compresses like any other, and a server with compression off
-// still accepts compressed commits; every mix must converge
-// byte-for-byte. Both byte directions are covered: commits (client ->
-// server) and updates (server -> client).
+// compressed is a per-frame content decision. Clients compress whatever
+// the server does, and a server with compression off still accepts
+// compressed commits; every mix must converge byte-for-byte. Both byte
+// directions are covered: commits (client -> server) and updates (server
+// -> client).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,21 +20,10 @@ namespace {
 
 class CompressInterop : public ::testing::Test {
  protected:
-  static std::unique_ptr<Client> make_client(server::SegmentServer& core,
-                                             Client::Options opts = {}) {
-    return std::make_unique<Client>(
-        [&core](const std::string&) {
-          return std::make_shared<InProcChannel>(core);
-        },
-        opts);
-  }
-
-  // No reconnect supervisor, so no hello: the session is not a
-  // lock-caching one, but its diff sections use the same envelope.
-  static Client::Options without_hello() {
-    Client::Options o;
-    o.auto_reconnect = false;
-    return o;
+  static std::unique_ptr<Client> make_client(server::SegmentServer& core) {
+    return std::make_unique<Client>([&core](const std::string&) {
+      return std::make_shared<InProcChannel>(core);
+    });
   }
 
   static const TypeDescriptor* int_array(Client& c, uint32_t n) {
@@ -49,10 +38,10 @@ TEST_F(CompressInterop, PreCompressionPeersAgainstCompressingServer) {
   sopts.compress_payloads = true;
   server::SegmentServer core(sopts);
 
-  // Both peers have the shape of a client from before compression: no
-  // reconnect supervisor, so no hello. They still speak the envelope.
-  auto writer = make_client(core, without_hello());
-  auto reader = make_client(core, without_hello());
+  // Neither peer does anything about compression: the envelope is part of
+  // every session.
+  auto writer = make_client(core);
+  auto reader = make_client(core);
 
   ClientSegment* ws = writer->open_segment("host/legacy");
   writer->write_lock(ws);
@@ -69,12 +58,12 @@ TEST_F(CompressInterop, PreCompressionPeersAgainstCompressingServer) {
   for (int i = 0; i < kInts; ++i) ASSERT_EQ(rd[i], 7) << "at " << i;
   reader->read_unlock(rs);
 
-  // Both directions compressed, and neither session was granted a cached
-  // lock.
+  // Both directions compressed, and the reader's one acquire earned the
+  // cached grant every session may hold.
   EXPECT_GT(writer->stats().diffs_compressed, 0u);
   EXPECT_EQ(reader->stats().diffs_compressed, 0u);
   EXPECT_GT(core.stats().updates_compressed, 0u);
-  EXPECT_EQ(core.stats().cached_read_grants, 0u);
+  EXPECT_EQ(core.stats().cached_read_grants, 1u);
 }
 
 TEST_F(CompressInterop, MixedFleetSharesOneSegment) {
@@ -82,10 +71,10 @@ TEST_F(CompressInterop, MixedFleetSharesOneSegment) {
   sopts.compress_payloads = true;
   server::SegmentServer core(sopts);
 
-  auto plain = make_client(core, without_hello());
+  auto plain = make_client(core);
   auto hello = make_client(core);
 
-  // Client without hello -> server: the commit shrinks in the envelope.
+  // First client -> server: the commit shrinks in the envelope.
   ClientSegment* ps = plain->open_segment("host/nohello");
   plain->write_lock(ps);
   auto* d = static_cast<int32_t*>(
@@ -94,8 +83,8 @@ TEST_F(CompressInterop, MixedFleetSharesOneSegment) {
   plain->write_unlock(ps);
   EXPECT_GT(plain->stats().diffs_compressed, 0u);
 
-  // The other client writes back; the update to the client without hello
-  // ships compressed as well.
+  // The other client writes back; the update to the first client ships
+  // compressed as well.
   ClientSegment* hs = hello->open_segment("host/nohello");
   hello->write_lock(hs);
   auto* hw = const_cast<int32_t*>(reinterpret_cast<const int32_t*>(
@@ -110,8 +99,8 @@ TEST_F(CompressInterop, MixedFleetSharesOneSegment) {
   plain->read_unlock(ps);
   EXPECT_GT(core.stats().updates_compressed, updates_before);
   EXPECT_EQ(plain->stats().lock_cache_hits, 0u);
-  EXPECT_EQ(core.stats().cached_read_grants, 0u)
-      << "a client without hello is never granted a cached lock";
+  EXPECT_EQ(core.stats().cached_read_grants, 1u)
+      << "the one read acquire earns one cached grant";
 }
 
 TEST_F(CompressInterop, RawServerAcceptsCompressedCommits) {

@@ -135,11 +135,13 @@ TEST(FaultyChannelTest, SeveredWriterUnblocksWaiter) {
   FaultyChannel a(std::make_shared<InProcChannel>(server), schedule);
   InProcChannel b(server);
 
+  raw_call(a, MsgType::kHello, hello_payload());
   raw_call(a, MsgType::kOpenSegment, open_payload(url));
   raw_call(a, MsgType::kAcquireWrite, acquire_write_payload());
 
   std::atomic<bool> b_acquired{false};
   std::thread waiter([&] {
+    raw_call(b, MsgType::kHello, hello_payload());
     raw_call(b, MsgType::kOpenSegment, open_payload(url));
     raw_call(b, MsgType::kAcquireWrite, acquire_write_payload());
     b_acquired.store(true);

@@ -159,6 +159,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
     ADD_FAILURE() << "request was accepted";
     return ErrorCode::kInternal;
   };
+  ch.call(MsgType::kHello, hello_payload());
   call(MsgType::kOpenSegment, [&](Buffer& p) {
     p.append_varint(1);
     p.append_vstring(url);
@@ -277,7 +278,7 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   EXPECT_EQ(resp.reader().read_varint32(), 3u);
 }
 
-/// A server stand-in that answers kOpenSegment and hands every
+/// A server stand-in that answers kHello and kOpenSegment and hands every
 /// kAcquireRead one canned update payload.
 class CannedUpdateChannel final : public ClientChannel {
  public:
@@ -287,7 +288,10 @@ class CannedUpdateChannel final : public ClientChannel {
   Frame call(MsgType type, Buffer&) override {
     Frame resp;
     Buffer p;
-    if (type == MsgType::kOpenSegment) {
+    if (type == MsgType::kHello) {
+      resp.type = MsgType::kHelloResp;
+      p.append_varint(0);  // writer leases disabled
+    } else if (type == MsgType::kOpenSegment) {
       resp.type = MsgType::kOpenSegmentResp;
       p.append_varint(1);  // version
       p.append_varint(1);  // next serial
@@ -319,13 +323,9 @@ TEST(FuzzClient, UpdateWithTypeSerialZeroIsProtocolError) {
   update.append_u8(payload_method::kRaw);
   DiffWriter(update, 0, 1).finish();
   update.append_u8(0);  // grant
-  client::Client::Options opts;
-  opts.auto_reconnect = false;
-  Client c(
-      [&](const std::string&) {
-        return std::make_shared<CannedUpdateChannel>(std::move(update));
-      },
-      opts);
+  Client c([&](const std::string&) {
+    return std::make_shared<CannedUpdateChannel>(std::move(update));
+  });
   ClientSegment* seg = c.open_segment("host/canned");
   try {
     c.read_lock(seg);
@@ -338,6 +338,7 @@ TEST(FuzzClient, UpdateWithTypeSerialZeroIsProtocolError) {
 TEST(FuzzServer, RandomFramesGetCleanResponses) {
   server::SegmentServer server;
   InProcChannel channel(server);
+  channel.call(MsgType::kHello, hello_payload());
   SplitMix64 rng(4242);
   int errors = 0;
   for (int trial = 0; trial < 3000; ++trial) {
@@ -366,6 +367,8 @@ TEST(FuzzServer, MalformedReleaseDoesNotWedgeTheLock) {
   server::SegmentServer server;
   InProcChannel a(server);
   InProcChannel b(server);
+  a.call(MsgType::kHello, hello_payload());
+  b.call(MsgType::kHello, hello_payload());
   Buffer open;
   open.append_varint(1);
   open.append_vstring("host/wedge");

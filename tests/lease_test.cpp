@@ -35,11 +35,16 @@ struct Harness {
       tcp_ = std::make_unique<TcpServer>(core, 0);
     }
   }
+  /// A raw session that has said hello, so it may bind segment handles.
   std::shared_ptr<ClientChannel> channel() {
+    std::shared_ptr<ClientChannel> ch;
     if (tcp_ != nullptr) {
-      return std::make_shared<TcpClientChannel>(tcp_->port());
+      ch = std::make_shared<TcpClientChannel>(tcp_->port());
+    } else {
+      ch = std::make_shared<InProcChannel>(*core_);
     }
-    return std::make_shared<InProcChannel>(*core_);
+    ch->call(MsgType::kHello, hello_payload());
+    return ch;
   }
 
   ServerCore* core_;

@@ -1,8 +1,9 @@
 // Distributed lock caching: a client retains its reader lock after
 // release and satisfies repeat acquires with zero RPCs; the server revokes
 // cached locks when a writer arrives (bounded by the revocation deadline);
-// concurrent local threads sub-let one cached lock. A session that never
-// said kHello is never granted a cached lock.
+// concurrent local threads sub-let one cached lock. Every session caches:
+// binding a segment handle requires kHello, so every lock frame comes from
+// a version-checked session.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +12,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "interweave/interweave.hpp"
 #include "wire/payload.hpp"
@@ -71,28 +74,6 @@ TEST(LockCache, RepeatReadAcquiresHitCacheWithoutRpc) {
   EXPECT_EQ(stats.read_lock_server_calls, server_calls)
       << "cached acquires must cost zero RPCs";
   EXPECT_GE(core.stats().cached_read_grants, 1u);
-}
-
-TEST(LockCache, DisabledOptionFallsBackToRpcPerAcquire) {
-  server::SegmentServer core;
-  const std::string url = "host/cache-off";
-  Client writer(inproc_factory(core));
-  seed_segment(writer, writer.open_segment(url), 3);
-
-  // Caching is off for a client without the reconnect supervisor: it
-  // never says hello, so its session is not a caching one.
-  Client::Options copts;
-  copts.auto_reconnect = false;
-  Client reader(inproc_factory(core), copts);
-  ClientSegment* rs = reader.open_segment(url);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(read_value(reader, rs, url), 3);
-  }
-  ClientStats stats = reader.stats();
-  EXPECT_EQ(stats.lock_cache_hits, 0u);
-  EXPECT_EQ(stats.lock_cache_misses, 0u);
-  // Full coherence without caching pays one acquire RPC per lock.
-  EXPECT_EQ(stats.read_lock_server_calls, 5u);
 }
 
 TEST(LockCache, WriterRevokesIdleCachedLock) {
@@ -273,12 +254,28 @@ TEST(LockCache, RevocationDeadlineBoundsWriterStall) {
   EXPECT_EQ(read_value(reader, rs, url), 9);
 }
 
+TEST(LockCache, ZeroRevokeDeadlineIsRejected) {
+  // Every session caches read locks, so no deadline turns caching off; 0
+  // would only let each writer force-expire every cached holder at once.
+  server::SegmentServer::Options sopts;
+  sopts.revoke_deadline_ms = 0;
+  try {
+    server::SegmentServer core(sopts);
+    ADD_FAILURE() << "a zero revocation deadline was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+}
+
 // --- protocol level -------------------------------------------------------
 
 /// Each raw session below binds its one segment to this handle.
 constexpr uint32_t kHandle = 1;
 
+/// Sends one raw frame. A session binds a handle only after kHello, so a
+/// kOpenSegment says hello first (a repeated hello is harmless).
 Frame raw_call(ClientChannel& ch, MsgType type, Buffer payload) {
+  if (type == MsgType::kOpenSegment) ch.call(MsgType::kHello, hello_payload());
   return ch.call(type, std::move(payload));
 }
 
@@ -321,7 +318,7 @@ TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
   server::SegmentServer core(sopts);
   const std::string url = "host/keep-flag";
 
-  // A caching session: the supervisor's hello makes it one.
+  // A session under the reconnect supervisor, as every Client's is.
   auto reader = std::make_shared<ReconnectingChannel>(
       [&core]() -> std::shared_ptr<ClientChannel> {
         return std::make_shared<InProcChannel>(core);
@@ -329,7 +326,7 @@ TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
       ReconnectingChannel::Options{});
   raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
 
-  auto writer = std::make_shared<InProcChannel>(core);  // no hello
+  auto writer = std::make_shared<InProcChannel>(core);
   raw_call(*writer, MsgType::kOpenSegment, open_payload(url));
 
   // Acquire grants a cached lock (trailing byte); a *plain* release
@@ -455,28 +452,6 @@ TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
   raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(0));
 }
 
-TEST(LockCache, NonNegotiatingClientsSeeNoGrants) {
-  server::SegmentServer core;
-  const std::string url = "host/old-client";
-  Client writer(inproc_factory(core));
-  seed_segment(writer, writer.open_segment(url), 4);
-
-  // auto_reconnect off: raw channel and no hello, so no cached grants.
-  // Full coherence then pays one acquire RPC per lock.
-  Client::Options copts;
-  copts.auto_reconnect = false;
-  Client reader(inproc_factory(core), copts);
-  ClientSegment* rs = reader.open_segment(url);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(read_value(reader, rs, url), 4);
-  }
-  EXPECT_EQ(reader.stats().lock_cache_hits, 0u);
-  EXPECT_EQ(reader.stats().lock_cache_misses, 0u);
-  EXPECT_EQ(reader.stats().read_lock_server_calls, 3u);
-  EXPECT_EQ(core.stats().cached_read_grants, 0u);
-  EXPECT_EQ(core.stats().revokes_sent, 0u);
-}
-
 // --- over real sockets ----------------------------------------------------
 
 TEST(LockCacheTcp, RevokeRoundTripOverSockets) {
@@ -506,42 +481,59 @@ TEST(LockCacheTcp, RevokeRoundTripOverSockets) {
   EXPECT_EQ(sstats.revokes_expired, 0u);
 }
 
-TEST(LockCacheTcp, CallInsideNotifyHandlerDoesNotDeadlock) {
-  server::SegmentServer core;
+TEST(LockCacheTcp, ClientDestroyedWhileRevokesArrive) {
+  // Revokes run on each channel's receiver thread. Destroying a reader
+  // while a writer's kRevokeRead frames are landing must neither hang nor
+  // leave the last channel reference on that receiver (which would have
+  // the channel join its own thread).
+  server::SegmentServer::Options sopts;
+  sopts.revoke_deadline_ms = 1'000;  // bounds a writer whose revoke is lost
+  server::SegmentServer core(sopts);
   TcpServer server(core, 0);
-  const std::string url = "host/notify-reentry";
-
-  // A raw channel that issues a *call* from inside its notification
-  // handler. The handler runs on the channel's dispatcher thread, so the
-  // receiver thread stays free to deliver the call's response; before
-  // notifications were decoupled from the receiver this deadlocked.
-  TcpClientChannel sub(server.port());
-  std::mutex mu;
-  std::condition_variable cv;
-  bool pinged = false;
-  sub.set_notify_handler([&](const Frame& frame) {
-    if (frame.type != MsgType::kNotifyVersion) return;
-    Buffer empty;
-    Frame resp = sub.call(MsgType::kPing, std::move(empty));
-    std::lock_guard lock(mu);
-    pinged = resp.type == MsgType::kPingResp;
-    cv.notify_all();
-  });
-  raw_call(sub, MsgType::kOpenSegment, open_payload(url));
-  Buffer subscribe;
-  subscribe.append_varint(kHandle);
-  raw_call(sub, MsgType::kSubscribe, std::move(subscribe));
-
-  uint16_t port = server.port();
-  Client writer([port](const std::string&) {
+  const uint16_t port = server.port();
+  auto factory = [port](const std::string&) {
     return std::make_shared<TcpClientChannel>(port);
-  });
-  seed_segment(writer, writer.open_segment(url), 1);  // commit -> notify
+  };
+  constexpr int kSegments = 4;
+  auto url = [](int s) { return "host/teardown" + std::to_string(s); };
+  // Software tracking keeps the committing thread out of the SIGSEGV
+  // handler, whose seqlock-guarded range lookup TSan cannot model, while
+  // this thread unregisters the reader's pages.
+  Client::Options wopts;
+  wopts.tracking = client::TrackingMode::kSoftware;
+  Client writer(factory, wopts);
+  std::vector<ClientSegment*> ws;
+  for (int s = 0; s < kSegments; ++s) {
+    ws.push_back(writer.open_segment(url(s)));
+    seed_segment(writer, ws.back(), 0);
+  }
 
-  std::unique_lock lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                          [&] { return pinged; }))
-      << "call from inside the notify handler deadlocked";
+  const auto start = steady_clock::now();
+  for (int round = 0; round < 20; ++round) {
+    auto reader = std::make_unique<Client>(factory);
+    std::vector<ClientSegment*> rs;
+    for (int s = 0; s < kSegments; ++s) {
+      rs.push_back(reader->open_segment(url(s)));
+      EXPECT_EQ(read_value(*reader, rs[s], url(s)), round);  // caches it
+    }
+    // Every commit revokes the reader's cached lock on its segment. A
+    // revoke that lands after its segment's close finds no handle, and
+    // one that lands mid-teardown finds the ack worker stopped: neither
+    // may leave the channel pinned on the receiver thread.
+    std::thread commits([&] {
+      for (int s = 0; s < kSegments; ++s) {
+        seed_segment(writer, ws[s], round + 1);
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(250 * (round % 4)));
+    for (int s = 0; s < kSegments; s += 2) reader->close_segment(rs[s]);
+    reader.reset();
+    commits.join();
+  }
+  EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(30));
+  EXPECT_EQ(core.stats().revokes_expired, 0u)
+      << "a disconnect or an ack retires every revoke; none waits out the "
+         "deadline";
 }
 
 }  // namespace

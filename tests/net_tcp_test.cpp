@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -304,6 +305,68 @@ TEST(Tcp, ClientDecodesFramesDeliveredOneByteAtATime) {
   EXPECT_EQ(notified, (std::vector<uint32_t>{7, 8}));
 }
 
+TEST(Tcp, ThrowingNotifyHandlerLeavesChannelUsable) {
+  RawServer raw;
+  TcpClientChannel channel(raw.port());
+  raw.accept_one();
+  std::atomic<int> handled{0};
+  channel.set_notify_handler([&](const Frame&) {
+    handled.fetch_add(1);
+    throw std::runtime_error("handler failure");
+  });
+  Buffer note_payload;
+  note_payload.append_vstring("host/throwing");
+  note_payload.append_varint(3);
+  const Buffer note = encoded(MsgType::kNotifyVersion, 0, note_payload);
+
+  // Two notifications ahead of a call's response, in one write: the
+  // handler throws on the receiver thread for each, and the response
+  // behind them still reaches its caller.
+  for (int round = 0; round < 2; ++round) {
+    Frame got;
+    std::thread caller([&] { got = channel.call(MsgType::kPing, Buffer()); });
+    Frame req = raw.read_request();
+    Buffer burst;
+    burst.append(note.data(), note.size());
+    burst.append(note.data(), note.size());
+    Buffer resp = encoded(MsgType::kPingResp, req.request_id, Buffer());
+    burst.append(resp.data(), resp.size());
+    raw.send(burst);
+    caller.join();
+    EXPECT_EQ(got.type, MsgType::kPingResp) << "round " << round;
+    EXPECT_EQ(handled.load(), 2 * (round + 1)) << "round " << round;
+  }
+}
+
+/// Threads of this process, as the kernel lists them.
+size_t thread_count() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Tcp, ChannelRunsOneThread) {
+  // The hand-driven server runs on this thread, so every thread that
+  // appears belongs to the channel.
+  RawServer raw;
+  const size_t before = thread_count();
+  {
+    TcpClientChannel channel(raw.port());
+    raw.accept_one();
+    EXPECT_EQ(thread_count(), before + 1)
+        << "the receiver, which also delivers notifications, is the "
+           "channel's only thread";
+  }
+  // A joined thread can linger in the task list for a moment.
+  for (int spin = 0; spin < 200 && thread_count() != before; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(thread_count(), before);
+}
+
 TEST(Tcp, MalformedResponseHeadersFailTheChannel) {
   // `reply` answers the first request; the call and every later one fail
   // as transport errors.
@@ -352,6 +415,7 @@ TEST(Tcp, MalformedResponseHeadersFailTheChannel) {
 /// one- and two-byte header varints both occur.
 void scripted_session(ClientChannel& ch) {
   for (int i = 0; i < 130; ++i) ch.call(MsgType::kPing, Buffer());
+  ch.call(MsgType::kHello, hello_payload());
   Buffer open;
   open.append_varint(1);
   open.append_vstring("host/script");

@@ -95,6 +95,14 @@ Buffer encode_request(MsgType type, uint32_t request_id,
   return out;
 }
 
+/// Says hello on a raw connection (request id 1): a session binds a
+/// segment handle only after kHello.
+void raw_hello(int fd) {
+  Buffer hello = encode_request(MsgType::kHello, 1, hello_payload());
+  raw_send(fd, hello.data(), hello.size());
+  EXPECT_EQ(raw_read_frame(fd).type, MsgType::kHelloResp);
+}
+
 // --- frame reassembly -----------------------------------------------------
 
 TEST(Reactor, PartialFramesSplitAcrossReads) {
@@ -114,6 +122,7 @@ TEST(Reactor, PartialFramesSplitAcrossReads) {
   EXPECT_EQ(resp.request_id, 7u);
 
   // A frame with a payload, split mid-payload.
+  raw_hello(fd);
   Buffer open_payload;
   open_payload.append_varint(1);
   open_payload.append_vstring("host/partial");
@@ -134,6 +143,7 @@ TEST(Reactor, MultiByteHeaderVarintsArriveOneByteAtATime) {
   server::SegmentServer core;
   TcpServer server(core, 0);
   int fd = raw_connect(server.port());
+  raw_hello(fd);
 
   // Request id 300 and a 200-byte payload: both header varints take two
   // bytes, so the header alone spans five reads.
@@ -263,6 +273,7 @@ TEST(Reactor, BackpressurePausesReadsForSlowReader) {
   const std::string seg = "host/backpressure";
   {
     TcpClientChannel setup(server.port());
+    setup.call(MsgType::kHello, hello_payload());
     Buffer p;
     p.append_varint(1);
     p.append_vstring(seg);
@@ -296,11 +307,12 @@ TEST(Reactor, BackpressurePausesReadsForSlowReader) {
   // any response. The kernel buffers fill, the outbox crosses the high
   // watermark, and the server must stop reading instead of ballooning.
   int fd = raw_connect(server.port());
+  raw_hello(fd);
   Buffer open_payload;
   open_payload.append_varint(1);
   open_payload.append_vstring(seg);
   open_payload.append_u8(0);
-  Buffer open = encode_request(MsgType::kOpenSegment, 1, open_payload);
+  Buffer open = encode_request(MsgType::kOpenSegment, 2, open_payload);
   raw_send(fd, open.data(), open.size());
   Frame opened = raw_read_frame(fd);
   EXPECT_EQ(opened.type, MsgType::kOpenSegmentResp);
@@ -411,6 +423,7 @@ TEST(Reactor, ElasticWorkersOutliveBlockedHandlers) {
   TcpClientChannel a(server.port());
   TcpClientChannel b(server.port());
   auto open = [&](TcpClientChannel& ch) {
+    ch.call(MsgType::kHello, hello_payload());
     Buffer p;
     p.append_varint(1);
     p.append_vstring(seg);

@@ -88,6 +88,7 @@ void worker(uint16_t port, int t, Shared& sh) {
         sh.notifications.fetch_add(1, std::memory_order_relaxed);
       }
     });
+    ch.call(MsgType::kHello, hello_payload());  // before binding handles
 
     const int own = t;
     const int neighbor = (t + 1) % kSegments;
@@ -231,6 +232,7 @@ TEST(ServerConcurrency, ShardedSegmentsStayConsistent) {
   // Final contents: a fresh client's from-0 diff must enumerate exactly the
   // live blocks, each uniformly holding its owner's last committed value.
   TcpClientChannel verify(server.port());
+  verify.call(MsgType::kHello, hello_payload());
   for (int s = 0; s < kSegments; ++s) {
     call(verify, MsgType::kOpenSegment, [&](Buffer& p) {
       p.append_varint(seg_handle(s));

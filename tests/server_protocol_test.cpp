@@ -41,7 +41,10 @@ class Protocol : public ::testing::Test {
     return ErrorCode::kInternal;
   }
 
+  /// Opens `name` on `ch`. A session binds a handle only after kHello, so
+  /// this says hello first (a repeated hello is harmless).
   void open(InProcChannel& ch, const std::string& name) {
+    ch.call(MsgType::kHello, hello_payload());
     call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
       p.append_varint(handle_of(name));
       p.append_vstring(name);
@@ -97,14 +100,8 @@ TEST_F(Protocol, RegisterTypeOnMissingSegmentFails) {
   InProcChannel ch(server_);
   // A hello may bind a name the server does not have; the first frame
   // naming it finds no segment.
-  call(ch, MsgType::kHello, [](Buffer& p) {
-    p.append_u8(kProtocolVersion);
-    p.append_varint(9);
-    p.append_varint(1);
-    p.append_varint(1);  // one binding
-    p.append_varint(handle_of("p/nope"));
-    p.append_vstring("p/nope");
-  });
+  ch.call(MsgType::kHello,
+          hello_payload(9, 1, {{handle_of("p/nope"), "p/nope"}}));
   EXPECT_EQ(call_expect_error(ch, MsgType::kRegisterType, [&](Buffer& p) {
     p.append_varint(handle_of("p/nope"));
     TypeRegistry scratch(Platform::native().rules);
@@ -347,24 +344,30 @@ TEST_F(Protocol, HelloWithOtherVersionIsRefusedAndNeverCaches) {
     EXPECT_NE(what.find(std::to_string(kProtocolVersion)), std::string::npos)
         << what;
   }
-  open(other, "p/hello");
-  EXPECT_EQ(read_full(other), 0) << "refused hello: no cached grant";
-  call(other, MsgType::kReleaseRead, [](Buffer& p) {
+  // Refused, the session may not bind a handle, so it never reaches a lock
+  // frame, let alone a cached grant. Handle 0 binds nothing and needs no
+  // hello: it still creates the segment.
+  EXPECT_EQ(call_expect_error(other, MsgType::kOpenSegment, [](Buffer& p) {
+    p.append_varint(handle_of("p/hello"));
+    p.append_vstring("p/hello");
+    p.append_u8(1);
+  }), ErrorCode::kProtocol);
+  call(other, MsgType::kOpenSegment, [](Buffer& p) {
+    p.append_varint(0);
+    p.append_vstring("p/hello");
+    p.append_u8(1);
+  });
+  EXPECT_EQ(call_expect_error(other, MsgType::kReleaseRead, [](Buffer& p) {
     p.append_varint(handle_of("p/hello"));
     p.append_u8(1);  // asks to keep the lock cached
-  });
+  }), ErrorCode::kProtocol);
   EXPECT_EQ(server_.stats().cached_read_grants, 0u);
 
   // The same requests after a hello in this protocol version are granted.
   InProcChannel current(server_);
-  Frame resp = call(current, MsgType::kHello, [](Buffer& p) {
-    p.append_u8(kProtocolVersion);
-    p.append_varint(8);
-    p.append_varint(1);
-    p.append_varint(1);  // binds the handle read_full names
-    p.append_varint(handle_of("p/hello"));
-    p.append_vstring("p/hello");
-  });
+  Frame resp = current.call(
+      MsgType::kHello,
+      hello_payload(8, 1, {{handle_of("p/hello"), "p/hello"}}));
   EXPECT_EQ(resp.type, MsgType::kHelloResp);
   EXPECT_EQ(read_full(current), 1);
   EXPECT_EQ(server_.stats().cached_read_grants, 1u);
@@ -419,6 +422,7 @@ TEST_F(Protocol, UnboundHandleIsProtocolError) {
 
 TEST_F(Protocol, RebindingHandleToAnotherNameIsProtocolError) {
   InProcChannel ch(server_);
+  ch.call(MsgType::kHello, hello_payload());
   auto open_as = [&](uint32_t handle, const std::string& name) {
     return call(ch, MsgType::kOpenSegment, [&](Buffer& p) {
       p.append_varint(handle);
@@ -456,6 +460,48 @@ TEST_F(Protocol, RebindingHandleToAnotherNameIsProtocolError) {
   EXPECT_EQ(call_expect_error(ch, MsgType::kSubscribe,
                               [](Buffer& p) { p.append_varint(0); }),
             ErrorCode::kProtocol);
+}
+
+TEST_F(Protocol, BindingAHandleRequiresHello) {
+  // Handle 0 binds nothing, so a one-shot probe needs no hello: it creates
+  // the segment and reads its metadata.
+  InProcChannel ch(server_);
+  call(ch, MsgType::kOpenSegment, [](Buffer& p) {
+    p.append_varint(0);
+    p.append_vstring("p/versioned");
+    p.append_u8(1);
+  });
+  Frame info = call(ch, MsgType::kSegmentInfo, [](Buffer& p) {
+    p.append_varint(0);
+    p.append_vstring("p/versioned");
+  });
+  EXPECT_EQ(info.type, MsgType::kSegmentInfoResp);
+  EXPECT_EQ(info.reader().read_varint32(), 1u);  // version
+
+  // Any other handle is bound only on a session that passed the version
+  // check, by either binding frame.
+  const uint32_t handle = handle_of("p/versioned");
+  EXPECT_EQ(call_expect_error(ch, MsgType::kOpenSegment, [&](Buffer& p) {
+    p.append_varint(handle);
+    p.append_vstring("p/versioned");
+    p.append_u8(1);
+  }), ErrorCode::kProtocol);
+  EXPECT_EQ(call_expect_error(ch, MsgType::kSegmentInfo, [&](Buffer& p) {
+    p.append_varint(handle);
+    p.append_vstring("p/versioned");
+  }), ErrorCode::kProtocol);
+  // Neither refusal left a binding behind.
+  EXPECT_EQ(call_expect_error(ch, MsgType::kSubscribe, [&](Buffer& p) {
+    p.append_varint(handle);
+  }), ErrorCode::kProtocol);
+
+  // After the hello the same frames bind the handle.
+  ch.call(MsgType::kHello, hello_payload());
+  call(ch, MsgType::kSegmentInfo, [&](Buffer& p) {
+    p.append_varint(handle);
+    p.append_vstring("p/versioned");
+  });
+  call(ch, MsgType::kSubscribe, [&](Buffer& p) { p.append_varint(handle); });
 }
 
 TEST_F(Protocol, CloseSegmentUnbindsHandle) {

@@ -7,9 +7,10 @@
 // directory it recovers existing segments at startup, checkpoints every N
 // versions while running, and writes a final checkpoint on shutdown.
 // --revoke-deadline-ms bounds how long a writer waits for cached reader
-// locks to ack revocation (0 disables lock caching); --grant-ttl-ms sweeps
-// cached grants idle longer than the TTL without a revoke round trip, so a
-// crashed holder stops taxing writers (0 disables the sweep).
+// locks to ack revocation (default 2000; 0 is refused, since every session
+// caches read locks); --grant-ttl-ms sweeps cached grants idle longer than
+// the TTL without a revoke round trip, so a crashed holder stops taxing
+// writers (0 disables the sweep).
 #include <signal.h>
 
 #include <atomic>
