@@ -16,7 +16,9 @@
 # TCP, so the epoll reactor's cross-thread outbox/retirement protocol is
 # raced under TSan. The server concurrency suite runs under TSan as well:
 # its raw TCP clients count notifications on the receiver thread while
-# their own calls are in flight.
+# their own calls are in flight. So does the client heap's fault-registry
+# concurrency test: two threads map and unmap client heaps while a third
+# takes write faults, whose SIGSEGV handler reads the same registry.
 # Lock caching and payload compression are part of the one protocol
 # version, so every chaos/lease run above already carries cached reader
 # locks (revokes arrive on each channel's receiver thread, and their acks
@@ -108,11 +110,14 @@ cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j "$JOBS" \
       --target fault_test lease_test chaos_test reactor_test net_tcp_test \
-      lock_cache_test server_concurrency_test replication_chaos_test
+      lock_cache_test server_concurrency_test replication_chaos_test \
+      client_heap_test
 for t in fault_test lease_test chaos_test reactor_test net_tcp_test \
          lock_cache_test server_concurrency_test; do
   TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD"/tests/"$t"
 done
+TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD"/tests/client_heap_test \
+    --gtest_filter='FaultRegistryConcurrency.*'
 # The SIGKILL suite forks a multi-threaded child, which TSan's runtime
 # does not survive; the controlled-failover and directory suites carry the
 # same replication/promotion races without fork.

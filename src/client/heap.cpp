@@ -32,49 +32,63 @@ FaultRegistry& FaultRegistry::instance() {
   return registry;
 }
 
+void FaultRegistry::copy_range(size_t to, size_t from) noexcept {
+  constexpr auto relaxed = std::memory_order_relaxed;
+  ranges_[to].begin.store(ranges_[from].begin.load(relaxed), relaxed);
+  ranges_[to].end.store(ranges_[from].end.load(relaxed), relaxed);
+  ranges_[to].subseg.store(ranges_[from].subseg.load(relaxed), relaxed);
+}
+
 void FaultRegistry::add(Subsegment* subseg) {
-  check_internal(count_ < kCapacity, "fault registry full");
+  constexpr auto relaxed = std::memory_order_relaxed;
+  std::lock_guard lock(writer_mu_);
+  const size_t count = count_.load(relaxed);
+  check_internal(count < kCapacity, "fault registry full");
   auto begin = reinterpret_cast<uintptr_t>(subseg->base);
   // Insert keeping ranges_ sorted by begin.
   size_t pos = 0;
-  while (pos < count_ && ranges_[pos].begin < begin) ++pos;
+  while (pos < count && ranges_[pos].begin.load(relaxed) < begin) ++pos;
   seq_.write_begin();
-  std::memmove(&ranges_[pos + 1], &ranges_[pos],
-               (count_ - pos) * sizeof(Range));
-  ranges_[pos] = {begin, begin + subseg->bytes, subseg};
-  ++count_;
+  for (size_t i = count; i > pos; --i) copy_range(i, i - 1);
+  ranges_[pos].begin.store(begin, relaxed);
+  ranges_[pos].end.store(begin + subseg->bytes, relaxed);
+  ranges_[pos].subseg.store(subseg, relaxed);
+  count_.store(count + 1, relaxed);
   seq_.write_end();
 }
 
 void FaultRegistry::remove(Subsegment* subseg) {
+  constexpr auto relaxed = std::memory_order_relaxed;
+  std::lock_guard lock(writer_mu_);
+  const size_t count = count_.load(relaxed);
   auto begin = reinterpret_cast<uintptr_t>(subseg->base);
   size_t pos = 0;
-  while (pos < count_ && ranges_[pos].begin != begin) ++pos;
-  if (pos == count_) return;
+  while (pos < count && ranges_[pos].begin.load(relaxed) != begin) ++pos;
+  if (pos == count) return;
   seq_.write_begin();
-  std::memmove(&ranges_[pos], &ranges_[pos + 1],
-               (count_ - pos - 1) * sizeof(Range));
-  --count_;
+  for (size_t i = pos; i + 1 < count; ++i) copy_range(i, i + 1);
+  count_.store(count - 1, relaxed);
   seq_.write_end();
 }
 
 Subsegment* FaultRegistry::find(const void* addr) const noexcept {
+  constexpr auto relaxed = std::memory_order_relaxed;
   auto a = reinterpret_cast<uintptr_t>(addr);
   for (;;) {
     uint32_t s = seq_.read_begin();
     // Binary search over the sorted ranges (no allocation, no locking).
-    size_t lo = 0, hi = count_;
+    size_t lo = 0, hi = count_.load(relaxed);
     Subsegment* result = nullptr;
     while (lo < hi) {
       size_t mid = (lo + hi) / 2;
-      if (ranges_[mid].begin <= a) {
+      if (ranges_[mid].begin.load(relaxed) <= a) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    if (lo > 0 && a < ranges_[lo - 1].end) {
-      result = ranges_[lo - 1].subseg;
+    if (lo > 0 && a < ranges_[lo - 1].end.load(relaxed)) {
+      result = ranges_[lo - 1].subseg.load(relaxed);
     }
     if (!seq_.read_retry(s)) return result;
   }

@@ -16,8 +16,10 @@
 // SIGSEGV handler uses to map a faulting address to its subsegment.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -133,7 +135,9 @@ class FaultRegistry {
  public:
   static FaultRegistry& instance();
 
-  /// Registers/unregisters a subsegment's range. Normal-context only.
+  /// Registers/unregisters a subsegment's range. Normal-context only;
+  /// writers on different threads (two clients mapping or unmapping) are
+  /// serialized by a mutex that find() never takes.
   void add(Subsegment* subseg);
   void remove(Subsegment* subseg);
 
@@ -146,15 +150,21 @@ class FaultRegistry {
  private:
   FaultRegistry() = default;
 
+  // Everything find() reads under the seqlock is a relaxed atomic: a read
+  // that overlaps a writer is retried, but it must not be a data race.
   struct Range {
-    uintptr_t begin;
-    uintptr_t end;
-    Subsegment* subseg;
+    std::atomic<uintptr_t> begin{0};
+    std::atomic<uintptr_t> end{0};
+    std::atomic<Subsegment*> subseg{nullptr};
   };
   static constexpr size_t kCapacity = 1 << 14;
 
+  /// ranges_[to] = ranges_[from]. Caller holds writer_mu_.
+  void copy_range(size_t to, size_t from) noexcept;
+
+  std::mutex writer_mu_;
   mutable SeqLock seq_;
-  size_t count_ = 0;
+  std::atomic<size_t> count_{0};
   Range ranges_[kCapacity];  // sorted by begin
 };
 

@@ -9,9 +9,6 @@
 namespace iw::server {
 
 namespace {
-/// Cached diffs kept per segment, oldest evicted first.
-constexpr size_t kDiffCacheEntries = 16;
-
 uint32_t subblocks_for(uint64_t units) {
   return static_cast<uint32_t>((units + kSubblockUnits - 1) / kSubblockUnits);
 }
@@ -178,11 +175,31 @@ void SegmentStore::destroy_block(SvrBlock* block, uint32_t at_version) {
 }
 
 uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
+  const uint32_t old_version = version_;
+  apply_entries(diff_bytes);
+  if (version_ != old_version && options_.enable_diff_cache) {
+    cache_insert(old_version, version_,
+                 std::make_shared<const std::vector<uint8_t>>(
+                     diff_bytes.begin(), diff_bytes.end()));
+  }
+  return version_;
+}
+
+uint32_t SegmentStore::apply_diff(SharedBytes diff, SharedBytes section) {
+  const uint32_t old_version = version_;
+  apply_entries(*diff);
+  if (version_ != old_version && options_.enable_diff_cache) {
+    cache_insert(old_version, version_, std::move(diff), std::move(section));
+  }
+  return version_;
+}
+
+void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
   Stopwatch timer;
   BufReader in(diff_bytes.data(), diff_bytes.size());
   DiffReader reader(in);
   if (reader.entry_count() == 0) {
-    return version_;  // empty critical section: no new version
+    return;  // empty critical section: no new version
   }
   if (reader.from_version() != version_) {
     throw Error(ErrorCode::kState,
@@ -193,7 +210,6 @@ uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
   // recovery) can span many. Land on what the diff header declares.
   const uint32_t new_version =
       std::max(reader.to_version(), version_ + 1);
-  const uint32_t old_version = version_;
 
   owned_markers_.push_back(std::make_unique<Marker>(new_version));
   Marker* marker = owned_markers_.back().get();
@@ -285,13 +301,6 @@ uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
   stats_.diffs_applied.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_applied.fetch_add(diff_bytes.size(), std::memory_order_relaxed);
   stats_.apply_ns.fetch_add(timer.elapsed_ns(), std::memory_order_relaxed);
-
-  if (options_.enable_diff_cache) {
-    cache_insert(old_version, new_version,
-                 std::make_shared<const std::vector<uint8_t>>(
-                     diff_bytes.begin(), diff_bytes.end()));
-  }
-  return version_;
 }
 
 void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
@@ -350,8 +359,7 @@ void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
   writer.end_block();
 }
 
-std::shared_ptr<const std::vector<uint8_t>> SegmentStore::collect_diff(
-    uint32_t from_version) {
+SharedBytes SegmentStore::collect_diff(uint32_t from_version) {
   if (options_.enable_diff_cache) {
     for (const CachedDiff& c : diff_cache_) {
       if (c.from_version == from_version && c.to_version == version_) {
@@ -468,11 +476,39 @@ uint32_t SegmentStore::apply_fold(uint32_t to_version, BufReader& in) {
   return got;
 }
 
-void SegmentStore::cache_insert(
-    uint32_t from_version, uint32_t to_version,
-    std::shared_ptr<const std::vector<uint8_t>> bytes) {
-  diff_cache_.push_back({from_version, to_version, std::move(bytes)});
-  while (diff_cache_.size() > kDiffCacheEntries) {
+SharedBytes SegmentStore::cached_section(uint32_t from_version) const {
+  for (const CachedDiff& c : diff_cache_) {
+    if (c.from_version == from_version && c.to_version == version_) {
+      return c.section;
+    }
+  }
+  return nullptr;
+}
+
+void SegmentStore::cache_section(uint32_t from_version, SharedBytes section) {
+  for (CachedDiff& c : diff_cache_) {
+    if (c.from_version == from_version && c.to_version == version_) {
+      diff_cache_bytes_ -= c.footprint();
+      c.section = std::move(section);
+      diff_cache_bytes_ += c.footprint();
+      cache_trim();
+      return;
+    }
+  }
+}
+
+void SegmentStore::cache_insert(uint32_t from_version, uint32_t to_version,
+                                SharedBytes bytes, SharedBytes section) {
+  diff_cache_.push_back(
+      {from_version, to_version, std::move(bytes), std::move(section)});
+  diff_cache_bytes_ += diff_cache_.back().footprint();
+  cache_trim();
+}
+
+void SegmentStore::cache_trim() {
+  while (!diff_cache_.empty() && (diff_cache_.size() > kDiffCacheEntries ||
+                                  diff_cache_bytes_ > kDiffCacheBytes)) {
+    diff_cache_bytes_ -= diff_cache_.front().footprint();
     diff_cache_.pop_front();
   }
 }

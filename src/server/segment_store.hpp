@@ -86,11 +86,25 @@ struct FreeRecord {
   uint32_t freed_version;
 };
 
-/// Cached wire diff between two segment versions (paper §3.3 diff caching).
+/// Shared, immutable bytes: a diff or a wire section the cache hands out.
+using SharedBytes = std::shared_ptr<const std::vector<uint8_t>>;
+
+/// Cached wire diff between two segment versions (paper §3.3 diff caching),
+/// with the wire section it is sent as, so each diff is compressed at most
+/// once however many readers it serves.
 struct CachedDiff {
   uint32_t from_version;
   uint32_t to_version;
-  std::shared_ptr<const std::vector<uint8_t>> bytes;
+  SharedBytes bytes;
+  /// The wire section `bytes` are sent as: a whole kLz envelope (method
+  /// byte, lengths, stream), or the lone kRaw method byte when compression
+  /// does not pay and `bytes` follow it as they are. Null until the first
+  /// reader needs it, unless a writer's commit brought it.
+  SharedBytes section;
+
+  size_t footprint() const noexcept {
+    return bytes->size() + (section != nullptr ? section->size() : 0);
+  }
 };
 
 /// Counters a SegmentStore accumulates (consumed by tests/benches), kept
@@ -149,15 +163,33 @@ class SegmentStore {
   /// Encoded graph for a type serial (1-based), for forwarding to clients.
   std::span<const uint8_t> type_graph(uint32_t serial) const;
 
+  /// Diff-cache bounds: at most this many entries, and at most this many
+  /// bytes of diffs and sections together, oldest evicted first. An entry
+  /// larger than the byte bound is not kept at all.
+  static constexpr size_t kDiffCacheEntries = 16;
+  static constexpr size_t kDiffCacheBytes = size_t{16} << 20;
+
   /// Applies a client diff, advancing the segment one version. Returns the
   /// new version. Throws Error(kProtocol) on malformed input and
   /// Error(kState) when the diff's base version is not current.
   uint32_t apply_diff(std::span<const uint8_t> diff_bytes);
 
+  /// As above for a diff the caller already owns (a commit it inflated):
+  /// the cache keeps `diff` itself, not a copy, with `section` (see
+  /// CachedDiff; may be null) as the wire section readers one version
+  /// behind are sent.
+  uint32_t apply_diff(SharedBytes diff, SharedBytes section);
+
   /// Builds (or reuses from cache) a diff bringing a client at
   /// `from_version` to the current version. Returns the bytes.
-  std::shared_ptr<const std::vector<uint8_t>> collect_diff(
-      uint32_t from_version);
+  SharedBytes collect_diff(uint32_t from_version);
+
+  /// The wire section cached for the diff collect_diff(`from_version`)
+  /// returns (see CachedDiff::section), or null.
+  SharedBytes cached_section(uint32_t from_version) const;
+
+  /// Records `section` for that same diff, if its entry is still cached.
+  void cache_section(uint32_t from_version, SharedBytes section);
 
   /// Writes the history tables an incremental checkpoint needs to make a
   /// fold version-exact: the original created_version of every live block
@@ -213,8 +245,10 @@ class SegmentStore {
   uint64_t block_bytes(const SvrBlock& block) const;
   void append_block_update(DiffWriter& writer, SvrBlock& block,
                            uint32_t from_version);
+  void apply_entries(std::span<const uint8_t> diff_bytes);
   void cache_insert(uint32_t from_version, uint32_t to_version,
-                    std::shared_ptr<const std::vector<uint8_t>> bytes);
+                    SharedBytes bytes, SharedBytes section = nullptr);
+  void cache_trim();
 
   std::string name_;
   Options options_;
@@ -237,6 +271,7 @@ class SegmentStore {
 
   std::vector<FreeRecord> free_history_;
   std::deque<CachedDiff> diff_cache_;
+  size_t diff_cache_bytes_ = 0;  // sum of the entries' footprints
 
   struct AtomicStoreStats {
     IW_COUNTER_ATOMICS(IW_STORE_COUNTERS)

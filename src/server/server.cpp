@@ -240,18 +240,35 @@ void SegmentServer::append_locked(SegmentEntry& entry, WalRecordType type,
   }
 }
 
+bool SegmentServer::lz_pass(size_t n) {
+  if (!options_.compress_payloads || n < kMinCompressInput ||
+      n > kMaxFramedBody) {
+    return false;
+  }
+  stats_.lz_passes.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
 void SegmentServer::journal_locked(SegmentEntry& entry,
                                    const std::string& name,
                                    WalRecordType type,
                                    std::span<const uint8_t> head,
-                                   std::span<const uint8_t> body) {
+                                   std::span<const uint8_t> body,
+                                   std::span<const uint8_t> stream) {
   if (entry.wal == nullptr && options_.replicator == nullptr) return;
   // One compression decision feeds both sinks: the journal and the
   // replication stream carry the identical encoding, so replicas journal
-  // what the primary journaled, byte for byte.
+  // what the primary journaled, byte for byte. A writer's stream (which
+  // the store has just decoded and applied) is spliced, not recompressed.
   Buffer packed;
-  const bool compressed = options_.compress_payloads &&
-                          compress_record_payload(head, body, packed);
+  bool compressed;
+  if (!stream.empty() && options_.compress_payloads) {
+    splice_record_payload(head, stream, body.size(), packed);
+    compressed = packed.size() < head.size() + body.size();
+  } else {
+    compressed = lz_pass(body.size()) &&
+                 compress_record_payload(head, body, packed);
+  }
   if (type == WalRecordType::kCommit) {
     const uint64_t raw_bytes = head.size() + body.size();
     stats_.commit_raw_bytes.fetch_add(raw_bytes, std::memory_order_relaxed);
@@ -540,16 +557,33 @@ bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
   }
   ss.types_sent = count;
   auto diff = store.collect_diff(client_version);
-  // The diff travels behind a method byte. With compress_payloads on the
-  // compressor measures and keeps the raw form (plus the one-byte flag)
-  // whenever the envelope would not pay, so incompressible diffs cost one
-  // byte, not a wasted pass downstream.
+  // The diff travels behind a method byte. With compress_payloads on, the
+  // section is compressed once per diff and cached beside it (a commit's
+  // arrives with it from the writer): every later reader of the same diff
+  // gets the same bytes with no LZ pass. The compressor measures and keeps
+  // the raw form (plus the one-byte flag) whenever the envelope would not
+  // pay, so incompressible diffs cost one byte, not a wasted pass
+  // downstream.
+  static const SharedBytes kRawSection =
+      std::make_shared<const std::vector<uint8_t>>(1, payload_method::kRaw);
+  SharedBytes section;
+  if (options_.compress_payloads) {
+    section = store.cached_section(client_version);
+    if (section == nullptr) {
+      Buffer lz;
+      section = lz_pass(diff->size()) && compress_section(*diff, lz)
+                    ? std::make_shared<const std::vector<uint8_t>>(lz.take())
+                    : kRawSection;
+      store.cache_section(client_version, section);
+    }
+  }
   const size_t method_offset = payload.size();
-  payload.append_u8(payload_method::kRaw);
-  payload.append(diff->data(), diff->size());
-  if (options_.compress_payloads &&
-      compress_section_in_place(payload, method_offset)) {
+  if (section != nullptr && section->front() == payload_method::kLz) {
+    payload.append(section->data(), section->size());
     stats_.updates_compressed.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    payload.append_u8(payload_method::kRaw);
+    payload.append(diff->data(), diff->size());
   }
   stats_.update_raw_bytes.fetch_add(diff->size(), std::memory_order_relaxed);
   stats_.update_wire_bytes.fetch_add(payload.size() - method_offset,
@@ -831,13 +865,32 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
           entry.writer_cv.notify_all();
         }
       } drop_writer{entry};
+      // A compressed section is inflated once and kept: the store caches
+      // the inflated diff itself, and its stream is reused as is for the
+      // journal, the replicas and the readers one version behind.
       std::vector<uint8_t> inflated;
-      const std::span<const uint8_t> diff_bytes =
-          read_compressed_section(in, inflated)
-              ? std::span<const uint8_t>(inflated)
-              : in.read_bytes(in.remaining());
+      LzSection lz;
+      SharedBytes diff;  // keeps diff_bytes alive, cached or not
+      std::span<const uint8_t> diff_bytes;
       const uint32_t old_version = entry.store->version();
-      const uint32_t new_version = entry.store->apply_diff(diff_bytes);
+      uint32_t new_version;
+      if (read_compressed_section(in, inflated, &lz)) {
+        diff =
+            std::make_shared<const std::vector<uint8_t>>(std::move(inflated));
+        diff_bytes = *diff;
+        // Readers get the writer's section only when it beats the raw one,
+        // as a section the server compressed would.
+        SharedBytes section;
+        if (options_.compress_payloads &&
+            lz.envelope.size() < 1 + diff->size()) {
+          section = std::make_shared<const std::vector<uint8_t>>(
+              lz.envelope.begin(), lz.envelope.end());
+        }
+        new_version = entry.store->apply_diff(diff, std::move(section));
+      } else {
+        diff_bytes = in.read_bytes(in.remaining());
+        new_version = entry.store->apply_diff(diff_bytes);
+      }
       // Apply first (it validates the diff, so garbage never reaches the
       // log), journal and replicate second, ack last. A crash after the
       // append is recoverable; a crash before it was never acknowledged.
@@ -845,7 +898,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         uint8_t head[4];
         store_be32(head, new_version);
         journal_locked(entry, name, WalRecordType::kCommit,
-                       {head, sizeof head}, diff_bytes);
+                       {head, sizeof head}, diff_bytes, lz.stream);
       }
 
       // Conservative Diff-coherence accounting and notifications, all from
@@ -1473,7 +1526,7 @@ void SegmentServer::checkpoint_segment_locked(SegmentEntry& entry) {
     try {
       append_chain_record(chain_file_path(store.name()), chain.base_version,
                           chain.last_version, version, tail.span(),
-                          options_.compress_payloads);
+                          lz_pass(tail.size()));
     } catch (...) {
       // The failed append may have left a torn record, which would cut off
       // every record after it at recovery: the next checkpoint rewrites the

@@ -57,6 +57,7 @@ namespace iw::server {
   X(checkpoints_incremental) /* delta records appended */                \
   X(checkpoint_chain_folds)  /* delta records folded at recover */       \
   /* Payload pipeline: what the section and record envelopes saved. */   \
+  X(lz_passes)               /* compressions run: updates, WAL, chain */ \
   X(updates_compressed)      /* update diffs sent compressed */          \
   X(update_raw_bytes)        /* diff bytes before the envelope */        \
   X(update_wire_bytes)       /* diff section bytes on the wire */        \
@@ -388,11 +389,17 @@ class SegmentServer : public ServerCore {
   /// The one journal path of a record the store just applied on this
   /// primary (a commit or a new type): encodes it once, journals it,
   /// replicates it, and re-anchors a broken journal on a checkpoint, so the
-  /// caller may ack on return. Throws when replication or the re-anchor
-  /// fails. Caller holds entry.mu.
+  /// caller may ack on return. `stream`, when not empty, is the writer's
+  /// LZ encoding of `body`, spliced into the record instead of compressing
+  /// `body` again. Throws when replication or the re-anchor fails. Caller
+  /// holds entry.mu.
   void journal_locked(SegmentEntry& entry, const std::string& name,
                       WalRecordType type, std::span<const uint8_t> head,
-                      std::span<const uint8_t> body);
+                      std::span<const uint8_t> body,
+                      std::span<const uint8_t> stream = {});
+  /// Whether to compress `n` bytes: compress_payloads is on and the input
+  /// is one the codec takes. A yes counts one LZ pass.
+  bool lz_pass(size_t n);
   /// Appends one record to the entry's journal unless there is none or it
   /// is broken; a failed append marks it broken instead of throwing.
   /// Caller holds entry.mu.

@@ -1,6 +1,7 @@
 #include "wire/payload.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/crc32c.hpp"
@@ -23,18 +24,55 @@ inline uint32_t load_raw32(const uint8_t* p) {
   return v;
 }
 
+inline uint64_t load_raw64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 // Fibonacci-hash the 4-byte sequence at a position into the match table.
 inline uint32_t sequence_slot(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-// Appends a 255-run length extension (the amount beyond the token nibble).
-void emit_length(Buffer& out, size_t len) {
+// Length of the common prefix of `a` and `b`, at most `limit` bytes:
+// eight bytes per step, the first differing byte found from the XOR.
+inline size_t common_prefix(const uint8_t* a, const uint8_t* b,
+                            size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    const uint64_t x = load_raw64(a + len) ^ load_raw64(b + len);
+    if (x != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<size_t>(std::countr_zero(x) >> 3);
+      } else {
+        return len + static_cast<size_t>(std::countl_zero(x) >> 3);
+      }
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
+// Writes a 255-run length extension (the amount beyond the token nibble).
+inline uint8_t* put_length(uint8_t* op, size_t len) {
   while (len >= 255) {
-    out.append_u8(255);
+    *op++ = 255;
     len -= 255;
   }
-  out.append_u8(static_cast<uint8_t>(len));
+  *op++ = static_cast<uint8_t>(len);
+  return op;
+}
+
+// Writes a sequence's token, literal length extension and literals; the
+// caller adds the match offset and match extension, if any.
+inline uint8_t* put_literals(uint8_t* op, const uint8_t* lits, size_t lit,
+                             size_t match_nib) {
+  *op++ = static_cast<uint8_t>(((lit < 15 ? lit : 15) << 4) | match_nib);
+  if (lit >= 15) op = put_length(op, lit - 15);
+  std::memcpy(op, lits, lit);
+  return op + lit;
 }
 
 [[noreturn]] void corrupt(const char* what) {
@@ -65,6 +103,11 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
   next_base = static_cast<uint32_t>(base + n);
   uint32_t* const slots = table.data();
 
+  // Every sequence encodes at most its literals plus a 1/255 extension
+  // overhead (a match never costs more than it covers), so this worst case
+  // is reserved once and tokens are written through a pointer.
+  uint8_t* const dst = out.extend(n + n / 255 + 16);
+  uint8_t* op = dst;
   size_t ip = 0, anchor = 0;
   while (ip + kMinMatch <= n) {
     const uint32_t seq = load_raw32(src + ip);
@@ -76,22 +119,21 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
     if (stored > base && dist <= kMaxOffset) {
       const size_t cpos = ip - dist;
       if (load_raw32(src + cpos) == seq) {
-        size_t len = kMinMatch;
-        while (ip + len < n && src[cpos + len] == src[ip + len]) ++len;
-
-        const size_t lit = ip - anchor;
-        const size_t lit_nib = lit < 15 ? lit : 15;
-        const size_t match_nib = (len - kMinMatch) < 15 ? len - kMinMatch : 15;
-        out.append_u8(static_cast<uint8_t>((lit_nib << 4) | match_nib));
-        if (lit >= 15) emit_length(out, lit - 15);
-        out.append(src + anchor, lit);
-        out.append_u16(static_cast<uint16_t>(ip - cpos));
-        if (len - kMinMatch >= 15) emit_length(out, len - kMinMatch - 15);
+        const size_t len =
+            kMinMatch + common_prefix(src + cpos + kMinMatch,
+                                      src + ip + kMinMatch,
+                                      n - ip - kMinMatch);
+        const size_t extra = len - kMinMatch;
+        op = put_literals(op, src + anchor, ip - anchor,
+                          extra < 15 ? extra : 15);
+        *op++ = static_cast<uint8_t>(dist >> 8);
+        *op++ = static_cast<uint8_t>(dist);
+        if (extra >= 15) op = put_length(op, extra - 15);
 
         ip += len;
         anchor = ip;
         // Already bigger than the input: incompressible, stop wasting work.
-        if (out.size() - start >= n) {
+        if (static_cast<size_t>(op - dst) >= n) {
           out.truncate(start);
           return false;
         }
@@ -103,16 +145,13 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
 
   // Final literals-only sequence (no offset follows; the decoder knows by
   // reaching the end of input).
-  const size_t lit = n - anchor;
-  const size_t lit_nib = lit < 15 ? lit : 15;
-  out.append_u8(static_cast<uint8_t>(lit_nib << 4));
-  if (lit >= 15) emit_length(out, lit - 15);
-  out.append(src + anchor, lit);
-
-  if (out.size() - start >= n) {
+  op = put_literals(op, src + anchor, n - anchor, 0);
+  const size_t written = static_cast<size_t>(op - dst);
+  if (written >= n) {
     out.truncate(start);
     return false;
   }
+  out.truncate(start + written);
   return true;
 }
 
@@ -144,7 +183,8 @@ void lz_decompress(std::span<const uint8_t> comp, uint8_t* dst,
       corrupt("literal run past end of input");
     }
     if (lit > raw_len - written) corrupt("literal run past end of output");
-    std::memcpy(dst + written, in, lit);
+    // An empty output may have no storage at all (dst null).
+    if (lit != 0) std::memcpy(dst + written, in, lit);
     in += lit;
     written += lit;
 
@@ -156,9 +196,16 @@ void lz_decompress(std::span<const uint8_t> comp, uint8_t* dst,
     if (offset == 0 || offset > written) corrupt("match offset out of range");
     const size_t match = kMinMatch + read_length(token & 0xF);
     if (match > raw_len - written) corrupt("match run past end of output");
-    // Byte-wise: matches may overlap their own output (RLE-style).
-    const uint8_t* from = dst + written - offset;
-    for (size_t i = 0; i < match; ++i) dst[written + i] = from[i];
+    uint8_t* const to = dst + written;
+    const uint8_t* const from = to - offset;
+    size_t i = 0;
+    if (offset >= 8) {
+      // Eight bytes at a time: each chunk's source ends before its
+      // destination begins, so no chunk reads bytes it writes.
+      for (; i + 8 <= match; i += 8) std::memcpy(to + i, from + i, 8);
+    }
+    // Byte-wise: a nearer match overlaps its own output (RLE-style).
+    for (; i < match; ++i) to[i] = from[i];
     written += match;
   }
   if (written != raw_len) corrupt("decompressed size mismatch");
@@ -174,26 +221,54 @@ std::vector<uint8_t> lz_decompress(std::span<const uint8_t> comp,
 
 // --- Record payload envelope ------------------------------------------------
 
+void splice_record_payload(std::span<const uint8_t> head,
+                           std::span<const uint8_t> comp, size_t raw_len,
+                           Buffer& out) {
+  const size_t total = head.size() + raw_len;
+  if (total > kMaxFramedBody) corrupt("compressed record raw length");
+  if (comp.empty()) corrupt("empty compressed stream");
+  // The first sequence's literal run: its token and length extension are
+  // re-encoded for the longer run; everything after them is kept verbatim,
+  // since match offsets are relative to the output position.
+  const uint8_t* in = comp.data();
+  const uint8_t* const in_end = in + comp.size();
+  const uint8_t token = *in++;
+  size_t lit = token >> 4;
+  if (lit == 15) {
+    uint8_t b;
+    do {
+      if (in == in_end) corrupt("truncated length extension");
+      b = *in++;
+      lit += b;
+    } while (b == 255);
+  }
+  if (lit > static_cast<size_t>(in_end - in)) {
+    corrupt("literal run past end of input");
+  }
+  const size_t run = head.size() + lit;
+  out.clear();
+  out.append_u32(static_cast<uint32_t>(total));
+  uint8_t* const first = out.extend(2 + run / 255 + head.size());
+  uint8_t* op = first;
+  *op++ = static_cast<uint8_t>(((run < 15 ? run : 15) << 4) | (token & 0xF));
+  if (run >= 15) op = put_length(op, run - 15);
+  if (!head.empty()) std::memcpy(op, head.data(), head.size());
+  op += head.size();
+  out.truncate(4 + static_cast<size_t>(op - first));
+  out.append(in, static_cast<size_t>(in_end - in));
+}
+
 bool compress_record_payload(std::span<const uint8_t> head,
                              std::span<const uint8_t> body, Buffer& out) {
-  const size_t raw_len = head.size() + body.size();
   out.clear();
-  if (raw_len < kMinCompressInput || raw_len > kMaxFramedBody) return false;
-  out.append_u32(static_cast<uint32_t>(raw_len));
-  bool ok;
-  if (head.empty()) {
-    ok = lz_compress(body, out);
-  } else if (body.empty()) {
-    ok = lz_compress(head, out);
-  } else {
-    std::vector<uint8_t> joined;
-    joined.reserve(raw_len);
-    joined.insert(joined.end(), head.begin(), head.end());
-    joined.insert(joined.end(), body.begin(), body.end());
-    ok = lz_compress(joined, out);
-  }
+  // The body is compressed alone and the head spliced in front of it: the
+  // same record a writer's compressed commit journals.
+  static thread_local Buffer stream;
+  stream.clear();
+  if (!lz_compress(body, stream)) return false;
+  splice_record_payload(head, stream.span(), body.size(), out);
   // The 4-byte raw_len prefix counts against the savings.
-  if (!ok || out.size() >= raw_len) {
+  if (out.size() >= head.size() + body.size()) {
     out.clear();
     return false;
   }
@@ -210,31 +285,56 @@ std::vector<uint8_t> decompress_record_payload(
 
 // --- Wire diff-section envelope ---------------------------------------------
 
-bool compress_section_in_place(Buffer& buf, size_t method_offset) {
-  check_internal(method_offset < buf.size(), "method offset past end");
-  const size_t raw_len = buf.size() - method_offset - 1;
-  if (raw_len < kMinCompressInput) return false;
-  // Compress into a scratch buffer first: appending to `buf` while reading
-  // from it could reallocate the storage out from under the source span.
+namespace {
+
+// Compresses a section's raw bytes into this thread's scratch stream.
+// Returns the stream when its kLz envelope beats the raw section, else an
+// empty span. The scratch is reused by the next call on the thread.
+std::span<const uint8_t> section_stream(std::span<const uint8_t> raw) {
   static thread_local Buffer scratch;
   scratch.clear();
-  if (!lz_compress({buf.data() + method_offset + 1, raw_len}, scratch)) {
-    return false;
-  }
+  if (raw.size() < kMinCompressInput || !lz_compress(raw, scratch)) return {};
   // The envelope adds two varint lengths; require a real saving.
-  if (scratch.size() + varint_size(scratch.size()) + varint_size(raw_len) >=
-      raw_len) {
-    return false;
+  if (scratch.size() + varint_size(scratch.size()) + varint_size(raw.size()) >=
+      raw.size()) {
+    return {};
   }
-  buf.truncate(method_offset);
-  buf.append_u8(payload_method::kLz);
-  buf.append_varint(scratch.size());
-  buf.append_varint(raw_len);
-  buf.append(scratch.span());
+  return scratch.span();
+}
+
+void append_lz_section(Buffer& out, std::span<const uint8_t> stream,
+                       size_t raw_len) {
+  out.append_u8(payload_method::kLz);
+  out.append_varint(stream.size());
+  out.append_varint(raw_len);
+  out.append(stream);
+}
+
+}  // namespace
+
+bool compress_section(std::span<const uint8_t> raw, Buffer& out) {
+  const auto stream = section_stream(raw);
+  if (stream.empty()) return false;
+  append_lz_section(out, stream, raw.size());
   return true;
 }
 
-bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch) {
+bool compress_section_in_place(Buffer& buf, size_t method_offset) {
+  check_internal(method_offset < buf.size(), "method offset past end");
+  const size_t raw_len = buf.size() - method_offset - 1;
+  // The stream lands in scratch first: appending to `buf` while reading
+  // from it could reallocate the storage out from under the source span.
+  const auto stream =
+      section_stream({buf.data() + method_offset + 1, raw_len});
+  if (stream.empty()) return false;
+  buf.truncate(method_offset);
+  append_lz_section(buf, stream, raw_len);
+  return true;
+}
+
+bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch,
+                             LzSection* lz) {
+  const uint8_t* const at = in.cursor();
   const uint8_t method = in.read_u8();
   if (method == payload_method::kRaw) return false;
   if (method != payload_method::kLz) corrupt("unknown payload method");
@@ -245,6 +345,10 @@ bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch) {
   auto comp = in.read_bytes(comp_len);
   scratch.resize(raw_len);
   lz_decompress(comp, scratch.data(), raw_len);
+  if (lz != nullptr) {
+    lz->envelope = {at, in.cursor()};
+    lz->stream = comp;
+  }
   return true;
 }
 

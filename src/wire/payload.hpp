@@ -21,7 +21,9 @@
 //     carries `varint comp_len | varint raw_len | bytes`, explicitly
 //     sized so trailing frame bytes still parse). Compression is always *measured*:
 //     when the encoded bytes would not beat the raw bytes, the raw form is
-//     kept and the flag says so.
+//     kept and the flag says so. A record payload can also be spliced
+//     from a section's stream (splice_record_payload), so a diff that was
+//     compressed once on the wire is journaled without a second pass.
 //
 //  3. CRC32C record framing: `u32 body_len | u32 crc | body` where
 //     `body := u8 tag | payload` and the CRC covers the whole body. This is
@@ -74,10 +76,23 @@ std::vector<uint8_t> lz_decompress(std::span<const uint8_t> comp,
 /// they never misparse compressed bytes as a diff.
 inline constexpr uint8_t kPayloadCompressedTagBit = 0x80;
 
+/// Builds the record payload `u32 raw_len | lz(head ++ body)` into `out`
+/// from `comp`, an lz_compress encoding of a `raw_len`-byte body, with no
+/// compression pass: `head` joins the stream's first literal run (its token
+/// and length extension are re-encoded, the rest is copied verbatim, since
+/// match offsets are relative). This is how a writer's compressed commit is
+/// journaled and replicated without compressing it again. Throws
+/// Error(kCorruptPayload) when the first sequence is malformed; the rest of
+/// the stream is checked where it is decoded.
+void splice_record_payload(std::span<const uint8_t> head,
+                           std::span<const uint8_t> comp, size_t raw_len,
+                           Buffer& out);
+
 /// Compresses a record payload (`head` ++ `body`) into `out` as
-/// `u32 raw_len | lz bytes`. Returns false — with `out` cleared — when
-/// compression does not pay; the caller then journals the raw payload with
-/// an unmarked tag, byte-identical to the pre-compression format.
+/// `u32 raw_len | lz bytes`: one pass over `body`, then the splice above.
+/// Returns false — with `out` cleared — when compression does not pay; the
+/// caller then journals the raw payload with an unmarked tag,
+/// byte-identical to the pre-compression format.
 bool compress_record_payload(std::span<const uint8_t> head,
                              std::span<const uint8_t> body, Buffer& out);
 
@@ -106,13 +121,29 @@ inline constexpr uint8_t kLz = 1;
 /// the receiver never guesses.
 bool compress_section_in_place(Buffer& buf, size_t method_offset);
 
+/// Appends the kLz envelope of section bytes `raw` (method byte onward) to
+/// `out` and returns true when it beats the raw section; otherwise leaves
+/// `out` untouched and returns false (the caller sends kRaw and `raw`). The
+/// encoding is deterministic, so it equals what compress_section_in_place
+/// makes of the same bytes.
+bool compress_section(std::span<const uint8_t> raw, Buffer& out);
+
+/// A kLz section as it was read: the whole envelope (method byte onward)
+/// and the LZ stream inside it. Both borrow the reader's bytes.
+struct LzSection {
+  std::span<const uint8_t> envelope;
+  std::span<const uint8_t> stream;
+};
+
 /// Reads a section envelope's method byte from `in`. For kRaw returns
 /// false: the caller parses the (self-delimiting) section straight from
 /// `in`. For kLz decompresses into `scratch` and returns true: the caller
 /// parses `scratch`, and `in` has been advanced past the compressed bytes
-/// so trailing frame fields still line up. Unknown methods and corrupt
-/// streams throw Error(kCorruptPayload).
-bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch);
+/// so trailing frame fields still line up; `lz`, when given, receives the
+/// envelope and stream just decoded. Unknown methods and corrupt streams
+/// throw Error(kCorruptPayload).
+bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch,
+                             LzSection* lz = nullptr);
 
 // ---------------------------------------------------------------------------
 // CRC32C record framing

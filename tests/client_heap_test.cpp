@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "client/client.hpp"
+#include "client/tracking.hpp"
 #include "net/inproc.hpp"
 #include "server/server.hpp"
 
@@ -181,6 +185,62 @@ TEST_F(HeapFixture, SubsegmentChainIsWalkable) {
     ++count;
   }
   EXPECT_GE(count, 4);
+}
+
+TEST(FaultRegistryConcurrency, ClientsMapAndUnmapWhileAnotherFaults) {
+  // Two threads create and destroy clients with heaps, each adding and
+  // removing fault-registry ranges, while a third takes write faults on
+  // its own heap: every fault's handler looks its address up in the same
+  // registry. A lookup torn by a writer must retry, never miss (a miss
+  // re-raises the SIGSEGV) and never race (TSan).
+  server::SegmentServer server;
+  auto factory = [&server](const std::string&) {
+    return std::make_shared<InProcChannel>(server);
+  };
+  Client::Options vm;
+  vm.tracking = TrackingMode::kVmDiff;
+  Client faulter(factory, vm);
+  ClientSegment* seg = faulter.open_segment("host/faulter");
+  const TypeDescriptor* page_ints = faulter.types().array_of(
+      faulter.types().primitive(PrimitiveKind::kInt32), kPageSize);
+  faulter.write_lock(seg);
+  auto* ints = static_cast<int32_t*>(faulter.malloc_block(seg, page_ints));
+  faulter.write_unlock(seg);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> churned{0};
+  auto churn = [&](int id) {
+    for (; !stop.load(std::memory_order_relaxed); churned.fetch_add(1)) {
+      Client c(factory, vm);
+      ClientSegment* s = c.open_segment("host/churn" + std::to_string(id));
+      const TypeDescriptor* big = c.types().array_of(
+          c.types().primitive(PrimitiveKind::kInt32), 20000);
+      c.write_lock(s);
+      // Each block maps a subsegment of its own, which stays mapped (and
+      // registered) after the free until the client goes away; the commit
+      // carries nothing.
+      void* blocks[4];
+      for (void*& b : blocks) b = c.malloc_block(s, big);
+      for (void* b : blocks) c.free_block(s, b);
+      c.write_unlock(s);
+    }
+  };
+  std::thread a(churn, 1), b(churn, 2);
+  const uint64_t faults_before = fault_count();
+  uint32_t rounds = 0;
+  while (rounds < 200 || churned.load() < 40) {
+    ++rounds;
+    faulter.write_lock(seg);
+    for (uint64_t i = 0; i < kPageSize; i += 1024) {
+      ints[i] = static_cast<int32_t>(rounds);  // one write fault per page
+    }
+    faulter.write_unlock(seg);
+  }
+  stop.store(true);
+  a.join();
+  b.join();
+  EXPECT_GE(fault_count() - faults_before, uint64_t{rounds} * 4);
+  EXPECT_EQ(seg->version(), 2 + rounds);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // or hangs. Deterministic seeds keep failures reproducible.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <thread>
 
@@ -10,6 +11,7 @@
 #include "net/inproc.hpp"
 #include "server/server.hpp"
 #include "types/registry.hpp"
+#include "util/crc32c.hpp"
 #include "util/rand.hpp"
 #include "wire/diff.hpp"
 #include "wire/frame.hpp"
@@ -430,6 +432,204 @@ TEST(FuzzCodec, LzRoundTripsEveryInputShape) {
     ASSERT_LT(comp.size(), raw.size());
     std::vector<uint8_t> back = lz_decompress(comp.span(), raw.size());
     ASSERT_EQ(back, raw);
+  }
+}
+
+// A populate-shaped commit diff: thousands of new linked records, each a
+// whole-block run of an int, a key, a pointer MIP and a double.
+std::vector<uint8_t> populate_shaped_diff(size_t records) {
+  Buffer out;
+  DiffWriter writer(out, 1, 2);
+  for (uint32_t serial = 1; serial <= records; ++serial) {
+    writer.begin_block(serial, diff_flags::kNew | diff_flags::kWhole, 1);
+    writer.begin_run(0, 4);
+    Buffer& b = writer.buffer();
+    b.append_u32(serial * 37u);
+    b.append_u32(serial ^ 0x5a5au);
+    b.append_vstring("host/list#" + std::to_string(serial + 1));
+    b.append_f64(serial * 0.25);
+    writer.end_block();
+  }
+  writer.finish();
+  return out.take();
+}
+
+TEST(FuzzCodec, LzEncoderOutputIsPinned) {
+  // The encoder's bytes are part of what the server journals, replicates
+  // and serves; any change to them shows up here as a changed size or
+  // CRC32C. Corpus: a populate-shaped diff, run-length data with long runs
+  // (length extensions), random bytes with repeated chunks (far offsets,
+  // long literal runs), and plain random bytes (incompressible).
+  SplitMix64 rng(4242);
+  std::vector<std::vector<uint8_t>> corpus;
+  corpus.push_back(populate_shaped_diff(8192));
+  corpus.push_back(compressible_bytes(rng, 1 << 16));
+  {
+    std::vector<uint8_t> runs;
+    for (int i = 0; i < 64; ++i) {
+      runs.insert(runs.end(), 1 + rng.below(2000),
+                  static_cast<uint8_t>(rng()));
+    }
+    corpus.push_back(std::move(runs));
+  }
+  {
+    std::vector<uint8_t> mixed(1 << 15);
+    for (auto& b : mixed) b = static_cast<uint8_t>(rng());
+    for (int i = 0; i < 200; ++i) {
+      const size_t len = 4 + rng.below(300);
+      const size_t from = rng.below(mixed.size() - len);
+      const size_t to = rng.below(mixed.size() - len);
+      std::memmove(&mixed[to], &mixed[from], len);
+    }
+    corpus.push_back(std::move(mixed));
+  }
+  corpus.push_back(random_bytes(rng, 4096));
+
+  struct Pin {
+    bool compressed;
+    size_t size;
+    uint32_t crc;
+  };
+  const Pin want[] = {
+      {true, 150989, 2376875092u},
+      {true, 9346, 1348978478u},
+      {true, 519, 1620241795u},
+      {true, 18266, 103440912u},
+      {false, 0, 0},
+  };
+  ASSERT_EQ(corpus.size(), std::size(want));
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    Buffer out;
+    const bool compressed = lz_compress(corpus[i], out);
+    EXPECT_EQ(compressed, want[i].compressed) << "input " << i;
+    EXPECT_EQ(out.size(), want[i].size) << "input " << i;
+    EXPECT_EQ(crc32c(out.span()), want[i].crc) << "input " << i;
+    if (compressed) {
+      EXPECT_EQ(lz_decompress(out.span(), corpus[i].size()), corpus[i]);
+    }
+  }
+}
+
+// The literal-run length the first token of an lz_compress stream codes.
+size_t first_literal_run(std::span<const uint8_t> comp) {
+  size_t lit = comp[0] >> 4, i = 1;
+  if (lit == 15) {
+    uint8_t b;
+    do {
+      b = comp[i++];
+      lit += b;
+    } while (b == 255);
+  }
+  return lit;
+}
+
+TEST(FuzzCodec, SplicedRecordPayloadsRoundTrip) {
+  // Around every token-nibble and length-extension boundary, with and
+  // without the 4-byte version head a journaled commit carries.
+  SplitMix64 rng(907);
+  for (size_t lit : {0, 10, 11, 14, 15, 254, 255, 269, 270}) {
+    // `lit` random bytes, then that prefix repeated: the first match
+    // starts right after the first literal run. With no prefix the stream
+    // is the lone empty literal run.
+    std::vector<uint8_t> body(lit);
+    for (auto& b : body) b = static_cast<uint8_t>(rng());
+    Buffer comp;
+    if (lit == 0) {
+      comp.append_u8(0);
+    } else {
+      while (body.size() < 2000) body.push_back(body[body.size() - lit]);
+      ASSERT_TRUE(lz_compress(body, comp));
+    }
+    ASSERT_EQ(first_literal_run(comp.span()), lit);
+    for (size_t head_size : {0, 4}) {
+      std::vector<uint8_t> head(head_size);
+      for (auto& b : head) b = static_cast<uint8_t>(rng());
+      Buffer record;
+      splice_record_payload(head, comp.span(), body.size(), record);
+      std::vector<uint8_t> want(head);
+      want.insert(want.end(), body.begin(), body.end());
+      ASSERT_EQ(decompress_record_payload(record.span()), want)
+          << "literal run " << lit << ", head " << head_size;
+      ASSERT_EQ(first_literal_run(record.span().subspan(4)), lit + head_size);
+    }
+  }
+  // The same record compress_record_payload journals for a raw section.
+  std::vector<uint8_t> head = {0, 0, 0, 9};
+  std::vector<uint8_t> body = compressible_bytes(rng, 3000);
+  Buffer comp, spliced, packed;
+  ASSERT_TRUE(lz_compress(body, comp));
+  splice_record_payload(head, comp.span(), body.size(), spliced);
+  ASSERT_TRUE(compress_record_payload(head, body, packed));
+  EXPECT_EQ(packed.span().size(), spliced.span().size());
+  EXPECT_TRUE(std::equal(packed.span().begin(), packed.span().end(),
+                         spliced.span().begin()));
+}
+
+TEST(FuzzCodec, MutatedSpliceInputsAreTypedErrors) {
+  SplitMix64 rng(911);
+  std::vector<uint8_t> body = compressible_bytes(rng, 2048);
+  Buffer comp;
+  ASSERT_TRUE(lz_compress(body, comp));
+  const std::vector<uint8_t> head = {0, 0, 0, 2};
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<uint8_t> bytes(comp.data(), comp.data() + comp.size());
+    int flips = 1 + static_cast<int>(rng.below(4));
+    for (int f = 0; f < flips; ++f) {
+      // Bias toward the first sequence, which the splice itself parses.
+      const size_t at = rng.below(4) == 0 ? rng.below(bytes.size())
+                                          : rng.below(std::min<size_t>(
+                                                bytes.size(), 8));
+      bytes[at] ^= static_cast<uint8_t>(1 + rng.below(255));
+    }
+    if (rng.below(4) == 0) bytes.resize(rng.below(bytes.size() + 1));
+    try {
+      Buffer record;
+      splice_record_payload(head, bytes, body.size(), record);
+      std::vector<uint8_t> back = decompress_record_payload(record.span());
+      ASSERT_EQ(back.size(), head.size() + body.size());
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptPayload);
+    }
+  }
+  // Truncated inside the first token's length extension.
+  const uint8_t truncated[] = {0xF0, 255};
+  Buffer record;
+  EXPECT_THROW(splice_record_payload(head, truncated, 300, record), Error);
+}
+
+TEST(FuzzCodec, OverlappingMatchesDecodeByteExactly) {
+  // Offsets below 8 overlap their own output and decode byte by byte;
+  // 8 and up decode in 8-byte chunks. Hand-built streams cover each
+  // offset 1..16 at match lengths on both sides of a chunk boundary.
+  SplitMix64 rng(919);
+  for (size_t offset = 1; offset <= 16; ++offset) {
+    for (size_t match : {4, 7, 8, 9, 15, 16, 17, 18, 19, 40, 300}) {
+      std::vector<uint8_t> lits(offset);
+      for (auto& b : lits) b = static_cast<uint8_t>(rng());
+      auto nibble = [](size_t len) { return len < 15 ? len : 15; };
+      auto extend = [](Buffer& out, size_t len) {
+        if (len < 15) return;
+        for (len -= 15; len >= 255; len -= 255) out.append_u8(255);
+        out.append_u8(static_cast<uint8_t>(len));
+      };
+      Buffer comp;
+      const size_t extra = match - 4;
+      comp.append_u8(static_cast<uint8_t>((nibble(offset) << 4) |
+                                          nibble(extra)));
+      extend(comp, offset);
+      comp.append(lits.data(), lits.size());
+      comp.append_u16(static_cast<uint16_t>(offset));
+      extend(comp, extra);
+      comp.append_u8(0x10);  // final run: one literal
+      comp.append_u8(0xEE);
+      std::vector<uint8_t> want(lits);
+      for (size_t i = 0; i < match; ++i) {
+        want.push_back(want[want.size() - offset]);
+      }
+      want.push_back(0xEE);
+      ASSERT_EQ(lz_decompress(comp.span(), want.size()), want)
+          << "offset " << offset << ", match " << match;
+    }
   }
 }
 

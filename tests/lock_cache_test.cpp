@@ -496,12 +496,10 @@ TEST(LockCacheTcp, ClientDestroyedWhileRevokesArrive) {
   };
   constexpr int kSegments = 4;
   auto url = [](int s) { return "host/teardown" + std::to_string(s); };
-  // Software tracking keeps the committing thread out of the SIGSEGV
-  // handler, whose seqlock-guarded range lookup TSan cannot model, while
-  // this thread unregisters the reader's pages.
-  Client::Options wopts;
-  wopts.tracking = client::TrackingMode::kSoftware;
-  Client writer(factory, wopts);
+  // The committing thread takes write faults, and its SIGSEGV handler
+  // looks up the fault registry while this thread unregisters the
+  // reader's pages.
+  Client writer(factory);
   std::vector<ClientSegment*> ws;
   for (int s = 0; s < kSegments; ++s) {
     ws.push_back(writer.open_segment(url(s)));

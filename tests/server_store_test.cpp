@@ -192,6 +192,60 @@ TEST(SegmentStore, DiffCacheServesRepeatRequests) {
   EXPECT_EQ(d0.get(), d0b.get());
 }
 
+TEST(SegmentStore, DiffCacheKeepsAnAppliedCommitsBytesAndSection) {
+  SegmentStore store("s", {});
+  uint32_t t = register_int_array(store, 64);
+  auto diff = std::make_shared<const std::vector<uint8_t>>(
+      make_create_diff(store, 1, 64, t));
+  auto section = std::make_shared<const std::vector<uint8_t>>(
+      std::vector<uint8_t>{1, 2, 3});
+  EXPECT_EQ(store.apply_diff(diff, section), 2u);
+  // A reader one version behind is served the commit's own objects.
+  EXPECT_EQ(store.collect_diff(1).get(), diff.get()) << "no copy";
+  EXPECT_EQ(store.cached_section(1).get(), section.get());
+  EXPECT_EQ(store.stats().diff_cache_hits, 1u);
+
+  // A collected diff has no section until one is recorded for it.
+  store.collect_diff(0);
+  EXPECT_EQ(store.cached_section(0), nullptr);
+  store.cache_section(0, section);
+  EXPECT_EQ(store.cached_section(0).get(), section.get());
+  // Sections belong to a (from, to) pair: a new version retires them.
+  store.apply_diff(make_update_diff(store, 1, 0, 4, 9));
+  EXPECT_EQ(store.cached_section(1), nullptr);
+  EXPECT_EQ(store.cached_section(0), nullptr);
+}
+
+TEST(SegmentStore, DiffCacheEvictsOldestByBytes) {
+  // Blocks of about a quarter of the byte bound each: the cache runs out
+  // of bytes long before it runs out of entries.
+  constexpr uint32_t kQuarter =
+      static_cast<uint32_t>(SegmentStore::kDiffCacheBytes / 4 / 4);
+  static_assert(SegmentStore::kDiffCacheEntries > 4);
+  SegmentStore store("s", {});
+  uint32_t t = register_int_array(store, kQuarter);
+  for (uint32_t serial = 1; serial <= 3; ++serial) {
+    store.apply_diff(make_create_diff(store, serial, kQuarter, t));
+  }
+  // Cached: (1,2), (2,3), (3,4) — three quarters of the bound.
+  auto hits = [&] { return store.stats().diff_cache_hits; };
+  store.collect_diff(3);
+  EXPECT_EQ(hits(), 1u);
+  // (2,4) is half the bound: the two oldest entries make room for it.
+  auto from2 = store.collect_diff(2);
+  EXPECT_EQ(hits(), 1u);
+  EXPECT_EQ(store.collect_diff(2).get(), from2.get());
+  EXPECT_EQ(store.collect_diff(3).get(), store.collect_diff(3).get());
+  EXPECT_EQ(hits(), 4u);
+  // (0,4) is three quarters: everything older goes, (3,4) included.
+  auto from0 = store.collect_diff(0);
+  EXPECT_EQ(store.collect_diff(0).get(), from0.get());
+  EXPECT_EQ(hits(), 5u);
+  const uint64_t misses = store.stats().diff_cache_misses;
+  EXPECT_NE(store.collect_diff(2).get(), from2.get()) << "evicted by bytes";
+  EXPECT_EQ(store.stats().diff_cache_misses, misses + 1);
+}
+
 TEST(SegmentStore, DiffCacheDisabledAlwaysBuilds) {
   SegmentStore::Options options;
   options.enable_diff_cache = false;

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -553,6 +554,170 @@ TEST_F(WalRecovery, DisabledWalWritesNoJournal) {
   run_commits(server, 1, 3);
   EXPECT_EQ(server.stats().wal_records_appended, 0u);
   EXPECT_FALSE(fs::exists(dir_ / "host%2Fdurable.iwlog"));
+}
+
+// --- one LZ pass per diff: the writer's stream is journaled, replicated
+// and served as it arrived; a collected diff is compressed once ---
+
+constexpr uint32_t kBigUnits = 16'384;  // 64 KiB of ints, compresses well
+const char* const kBigSeg = "host/big";
+
+std::unique_ptr<Client> in_proc_client(SegmentServer& server) {
+  return std::make_unique<Client>([&server](const std::string&) {
+    return std::make_shared<InProcChannel>(server);
+  });
+}
+
+/// Stamps units [first, first + count) of block "big" (created on first
+/// use) with a compressible pattern in one commit.
+void stamp_big(Client& c, ClientSegment* seg, uint32_t first, uint32_t count,
+               int32_t value) {
+  c.write_lock(seg);
+  client::BlockHeader* blk = seg->heap().find_by_name("big");
+  auto* data = blk != nullptr
+      ? reinterpret_cast<int32_t*>(const_cast<uint8_t*>(blk->data()))
+      : static_cast<int32_t*>(c.malloc_block(
+            seg,
+            c.types().array_of(c.types().primitive(PrimitiveKind::kInt32),
+                               kBigUnits),
+            "big"));
+  for (uint32_t u = first; u < first + count; ++u) {
+    data[u] = value + static_cast<int32_t>(u / 64);
+  }
+  c.write_unlock(seg);
+}
+
+/// The block "big" as `c` reads it now.
+std::vector<int32_t> read_big(Client& c, ClientSegment* seg) {
+  c.read_lock(seg);
+  client::BlockHeader* blk = seg->heap().find_by_name("big");
+  std::vector<int32_t> out;
+  if (blk != nullptr) {
+    const auto* data = reinterpret_cast<const int32_t*>(blk->data());
+    out.assign(data, data + kBigUnits);
+  }
+  c.read_unlock(seg);
+  return out;
+}
+
+std::vector<uint8_t> file_bytes(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+TEST_F(WalRecovery, WriterStreamIsJournaledReplicatedAndServedAsIs) {
+  const fs::path replica_dir = dir_ / "replica";
+  SegmentServer::Options ropts = server_options();
+  ropts.checkpoint_dir = replica_dir.string();
+  auto replica = std::make_unique<SegmentServer>(ropts);
+  WalReplicator::Options wopts;
+  wopts.replication_factor = 1;
+  wopts.ack_timeout_ms = 5'000;
+  auto replicator = std::make_shared<WalReplicator>(wopts);
+  replicator->add_replica("replica", [&replica] {
+    return std::shared_ptr<ClientChannel>(
+        std::make_shared<InProcChannel>(*replica));
+  });
+  SegmentServer::Options popts = server_options();
+  popts.replicator = replicator;
+  auto primary = std::make_unique<SegmentServer>(popts);
+  auto lz_passes = [&] { return primary->stats().lz_passes; };
+
+  // One writer populates: its compressed commit is journaled and
+  // replicated with no LZ pass on the server.
+  auto writer = in_proc_client(*primary);
+  ClientSegment* wseg = writer->open_segment(kBigSeg);
+  stamp_big(*writer, wseg, 0, kBigUnits, 1000);
+  EXPECT_EQ(writer->stats().diffs_compressed, 1u);
+  EXPECT_EQ(primary->stats().commits_compressed, 1u);
+  EXPECT_LT(primary->stats().commit_stored_bytes,
+            primary->stats().commit_raw_bytes);
+  EXPECT_EQ(lz_passes(), 0u) << "the commit cost an LZ pass";
+
+  // Three readers' first fetch share one from-0 diff, compressed once.
+  std::vector<std::unique_ptr<Client>> readers;
+  std::vector<ClientSegment*> rsegs;
+  for (int r = 0; r < 3; ++r) {
+    readers.push_back(in_proc_client(*primary));
+    rsegs.push_back(readers.back()->open_segment(kBigSeg, false));
+    EXPECT_EQ(read_big(*readers[r], rsegs[r]), read_big(*writer, wseg));
+  }
+  EXPECT_EQ(lz_passes(), 1u) << "the from-0 diff is compressed once";
+  EXPECT_EQ(primary->stats().updates_compressed, 3u);
+
+  // Readers one version behind get the writer's own section: no pass.
+  for (int round = 0; round < 4; ++round) {
+    stamp_big(*writer, wseg, 2048u * round, 2048, 7 * round);
+    const auto want = read_big(*writer, wseg);
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(read_big(*readers[r], rsegs[r]), want) << "round " << round;
+    }
+  }
+  EXPECT_EQ(lz_passes(), 1u) << "a commit's readers cost an LZ pass";
+  EXPECT_EQ(primary->stats().commits_compressed, 5u);
+  EXPECT_EQ(primary->stats().updates_compressed, 15u);
+  const auto want = read_big(*writer, wseg);
+  const uint32_t version = primary->segment_version(kBigSeg);
+  readers.clear();
+  writer.reset();
+
+  // The replica journaled what the primary journaled, byte for byte.
+  const std::string log_name = "host%2Fbig.iwlog";
+  const auto journal = file_bytes(dir_ / log_name);
+  EXPECT_GT(journal.size(), WriteAheadLog::kHeaderSize);
+  EXPECT_EQ(file_bytes(replica_dir / log_name), journal);
+  int compressed_commits = 0;
+  for (const auto& rec : WriteAheadLog::replay((dir_ / log_name).string())
+                             .records) {
+    if (rec.type == WalRecordType::kCommit && rec.compressed) {
+      ++compressed_commits;
+    }
+  }
+  EXPECT_EQ(compressed_commits, 5);
+  replicator->shutdown();
+  primary.reset();
+  replica.reset();
+
+  // Both spliced journals replay to the same bytes.
+  for (const auto& opts : {server_options(), ropts}) {
+    SegmentServer revived(opts);
+    revived.recover();
+    EXPECT_EQ(revived.segment_version(kBigSeg), version);
+    auto reader = in_proc_client(revived);
+    EXPECT_EQ(read_big(*reader, reader->open_segment(kBigSeg, false)), want);
+  }
+}
+
+TEST_F(WalRecovery, UncompressingServerJournalsAndSendsRaw) {
+  SegmentServer::Options opts = server_options();
+  opts.compress_payloads = false;
+  std::vector<int32_t> want;
+  {
+    SegmentServer server(opts);
+    auto writer = in_proc_client(server);
+    ClientSegment* wseg = writer->open_segment(kBigSeg);
+    stamp_big(*writer, wseg, 0, kBigUnits, 1000);
+    stamp_big(*writer, wseg, 4096, 2048, 3);
+    EXPECT_EQ(writer->stats().diffs_compressed, 2u);
+    want = read_big(*writer, wseg);
+    auto reader = in_proc_client(server);
+    EXPECT_EQ(read_big(*reader, reader->open_segment(kBigSeg, false)), want);
+    const SegmentServer::Stats s = server.stats();
+    EXPECT_EQ(s.lz_passes, 0u);
+    EXPECT_EQ(s.commits_compressed, 0u);
+    EXPECT_EQ(s.commit_stored_bytes, s.commit_raw_bytes);
+    EXPECT_EQ(s.updates_compressed, 0u);
+    // Each update pays only its method byte.
+    EXPECT_EQ(s.update_wire_bytes, s.update_raw_bytes + s.updates_sent);
+  }
+  for (const auto& rec :
+       WriteAheadLog::replay((dir_ / "host%2Fbig.iwlog").string()).records) {
+    EXPECT_FALSE(rec.compressed);
+  }
+  SegmentServer revived(opts);
+  revived.recover();
+  auto reader = in_proc_client(revived);
+  EXPECT_EQ(read_big(*reader, reader->open_segment(kBigSeg, false)), want);
 }
 
 /// Caps every file this process writes at `bytes` (RLIMIT_FSIZE, with
