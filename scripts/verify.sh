@@ -9,10 +9,11 @@
 # then the fault/lease/chaos suites under UBSan and TSan — the chaos
 # workload's reconnect/lease interleavings are exactly what -fsanitize=thread
 # is good at catching — plus the reactor transport suite (partial frames,
-# burst coalescing, backpressure, worker-pool elasticity) and the TCP
-# client channel suite (its receive loop decodes header varints off the
-# socket, races the callers it hands frames to, and runs notify handlers
-# itself) under both sanitizers, and the chaos/lease suites again over
+# server-side response coalescing, backpressure, worker-pool elasticity)
+# and the TCP client channel suite (concurrent callers share one send
+# mutex and a sticky send error, with no client-side coalescing; its
+# receive loop decodes header varints off the socket, races the callers it
+# hands frames to, and runs notify handlers itself) under both sanitizers, and the chaos/lease suites again over
 # TCP, so the epoll reactor's cross-thread outbox/retirement protocol is
 # raced under TSan. The server concurrency suite runs under TSan as well:
 # its raw TCP clients count notifications on the receiver thread while

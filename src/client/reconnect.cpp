@@ -12,6 +12,9 @@ namespace {
 
 std::atomic<uint64_t> g_next_client_id{1};
 
+/// Reconnect attempts before a failed call is surfaced.
+constexpr uint32_t kMaxReconnectAttempts = 5;
+
 }  // namespace
 
 ReconnectingChannel::ReconnectingChannel(Connector connect, Options options)
@@ -58,8 +61,7 @@ void ReconnectingChannel::reconnect_locked(
   }
   Error last = Error::transport(ErrorCode::kIo, "reconnect never attempted");
   uint32_t backoff = options_.initial_backoff_ms;
-  for (uint32_t attempt = 0; attempt < options_.max_reconnect_attempts;
-       ++attempt) {
+  for (uint32_t attempt = 0; attempt < kMaxReconnectAttempts; ++attempt) {
     if (attempt > 0) {
       // Half-to-full jitter keeps a herd of clients from reconnecting in
       // lockstep after a shared outage.
@@ -75,7 +77,7 @@ void ReconnectingChannel::reconnect_locked(
     } catch (const Error& e) {
       last = e;
       IW_LOG(kDebug) << "reconnect attempt " << (attempt + 1) << "/"
-                     << options_.max_reconnect_attempts
+                     << kMaxReconnectAttempts
                      << " failed: " << e.what();
     }
   }

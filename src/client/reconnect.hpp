@@ -44,8 +44,6 @@ namespace iw::client {
 class ReconnectingChannel final : public ClientChannel {
  public:
   struct Options {
-    /// Reconnect attempts before a failed call is surfaced.
-    uint32_t max_reconnect_attempts = 5;
     /// Backoff before reconnect attempt N is roughly
     /// min(initial << (N-1), max), halved-to-full jittered.
     uint32_t initial_backoff_ms = 5;
@@ -74,8 +72,7 @@ class ReconnectingChannel final : public ClientChannel {
   uint64_t session_epoch() const override;
   ChannelFaultStats fault_stats() const override;
 
-  /// Writer-lease duration announced by the server in kHelloResp (0 when
-  /// leases are disabled).
+  /// Writer-lease duration announced by the server in kHelloResp.
   uint32_t server_lease_ms() const;
 
  private:
@@ -86,7 +83,7 @@ class ReconnectingChannel final : public ClientChannel {
   /// succeeded, or forgets it for a kCloseSegment. Caller holds mu_.
   void note_binding_locked(MsgType type, const Buffer& request);
   /// Tears down `failed` (if it is still current) and reconnects with
-  /// backoff; throws the last connect error after max_reconnect_attempts.
+  /// backoff; throws the last connect error after kMaxReconnectAttempts.
   /// No-op when another thread already replaced the channel.
   void reconnect_locked(const std::shared_ptr<ClientChannel>& failed);
 

@@ -67,7 +67,7 @@ int make_listener(uint16_t port, uint16_t* bound_port) {
 
 }  // namespace
 
-struct Reactor::AtomicStats {
+struct TcpServer::AtomicStats {
   IW_COUNTER_ATOMICS(IW_REACTOR_COUNTERS)
 
   void bump_queue_depth(uint64_t depth) {
@@ -82,7 +82,7 @@ struct Reactor::AtomicStats {
 /// read side (rdbuf) exclusively; everything else is guarded by `mu`,
 /// which is a leaf lock — nothing else is ever acquired under it, so the
 /// notifier path (called under a segment entry lock) cannot deadlock.
-struct Reactor::Conn {
+struct TcpServer::Conn {
   /// One encoded response/notification awaiting flush.
   struct OutFrame {
     uint8_t header[kMaxFrameHeaderSize];
@@ -112,7 +112,7 @@ struct Reactor::Conn {
   bool read_paused = false;  // EPOLLIN dropped while the outbox drains
 };
 
-Reactor::Reactor(ServerCore& core, uint16_t port, Options options)
+TcpServer::TcpServer(ServerCore& core, uint16_t port, Options options)
     : core_(core), options_(options), stats_(std::make_unique<AtomicStats>()) {
   if (options_.workers <= 0) {
     unsigned hw = std::thread::hardware_concurrency();
@@ -154,14 +154,14 @@ Reactor::Reactor(ServerCore& core, uint16_t port, Options options)
   reactor_thread_ = std::thread([this] { reactor_loop(); });
 }
 
-Reactor::~Reactor() { shutdown(); }
+TcpServer::~TcpServer() { shutdown(); }
 
-void Reactor::wake_reactor() {
+void TcpServer::wake_reactor() {
   uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
 
-void Reactor::shutdown() {
+void TcpServer::shutdown() {
   std::call_once(shutdown_once_, [this] {
     stopping_.store(true, std::memory_order_release);
     wake_reactor();
@@ -184,7 +184,7 @@ void Reactor::shutdown() {
   });
 }
 
-ReactorStats Reactor::stats() const {
+ReactorStats TcpServer::stats() const {
   ReactorStats s;
   stats_->snapshot_into(s);
   return s;
@@ -192,7 +192,7 @@ ReactorStats Reactor::stats() const {
 
 // --- reactor thread -------------------------------------------------------
 
-void Reactor::reactor_loop() {
+void TcpServer::reactor_loop() {
   bool draining = false;
   epoll_event events[128];
   for (;;) {
@@ -271,7 +271,7 @@ void Reactor::reactor_loop() {
   }
 }
 
-void Reactor::pause_listener() {
+void TcpServer::pause_listener() {
   if (listener_paused_ || listen_fd_ < 0) return;
   listener_paused_ = true;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
@@ -286,7 +286,7 @@ void Reactor::pause_listener() {
   stats_->accept_backoffs.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Reactor::resume_listener() {
+void TcpServer::resume_listener() {
   if (!listener_paused_ || listen_fd_ < 0) return;
   listener_paused_ = false;
   epoll_event ev{};
@@ -295,7 +295,7 @@ void Reactor::resume_listener() {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
 }
 
-void Reactor::handle_accept() {
+void TcpServer::handle_accept() {
   for (;;) {
     int fd = ::accept4(listen_fd_, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -341,7 +341,7 @@ void Reactor::handle_accept() {
   }
 }
 
-void Reactor::handle_readable(const std::shared_ptr<Conn>& conn) {
+void TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
   // The reactor thread is the only reader and the only closer, so the fd
   // can be used lock-free here; retire() only runs on this thread.
   const int fd = conn->fd;
@@ -431,11 +431,11 @@ void Reactor::handle_readable(const std::shared_ptr<Conn>& conn) {
   if (need_schedule) schedule(conn);
 }
 
-void Reactor::handle_writable(const std::shared_ptr<Conn>& conn) {
+void TcpServer::handle_writable(const std::shared_ptr<Conn>& conn) {
   flush(conn);
 }
 
-void Reactor::request_retire(const std::shared_ptr<Conn>& conn) {
+void TcpServer::request_retire(const std::shared_ptr<Conn>& conn) {
   {
     std::lock_guard lock(retire_mu_);
     retire_queue_.push_back(conn);
@@ -443,7 +443,7 @@ void Reactor::request_retire(const std::shared_ptr<Conn>& conn) {
   wake_reactor();
 }
 
-void Reactor::retire(const std::shared_ptr<Conn>& conn) {
+void TcpServer::retire(const std::shared_ptr<Conn>& conn) {
   int fd;
   {
     std::lock_guard lock(conn->mu);
@@ -463,7 +463,7 @@ void Reactor::retire(const std::shared_ptr<Conn>& conn) {
 
 // --- worker pool ----------------------------------------------------------
 
-void Reactor::schedule(const std::shared_ptr<Conn>& conn) {
+void TcpServer::schedule(const std::shared_ptr<Conn>& conn) {
   bool spawn = false;
   {
     std::lock_guard lock(pool_mu_);
@@ -483,7 +483,7 @@ void Reactor::schedule(const std::shared_ptr<Conn>& conn) {
   if (!spawn) pool_cv_.notify_one();
 }
 
-void Reactor::worker_loop() {
+void TcpServer::worker_loop() {
   for (;;) {
     std::shared_ptr<Conn> conn;
     {
@@ -515,7 +515,7 @@ void Reactor::worker_loop() {
   }
 }
 
-void Reactor::process(const std::shared_ptr<Conn>& conn) {
+void TcpServer::process(const std::shared_ptr<Conn>& conn) {
   for (;;) {
     Frame request;
     bool run_disconnect = false;
@@ -575,7 +575,7 @@ void Reactor::process(const std::shared_ptr<Conn>& conn) {
 
 // --- write path -----------------------------------------------------------
 
-void Reactor::enqueue_frame(const std::shared_ptr<Conn>& conn,
+void TcpServer::enqueue_frame(const std::shared_ptr<Conn>& conn,
                             const Frame& frame) {
   // Copy up front: notification frames are shared across many sessions.
   Frame copy;
@@ -585,7 +585,7 @@ void Reactor::enqueue_frame(const std::shared_ptr<Conn>& conn,
   enqueue_frame(conn, std::move(copy));
 }
 
-void Reactor::enqueue_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
+void TcpServer::enqueue_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   std::lock_guard lock(conn->mu);
   if (conn->fd < 0 || conn->dead) return;  // connection is going away
   Conn::OutFrame out;
@@ -601,7 +601,7 @@ void Reactor::enqueue_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
 /// hysteresis. Caller holds conn->mu. Backpressure: a slow reader's outbox
 /// crossing the high watermark pauses reads until the flush path drains it
 /// below the low watermark.
-void Reactor::update_read_interest(const std::shared_ptr<Conn>& conn) {
+void TcpServer::update_read_interest(const std::shared_ptr<Conn>& conn) {
   if (conn->fd < 0 || conn->eof) return;
   bool pause = conn->read_paused
                    ? conn->out_bytes > options_.write_low_watermark
@@ -620,7 +620,7 @@ void Reactor::update_read_interest(const std::shared_ptr<Conn>& conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
-void Reactor::flush(const std::shared_ptr<Conn>& conn) {
+void TcpServer::flush(const std::shared_ptr<Conn>& conn) {
   bool fatal = false;
   {
     std::lock_guard lock(conn->mu);

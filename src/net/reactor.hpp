@@ -1,5 +1,5 @@
-// Event-driven server core: an epoll reactor plus a small elastic worker
-// pool, replacing thread-per-connection service.
+// TcpServer, the server end of the TCP transport (net/tcp.hpp holds the
+// client end): an epoll reactor plus a small elastic worker pool.
 //
 // Threading model (three roles):
 //
@@ -15,12 +15,11 @@
 //   * Worker threads pop scheduled connections and drain their decoded
 //     frame queues through ServerCore::handle (whose per-segment locking
 //     makes concurrent workers safe). One connection is processed by at
-//     most one worker at a time, preserving the per-session frame order
-//     the thread-per-connection design guaranteed. Because handle() may
-//     block (a writer waiting on a contended lock), the pool grows
-//     elastically up to `max_workers` whenever frames are queued and every
-//     existing worker is busy — so a pile-up of blocked writers cannot
-//     starve the release that would unblock them.
+//     most one worker at a time, preserving each session's frame order.
+//     Because handle() may block (a writer waiting on a contended lock),
+//     the pool grows elastically up to `max_workers` whenever frames are
+//     queued and every existing worker is busy — so a pile-up of blocked
+//     writers cannot starve the release that would unblock them.
 //   * Any thread (a worker producing a response, a core pushing a
 //     notification) appends frames to the connection's outbox and flushes:
 //     every frame pending for that connection rides one sendmsg as an
@@ -71,7 +70,7 @@ struct ReactorStats {
   IW_REACTOR_COUNTERS(IW_COUNTER_FIELD)
 };
 
-class Reactor {
+class TcpServer {
  public:
   struct Options {
     /// Worker threads started eagerly. 0 = auto (min(4, hardware threads)).
@@ -90,18 +89,22 @@ class Reactor {
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the reactor thread
   /// plus the core worker pool. Throws Error(kIo) when the socket cannot
   /// be bound.
-  Reactor(ServerCore& core, uint16_t port, Options options);
-  ~Reactor();
+  TcpServer(ServerCore& core, uint16_t port) : TcpServer(core, port, {}) {}
+  TcpServer(ServerCore& core, uint16_t port, Options options);
+  ~TcpServer();
 
-  Reactor(const Reactor&) = delete;
-  Reactor& operator=(const Reactor&) = delete;
+  TcpServer(const TcpServer&) = delete;
+  TcpServer& operator=(const TcpServer&) = delete;
 
+  /// Actual bound port (useful with port 0).
   uint16_t port() const noexcept { return port_; }
 
   /// Stops accepting, closes every connection (running their
   /// on_disconnect), and joins all threads. Idempotent.
   void shutdown();
 
+  /// Transport-level counters (epoll wakeups, frames per sendmsg,
+  /// backpressure stalls, worker-pool high-water marks).
   ReactorStats stats() const;
 
  private:

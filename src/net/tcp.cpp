@@ -17,27 +17,10 @@ namespace iw {
 
 namespace {
 
-/// Sends every byte of `data`; returns how many send() syscalls it took.
-size_t write_all(int fd, const uint8_t* data, size_t n) {
-  size_t syscalls = 0;
-  while (n > 0) {
-    ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("send");
-    }
-    ++syscalls;
-    data += w;
-    n -= static_cast<size_t>(w);
-  }
-  return syscalls;
-}
-
-/// Vectored equivalent of write_all: sends every slice of `chain` in order
-/// via sendmsg, so a frame header and its payload go out in one syscall
-/// without being glued into a contiguous copy first. Returns the syscall
-/// count.
-size_t write_all_vec(int fd, const IoChain& chain) {
+/// Sends every slice of `chain` in order via sendmsg, so a frame header and
+/// its payload go out in one syscall without being glued into a contiguous
+/// copy first.
+void write_all_vec(int fd, const IoChain& chain) {
   iovec iov[IoChain::kMaxSlices];
   size_t count = chain.count();
   for (size_t i = 0; i < count; ++i) {
@@ -45,7 +28,6 @@ size_t write_all_vec(int fd, const IoChain& chain) {
     iov[i].iov_len = chain.slices()[i].len;
   }
   size_t idx = 0;
-  size_t syscalls = 0;
   while (idx < count) {
     msghdr msg{};
     msg.msg_iov = iov + idx;
@@ -55,7 +37,6 @@ size_t write_all_vec(int fd, const IoChain& chain) {
       if (errno == EINTR) continue;
       throw_errno("sendmsg");
     }
-    ++syscalls;
     size_t rem = static_cast<size_t>(w);
     while (idx < count && rem >= iov[idx].iov_len) {
       rem -= iov[idx].iov_len;
@@ -66,7 +47,6 @@ size_t write_all_vec(int fd, const IoChain& chain) {
       iov[idx].iov_len -= rem;
     }
   }
-  return syscalls;
 }
 
 /// Receive buffer of a client channel: grows only for a frame larger than
@@ -89,13 +69,6 @@ std::string call_context(MsgType type, uint32_t request_id,
 /// server address fails in bounded time instead of the OS default (minutes).
 void connect_with_timeout(int fd, const sockaddr_in& addr,
                           uint32_t timeout_ms) {
-  if (timeout_ms == 0) {
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) < 0) {
-      throw_errno("connect");
-    }
-    return;
-  }
   int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
@@ -122,22 +95,14 @@ void connect_with_timeout(int fd, const sockaddr_in& addr,
 
 }  // namespace
 
-// --- server ---------------------------------------------------------------
-
-TcpServer::TcpServer(ServerCore& core, uint16_t port)
-    : TcpServer(core, port, Options()) {}
-
-TcpServer::TcpServer(ServerCore& core, uint16_t port, Options options)
-    : reactor_(std::make_unique<Reactor>(core, port, options)) {}
-
-TcpServer::~TcpServer() { shutdown(); }
-
-void TcpServer::shutdown() { reactor_->shutdown(); }
-
 // --- client ---------------------------------------------------------------
 
 TcpClientChannel::TcpClientChannel(uint16_t port, Options options)
     : options_(options) {
+  if (options_.call_timeout_ms == 0 || options_.connect_timeout_ms == 0) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "call_timeout_ms and connect_timeout_ms must be positive");
+  }
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) throw_errno("socket");
   // Socket options before connect, so they apply from the first byte.
@@ -253,112 +218,23 @@ void TcpClientChannel::fail_channel(const Error& reason) {
     close_reason_ = reason.what();
   }
   cv_.notify_all();
-  // Wake callers parked in the send path too: a flusher lingering on a
-  // batch window must cut it short, and once the socket is dead new
-  // batches would only block.
-  send_cv_.notify_all();
 }
 
-void TcpClientChannel::send_frame_coalesced(const uint8_t* header,
-                                            size_t header_len,
-                                            const Buffer& payload) {
-  const size_t frame_bytes = header_len + payload.size();
-  std::unique_lock lock(send_mu_);
+void TcpClientChannel::send_frame(const uint8_t* header, size_t header_len,
+                                  const Buffer& payload) {
+  std::lock_guard lock(send_mu_);
   if (send_error_) throw *send_error_;
-
-  // Fast path: queue empty, no flusher, no linger window — vectored send
-  // straight from the caller's buffer, zero copy, exactly the old
-  // single-writer behaviour.
-  if (!send_flusher_active_ && send_pending_.empty() &&
-      options_.batch_window_us == 0) {
-    send_flusher_active_ = true;
-    lock.unlock();
-    std::optional<Error> err;
-    size_t syscalls = 0;
-    try {
-      IoChain chain;
-      chain.add(header, header_len);
-      chain.add(payload.slice());
-      syscalls = write_all_vec(fd_, chain);
-    } catch (const Error& e) {
-      err = e;
-    }
-    lock.lock();
-    send_flusher_active_ = false;
-    if (err) {
-      send_error_ = err;
-      send_cv_.notify_all();
-      throw *err;
-    }
-    send_cv_.notify_all();  // frames queued meanwhile need a new flusher
-    batch_.frames_sent.fetch_add(1, std::memory_order_relaxed);
-    batch_.send_syscalls.fetch_add(syscalls, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
-    return;
+  IoChain chain;
+  chain.add(header, header_len);
+  chain.add(payload.slice());
+  try {
+    write_all_vec(fd_, chain);
+  } catch (const Error& e) {
+    send_error_ = e;
+    throw;
   }
-
-  // Slow path: queue the frame, then either carry the batch ourselves or
-  // wait for the active flusher to carry it for us.
-  send_pending_.append(header, header_len);
-  send_pending_.append(payload.data(), payload.size());
-  send_queued_pos_ += frame_bytes;
-  ++send_pending_frames_;
-  const uint64_t my_end = send_queued_pos_;
-  send_cv_.notify_all();  // a lingering flusher may now have a full batch
-
-  for (;;) {
-    if (send_flushed_pos_ >= my_end) return;  // someone flushed my frame
-    if (send_error_) throw *send_error_;
-    if (!send_flusher_active_) {
-      send_flusher_active_ = true;
-      if (options_.batch_window_us > 0) {
-        // Group commit: linger briefly so a burst of concurrent callers
-        // lands in this batch instead of the next syscall.
-        send_cv_.wait_for(
-            lock, std::chrono::microseconds(options_.batch_window_us), [&] {
-              return send_pending_.size() >= options_.batch_max_bytes ||
-                     send_error_.has_value();
-            });
-        if (send_error_) {
-          send_flusher_active_ = false;
-          send_cv_.notify_all();
-          throw *send_error_;
-        }
-      }
-      Buffer batch = std::move(send_pending_);
-      send_pending_ = Buffer();
-      const uint64_t batch_frames = send_pending_frames_;
-      send_pending_frames_ = 0;
-      const uint64_t batch_end = send_flushed_pos_ + batch.size();
-      lock.unlock();
-      std::optional<Error> err;
-      size_t syscalls = 0;
-      try {
-        syscalls = write_all(fd_, batch.data(), batch.size());
-      } catch (const Error& e) {
-        err = e;
-      }
-      lock.lock();
-      send_flusher_active_ = false;
-      if (err) {
-        send_error_ = err;
-        send_cv_.notify_all();
-        throw *err;
-      }
-      send_flushed_pos_ = batch_end;
-      batch_.frames_sent.fetch_add(batch_frames, std::memory_order_relaxed);
-      batch_.send_syscalls.fetch_add(syscalls, std::memory_order_relaxed);
-      if (batch_frames > 1) {
-        batch_.frames_batched.fetch_add(batch_frames,
-                                        std::memory_order_relaxed);
-      }
-      bytes_sent_.fetch_add(batch.size(), std::memory_order_relaxed);
-      send_cv_.notify_all();
-      // Loop: my frame was in this batch, so the next check returns.
-    } else {
-      send_cv_.wait(lock);
-    }
-  }
+  bytes_sent_.fetch_add(header_len + payload.size(),
+                        std::memory_order_relaxed);
 }
 
 Frame TcpClientChannel::call(MsgType type, Buffer& payload) {
@@ -379,7 +255,7 @@ Frame TcpClientChannel::call(MsgType type, Buffer& payload) {
   const size_t header_len = encode_frame_header(
       request.type, request.request_id, payload.size(), header);
   try {
-    send_frame_coalesced(header, header_len, payload);
+    send_frame(header, header_len, payload);
   } catch (const Error& e) {
     throw Error::transport(e.code(),
                            std::string(e.what()) + " (sending " +
@@ -392,11 +268,8 @@ Frame TcpClientChannel::call(MsgType type, Buffer& payload) {
   auto ready = [&] {
     return closed_ || responses_.count(request.request_id) > 0;
   };
-  if (options_.call_timeout_ms == 0) {
-    cv_.wait(lock, ready);
-  } else if (!cv_.wait_for(
-                 lock, std::chrono::milliseconds(options_.call_timeout_ms),
-                 ready)) {
+  if (!cv_.wait_for(lock, std::chrono::milliseconds(options_.call_timeout_ms),
+                   ready)) {
     abandoned_.insert(request.request_id);
     faults_.call_timeouts.fetch_add(1, std::memory_order_relaxed);
     throw Error::transport(ErrorCode::kTimedOut,

@@ -1,23 +1,17 @@
 // TCP transport: real sockets for running clients and servers as separate
 // processes (or separate threads with genuine network framing).
 //
-// TcpServer fronts the epoll Reactor (net/reactor.hpp): nonblocking
-// sockets, per-connection session state machines, a small elastic worker
-// pool calling into the ServerCore, and response/notification frames
-// coalesced into one sendmsg per flush. The constructor/shutdown API is
-// unchanged from the thread-per-connection era, so every existing caller
-// and test runs unmodified on the event-driven core.
+// The server end is TcpServer, the epoll reactor of net/reactor.hpp:
+// nonblocking sockets, per-connection session state machines, a small
+// elastic worker pool calling into the ServerCore, and response and
+// notification frames coalesced into one sendmsg per flush.
 //
 // TcpClientChannel owns the client end: calls are multiplexed by request
 // id and its one thread, the receiver, demultiplexes responses from
 // notifications (request_id == 0), decoding every complete frame out of
 // each recv. It runs the notify handler itself, so a handler must not call
-// back into the channel (see ClientChannel::set_notify_handler).
-// Concurrent callers' request frames are coalesced: whoever finds no flush
-// in progress becomes the flusher and sends every queued frame in one
-// syscall (optionally lingering `batch_window_us` to let a burst
-// accumulate), so many small lock/commit RPCs from a busy process ride one
-// send.
+// back into the channel (see ClientChannel::set_notify_handler). Each call
+// sends its frame, header and payload together, with one vectored sendmsg.
 #pragma once
 
 #include <sys/socket.h>
@@ -30,74 +24,26 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "net/reactor.hpp"
 #include "net/transport.hpp"
 
 namespace iw {
 
-class TcpServer {
- public:
-  using Options = Reactor::Options;
-
-  /// Starts listening on 127.0.0.1:`port` (0 = ephemeral) and serving
-  /// `core`. Throws Error(kIo) when the socket cannot be bound.
-  TcpServer(ServerCore& core, uint16_t port);
-  TcpServer(ServerCore& core, uint16_t port, Options options);
-  ~TcpServer();
-
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  /// Actual bound port (useful with port 0).
-  uint16_t port() const noexcept { return reactor_->port(); }
-
-  /// Stops accepting, closes all connections, joins threads.
-  void shutdown();
-
-  /// Transport-level counters (epoll wakeups, frames per sendmsg,
-  /// backpressure stalls, worker-pool high-water marks) — the same
-  /// atomic-snapshot idiom as SegmentServer::stats().
-  ReactorStats stats() const { return reactor_->stats(); }
-
- private:
-  std::unique_ptr<Reactor> reactor_;
-};
-
-/// TcpClientChannel's send-path counters (util/counters.hpp).
-#define IW_TCP_BATCH_COUNTERS(X)                         \
-  X(frames_sent)    /* request frames written */         \
-  X(send_syscalls)  /* send() calls that carried them */ \
-  X(frames_batched) /* frames that shared a syscall */
-
 class TcpClientChannel final : public ClientChannel {
  public:
   struct Options {
-    /// Deadline for one call() round trip, send to response. 0 disables
-    /// (unbounded blocking — only for tests that explicitly want it).
+    /// Deadline for one call() round trip, send to response. Must be
+    /// positive: the constructor rejects 0 with kInvalidArgument.
     uint32_t call_timeout_ms = 30'000;
     /// Deadline for establishing the connection (poll-based non-blocking
-    /// connect). 0 falls back to the OS default.
+    /// connect). Must be positive, like call_timeout_ms.
     uint32_t connect_timeout_ms = 5'000;
-    /// Small-write aggregation window in microseconds. 0 (default) still
-    /// coalesces naturally concurrent calls — frames queued while another
-    /// thread is mid-send ride that thread's next syscall — but never
-    /// delays a lone call. > 0 makes the flushing thread linger that long
-    /// so bursts from many threads accumulate into one send (group
-    /// commit); bounded by batch_max_bytes.
-    uint32_t batch_window_us = 0;
-    /// Pending bytes that cut a batch window short and force a flush.
-    size_t batch_max_bytes = 64 * 1024;
-  };
-
-  /// Aggregation counters for the send path (relaxed-atomic snapshot).
-  struct BatchStats {
-    IW_TCP_BATCH_COUNTERS(IW_COUNTER_FIELD)
   };
 
   /// Connects to 127.0.0.1:`port`. Throws a transport Error on failure
-  /// (kTimedOut when the connect deadline expires).
+  /// (kTimedOut when the connect deadline expires), and
+  /// Error(kInvalidArgument) for a zero timeout.
   explicit TcpClientChannel(uint16_t port)
       : TcpClientChannel(port, Options()) {}
   TcpClientChannel(uint16_t port, Options options);
@@ -119,11 +65,6 @@ class TcpClientChannel final : public ClientChannel {
     faults_.snapshot_into(s);
     return s;
   }
-  BatchStats batch_stats() const {
-    BatchStats s;
-    batch_.snapshot_into(s);
-    return s;
-  }
 
  private:
   void receive_loop();
@@ -132,29 +73,20 @@ class TcpClientChannel final : public ClientChannel {
   /// here, on the receiver, with no channel lock held; one that throws is
   /// logged and skipped, and the connection carries on.
   void deliver(Frame&& frame);
-  /// Queues one encoded frame and sees it onto the wire: either becomes
-  /// the flusher (sending every queued byte in one syscall) or waits for
-  /// the active flusher to carry it. Throws the transport error that
-  /// killed the send, to every affected caller.
-  void send_frame_coalesced(const uint8_t* header, size_t header_len,
-                            const Buffer& payload);
-  /// Marks the channel dead with `reason` and wakes every waiter — callers
-  /// blocked on responses and callers parked in the send path.
+  /// Sends one encoded frame, header and payload in one vectored sendmsg
+  /// (repeated only after a partial write), under send_mu_. A failed send
+  /// is sticky: this and every later caller throw the error that killed it.
+  void send_frame(const uint8_t* header, size_t header_len,
+                  const Buffer& payload);
+  /// Marks the channel dead with `reason` and wakes every caller blocked
+  /// on a response.
   void fail_channel(const Error& reason);
 
   Options options_;
   int fd_ = -1;
   std::thread receiver_;
 
-  // Send-side aggregation. Absolute stream positions (bytes ever queued /
-  // bytes ever flushed) let a caller wait precisely for its own frame.
   std::mutex send_mu_;
-  std::condition_variable send_cv_;
-  Buffer send_pending_;
-  uint64_t send_queued_pos_ = 0;   ///< stream position after send_pending_
-  uint64_t send_flushed_pos_ = 0;  ///< stream position on the wire
-  uint64_t send_pending_frames_ = 0;
-  bool send_flusher_active_ = false;
   std::optional<Error> send_error_;
 
   std::mutex mu_;
@@ -173,10 +105,6 @@ class TcpClientChannel final : public ClientChannel {
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
   ChannelFaultCounters faults_;
-  struct BatchCounters {
-    IW_COUNTER_ATOMICS(IW_TCP_BATCH_COUNTERS)
-  };
-  BatchCounters batch_;
 };
 
 }  // namespace iw

@@ -110,7 +110,8 @@ class ServerCore {
  public:
   virtual ~ServerCore() = default;
 
-  /// Registers a connection; `notify` delivers notifications to it.
+  /// Registers a connection; `notify` delivers notifications to it. Every
+  /// transport passes a callable notifier, so a core calls it unchecked.
   virtual void on_connect(SessionId session, Notifier notify) = 0;
   virtual void on_disconnect(SessionId session) = 0;
 

@@ -31,6 +31,12 @@ uint64_t ring_hash(const std::string& s, uint64_t salt) {
   return h ^ (h >> 31);
 }
 
+/// Ring positions per node; more = smoother balance, slower rebuild.
+constexpr uint32_t kVirtualNodes = 16;
+
+/// Background cadence between ReplicationRepairer ticks.
+constexpr auto kRepairInterval = std::chrono::milliseconds(250);
+
 }  // namespace
 
 SegmentDirectory::SegmentDirectory(Options options, Dialer dial)
@@ -42,7 +48,7 @@ void SegmentDirectory::add_node(const std::string& id,
   if (!nodes_.emplace(id, address).second) {
     throw Error(ErrorCode::kAlreadyExists, "node '" + id + "'");
   }
-  for (uint32_t v = 0; v < options_.virtual_nodes; ++v) {
+  for (uint32_t v = 0; v < kVirtualNodes; ++v) {
     ring_.emplace(ring_hash(id, v), id);
   }
 }
@@ -56,7 +62,7 @@ void SegmentDirectory::set_node_address(const std::string& id,
     return;
   }
   nodes_.emplace(id, address);
-  for (uint32_t v = 0; v < options_.virtual_nodes; ++v) {
+  for (uint32_t v = 0; v < kVirtualNodes; ++v) {
     ring_.emplace(ring_hash(id, v), id);
   }
 }
@@ -292,13 +298,6 @@ SegmentDirectory::Stats SegmentDirectory::stats() const {
   return s;
 }
 
-ReplicationRepairer::ReplicationRepairer(SegmentDirectory& directory)
-    : ReplicationRepairer(directory, Options{}) {}
-
-ReplicationRepairer::ReplicationRepairer(SegmentDirectory& directory,
-                                         Options options)
-    : directory_(directory), options_(options) {}
-
 ReplicationRepairer::~ReplicationRepairer() { stop(); }
 
 void ReplicationRepairer::start() {
@@ -316,8 +315,7 @@ void ReplicationRepairer::start() {
         IW_LOG(kWarn) << "repair tick failed: " << e.what();
       }
       lock.lock();
-      cv_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms),
-                   [this] { return stop_; });
+      cv_.wait_for(lock, kRepairInterval, [this] { return stop_; });
     }
   });
 }

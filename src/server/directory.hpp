@@ -67,8 +67,6 @@ class SegmentDirectory {
   struct Options {
     /// Replicas per segment beyond the primary (clamped to nodes - 1).
     uint32_t replicas = 1;
-    /// Ring positions per node; more = smoother balance, slower rebuild.
-    uint32_t virtual_nodes = 16;
   };
 
   /// One segment's server set: node ids, primary first, under one epoch.
@@ -186,17 +184,12 @@ class SegmentDirectory {
 /// repair cadence, and it naturally rate-limits concurrent backfills.
 class ReplicationRepairer {
  public:
-  struct Options {
-    /// Background cadence between ticks.
-    uint32_t interval_ms = 250;
-  };
-
   struct Stats {
     IW_REPAIRER_COUNTERS(IW_COUNTER_FIELD)
   };
 
-  explicit ReplicationRepairer(SegmentDirectory& directory);
-  ReplicationRepairer(SegmentDirectory& directory, Options options);
+  explicit ReplicationRepairer(SegmentDirectory& directory)
+      : directory_(directory) {}
   ~ReplicationRepairer();
 
   ReplicationRepairer(const ReplicationRepairer&) = delete;
@@ -221,7 +214,6 @@ class ReplicationRepairer {
                bool* transport_dead);
 
   SegmentDirectory& directory_;
-  Options options_;
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -15,9 +15,17 @@ using steady_clock = std::chrono::steady_clock;
 /// Records per kWalAppend frame; a deeper backlog is sent as several
 /// consecutive frames.
 constexpr size_t kMaxBatchRecords = 256;
+/// A sync-paused link whose backfill has not resumed within this long is
+/// declared dead, as an unreachable one is after disconnect_grace_ms.
+constexpr auto kSyncGrace = std::chrono::milliseconds(30'000);
 }  // namespace
 
-WalReplicator::WalReplicator(Options options) : options_(options) {}
+WalReplicator::WalReplicator(Options options) : options_(options) {
+  if (options_.disconnect_grace_ms == 0) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "disconnect_grace_ms must be positive");
+  }
+}
 
 WalReplicator::~WalReplicator() { shutdown(); }
 
@@ -170,11 +178,9 @@ void WalReplicator::declare_dead_locked(Link& link, const char* why) {
 }
 
 void WalReplicator::reap_expired_locked() {
-  if (options_.sync_grace_ms == 0) return;
   const auto now = steady_clock::now();
-  const auto grace = std::chrono::milliseconds(options_.sync_grace_ms);
   for (auto& link : links_) {
-    if (link->paused && !link->dead && now - link->paused_since >= grace) {
+    if (link->paused && !link->dead && now - link->paused_since >= kSyncGrace) {
       declare_dead_locked(*link, "backfill abandoned past sync grace");
     }
   }
@@ -369,7 +375,7 @@ void WalReplicator::link_loop(Link* link) {
       if (link->down_since == steady_clock::time_point{}) {
         link->down_since = now;
       }
-      if (!link->dead && options_.disconnect_grace_ms != 0 &&
+      if (!link->dead &&
           now - link->down_since >=
               std::chrono::milliseconds(options_.disconnect_grace_ms)) {
         declare_dead_locked(*link, "unreachable past disconnect grace");

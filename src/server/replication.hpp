@@ -102,11 +102,9 @@ class WalReplicator {
     uint32_t reconnect_backoff_max_ms = 500;
     /// A link continuously unreachable for this long is declared dead: it
     /// no longer pins the retained log or counts toward the quorum until
-    /// revived by add_replica()/register_sync(). 0 = retry forever.
+    /// revived by add_replica()/register_sync(). Must be positive: the
+    /// constructor rejects 0 with kInvalidArgument.
     uint32_t disconnect_grace_ms = 10'000;
-    /// A sync-paused link whose backfill has not resumed within this
-    /// deadline is declared dead for the same reason. 0 = wait forever.
-    uint32_t sync_grace_ms = 30'000;
   };
 
   /// Point-in-time view of one replica link.

@@ -119,6 +119,10 @@ SegmentServer::SegmentServer(Options options) : options_(std::move(options)) {
     throw Error(ErrorCode::kInvalidArgument,
                 "revoke_deadline_ms must be positive");
   }
+  if (options_.writer_lease_ms == 0) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "writer_lease_ms must be positive");
+  }
   if (!options_.checkpoint_dir.empty()) {
     std::filesystem::create_directories(options_.checkpoint_dir);
   }
@@ -384,10 +388,6 @@ void SegmentServer::acquire_writer_locked(SegmentEntry& entry,
   using clock = std::chrono::steady_clock;
   const auto lease = std::chrono::milliseconds(options_.writer_lease_ms);
   while (entry.writer != 0) {
-    if (options_.writer_lease_ms == 0) {
-      entry.writer_cv.wait(el);
-      continue;
-    }
     if (clock::now() >= entry.lease_deadline) {
       // The holder outlived its lease without renewing — it is presumed
       // sick (stalled, partitioned, or dead without a clean disconnect).
@@ -407,7 +407,7 @@ void SegmentServer::acquire_writer_locked(SegmentEntry& entry,
   // Start the lease before the revocation drain below ever drops `el`: a
   // second waiting writer must see a fresh deadline, not a stale one it
   // could immediately reclaim against.
-  if (options_.writer_lease_ms != 0) entry.lease_deadline = clock::now() + lease;
+  entry.lease_deadline = clock::now() + lease;
   // A session that legitimately re-acquires is no longer a stale holder.
   entry.expired_writers.erase(session);
   // New cached-read grants are refused while entry.writer != 0, so the set
@@ -415,7 +415,7 @@ void SegmentServer::acquire_writer_locked(SegmentEntry& entry,
   revoke_cached_readers_locked(entry, name, session, el);
   // The drain may have taken up to the revocation deadline; the critical
   // section starts now with a full lease.
-  if (options_.writer_lease_ms != 0) entry.lease_deadline = clock::now() + lease;
+  entry.lease_deadline = clock::now() + lease;
 }
 
 void SegmentServer::revoke_cached_readers_locked(
@@ -443,11 +443,6 @@ void SegmentServer::revoke_cached_readers_locked(
   std::vector<Notifier> targets;
   for (auto& [sid, ss] : entry.sessions) {
     if (sid == session || !ss.cached_read || ss.revoke_pending) continue;
-    if (!ss.notify) {
-      // No channel to revoke over — drop the cached lock outright.
-      ss.cached_read = false;
-      continue;
-    }
     ss.revoke_pending = true;
     targets.push_back(ss.notify);
   }
@@ -471,13 +466,10 @@ void SegmentServer::revoke_cached_readers_locked(
   const auto deadline =
       clock::now() + std::chrono::milliseconds(options_.revoke_deadline_ms);
   while (cached_holders() != 0) {
-    auto wake = deadline;
-    if (options_.writer_lease_ms != 0) {
-      // We hold the writer slot while draining; keep renewing the lease so
-      // a second waiting writer never reclaims it as expired mid-drain.
-      entry.lease_deadline = clock::now() + lease;
-      wake = std::min(deadline, clock::now() + lease / 2);
-    }
+    // We hold the writer slot while draining; keep renewing the lease so a
+    // second waiting writer never reclaims it as expired mid-drain.
+    entry.lease_deadline = clock::now() + lease;
+    const auto wake = std::min(deadline, clock::now() + lease / 2);
     if (entry.writer_cv.wait_until(el, wake) == std::cv_status::timeout &&
         clock::now() >= deadline) {
       // Deadline: the unresponsive holders forfeit their cached locks, the
@@ -686,7 +678,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       std::lock_guard el(entry.mu);
       // Mid-critical-section activity proves the writer is alive: renew its
       // lease so a long sequence of type registrations is not reclaimed.
-      if (entry.writer == session && options_.writer_lease_ms != 0) {
+      if (entry.writer == session) {
         entry.lease_deadline =
             std::chrono::steady_clock::now() +
             std::chrono::milliseconds(options_.writer_lease_ms);
@@ -747,35 +739,6 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
       }
       payload.append_u8(grant ? 1 : 0);
-      break;
-    }
-
-    case MsgType::kReleaseRead: {
-      SegmentEntry& entry = *resolve_handle(session, in).entry;
-      // The client asks to keep the lock cached.
-      bool keep_cached = in.read_u8() != 0;
-      // Reader locks are otherwise pure client-side bookkeeping; tolerate
-      // releases from sessions with no state on the segment.
-      std::lock_guard el(entry.mu);
-      auto it = entry.sessions.find(session);
-      if (it != entry.sessions.end()) {
-        SegmentSession& ss = it->second;
-        if (keep_cached && entry.writer == 0) {
-          if (!ss.cached_read) {
-            stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
-          }
-          ss.cached_read = true;
-          ss.revoke_pending = false;
-          ss.grant_time = std::chrono::steady_clock::now();
-        } else if (ss.cached_read || ss.revoke_pending) {
-          // Plain release surrenders any cached lock — and acks an
-          // in-flight revoke, waking the draining writer.
-          ss.cached_read = false;
-          ss.revoke_pending = false;
-          entry.writer_cv.notify_all();
-        }
-      }
-      resp.type = MsgType::kAck;
       break;
     }
 
@@ -910,7 +873,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
           continue;
         }
         ss.modified_since_update += diff_bytes.size();
-        if (ss.subscribed && ss.notify) {
+        if (ss.subscribed) {
           Frame note;
           note.type = MsgType::kNotifyVersion;
           Buffer np;

@@ -45,7 +45,7 @@ namespace iw::server {
   X(lease_expirations)       /* writer locks reclaimed */                \
   X(stale_releases_rejected) /* kLeaseExpired responses */               \
   /* Distributed lock caching (reader locks retained client-side). */    \
-  X(cached_read_grants)      /* releases that kept the lock cached */    \
+  X(cached_read_grants)      /* read acquires granted a cached lock */   \
   X(revokes_sent)            /* kRevokeRead notifications pushed */      \
   X(revokes_acked)           /* cached locks released by clients */      \
   X(revokes_expired)         /* cached locks reclaimed on deadline */    \
@@ -88,8 +88,8 @@ class SegmentServer : public ServerCore {
     uint32_t checkpoint_every = 0;
     /// Writer lease duration: a writer that holds a segment's lock longer
     /// than this without renewing can be reclaimed by a waiting writer (the
-    /// late holder's release is then rejected with kLeaseExpired). 0
-    /// disables leases — writer locks are held until release/disconnect.
+    /// late holder's release is then rejected with kLeaseExpired). Must be
+    /// positive: the constructor rejects 0 with kInvalidArgument.
     uint32_t writer_lease_ms = 10'000;
     /// Per-segment write-ahead log (requires checkpoint_dir): every
     /// committed diff is journaled before the commit is acknowledged, so
@@ -223,8 +223,8 @@ class SegmentServer : public ServerCore {
     uint32_t types_sent = 0;             // prefix of type serials known
     uint64_t modified_since_update = 0;  // for Diff coherence
     bool subscribed = false;
-    /// This session released its read lock but kept it cached client-side;
-    /// a writer must revoke (and the client ack) before it can proceed.
+    /// kAcquireRead granted this session a cached read lock; a writer must
+    /// revoke it (and the client ack) before it can proceed.
     bool cached_read = false;
     /// A kRevokeRead has been pushed and not yet acked.
     bool revoke_pending = false;
@@ -263,8 +263,8 @@ class SegmentServer : public ServerCore {
     std::condition_variable writer_cv;  // signalled when `writer` drops to 0
     std::unique_ptr<SegmentStore> store;
     SessionId writer = 0;  // 0 = unlocked
-    /// When `writer` != 0 and leases are enabled: the instant after which a
-    /// waiting writer may reclaim the lock.
+    /// When `writer` != 0: the instant after which a waiting writer may
+    /// reclaim the lock.
     std::chrono::steady_clock::time_point lease_deadline{};
     /// Sessions whose writer lease was reclaimed while they still believed
     /// they held the lock; their eventual release is rejected with

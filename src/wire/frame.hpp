@@ -40,8 +40,9 @@ enum class MsgType : uint8_t {
   kAcquireRead = 5,      ///< v handle, v cached version, u8 model, v param
   kAcquireReadResp = 6,  ///< u8 uptodate, [v n_types, types, envelope diff],
                          ///< u8 granted: lock may stay cached client-side
-  // No client sends kReleaseRead; it stays because perfbench counts it.
-  kReleaseRead = 7,      ///< v handle, u8 keep_cached
+  // Reserved: no peer sends kReleaseRead and the server refuses it with
+  // kProtocol; the name stays because perfbench counts it.
+  kReleaseRead = 7,
   kAcquireWrite = 8,     ///< v handle, v cached version
   kAcquireWriteResp = 9, ///< v next_block_serial, u8 uptodate, [v n_types,
                          ///< types, envelope diff]
@@ -63,7 +64,7 @@ enum class MsgType : uint8_t {
                          ///< epoch (reconnects), v n, n x (v handle, vs
                          ///< segment name) to rebind; the session caches
                          ///< locks
-  kHelloResp = 21,       ///< v writer lease ms (0 = leases disabled)
+  kHelloResp = 21,       ///< v writer lease ms
   kRevokeRead = 22,      ///< notification: vs segment, v revoke_gen —
                          ///< release cached lock, echo gen in the ack
   kRevokeAck = 23,       ///< v handle, v revoke_gen: cached read lock

@@ -225,7 +225,7 @@ TEST(LockCache, SubletGrantsExtraLocalThreadUnderOneLock) {
 TEST(LockCache, RevocationDeadlineBoundsWriterStall) {
   server::SegmentServer::Options sopts;
   sopts.revoke_deadline_ms = 150;
-  sopts.writer_lease_ms = 0;
+  sopts.writer_lease_ms = 60'000;  // longer than the test
   server::SegmentServer core(sopts);
   const std::string url = "host/revoke-deadline";
   Client writer(inproc_factory(core));
@@ -262,6 +262,19 @@ TEST(LockCache, ZeroRevokeDeadlineIsRejected) {
   try {
     server::SegmentServer core(sopts);
     ADD_FAILURE() << "a zero revocation deadline was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+}
+
+TEST(Lease, ZeroWriterLeaseIsRejected) {
+  // Writer leases are always on: 0 would let a stalled writer hold a
+  // segment until it disconnects, and no waiter could reclaim it.
+  server::SegmentServer::Options sopts;
+  sopts.writer_lease_ms = 0;
+  try {
+    server::SegmentServer core(sopts);
+    ADD_FAILURE() << "a zero writer lease was accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
   }
@@ -311,74 +324,16 @@ Buffer empty_release_payload(uint32_t version) {
   return p;
 }
 
-TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
-  server::SegmentServer::Options sopts;
-  sopts.revoke_deadline_ms = 100;
-  sopts.writer_lease_ms = 0;
-  server::SegmentServer core(sopts);
-  const std::string url = "host/keep-flag";
-
-  // A session under the reconnect supervisor, as every Client's is.
-  auto reader = std::make_shared<ReconnectingChannel>(
-      [&core]() -> std::shared_ptr<ClientChannel> {
-        return std::make_shared<InProcChannel>(core);
-      },
-      ReconnectingChannel::Options{});
-  raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
-
-  auto writer = std::make_shared<InProcChannel>(core);
-  raw_call(*writer, MsgType::kOpenSegment, open_payload(url));
-
-  // Acquire grants a cached lock (trailing byte); a *plain* release
-  // surrenders it — the writer then acquires without any revocation.
-  Frame resp = raw_call(*reader, MsgType::kAcquireRead,
-                        acquire_read_payload());
-  ASSERT_FALSE(resp.payload.empty());
-  EXPECT_EQ(resp.payload.back(), 1u) << "grant byte missing or denied";
-  Buffer plain;
-  plain.append_varint(kHandle);
-  plain.append_u8(0);
-  raw_call(*reader, MsgType::kReleaseRead, std::move(plain));
-
-  auto start = steady_clock::now();
-  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload());
-  auto waited =
-      std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
-  EXPECT_LT(waited.count(), 80) << "plain release left the lock registered";
-  EXPECT_EQ(core.stats().revokes_sent, 0u);
-  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(0));
-
-  // With the keep flag the registration survives the release: the next
-  // writer must revoke, and — this session never acks — waits out the full
-  // revocation deadline.
-  resp = raw_call(*reader, MsgType::kAcquireRead, acquire_read_payload());
-  ASSERT_FALSE(resp.payload.empty());
-  EXPECT_EQ(resp.payload.back(), 1u);
-  Buffer keep;
-  keep.append_varint(kHandle);
-  keep.append_u8(1);
-  raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
-
-  start = steady_clock::now();
-  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload());
-  waited =
-      std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
-  EXPECT_GE(waited.count(), 50) << "kept lock did not force a revocation";
-  EXPECT_EQ(core.stats().revokes_sent, 1u);
-  EXPECT_EQ(core.stats().revokes_expired, 1u);
-  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(0));
-}
-
 TEST(LockCache, ExpiredGrantSweepReclaimsWedgedHolder) {
   server::SegmentServer::Options sopts;
   sopts.revoke_deadline_ms = 400;
   sopts.cached_grant_ttl_ms = 60;
-  sopts.writer_lease_ms = 0;
+  sopts.writer_lease_ms = 60'000;  // longer than the test
   server::SegmentServer core(sopts);
   const std::string url = "host/ttl-sweep";
 
-  // A wedged holder: says hello, keeps the registration on release,
-  // and will never ack a revoke. The TTL exists for exactly this client.
+  // A wedged holder: says hello, is granted a cached lock, and will never
+  // ack a revoke. The TTL exists for exactly this client.
   auto reader = std::make_shared<ReconnectingChannel>(
       [&core]() -> std::shared_ptr<ClientChannel> {
         return std::make_shared<InProcChannel>(core);
@@ -389,10 +344,6 @@ TEST(LockCache, ExpiredGrantSweepReclaimsWedgedHolder) {
                         acquire_read_payload());
   ASSERT_FALSE(resp.payload.empty());
   ASSERT_EQ(resp.payload.back(), 1u) << "grant byte missing or denied";
-  Buffer keep;
-  keep.append_varint(kHandle);
-  keep.append_u8(1);
-  raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
 
   // Fresh grants survive a sweep; only idle-past-TTL ones are reclaimed.
   EXPECT_EQ(core.sweep_expired_grants(), 0u);
@@ -417,7 +368,7 @@ TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
   server::SegmentServer::Options sopts;
   sopts.revoke_deadline_ms = 400;
   sopts.cached_grant_ttl_ms = 60;
-  sopts.writer_lease_ms = 0;
+  sopts.writer_lease_ms = 60'000;  // longer than the test
   server::SegmentServer core(sopts);
   const std::string url = "host/ttl-inline";
 
@@ -431,10 +382,6 @@ TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
                         acquire_read_payload());
   ASSERT_FALSE(resp.payload.empty());
   ASSERT_EQ(resp.payload.back(), 1u);
-  Buffer keep;
-  keep.append_varint(kHandle);
-  keep.append_u8(1);
-  raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
   std::this_thread::sleep_for(milliseconds(120));
 
   // No explicit sweep: the writer's own revocation pass applies the TTL

@@ -22,6 +22,7 @@
 
 #include "interweave/interweave.hpp"
 #include "net/inproc.hpp"
+#include "server/replication.hpp"
 #include "wire/diff.hpp"
 #include "wire/payload.hpp"
 
@@ -57,6 +58,37 @@ TEST(Tcp, ErrorResponsesSurfaceAsExceptions) {
 
 TEST(Tcp, ConnectToClosedPortFails) {
   EXPECT_THROW(TcpClientChannel(1), Error);  // port 1: nothing listening
+}
+
+TEST(Tcp, ZeroTimeoutsAreRejected) {
+  // Every transport deadline is bounded: 0 is refused, never read as
+  // "wait forever", even with a live server to connect to.
+  server::SegmentServer core;
+  TcpServer server(core, 0);
+  auto expect_invalid = [](const std::function<void()>& build,
+                           const char* what) {
+    try {
+      build();
+      ADD_FAILURE() << what << " = 0 was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
+    }
+  };
+  TcpClientChannel::Options call_opts;
+  call_opts.call_timeout_ms = 0;
+  expect_invalid([&] { TcpClientChannel(server.port(), call_opts); },
+                 "call_timeout_ms");
+  TcpClientChannel::Options connect_opts;
+  connect_opts.connect_timeout_ms = 0;
+  expect_invalid([&] { TcpClientChannel(server.port(), connect_opts); },
+                 "connect_timeout_ms");
+  server::WalReplicator::Options repl_opts;
+  repl_opts.disconnect_grace_ms = 0;
+  expect_invalid([&] { server::WalReplicator replicator(repl_opts); },
+                 "disconnect_grace_ms");
+  // The defaults stay valid.
+  TcpClientChannel channel(server.port());
+  EXPECT_EQ(channel.call(MsgType::kPing, Buffer()).type, MsgType::kPingResp);
 }
 
 TEST(Tcp, ConcurrentCallsFromMultipleThreads) {

@@ -357,9 +357,11 @@ TEST_F(Protocol, HelloWithOtherVersionIsRefusedAndNeverCaches) {
     p.append_vstring("p/hello");
     p.append_u8(1);
   });
-  EXPECT_EQ(call_expect_error(other, MsgType::kReleaseRead, [](Buffer& p) {
+  EXPECT_EQ(call_expect_error(other, MsgType::kAcquireRead, [](Buffer& p) {
     p.append_varint(handle_of("p/hello"));
-    p.append_u8(1);  // asks to keep the lock cached
+    p.append_varint(1);
+    p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
+    p.append_varint(0);
   }), ErrorCode::kProtocol);
   EXPECT_EQ(server_.stats().cached_read_grants, 0u);
 
@@ -371,6 +373,33 @@ TEST_F(Protocol, HelloWithOtherVersionIsRefusedAndNeverCaches) {
   EXPECT_EQ(resp.type, MsgType::kHelloResp);
   EXPECT_EQ(read_full(current), 1);
   EXPECT_EQ(server_.stats().cached_read_grants, 1u);
+}
+
+TEST_F(Protocol, ReleaseReadIsRefused) {
+  // A cached read lock ends with a kRevokeAck or the next acquire, so no
+  // peer sends kReleaseRead: the server refuses it like any other
+  // unexpected type, and the grant it would have named stays.
+  InProcChannel ch(server_);
+  open(ch, "p/release-read");
+  Frame resp = call(ch, MsgType::kAcquireRead, [](Buffer& p) {
+    p.append_varint(handle_of("p/release-read"));
+    p.append_varint(1);  // the empty segment's version
+    p.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
+    p.append_varint(0);
+  });
+  BufReader r = resp.reader();
+  EXPECT_EQ(r.read_u8(), 0) << "already up to date";
+  EXPECT_EQ(r.read_u8(), 1) << "cached lock not granted";
+  for (uint8_t keep_cached : {0, 1}) {
+    EXPECT_EQ(call_expect_error(ch, MsgType::kReleaseRead, [&](Buffer& p) {
+      p.append_varint(handle_of("p/release-read"));
+      p.append_u8(keep_cached);
+    }), ErrorCode::kProtocol) << int{keep_cached};
+  }
+  EXPECT_EQ(server_.stats().cached_read_grants, 1u);
+  // The session carries on.
+  EXPECT_EQ(call(ch, MsgType::kPing, [](Buffer&) {}).type,
+            MsgType::kPingResp);
 }
 
 TEST_F(Protocol, TruncatedHelloIsProtocolError) {
