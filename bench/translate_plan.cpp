@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "util/rand.hpp"
-#include "wire/translate.hpp"
+#include "translate_legacy.hpp"
 
 namespace iw::bench {
 namespace {

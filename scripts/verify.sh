@@ -4,8 +4,10 @@
 # arithmetic is exactly what -fsanitize=undefined is good at catching),
 # with the wire decoder suites beside it (varint decoding, gap-coded diff
 # runs, the section envelope and the LZ codec: shift and bound arithmetic
-# over bytes off the network), and the checkpoint suite (chain fold and
-# sync backfill share one decoder of on-disk tail bytes),
+# over bytes off the network), the checkpoint suite (chain fold and
+# sync backfill share one decoder of on-disk tail bytes), and the
+# heterogeneity suite (pointer units swizzled through block-relative
+# tokens: offset arithmetic on 4-byte fields of a 64-bit process),
 # then the fault/lease/chaos suites under UBSan and TSan — the chaos
 # workload's reconnect/lease interleavings are exactly what -fsanitize=thread
 # is good at catching — plus the reactor transport suite (partial frames,
@@ -58,11 +60,12 @@ cmake -B "$UBSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=undefined
 cmake --build "$UBSAN_BUILD" -j "$JOBS" \
       --target wire_translate_test wire_diff_test fuzz_protocol_test \
-      server_store_test compress_interop_test checkpoint_test fault_test \
+      server_store_test compress_interop_test checkpoint_test hetero_test \
+      fault_test \
       lease_test chaos_test reactor_test net_tcp_test lock_cache_test \
       replication_chaos_test
 for t in wire_translate_test wire_diff_test fuzz_protocol_test \
-         server_store_test compress_interop_test checkpoint_test; do
+         server_store_test compress_interop_test checkpoint_test hetero_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/"$t"
 done
 for t in fault_test lease_test chaos_test reactor_test net_tcp_test \

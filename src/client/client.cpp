@@ -29,38 +29,33 @@ std::string host_of(const std::string& url) {
 
 }  // namespace
 
-/// Translation hooks bound to one client: pointer units swizzle through the
-/// client's metadata trees; string units are inline char arrays.
+/// Translation hooks for one diff of one segment: pointer units swizzle
+/// through the client's metadata trees (intra-segment ones against `seg`);
+/// string units are inline char arrays.
 class ClientHooks final : public InlineStringHooks {
  public:
-  explicit ClientHooks(Client* client) : client_(client) {}
+  ClientHooks(Client* client, ClientSegment* seg)
+      : client_(client), seg_(seg) {}
 
-  std::string swizzle_out(const void* field) override {
+  void swizzle_out(const void* field, Buffer& out) override {
     ++client_->stats_.swizzles_out;
-    void* addr = client_->read_pointer_field(field);
-    return addr == nullptr ? std::string()
-                           : client_->ptr_to_mip_locked(addr);
+    client_->swizzle_out_locked(seg_, field, out);
   }
 
-  void swizzle_out_append(const void* field, Buffer& out) override {
-    ++client_->stats_.swizzles_out;
-    void* addr = client_->read_pointer_field(field);
-    if (addr == nullptr) {
-      out.append_varint(0);  // null pointer: empty MIP
-      return;
-    }
-    client_->ptr_to_mip_append_locked(addr, out);
-  }
-
-  void swizzle_in(std::string_view mip, void* field) override {
+  void swizzle_in(BufReader& in, void* field) override {
     ++client_->stats_.swizzles_in;
-    void* addr = mip.empty() ? nullptr : client_->mip_to_ptr_locked(mip);
-    client_->write_pointer_field(field, addr);
+    client_->swizzle_in_locked(seg_, in, field);
   }
 
  private:
   Client* client_;
+  ClientSegment* seg_;
 };
+
+ClientSegment::ClientSegment(Client* client, std::string url, uint32_t handle,
+                             std::shared_ptr<ClientChannel> channel)
+    : client_(client), url_(std::move(url)), handle_(handle),
+      channel_(std::move(channel)), heap_(this, &client->tokens_) {}
 
 Client::Client(ChannelFactory factory, Options options)
     : options_(std::move(options)),
@@ -379,46 +374,31 @@ uint32_t Client::ensure_type_registered_locked(ClientSegment* seg,
 
 // --------------------------------------------------------- pointer fields
 
-void* Client::read_pointer_field(const void* field) const {
+BlockHeader* Client::token_target(const void* field, uint32_t* offset) const {
   const LayoutRules& rules = options_.platform.rules;
   const uint32_t size = rules.size[kPtrIdx];
-  if (native_pointers_) {
-    void* addr;
-    std::memcpy(&addr, field, sizeof addr);
-    return addr;
-  }
-  uint64_t token = 0;
   const auto* p = static_cast<const uint8_t*>(field);
+  uint64_t token = 0;
   if (rules.byte_order == ByteOrder::kBig) {
     for (uint32_t i = 0; i < size; ++i) token = (token << 8) | p[i];
   } else {
     for (uint32_t i = size; i > 0; --i) token = (token << 8) | p[i - 1];
   }
   if (token == 0) return nullptr;
-  if (token > ptr_tokens_.size()) {
-    throw Error(ErrorCode::kInternal, "dangling pointer token");
+  BlockHeader* block =
+      token <= UINT32_MAX
+          ? tokens_.resolve(static_cast<uint32_t>(token), offset)
+          : nullptr;
+  if (block == nullptr) {
+    throw Error(ErrorCode::kNotFound,
+                "dangling pointer token: its block was freed");
   }
-  return ptr_tokens_[token - 1];
+  return block;
 }
 
-void Client::write_pointer_field(void* field, void* addr) {
+void Client::store_token(void* field, uint32_t token) const {
   const LayoutRules& rules = options_.platform.rules;
   const uint32_t size = rules.size[kPtrIdx];
-  if (native_pointers_) {
-    std::memcpy(field, &addr, sizeof addr);
-    return;
-  }
-  uint64_t token = 0;
-  if (addr != nullptr) {
-    auto it = token_by_ptr_.find(addr);
-    if (it != token_by_ptr_.end()) {
-      token = it->second;
-    } else {
-      ptr_tokens_.push_back(addr);
-      token = ptr_tokens_.size();
-      token_by_ptr_.emplace(addr, static_cast<uint32_t>(token));
-    }
-  }
   auto* p = static_cast<uint8_t*>(field);
   uint64_t v = token;
   if (rules.byte_order == ByteOrder::kBig) {
@@ -431,6 +411,97 @@ void Client::write_pointer_field(void* field, void* addr) {
       p[i] = static_cast<uint8_t>(v);
       v >>= 8;
     }
+  }
+}
+
+void* Client::read_pointer_field(const void* field) const {
+  if (native_pointers_) {
+    void* addr;
+    std::memcpy(&addr, field, sizeof addr);
+    return addr;
+  }
+  uint32_t offset = 0;
+  BlockHeader* block = token_target(field, &offset);
+  return block != nullptr ? block->data() + offset : nullptr;
+}
+
+void Client::write_pointer_field(void* field, void* addr) {
+  if (native_pointers_) {
+    std::memcpy(field, &addr, sizeof addr);
+    return;
+  }
+  uint32_t token = 0;
+  if (addr != nullptr) {
+    BlockHeader* block = block_at(addr);
+    token = tokens_.token_of(
+        block, static_cast<uint32_t>(static_cast<uint8_t*>(addr) -
+                                     block->data()));
+  }
+  store_token(field, token);
+}
+
+void Client::swizzle_out_locked(ClientSegment* seg, const void* field,
+                                Buffer& out) {
+  BlockHeader* block;
+  uint32_t offset = 0;
+  if (native_pointers_) {
+    const uint8_t* addr;
+    std::memcpy(&addr, field, sizeof addr);
+    if (addr == nullptr) return append_null_pointer(out);
+    block = resolve_ptr_locked(addr);
+    offset = static_cast<uint32_t>(addr - block->data());
+  } else {
+    block = token_target(field, &offset);
+    if (block == nullptr) return append_null_pointer(out);
+  }
+  if (block->subseg->segment != seg) {
+    append_cross_pointer_tag(out);
+    ptr_to_mip_append_locked(block->data() + offset, out);
+    return;
+  }
+  const uint64_t unit = block->type->unit_at_local_offset(offset).unit_index;
+  append_intra_pointer(out, block->serial, static_cast<uint32_t>(unit));
+}
+
+void Client::swizzle_in_locked(ClientSegment* seg, BufReader& in,
+                               void* field) {
+  const PointerUnit p = read_pointer_unit(in);
+  switch (p.tag) {
+    case PointerTag::kNull:
+      write_pointer_field(field, nullptr);
+      return;
+    case PointerTag::kIntra: {
+      // Consecutive pointers usually name one block (a linked structure
+      // inside one array): try the last block before the serial tree.
+      BlockHeader* block = mip_cache_block_;
+      if (block == nullptr || block->serial != p.serial ||
+          block->subseg->segment != seg) {
+        block = seg->heap_.find_by_serial(p.serial);
+        if (block == nullptr) {
+          throw Error(ErrorCode::kProtocol, "pointer to unknown block " +
+                                                std::to_string(p.serial));
+        }
+        mip_cache_block_ = block;
+      }
+      if (p.unit >= block->type->prim_units()) {
+        throw Error(ErrorCode::kProtocol,
+                    "pointer to unit " + std::to_string(p.unit) +
+                        " of block " + std::to_string(p.serial) + " (" +
+                        std::to_string(block->type->prim_units()) +
+                        " units)");
+      }
+      const uint32_t offset = block->type->locate_prim(p.unit).local_offset;
+      if (native_pointers_) {
+        uint8_t* addr = block->data() + offset;
+        std::memcpy(field, &addr, sizeof addr);
+      } else {
+        store_token(field, tokens_.token_of(block, offset));
+      }
+      return;
+    }
+    case PointerTag::kCross:
+      write_pointer_field(field, mip_to_ptr_locked(p.mip));
+      return;
   }
 }
 
@@ -457,23 +528,25 @@ BlockHeader* Client::resolve_ptr_locked(const void* ptr) {
     }
   }
   if (block == nullptr) {
-    Subsegment* subseg = FaultRegistry::instance().find(ptr);
-    if (subseg == nullptr || subseg->segment->client_ != this) {
-      throw Error(ErrorCode::kInvalidArgument,
-                  "pointer is not into a segment of this client");
-    }
-    block = subseg->blocks_by_addr.floor(reinterpret_cast<uintptr_t>(ptr));
-    if (block != nullptr) {
-      const auto* a = static_cast<const uint8_t*>(ptr);
-      if (a < block->data() || a >= block->data() + block->data_size) {
-        block = nullptr;
-      }
-    }
-    if (block == nullptr) {
-      throw Error(ErrorCode::kInvalidArgument,
-                  "pointer into segment metadata or free space");
-    }
+    block = block_at(ptr);
     mip_cache_block_ = block;
+  }
+  return block;
+}
+
+BlockHeader* Client::block_at(const void* ptr) const {
+  Subsegment* subseg = FaultRegistry::instance().find(ptr);
+  if (subseg == nullptr || subseg->segment->client_ != this) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "pointer is not into a segment of this client");
+  }
+  BlockHeader* block =
+      subseg->blocks_by_addr.floor(reinterpret_cast<uintptr_t>(ptr));
+  const auto* a = static_cast<const uint8_t*>(ptr);
+  if (block == nullptr || a < block->data() ||
+      a >= block->data() + block->data_size) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "pointer into segment metadata or free space");
   }
   return block;
 }
@@ -1022,7 +1095,7 @@ void Client::end_tracking_locked(ClientSegment* seg) {
 
 void Client::collect_and_release_locked(ClientSegment* seg) {
   Stopwatch total;
-  ClientHooks hooks(this);
+  ClientHooks hooks(this, seg);
   const LayoutRules& rules = options_.platform.rules;
 
   // The collect buffer is owned by the segment and reused across lock
@@ -1310,7 +1383,7 @@ void Client::apply_diff_locked(ClientSegment* seg, BufReader& in) {
 
   // Pass B: frees and data, with last-block ("next block in memory")
   // prediction to skip the serial-tree search (§3.3).
-  ClientHooks hooks(this);
+  ClientHooks hooks(this, seg);
   const LayoutRules& rules = options_.platform.rules;
   std::unordered_set<uint32_t> mentioned;
   BlockHeader* last_applied = nullptr;

@@ -104,9 +104,7 @@ class ClientSegment {
   friend class Client;
   friend class ClientHooks;
   ClientSegment(Client* client, std::string url, uint32_t handle,
-                std::shared_ptr<ClientChannel> channel)
-      : client_(client), url_(std::move(url)), handle_(handle),
-        channel_(std::move(channel)), heap_(this) {}
+                std::shared_ptr<ClientChannel> channel);
 
   Client* client_;
   std::string url_;
@@ -239,8 +237,11 @@ class Client {
 
   // --- local pointer representation (platform-dependent) ---
   /// Reads/writes the pointer representation at `field` (a pointer unit in
-  /// some block). On non-native platforms pointers are table tokens; these
-  /// helpers are how tests and simulated apps dereference them.
+  /// some block). On non-native platforms pointers are block-relative
+  /// tokens (PointerTokens); these helpers are how tests and simulated apps
+  /// dereference them. Reading a token whose block was freed throws
+  /// Error(kNotFound); writing an address outside every block of this
+  /// client throws Error(kInvalidArgument).
   void* read_pointer_field(const void* field) const;
   void write_pointer_field(void* field, void* addr);
 
@@ -303,7 +304,18 @@ class Client {
   std::string ptr_to_mip_locked(const void* ptr);
   void ptr_to_mip_append_locked(const void* ptr, Buffer& out);
   BlockHeader* resolve_ptr_locked(const void* ptr);
+  /// The block of this client whose data holds `ptr`; throws
+  /// Error(kInvalidArgument) for any other address.
+  BlockHeader* block_at(const void* ptr) const;
   void* mip_to_ptr_locked(std::string_view mip);
+  /// The pointer-unit hooks of a diff of `seg` (wire/translate.hpp).
+  void swizzle_out_locked(ClientSegment* seg, const void* field, Buffer& out);
+  void swizzle_in_locked(ClientSegment* seg, BufReader& in, void* field);
+  /// Emulated pointer fields, per platform width and byte order: the block
+  /// and byte offset the token at `field` names (nullptr for null; throws
+  /// Error(kNotFound) when the block is gone), and storing a token.
+  BlockHeader* token_target(const void* field, uint32_t* offset) const;
+  void store_token(void* field, uint32_t token) const;
   uint32_t latest_known_version(const std::string& url) const;
   void note_version(const std::string& url, uint32_t version);
   /// kRevokeRead arrived for `url`: surrender the cached lock immediately
@@ -332,19 +344,19 @@ class Client {
   bool native_pointers_;
   TypeRegistry registry_;
   ChannelFactory factory_;
+  /// Emulated-pointer tokens (non-native platforms); declared before
+  /// segments_, whose heaps retire ranges in it as they go.
+  PointerTokens tokens_;
   std::unordered_map<std::string, std::shared_ptr<ClientChannel>> channels_;
   std::unordered_map<std::string, std::unique_ptr<ClientSegment>> segments_;
   /// Next segment handle; a handle is never reused within a client.
   uint32_t next_handle_ = 1;
 
-  // Pointer-token table for non-native platforms.
-  std::vector<void*> ptr_tokens_;
-  std::unordered_map<const void*, uint32_t> token_by_ptr_;
   /// One-entry segment cache for MIP resolution (guarded by mu_; reset when
   /// segments are destroyed — they never are today).
   ClientSegment* mip_cache_seg_ = nullptr;
-  /// One-entry block cache for ptr->MIP swizzling; invalidated whenever any
-  /// block is released.
+  /// One-entry block cache for swizzling both ways (the last block a
+  /// pointer named); invalidated whenever any block is released.
   BlockHeader* mip_cache_block_ = nullptr;
 
   // Latest segment versions learned from notifications/responses; guarded

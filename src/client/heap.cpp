@@ -99,9 +99,55 @@ void FaultRegistry::ensure_handler_installed() {
   std::call_once(once, [] { install_sigsegv_handler(); });
 }
 
+// ----------------------------------------------------------- PointerTokens
+
+uint32_t PointerTokens::token_of(BlockHeader* block, uint32_t offset) {
+  if (block->token_base == 0) {
+    const uint64_t size = std::max<uint32_t>(block->data_size, 1);
+    if (next_ + size > UINT32_MAX) {
+      throw Error(ErrorCode::kState, "emulated pointer tokens exhausted");
+    }
+    block->token_base = static_cast<uint32_t>(next_);
+    ranges_.push_back({block->token_base, block});
+    next_ += size;
+  }
+  return block->token_base + offset;
+}
+
+BlockHeader* PointerTokens::resolve(uint32_t token, uint32_t* offset) const {
+  auto it = std::upper_bound(
+      ranges_.begin(), ranges_.end(), token,
+      [](uint32_t t, const Range& r) { return t < r.base; });
+  if (it == ranges_.begin()) return nullptr;
+  --it;
+  if (it->block == nullptr || token - it->base >= it->block->data_size) {
+    return nullptr;
+  }
+  *offset = token - it->base;
+  return it->block;
+}
+
+void PointerTokens::retire(BlockHeader* block) {
+  if (block->token_base == 0) return;
+  auto it = std::lower_bound(
+      ranges_.begin(), ranges_.end(), block->token_base,
+      [](const Range& r, uint32_t base) { return r.base < base; });
+  check_internal(it != ranges_.end() && it->block == block,
+                 "pointer token range not found");
+  it->block = nullptr;
+  block->token_base = 0;
+  // Drop retired entries once they are half the table; a token into a
+  // dropped range then falls past the end of the live range before it.
+  if (++retired_ * 2 > ranges_.size()) {
+    std::erase_if(ranges_, [](const Range& r) { return r.block == nullptr; });
+    retired_ = 0;
+  }
+}
+
 // -------------------------------------------------------------- SegmentHeap
 
 SegmentHeap::~SegmentHeap() {
+  for_each_block([&](BlockHeader* b) { tokens_->retire(b); });
   for (auto& subseg : owned_) {
     FaultRegistry::instance().remove(subseg.get());
     drop_all_twins(*subseg);
@@ -250,6 +296,7 @@ void SegmentHeap::relink(BlockHeader* block) {
 }
 
 void SegmentHeap::reclaim(BlockHeader* block) {
+  tokens_->retire(block);
   Subsegment* subseg = block->subseg;
   auto* start = reinterpret_cast<uint8_t*>(block);
   uint64_t size = block->chunk_bytes;

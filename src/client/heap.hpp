@@ -42,6 +42,7 @@ struct BlockHeader {
   uint32_t magic = kMagic;
   uint32_t serial = 0;
   uint32_t data_size = 0;
+  uint32_t token_base = 0;   ///< PointerTokens range start; 0 = none yet
   uint64_t chunk_bytes = 0;  ///< total heap chunk size incl header+footer
   bool created_this_cs = false;  ///< allocated under the current write lock
 
@@ -168,10 +169,42 @@ class FaultRegistry {
   Range ranges_[kCapacity];  // sorted by begin
 };
 
+/// Tokens for emulated pointer fields. On a platform whose pointers are not
+/// this process's (sparc32's 4-byte fields, say), a pointer field holds a
+/// token instead of an address. Tokens are block-relative: the first time a
+/// pointer into a block is stored, the block takes the next `data_size`
+/// tokens, and a pointer to byte b of its data is `token_base + b`. Ranges
+/// are handed out in ascending order, so the table stays sorted by
+/// appending and a token resolves by binary search. Token 0 is null. A
+/// reclaimed block's range is retired, never reused: a token into it reads
+/// as dangling.
+class PointerTokens {
+ public:
+  /// Token for byte `offset` of `block`'s data; gives the block its range
+  /// on first use. Throws Error(kState) once 2^32 tokens are spent.
+  uint32_t token_of(BlockHeader* block, uint32_t offset);
+  /// The live block whose range holds nonzero `token`, with the byte
+  /// offset into its data in `*offset`; nullptr when that block is gone.
+  BlockHeader* resolve(uint32_t token, uint32_t* offset) const;
+  /// Retires `block`'s range, if it has one.
+  void retire(BlockHeader* block);
+
+ private:
+  struct Range {
+    uint32_t base;
+    BlockHeader* block;  ///< nullptr once retired
+  };
+  std::vector<Range> ranges_;  // ascending base
+  uint64_t next_ = 1;
+  size_t retired_ = 0;
+};
+
 /// Per-segment heap: allocation of typed blocks inside subsegments.
 class SegmentHeap {
  public:
-  explicit SegmentHeap(ClientSegment* segment) : segment_(segment) {}
+  /// `tokens` (the client's) has the ranges of reclaimed blocks retired.
+  SegmentHeap(ClientSegment* segment, PointerTokens* tokens)
+      : segment_(segment), tokens_(tokens) {}
   ~SegmentHeap();
 
   SegmentHeap(const SegmentHeap&) = delete;
@@ -241,6 +274,7 @@ class SegmentHeap {
   };
 
   ClientSegment* segment_;
+  PointerTokens* tokens_;
   Subsegment* first_ = nullptr;
   Subsegment* last_ = nullptr;
   FreeChunk* free_head_ = nullptr;

@@ -14,8 +14,9 @@ namespace iw::server {
 namespace {
 
 constexpr uint32_t kChainMagic = 0x49574943;  // "IWIC"
-// Format 2: the folded diffs use the varint encoding (wire/diff.hpp).
-constexpr uint32_t kChainFormat = 2;
+// Format 3: the folded diffs use the varint encoding (wire/diff.hpp) with
+// tagged pointer units; formats 1 and 2 are refused.
+constexpr uint32_t kChainFormat = 3;
 constexpr size_t kChainHeaderBytes = 8;
 
 void write_all(int fd, const std::string& path, const uint8_t* p, size_t n) {

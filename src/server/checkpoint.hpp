@@ -12,8 +12,9 @@
 // On-disk layout (all integers big-endian):
 //
 //   file   := header record*
-//   header := magic u32 "IWIC" | format u32 (=2; a format 1 chain holds
-//             fixed-width diffs and is refused with Error(kUnimplemented))
+//   header := magic u32 "IWIC" | format u32 (=3; a format 1 chain holds
+//             fixed-width diffs and a format 2 one MIP-string pointer
+//             units: both are refused with Error(kUnimplemented))
 //   record := the shared CRC32C framing (wire/payload.hpp):
 //             body_len u32 | crc u32 | tag u8 | payload
 //   tag    := kChainDelta (1), possibly ORed with kPayloadCompressedTagBit

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 
+#include "util/endian.hpp"
 #include "util/logging.hpp"
 #include "wire/translate.hpp"
 
@@ -12,43 +13,104 @@ namespace {
 uint32_t subblocks_for(uint64_t units) {
   return static_cast<uint32_t>((units + kSubblockUnits - 1) / kSubblockUnits);
 }
+
+/// A stored pointer field (LayoutRules::kPackedPointerBytes). Serial 0
+/// holds no block: unit 0 is null, and unit n names the cross-segment MIP
+/// in vardata slot n - 1, which is always the field's own pointer slot.
+struct StoredPointer {
+  uint32_t serial;
+  uint32_t unit;
+};
+static_assert(LayoutRules::kPackedPointerBytes == 2 * sizeof(uint32_t));
+
+StoredPointer load_pointer(const uint8_t* f) {
+  return {load_be32(f), load_be32(f + sizeof(uint32_t))};
+}
+void store_pointer(uint8_t* f, StoredPointer p) {
+  store_be32(f, p.serial);
+  store_be32(f + sizeof(uint32_t), p.unit);
+}
 }  // namespace
 
-/// Translation hooks over a block's packed-canonical storage: strings and
-/// MIPs live out-of-line in vardata, addressed by a per-type offset->slot
-/// map. The 4-byte field itself stores the slot id (deterministic bytes).
+/// Translation hooks over a block's packed-canonical storage. A pointer
+/// field holds its unit inline (StoredPointer): an intra-segment pointer is
+/// copied in and out with no lookup. Strings and cross-segment MIPs live
+/// out-of-line in vardata, addressed by the per-type offset->slot maps
+/// (VarMap); a string field itself stores its slot id (deterministic
+/// bytes).
 class ServerHooks final : public TranslationHooks {
  public:
-  ServerHooks(SvrBlock* block, const VarMap* vm) : block_(block), vm_(vm) {}
+  ServerHooks(SegmentStore* store, SvrBlock* block, const VarMap* vm)
+      : store_(store), block_(block), vm_(vm) {}
 
-  std::string swizzle_out(const void* field) override {
-    return block_->vardata[slot(field)];
+  void swizzle_out(const void* field, Buffer& out) override {
+    const StoredPointer p = load_pointer(static_cast<const uint8_t*>(field));
+    if (p.serial != 0) {
+      append_intra_pointer(out, p.serial, p.unit);
+    } else if (p.unit == 0) {
+      append_null_pointer(out);
+    } else {
+      append_cross_pointer_tag(out);
+      out.append_vstring(block_->vardata[p.unit - 1]);
+    }
   }
-  void swizzle_in(std::string_view mip, void* field) override {
-    uint32_t s = slot(field);
-    block_->vardata[s].assign(mip);
-    store_be32(field, s);
+  void swizzle_in(BufReader& in, void* field) override {
+    auto* f = static_cast<uint8_t*>(field);
+    const PointerUnit p = read_pointer_unit(in);
+    StoredPointer stored{0, 0};
+    switch (p.tag) {
+      case PointerTag::kNull:
+        break;
+      case PointerTag::kIntra:
+        // Consecutive pointers usually name one block: check the target
+        // in the serial tree only when it changes.
+        if (p.serial != target_serial_ || p.unit >= target_units_) {
+          target_units_ = store_->check_pointer_target(p.serial, p.unit);
+          target_serial_ = p.serial;
+        }
+        stored = {p.serial, p.unit};
+        break;
+      case PointerTag::kCross: {
+        const uint32_t s = store_->pointer_slot(block_->type, offset(field));
+        if (block_->vardata.size() <= s) block_->vardata.resize(s + 1);
+        block_->vardata[s].assign(p.mip);
+        stored.unit = s + 1;
+        break;
+      }
+    }
+    // A field that stops holding a cross-segment MIP frees its string.
+    const StoredPointer old = load_pointer(f);
+    if (old.serial == 0 && old.unit != 0 && stored.unit != old.unit) {
+      std::string().swap(block_->vardata[old.unit - 1]);
+    }
+    store_pointer(f, stored);
   }
   std::string_view read_string(const void* field, uint32_t) override {
-    return block_->vardata[slot(field)];
+    return block_->vardata[string_slot(field)];
   }
   void write_string(void* field, uint32_t, std::string_view content) override {
-    uint32_t s = slot(field);
+    uint32_t s = string_slot(field);
     block_->vardata[s].assign(content);
     store_be32(field, s);
   }
 
  private:
-  uint32_t slot(const void* field) const {
-    auto offset = static_cast<uint32_t>(static_cast<const uint8_t*>(field) -
-                                        block_->data.data());
-    auto it = vm_->slot_by_offset.find(offset);
-    check_internal(it != vm_->slot_by_offset.end(), "no var slot at offset");
+  uint32_t offset(const void* field) const {
+    return static_cast<uint32_t>(static_cast<const uint8_t*>(field) -
+                                 block_->data.data());
+  }
+  uint32_t string_slot(const void* field) const {
+    auto it = vm_->string_slot_by_offset.find(offset(field));
+    check_internal(it != vm_->string_slot_by_offset.end(),
+                   "no string slot at offset");
     return it->second;
   }
 
+  SegmentStore* store_;
   SvrBlock* block_;
   const VarMap* vm_;
+  uint32_t target_serial_ = 0;  // last intra-segment target checked
+  uint64_t target_units_ = 0;   // its unit count; 0 = not a live block
 };
 
 SegmentStore::SegmentStore(std::string name, Options options)
@@ -72,17 +134,39 @@ const VarMap& SegmentStore::var_map(const TypeDescriptor* type) {
   auto it = var_maps_.find(type);
   if (it != var_maps_.end()) return it->second;
   VarMap vm;
+  uint32_t pointers = 0;
   type->visit_runs(0, type->prim_units(), [&](const PrimRun& run) {
-    if (run.kind != PrimitiveKind::kPointer &&
-        run.kind != PrimitiveKind::kString) {
-      return;
-    }
-    uint32_t offset = run.local_offset;
-    for (uint64_t i = 0; i < run.unit_count; ++i, offset += run.local_stride) {
-      vm.slot_by_offset.emplace(offset, vm.slot_count++);
+    if (run.kind == PrimitiveKind::kPointer) {
+      pointers += static_cast<uint32_t>(run.unit_count);
+    } else if (run.kind == PrimitiveKind::kString) {
+      uint32_t offset = run.local_offset;
+      for (uint64_t i = 0; i < run.unit_count;
+           ++i, offset += run.local_stride) {
+        vm.string_slot_by_offset.emplace(offset, vm.string_slots++);
+      }
     }
   });
+  vm.slot_count = vm.string_slots + pointers;
   return var_maps_.emplace(type, std::move(vm)).first->second;
+}
+
+uint32_t SegmentStore::pointer_slot(const TypeDescriptor* type,
+                                    uint32_t offset) {
+  VarMap& vm = var_maps_.at(type);
+  if (vm.pointer_slot_by_offset.empty()) {
+    uint32_t slot = vm.string_slots;
+    type->visit_runs(0, type->prim_units(), [&](const PrimRun& run) {
+      if (run.kind != PrimitiveKind::kPointer) return;
+      uint32_t at = run.local_offset;
+      for (uint64_t i = 0; i < run.unit_count; ++i, at += run.local_stride) {
+        vm.pointer_slot_by_offset.emplace(at, slot++);
+      }
+    });
+  }
+  auto it = vm.pointer_slot_by_offset.find(offset);
+  check_internal(it != vm.pointer_slot_by_offset.end(),
+                 "no pointer slot at offset");
+  return it->second;
 }
 
 uint32_t SegmentStore::register_type(std::span<const uint8_t> graph) {
@@ -122,10 +206,13 @@ const SvrBlock* SegmentStore::find_block_by_name(const std::string& name) const 
 }
 
 uint64_t SegmentStore::block_bytes(const SvrBlock& block) const {
-  // Approximate wire size: fixed units exactly, variable units at a nominal
-  // 8 bytes per slot. Used only for Diff-coherence percentage tracking,
-  // which the paper computes conservatively anyway.
-  return block.type->fixed_wire_size() + 8ull * block.vardata.size();
+  // Approximate wire size: fixed units exactly, each string and pointer
+  // field at a nominal 8 bytes. Used only for Diff-coherence percentage
+  // tracking, which the paper computes conservatively anyway. It depends on
+  // the type alone, so creating and destroying a block add and take away
+  // the same amount.
+  return block.type->fixed_wire_size() +
+         8ull * var_maps_.at(block.type).slot_count;
 }
 
 SvrBlock* SegmentStore::create_block(uint32_t serial, uint32_t type_serial,
@@ -149,7 +236,7 @@ SvrBlock* SegmentStore::create_block(uint32_t serial, uint32_t type_serial,
   block->version = at_version;
   block->data.assign(block->type->local_size(), 0);
   const VarMap& vm = var_map(block->type);
-  block->vardata.assign(vm.slot_count, std::string());
+  block->vardata.assign(vm.string_slots, std::string());
   block->subblock_versions.assign(
       subblocks_for(block->type->prim_units()), at_version);
   if (!blocks_by_serial_.insert(*block)) {
@@ -163,7 +250,7 @@ SvrBlock* SegmentStore::create_block(uint32_t serial, uint32_t type_serial,
 }
 
 void SegmentStore::destroy_block(SvrBlock* block, uint32_t at_version) {
-  total_data_bytes_ -= std::min(total_data_bytes_, block_bytes(*block));
+  total_data_bytes_ -= block_bytes(*block);
   free_history_.push_back(
       {block->serial, block->created_version, at_version});
   blocks_by_serial_.erase(*block);
@@ -210,6 +297,7 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
   // recovery) can span many. Land on what the diff header declares.
   const uint32_t new_version =
       std::max(reader.to_version(), version_ + 1);
+  scan_new_blocks(diff_bytes);
 
   owned_markers_.push_back(std::make_unique<Marker>(new_version));
   Marker* marker = owned_markers_.back().get();
@@ -222,7 +310,7 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
   SvrBlock* predicted = nullptr;
   DiffEntry entry;
   auto apply_runs = [&](SvrBlock* block) {
-    ServerHooks hooks(block, &var_map(block->type));
+    ServerHooks hooks(this, block, &var_map(block->type));
     const uint64_t units = block->prim_units();
     while (!entry.runs.at_end()) {
       DiffRun run = entry.read_run();
@@ -281,9 +369,7 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
         node = version_list_.next(*node);
       }
       predicted = static_cast<SvrBlock*>(node);
-      total_data_bytes_ -= std::min(total_data_bytes_, block_bytes(*block));
       apply_runs(block);
-      total_data_bytes_ += block_bytes(*block);
       version_list_.move_to_back(*block);
       block->version = new_version;
     }
@@ -291,6 +377,13 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
     // A malformed diff must not leave its marker behind: the next commit
     // claims the same version, and a duplicate marker would refuse it.
     // (Blocks the diff touched before the bad entry keep their new bytes.)
+    // A pointer it stored may name a block it meant to create later: that
+    // serial counts as allocated, so such a pointer dangles instead of
+    // naming whatever block a later commit creates under it.
+    if (!new_blocks_.empty()) {
+      next_block_serial_ =
+          std::max(next_block_serial_, new_blocks_.back().first + 1);
+    }
     markers_.erase(*marker);
     version_list_.erase(*marker);
     owned_markers_.pop_back();
@@ -303,9 +396,72 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
   stats_.apply_ns.fetch_add(timer.elapsed_ns(), std::memory_order_relaxed);
 }
 
+void SegmentStore::scan_new_blocks(std::span<const uint8_t> diff_bytes) {
+  new_blocks_.clear();
+  BufReader in(diff_bytes.data(), diff_bytes.size());
+  DiffReader reader(in);
+  DiffEntry entry;
+  while (reader.next(&entry)) {
+    if (!(entry.flags & diff_flags::kNew) || (entry.flags & diff_flags::kFree)) {
+      continue;
+    }
+    if (entry.type_serial == 0 || entry.type_serial > types_.size()) {
+      throw Error(ErrorCode::kProtocol, "new block references unknown type");
+    }
+    new_blocks_.emplace_back(entry.serial,
+                             types_[entry.type_serial - 1]->prim_units());
+  }
+  std::sort(new_blocks_.begin(), new_blocks_.end());
+}
+
+uint64_t SegmentStore::check_pointer_target(uint32_t serial,
+                                            uint32_t unit) const {
+  uint64_t units;
+  if (const SvrBlock* target = blocks_by_serial_.find(serial)) {
+    units = target->prim_units();
+  } else if (auto it = std::lower_bound(
+                 new_blocks_.begin(), new_blocks_.end(),
+                 std::pair<uint32_t, uint64_t>(serial, 0));
+             it != new_blocks_.end() && it->first == serial) {
+    units = it->second;
+  } else if (serial < next_block_serial_) {
+    return 0;  // freed: a kept pointer may dangle
+  } else {
+    throw Error(ErrorCode::kProtocol,
+                "pointer to unknown block " + std::to_string(serial));
+  }
+  if (unit >= units) {
+    throw Error(ErrorCode::kProtocol,
+                "pointer to unit " + std::to_string(unit) + " of block " +
+                    std::to_string(serial) + " (" + std::to_string(units) +
+                    " units)");
+  }
+  return units;
+}
+
+void SegmentStore::check_stored_pointers(const SvrBlock& block) {
+  block.type->visit_runs(0, block.prim_units(), [&](const PrimRun& run) {
+    if (run.kind != PrimitiveKind::kPointer) return;
+    uint32_t at = run.local_offset;
+    for (uint64_t i = 0; i < run.unit_count; ++i, at += run.local_stride) {
+      const StoredPointer p = load_pointer(block.data.data() + at);
+      if (p.serial != 0) {
+        check_pointer_target(p.serial, p.unit);
+      } else if (p.unit != 0 &&
+                 (p.unit > block.vardata.size() ||
+                  p.unit - 1 != pointer_slot(block.type, at) ||
+                  block.vardata[p.unit - 1].empty())) {
+        throw Error(ErrorCode::kProtocol,
+                    "checkpoint: pointer field of block " +
+                        std::to_string(block.serial) + " names no MIP");
+      }
+    }
+  });
+}
+
 void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
                                        uint32_t from_version) {
-  ServerHooks hooks(&block, &var_map(block.type));
+  ServerHooks hooks(this, &block, &var_map(block.type));
   const LayoutRules& rules = registry_.rules();
   const uint64_t units = block.prim_units();
   // Types without strings or pointers have a wire size known up front,
@@ -452,6 +608,12 @@ uint32_t SegmentStore::apply_fold(uint32_t to_version, BufReader& in) {
     fr.freed_version = in.read_u32();
     freed.push_back(fr);
   }
+  // Blocks created and freed inside the window are absent from the diff,
+  // but pointers into them (dangling) may be in it: their serials count as
+  // allocated before the diff applies.
+  for (const FreeRecord& fr : freed) {
+    next_block_serial_ = std::max(next_block_serial_, fr.serial + 1);
+  }
   const size_t history_mark = free_history_.size();
   auto diff = in.read_bytes(in.remaining());
   uint32_t got = apply_diff(diff);
@@ -465,10 +627,7 @@ uint32_t SegmentStore::apply_fold(uint32_t to_version, BufReader& in) {
   // version; swap in the exact records (which also cover blocks created
   // and freed inside the window — absent from the diff entirely).
   free_history_.resize(history_mark);
-  for (const FreeRecord& fr : freed) {
-    free_history_.push_back(fr);
-    next_block_serial_ = std::max(next_block_serial_, fr.serial + 1);
-  }
+  free_history_.insert(free_history_.end(), freed.begin(), freed.end());
   for (const auto& [serial, cv] : created) {
     SvrBlock* b = blocks_by_serial_.find(serial);
     if (b != nullptr) b->created_version = cv;
@@ -601,9 +760,11 @@ std::unique_ptr<SegmentStore> SegmentStore::deserialize(std::string name,
     }
     std::copy(data.begin(), data.end(), b->data.begin());
     uint32_t n_var = in.read_u32();
-    if (n_var != b->vardata.size()) {
+    if (n_var < b->vardata.size() ||
+        n_var > store->var_map(b->type).slot_count) {
       throw Error(ErrorCode::kProtocol, "checkpoint: vardata size mismatch");
     }
+    b->vardata.resize(n_var);
     for (uint32_t v = 0; v < n_var; ++v) b->vardata[v] = in.read_lp_string();
     uint32_t n_sb = in.read_u32();
     if (n_sb != b->subblock_versions.size()) {
@@ -611,6 +772,10 @@ std::unique_ptr<SegmentStore> SegmentStore::deserialize(std::string name,
     }
     for (uint32_t s = 0; s < n_sb; ++s) b->subblock_versions[s] = in.read_u32();
   }
+  // Field bytes are stored verbatim; a pointer field must name a live or
+  // freed block, or its own MIP slot, before collect reads it.
+  store->for_each_block(
+      [&](const SvrBlock& b) { store->check_stored_pointers(b); });
   return store;
 }
 

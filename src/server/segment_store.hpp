@@ -1,10 +1,12 @@
 // Server-side segment storage — the paper's §3.2 data structures.
 //
 // The server keeps every segment's master copy *in wire format* (packed
-// canonical layout): numeric units as canonical big-endian bytes, strings
-// and MIPs out-of-line in per-block slot tables (they are variable-length,
-// and keeping them separate avoids data relocation — and is exactly why
-// server-side pointer/small-string handling is the costly case in §4.1).
+// canonical layout): numeric units as canonical big-endian bytes, and each
+// intra-segment pointer inline as a fixed-width (serial, unit) pair, so
+// applying or collecting one is a copy. Strings and cross-segment MIPs are
+// variable-length and live out-of-line in per-block slot tables (keeping
+// them separate avoids data relocation — and is why server-side
+// small-string handling is the costly case in §4.1).
 //
 // Change tracking is subblock-granular: every block carries one version
 // number per 16 primitive data units. A client at version c receives, for
@@ -61,7 +63,7 @@ struct SvrBlock : VersionNode {
   uint32_t version = 0;                  // last-modified segment version
 
   std::vector<uint8_t> data;             // fixed units, packed canonical
-  std::vector<std::string> vardata;      // out-of-line strings and MIPs
+  std::vector<std::string> vardata;      // strings, then cross-segment MIPs
   std::vector<uint32_t> subblock_versions;
 
   AvlHook serial_hook;
@@ -72,11 +74,17 @@ struct SvrBlock : VersionNode {
   }
 };
 
-/// Maps packed-canonical field offsets of variable units (strings/pointers)
-/// to slot indices in SvrBlock::vardata. One per type, cached.
+/// Maps packed-canonical field offsets to slot indices in SvrBlock::vardata.
+/// String fields take slots [0, string_slots), which every block holds.
+/// Pointer fields take the slots after them, which a block grows into only
+/// when a field holds a cross-segment MIP; their map is built on the first
+/// such MIP, so types whose pointers stay in their segment never build it.
+/// One per type, cached.
 struct VarMap {
-  std::unordered_map<uint32_t, uint32_t> slot_by_offset;
-  uint32_t slot_count = 0;
+  std::unordered_map<uint32_t, uint32_t> string_slot_by_offset;
+  std::unordered_map<uint32_t, uint32_t> pointer_slot_by_offset;
+  uint32_t string_slots = 0;
+  uint32_t slot_count = 0;  // string and pointer fields
 };
 
 /// A block freed at some version; stale clients must be told.
@@ -239,6 +247,8 @@ class SegmentStore {
   };
 
   const VarMap& var_map(const TypeDescriptor* type);
+  /// The vardata slot of the pointer field at `offset` in blocks of `type`.
+  uint32_t pointer_slot(const TypeDescriptor* type, uint32_t offset);
   SvrBlock* create_block(uint32_t serial, uint32_t type_serial,
                          std::string name, uint32_t at_version);
   void destroy_block(SvrBlock* block, uint32_t at_version);
@@ -246,6 +256,16 @@ class SegmentStore {
   void append_block_update(DiffWriter& writer, SvrBlock& block,
                            uint32_t from_version);
   void apply_entries(std::span<const uint8_t> diff_bytes);
+  /// Fills new_blocks_ with the blocks `diff_bytes` creates.
+  void scan_new_blocks(std::span<const uint8_t> diff_bytes);
+  /// Checks the target of an intra-segment pointer before it is stored: a
+  /// live block, or one the diff being applied creates (new_blocks_), must
+  /// hold `unit`, and a serial this segment never allocated is kProtocol.
+  /// A freed block's serial passes: a pointer may outlive its target
+  /// (dangling). Returns the target's unit count, or 0 for a freed one.
+  uint64_t check_pointer_target(uint32_t serial, uint32_t unit) const;
+  /// Checks every pointer field of a block read from a checkpoint.
+  void check_stored_pointers(const SvrBlock& block);
   void cache_insert(uint32_t from_version, uint32_t to_version,
                     SharedBytes bytes, SharedBytes section = nullptr);
   void cache_trim();
@@ -270,6 +290,9 @@ class SegmentStore {
   std::vector<SvrBlock*> free_pool_;  // reusable destroyed blocks
 
   std::vector<FreeRecord> free_history_;
+  /// (serial, unit count) of each block the diff being applied creates,
+  /// by serial.
+  std::vector<std::pair<uint32_t, uint64_t>> new_blocks_;
   std::deque<CachedDiff> diff_cache_;
   size_t diff_cache_bytes_ = 0;  // sum of the entries' footprints
 

@@ -15,7 +15,11 @@ namespace iw::server {
 
 namespace {
 
-constexpr uint32_t kCheckpointMagic = 0x49575345;  // "IWSE"
+// A full checkpoint (.iwseg) starts with a magic "IWS" + one format byte.
+// Format 3 ("IWS3") stores pointer fields inline as (serial, unit); format
+// 2 files carry "IWSE". Any "IWS" file in another format is refused.
+constexpr uint32_t kCheckpointMagic = 0x49575333;  // "IWS3"
+constexpr uint32_t kCheckpointMagicFamily = 0x49575300;
 
 /// Segment names become file names; escape path separators.
 std::string encode_file_name(const std::string& name, const char* extension) {
@@ -1633,12 +1637,22 @@ void SegmentServer::recover() {
       std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
                                  std::istreambuf_iterator<char>());
       BufReader in(bytes.data(), bytes.size());
-      if (in.read_u32() != kCheckpointMagic) {
+      const uint32_t magic = in.read_u32();
+      if (magic != kCheckpointMagic &&
+          (magic & 0xFFFFFF00) == kCheckpointMagicFamily) {
+        throw Error(ErrorCode::kUnimplemented,
+                    path.string() + ": checkpoint in another format (this "
+                                    "build reads \"IWS3\")");
+      }
+      if (magic != kCheckpointMagic) {
         throw Error(ErrorCode::kProtocol, "bad checkpoint magic");
       }
       name = in.read_lp_string();
       store = SegmentStore::deserialize(name, options_.store, in);
     } catch (const Error& e) {
+      // A snapshot in another format is whole, not corrupt: refuse to
+      // recover rather than set it aside and serve without it.
+      if (e.code() == ErrorCode::kUnimplemented) throw;
       quarantine(path.string(), std::string("corrupt checkpoint: ") + e.what());
       continue;
     }

@@ -18,9 +18,10 @@ namespace iw::server {
 namespace {
 
 constexpr uint32_t kWalMagic = 0x4957414C;  // "IWAL"
-// Format 2: commit diffs use the varint encoding (wire/diff.hpp). Format 1
-// journals hold fixed-width diffs this build cannot parse.
-constexpr uint32_t kWalFormat = 2;
+// Format 3: commit diffs use the varint encoding (wire/diff.hpp) with
+// tagged pointer units. Format 1 journals hold fixed-width diffs and
+// format 2 ones MIP-string pointer units; this build parses neither.
+constexpr uint32_t kWalFormat = 3;
 constexpr size_t kHeaderBytes = WriteAheadLog::kHeaderSize;
 
 }  // namespace

@@ -9,7 +9,7 @@
 // On-disk layout (all integers big-endian, matching the wire format):
 //
 //   file   := header record*
-//   header := magic u32 "IWAL" | format u32 (=2)
+//   header := magic u32 "IWAL" | format u32 (=3)
 //   record := body_len u32 | crc u32 | body
 //   body   := tag u8 | payload           (body_len = 1 + payload size)
 //   tag    := type u8, possibly ORed with kPayloadCompressedTagBit (0x80)
@@ -19,9 +19,10 @@
 // When the tag carries kPayloadCompressedTagBit the payload is a
 // compress_record_payload envelope (`u32 raw_len | lz bytes`); replay
 // decompresses transparently, so Record::payload is always the raw bytes,
-// and a journal may mix compressed and raw records. Format 2 journals
-// carry varint-encoded diffs (wire/diff.hpp); a format 1 journal, whose
-// diffs are fixed-width, is refused with Error(kUnimplemented).
+// and a journal may mix compressed and raw records. Format 3 journals
+// carry varint-encoded diffs (wire/diff.hpp) with tagged pointer units; a
+// format 1 journal (fixed-width diffs) or format 2 journal (MIP-string
+// pointer units) is refused with Error(kUnimplemented).
 //
 // `crc` is CRC-32C over the whole body. The torn-tail rule: a record is
 // valid only if its full header fits, its length is sane, its full body

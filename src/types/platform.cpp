@@ -64,6 +64,7 @@ LayoutRules LayoutRules::packed_canonical() noexcept {
     r.size[i] = static_cast<uint8_t>(wire_size_of(static_cast<PrimitiveKind>(i)));
     r.align[i] = 1;
   }
+  r.size[k(PrimitiveKind::kPointer)] = kPackedPointerBytes;
   r.inline_strings = false;
   return r;
 }

@@ -27,7 +27,7 @@ enum class PrimitiveKind : uint8_t {
   kInt64 = 3,    ///< 64-bit signed integer
   kFloat32 = 4,  ///< IEEE-754 single
   kFloat64 = 5,  ///< IEEE-754 double
-  kPointer = 6,  ///< machine pointer locally; MIP string on the wire
+  kPointer = 6,  ///< machine pointer locally; tagged MIP unit on the wire
   kString = 7,   ///< fixed-capacity char array locally; variable on the wire
 };
 inline constexpr int kNumPrimitiveKinds = 8;
@@ -53,9 +53,15 @@ struct LayoutRules {
   /// id instead (paper §3.2: variable-size data kept separate).
   bool inline_strings = true;
 
+  /// Bytes of a pointer field in packed canonical layout: `u32 serial |
+  /// u32 unit`, big-endian (server/segment_store.cpp gives serial 0 its
+  /// meaning).
+  static constexpr uint8_t kPackedPointerBytes = 8;
+
   /// Packed canonical layout: wire sizes, alignment 1, big-endian. The
-  /// server stores block data this way (strings/pointers as 4-byte slot ids
-  /// into an out-of-line table, per paper §3.2).
+  /// server stores block data this way: strings as 4-byte slot ids into an
+  /// out-of-line table (paper §3.2), pointers as inline (serial, unit)
+  /// pairs of kPackedPointerBytes.
   static LayoutRules packed_canonical() noexcept;
 };
 

@@ -1,6 +1,6 @@
 // Growable byte buffer and cursor used throughout the wire-format layer.
 //
-// Buffer is a thin, append-oriented byte vector with primitive-typed append
+// Buffer is an append-oriented byte vector with primitive-typed append
 // helpers in canonical (big-endian) order. BufReader is a bounds-checked
 // cursor over immutable bytes; it throws Error(kProtocol) on overrun, which
 // is the right behaviour when the bytes came off the network.
@@ -12,12 +12,14 @@
 // `vstring` is a byte string behind a varint length.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/endian.hpp"
@@ -52,35 +54,55 @@ struct IoSlice {
 };
 
 /// Append-oriented byte buffer used to build wire-format messages.
+///
+/// The bytes live in a vector that is grown ahead of use: `size_` counts the
+/// bytes written, and the vector's own size is the room already made, so an
+/// append that fits is a bounds check and a copy (wire encoders append a few
+/// bytes at a time, and a vector insert per append cost more than the
+/// encoding itself).
 class Buffer {
  public:
   Buffer() = default;
   explicit Buffer(size_t reserve) { bytes_.reserve(reserve); }
+  Buffer(const Buffer&) = default;
+  Buffer& operator=(const Buffer&) = default;
+  // A moved-from Buffer is empty: its size must not outlive its storage.
+  Buffer(Buffer&& other) noexcept
+      : bytes_(std::move(other.bytes_)), size_(std::exchange(other.size_, 0)) {}
+  Buffer& operator=(Buffer&& other) noexcept {
+    bytes_ = std::move(other.bytes_);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
 
   const uint8_t* data() const noexcept { return bytes_.data(); }
   uint8_t* data() noexcept { return bytes_.data(); }
-  size_t size() const noexcept { return bytes_.size(); }
-  bool empty() const noexcept { return bytes_.empty(); }
-  void clear() noexcept { bytes_.clear(); }
+  size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  void clear() noexcept { size_ = 0; }
   void reserve(size_t n) { bytes_.reserve(n); }
 
-  std::span<const uint8_t> span() const noexcept { return bytes_; }
+  std::span<const uint8_t> span() const noexcept {
+    return {bytes_.data(), size_};
+  }
 
   /// Appends raw bytes verbatim.
   void append(const void* p, size_t n) {
-    const auto* b = static_cast<const uint8_t*>(p);
-    bytes_.insert(bytes_.end(), b, b + n);
+    if (n > kGrowChunk && bytes_.size() - size_ < n) [[unlikely]] {
+      return append_large(p, n);
+    }
+    if (n != 0) std::memcpy(extend(n), p, n);
   }
   void append(std::span<const uint8_t> s) { append(s.data(), s.size()); }
 
-  void append_u8(uint8_t v) { bytes_.push_back(v); }
-  void append_u16(uint16_t v) { grow_and_store(2, [&](void* p) { store_be16(p, v); }); }
-  void append_u32(uint32_t v) { grow_and_store(4, [&](void* p) { store_be32(p, v); }); }
-  void append_u64(uint64_t v) { grow_and_store(8, [&](void* p) { store_be64(p, v); }); }
+  void append_u8(uint8_t v) { *extend(1) = v; }
+  void append_u16(uint16_t v) { store_be16(extend(2), v); }
+  void append_u32(uint32_t v) { store_be32(extend(4), v); }
+  void append_u64(uint64_t v) { store_be64(extend(8), v); }
   void append_i32(int32_t v) { append_u32(static_cast<uint32_t>(v)); }
   void append_i64(int64_t v) { append_u64(static_cast<uint64_t>(v)); }
-  void append_f32(float v) { grow_and_store(4, [&](void* p) { store_be_float(p, v); }); }
-  void append_f64(double v) { grow_and_store(8, [&](void* p) { store_be_double(p, v); }); }
+  void append_f32(float v) { store_be_float(extend(4), v); }
+  void append_f64(double v) { store_be_double(extend(8), v); }
 
   /// Appends a length-prefixed (u32) byte string.
   void append_lp_string(std::string_view s) {
@@ -90,12 +112,8 @@ class Buffer {
 
   /// Appends `v` as a LEB128 varint.
   void append_varint(uint64_t v) {
-    if (v < 0x80) {
-      bytes_.push_back(static_cast<uint8_t>(v));
-      return;
-    }
-    uint8_t tmp[kMaxVarintBytes];
-    append(tmp, encode_varint(v, tmp));
+    uint8_t* p = extend(kMaxVarintBytes);
+    size_ -= kMaxVarintBytes - encode_varint(v, p);
   }
 
   /// Appends a varint-length-prefixed byte string.
@@ -108,8 +126,8 @@ class Buffer {
   /// Reserves `width` bytes for a varint whose value is known only later,
   /// and returns their offset; fill them with patch_varint.
   size_t append_varint_placeholder(size_t width = 1) {
-    size_t off = bytes_.size();
-    bytes_.resize(off + width);
+    size_t off = size_;
+    std::memset(extend(width), 0, width);
     return off;
   }
 
@@ -118,55 +136,76 @@ class Buffer {
   /// placeholder moves to fit, so offsets taken past `offset` are stale
   /// afterwards; a writer that guesses the width right moves nothing.
   void patch_varint(size_t offset, size_t width, uint64_t v) {
-    check_internal(offset + width <= bytes_.size(),
-                   "patch_varint out of range");
+    check_internal(offset + width <= size_, "patch_varint out of range");
     const size_t n = varint_size(v);
-    const auto at = bytes_.begin() + static_cast<ptrdiff_t>(offset + width);
-    if (n > width) {
-      bytes_.insert(at, n - width, uint8_t{0});
-    } else if (n < width) {
-      bytes_.erase(at - static_cast<ptrdiff_t>(width - n), at);
+    if (n != width) {
+      const size_t tail = size_ - offset - width;
+      if (n > width) extend(n - width);
+      else size_ -= width - n;
+      std::memmove(bytes_.data() + offset + n,
+                   bytes_.data() + offset + width, tail);
     }
     encode_varint(v, bytes_.data() + offset);
   }
 
-  /// Grows by `n` bytes and returns a pointer to the new region (bulk
-  /// writers fill it directly, avoiding per-element size checks).
+  /// Grows by `n` bytes and returns a pointer to the new region, whose
+  /// contents are unspecified (bulk writers fill it directly, avoiding
+  /// per-element size checks).
   uint8_t* extend(size_t n) {
-    size_t off = bytes_.size();
-    bytes_.resize(off + n);
-    return bytes_.data() + off;
+    if (bytes_.size() - size_ < n) [[unlikely]] grow(n);
+    uint8_t* p = bytes_.data() + size_;
+    size_ += n;
+    return p;
   }
 
   /// Shrinks the buffer back to `n` bytes, keeping capacity. Lets a writer
   /// that appended a trial encoding (say, a compressed section that did not
   /// pay) discard it without reallocating.
   void truncate(size_t n) {
-    check_internal(n <= bytes_.size(), "truncate past end");
-    bytes_.resize(n);
+    check_internal(n <= size_, "truncate past end");
+    size_ = n;
   }
 
-  std::vector<uint8_t> take() noexcept { return std::move(bytes_); }
+  std::vector<uint8_t> take() noexcept {
+    bytes_.resize(size_);
+    size_ = 0;
+    return std::move(bytes_);
+  }
 
   /// Replaces the buffer's storage with `storage`, keeping its capacity.
   /// Pairs with take(): a transport that moved the bytes out can hand the
   /// (now otherwise dead) allocation back for the caller to reuse.
   void adopt(std::vector<uint8_t> storage) noexcept {
     bytes_ = std::move(storage);
+    size_ = bytes_.size();
   }
 
   /// Whole-buffer view for scatter/gather I/O.
-  IoSlice slice() const noexcept { return {bytes_.data(), bytes_.size()}; }
+  IoSlice slice() const noexcept { return {bytes_.data(), size_}; }
 
  private:
-  template <typename F>
-  void grow_and_store(size_t n, F f) {
-    size_t off = bytes_.size();
-    bytes_.resize(off + n);
-    f(bytes_.data() + off);
+  // Out of line so that the fitting paths inline. Room is made at most
+  // kGrowChunk bytes past what is asked for, so zeroing new room costs
+  // about what filling it does; capacity still doubles.
+  static constexpr size_t kGrowChunk = 4096;
+  [[gnu::noinline]] void grow(size_t n) {
+    const size_t need = size_ + n;
+    if (bytes_.capacity() < need) {
+      bytes_.reserve(std::max(need, 2 * bytes_.capacity()));
+    }
+    bytes_.resize(std::min(bytes_.capacity(), need + kGrowChunk));
+  }
+  // A large append that does not fit copies straight into the grown
+  // storage rather than zeroing room it is about to overwrite.
+  [[gnu::noinline]] void append_large(const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    bytes_.resize(size_);
+    bytes_.insert(bytes_.end(), b, b + n);
+    size_ = bytes_.size();
   }
 
-  std::vector<uint8_t> bytes_;
+  std::vector<uint8_t> bytes_;  // bytes_.size() >= size_: room made so far
+  size_t size_ = 0;
 };
 
 /// A fixed-capacity chain of borrowed byte ranges — the iovec view the
@@ -221,12 +260,17 @@ class BufReader {
   /// a value past 32 bits, or a redundant zero-valued last byte.
   uint32_t read_varint32() {
     if (p_ != end_ && *p_ < 0x80) [[likely]] return *p_++;  // one byte
+    if (uint32_t v; read_two_byte_varint(&v)) return v;
     return static_cast<uint32_t>(read_varint(5, UINT32_MAX));
   }
 
   /// Reads a varint of up to 64 bits (at most 10 bytes); errors as for
   /// read_varint32.
-  uint64_t read_varint64() { return read_varint(kMaxVarintBytes, UINT64_MAX); }
+  uint64_t read_varint64() {
+    if (p_ != end_ && *p_ < 0x80) [[likely]] return *p_++;  // one byte
+    if (uint32_t v; read_two_byte_varint(&v)) return v;
+    return read_varint(kMaxVarintBytes, UINT64_MAX);
+  }
 
   /// Reads a varint-length-prefixed byte string as a view into the
   /// underlying storage (same lifetime rule as read_lp_view).
@@ -261,7 +305,17 @@ class BufReader {
   void skip(size_t n) { take(n); }
 
  private:
-  // Out of line so that read_varint32's one-byte path inlines.
+  // The inline two-byte case of the readers above, once the first byte is
+  // known to continue: a second byte of 1..127 ends the varint (0 would be
+  // a redundant, overlong last byte).
+  bool read_two_byte_varint(uint32_t* v) {
+    if (end_ - p_ < 2 || p_[1] == 0 || p_[1] >= 0x80) return false;
+    *v = (p_[0] & 0x7Fu) | uint32_t{p_[1]} << 7;
+    p_ += 2;
+    return true;
+  }
+
+  // Out of line so that the readers' short paths inline.
   [[gnu::noinline]] uint64_t read_varint(size_t max_bytes,
                                          uint64_t max_value) {
     uint64_t v = 0;

@@ -55,7 +55,7 @@ void decode_numeric_run(uint8_t* p, uint64_t count, uint32_t stride,
   }
 }
 
-// Wire size of a string or MIP unit of `len` bytes: varint length + bytes.
+// Wire size of a string unit of `len` bytes: varint length + bytes.
 inline uint64_t vstring_size(size_t len) { return varint_size(len) + len; }
 
 }  // namespace
@@ -75,10 +75,29 @@ void InlineStringHooks::write_string(void* field, uint32_t capacity,
   if (n < capacity) std::memset(p + n, 0, capacity - n);
 }
 
-std::string NumericOnlyHooks::swizzle_out(const void*) {
+PointerUnit read_pointer_unit_rest(uint64_t head, BufReader& in) {
+  PointerUnit p;
+  if (head == 0) return p;
+  if ((head & 3) == 1) {
+    throw Error(ErrorCode::kProtocol,
+                "pointer names block serial " + std::to_string(head >> 2));
+  }
+  if (head == 2) {
+    p.tag = PointerTag::kCross;
+    p.mip = in.read_vstring_view();
+    if (p.mip.empty()) {
+      throw Error(ErrorCode::kProtocol, "empty cross-segment pointer");
+    }
+    return p;
+  }
+  throw Error(ErrorCode::kProtocol,
+              "unknown pointer tag " + std::to_string(head & 3));
+}
+
+void NumericOnlyHooks::swizzle_out(const void*, Buffer&) {
   throw Error(ErrorCode::kState, "pointer unit with NumericOnlyHooks");
 }
-void NumericOnlyHooks::swizzle_in(std::string_view, void*) {
+void NumericOnlyHooks::swizzle_in(BufReader&, void*) {
   throw Error(ErrorCode::kState, "pointer unit with NumericOnlyHooks");
 }
 std::string_view NumericOnlyHooks::read_string(const void*, uint32_t) {
@@ -129,7 +148,7 @@ void encode_run(const PlanOp& op, const uint8_t* p, uint64_t count, bool swap,
       break;
     case PrimitiveKind::kPointer:
       for (uint64_t i = 0; i < count; ++i, p += op.local_stride)
-        hooks.swizzle_out_append(p, out);
+        hooks.swizzle_out(p, out);
       break;
     case PrimitiveKind::kString:
       for (uint64_t i = 0; i < count; ++i, p += op.local_stride)
@@ -174,13 +193,12 @@ void decode_run(const PlanOp& op, uint8_t* p, uint64_t count, bool swap,
       }
       break;
     case PrimitiveKind::kPointer:
-      // read_vstring_view: the MIP/string bytes are consumed (copied or
-      // resolved) by the hook before the next read, so a view into the
-      // input buffer avoids one heap allocation per unit.
       for (uint64_t i = 0; i < count; ++i, p += op.local_stride)
-        hooks.swizzle_in(in.read_vstring_view(), p);
+        hooks.swizzle_in(in, p);
       break;
     case PrimitiveKind::kString:
+      // read_vstring_view: the hook copies the bytes before the next read,
+      // so a view into the input buffer avoids one allocation per unit.
       for (uint64_t i = 0; i < count; ++i, p += op.local_stride)
         hooks.write_string(p, op.string_capacity, in.read_vstring_view());
       break;
@@ -473,10 +491,15 @@ uint64_t plan_measure(const TranslationPlan& plan, const uint8_t* base,
     if (op.op == PlanOp::Kind::kRun) {
       const uint8_t* p = base + op.local_offset + rel * op.local_stride;
       switch (op.prim) {
-        case PrimitiveKind::kPointer:
-          for (uint64_t u = b; u < e; ++u, p += op.local_stride)
-            total += vstring_size(hooks.swizzle_out(p).size());
+        case PrimitiveKind::kPointer: {
+          Buffer unit;
+          for (uint64_t u = b; u < e; ++u, p += op.local_stride) {
+            unit.clear();
+            hooks.swizzle_out(p, unit);
+            total += unit.size();
+          }
           break;
+        }
         case PrimitiveKind::kString:
           for (uint64_t u = b; u < e; ++u, p += op.local_stride)
             total +=
@@ -564,334 +587,6 @@ uint64_t measure_units(const TypeDescriptor& type, const LayoutRules& rules,
   const TranslationPlan& plan = TranslationPlan::of(type, rules);
   return plan_measure(plan, static_cast<const uint8_t*>(base), begin, end,
                       hooks);
-}
-
-// ------------------------- legacy recursive path (test-only reference)
-
-namespace {
-
-/// Per-element encoder over a struct's precomputed flat runs: one buffer
-/// reservation for all elements, then tight copy/swap loops. Only valid for
-/// fixed-wire-size structs (no strings/pointers).
-template <bool kSwap>
-void encode_flat_elements(const std::vector<PrimRun>& runs,
-                          const uint8_t* first_elem, uint64_t count,
-                          uint32_t elem_stride, uint64_t elem_wire,
-                          Buffer& out) {
-  uint8_t* dst = out.extend(count * elem_wire);
-  for (uint64_t e = 0; e < count; ++e, first_elem += elem_stride) {
-    for (const PrimRun& run : runs) {
-      const uint8_t* p = first_elem + run.local_offset;
-      switch (run.kind) {
-        case PrimitiveKind::kChar:
-          std::memcpy(dst, p, run.unit_count);
-          dst += run.unit_count;
-          break;
-        case PrimitiveKind::kInt16:
-          for (uint64_t i = 0; i < run.unit_count;
-               ++i, p += run.local_stride, dst += 2) {
-            uint16_t v;
-            std::memcpy(&v, p, 2);
-            if constexpr (kSwap) v = byteswap16(v);
-            std::memcpy(dst, &v, 2);
-          }
-          break;
-        case PrimitiveKind::kInt32:
-        case PrimitiveKind::kFloat32:
-          for (uint64_t i = 0; i < run.unit_count;
-               ++i, p += run.local_stride, dst += 4) {
-            uint32_t v;
-            std::memcpy(&v, p, 4);
-            if constexpr (kSwap) v = byteswap32(v);
-            std::memcpy(dst, &v, 4);
-          }
-          break;
-        default:  // kInt64 / kFloat64 (variable kinds are excluded)
-          for (uint64_t i = 0; i < run.unit_count;
-               ++i, p += run.local_stride, dst += 8) {
-            uint64_t v;
-            std::memcpy(&v, p, 8);
-            if constexpr (kSwap) v = byteswap64(v);
-            std::memcpy(dst, &v, 8);
-          }
-          break;
-      }
-    }
-  }
-}
-
-template <bool kSwap>
-void decode_flat_elements(const std::vector<PrimRun>& runs,
-                          uint8_t* first_elem, uint64_t count,
-                          uint32_t elem_stride, uint64_t elem_wire,
-                          BufReader& in) {
-  const uint8_t* src = in.read_bytes(count * elem_wire).data();
-  for (uint64_t e = 0; e < count; ++e, first_elem += elem_stride) {
-    for (const PrimRun& run : runs) {
-      uint8_t* p = first_elem + run.local_offset;
-      switch (run.kind) {
-        case PrimitiveKind::kChar:
-          std::memcpy(p, src, run.unit_count);
-          src += run.unit_count;
-          break;
-        case PrimitiveKind::kInt16:
-          for (uint64_t i = 0; i < run.unit_count;
-               ++i, p += run.local_stride, src += 2) {
-            uint16_t v;
-            std::memcpy(&v, src, 2);
-            if constexpr (kSwap) v = byteswap16(v);
-            std::memcpy(p, &v, 2);
-          }
-          break;
-        case PrimitiveKind::kInt32:
-        case PrimitiveKind::kFloat32:
-          for (uint64_t i = 0; i < run.unit_count;
-               ++i, p += run.local_stride, src += 4) {
-            uint32_t v;
-            std::memcpy(&v, src, 4);
-            if constexpr (kSwap) v = byteswap32(v);
-            std::memcpy(p, &v, 4);
-          }
-          break;
-        default:
-          for (uint64_t i = 0; i < run.unit_count;
-               ++i, p += run.local_stride, src += 8) {
-            uint64_t v;
-            std::memcpy(&v, src, 8);
-            if constexpr (kSwap) v = byteswap64(v);
-            std::memcpy(p, &v, 8);
-          }
-          break;
-      }
-    }
-  }
-}
-
-/// When `type` is an array of fast-encodable structs and [begin, end)
-/// covers at least one whole element, returns that element range.
-struct FlatSpan {
-  uint64_t first_elem;
-  uint64_t last_elem;  // exclusive
-  const TypeDescriptor* elem;
-};
-bool flat_span(const TypeDescriptor& type, uint64_t begin, uint64_t end,
-               FlatSpan* span) {
-  if (type.kind() != TypeKind::kArray) return false;
-  const TypeDescriptor* elem = type.element();
-  if (elem->kind() != TypeKind::kStruct || elem->flat_runs().empty()) {
-    return false;
-  }
-  uint64_t eu = elem->prim_units();
-  uint64_t first = (begin + eu - 1) / eu;
-  uint64_t last = end / eu;
-  if (first >= last) return false;
-  span->first_elem = first;
-  span->last_elem = last;
-  span->elem = elem;
-  return true;
-}
-
-}  // namespace
-
-void encode_units_legacy(const TypeDescriptor& type, const LayoutRules& rules,
-                         const void* base, uint64_t begin, uint64_t end,
-                         TranslationHooks& hooks, Buffer& out) {
-  const auto* b = static_cast<const uint8_t*>(base);
-  const bool local_is_wire_order = rules.byte_order == ByteOrder::kBig;
-
-  FlatSpan span;
-  if (flat_span(type, begin, end, &span)) {
-    uint64_t eu = span.elem->prim_units();
-    if (begin < span.first_elem * eu) {  // ragged head
-      encode_units_legacy(type, rules, base, begin, span.first_elem * eu,
-                          hooks, out);
-    }
-    const uint8_t* first = b + span.first_elem * type.element_stride();
-    if (local_is_wire_order) {
-      encode_flat_elements<false>(span.elem->flat_runs(), first,
-                                  span.last_elem - span.first_elem,
-                                  type.element_stride(),
-                                  span.elem->fixed_wire_size(), out);
-    } else {
-      encode_flat_elements<true>(span.elem->flat_runs(), first,
-                                 span.last_elem - span.first_elem,
-                                 type.element_stride(),
-                                 span.elem->fixed_wire_size(), out);
-    }
-    if (span.last_elem * eu < end) {  // ragged tail
-      encode_units_legacy(type, rules, base, span.last_elem * eu, end, hooks,
-                          out);
-    }
-    return;
-  }
-
-  type.visit_runs(begin, end, [&](const PrimRun& run) {
-    const uint8_t* p = b + run.local_offset;
-    switch (run.kind) {
-      case PrimitiveKind::kChar:
-        if (run.local_stride == 1) {
-          out.append(p, run.unit_count);
-        } else {
-          for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-            out.append_u8(*p);
-        }
-        break;
-      case PrimitiveKind::kInt16:
-        if (local_is_wire_order) {
-          encode_numeric_run<uint16_t, false>(p, run.unit_count,
-                                              run.local_stride, out);
-        } else {
-          encode_numeric_run<uint16_t, true>(p, run.unit_count,
-                                             run.local_stride, out);
-        }
-        break;
-      case PrimitiveKind::kInt32:
-      case PrimitiveKind::kFloat32:
-        if (local_is_wire_order) {
-          encode_numeric_run<uint32_t, false>(p, run.unit_count,
-                                              run.local_stride, out);
-        } else {
-          encode_numeric_run<uint32_t, true>(p, run.unit_count,
-                                             run.local_stride, out);
-        }
-        break;
-      case PrimitiveKind::kInt64:
-      case PrimitiveKind::kFloat64:
-        if (local_is_wire_order) {
-          encode_numeric_run<uint64_t, false>(p, run.unit_count,
-                                              run.local_stride, out);
-        } else {
-          encode_numeric_run<uint64_t, true>(p, run.unit_count,
-                                             run.local_stride, out);
-        }
-        break;
-      case PrimitiveKind::kPointer:
-        for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          hooks.swizzle_out_append(p, out);
-        break;
-      case PrimitiveKind::kString:
-        for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          out.append_vstring(hooks.read_string(p, run.string_capacity));
-        break;
-    }
-  });
-}
-
-void decode_units_legacy(const TypeDescriptor& type, const LayoutRules& rules,
-                         void* base, uint64_t begin, uint64_t end,
-                         TranslationHooks& hooks, BufReader& in) {
-  auto* b = static_cast<uint8_t*>(base);
-  const bool local_is_wire_order = rules.byte_order == ByteOrder::kBig;
-
-  FlatSpan span;
-  if (flat_span(type, begin, end, &span)) {
-    uint64_t eu = span.elem->prim_units();
-    if (begin < span.first_elem * eu) {
-      decode_units_legacy(type, rules, base, begin, span.first_elem * eu,
-                          hooks, in);
-    }
-    uint8_t* first = b + span.first_elem * type.element_stride();
-    if (local_is_wire_order) {
-      decode_flat_elements<false>(span.elem->flat_runs(), first,
-                                  span.last_elem - span.first_elem,
-                                  type.element_stride(),
-                                  span.elem->fixed_wire_size(), in);
-    } else {
-      decode_flat_elements<true>(span.elem->flat_runs(), first,
-                                 span.last_elem - span.first_elem,
-                                 type.element_stride(),
-                                 span.elem->fixed_wire_size(), in);
-    }
-    if (span.last_elem * eu < end) {
-      decode_units_legacy(type, rules, base, span.last_elem * eu, end, hooks,
-                          in);
-    }
-    return;
-  }
-
-  type.visit_runs(begin, end, [&](const PrimRun& run) {
-    uint8_t* p = b + run.local_offset;
-    switch (run.kind) {
-      case PrimitiveKind::kChar:
-        if (run.local_stride == 1) {
-          auto bytes = in.read_bytes(run.unit_count);
-          std::memcpy(p, bytes.data(), bytes.size());
-        } else {
-          for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-            *p = in.read_u8();
-        }
-        break;
-      case PrimitiveKind::kInt16:
-        if (local_is_wire_order) {
-          decode_numeric_run<uint16_t, false>(p, run.unit_count,
-                                              run.local_stride, in);
-        } else {
-          decode_numeric_run<uint16_t, true>(p, run.unit_count,
-                                             run.local_stride, in);
-        }
-        break;
-      case PrimitiveKind::kInt32:
-      case PrimitiveKind::kFloat32:
-        if (local_is_wire_order) {
-          decode_numeric_run<uint32_t, false>(p, run.unit_count,
-                                              run.local_stride, in);
-        } else {
-          decode_numeric_run<uint32_t, true>(p, run.unit_count,
-                                             run.local_stride, in);
-        }
-        break;
-      case PrimitiveKind::kInt64:
-      case PrimitiveKind::kFloat64:
-        if (local_is_wire_order) {
-          decode_numeric_run<uint64_t, false>(p, run.unit_count,
-                                              run.local_stride, in);
-        } else {
-          decode_numeric_run<uint64_t, true>(p, run.unit_count,
-                                             run.local_stride, in);
-        }
-        break;
-      case PrimitiveKind::kPointer:
-        for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride) {
-          hooks.swizzle_in(in.read_vstring_view(), p);
-        }
-        break;
-      case PrimitiveKind::kString:
-        for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride) {
-          hooks.write_string(p, run.string_capacity, in.read_vstring_view());
-        }
-        break;
-    }
-  });
-}
-
-uint64_t measure_units_legacy(const TypeDescriptor& type,
-                              const LayoutRules& rules, const void* base,
-                              uint64_t begin, uint64_t end,
-                              TranslationHooks& hooks) {
-  (void)rules;
-  const auto* b = static_cast<const uint8_t*>(base);
-  uint64_t total = 0;
-  type.visit_runs(begin, end, [&](const PrimRun& run) {
-    switch (run.kind) {
-      case PrimitiveKind::kPointer: {
-        const uint8_t* p = b + run.local_offset;
-        for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          total += vstring_size(hooks.swizzle_out(p).size());
-        break;
-      }
-      case PrimitiveKind::kString: {
-        const uint8_t* p = b + run.local_offset;
-        for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          total +=
-              vstring_size(hooks.read_string(p, run.string_capacity).size());
-        break;
-      }
-      default:
-        total += run.unit_count * wire_size_of(run.kind);
-        break;
-    }
-  });
-  return total;
 }
 
 }  // namespace iw

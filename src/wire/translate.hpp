@@ -4,9 +4,10 @@
 // (instantiated for some LayoutRules) and a range of *primitive data units*,
 // encode_units converts local bytes to canonical wire bytes and decode_units
 // does the inverse. Numeric units are byte-order-converted; strings travel
-// behind a varint length; pointers are swizzled to/from MIP strings through the
-// caller-supplied hooks (the client library implements them with its segment
-// metadata, the server with its out-of-line slot tables, tests with fakes).
+// behind a varint length; pointers are swizzled to and from the pointer-unit
+// wire form below through the caller-supplied hooks (the client library
+// implements them with its segment metadata, the server with its inline
+// (serial, unit) fields, tests with fakes).
 //
 // Both directions execute the type's compiled TranslationPlan (see
 // types/translation_plan.hpp): a flattened run program cached per
@@ -26,27 +27,71 @@
 
 namespace iw {
 
+// --- pointer units (docs/PROTOCOL.md, "Pointer units") -----------------
+//
+// A MIP names `segment#block#unit` (§2.1). On the wire a pointer unit is
+//
+//   null   := v 0
+//   intra  := v (serial << 2 | 1), v unit   a block of the diff's own segment
+//   cross  := v 2, vs mip                   "url#block#unit" text, non-empty
+//
+// An intra-segment pointer always names its block by serial, even when the
+// block has a name. Any other head value is an unknown tag.
+
+enum class PointerTag : uint8_t { kNull = 0, kIntra = 1, kCross = 2 };
+
+/// One decoded pointer unit; `mip` views the reader's bytes.
+struct PointerUnit {
+  PointerTag tag = PointerTag::kNull;
+  uint32_t serial = 0;  ///< kIntra: the target block's serial (never 0)
+  uint32_t unit = 0;    ///< kIntra: primitive unit inside the target block
+  std::string_view mip; ///< kCross
+};
+
+inline void append_null_pointer(Buffer& out) { out.append_u8(0); }
+
+inline void append_intra_pointer(Buffer& out, uint32_t serial,
+                                 uint32_t unit) {
+  constexpr size_t kMax = 2 * kMaxVarintBytes;
+  uint8_t* p = out.extend(kMax);
+  size_t n = encode_varint(uint64_t{serial} << 2 | 1, p);
+  n += encode_varint(unit, p + n);
+  out.truncate(out.size() - (kMax - n));
+}
+
+/// Appends the cross-segment tag; the caller appends the `vs` MIP.
+inline void append_cross_pointer_tag(Buffer& out) { out.append_u8(2); }
+
+/// The pointer unit whose head varint `head` was just read from `in`, for
+/// every head but a well-formed intra-segment one (read_pointer_unit).
+PointerUnit read_pointer_unit_rest(uint64_t head, BufReader& in);
+
+/// Reads one pointer unit. Throws Error(kProtocol) on an unknown tag, a
+/// serial of 0 or past 32 bits, a unit past 32 bits, an empty cross MIP, or
+/// truncated input. Whether the serial and unit name a block of the segment
+/// is the caller's check.
+inline PointerUnit read_pointer_unit(BufReader& in) {
+  const uint64_t head = in.read_varint64();
+  if ((head & 3) == 1 && head > 1 && (head >> 2) <= UINT32_MAX) [[likely]] {
+    const auto serial = static_cast<uint32_t>(head >> 2);
+    return {PointerTag::kIntra, serial, in.read_varint32(), {}};
+  }
+  return read_pointer_unit_rest(head, in);
+}
+
 /// Callbacks that localize the representation-specific pieces of
 /// translation: pointer swizzling and string storage.
 class TranslationHooks {
  public:
   virtual ~TranslationHooks() = default;
 
-  /// Reads the local pointer representation at `field` and returns the MIP
-  /// naming what it points to ("" for null).
-  virtual std::string swizzle_out(const void* field) = 0;
+  /// Reads the local pointer representation at `field` and appends its
+  /// pointer unit to `out`.
+  virtual void swizzle_out(const void* field, Buffer& out) = 0;
 
-  /// Appends the MIP for `field`, behind its varint length, to `out`.
-  /// Performance hook: the default routes through swizzle_out; the client
-  /// overrides it to format without an intermediate allocation (pointer
-  /// swizzling is the hot path for pointer-rich data, Fig. 4/6).
-  virtual void swizzle_out_append(const void* field, Buffer& out) {
-    out.append_vstring(swizzle_out(field));
-  }
-
-  /// Converts `mip` ("" for null) and stores the local pointer
+  /// Reads one pointer unit from `in` and stores the local pointer
   /// representation at `field`.
-  virtual void swizzle_in(std::string_view mip, void* field) = 0;
+  virtual void swizzle_in(BufReader& in, void* field) = 0;
 
   /// Reads the string unit stored at `field`.
   virtual std::string_view read_string(const void* field,
@@ -72,8 +117,8 @@ class InlineStringHooks : public TranslationHooks {
 /// numeric types (and as a guard in tests).
 class NumericOnlyHooks : public TranslationHooks {
  public:
-  std::string swizzle_out(const void*) override;
-  void swizzle_in(std::string_view, void*) override;
+  void swizzle_out(const void*, Buffer&) override;
+  void swizzle_in(BufReader&, void*) override;
   std::string_view read_string(const void*, uint32_t) override;
   void write_string(void*, uint32_t, std::string_view) override;
 };
@@ -104,26 +149,5 @@ std::optional<uint64_t> fixed_wire_size(const TypeDescriptor& type,
 uint64_t measure_units(const TypeDescriptor& type, const LayoutRules& rules,
                        const void* base, uint64_t begin, uint64_t end,
                        TranslationHooks& hooks);
-
-// --- legacy recursive reference implementation (test-only) ---------------
-//
-// The pre-plan translation path: recursive descent over the descriptor tree
-// via visit_runs, with the flat-run struct-array fast path. Kept only as
-// the reference oracle for the differential tests in wire_translate_test
-// and the planned-vs-legacy comparison in bench/translate_plan; production
-// code must call the plan-compiled entry points above.
-
-void encode_units_legacy(const TypeDescriptor& type, const LayoutRules& rules,
-                         const void* base, uint64_t begin, uint64_t end,
-                         TranslationHooks& hooks, Buffer& out);
-
-void decode_units_legacy(const TypeDescriptor& type, const LayoutRules& rules,
-                         void* base, uint64_t begin, uint64_t end,
-                         TranslationHooks& hooks, BufReader& in);
-
-uint64_t measure_units_legacy(const TypeDescriptor& type,
-                              const LayoutRules& rules, const void* base,
-                              uint64_t begin, uint64_t end,
-                              TranslationHooks& hooks);
 
 }  // namespace iw

@@ -2,6 +2,8 @@
 // checkpointing, and clients resuming against a recovered server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -262,6 +264,69 @@ TEST_F(Checkpoint, BitFlippedCheckpointQuarantined) {
     f.seekp(4);
     f.put(static_cast<char>(0xFF));
   });
+}
+
+TEST_F(Checkpoint, CorruptPointerFieldQuarantined) {
+  // A pointer field's (serial, unit) is stored verbatim in the snapshot,
+  // and serial 0 makes the unit a vardata index: recovery must set aside a
+  // file whose field names no block or no MIP slot, not serve or index it.
+  // Block "r" is {int32 mark; pointer p} with p -> &d[37], d 64 ints.
+  const std::vector<std::pair<uint32_t, uint32_t>> damages = {
+      {0, 37},           // serial flipped to 0: unit 37 is no MIP slot
+      {0x7FFFFFFF, 0},   // a serial the segment never allocated
+      {1, 64}};          // unit past block d
+  for (const auto& [serial, unit] : damages) {
+    SCOPED_TRACE(serial);
+    fs::remove_all(dir_);
+    {
+      server::SegmentServer server(server_options());
+      Client c([&](const std::string&) {
+        return std::make_shared<InProcChannel>(server);
+      });
+      TypeRegistry& t = c.types();
+      const TypeDescriptor* ints =
+          t.array_of(t.primitive(PrimitiveKind::kInt32), 64);
+      const TypeDescriptor* rec = t.struct_builder("rec")
+          .field("mark", t.primitive(PrimitiveKind::kInt32))
+          .field("p", t.pointer_to(ints))
+          .finish();
+      ClientSegment* seg = c.open_segment("host/ptrs");
+      c.write_lock(seg);
+      auto* d = static_cast<int32_t*>(c.malloc_block(seg, ints, "d"));
+      auto* r = static_cast<uint8_t*>(c.malloc_block(seg, rec, "r"));
+      const int32_t mark = 0x5A5A5A5A;
+      std::memcpy(r, &mark, sizeof mark);
+      int32_t* target = d + 37;
+      std::memcpy(r + rec->fields()[1].local_offset, &target, sizeof target);
+      c.write_unlock(seg);
+      server.checkpoint();
+    }
+    const fs::path file = dir_ / "host%2Fptrs.iwseg";
+    std::vector<char> bytes;
+    {
+      std::ifstream in(file, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    // The stored field follows the mark: u32 serial | u32 unit, big-endian.
+    const char kMark[] = {0x5A, 0x5A, 0x5A, 0x5A};
+    auto at = std::search(bytes.begin(), bytes.end(), kMark, kMark + 4);
+    ASSERT_NE(at, bytes.end());
+    ASSERT_EQ(std::search(at + 1, bytes.end(), kMark, kMark + 4), bytes.end());
+    auto* field = reinterpret_cast<uint8_t*>(&*(at + 4));
+    ASSERT_EQ(load_be32(field), 1u);      // block d
+    ASSERT_EQ(load_be32(field + 4), 37u);
+    store_be32(field, serial);
+    store_be32(field + 4, unit);
+    {
+      std::ofstream out(file, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    server::SegmentServer revived(server_options());
+    revived.recover();  // must not throw
+    EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
+    EXPECT_TRUE(fs::exists(dir_ / "host%2Fptrs.iwseg.corrupt"));
+  }
 }
 
 TEST_F(Checkpoint, CorruptCheckpointSkipped) {

@@ -16,6 +16,7 @@
 #include "wire/diff.hpp"
 #include "wire/frame.hpp"
 #include "wire/payload.hpp"
+#include "wire/translate.hpp"
 
 namespace iw {
 namespace {
@@ -280,6 +281,96 @@ TEST(FuzzServer, MalformedVarintsAndRunsAreProtocolErrors) {
   EXPECT_EQ(resp.reader().read_varint32(), 3u);
 }
 
+// Pointer units whose decode must fail with kProtocol, each the whole
+// content of a one-unit run into a block of four pointer units (serial 1).
+const std::vector<std::vector<uint8_t>>& malformed_pointer_units() {
+  static const std::vector<std::vector<uint8_t>> units = {
+      {0x03},              // unknown tag 3
+      {0x04},              // tag 0 with serial bits: not null
+      {0x06},              // tag 2 with serial bits: not cross
+      {0x01, 0x00},        // intra, serial 0
+      {0x25, 0x00},        // intra, serial 9: never allocated
+      {0x05, 0x04},        // intra, block 1 unit 4 of 4
+      {0x05, 0x80},        // intra, truncated unit varint
+      {0x85},              // truncated head varint
+      {0x02, 0x00},        // cross, empty MIP
+      {0x02, 0x05, 'h'},   // cross, truncated MIP
+  };
+  return units;
+}
+
+TEST(FuzzServer, MalformedPointerUnitsAreProtocolErrors) {
+  server::SegmentServer server;
+  InProcChannel ch(server);
+  auto call = [&](MsgType type, const std::function<void(Buffer&)>& build) {
+    Buffer p;
+    build(p);
+    return ch.call(type, std::move(p));
+  };
+  ch.call(MsgType::kHello, hello_payload());
+  call(MsgType::kOpenSegment, [&](Buffer& p) {
+    p.append_varint(1);
+    p.append_vstring("host/pointers");
+    p.append_u8(1);
+  });
+  TypeRegistry reg(Platform::native().rules);
+  const TypeDescriptor* ptrs = reg.array_of(reg.pointer_to(nullptr), 4);
+  Frame t = call(MsgType::kRegisterType, [&](Buffer& p) {
+    p.append_varint(1);
+    TypeCodec::encode_graph(ptrs, p);
+  });
+  const uint32_t type_serial = t.reader().read_varint32();
+  auto release = [&](uint32_t version, std::span<const uint8_t> unit) {
+    call(MsgType::kAcquireWrite, [&](Buffer& p) {
+      p.append_varint(1);
+      p.append_varint(version);
+    });
+    return call(MsgType::kReleaseWrite, [&](Buffer& p) {
+      p.append_varint(1);
+      p.append_u8(payload_method::kRaw);
+      DiffWriter w(p, version, version + 1);
+      if (version == 1) {
+        w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial);
+        w.begin_run(0, 4);
+        for (int i = 0; i < 4; ++i) append_null_pointer(p);
+      } else {
+        w.begin_block(1, 0);
+        w.begin_run(2, 1);
+        p.append(unit);
+      }
+      w.end_block();
+      w.finish();
+    });
+  };
+  release(1, {});
+  for (const auto& unit : malformed_pointer_units()) {
+    try {
+      release(2, unit);
+      ADD_FAILURE() << "accepted pointer unit starting " << int{unit[0]};
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kProtocol) << e.what();
+    }
+  }
+  // None of it landed: a reader fetching from scratch sees four nulls (a
+  // stored unit naming serial 9 would fail its fetch), and a valid pointer
+  // to block 1 unit 3 still lands as v3.
+  {
+    Client reader([&](const std::string&) {
+      return std::make_shared<InProcChannel>(server);
+    });
+    ClientSegment* seg = reader.open_segment("host/pointers", false);
+    reader.read_lock(seg);
+    const auto* blk = seg->heap().find_by_serial(1);
+    ASSERT_NE(blk, nullptr);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(reinterpret_cast<void* const*>(blk->data())[i], nullptr) << i;
+    }
+    reader.read_unlock(seg);
+  }
+  const uint8_t valid[] = {0x05, 0x03};
+  EXPECT_EQ(release(2, valid).reader().read_varint32(), 3u);
+}
+
 /// A server stand-in that answers kHello and kOpenSegment and hands every
 /// kAcquireRead one canned update payload.
 class CannedUpdateChannel final : public ClientChannel {
@@ -334,6 +425,42 @@ TEST(FuzzClient, UpdateWithTypeSerialZeroIsProtocolError) {
     ADD_FAILURE() << "update accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+  }
+}
+
+TEST(FuzzClient, MalformedPointerUnitsAreProtocolErrors) {
+  // The same units, in a from-0 update that creates block 1: the client's
+  // decoder must refuse each before it stores a pointer.
+  TypeRegistry reg(Platform::native().rules);
+  Buffer graph;
+  TypeCodec::encode_graph(reg.array_of(reg.pointer_to(nullptr), 4), graph);
+  for (const auto& unit : malformed_pointer_units()) {
+    Buffer update;
+    update.append_u8(1);      // status: update follows
+    update.append_varint(1);  // n_types
+    update.append_varint(1);  // type serial
+    update.append_vstring({reinterpret_cast<const char*>(graph.data()),
+                           graph.size()});
+    update.append_u8(payload_method::kRaw);
+    DiffWriter w(update, 0, 2);
+    w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, 1);
+    w.begin_run(0, 3);
+    append_null_pointer(update);
+    append_null_pointer(update);
+    update.append(unit.data(), unit.size());
+    w.end_block();
+    w.finish();
+    update.append_u8(0);  // grant
+    Client c([&](const std::string&) {
+      return std::make_shared<CannedUpdateChannel>(std::move(update));
+    });
+    ClientSegment* seg = c.open_segment("host/canned");
+    try {
+      c.read_lock(seg);
+      ADD_FAILURE() << "accepted pointer unit starting " << int{unit[0]};
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kProtocol) << e.what();
+    }
   }
 }
 
@@ -436,7 +563,8 @@ TEST(FuzzCodec, LzRoundTripsEveryInputShape) {
 }
 
 // A populate-shaped commit diff: thousands of new linked records, each a
-// whole-block run of an int, a key, a pointer MIP and a double.
+// whole-block run of an int, a key, a pointer to the next record and a
+// double.
 std::vector<uint8_t> populate_shaped_diff(size_t records) {
   Buffer out;
   DiffWriter writer(out, 1, 2);
@@ -446,7 +574,7 @@ std::vector<uint8_t> populate_shaped_diff(size_t records) {
     Buffer& b = writer.buffer();
     b.append_u32(serial * 37u);
     b.append_u32(serial ^ 0x5a5au);
-    b.append_vstring("host/list#" + std::to_string(serial + 1));
+    append_intra_pointer(b, serial + 1, 0);
     b.append_f64(serial * 0.25);
     writer.end_block();
   }
@@ -491,7 +619,7 @@ TEST(FuzzCodec, LzEncoderOutputIsPinned) {
     uint32_t crc;
   };
   const Pin want[] = {
-      {true, 150989, 2376875092u},
+      {true, 129355, 2994539333u},
       {true, 9346, 1348978478u},
       {true, 519, 1620241795u},
       {true, 18266, 103440912u},

@@ -291,6 +291,130 @@ TEST_F(Hetero, CrossSegmentPointerBetweenPlatforms) {
   big->read_unlock(tgt_b);
 }
 
+TEST_F(Hetero, EveryPointerFormRoundTrips) {
+  // A native writer stores one pointer of each wire form into a five-slot
+  // block; sparc32 (4-byte big-endian tokens) and native readers must each
+  // resolve every slot to their own copy of the target unit.
+  auto writer = make_client(Platform::native());
+  TypeRegistry& wt = writer->types();
+  const TypeDescriptor* ints = wt.array_of(wt.primitive(PrimitiveKind::kInt32), 8);
+  const TypeDescriptor* slots = wt.array_of(wt.pointer_to(ints), 5);
+
+  ClientSegment* other = writer->open_segment("host/hetptr-other");
+  writer->write_lock(other);
+  auto* far = static_cast<int32_t*>(writer->malloc_block(other, ints, "far"));
+  writer->write_unlock(other);
+
+  ClientSegment* seg = writer->open_segment("host/hetptr");
+  writer->write_lock(seg);
+  auto* holder = static_cast<void**>(writer->malloc_block(seg, slots, "holder"));
+  auto* plain = static_cast<int32_t*>(writer->malloc_block(seg, ints));
+  auto* named = static_cast<int32_t*>(writer->malloc_block(seg, ints, "named"));
+  holder[0] = nullptr;
+  holder[1] = plain + 5;  // intra-segment, unnamed block
+  holder[2] = named + 3;  // intra-segment, named block: still by serial
+  holder[4] = far + 6;    // cross-segment
+  writer->write_unlock(seg);
+
+  // Each slot's target as (segment, block serial, unit) and as the MIP
+  // the API names it by; unit -1 = null.
+  struct Target {
+    const char* url;
+    uint32_t serial;
+    int64_t unit;
+    const char* mip;
+  };
+  std::vector<Target> want = {{"", 0, -1, ""},
+                              {"host/hetptr", 2, 5, "host/hetptr#2#5"},
+                              {"host/hetptr", 3, 3, "host/hetptr#named#3"},
+                              {"", 0, -1, ""},
+                              {"host/hetptr-other", 1, 6,
+                               "host/hetptr-other#far#6"}};
+  auto check = [&](Client& reader, const std::string& stage) {
+    ClientSegment* rs = reader.open_segment("host/hetptr");
+    reader.read_lock(rs);
+    const client::BlockHeader* blk = rs->heap().find_by_name("holder");
+    ASSERT_NE(blk, nullptr);
+    View view(reader, const_cast<uint8_t*>(blk->data()), blk->type);
+    for (size_t i = 0; i < want.size(); ++i) {
+      void* got = view.get_ptr(i);
+      const std::string where = reader.options().platform.name + " " +
+                                stage + " slot " + std::to_string(i);
+      if (want[i].unit < 0) {
+        EXPECT_EQ(got, nullptr) << where;
+        continue;
+      }
+      ClientSegment* ts = reader.open_segment(want[i].url, false);
+      const client::BlockHeader* target =
+          ts->heap().find_by_serial(want[i].serial);
+      ASSERT_NE(target, nullptr) << where;
+      EXPECT_EQ(got, target->data() +
+                         target->type->locate_prim(want[i].unit).local_offset)
+          << where;
+      EXPECT_EQ(reader.ptr_to_mip(got), want[i].mip) << where;
+    }
+    reader.read_unlock(rs);
+  };
+  auto sparc = make_client(Platform::sparc32());
+  auto native = make_client(Platform::native());
+  check(*sparc, "first fetch");
+  check(*native, "first fetch");
+
+  // Slot 3 points into a block created by the same commit; readers that
+  // hold the previous version apply it as an incremental diff.
+  writer->write_lock(seg);
+  auto* fresh = static_cast<int32_t*>(writer->malloc_block(seg, ints));
+  holder[3] = fresh + 7;
+  writer->write_unlock(seg);
+  want[3] = {"host/hetptr", 4, 7, "host/hetptr#4#7"};
+  check(*sparc, "update");
+  check(*native, "update");
+  // A reader that first fetches now gets both commits in one diff.
+  auto late = make_client(Platform::sparc32());
+  check(*late, "late fetch");
+}
+
+TEST_F(Hetero, TokenIntoFreedBlockReadsAsDangling) {
+  // The writer frees a block that an unchanged pointer still names. A
+  // sparc32 reader's token for that pointer must read as dangling once the
+  // free arrives, not as whatever reuses the memory.
+  auto writer = make_client(Platform::native());
+  TypeRegistry& wt = writer->types();
+  const TypeDescriptor* ints = wt.array_of(wt.primitive(PrimitiveKind::kInt32), 4);
+  const TypeDescriptor* ref = wt.pointer_to(ints);
+  ClientSegment* seg = writer->open_segment("host/hetdangle");
+  writer->write_lock(seg);
+  auto** holder = static_cast<void**>(writer->malloc_block(seg, ref, "ref"));
+  void* target = writer->malloc_block(seg, ints, "target");
+  *holder = static_cast<int32_t*>(target) + 2;
+  writer->write_unlock(seg);
+
+  auto sparc = make_client(Platform::sparc32());
+  ClientSegment* rs = sparc->open_segment("host/hetdangle");
+  sparc->read_lock(rs);
+  const client::BlockHeader* blk = rs->heap().find_by_name("ref");
+  const client::BlockHeader* tgt = rs->heap().find_by_name("target");
+  ASSERT_NE(blk, nullptr);
+  ASSERT_NE(tgt, nullptr);
+  EXPECT_EQ(sparc->read_pointer_field(blk->data()),
+            tgt->data() + tgt->type->locate_prim(2).local_offset);
+  sparc->read_unlock(rs);
+
+  writer->write_lock(seg);
+  writer->free_block(seg, target);
+  writer->write_unlock(seg);
+
+  sparc->read_lock(rs);
+  EXPECT_EQ(rs->heap().find_by_name("target"), nullptr);
+  try {
+    sparc->read_pointer_field(blk->data());
+    ADD_FAILURE() << "dangling token resolved";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNotFound);
+  }
+  sparc->read_unlock(rs);
+}
+
 TEST_F(Hetero, IsoFastPathNeverEngagesAcrossMismatchedLayouts) {
   // A little-endian client's local layout can never be byte-identical to
   // the big-endian wire, so the plan's whole-block memcpy path must never

@@ -410,14 +410,16 @@ TEST_F(Protocol, TruncatedHelloIsProtocolError) {
 }
 
 TEST_F(Protocol, HelloWithProtocolVersionOneIsRefused) {
-  // Version 1 named segments by URL in every frame; its frames cannot be
-  // read as version 2 ones.
-  InProcChannel ch(server_);
-  EXPECT_EQ(call_expect_error(ch, MsgType::kHello, [](Buffer& p) {
-    p.append_u8(1);
-    p.append_varint(7);
-    p.append_varint(1);
-  }), ErrorCode::kProtocol);
+  // Version 1 named segments by URL in every frame, and version 2 sent
+  // pointers as MIP strings; neither one's frames read as version 3 ones.
+  for (uint8_t version : {1, 2}) {
+    InProcChannel ch(server_);
+    EXPECT_EQ(call_expect_error(ch, MsgType::kHello, [&](Buffer& p) {
+      p.append_u8(version);
+      p.append_varint(7);
+      p.append_varint(1);
+    }), ErrorCode::kProtocol);
+  }
 }
 
 TEST_F(Protocol, UnboundHandleIsProtocolError) {

@@ -306,41 +306,146 @@ TEST(SegmentStore, MalformedDiffsRejected) {
   EXPECT_THROW(store.apply_diff(out2.span()), Error);
 }
 
-TEST(SegmentStore, StringsAndPointersStoredOutOfLine) {
+TEST(SegmentStore, StringsOutOfLineAndPointersInline) {
   SegmentStore store("s", {});
   TypeRegistry scratch(Platform::native().rules);
   const TypeDescriptor* rec = scratch.struct_builder("rec")
       .field("name", scratch.string_type(16))
       .field("next", scratch.pointer_to(nullptr))
+      .field("self", scratch.pointer_to(nullptr))
+      .field("none", scratch.pointer_to(nullptr))
       .finish();
   Buffer graph;
   TypeCodec::encode_graph(rec, graph);
   uint32_t t = store.register_type(graph.span());
 
+  // Golden run bytes: a string unit, then the three pointer-unit forms.
+  const std::vector<uint8_t> units = {
+      0x05, 'h', 'e', 'l', 'l', 'o',                 // vs "hello"
+      0x02, 0x0e, 'h', 'o', 's', 't', '/', 'o', 't',  // cross: v 2, vs mip
+      'h', 'e', 'r', '#', '1', '#', '0',
+      0x05, 0x03,                                    // intra: serial 1, unit 3
+      0x00};                                         // null
   Buffer out;
   DiffWriter w(out, 1, 2);
   w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, t, "");
-  w.begin_run(0, 2);
-  out.append_vstring("hello");            // string unit
-  out.append_vstring("host/other#1#0");   // MIP unit
+  w.begin_run(0, 4);
+  out.append(units.data(), units.size());
   w.end_block();
   w.finish();
   store.apply_diff(out.span());
 
+  // The string and the cross-segment MIP live out of line; the string's
+  // slot comes first, and the MIP takes the slot of its pointer field.
   const SvrBlock* blk = store.find_block(1);
   ASSERT_EQ(blk->vardata.size(), 2u);
   EXPECT_EQ(blk->vardata[0], "hello");
   EXPECT_EQ(blk->vardata[1], "host/other#1#0");
+  // Pointer fields are inline u32 serial | u32 unit after the 4-byte
+  // string slot id: cross names vardata slot 1 (unit 2), intra block 1
+  // unit 3, null all zero.
+  ASSERT_EQ(blk->data.size(), 4u + 3 * LayoutRules::kPackedPointerBytes);
+  const std::vector<uint8_t> fields(blk->data.begin() + 4, blk->data.end());
+  EXPECT_EQ(fields, (std::vector<uint8_t>{0, 0, 0, 0, 0, 0, 0, 2,  //
+                                          0, 0, 0, 1, 0, 0, 0, 3,  //
+                                          0, 0, 0, 0, 0, 0, 0, 0}));
 
-  // Collecting re-emits identical variable data.
+  // Collecting re-emits the committed unit bytes exactly.
   auto diff = store.collect_diff(0);
   BufReader in(diff->data(), diff->size());
   DiffReader r(in);
   DiffEntry e;
   ASSERT_TRUE(r.next(&e));
   e.read_run();
-  EXPECT_EQ(e.runs.read_vstring(), "hello");
-  EXPECT_EQ(e.runs.read_vstring(), "host/other#1#0");
+  auto back = e.runs.read_bytes(e.runs.remaining());
+  EXPECT_EQ(std::vector<uint8_t>(back.begin(), back.end()), units);
+}
+
+TEST(SegmentStore, PointerTargetsAreChecked) {
+  // Blocks of two pointer units each.
+  TypeRegistry scratch(Platform::native().rules);
+  Buffer graph;
+  TypeCodec::encode_graph(
+      scratch.array_of(scratch.pointer_to(nullptr), 2), graph);
+  // Each malformed commit creates block 1 with `units` on a fresh store.
+  auto code_of = [&](std::vector<uint8_t> units) {
+    SegmentStore store("s", {});
+    uint32_t t = store.register_type(graph.span());
+    Buffer out;
+    DiffWriter w(out, 1, 2);
+    w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, t, "");
+    w.begin_run(0, 2);
+    out.append(units.data(), units.size());
+    w.end_block();
+    w.finish();
+    try {
+      store.apply_diff(out.span());
+    } catch (const Error& e) {
+      EXPECT_EQ(store.version(), 1u);
+      return e.code();
+    }
+    return ErrorCode::kInternal;
+  };
+  // Serial 5 was never allocated; block 1 has two units, not four; head 6
+  // is an unknown tag.
+  EXPECT_EQ(code_of({0x15, 0x00, 0x00}), ErrorCode::kProtocol);
+  EXPECT_EQ(code_of({0x05, 0x04, 0x00}), ErrorCode::kProtocol);
+  EXPECT_EQ(code_of({0x06, 0x00, 0x00}), ErrorCode::kProtocol);
+
+  {
+    // A pointer past a block the same diff creates later is refused before
+    // it is stored, and that block's serial then counts as allocated.
+    SegmentStore store("s", {});
+    uint32_t t = store.register_type(graph.span());
+    Buffer out;
+    DiffWriter w(out, 1, 2);
+    w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, t, "");
+    w.begin_run(0, 2);
+    append_intra_pointer(out, 2, 0);
+    append_intra_pointer(out, 2, 2);
+    w.end_block();
+    w.begin_block(2, diff_flags::kNew | diff_flags::kWhole, t, "");
+    w.begin_run(0, 2);
+    append_null_pointer(out);
+    append_null_pointer(out);
+    w.end_block();
+    w.finish();
+    EXPECT_THROW(store.apply_diff(out.span()), Error);
+    EXPECT_EQ(store.version(), 1u);
+    EXPECT_EQ(store.next_block_serial(), 3u);
+    const SvrBlock* b1 = store.find_block(1);
+    ASSERT_NE(b1, nullptr);  // blocks before the bad unit keep their bytes
+    EXPECT_EQ(std::vector<uint8_t>(b1->data.begin() + 8, b1->data.end()),
+              std::vector<uint8_t>(8, 0));
+  }
+
+  SegmentStore store("s", {});
+  uint32_t t = store.register_type(graph.span());
+  // A pointer may name a block created later in the same diff.
+  Buffer out;
+  DiffWriter w(out, 1, 2);
+  w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, t, "");
+  w.begin_run(0, 2);
+  append_intra_pointer(out, 2, 1);
+  append_null_pointer(out);
+  w.end_block();
+  w.begin_block(2, diff_flags::kNew | diff_flags::kWhole, t, "");
+  w.begin_run(0, 1);
+  append_intra_pointer(out, 1, 0);
+  w.end_block();
+  w.finish();
+  EXPECT_EQ(store.apply_diff(out.span()), 2u);
+  // Freeing block 2 leaves block 1's pointer dangling; the segment still
+  // accepts pointers to the freed serial (a later diff may resend them).
+  Buffer free_diff;
+  DiffWriter fw(free_diff, 2, 3);
+  fw.add_free(2);
+  fw.begin_block(1, 0);
+  fw.begin_run(1, 1);
+  append_intra_pointer(free_diff, 2, 0);
+  fw.end_block();
+  fw.finish();
+  EXPECT_EQ(store.apply_diff(free_diff.span()), 3u);
 }
 
 TEST(SegmentStore, SerializeDeserializeRoundTrip) {

@@ -7,6 +7,8 @@
 #include <fstream>
 
 #include "interweave/interweave.hpp"
+#include "server/wal.hpp"
+#include "util/endian.hpp"
 
 namespace iw {
 namespace {
@@ -169,6 +171,30 @@ TEST(Iwinspect, DumpsJournalAndCheckpointChain) {
   EXPECT_NE(code, 0);
   EXPECT_NE(missing_out.find("no such journal"), std::string::npos)
       << missing_out;
+  fs::remove_all(dir);
+}
+
+TEST(Iwinspect, NamesEpochAdoptRecords) {
+  fs::path dir = fs::temp_directory_path() / "iw-tools-epoch";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "seg.iwlog").string();
+  {
+    server::WriteAheadLog wal(path, {});
+    Buffer name;
+    name.append_lp_string("tool/epoch");
+    wal.append(server::WalRecordType::kSegmentCreate, name.span());
+    uint8_t epoch[4];
+    store_be32(epoch, 7);
+    wal.append(server::WalRecordType::kEpochAdopt, {epoch, sizeof epoch});
+  }
+  int code = 0;
+  std::string out = run_command(
+      std::string(IWINSPECT_PATH) + " --wal " + path, &code);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("epoch-adopt"), std::string::npos) << out;
+  EXPECT_NE(out.find(" e7 "), std::string::npos) << out;
+  EXPECT_EQ(out.find("?"), std::string::npos) << out;
   fs::remove_all(dir);
 }
 

@@ -210,5 +210,26 @@ TEST(Buffer, TakeMovesStorage) {
   EXPECT_EQ(v.size(), 7u);
 }
 
+TEST(Buffer, MovedFromBufferIsEmptyAndReusable) {
+  Buffer a;
+  a.append_u32(0x01020304);
+  Buffer b(std::move(a));
+  EXPECT_EQ(b.size(), 4u);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  a.append_u8(9);           // must grow, not write past empty storage
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.data()[0], 9);
+
+  Buffer c;
+  c.append_u64(7);
+  c = std::move(b);
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(load_be32(c.data()), 0x01020304u);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  b.append_u16(0x0506);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(load_be16(b.data()), 0x0506u);
+}
+
 }  // namespace
 }  // namespace iw

@@ -253,9 +253,51 @@ TEST_F(WalLog, FormatOneCheckpointChainIsRefused) {
   EXPECT_EQ(error_code_of([&] { server::scan_chain(chain); }),
             ErrorCode::kUnimplemented);
   // The current format scans.
-  write_versioned_file(chain, 0x49574943, 2);
+  write_versioned_file(chain, 0x49574943, 3);
   server::ChainScan scan = server::scan_chain(chain);
   EXPECT_FALSE(scan.torn);
+}
+
+TEST_F(WalLog, FormatTwoFilesAreRefused) {
+  // Format 2 journals, chains and snapshots carry pointers as MIP strings;
+  // this build reads tagged pointer units (journals and chains, format 3)
+  // and inline (serial, unit) fields (snapshots, "IWS3"). Each old file
+  // is refused whole, never misparsed, quarantined or discarded.
+  auto recover_code = [&](const fs::path& dir) {
+    SegmentServer::Options o;
+    o.checkpoint_dir = dir.string();
+    SegmentServer server(o);
+    return error_code_of([&] { server.recover(); });
+  };
+  write_versioned_file(log_path(), 0x4957414C /* "IWAL" */, 2);
+  EXPECT_EQ(error_code_of([&] { WriteAheadLog::replay(log_path()); }),
+            ErrorCode::kUnimplemented);
+  EXPECT_EQ(recover_code(dir_), ErrorCode::kUnimplemented);
+  EXPECT_TRUE(fs::exists(log_path()));
+  fs::remove(log_path());
+
+  const std::string chain = (dir_ / "seg.iwinc").string();
+  write_versioned_file(chain, 0x49574943 /* "IWIC" */, 2);
+  EXPECT_EQ(error_code_of([&] { server::scan_chain(chain); }),
+            ErrorCode::kUnimplemented);
+  fs::remove(chain);
+
+  // A format 2 snapshot: the bare "IWSE" magic, then the segment name.
+  const fs::path snapshot = dir_ / "seg.iwseg";
+  {
+    Buffer bytes;
+    bytes.append_u32(0x49575345);
+    bytes.append_lp_string("seg");
+    std::ofstream f(snapshot, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_EQ(recover_code(dir_), ErrorCode::kUnimplemented);
+  EXPECT_TRUE(fs::exists(snapshot));
+  // So is a snapshot of a later format ("IWS4").
+  write_versioned_file(snapshot.string(), 0x49575334, 0);
+  EXPECT_EQ(recover_code(dir_), ErrorCode::kUnimplemented);
+  EXPECT_TRUE(fs::exists(snapshot));
 }
 
 TEST_F(WalLog, TruncateAfterCheckpointDiscardsRecords) {

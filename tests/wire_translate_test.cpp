@@ -1,6 +1,6 @@
 // Translation tests: local <-> wire round trips across platforms, pointer
 // and string hooks, padding preservation, and measure_units accounting.
-#include "wire/translate.hpp"
+#include "translate_legacy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,24 +12,50 @@
 namespace iw {
 namespace {
 
-/// Fake swizzler: pointers are 64-bit tokens mapped to/from "mip:<n>".
+/// Test pointer representation: a pointer field holds an integer token. On
+/// the wire 0 is null, an even token an intra-segment pointer (serial
+/// token / 2, unit 3) and an odd one a cross-segment MIP "mip:<token>", so
+/// every round trip crosses all three pointer-unit forms.
+void append_token(Buffer& out, uint64_t token) {
+  if (token == 0) {
+    append_null_pointer(out);
+  } else if (token % 2 == 0) {
+    append_intra_pointer(out, static_cast<uint32_t>(token / 2), 3);
+  } else {
+    append_cross_pointer_tag(out);
+    out.append_vstring("mip:" + std::to_string(token));
+  }
+}
+
+uint64_t read_token(BufReader& in) {
+  PointerUnit p = read_pointer_unit(in);
+  switch (p.tag) {
+    case PointerTag::kNull:
+      return 0;
+    case PointerTag::kIntra:
+      EXPECT_EQ(p.unit, 3u);
+      return uint64_t{p.serial} * 2;
+    case PointerTag::kCross:
+      return std::stoull(std::string(p.mip.substr(4)));
+  }
+  return 0;
+}
+
+/// Fake swizzler over integer tokens (see append_token).
 class FakeHooks : public InlineStringHooks {
  public:
   explicit FakeHooks(const LayoutRules& rules) : rules_(rules) {}
 
-  std::string swizzle_out(const void* field) override {
+  void swizzle_out(const void* field, Buffer& out) override {
     uint64_t token = 0;
     std::memcpy(&token, field, rules_.size[static_cast<int>(PrimitiveKind::kPointer)]);
     ++swizzles_out;
-    return token == 0 ? "" : "mip:" + std::to_string(token);
+    append_token(out, token);
   }
 
-  void swizzle_in(std::string_view mip, void* field) override {
+  void swizzle_in(BufReader& in, void* field) override {
     ++swizzles_in;
-    uint64_t token = 0;
-    if (!mip.empty()) {
-      token = std::stoull(std::string(mip.substr(4)));
-    }
+    uint64_t token = read_token(in);
     std::memcpy(field, &token, rules_.size[static_cast<int>(PrimitiveKind::kPointer)]);
   }
 
@@ -166,7 +192,7 @@ TEST(Translate, NullPointerIsEmptyMip) {
   FakeHooks hooks(reg.rules());
   Buffer wire;
   encode_units(*ptr, reg.rules(), &local, 0, 1, hooks, wire);
-  EXPECT_EQ(wire.size(), 1u);  // "" = a one-byte zero length only
+  EXPECT_EQ(wire.size(), 1u);  // null is the single byte 0
 
   uint64_t back = 123;
   BufReader r(wire.span());
@@ -175,8 +201,8 @@ TEST(Translate, NullPointerIsEmptyMip) {
 }
 
 TEST(Translate, PointerWidthConversion32to64) {
-  // A sparc32 client stores 4-byte pointer tokens; wire MIPs re-expand to
-  // 8-byte tokens on native.
+  // A sparc32 client stores 4-byte pointer tokens; wire pointer units
+  // re-expand to 8-byte tokens on native.
   TypeRegistry p32(Platform::sparc32().rules);
   TypeRegistry p64(Platform::native().rules);
   const TypeDescriptor* t32 = p32.pointer_to(nullptr);
@@ -426,14 +452,13 @@ class MapHooks : public TranslationHooks {
  public:
   explicit MapHooks(const LayoutRules& rules) : rules_(rules) {}
 
-  std::string swizzle_out(const void* field) override {
+  void swizzle_out(const void* field, Buffer& out) override {
     uint64_t token = 0;
     std::memcpy(&token, field, ptr_size());
-    return token == 0 ? "" : "mip:" + std::to_string(token);
+    append_token(out, token);
   }
-  void swizzle_in(std::string_view mip, void* field) override {
-    uint64_t token = 0;
-    if (!mip.empty()) token = std::stoull(std::string(mip.substr(4)));
+  void swizzle_in(BufReader& in, void* field) override {
+    uint64_t token = read_token(in);
     std::memcpy(field, &token, ptr_size());
   }
   std::string_view read_string(const void* field, uint32_t) override {

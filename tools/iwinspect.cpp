@@ -132,6 +132,7 @@ const char* wal_type_name(iw::server::WalRecordType type) {
     case iw::server::WalRecordType::kRegisterType: return "register-type";
     case iw::server::WalRecordType::kCommit: return "commit";
     case iw::server::WalRecordType::kSegmentDestroy: return "segment-destroy";
+    case iw::server::WalRecordType::kEpochAdopt: return "epoch-adopt";
   }
   return "?";
 }
@@ -155,6 +156,10 @@ int dump_wal(const std::string& path) {
         rec.payload.size() >= 4) {
       iw::BufReader r(rec.payload.data(), rec.payload.size());
       std::printf(" v%-6u", r.read_u32());
+    } else if (rec.type == iw::server::WalRecordType::kEpochAdopt &&
+               rec.payload.size() >= 4) {
+      iw::BufReader r(rec.payload.data(), rec.payload.size());
+      std::printf(" e%-6u", r.read_u32());
     } else {
       std::printf("        ");
     }
