@@ -8,9 +8,12 @@
 # sync backfill share one decoder of on-disk tail bytes), and the
 # heterogeneity suite (pointer units swizzled through block-relative
 # tokens: offset arithmetic on 4-byte fields of a 64-bit process),
-# then the fault/lease/chaos suites under UBSan and TSan — the chaos
-# workload's reconnect/lease interleavings are exactly what -fsanitize=thread
-# is good at catching — plus the reactor transport suite (partial frames,
+# then the lock protocol's model check under UBSan (LockTable's lease and
+# revoke-deadline arithmetic on the times each event is handed, across
+# every interleaving of three sessions), and the fault/lease/chaos suites
+# under UBSan and TSan — the chaos workload's reconnect/lease
+# interleavings are exactly what -fsanitize=thread is good at catching —
+# plus the reactor transport suite (partial frames,
 # server-side response coalescing, backpressure, worker-pool elasticity)
 # and the TCP client channel suite (concurrent callers share one send
 # mutex and a sticky send error, with no client-side coalescing; its
@@ -55,7 +58,7 @@ cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
-echo "== differential translation + fault/lease/chaos tests under UBSan =="
+echo "== differential translation + lock model + fault/lease/chaos tests under UBSan =="
 cmake -B "$UBSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=undefined
 cmake --build "$UBSAN_BUILD" -j "$JOBS" \
@@ -63,13 +66,13 @@ cmake --build "$UBSAN_BUILD" -j "$JOBS" \
       server_store_test compress_interop_test checkpoint_test hetero_test \
       fault_test \
       lease_test chaos_test reactor_test net_tcp_test lock_cache_test \
-      replication_chaos_test
+      lock_table_test replication_chaos_test
 for t in wire_translate_test wire_diff_test fuzz_protocol_test \
          server_store_test compress_interop_test checkpoint_test hetero_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/"$t"
 done
-for t in fault_test lease_test chaos_test reactor_test net_tcp_test \
-         lock_cache_test replication_chaos_test; do
+for t in lock_table_test fault_test lease_test chaos_test reactor_test \
+         net_tcp_test lock_cache_test replication_chaos_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/"$t"
 done
 echo "== replicated failover over real sockets under UBSan =="

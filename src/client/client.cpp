@@ -162,31 +162,21 @@ void Client::handle_revoke(const std::string& url, uint32_t gen,
   bool ack_now = false;
   {
     std::lock_guard cl(lock_cache_mu_);
-    ++revoke_seq_[url];
+    // No entry: the segment is closed, and its close dropped the
+    // server-side state the revoke was about. An ack for a lock we no
+    // longer hold is harmless: the server ignores acks whose generation
+    // doesn't match a pending revocation. The channel is pinned only when
+    // the ack is queued, so no reference taken here can die on this (the
+    // channel's own receiver) thread; a stopped worker sends nothing, so
+    // the client's teardown queues nothing either.
     auto it = lock_cache_.find(url);
-    if (it == lock_cache_.end() || it->second.active == 0) {
-      // Idle (or nothing cached — a duplicate or raced revoke): release
-      // immediately. An ack for a lock we no longer hold is harmless; the
-      // server ignores acks whose generation doesn't match a pending
-      // revocation.
-      lock_cache_.erase(url);
-      // No handle: the segment is closed, and its close dropped the
-      // server-side state the revoke was about. The channel is pinned
-      // only when the ack is queued, so no reference taken here can die
-      // on this (the channel's own receiver) thread; a stopped worker
-      // sends nothing, so the client's teardown queues nothing either.
-      auto h = handle_by_url_.find(url);
-      if (h != handle_by_url_.end() && !revoke_ack_stop_) {
-        if (std::shared_ptr<ClientChannel> strong = ch.lock()) {
-          revoke_ack_queue_.push_back({h->second, gen, std::move(strong)});
-          ack_now = true;
-        }
+    if (it != lock_cache_.end() && it->second.revoke(gen) &&
+        !revoke_ack_stop_) {
+      if (std::shared_ptr<ClientChannel> strong = ch.lock()) {
+        revoke_ack_queue_.push_back(
+            {it->second.handle, gen, std::move(strong)});
+        ack_now = true;
       }
-    } else {
-      // Readers are inside the critical section: defer the release (and
-      // the ack) to the last reader's unlock.
-      it->second.revoked = true;
-      it->second.revoke_gen = gen;
     }
   }
   if (ack_now) revoke_ack_cv_.notify_one();
@@ -222,7 +212,8 @@ void Client::revoke_ack_loop() {
 
 void Client::forget_cached_lock(const std::string& url) {
   std::lock_guard cl(lock_cache_mu_);
-  lock_cache_.erase(url);
+  auto it = lock_cache_.find(url);
+  if (it != lock_cache_.end()) it->second.forget();
 }
 
 // ---------------------------------------------------------------- segments
@@ -302,7 +293,7 @@ ClientSegment* Client::add_segment_locked(
   segments_.emplace(url, std::move(seg));
   note_version(url, server_version);
   std::lock_guard cl(lock_cache_mu_);
-  handle_by_url_[url] = handle;
+  lock_cache_[url] = ReadLockCache{handle};
   return raw;
 }
 
@@ -333,7 +324,6 @@ void Client::close_segment(ClientSegment* segment) {
   {
     std::lock_guard cl(lock_cache_mu_);
     lock_cache_.erase(segment->url_);
-    handle_by_url_.erase(segment->url_);
   }
   // The heap destructor unregisters every subsegment and unmaps its pages.
   segments_.erase(segment->url_);
@@ -477,10 +467,9 @@ void Client::swizzle_in_locked(ClientSegment* seg, BufReader& in,
       if (block == nullptr || block->serial != p.serial ||
           block->subseg->segment != seg) {
         block = seg->heap_.find_by_serial(p.serial);
-        if (block == nullptr) {
-          throw Error(ErrorCode::kProtocol, "pointer to unknown block " +
-                                                std::to_string(p.serial));
-        }
+        // The server keeps a pointer whose target was freed since; a
+        // reader with no such block reads it as null.
+        if (block == nullptr) return write_pointer_field(field, nullptr);
         mip_cache_block_ = block;
       }
       if (p.unit >= block->type->prim_units()) {
@@ -775,9 +764,7 @@ void Client::read_lock(ClientSegment* seg) {
     // Sub-let: another local thread enters under the lock (cached or live)
     // the first one brought in — no server involvement.
     std::lock_guard cl(lock_cache_mu_);
-    auto it = lock_cache_.find(seg->url_);
-    if (it != lock_cache_.end() && it->second.active > 0) {
-      ++it->second.active;
+    if (lock_cache_[seg->url_].sublet()) {
       cache_counters_.sublet_grants.fetch_add(1, std::memory_order_relaxed);
     }
     return;
@@ -786,16 +773,15 @@ void Client::read_lock(ClientSegment* seg) {
   uint64_t revokes_before = 0;
   {
     std::lock_guard cl(lock_cache_mu_);
-    revokes_before = revoke_seq_[seg->url_];
-    auto it = lock_cache_.find(seg->url_);
+    ReadLockCache& cache = lock_cache_[seg->url_];
+    revokes_before = cache.revokes;
     // A cached, unrevoked lock makes the repeat acquire free. Under Full
     // coherence the cached data is provably current — a committing writer
     // would have had to revoke us first — so the coherence predicate is
     // implied; other models still consult read_needs_server_locked.
-    if (it != lock_cache_.end() && it->second.cached && !it->second.revoked &&
-        (seg->policy_.model == CoherenceModel::kFull ||
-         !read_needs_server_locked(seg))) {
-      ++it->second.active;
+    if ((seg->policy_.model == CoherenceModel::kFull ||
+         !read_needs_server_locked(seg)) &&
+        cache.hit()) {
       cache_counters_.lock_cache_hits.fetch_add(1, std::memory_order_relaxed);
       ++stats_.read_lock_local_hits;
       ++seg->read_locks_;
@@ -822,14 +808,7 @@ void Client::read_lock(ClientSegment* seg) {
   const bool granted = r.read_u8() != 0;
   {
     std::lock_guard cl(lock_cache_mu_);
-    // A revoke received while the RPC was in flight may have retired this
-    // very grant (it was acked at once, with no entry to defer on): a
-    // cached copy would then serve reads no writer ever revokes.
-    if (granted && revoke_seq_[seg->url_] == revokes_before) {
-      lock_cache_[seg->url_] = LockCacheEntry{true, false, 1};
-    } else {
-      lock_cache_.erase(seg->url_);
-    }
+    lock_cache_[seg->url_].answered(granted, revokes_before);
   }
   seg->needs_revalidation_ = false;
   seg->last_update_ns_ = monotonic_ns();
@@ -846,16 +825,12 @@ void Client::read_unlock(ClientSegment* seg) {
   bool ack = false;
   {
     std::lock_guard cl(lock_cache_mu_);
-    auto it = lock_cache_.find(seg->url_);
-    if (it == lock_cache_.end()) return;
-    if (it->second.active > 0) --it->second.active;
-    if (it->second.revoked && it->second.active == 0) {
-      // Deferred revoke: the last local reader just left the critical
-      // section, so honour it now (the worker sends the ack — the waiting
-      // writer is unblocked by it, not by this thread).
-      uint32_t gen = it->second.revoke_gen;
-      lock_cache_.erase(it);
-      revoke_ack_queue_.push_back({seg->handle_, gen, seg->channel_});
+    ReadLockCache& cache = lock_cache_[seg->url_];
+    // The last reader out honours a deferred revoke (the worker sends the
+    // ack: the waiting writer is unblocked by it, not by this thread).
+    if (cache.leave()) {
+      revoke_ack_queue_.push_back(
+          {cache.handle, cache.revoke_gen, seg->channel_});
       ack = true;
     }
   }
@@ -871,6 +846,9 @@ void Client::write_lock(ClientSegment* seg) {
     throw Error(ErrorCode::kState, "read-to-write upgrade is not supported");
   }
   revalidate_if_reconnected_locked(seg);
+  // The server surrenders our cached read lock when the acquire arrives,
+  // however the acquire ends, so the local mirror goes first.
+  forget_cached_lock(seg->url_);
   Buffer payload;
   payload.append_varint(seg->handle_);
   payload.append_varint(seg->version_);
@@ -899,9 +877,6 @@ void Client::write_lock(ClientSegment* seg) {
   seg->write_locked_ = true;
   seg->new_blocks_.clear();
   seg->freed_serials_.clear();
-  // The write lock subsumes our cached read lock server-side; the cache
-  // registration is gone, so the local mirror must go too.
-  forget_cached_lock(seg->url_);
   begin_tracking_locked(seg);
 }
 

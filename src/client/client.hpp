@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "client/heap.hpp"
+#include "client/lock_cache.hpp"
 #include "client/reconnect.hpp"
 #include "client/tracking.hpp"
 #include "net/transport.hpp"
@@ -364,26 +365,11 @@ class Client {
   mutable std::mutex notify_mu_;
   std::unordered_map<std::string, uint32_t> latest_versions_;
 
-  /// One cached reader lock per segment URL.
-  struct LockCacheEntry {
-    bool cached = false;   ///< server granted and has not revoked/expired
-    bool revoked = false;  ///< revoke received while readers are inside
-    int active = 0;        ///< local readers currently inside under it
-    uint32_t revoke_gen = 0;  ///< generation of the deferred revoke, echoed
-                              ///< in the ack sent at critical-section exit
-  };
   /// Leaf lock (after mu_ in the ordering; notify handlers take it alone).
   mutable std::mutex lock_cache_mu_;
-  std::unordered_map<std::string, LockCacheEntry> lock_cache_;
-  /// kRevokeRead notifications received per URL (guarded by
-  /// lock_cache_mu_). read_lock compares it across its acquire RPC: a
-  /// revoke that lands while the RPC is in flight finds no cache entry and
-  /// is acked at once, so the grant in the response may already be retired
-  /// server-side and must not be cached.
-  std::unordered_map<std::string, uint64_t> revoke_seq_;
-  /// Handles of the open segments by URL (guarded by lock_cache_mu_): a
-  /// kRevokeRead names its segment, and the ack names it by handle.
-  std::unordered_map<std::string, uint32_t> handle_by_url_;
+  /// One cached reader lock per open segment, by URL: a kRevokeRead names
+  /// its segment by URL, and the ack names it by handle.
+  std::unordered_map<std::string, ReadLockCache> lock_cache_;
   struct CacheCounters {
     IW_COUNTER_ATOMICS(IW_CLIENT_LOCK_CACHE_COUNTERS)
     void reset() noexcept { IW_CLIENT_LOCK_CACHE_COUNTERS(IW_COUNTER_CLEAR) }

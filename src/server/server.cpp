@@ -146,17 +146,13 @@ void SegmentServer::on_disconnect(SessionId session) {
   {
     std::shared_lock dir(dir_mu_);
     for (auto& [name, entry] : segments_) {
-      std::lock_guard el(entry->mu);
-      if (entry->writer == session) {
+      std::unique_lock el(entry->mu);
+      if (entry->locks.writer() == session) {
         IW_LOG(kWarn) << "session " << session
                       << " disconnected holding write lock on " << name;
-        entry->writer = 0;
       }
-      entry->expired_writers.erase(session);
       entry->sessions.erase(session);
-      // Unconditional: a revoking writer may be waiting for this session's
-      // cached read lock, which the erase above just surrendered.
-      entry->writer_cv.notify_all();
+      carry_out(*entry, entry->locks.forget(session), el);
     }
   }
   std::unique_lock lock(sessions_mu_);
@@ -174,8 +170,7 @@ SegmentServer::SegmentEntry* SegmentServer::find_segment(
   std::unique_lock lock(dir_mu_);
   auto it = segments_.find(name);
   if (it == segments_.end()) {
-    auto entry = std::make_unique<SegmentEntry>();
-    entry->store = std::make_unique<SegmentStore>(name, options_.store);
+    auto entry = std::make_unique<SegmentEntry>(name, options_);
     // Journal the segment's birth before any client can commit to it. The
     // entry is not yet published, so no entry lock is needed; segment
     // creation is rare enough that the fsyncs under the directory lock do
@@ -385,115 +380,54 @@ SegmentServer::SegmentSession& SegmentServer::seg_session(SegmentEntry& entry,
   return entry.sessions.emplace(id, std::move(ss)).first->second;
 }
 
-void SegmentServer::acquire_writer_locked(SegmentEntry& entry,
-                                          const std::string& name,
-                                          SessionId session,
-                                          std::unique_lock<std::mutex>& el) {
-  using clock = std::chrono::steady_clock;
-  const auto lease = std::chrono::milliseconds(options_.writer_lease_ms);
-  while (entry.writer != 0) {
-    if (clock::now() >= entry.lease_deadline) {
-      // The holder outlived its lease without renewing — it is presumed
-      // sick (stalled, partitioned, or dead without a clean disconnect).
-      // Reclaim the lock; its eventual release gets kLeaseExpired.
-      IW_LOG(kWarn) << "reclaiming expired writer lease on "
-                    << entry.store->name() << " from session "
-                    << entry.writer;
-      entry.expired_writers.insert(entry.writer);
-      entry.writer = 0;
-      ++entry.epoch;
-      stats_.lease_expirations.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    entry.writer_cv.wait_until(el, entry.lease_deadline);
+void SegmentServer::carry_out(SegmentEntry& entry,
+                              const LockTable::Decision& d,
+                              std::unique_lock<std::mutex>& el) {
+  using Verdict = LockTable::Verdict;
+  const std::string& name = entry.store->name();
+  if (d.wake) entry.writer_cv.notify_all();
+  if (d.leases_reclaimed != 0) {
+    IW_LOG(kWarn) << "reclaimed an expired writer lease on " << name;
+    stats_.lease_expirations.fetch_add(d.leases_reclaimed,
+                                       std::memory_order_relaxed);
   }
-  entry.writer = session;
-  // Start the lease before the revocation drain below ever drops `el`: a
-  // second waiting writer must see a fresh deadline, not a stale one it
-  // could immediately reclaim against.
-  entry.lease_deadline = clock::now() + lease;
-  // A session that legitimately re-acquires is no longer a stale holder.
-  entry.expired_writers.erase(session);
-  // New cached-read grants are refused while entry.writer != 0, so the set
-  // of holders to drain cannot grow behind our back.
-  revoke_cached_readers_locked(entry, name, session, el);
-  // The drain may have taken up to the revocation deadline; the critical
-  // section starts now with a full lease.
-  entry.lease_deadline = clock::now() + lease;
-}
-
-void SegmentServer::revoke_cached_readers_locked(
-    SegmentEntry& entry, const std::string& name, SessionId session,
-    std::unique_lock<std::mutex>& el) {
-  using clock = std::chrono::steady_clock;
-  // The writer's own cached read lock is subsumed by the write lock, not
-  // revoked: a writer is always allowed to read what it is writing.
-  if (auto it = entry.sessions.find(session); it != entry.sessions.end()) {
-    it->second.cached_read = false;
-    it->second.revoke_pending = false;
+  if (d.revokes_expired != 0) {
+    IW_LOG(kWarn) << "revocation deadline passed on " << name << "; dropped "
+                  << d.revokes_expired << " cached read locks";
+    stats_.revokes_expired.fetch_add(d.revokes_expired,
+                                     std::memory_order_relaxed);
   }
-  // Grants past their TTL are dropped up front: the writer should not
-  // spend the revocation deadline waiting for acks that cannot come.
-  drop_expired_grants_locked(entry);
-  auto cached_holders = [&] {
-    size_t n = 0;
-    for (auto& [sid, ss] : entry.sessions) {
-      if (sid != session && ss.cached_read) ++n;
-    }
-    return n;
-  };
-  if (cached_holders() == 0) return;
-
-  std::vector<Notifier> targets;
-  for (auto& [sid, ss] : entry.sessions) {
-    if (sid == session || !ss.cached_read || ss.revoke_pending) continue;
-    ss.revoke_pending = true;
-    targets.push_back(ss.notify);
-  }
-  if (!targets.empty()) {
+  stats_.expired_grants_swept.fetch_add(d.grants_swept,
+                                        std::memory_order_relaxed);
+  if (d.verdict == Verdict::kRevoke) {
     Frame note;
     note.type = MsgType::kRevokeRead;
     Buffer np;
     np.append_vstring(name);
-    np.append_varint(++entry.revoke_gen);
+    np.append_varint(d.gen);
     note.payload = np.take();
+    std::vector<Notifier> targets;
+    for (SessionId sid : d.revoke) {
+      auto it = entry.sessions.find(sid);
+      if (it != entry.sessions.end()) targets.push_back(it->second.notify);
+    }
     stats_.revokes_sent.fetch_add(targets.size(), std::memory_order_relaxed);
-    // In-process transports run the holder's revoke handler — and its
-    // kRevokeAck call back into handle() — synchronously on this thread, so
-    // the entry lock must be released around the fan-out.
+    // In-process transports run the holder's revoke handler, and its
+    // kRevokeAck call back into handle(), on this thread.
     el.unlock();
     for (Notifier& n : targets) n(note);
     el.lock();
-  }
-
-  const auto lease = std::chrono::milliseconds(options_.writer_lease_ms);
-  const auto deadline =
-      clock::now() + std::chrono::milliseconds(options_.revoke_deadline_ms);
-  while (cached_holders() != 0) {
-    // We hold the writer slot while draining; keep renewing the lease so a
-    // second waiting writer never reclaims it as expired mid-drain.
-    entry.lease_deadline = clock::now() + lease;
-    const auto wake = std::min(deadline, clock::now() + lease / 2);
-    if (entry.writer_cv.wait_until(el, wake) == std::cv_status::timeout &&
-        clock::now() >= deadline) {
-      // Deadline: the unresponsive holders forfeit their cached locks, the
-      // same presumption of sickness a writer-lease reclaim makes. The
-      // epoch bump makes the forced drop observable to reconnecting
-      // clients, which invalidate their caches against it.
-      uint64_t dropped = 0;
-      for (auto& [sid, ss] : entry.sessions) {
-        if (sid != session && ss.cached_read) {
-          ss.cached_read = false;
-          ss.revoke_pending = false;
-          ++dropped;
-        }
-      }
-      ++entry.epoch;
-      stats_.revokes_expired.fetch_add(dropped, std::memory_order_relaxed);
-      IW_LOG(kWarn) << "revocation deadline passed on " << name
-                    << "; dropped " << dropped << " cached read locks";
-      break;
-    }
+  } else if (d.verdict == Verdict::kLeaseExpired) {
+    // A waiter reclaimed the lock: no diff of this writer may be applied
+    // (another writer may have committed on top of the reclaimed state).
+    stats_.stale_releases_rejected.fetch_add(1, std::memory_order_relaxed);
+    throw Error(ErrorCode::kLeaseExpired,
+                "writer lease on '" + name + "' expired and was reclaimed");
+  } else if (d.verdict == Verdict::kNotHeld ||
+             d.verdict == Verdict::kAlreadyHeld) {
+    throw Error(ErrorCode::kState, d.verdict == Verdict::kNotHeld
+                                       ? "write lock not held"
+                                       : "write lock already held");
   }
 }
 
@@ -682,11 +616,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       std::lock_guard el(entry.mu);
       // Mid-critical-section activity proves the writer is alive: renew its
       // lease so a long sequence of type registrations is not reclaimed.
-      if (entry.writer == session) {
-        entry.lease_deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(options_.writer_lease_ms);
-      }
+      entry.locks.renew(session, LockTable::Clock::now());
       uint32_t types_before = entry.store->type_count();
       uint32_t serial = entry.store->register_type(graph);
       if (entry.store->type_count() != types_before) {
@@ -717,7 +647,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       CoherencePolicy policy;
       policy.model = static_cast<CoherenceModel>(in.read_u8());
       policy.param = in.read_varint64();
-      std::lock_guard el(entry.mu);
+      std::unique_lock el(entry.mu);
       SegmentSession& ss = seg_session(entry, session);
       resp.type = MsgType::kAcquireReadResp;
       if (append_update(entry, ss, client_version, policy, payload)) {
@@ -725,21 +655,14 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       } else {
         stats_.uptodate_responses.fetch_add(1, std::memory_order_relaxed);
       }
-      // Grant a cached read lock only when no writer holds or is draining
-      // the segment (writer preference: cached readers can never starve a
-      // waiting writer) and the client runs Full coherence — the only model
-      // whose repeat acquires otherwise always pay an RPC.
-      const bool grant =
-          entry.writer == 0 && policy.model == CoherenceModel::kFull;
-      if (ss.cached_read && !grant) {
-        // This acquire implicitly surrenders a cached lock we were
-        // draining: the client re-contacted us, so it is not sick.
-        entry.writer_cv.notify_all();
-      }
-      ss.cached_read = grant;
-      ss.revoke_pending = false;
+      // Full is the only model whose repeat acquires otherwise always pay
+      // an RPC, so only a Full reader is offered a cached lock.
+      const LockTable::Decision d = entry.locks.acquire_read(
+          session, policy.model == CoherenceModel::kFull,
+          LockTable::Clock::now());
+      carry_out(entry, d, el);
+      const bool grant = d.verdict == LockTable::Verdict::kGranted;
       if (grant) {
-        ss.grant_time = std::chrono::steady_clock::now();
         stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
       }
       payload.append_u8(grant ? 1 : 0);
@@ -747,26 +670,15 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
     }
 
     case MsgType::kRevokeAck: {
+      // Idempotent: a stale ack (lock already force-expired, or re-earned)
+      // is still success.
       SegmentEntry& entry = *resolve_handle(session, in).entry;
-      // Idempotent: a duplicated or late ack (lock already force-expired)
-      // is still success. An ack only retires a registration whose
-      // revocation is actually *pending*: acks travel on a background
-      // client thread, so a floating duplicate can arrive after this
-      // session re-acquired and earned a fresh grant — clearing that grant
-      // here would leave the client serving cache hits the server will
-      // never revoke (stale reads past the next commit). The echoed
-      // generation closes the remaining async window: a floating stale ack
-      // cannot retire a *newer* pending revocation the client has not
-      // processed yet.
       uint32_t gen = in.read_varint32();
-      std::lock_guard el(entry.mu);
-      auto it = entry.sessions.find(session);
-      if (it != entry.sessions.end() && it->second.revoke_pending &&
-          gen == entry.revoke_gen) {
-        it->second.cached_read = false;
-        it->second.revoke_pending = false;
+      std::unique_lock el(entry.mu);
+      const LockTable::Decision d = entry.locks.revoke_ack(session, gen);
+      carry_out(entry, d, el);
+      if (d.verdict == LockTable::Verdict::kOk) {
         stats_.revokes_acked.fetch_add(1, std::memory_order_relaxed);
-        entry.writer_cv.notify_all();
       }
       resp.type = MsgType::kAck;
       break;
@@ -785,12 +697,17 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         throw Error(ErrorCode::kStaleEpoch,
                     "segment '" + name + "' is owned by a newer primary");
       }
-      if (entry.writer == session) {
-        throw Error(ErrorCode::kState, "write lock already held");
-      }
       // Waiting here blocks only this segment's entry lock; traffic on
       // other segments is unaffected.
-      acquire_writer_locked(entry, name, session, el);
+      for (LockTable::Decision d =
+               entry.locks.acquire_write(session, LockTable::Clock::now());
+           ; d = entry.locks.resume_write(session, LockTable::Clock::now())) {
+        carry_out(entry, d, el);
+        if (d.verdict == LockTable::Verdict::kGranted) break;
+        if (d.verdict == LockTable::Verdict::kWait) {
+          entry.writer_cv.wait_until(el, d.until);
+        }
+      }
       SegmentSession& ss = seg_session(entry, session);
       resp.type = MsgType::kAcquireWriteResp;
       payload.append_varint(entry.store->next_block_serial());
@@ -808,30 +725,11 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       const HandleBinding bound = resolve_handle(session, in);
       const std::string& name = bound.name;
       SegmentEntry& entry = *bound.entry;
-      std::lock_guard el(entry.mu);
-      if (entry.writer != session) {
-        if (entry.expired_writers.erase(session) > 0) {
-          // The lease ran out and a waiter reclaimed the lock; the diff of
-          // this late release must not be applied (another writer may have
-          // committed on top of the reclaimed state).
-          stats_.stale_releases_rejected.fetch_add(1,
-                                                   std::memory_order_relaxed);
-          throw Error(ErrorCode::kLeaseExpired,
-                      "writer lease on '" + name +
-                          "' expired and was reclaimed; release rejected");
-        }
-        throw Error(ErrorCode::kState, "releasing write lock not held");
-      }
-      // However the release ends — a malformed diff or envelope, a failed
-      // journal or replication leg — the lock drops: the segment must not
-      // wedge.
-      struct DropWriter {
-        SegmentEntry& entry;
-        ~DropWriter() {
-          entry.writer = 0;
-          entry.writer_cv.notify_all();
-        }
-      } drop_writer{entry};
+      std::unique_lock el(entry.mu);
+      // The lock drops here, so however the release ends (a malformed diff
+      // or envelope, a failed journal or replication leg) the segment does
+      // not wedge; waiters need `el` to see it.
+      carry_out(entry, entry.locks.release_write(session), el);
       // A compressed section is inflated once and kept: the store caches
       // the inflated diff itself, and its stream is reused as is for the
       // journal, the replicas and the readers one version behind.
@@ -947,11 +845,9 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
                                 ? bound.entry
                                 : find_segment(bound.name, false);
       if (entry != nullptr) {
-        std::lock_guard el(entry->mu);
+        std::unique_lock el(entry->mu);
         entry->sessions.erase(session);
-        // The erase may have surrendered a cached read lock a revoking
-        // writer is waiting out.
-        entry->writer_cv.notify_all();
+        carry_out(*entry, entry->locks.forget(session), el);
       }
       resp.type = MsgType::kAck;
       break;
@@ -1404,33 +1300,15 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
   return version;
 }
 
-uint64_t SegmentServer::drop_expired_grants_locked(SegmentEntry& entry) {
-  if (options_.cached_grant_ttl_ms == 0) return 0;
-  const auto cutoff =
-      std::chrono::steady_clock::now() -
-      std::chrono::milliseconds(options_.cached_grant_ttl_ms);
-  uint64_t swept = 0;
-  for (auto& [sid, ss] : entry.sessions) {
-    // Grants with a revocation in flight stay with the deadline machinery:
-    // the writer driving it owns their fate.
-    if (ss.cached_read && !ss.revoke_pending && ss.grant_time < cutoff) {
-      ss.cached_read = false;
-      ++swept;
-    }
-  }
-  if (swept != 0) {
-    stats_.expired_grants_swept.fetch_add(swept, std::memory_order_relaxed);
-    entry.writer_cv.notify_all();
-  }
-  return swept;
-}
-
 uint64_t SegmentServer::sweep_expired_grants() {
   uint64_t swept = 0;
+  const LockTable::Time now = LockTable::Clock::now();
   std::shared_lock dir(dir_mu_);
   for (auto& [name, entry] : segments_) {
-    std::lock_guard el(entry->mu);
-    swept += drop_expired_grants_locked(*entry);
+    std::unique_lock el(entry->mu);
+    const LockTable::Decision d = entry->locks.tick(now);
+    carry_out(*entry, d, el);
+    swept += d.grants_swept;
   }
   return swept;
 }
@@ -1671,7 +1549,7 @@ void SegmentServer::recover() {
       // lays down a fresh full base.
       it->second->chain = {};
     } else {
-      auto entry = std::make_unique<SegmentEntry>();
+      auto entry = std::make_unique<SegmentEntry>(name, options_);
       entry->store = std::move(store);
       segments_.emplace(std::move(name), std::move(entry));
     }
@@ -1702,8 +1580,7 @@ void SegmentServer::recover() {
     }
     auto it = segments_.find(name);
     if (it == segments_.end()) {
-      auto entry = std::make_unique<SegmentEntry>();
-      entry->store = std::make_unique<SegmentStore>(name, options_.store);
+      auto entry = std::make_unique<SegmentEntry>(name, options_);
       it = segments_.emplace(std::move(name), std::move(entry)).first;
     }
     SegmentEntry& entry = *it->second;
@@ -1775,7 +1652,7 @@ uint32_t SegmentServer::segment_version(const std::string& name) const {
 uint32_t SegmentServer::segment_epoch(const std::string& name) const {
   const SegmentEntry& entry = segment(name);
   std::lock_guard el(entry.mu);
-  return entry.epoch;
+  return entry.locks.epoch();
 }
 
 uint32_t SegmentServer::segment_placement_epoch(const std::string& name) const {

@@ -1,11 +1,12 @@
 // SegmentServer: the transport-independent InterWeave server.
 //
 // One server manages an arbitrary number of segments (§3.2): it stores the
-// master copy of each in wire format (SegmentStore), mediates exclusive
-// writer locks, decides per-client whether a cached copy is "recent enough"
-// under the client's coherence model, ships type definitions and diffs,
-// pushes version notifications to subscribed clients, and periodically
-// checkpoints segments to disk as partial protection against failure.
+// master copy of each in wire format (SegmentStore), runs each segment's
+// reader-writer lock (LockTable), decides per-client whether a cached copy
+// is "recent enough" under the client's coherence model, ships type
+// definitions and diffs, pushes version notifications to subscribed
+// clients, and periodically checkpoints segments to disk as partial
+// protection against failure.
 //
 // Concurrency model (two-level locking): a read-mostly segment directory
 // guarded by a shared_mutex maps names to heap-allocated SegmentEntry
@@ -17,16 +18,15 @@
 // session table; see DESIGN.md "Server concurrency model".
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "net/transport.hpp"
+#include "server/lock_table.hpp"
 #include "server/replication.hpp"
 #include "server/segment_store.hpp"
 #include "server/wal.hpp"
@@ -184,8 +184,9 @@ class SegmentServer : public ServerCore {
   StoreStats segment_stats(const std::string& name) const;
   /// Current version of a segment (throws kNotFound).
   uint32_t segment_version(const std::string& name) const;
-  /// Lease-reclaim epoch of a segment: bumped each time an expired writer
-  /// lease is reclaimed from a stalled holder (throws kNotFound).
+  /// Lock epoch of a segment: bumped by each writer lease reclaimed from a
+  /// stalled holder and each drain that hit its revocation deadline
+  /// (LockTable::epoch; throws kNotFound).
   uint32_t segment_epoch(const std::string& name) const;
   /// Placement epoch of a segment (bumped by kPromote; throws kNotFound).
   uint32_t segment_placement_epoch(const std::string& name) const;
@@ -223,14 +224,6 @@ class SegmentServer : public ServerCore {
     uint32_t types_sent = 0;             // prefix of type serials known
     uint64_t modified_since_update = 0;  // for Diff coherence
     bool subscribed = false;
-    /// kAcquireRead granted this session a cached read lock; a writer must
-    /// revoke it (and the client ack) before it can proceed.
-    bool cached_read = false;
-    /// A kRevokeRead has been pushed and not yet acked.
-    bool revoke_pending = false;
-    /// When the current cached grant was issued; the grant-TTL sweep
-    /// compares against it.
-    std::chrono::steady_clock::time_point grant_time{};
     /// Snapshot cut for an in-progress sync pull by this session
     /// (kSyncRequest in snapshot mode): serialized once at cursor 0 and
     /// sliced per chunk, so every chunk comes from one consistent cut even
@@ -259,24 +252,19 @@ class SegmentServer : public ServerCore {
   /// never removed from the directory, so raw pointers taken under the
   /// directory lock stay valid without holding it.
   struct SegmentEntry {
+    SegmentEntry(const std::string& name, const Options& o)
+        : store(std::make_unique<SegmentStore>(name, o.store)),
+          locks({std::chrono::milliseconds(o.writer_lease_ms),
+                 std::chrono::milliseconds(o.revoke_deadline_ms),
+                 std::chrono::milliseconds(o.cached_grant_ttl_ms)}) {}
     mutable std::mutex mu;
-    std::condition_variable writer_cv;  // signalled when `writer` drops to 0
+    /// Write acquires in progress sleep here until their table decision's
+    /// time, or until an event whose decision says wake.
+    std::condition_variable writer_cv;
     std::unique_ptr<SegmentStore> store;
-    SessionId writer = 0;  // 0 = unlocked
-    /// When `writer` != 0: the instant after which a waiting writer may
-    /// reclaim the lock.
-    std::chrono::steady_clock::time_point lease_deadline{};
-    /// Sessions whose writer lease was reclaimed while they still believed
-    /// they held the lock; their eventual release is rejected with
-    /// kLeaseExpired (and the entry dropped) instead of kState.
-    std::unordered_set<SessionId> expired_writers;
-    /// Bumped on every lease reclaim so sick-writer recoveries are
-    /// observable (and, with checkpointed stores, diagnosable after).
-    uint32_t epoch = 0;
-    /// Bumped once per cached-reader revocation fan-out and echoed back in
-    /// kRevokeAck; an ack for an older generation is stale (its revocation
-    /// was already retired another way) and must be ignored.
-    uint32_t revoke_gen = 0;
+    /// The writer slot, writer leases and every session's cached read
+    /// grant (see lock_table.hpp).
+    LockTable locks;
     /// Placement epoch this server believes for the segment: stamped into
     /// every replicated record on a primary, enforced against incoming
     /// kWalAppend on a replica, bumped by kPromote. A record carrying an
@@ -355,28 +343,12 @@ class SegmentServer : public ServerCore {
                      Buffer& payload);
   bool is_stale(SegmentEntry& entry, const SegmentSession& ss,
                 uint32_t client_version, CoherencePolicy policy) const;
-  /// Blocks until `session` owns the entry's writer lock, reclaiming an
-  /// expired lease from a stalled holder if one stands in the way. Caller
-  /// holds `el` (the entry's lock).
-  void acquire_writer_locked(SegmentEntry& entry, const std::string& name,
-                             SessionId session,
-                             std::unique_lock<std::mutex>& el);
-  /// Drops the entry's cached read grants older than cached_grant_ttl_ms,
-  /// with no revoke round trip (their holders are presumed gone); grants
-  /// with a revocation in flight stay with the deadline machinery. Returns
-  /// the number dropped; 0 when the TTL is disabled. Caller holds the
-  /// entry's lock.
-  uint64_t drop_expired_grants_locked(SegmentEntry& entry);
-  /// Pushes kRevokeRead to every session caching a read lock on `entry`
-  /// (other than the acquiring writer) and waits until all of them ack or
-  /// the revocation deadline passes; unacked holders are then forcibly
-  /// dropped with an epoch bump. Fires the notifiers with `el` released —
-  /// in-process transports run the client's revoke handler synchronously.
-  /// Caller holds `el`; it is held again on return.
-  void revoke_cached_readers_locked(SegmentEntry& entry,
-                                    const std::string& name,
-                                    SessionId session,
-                                    std::unique_lock<std::mutex>& el);
+  /// Carries out a lock decision: wakes waiting writers, counts and logs
+  /// forced drops, pushes kRevokeRead to the sessions it names with `el`
+  /// released, and throws the error a refusal answers. `el` holds
+  /// entry.mu, and holds it again on return.
+  void carry_out(SegmentEntry& entry, const LockTable::Decision& d,
+                 std::unique_lock<std::mutex>& el);
   /// Checkpoints one segment: a delta record onto its `.iwinc` chain when
   /// a base exists and the chain is under the limit, a full `.iwseg`
   /// rewrite otherwise. Either way the journal is truncated after the

@@ -415,6 +415,38 @@ TEST_F(Hetero, TokenIntoFreedBlockReadsAsDangling) {
   sparc->read_unlock(rs);
 }
 
+TEST_F(Hetero, PointerToFreedBlockReadsAsNullOnFirstFetch) {
+  // The writer frees a block that an unchanged pointer still names, and the
+  // server keeps the pointer. A reader whose first fetch comes after the
+  // free has no block to resolve it against: the pointer reads as null on a
+  // native and a sparc32 reader alike, and the segment stays readable.
+  auto writer = make_client(Platform::native());
+  TypeRegistry& wt = writer->types();
+  const TypeDescriptor* ints = wt.array_of(wt.primitive(PrimitiveKind::kInt32), 4);
+  const TypeDescriptor* ref = wt.pointer_to(ints);
+  ClientSegment* seg = writer->open_segment("host/hetfreed");
+  writer->write_lock(seg);
+  auto** holder = static_cast<void**>(writer->malloc_block(seg, ref, "ref"));
+  void* target = writer->malloc_block(seg, ints, "target");
+  *holder = static_cast<int32_t*>(target) + 2;
+  writer->write_unlock(seg);
+  writer->write_lock(seg);
+  writer->free_block(seg, target);
+  writer->write_unlock(seg);
+
+  for (const Platform& platform : {Platform::native(), Platform::sparc32()}) {
+    auto reader = make_client(platform);
+    ClientSegment* rs = reader->open_segment("host/hetfreed");
+    reader->read_lock(rs);
+    const client::BlockHeader* blk = rs->heap().find_by_name("ref");
+    ASSERT_NE(blk, nullptr) << platform.name;
+    EXPECT_EQ(rs->heap().find_by_name("target"), nullptr) << platform.name;
+    EXPECT_EQ(reader->read_pointer_field(blk->data()), nullptr)
+        << platform.name;
+    reader->read_unlock(rs);
+  }
+}
+
 TEST_F(Hetero, IsoFastPathNeverEngagesAcrossMismatchedLayouts) {
   // A little-endian client's local layout can never be byte-identical to
   // the big-endian wire, so the plan's whole-block memcpy path must never
