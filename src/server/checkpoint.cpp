@@ -14,9 +14,10 @@ namespace iw::server {
 namespace {
 
 constexpr uint32_t kChainMagic = 0x49574943;  // "IWIC"
-// Format 3: the folded diffs use the varint encoding (wire/diff.hpp) with
-// tagged pointer units; formats 1 and 2 are refused.
-constexpr uint32_t kChainFormat = 3;
+// Format 4: a record's sections are in the wire section envelope, and the
+// folded diffs use the varint encoding (wire/diff.hpp) with tagged pointer
+// units; formats 1 to 3 are refused.
+constexpr uint32_t kChainFormat = 4;
 constexpr size_t kChainHeaderBytes = 8;
 
 void write_all(int fd, const std::string& path, const uint8_t* p, size_t n) {
@@ -92,24 +93,13 @@ ChainScan scan_chain(const std::string& path) {
   uint64_t accepted_end = kChainHeaderBytes;
   ScannedRecord sr;
   while (scanner.next(&sr) == RecordScanner::Status::kRecord) {
-    if ((sr.tag & ~kPayloadCompressedTagBit) != kChainDelta) break;
+    // Three versions, then at least the sections' method byte.
+    if (sr.tag != kChainDelta || sr.payload.size() < 13) break;
     ChainRecord rec;
-    rec.compressed = (sr.tag & kPayloadCompressedTagBit) != 0;
-    std::vector<uint8_t> raw;
-    std::span<const uint8_t> payload = sr.payload;
-    if (rec.compressed) {
-      try {
-        raw = decompress_record_payload(sr.payload);
-      } catch (const Error&) {
-        break;  // corrupt envelope inside a CRC-clean frame: stop here
-      }
-      payload = raw;
-    }
-    if (payload.size() < 12) break;
-    rec.base_version = load_be32(payload.data());
-    rec.from_version = load_be32(payload.data() + 4);
-    rec.to_version = load_be32(payload.data() + 8);
-    rec.sections.assign(payload.begin() + 12, payload.end());
+    rec.base_version = load_be32(sr.payload.data());
+    rec.from_version = load_be32(sr.payload.data() + 4);
+    rec.to_version = load_be32(sr.payload.data() + 8);
+    rec.body.assign(sr.payload.begin() + 12, sr.payload.end());
     rec.stored_bytes = sr.end_offset - accepted_end;
     accepted_end = sr.end_offset;
     out.records.push_back(std::move(rec));
@@ -123,21 +113,18 @@ uint64_t append_chain_record(const std::string& path, uint32_t base_version,
                              uint32_t from_version, uint32_t to_version,
                              std::span<const uint8_t> sections,
                              bool try_compress) {
-  uint8_t versions[12];
-  store_be32(versions, base_version);
-  store_be32(versions + 4, from_version);
-  store_be32(versions + 8, to_version);
-
+  // The three versions, then the method byte when the sections go raw.
+  uint8_t head[13];
+  store_be32(head, base_version);
+  store_be32(head + 4, from_version);
+  store_be32(head + 8, to_version);
   Buffer framed;
-  Buffer envelope;
-  if (try_compress &&
-      compress_record_payload({versions, sizeof versions}, sections,
-                              envelope)) {
-    append_framed_record(framed, kChainDelta | kPayloadCompressedTagBit,
-                         envelope.span());
+  Buffer section;
+  if (try_compress && compress_section(sections, section)) {
+    append_framed_record(framed, kChainDelta, {head, 12}, section.span());
   } else {
-    append_framed_record(framed, kChainDelta, {versions, sizeof versions},
-                         sections);
+    head[12] = payload_method::kRaw;
+    append_framed_record(framed, kChainDelta, head, sections);
   }
 
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);

@@ -12,24 +12,29 @@
 // On-disk layout (all integers big-endian):
 //
 //   file   := header record*
-//   header := magic u32 "IWIC" | format u32 (=3; a format 1 chain holds
-//             fixed-width diffs and a format 2 one MIP-string pointer
-//             units: both are refused with Error(kUnimplemented))
+//   header := magic u32 "IWIC" | format u32 (=4; a format 1 chain holds
+//             fixed-width diffs, a format 2 one MIP-string pointer units
+//             and a format 3 one a compressed payload marked by bit 7 of
+//             the tag: all are refused with Error(kUnimplemented))
 //   record := the shared CRC32C framing (wire/payload.hpp):
 //             body_len u32 | crc u32 | tag u8 | payload
-//   tag    := kChainDelta (1), possibly ORed with kPayloadCompressedTagBit
-//   payload (raw, after optional decompression) :=
+//   tag    := kChainDelta (1)
+//   payload :=
 //     u32 base_version     -- version of the .iwseg this chain extends
 //     u32 from_version     -- version covered before this record
 //     u32 to_version       -- version covered after this record
-//     u32 new_type_count | (u32 serial, u32 len, graph)*
-//     fold history tables  -- SegmentStore::collect_fold_history: exact
-//       created_versions for blocks newer than from_version and every
-//       free since, so the fold reconstructs version history precisely
-//       (a bare diff would misdate creations at to_version and lose
-//       create+free pairs inside the window — resurrecting freed blocks
-//       for clients whose cached version lies inside it)
-//     diff bytes           -- SegmentStore::collect_diff(from_version)
+//     section(             -- the wire section envelope (wire/payload.hpp):
+//                             a method byte, then these bytes raw (kRaw)
+//                             or `v comp_len, v raw_len, lz` (kLz)
+//       u32 new_type_count | (u32 serial, u32 len, graph)*
+//       fold history tables  -- SegmentStore::collect_fold_history: exact
+//         created_versions for blocks newer than from_version and every
+//         free since, so the fold reconstructs version history precisely
+//         (a bare diff would misdate creations at to_version and lose
+//         create+free pairs inside the window — resurrecting freed blocks
+//         for clients whose cached version lies inside it)
+//       diff bytes           -- SegmentStore::collect_diff(from_version)
+//     )
 //
 // Validity rules mirror the WAL's torn-tail discipline, with one extra
 // cross-file check: every record's base_version must equal the version of
@@ -49,7 +54,7 @@
 
 namespace iw::server {
 
-/// Chain record kinds (the tag byte's low 7 bits).
+/// Chain record kinds (the tag byte).
 inline constexpr uint8_t kChainDelta = 1;
 
 /// Result of scanning one chain file.
@@ -57,13 +62,12 @@ struct ChainRecord {
   uint32_t base_version = 0;
   uint32_t from_version = 0;
   uint32_t to_version = 0;
-  /// True when the on-disk payload was a compressed envelope.
-  bool compressed = false;
   /// On-disk size of the whole framed record.
   uint64_t stored_bytes = 0;
-  /// Raw (decompressed) payload positioned at the type section:
-  /// `u32 new_type_count | types | fold history | diff bytes`.
-  std::vector<uint8_t> sections;
+  /// The rest of the payload as stored: `u32 new_type_count | types |
+  /// fold history | diff bytes` in its section envelope, decoded where it
+  /// is folded (read_record_section).
+  std::vector<uint8_t> body;
 };
 
 struct ChainScan {
@@ -85,8 +89,8 @@ ChainScan scan_chain(const std::string& path);
 /// first use, and makes the append durable (fdatasync; plus a parent
 /// directory fsync when the file was created) before returning. `sections`
 /// is the raw payload after the three version fields; it is compressed
-/// when `try_compress` and the envelope pays. Returns the framed bytes
-/// written (for stats).
+/// when `try_compress` and the envelope pays, else journaled as kRaw.
+/// Returns the framed bytes written (for stats).
 uint64_t append_chain_record(const std::string& path, uint32_t base_version,
                              uint32_t from_version, uint32_t to_version,
                              std::span<const uint8_t> sections,

@@ -7,15 +7,14 @@ const LockTable::Session* LockTable::session(SessionId s) const {
   return it == sessions_.end() ? nullptr : &it->second;
 }
 
-LockTable::Decision LockTable::acquire_read(SessionId s, bool full,
-                                            Time now) {
+LockTable::Decision LockTable::acquire_read(SessionId s, bool full) {
   Session& me = sessions_[s];
   const bool grant = full && writer_ == 0;
   // A refused acquire surrenders the grant a drain may wait on: the client
   // re-contacted us, so it is not sick.
   Decision d{.verdict = grant ? Verdict::kGranted : Verdict::kDenied,
              .wake = me.cached && !grant};
-  me = Session{grant, 0, now, me.write};
+  me = Session{grant, 0, me.write};
   return d;
 }
 
@@ -78,7 +77,6 @@ LockTable::Decision LockTable::advance(SessionId s, Session& me, Time now,
     // lease past it can be reclaimed.
     drain_deadline_ = now + config_.revoke_deadline;
     lease_deadline_ = drain_deadline_ + config_.lease;
-    d.grants_swept = sweep(now);
     const uint32_t gen = revoke_gen_ + 1 == 0 ? 1 : revoke_gen_ + 1;
     for (auto& [sid, ss] : sessions_) {
       // A grant still pending answers the revoke it was already sent.
@@ -139,26 +137,6 @@ LockTable::Decision LockTable::forget(SessionId s) {
   if (writer_ == s) writer_ = 0;
   sessions_.erase(it);
   return {.wake = true};
-}
-
-LockTable::Decision LockTable::tick(Time now) {
-  Decision d{.grants_swept = sweep(now)};
-  d.wake = d.grants_swept != 0;
-  return d;
-}
-
-uint32_t LockTable::sweep(Time now) {
-  if (config_.grant_ttl == Clock::duration::zero()) return 0;
-  uint32_t swept = 0;
-  for (auto& [sid, ss] : sessions_) {
-    // A grant with a revoke in flight belongs to the drain that sent it.
-    if (ss.cached && ss.pending == 0 &&
-        now - ss.grant_time > config_.grant_ttl) {
-      ss.cached = false;
-      ++swept;
-    }
-  }
-  return swept;
 }
 
 }  // namespace iw::server

@@ -1,9 +1,10 @@
 // LockTable: every rule of one segment's reader-writer lock as a pure state
-// machine, with no threads, no I/O and no clock. Each event takes `now` and
-// returns the Decision the caller carries out. SegmentServer runs one per
-// segment under the entry mutex; tests/lock_table_test.cpp drives the same
-// code through every interleaving of three sessions. DESIGN.md, "Distributed
-// lock caching and revocation", has the event -> decision table.
+// machine, with no threads, no I/O and no clock. An event whose rule reads
+// the time takes `now`; each returns the Decision the caller carries out.
+// SegmentServer runs one per segment under the entry mutex;
+// tests/lock_table_test.cpp drives the same code through every interleaving
+// of three sessions. DESIGN.md, "Distributed lock caching and revocation",
+// has the event -> decision table.
 #pragma once
 
 #include <chrono>
@@ -22,7 +23,6 @@ class LockTable {
   struct Config {
     Clock::duration lease;            // unrenewed writers may be reclaimed
     Clock::duration revoke_deadline;  // how long a drain waits for acks
-    Clock::duration grant_ttl{};      // idle grants dropped; zero = never
   };
 
   enum class Verdict : uint8_t {
@@ -30,7 +30,7 @@ class LockTable {
     kDenied,        // read acquire not cached; stale revoke ack
     kWait,          // write acquire: sleep until `until` or a wake, resume
     kRevoke,        // write acquire: push kRevokeRead(gen) to `revoke`, resume
-    kOk,            // release, renew, forget, tick
+    kOk,            // release, renew, forget
     kLeaseExpired,  // the caller's writer lease was reclaimed
     kNotHeld,       // release or renew without the lock; left mid-acquire
     kAlreadyHeld,   // write acquire by a holder or a waiter
@@ -45,7 +45,6 @@ class LockTable {
     // Forced drops, for the counters.
     uint32_t leases_reclaimed = 0;
     uint32_t revokes_expired = 0;  // grants dropped at the drain deadline
-    uint32_t grants_swept = 0;     // grants dropped by the TTL
   };
 
   enum class Write : uint8_t {
@@ -60,14 +59,13 @@ class LockTable {
   struct Session {
     bool cached = false;   // holds a cached read grant
     uint32_t pending = 0;  // generation of the revoke awaiting its ack
-    Time grant_time{};
     Write write = Write::kNone;
   };
 
   explicit LockTable(Config config) : config_(config) {}
 
   /// Only a Full reader is granted, and only while the slot is free.
-  Decision acquire_read(SessionId s, bool full, Time now);
+  Decision acquire_read(SessionId s, bool full);
   Decision revoke_ack(SessionId s, uint32_t gen);
   /// Starts a write acquire; the server's wait loop then calls resume_write
   /// until the decision is no longer kWait or kRevoke.
@@ -77,8 +75,6 @@ class LockTable {
   Decision renew(SessionId s, Time now);
   /// Disconnect or kCloseSegment: everything the session held is freed.
   Decision forget(SessionId s);
-  /// The TTL sweep.
-  Decision tick(Time now);
 
   SessionId writer() const noexcept { return writer_; }
   /// Bumped by each lease reclaim and each drain that hit its deadline.
@@ -90,7 +86,6 @@ class LockTable {
 
  private:
   Decision advance(SessionId s, Session& me, Time now, Decision d);
-  uint32_t sweep(Time now);
 
   Config config_;
   std::unordered_map<SessionId, Session> sessions_;

@@ -6,7 +6,6 @@
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rand.hpp"
-#include "wire/payload.hpp"
 
 namespace iw::server {
 
@@ -207,7 +206,7 @@ void WalReplicator::trim_locked() {
 void WalReplicator::replicate(const std::string& segment, uint32_t epoch,
                               WalRecordType type,
                               std::span<const uint8_t> head,
-                              std::span<const uint8_t> body, bool compressed) {
+                              std::span<const uint8_t> body) {
   using clock = std::chrono::steady_clock;
   std::unique_lock lock(mu_);
   if (stop_) {
@@ -223,8 +222,7 @@ void WalReplicator::replicate(const std::string& segment, uint32_t epoch,
   rec.seq = ++next_seq_;
   rec.segment = segment;
   rec.epoch = epoch;
-  rec.tag = static_cast<uint8_t>(type) |
-            (compressed ? kPayloadCompressedTagBit : uint8_t{0});
+  rec.type = type;
   rec.payload.reserve(head.size() + body.size());
   rec.payload.insert(rec.payload.end(), head.begin(), head.end());
   rec.payload.insert(rec.payload.end(), body.begin(), body.end());
@@ -326,7 +324,7 @@ void WalReplicator::link_loop(Link* link) {
       for (const Rec* r : batch) {
         payload.append_lp_string(r->segment);
         payload.append_u32(r->epoch);
-        payload.append_u8(r->tag);
+        payload.append_u8(static_cast<uint8_t>(r->type));
         payload.append_u32(static_cast<uint32_t>(r->payload.size()));
         payload.append(r->payload.data(), r->payload.size());
       }

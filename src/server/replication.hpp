@@ -153,17 +153,16 @@ class WalReplicator {
   /// grace already declared it dead).
   bool resume_replica(const std::string& id);
 
-  /// Enqueues one WAL record (body = type byte | head | body, exactly as
-  /// journaled locally) for every link and blocks until the replication
-  /// factor has journaled it. `compressed` streams the local journal's
-  /// compressed-envelope flag unchanged — replicas journal the encoding
-  /// they receive, so compression is inherited down the chain, never
-  /// re-done. Throws kTimedOut when the factor is not reached in time,
-  /// kStaleEpoch when a replica reported this segment fenced (the caller
-  /// has been deposed), kState after shutdown().
+  /// Enqueues one WAL record (payload = head | body, exactly as journaled
+  /// locally) for every link and blocks until the replication factor has
+  /// journaled it. Replicas journal the bytes they receive, so a record's
+  /// encoding is the primary's all down the chain. Throws kTimedOut when
+  /// the factor is not reached in time, kStaleEpoch when a replica reported
+  /// this segment fenced (the caller has been deposed), kState after
+  /// shutdown().
   void replicate(const std::string& segment, uint32_t epoch,
                  WalRecordType type, std::span<const uint8_t> head,
-                 std::span<const uint8_t> body = {}, bool compressed = false);
+                 std::span<const uint8_t> body = {});
 
   /// True when a replica reported this segment as owned by a newer epoch;
   /// replicate() for it fails until the server is re-promoted.
@@ -186,10 +185,8 @@ class WalReplicator {
     uint64_t seq;
     std::string segment;
     uint32_t epoch;
-    /// WalRecordType, possibly ORed with kPayloadCompressedTagBit — the
-    /// same tag byte the local WAL framed, carried verbatim on the wire.
-    uint8_t tag;
-    std::vector<uint8_t> payload;  // head | body (no tag byte)
+    WalRecordType type;
+    std::vector<uint8_t> payload;  // head | body, as journaled
   };
   struct Link {
     std::string id;

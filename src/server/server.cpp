@@ -228,11 +228,10 @@ void SegmentServer::adopt_epoch_locked(SegmentEntry& entry, uint32_t epoch) {
 
 void SegmentServer::append_locked(SegmentEntry& entry, WalRecordType type,
                                   std::span<const uint8_t> head,
-                                  std::span<const uint8_t> body,
-                                  bool compressed) {
+                                  std::span<const uint8_t> body) {
   if (entry.wal == nullptr || entry.wal_broken) return;
   try {
-    entry.wal->append(type, head, body, compressed);
+    entry.wal->append(type, head, body);
   } catch (const std::exception& e) {
     // The failed append may have left a torn record, and a record appended
     // after it would be cut off with it at recovery.
@@ -254,46 +253,46 @@ bool SegmentServer::lz_pass(size_t n) {
 
 void SegmentServer::journal_locked(SegmentEntry& entry,
                                    const std::string& name,
-                                   WalRecordType type,
-                                   std::span<const uint8_t> head,
+                                   WalRecordType type, uint32_t head_value,
                                    std::span<const uint8_t> body,
-                                   std::span<const uint8_t> stream) {
+                                   std::span<const uint8_t> envelope) {
   if (entry.wal == nullptr && options_.replicator == nullptr) return;
-  // One compression decision feeds both sinks: the journal and the
-  // replication stream carry the identical encoding, so replicas journal
-  // what the primary journaled, byte for byte. A writer's stream (which
-  // the store has just decoded and applied) is spliced, not recompressed.
+  // The record is the head, then the body in its section envelope: the
+  // writer's envelope as it arrived, one compressed here, or kRaw and the
+  // body. The journal and the replication stream carry the one encoding,
+  // so replicas journal what the primary journaled, byte for byte.
+  uint8_t head[5];
+  store_be32(head, head_value);
+  head[4] = payload_method::kRaw;
+  std::span<const uint8_t> lead{head, sizeof head};
+  const uint64_t raw_bytes = lead.size() + body.size();
   Buffer packed;
-  bool compressed;
-  if (!stream.empty() && options_.compress_payloads) {
-    splice_record_payload(head, stream, body.size(), packed);
-    compressed = packed.size() < head.size() + body.size();
-  } else {
-    compressed = lz_pass(body.size()) &&
-                 compress_record_payload(head, body, packed);
+  if (!options_.compress_payloads) {
+    envelope = {};
+  } else if (envelope.empty() && lz_pass(body.size()) &&
+             compress_section(body, packed)) {
+    envelope = packed.span();
+  }
+  if (!envelope.empty()) {
+    lead = lead.first(4);
+    body = envelope;
   }
   if (type == WalRecordType::kCommit) {
-    const uint64_t raw_bytes = head.size() + body.size();
     stats_.commit_raw_bytes.fetch_add(raw_bytes, std::memory_order_relaxed);
-    stats_.commit_stored_bytes.fetch_add(
-        compressed ? packed.size() : raw_bytes, std::memory_order_relaxed);
-    if (compressed) {
+    stats_.commit_stored_bytes.fetch_add(lead.size() + body.size(),
+                                         std::memory_order_relaxed);
+    if (!envelope.empty()) {
       stats_.commits_compressed.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (compressed) {
-    head = packed.span();
-    body = {};
-  }
-  append_locked(entry, type, head, body, compressed);
+  append_locked(entry, type, lead, body);
   // Replicate before ack, even when the journal leg failed: the store holds
   // the record, and a replica that missed it would refuse every later one
   // as a version gap. A replicate that throws (factor not confirmed in
   // time, or this server fenced as deposed) leaves the record queued on the
   // links, so a retried commit lands after it in stream order.
   if (options_.replicator != nullptr) {
-    options_.replicator->replicate(name, entry.repl_epoch, type, head, body,
-                                   compressed);
+    options_.replicator->replicate(name, entry.repl_epoch, type, lead, body);
   }
   // Nothing is acked over a broken journal: a checkpoint, which covers this
   // record, re-anchors the segment, and if that fails the ack fails too.
@@ -397,8 +396,6 @@ void SegmentServer::carry_out(SegmentEntry& entry,
     stats_.revokes_expired.fetch_add(d.revokes_expired,
                                      std::memory_order_relaxed);
   }
-  stats_.expired_grants_swept.fetch_add(d.grants_swept,
-                                        std::memory_order_relaxed);
   if (d.verdict == Verdict::kRevoke) {
     Frame note;
     note.type = MsgType::kRevokeRead;
@@ -623,10 +620,8 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         // A genuinely new type (not a dedup hit): recovery must know it
         // before replaying any diff that references it — and so must the
         // replicas, before any streamed commit references it.
-        uint8_t head[4];
-        store_be32(head, serial);
-        journal_locked(entry, name, WalRecordType::kRegisterType,
-                       {head, sizeof head}, graph);
+        journal_locked(entry, name, WalRecordType::kRegisterType, serial,
+                       graph);
       } else if (entry.wal_broken) {
         // A dedup hit may be the retry of a registration whose append
         // failed: re-anchor before acking it.
@@ -658,8 +653,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       // Full is the only model whose repeat acquires otherwise always pay
       // an RPC, so only a Full reader is offered a cached lock.
       const LockTable::Decision d = entry.locks.acquire_read(
-          session, policy.model == CoherenceModel::kFull,
-          LockTable::Clock::now());
+          session, policy.model == CoherenceModel::kFull);
       carry_out(entry, d, el);
       const bool grant = d.verdict == LockTable::Verdict::kGranted;
       if (grant) {
@@ -731,25 +725,24 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       // not wedge; waiters need `el` to see it.
       carry_out(entry, entry.locks.release_write(session), el);
       // A compressed section is inflated once and kept: the store caches
-      // the inflated diff itself, and its stream is reused as is for the
+      // the inflated diff itself, and its envelope is reused as is for the
       // journal, the replicas and the readers one version behind.
       std::vector<uint8_t> inflated;
-      LzSection lz;
+      std::span<const uint8_t> envelope;  // the writer's kLz envelope
       SharedBytes diff;  // keeps diff_bytes alive, cached or not
       std::span<const uint8_t> diff_bytes;
       const uint32_t old_version = entry.store->version();
       uint32_t new_version;
-      if (read_compressed_section(in, inflated, &lz)) {
+      if (read_compressed_section(in, inflated, &envelope)) {
         diff =
             std::make_shared<const std::vector<uint8_t>>(std::move(inflated));
         diff_bytes = *diff;
         // Readers get the writer's section only when it beats the raw one,
         // as a section the server compressed would.
         SharedBytes section;
-        if (options_.compress_payloads &&
-            lz.envelope.size() < 1 + diff->size()) {
+        if (options_.compress_payloads && envelope.size() < 1 + diff->size()) {
           section = std::make_shared<const std::vector<uint8_t>>(
-              lz.envelope.begin(), lz.envelope.end());
+              envelope.begin(), envelope.end());
         }
         new_version = entry.store->apply_diff(diff, std::move(section));
       } else {
@@ -760,10 +753,8 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       // log), journal and replicate second, ack last. A crash after the
       // append is recoverable; a crash before it was never acknowledged.
       if (new_version != old_version) {
-        uint8_t head[4];
-        store_be32(head, new_version);
-        journal_locked(entry, name, WalRecordType::kCommit,
-                       {head, sizeof head}, diff_bytes, lz.stream);
+        journal_locked(entry, name, WalRecordType::kCommit, new_version,
+                       diff_bytes, envelope);
       }
 
       // Conservative Diff-coherence accounting and notifications, all from
@@ -874,28 +865,15 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       for (uint32_t i = 0; i < count; ++i) {
         std::string name = in.read_lp_string();
         uint32_t epoch = in.read_u32();
-        // The tag is the primary's journal tag verbatim: record type plus
-        // the compressed-envelope flag. Decode once for application; the
-        // encoded bytes are journaled unchanged so the whole chain stores
-        // the identical record.
-        uint8_t tag = in.read_u8();
-        const uint8_t masked = tag & ~kPayloadCompressedTagBit;
         // Only types 1..4 travel the replication stream; kEpochAdopt is a
         // local lineage marker each server journals for itself.
-        if (masked < static_cast<uint8_t>(WalRecordType::kSegmentCreate) ||
-            masked > static_cast<uint8_t>(WalRecordType::kSegmentDestroy)) {
+        const uint8_t type = in.read_u8();
+        if (type < static_cast<uint8_t>(WalRecordType::kSegmentCreate) ||
+            type > static_cast<uint8_t>(WalRecordType::kSegmentDestroy)) {
           throw Error(ErrorCode::kProtocol, "unknown replicated record type");
         }
-        auto rtype = static_cast<WalRecordType>(masked);
-        const bool compressed = (tag & kPayloadCompressedTagBit) != 0;
-        uint32_t len = in.read_u32();
-        auto body = in.read_bytes(len);
-        std::vector<uint8_t> decoded;
-        std::span<const uint8_t> raw = body;
-        if (compressed) {
-          decoded = decompress_record_payload(body);
-          raw = decoded;
-        }
+        const auto rtype = static_cast<WalRecordType>(type);
+        auto record = in.read_bytes(in.read_u32());
         SegmentEntry* entry = find_segment(name, true);
         std::lock_guard el(entry->mu);
         if (epoch < entry->repl_epoch) {
@@ -913,15 +891,14 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         }
         entry->repl_epoch = epoch;
         // Journal before the batch is acked: the ack tells the primary this
-        // record survives *this* server's crash too. The encoded bytes go in
-        // verbatim — compression was the primary's decision and is
-        // inherited, never redone. A record the store already holds (a batch
-        // re-sent after a link reconnect) is skipped, but may be the re-send
-        // of one whose append failed here: a broken journal is re-anchored
-        // before the ack either way.
-        if (apply_record_locked(*entry, rtype, raw)) {
+        // record survives *this* server's crash too. The primary's bytes go
+        // in verbatim, envelope and all. A record the store already holds (a
+        // batch re-sent after a link reconnect) is skipped, but may be the
+        // re-send of one whose append failed here: a broken journal is
+        // re-anchored before the ack either way.
+        if (apply_record_locked(*entry, rtype, record)) {
           stats_.repl_records_applied.fetch_add(1, std::memory_order_relaxed);
-          append_locked(*entry, rtype, body, {}, compressed);
+          append_locked(*entry, rtype, record);
         }
         if (entry->wal_broken) checkpoint_segment_locked(*entry);
         ++applied;
@@ -1039,6 +1016,7 @@ bool SegmentServer::apply_record_locked(SegmentEntry& entry,
                                         std::span<const uint8_t> payload) {
   SegmentStore& store = *entry.store;
   BufReader in(payload.data(), payload.size());
+  std::vector<uint8_t> scratch;  // a kLz body, decoded
   switch (type) {
     case WalRecordType::kSegmentCreate:
       // The segment exists already; the record only anchors the journal.
@@ -1051,7 +1029,7 @@ bool SegmentServer::apply_record_locked(SegmentEntry& entry,
       const uint32_t serial = in.read_u32();
       if (serial <= store.type_count()) return false;
       if (serial != store.type_count() + 1 ||
-          store.register_type(in.read_bytes(in.remaining())) != serial) {
+          store.register_type(read_record_section(in, scratch)) != serial) {
         throw gap_error(store, "type serial", serial, store.type_count());
       }
       return true;
@@ -1059,7 +1037,7 @@ bool SegmentServer::apply_record_locked(SegmentEntry& entry,
     case WalRecordType::kCommit: {
       const uint32_t version = in.read_u32();
       if (version <= store.version()) return false;
-      auto diff = in.read_bytes(in.remaining());
+      const auto diff = read_record_section(in, scratch);
       // Where the diff lands is checked before it is applied, so a record
       // that skips a version leaves the store untouched.
       BufReader header(diff.data(), diff.size());
@@ -1300,19 +1278,6 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
   return version;
 }
 
-uint64_t SegmentServer::sweep_expired_grants() {
-  uint64_t swept = 0;
-  const LockTable::Time now = LockTable::Clock::now();
-  std::shared_lock dir(dir_mu_);
-  for (auto& [name, entry] : segments_) {
-    std::unique_lock el(entry->mu);
-    const LockTable::Decision d = entry->locks.tick(now);
-    carry_out(*entry, d, el);
-    swept += d.grants_swept;
-  }
-  return swept;
-}
-
 std::string SegmentServer::chain_file_path(const std::string& name) const {
   namespace fs = std::filesystem;
   return (fs::path(options_.checkpoint_dir) / encode_file_name(name, ".iwinc"))
@@ -1443,7 +1408,10 @@ void SegmentServer::fold_checkpoint_chain(
       break;
     }
     try {
-      BufReader in(rec.sections.data(), rec.sections.size());
+      BufReader body(rec.body.data(), rec.body.size());
+      std::vector<uint8_t> scratch;
+      const auto sections = read_record_section(body, scratch);
+      BufReader in(sections.data(), sections.size());
       apply_tail(*store, rec.to_version, in);
     } catch (const std::exception& e) {
       corrupt = true;

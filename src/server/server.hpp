@@ -56,7 +56,7 @@ namespace iw::server {
   X(checkpoints_quarantined) /* corrupt .iwseg/.iwinc files set aside */ \
   X(checkpoints_incremental) /* delta records appended */                \
   X(checkpoint_chain_folds)  /* delta records folded at recover */       \
-  /* Payload pipeline: what the section and record envelopes saved. */   \
+  /* Payload pipeline: what the section envelope saved. */               \
   X(lz_passes)               /* compressions run: updates, WAL, chain */ \
   X(updates_compressed)      /* update diffs sent compressed */          \
   X(update_raw_bytes)        /* diff bytes before the envelope */        \
@@ -68,7 +68,6 @@ namespace iw::server {
   X(repl_records_applied)    /* kWalAppend records applied */            \
   X(repl_stale_rejected)     /* records refused by epoch fence */        \
   X(promotions_accepted)     /* kPromote epochs adopted */               \
-  X(expired_grants_swept)    /* cached grants dropped by TTL */          \
   /* Self-healing replication (sync serving + backfill pulls). */        \
   X(sync_requests)           /* kSyncRequest frames served */            \
   X(sync_tails_served)       /* syncs answered with a WAL-tail fold */   \
@@ -109,11 +108,6 @@ class SegmentServer : public ServerCore {
     /// caches read locks, so the constructor rejects 0 with
     /// kInvalidArgument.
     uint32_t revoke_deadline_ms = 2'000;
-    /// Cached read grants idle longer than this are swept server-side
-    /// without a revoke round trip — a crashed or wedged holder can never
-    /// ack one, so the TTL bounds how long it can tax every future writer
-    /// with a full revocation deadline. 0 disables the sweep.
-    uint32_t cached_grant_ttl_ms = 0;
     /// Streams every journaled record to replica servers and gates commit
     /// acknowledgement on its replication factor (see replication.hpp);
     /// null runs standalone.
@@ -171,13 +165,6 @@ class SegmentServer : public ServerCore {
   /// Loads all segments found in the checkpoint directory. Call before
   /// serving; existing in-memory segments with the same name are replaced.
   void recover();
-
-  /// Drops cached read grants older than cached_grant_ttl_ms across every
-  /// segment (no revoke round trip — the holder is presumed gone). Returns
-  /// the number swept; 0 when the TTL is disabled. Writers also apply the
-  /// TTL inline before fanning out revocations, so calling this is only
-  /// needed to reclaim grants on otherwise idle segments.
-  uint64_t sweep_expired_grants();
 
   Stats stats() const;
   /// Store-level stats for one segment (throws kNotFound).
@@ -255,8 +242,7 @@ class SegmentServer : public ServerCore {
     SegmentEntry(const std::string& name, const Options& o)
         : store(std::make_unique<SegmentStore>(name, o.store)),
           locks({std::chrono::milliseconds(o.writer_lease_ms),
-                 std::chrono::milliseconds(o.revoke_deadline_ms),
-                 std::chrono::milliseconds(o.cached_grant_ttl_ms)}) {}
+                 std::chrono::milliseconds(o.revoke_deadline_ms)}) {}
     mutable std::mutex mu;
     /// Write acquires in progress sleep here until their table decision's
     /// time, or until an event whose decision says wake.
@@ -359,16 +345,16 @@ class SegmentServer : public ServerCore {
   /// state reset. Caller holds entry.mu.
   void checkpoint_full_locked(SegmentEntry& entry);
   /// The one journal path of a record the store just applied on this
-  /// primary (a commit or a new type): encodes it once, journals it,
-  /// replicates it, and re-anchors a broken journal on a checkpoint, so the
-  /// caller may ack on return. `stream`, when not empty, is the writer's
-  /// LZ encoding of `body`, spliced into the record instead of compressing
-  /// `body` again. Throws when replication or the re-anchor fails. Caller
-  /// holds entry.mu.
+  /// primary (a commit or a new type): encodes it once as `u32 head` and
+  /// `body` in its section envelope, journals it, replicates it, and
+  /// re-anchors a broken journal on a checkpoint, so the caller may ack on
+  /// return. `envelope`, when not empty, is the writer's kLz envelope of
+  /// `body`, journaled as it arrived instead of compressing `body` again.
+  /// Throws when replication or the re-anchor fails. Caller holds entry.mu.
   void journal_locked(SegmentEntry& entry, const std::string& name,
-                      WalRecordType type, std::span<const uint8_t> head,
+                      WalRecordType type, uint32_t head,
                       std::span<const uint8_t> body,
-                      std::span<const uint8_t> stream = {});
+                      std::span<const uint8_t> envelope = {});
   /// Whether to compress `n` bytes: compress_payloads is on and the input
   /// is one the codec takes. A yes counts one LZ pass.
   bool lz_pass(size_t n);
@@ -377,14 +363,13 @@ class SegmentServer : public ServerCore {
   /// Caller holds entry.mu.
   void append_locked(SegmentEntry& entry, WalRecordType type,
                      std::span<const uint8_t> head,
-                     std::span<const uint8_t> body = {},
-                     bool compressed = false);
-  /// Applies one journal record (raw payload) to the entry's store — the
-  /// one record apply shared by journal replay and kWalAppend. Returns
-  /// false when the store already holds it (a re-sent batch, or a record a
-  /// checkpoint covers). A record that skips a version or a type serial
-  /// throws kProtocol and leaves the store unchanged. Caller holds
-  /// entry.mu.
+                     std::span<const uint8_t> body = {});
+  /// Applies one journal record to the entry's store, decoding its body's
+  /// section envelope — the one record apply shared by journal replay and
+  /// kWalAppend. Returns false when the store already holds it (a re-sent
+  /// batch, or a record a checkpoint covers). A record that skips a
+  /// version or a type serial, or whose envelope does not decode, throws
+  /// and leaves the store unchanged. Caller holds entry.mu.
   bool apply_record_locked(SegmentEntry& entry, WalRecordType type,
                            std::span<const uint8_t> payload);
 

@@ -18,10 +18,10 @@ namespace iw::server {
 namespace {
 
 constexpr uint32_t kWalMagic = 0x4957414C;  // "IWAL"
-// Format 3: commit diffs use the varint encoding (wire/diff.hpp) with
-// tagged pointer units. Format 1 journals hold fixed-width diffs and
-// format 2 ones MIP-string pointer units; this build parses neither.
-constexpr uint32_t kWalFormat = 3;
+// Format 4: a record's body is in the wire section envelope, and commit
+// diffs use the varint encoding (wire/diff.hpp) with tagged pointer units.
+// Formats 1 to 3 are refused (see wal.hpp).
+constexpr uint32_t kWalFormat = 4;
 constexpr size_t kHeaderBytes = WriteAheadLog::kHeaderSize;
 
 }  // namespace
@@ -83,35 +83,21 @@ WriteAheadLog::Replay WriteAheadLog::replay(const std::string& path) {
   }
 
   // The record framing is the shared codec's; WAL-specific policy on top:
-  // an unknown type or an undecompressable payload stops replay exactly
-  // like a CRC failure, because record boundaries past a record we cannot
-  // interpret are not trustworthy.
+  // an unknown type stops replay exactly like a CRC failure, because record
+  // boundaries past a record we cannot interpret are not trustworthy.
   RecordScanner scanner({bytes.data() + kHeaderBytes,
                          bytes.size() - kHeaderBytes}, kHeaderBytes);
   uint64_t accepted_end = kHeaderBytes;
   ScannedRecord sr;
   while (scanner.next(&sr) == RecordScanner::Status::kRecord) {
-    const uint8_t type = sr.tag & ~kPayloadCompressedTagBit;
-    if (type < static_cast<uint8_t>(WalRecordType::kSegmentCreate) ||
-        type > static_cast<uint8_t>(WalRecordType::kEpochAdopt)) {
-      break;  // unknown type: record boundaries beyond here are unsafe
+    if (sr.tag < static_cast<uint8_t>(WalRecordType::kSegmentCreate) ||
+        sr.tag > static_cast<uint8_t>(WalRecordType::kEpochAdopt)) {
+      break;
     }
-    Record rec;
-    rec.type = static_cast<WalRecordType>(type);
-    rec.compressed = (sr.tag & kPayloadCompressedTagBit) != 0;
-    if (rec.compressed) {
-      try {
-        rec.payload = decompress_record_payload(sr.payload);
-      } catch (const Error&) {
-        break;  // corrupt envelope inside a CRC-clean frame: stop here
-      }
-    } else {
-      rec.payload.assign(sr.payload.begin(), sr.payload.end());
-    }
-    rec.stored_bytes = sr.end_offset - accepted_end;
-    rec.end_offset = sr.end_offset;
+    out.records.push_back({static_cast<WalRecordType>(sr.tag),
+                           {sr.payload.begin(), sr.payload.end()},
+                           sr.end_offset});
     accepted_end = sr.end_offset;
-    out.records.push_back(std::move(rec));
   }
   out.valid_bytes = accepted_end;
   out.torn_tail = accepted_end < bytes.size();
@@ -182,11 +168,9 @@ void WriteAheadLog::fdatasync_now() {
 }
 
 void WriteAheadLog::append(WalRecordType type, std::span<const uint8_t> head,
-                           std::span<const uint8_t> body, bool compressed) {
-  const uint8_t tag = static_cast<uint8_t>(type) |
-                      (compressed ? kPayloadCompressedTagBit : uint8_t{0});
+                           std::span<const uint8_t> body) {
   uint8_t prefix[kFramedPrefixBytes];
-  build_record_prefix(tag, head, body, prefix);
+  build_record_prefix(static_cast<uint8_t>(type), head, body, prefix);
 
   WalCrashPoint crash = options_.crash != nullptr
                             ? options_.crash->next_append()

@@ -9,28 +9,37 @@
 // On-disk layout (all integers big-endian, matching the wire format):
 //
 //   file   := header record*
-//   header := magic u32 "IWAL" | format u32 (=3)
+//   header := magic u32 "IWAL" | format u32 (=4)
 //   record := body_len u32 | crc u32 | body
-//   body   := tag u8 | payload           (body_len = 1 + payload size)
-//   tag    := type u8, possibly ORed with kPayloadCompressedTagBit (0x80)
+//   body   := type u8 | payload         (body_len = 1 + payload size)
+//   payload, by type (WalRecordType):
+//     kSegmentCreate  := lp segment name
+//     kRegisterType   := u32 serial | section(type graph)
+//     kCommit         := u32 version | section(diff)
+//     kSegmentDestroy := (empty)
+//     kEpochAdopt     := u32 epoch
 //
-// The record framing is the shared codec's (wire/payload.hpp); this file
-// composes it with the WAL's header, sync policies, and torn-tail rule.
-// When the tag carries kPayloadCompressedTagBit the payload is a
-// compress_record_payload envelope (`u32 raw_len | lz bytes`); replay
-// decompresses transparently, so Record::payload is always the raw bytes,
-// and a journal may mix compressed and raw records. Format 3 journals
-// carry varint-encoded diffs (wire/diff.hpp) with tagged pointer units; a
-// format 1 journal (fixed-width diffs) or format 2 journal (MIP-string
-// pointer units) is refused with Error(kUnimplemented).
+// `section(x)` is x in the wire section envelope (wire/payload.hpp): a
+// method byte, then the raw bytes (kRaw) or `v comp_len, v raw_len, lz`
+// (kLz). A commit a writer sent compressed carries the writer's envelope
+// unchanged. The log neither encodes nor decodes it: append writes the
+// bytes it is handed and replay returns them, and the record's body is
+// decoded where it is applied (SegmentServer::apply_record_locked). The
+// record framing is the shared codec's; this file composes it with the
+// WAL's header, sync policies, and torn-tail rule. A journal in format 1
+// (fixed-width diffs), 2 (MIP-string pointer units) or 3 (a compressed
+// payload marked by bit 7 of the type) is refused with
+// Error(kUnimplemented).
 //
 // `crc` is CRC-32C over the whole body. The torn-tail rule: a record is
 // valid only if its full header fits, its length is sane, its full body
-// fits, the CRC matches, and (when flagged) its payload decompresses;
-// replay stops cleanly at the first violation (a crash mid-append leaves
-// exactly such a tail) and reopening for append truncates the torn bytes.
-// Corruption *before* the tail also stops replay — bytes after a bad
-// record cannot be trusted because record boundaries are lost.
+// fits, the CRC matches, and its type is known; replay stops cleanly at the
+// first violation (a crash mid-append leaves exactly such a tail) and
+// reopening for append truncates the torn bytes. Corruption *before* the
+// tail also stops replay — bytes after a bad record cannot be trusted
+// because record boundaries are lost. A CRC-clean record whose body does
+// not decode stops recovery the same way: recover() applies records up to
+// the first it cannot apply and truncates the reopened journal there.
 //
 // Sync policies trade commit latency for durability against OS/power
 // failure (process death alone never loses a completed append):
@@ -57,8 +66,8 @@ namespace iw::server {
 
 enum class WalRecordType : uint8_t {
   kSegmentCreate = 1,  ///< payload: lp segment name
-  kRegisterType = 2,   ///< payload: u32 serial, encoded type graph
-  kCommit = 3,         ///< payload: u32 resulting version, diff bytes
+  kRegisterType = 2,   ///< payload: u32 serial, section(type graph)
+  kCommit = 3,         ///< payload: u32 resulting version, section(diff)
   kSegmentDestroy = 4, ///< payload: empty; replay resets the segment
   kEpochAdopt = 5,     ///< payload: u32 adopted placement epoch. Local-only
                        ///< lineage marker written at promotion and after a
@@ -97,13 +106,8 @@ class WriteAheadLog {
 
   struct Record {
     WalRecordType type;
-    /// Raw (decompressed) payload bytes, whatever the on-disk encoding.
+    /// The payload as journaled; a body is still in its section envelope.
     std::vector<uint8_t> payload;
-    /// True when the on-disk payload was a compressed envelope.
-    bool compressed = false;
-    /// On-disk size of the whole record (frame header + tag + encoded
-    /// payload) — what the journal actually paid for this record.
-    uint64_t stored_bytes = 0;
     /// File offset just past this record — the truncation point when a
     /// recovery applies only a prefix of the records.
     uint64_t end_offset = 0;
@@ -148,13 +152,10 @@ class WriteAheadLog {
   /// Appends one record whose payload is `head` followed by `body` (two
   /// spans so a commit's version prefix needs no copy of the diff bytes),
   /// then applies the sync policy. Must complete before the corresponding
-  /// commit is acknowledged. `compressed` marks the payload as an
-  /// already-built compress_record_payload envelope — the WAL journals
-  /// whatever encoding it is handed and only flags the tag; it never
-  /// compresses (or re-compresses) itself, so a replica journaling a
-  /// primary's stream inherits the primary's encoding byte for byte.
+  /// commit is acknowledged. The bytes are journaled as handed over, so a
+  /// replica journaling a primary's stream stores it byte for byte.
   void append(WalRecordType type, std::span<const uint8_t> head,
-              std::span<const uint8_t> body = {}, bool compressed = false);
+              std::span<const uint8_t> body = {});
 
   /// fdatasyncs now if any append since the last flush; no-op otherwise.
   void sync();

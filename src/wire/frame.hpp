@@ -21,7 +21,7 @@ namespace iw {
 /// kHello. There is one dialect per version: every field below is required,
 /// and any change to a frame layout bumps this number. A server answers a
 /// hello carrying another version with a kProtocol error.
-inline constexpr uint8_t kProtocolVersion = 3;
+inline constexpr uint8_t kProtocolVersion = 4;
 
 // Field notation: u8/u32/u64 fixed width (big-endian), v LEB128 varint,
 // vs varint-length string, lp u32-length string. "envelope diff" is a diff
@@ -72,7 +72,7 @@ enum class MsgType : uint8_t {
   // --- federation (server-to-server replication + segment directory) ---
   kWalAppend = 24,       ///< primary -> replica: u32 record count, then per
                          ///< record lp segment, u32 placement epoch, u8 WAL
-                         ///< record type, u32 body length, body bytes
+                         ///< record type, u32 length, payload (wal.hpp)
   kWalAck = 25,          ///< u32 records journaled (the whole batch)
   kDirResolve = 26,      ///< lp segment url, u32 observed epoch (0 = none),
                          ///< u8 failover: caller found the primary dead

@@ -219,71 +219,7 @@ std::vector<uint8_t> lz_decompress(std::span<const uint8_t> comp,
   return out;
 }
 
-// --- Record payload envelope ------------------------------------------------
-
-void splice_record_payload(std::span<const uint8_t> head,
-                           std::span<const uint8_t> comp, size_t raw_len,
-                           Buffer& out) {
-  const size_t total = head.size() + raw_len;
-  if (total > kMaxFramedBody) corrupt("compressed record raw length");
-  if (comp.empty()) corrupt("empty compressed stream");
-  // The first sequence's literal run: its token and length extension are
-  // re-encoded for the longer run; everything after them is kept verbatim,
-  // since match offsets are relative to the output position.
-  const uint8_t* in = comp.data();
-  const uint8_t* const in_end = in + comp.size();
-  const uint8_t token = *in++;
-  size_t lit = token >> 4;
-  if (lit == 15) {
-    uint8_t b;
-    do {
-      if (in == in_end) corrupt("truncated length extension");
-      b = *in++;
-      lit += b;
-    } while (b == 255);
-  }
-  if (lit > static_cast<size_t>(in_end - in)) {
-    corrupt("literal run past end of input");
-  }
-  const size_t run = head.size() + lit;
-  out.clear();
-  out.append_u32(static_cast<uint32_t>(total));
-  uint8_t* const first = out.extend(2 + run / 255 + head.size());
-  uint8_t* op = first;
-  *op++ = static_cast<uint8_t>(((run < 15 ? run : 15) << 4) | (token & 0xF));
-  if (run >= 15) op = put_length(op, run - 15);
-  if (!head.empty()) std::memcpy(op, head.data(), head.size());
-  op += head.size();
-  out.truncate(4 + static_cast<size_t>(op - first));
-  out.append(in, static_cast<size_t>(in_end - in));
-}
-
-bool compress_record_payload(std::span<const uint8_t> head,
-                             std::span<const uint8_t> body, Buffer& out) {
-  out.clear();
-  // The body is compressed alone and the head spliced in front of it: the
-  // same record a writer's compressed commit journals.
-  static thread_local Buffer stream;
-  stream.clear();
-  if (!lz_compress(body, stream)) return false;
-  splice_record_payload(head, stream.span(), body.size(), out);
-  // The 4-byte raw_len prefix counts against the savings.
-  if (out.size() >= head.size() + body.size()) {
-    out.clear();
-    return false;
-  }
-  return true;
-}
-
-std::vector<uint8_t> decompress_record_payload(
-    std::span<const uint8_t> payload) {
-  if (payload.size() < 4) corrupt("compressed record too short");
-  const uint32_t raw_len = load_be32(payload.data());
-  if (raw_len > kMaxFramedBody) corrupt("compressed record raw length");
-  return lz_decompress(payload.subspan(4), raw_len);
-}
-
-// --- Wire diff-section envelope ---------------------------------------------
+// --- Section envelope ---------------------------------------------
 
 namespace {
 
@@ -333,7 +269,7 @@ bool compress_section_in_place(Buffer& buf, size_t method_offset) {
 }
 
 bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch,
-                             LzSection* lz) {
+                             std::span<const uint8_t>* envelope) {
   const uint8_t* const at = in.cursor();
   const uint8_t method = in.read_u8();
   if (method == payload_method::kRaw) return false;
@@ -345,11 +281,17 @@ bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch,
   auto comp = in.read_bytes(comp_len);
   scratch.resize(raw_len);
   lz_decompress(comp, scratch.data(), raw_len);
-  if (lz != nullptr) {
-    lz->envelope = {at, in.cursor()};
-    lz->stream = comp;
-  }
+  if (envelope != nullptr) *envelope = {at, in.cursor()};
   return true;
+}
+
+std::span<const uint8_t> read_record_section(BufReader& in,
+                                             std::vector<uint8_t>& scratch) {
+  if (!read_compressed_section(in, scratch)) {
+    return in.read_bytes(in.remaining());
+  }
+  if (in.remaining() != 0) corrupt("bytes past a record's section");
+  return scratch;
 }
 
 // --- CRC32C record framing --------------------------------------------------

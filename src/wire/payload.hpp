@@ -13,17 +13,16 @@
 //     hardened — every malformed input is a typed Error(kCorruptPayload),
 //     never UB.
 //
-//  2. Payload envelopes. Record payloads (WAL / replication) prepend
-//     `u32 raw_len` to the compressed bytes and mark the record's tag byte
-//     with kPayloadCompressedTagBit. Wire diff sections use a leading
-//     method byte on every session (payload_method::kRaw leaves the
-//     section bytes untouched so the zero-copy iovec path survives; kLz
-//     carries `varint comp_len | varint raw_len | bytes`, explicitly
-//     sized so trailing frame bytes still parse). Compression is always *measured*:
-//     when the encoded bytes would not beat the raw bytes, the raw form is
-//     kept and the flag says so. A record payload can also be spliced
-//     from a section's stream (splice_record_payload), so a diff that was
-//     compressed once on the wire is journaled without a second pass.
+//  2. The section envelope, the one compression envelope. A body starts
+//     with a method byte: payload_method::kRaw leaves the bytes after it
+//     untouched (so the zero-copy iovec path survives), and kLz carries
+//     `varint comp_len | varint raw_len | bytes`, explicitly sized so
+//     trailing frame bytes still parse. Wire diff sections carry it, and so
+//     do the bodies of journal, replication and checkpoint-chain records
+//     (a record is its head, then its body in this envelope), so a diff a
+//     writer compressed is journaled and replicated as the writer sent it.
+//     Compression is always *measured*: when the encoded bytes would not
+//     beat the raw bytes, the raw form is kept and the method says so.
 //
 //  3. CRC32C record framing: `u32 body_len | u32 crc | body` where
 //     `body := u8 tag | payload` and the CRC covers the whole body. This is
@@ -67,43 +66,7 @@ std::vector<uint8_t> lz_decompress(std::span<const uint8_t> comp,
                                    size_t raw_len);
 
 // ---------------------------------------------------------------------------
-// Record payload envelope (WAL / replication stream)
-// ---------------------------------------------------------------------------
-
-/// Set on a framed record's tag byte when its payload is compressed. The
-/// low 7 bits keep their original meaning (WalRecordType, chain record
-/// kind), so old readers that mask nothing see an unknown type and stop —
-/// they never misparse compressed bytes as a diff.
-inline constexpr uint8_t kPayloadCompressedTagBit = 0x80;
-
-/// Builds the record payload `u32 raw_len | lz(head ++ body)` into `out`
-/// from `comp`, an lz_compress encoding of a `raw_len`-byte body, with no
-/// compression pass: `head` joins the stream's first literal run (its token
-/// and length extension are re-encoded, the rest is copied verbatim, since
-/// match offsets are relative). This is how a writer's compressed commit is
-/// journaled and replicated without compressing it again. Throws
-/// Error(kCorruptPayload) when the first sequence is malformed; the rest of
-/// the stream is checked where it is decoded.
-void splice_record_payload(std::span<const uint8_t> head,
-                           std::span<const uint8_t> comp, size_t raw_len,
-                           Buffer& out);
-
-/// Compresses a record payload (`head` ++ `body`) into `out` as
-/// `u32 raw_len | lz bytes`: one pass over `body`, then the splice above.
-/// Returns false — with `out` cleared — when compression does not pay; the
-/// caller then journals the raw payload with an unmarked tag,
-/// byte-identical to the pre-compression format.
-bool compress_record_payload(std::span<const uint8_t> head,
-                             std::span<const uint8_t> body, Buffer& out);
-
-/// Inverse of compress_record_payload: parses `u32 raw_len | lz bytes` and
-/// returns the raw payload. Throws Error(kCorruptPayload) on malformed
-/// input.
-std::vector<uint8_t> decompress_record_payload(
-    std::span<const uint8_t> payload);
-
-// ---------------------------------------------------------------------------
-// Wire diff-section envelope
+// Section envelope
 // ---------------------------------------------------------------------------
 
 namespace payload_method {
@@ -128,22 +91,24 @@ bool compress_section_in_place(Buffer& buf, size_t method_offset);
 /// makes of the same bytes.
 bool compress_section(std::span<const uint8_t> raw, Buffer& out);
 
-/// A kLz section as it was read: the whole envelope (method byte onward)
-/// and the LZ stream inside it. Both borrow the reader's bytes.
-struct LzSection {
-  std::span<const uint8_t> envelope;
-  std::span<const uint8_t> stream;
-};
-
 /// Reads a section envelope's method byte from `in`. For kRaw returns
 /// false: the caller parses the (self-delimiting) section straight from
 /// `in`. For kLz decompresses into `scratch` and returns true: the caller
 /// parses `scratch`, and `in` has been advanced past the compressed bytes
-/// so trailing frame fields still line up; `lz`, when given, receives the
-/// envelope and stream just decoded. Unknown methods and corrupt streams
+/// so trailing frame fields still line up; `envelope`, when given,
+/// receives the whole kLz envelope just decoded (method byte onward,
+/// borrowing the reader's bytes). Unknown methods and corrupt streams
 /// throw Error(kCorruptPayload).
 bool read_compressed_section(BufReader& in, std::vector<uint8_t>& scratch,
-                             LzSection* lz = nullptr);
+                             std::span<const uint8_t>* envelope = nullptr);
+
+/// Reads the rest of `in` as a record body in its section envelope and
+/// returns the raw body: the bytes after a kRaw method byte, borrowed from
+/// `in`, or a kLz stream decoded into `scratch`. A malformed envelope
+/// throws as read_compressed_section does (or kProtocol from a truncated
+/// length), and bytes past a kLz stream throw Error(kCorruptPayload).
+std::span<const uint8_t> read_record_section(BufReader& in,
+                                             std::vector<uint8_t>& scratch);
 
 // ---------------------------------------------------------------------------
 // CRC32C record framing

@@ -522,6 +522,76 @@ TEST_F(Checkpoint, CorruptMidChainRecordFallsBackToLastGoodFold) {
   c.read_unlock(seg);
 }
 
+TEST_F(Checkpoint, UndecodableChainEnvelopeQuarantinesTheTail) {
+  // The chain counterpart of a corrupt journal envelope: a CRC-clean delta
+  // record whose section envelope does not decode stops the fold there.
+  auto options = server_options();
+  uint32_t good_version = 0;
+  {
+    server::SegmentServer server(options);
+    Client c([&](const std::string&) {
+      return std::make_shared<InProcChannel>(server);
+    });
+    const TypeDescriptor* arr =
+        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 32);
+    ClientSegment* seg = c.open_segment("host/badenv");
+    c.write_lock(seg);
+    auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
+    c.write_unlock(seg);
+    server.checkpoint();  // full snapshot
+    for (int round = 1; round <= 3; ++round) {
+      c.write_lock(seg);
+      data[0] = round * 100;
+      c.write_unlock(seg);
+      server.checkpoint();
+      if (round == 1) good_version = seg->version();
+    }
+  }
+  const fs::path chain = dir_ / "host%2Fbadenv.iwinc";
+  auto scan = server::scan_chain(chain.string());
+  ASSERT_EQ(scan.records.size(), 3u);
+  {
+    // Rewrite the chain with an unknown method byte in the second record,
+    // framed with a valid CRC.
+    std::ifstream in(chain, std::ios::binary);
+    std::vector<char> header(8);
+    in.read(header.data(), 8);
+    Buffer bytes;
+    bytes.append(header.data(), header.size());
+    for (size_t i = 0; i < scan.records.size(); ++i) {
+      const server::ChainRecord& rec = scan.records[i];
+      Buffer head;
+      head.append_u32(rec.base_version);
+      head.append_u32(rec.from_version);
+      head.append_u32(rec.to_version);
+      std::vector<uint8_t> body = rec.body;
+      if (i == 1) body[0] = 7;
+      append_framed_record(bytes, server::kChainDelta, head.span(), body);
+    }
+    std::ofstream out(chain, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  ASSERT_FALSE(server::scan_chain(chain.string()).torn);
+
+  server::SegmentServer revived(server_options());
+  revived.recover();  // must not throw
+  EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
+  EXPECT_EQ(revived.stats().checkpoint_chain_folds, 1u);
+  EXPECT_TRUE(fs::exists(dir_ / "host%2Fbadenv.iwinc.corrupt"));
+  EXPECT_EQ(revived.segment_version("host/badenv"), good_version);
+
+  Client c([&](const std::string&) {
+    return std::make_shared<InProcChannel>(revived);
+  });
+  ClientSegment* seg = c.open_segment("host/badenv", false);
+  c.read_lock(seg);
+  auto* blk = seg->heap().find_by_name("d");
+  ASSERT_NE(blk, nullptr);
+  EXPECT_EQ(reinterpret_cast<const int32_t*>(blk->data())[0], 100);
+  c.read_unlock(seg);
+}
+
 TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
   // A block created *and* freed between two incremental checkpoints leaves
   // no trace in the window's diff — but a client whose cached version lies

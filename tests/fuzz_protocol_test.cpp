@@ -664,78 +664,120 @@ size_t first_literal_run(std::span<const uint8_t> comp) {
   return lit;
 }
 
+/// A record as the journal, the replication stream and a checkpoint chain
+/// carry it: `head`, then `body` in its section envelope, compressed when
+/// that pays.
+std::vector<uint8_t> record_of(std::span<const uint8_t> head,
+                               std::span<const uint8_t> body) {
+  Buffer out;
+  out.append(head);
+  if (!compress_section(body, out)) {
+    out.append_u8(payload_method::kRaw);
+    out.append(body);
+  }
+  return {out.data(), out.data() + out.size()};
+}
+
+/// The body of a record_of record, read as recovery reads it.
+std::vector<uint8_t> body_of(std::span<const uint8_t> record,
+                             size_t head_size) {
+  BufReader in(record.data(), record.size());
+  in.skip(head_size);
+  std::vector<uint8_t> scratch;
+  const auto body = read_record_section(in, scratch);
+  return {body.begin(), body.end()};
+}
+
+bool typed_decode_error(const Error& e) {
+  return e.code() == ErrorCode::kCorruptPayload ||
+         e.code() == ErrorCode::kProtocol;
+}
+
 TEST(FuzzCodec, SplicedRecordPayloadsRoundTrip) {
-  // Around every token-nibble and length-extension boundary, with and
-  // without the 4-byte version head a journaled commit carries.
+  // A record carries the body's section envelope after its head, with the
+  // LZ stream untouched: around every token-nibble and length-extension
+  // boundary of the stream's first literal run, with and without the
+  // 4-byte version head a journaled commit carries.
   SplitMix64 rng(907);
   for (size_t lit : {0, 10, 11, 14, 15, 254, 255, 269, 270}) {
     // `lit` random bytes, then that prefix repeated: the first match
-    // starts right after the first literal run. With no prefix the stream
-    // is the lone empty literal run.
+    // starts right after the first literal run. With no prefix the body is
+    // empty and goes raw.
     std::vector<uint8_t> body(lit);
     for (auto& b : body) b = static_cast<uint8_t>(rng());
     Buffer comp;
-    if (lit == 0) {
-      comp.append_u8(0);
-    } else {
+    if (lit != 0) {
       while (body.size() < 2000) body.push_back(body[body.size() - lit]);
       ASSERT_TRUE(lz_compress(body, comp));
+      ASSERT_EQ(first_literal_run(comp.span()), lit);
     }
-    ASSERT_EQ(first_literal_run(comp.span()), lit);
     for (size_t head_size : {0, 4}) {
       std::vector<uint8_t> head(head_size);
       for (auto& b : head) b = static_cast<uint8_t>(rng());
-      Buffer record;
-      splice_record_payload(head, comp.span(), body.size(), record);
-      std::vector<uint8_t> want(head);
-      want.insert(want.end(), body.begin(), body.end());
-      ASSERT_EQ(decompress_record_payload(record.span()), want)
+      const auto record = record_of(head, body);
+      ASSERT_TRUE(std::equal(head.begin(), head.end(), record.begin()));
+      ASSERT_EQ(body_of(record, head_size), body)
           << "literal run " << lit << ", head " << head_size;
-      ASSERT_EQ(first_literal_run(record.span().subspan(4)), lit + head_size);
+      if (lit != 0) {
+        ASSERT_EQ(record[head_size], payload_method::kLz);
+        ASSERT_TRUE(std::equal(comp.span().rbegin(), comp.span().rend(),
+                               record.rbegin()))
+            << "the stream was re-encoded";
+      }
     }
   }
-  // The same record compress_record_payload journals for a raw section.
-  std::vector<uint8_t> head = {0, 0, 0, 9};
+  // A writer's envelope is the one the server would make of the same
+  // section, so the journal stores one record either way.
   std::vector<uint8_t> body = compressible_bytes(rng, 3000);
-  Buffer comp, spliced, packed;
-  ASSERT_TRUE(lz_compress(body, comp));
-  splice_record_payload(head, comp.span(), body.size(), spliced);
-  ASSERT_TRUE(compress_record_payload(head, body, packed));
-  EXPECT_EQ(packed.span().size(), spliced.span().size());
-  EXPECT_TRUE(std::equal(packed.span().begin(), packed.span().end(),
-                         spliced.span().begin()));
+  Buffer wire, server;
+  wire.append_u8(payload_method::kRaw);
+  wire.append(body);
+  ASSERT_TRUE(compress_section_in_place(wire, 0));
+  ASSERT_TRUE(compress_section(body, server));
+  EXPECT_EQ(wire.size(), server.size());
+  EXPECT_TRUE(std::equal(wire.span().begin(), wire.span().end(),
+                         server.span().begin()));
 }
 
 TEST(FuzzCodec, MutatedSpliceInputsAreTypedErrors) {
   SplitMix64 rng(911);
   std::vector<uint8_t> body = compressible_bytes(rng, 2048);
-  Buffer comp;
-  ASSERT_TRUE(lz_compress(body, comp));
   const std::vector<uint8_t> head = {0, 0, 0, 2};
+  const auto record = record_of(head, body);
+  ASSERT_EQ(record[head.size()], payload_method::kLz);
   for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<uint8_t> bytes(comp.data(), comp.data() + comp.size());
+    std::vector<uint8_t> bytes(record);
     int flips = 1 + static_cast<int>(rng.below(4));
     for (int f = 0; f < flips; ++f) {
-      // Bias toward the first sequence, which the splice itself parses.
-      const size_t at = rng.below(4) == 0 ? rng.below(bytes.size())
-                                          : rng.below(std::min<size_t>(
-                                                bytes.size(), 8));
+      // Bias toward the envelope's method byte, its lengths and the
+      // stream's first sequence.
+      const size_t at = rng.below(4) == 0
+                            ? head.size() + rng.below(bytes.size() -
+                                                      head.size())
+                            : head.size() + rng.below(12);
       bytes[at] ^= static_cast<uint8_t>(1 + rng.below(255));
     }
-    if (rng.below(4) == 0) bytes.resize(rng.below(bytes.size() + 1));
+    if (rng.below(4) == 0) {
+      bytes.resize(head.size() + rng.below(bytes.size() - head.size() + 1));
+    }
     try {
-      Buffer record;
-      splice_record_payload(head, bytes, body.size(), record);
-      std::vector<uint8_t> back = decompress_record_payload(record.span());
-      ASSERT_EQ(back.size(), head.size() + body.size());
+      const auto back = body_of(bytes, head.size());
+      if (bytes[head.size()] == payload_method::kLz) {
+        ASSERT_EQ(back.size(), body.size());
+      }
     } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kCorruptPayload);
+      EXPECT_TRUE(typed_decode_error(e)) << static_cast<int>(e.code());
     }
   }
   // Truncated inside the first token's length extension.
-  const uint8_t truncated[] = {0xF0, 255};
-  Buffer record;
-  EXPECT_THROW(splice_record_payload(head, truncated, 300, record), Error);
+  Buffer truncated;
+  truncated.append(head);
+  truncated.append_u8(payload_method::kLz);
+  truncated.append_varint(2);
+  truncated.append_varint(300);
+  truncated.append_u8(0xF0);
+  truncated.append_u8(255);
+  EXPECT_THROW(body_of(truncated.span(), head.size()), Error);
 }
 
 TEST(FuzzCodec, OverlappingMatchesDecodeByteExactly) {
@@ -829,34 +871,47 @@ TEST(FuzzCodec, RecordPayloadEnvelopeRoundTripsAndRejectsGarbage) {
   SplitMix64 rng(101);
   std::vector<uint8_t> head(4, 0x7a);
   std::vector<uint8_t> body = compressible_bytes(rng, 1500);
-  Buffer packed;
-  ASSERT_TRUE(compress_record_payload(head, body, packed));
-  std::vector<uint8_t> back = decompress_record_payload(packed.span());
-  std::vector<uint8_t> want(head);
-  want.insert(want.end(), body.begin(), body.end());
-  EXPECT_EQ(back, want);
+  const auto record = record_of(head, body);
+  ASSERT_EQ(record[head.size()], payload_method::kLz);
+  EXPECT_LT(record.size(), head.size() + 1 + body.size());
+  EXPECT_EQ(body_of(record, head.size()), body);
+  // A body too small to compress goes raw, behind its method byte.
+  const std::vector<uint8_t> small = {1, 2, 3};
+  EXPECT_EQ(record_of(head, small).size(), head.size() + 1 + small.size());
+  EXPECT_EQ(body_of(record_of(head, small), head.size()), small);
 
   for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<uint8_t> bytes(packed.data(), packed.data() + packed.size());
+    std::vector<uint8_t> bytes(record);
     int flips = 1 + static_cast<int>(rng.below(4));
     for (int f = 0; f < flips; ++f) {
-      bytes[rng.below(bytes.size())] ^=
+      bytes[head.size() + rng.below(bytes.size() - head.size())] ^=
           static_cast<uint8_t>(1 + rng.below(255));
     }
-    if (rng.below(4) == 0) bytes.resize(rng.below(bytes.size() + 1));
-    try {
-      (void)decompress_record_payload(bytes);
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kCorruptPayload);
+    if (rng.below(4) == 0) {
+      bytes.resize(head.size() + rng.below(bytes.size() - head.size() + 1));
     }
+    try {
+      (void)body_of(bytes, head.size());
+    } catch (const Error& e) {
+      EXPECT_TRUE(typed_decode_error(e)) << static_cast<int>(e.code());
+    }
+  }
+  // Bytes past a kLz stream are garbage, not a second body.
+  std::vector<uint8_t> trailing(record);
+  trailing.push_back(0);
+  try {
+    (void)body_of(trailing, head.size());
+    ADD_FAILURE() << "trailing bytes accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptPayload);
   }
   // Pure garbage never crashes either.
   for (int trial = 0; trial < 1000; ++trial) {
     auto bytes = random_bytes(rng, 256);
     try {
-      (void)decompress_record_payload(bytes);
+      (void)body_of(bytes, 0);
     } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kCorruptPayload);
+      EXPECT_TRUE(typed_decode_error(e)) << static_cast<int>(e.code());
     }
   }
 }

@@ -20,8 +20,8 @@
 //   2. a session answered "granted" holds the slot until its lease lapses;
 //   3. no client caches a read grant while another session holds the
 //      drained write lock, unless the server presumed that client sick
-//      (its revoke deadline passed with a reader inside, or the grant TTL
-//      swept it) and the client has not let go since;
+//      (its revoke deadline passed with a reader inside) and the client
+//      has not let go since;
 //   4. a grant that a revoke overtook is never cached;
 //   5. a lease is reclaimed only once it has lapsed, and each reclaim is
 //      answered kLeaseExpired at most once;
@@ -51,9 +51,8 @@ using Write = LockTable::Write;
 constexpr int kSessions = 3;
 constexpr int kLease = 3;  // ticks
 constexpr int kRevokeDeadline = 2;
-constexpr int kGrantTtl = 4;
 constexpr int kQueue = 4;   // messages a queue holds; a full one blocks
-constexpr int kDepth = 14;  // events per trace
+constexpr int kDepth = 16;  // events per trace
 
 LockTable::Time at(int64_t tick) {
   return LockTable::Time{} + std::chrono::milliseconds(tick);
@@ -61,8 +60,7 @@ LockTable::Time at(int64_t tick) {
 
 LockTable::Config model_config() {
   return {std::chrono::milliseconds(kLease),
-          std::chrono::milliseconds(kRevokeDeadline),
-          std::chrono::milliseconds(kGrantTtl)};
+          std::chrono::milliseconds(kRevokeDeadline)};
 }
 
 /// Every event of the model: a client's, a server thread's, or the world's.
@@ -80,7 +78,6 @@ LockTable::Config model_config() {
   X(ack)        /* server: takes the session's next kRevokeAck */ \
   X(resume)     /* server: the session's write acquire wakes */   \
   X(fanout)     /* server: pushes the decided kRevokeRead frames */ \
-  X(sweep)      /* server: the grant-TTL tick */                  \
   X(advance)    /* the clock moves one tick */
 
 enum class Ev : uint8_t {
@@ -99,7 +96,7 @@ const char* ev_name(Ev e) {
   return kNames[static_cast<int>(e)];
 }
 
-bool global_event(Ev e) { return e == Ev::sweep || e == Ev::advance; }
+bool global_event(Ev e) { return e == Ev::advance; }
 
 enum class Call : uint32_t { kRead, kReadWeak, kWrite, kRenew, kRelease };
 enum class App : uint8_t {
@@ -180,15 +177,13 @@ struct Checker {
     return out;
   }
 
-  /// The forced drops of one decision: a TTL sweep presumes its holders
-  /// gone; a revoke deadline only those with a reader stuck inside.
-  void forced_drops(State& st, const std::array<bool, kSessions>& before,
-                    const LockTable::Decision& d) {
+  /// The forced drops of one decision: a revoke deadline presumes sick
+  /// only the holders with a reader stuck inside.
+  void forced_drops(State& st, const std::array<bool, kSessions>& before) {
     const auto after = server_cached(st);
     for (int q = 0; q < kSessions; ++q) {
-      if (!before[q] || after[q]) continue;
       Peer& p = st.peers[q];
-      if (d.grants_swept != 0 || p.cache.active > 0) p.presumed_sick = true;
+      if (before[q] && !after[q] && p.cache.active > 0) p.presumed_sick = true;
     }
   }
 
@@ -215,7 +210,7 @@ struct Checker {
         fail("s" + std::to_string(prev_writer) + "'s lease reclaimed twice");
       }
     }
-    forced_drops(st, before, d);
+    forced_drops(st, before);
     if (prev_writer != sid(i) && st.table.writer() == sid(i)) {
       me.protected_until = st.now + kRevokeDeadline + kLease;  // drainer
     }
@@ -374,7 +369,7 @@ struct Checker {
           case Call::kRead:
           case Call::kReadWeak: {
             const LockTable::Decision d =
-                st.table.acquire_read(sid(i), call == Call::kRead, now);
+                st.table.acquire_read(sid(i), call == Call::kRead);
             note("s", n, " server: acquire_read -> ", verdict_name(d.verdict));
             if (d.verdict == Verdict::kGranted) me.grant_in_flight = true;
             me.resps.push(static_cast<uint32_t>(d.verdict));
@@ -434,13 +429,6 @@ struct Checker {
           }
         }
         me.thread = Thread::kLoop;
-        break;
-      }
-      case Ev::sweep: {
-        const LockTable::Decision d = st.table.tick(now);
-        if (d.grants_swept == 0) return false;  // nothing would change
-        note("server: TTL sweep dropped ", d.grants_swept);
-        forced_drops(st, before, d);
         break;
       }
       case Ev::advance:
@@ -511,8 +499,8 @@ std::string fingerprint(const State& st) {
     const auto d = std::chrono::duration_cast<std::chrono::milliseconds>(
                        x - at(st.now))
                        .count();
-    out += static_cast<char>(std::clamp<int64_t>(d, -kGrantTtl - 2,
-                                                 kRevokeDeadline + kLease + 1));
+    out += static_cast<char>(
+        std::clamp<int64_t>(d, -1, kRevokeDeadline + kLease + 1));
   };
   auto gen = [&](uint32_t g) {
     const uint32_t age = t.revoke_gen() - g;
@@ -529,7 +517,6 @@ std::string fingerprint(const State& st) {
     out += static_cast<char>(ss->cached * 2 + 1);
     gen(ss->pending);
     out += static_cast<char>(ss->write);
-    if (ss->cached) rel(ss->grant_time);
     draining = draining || ss->write == Write::kDraining;
   }
   if (t.writer() != 0) rel(t.lease_deadline());
@@ -658,7 +645,7 @@ TEST(LockModel, EveryInterleavingOfThreeSessionsKeepsTheInvariants) {
 TEST(LockTable, ReclaimedDrainerIsAnsweredLeaseExpired) {
   LockTable t(model_config());
   constexpr SessionId kReader = 1, kDrainer = 2, kWaiter = 3;
-  ASSERT_EQ(t.acquire_read(kReader, true, at(0)).verdict, Verdict::kGranted);
+  ASSERT_EQ(t.acquire_read(kReader, true).verdict, Verdict::kGranted);
   LockTable::Decision d = t.acquire_write(kDrainer, at(0));
   ASSERT_EQ(d.verdict, Verdict::kRevoke);
   EXPECT_EQ(d.revoke, std::vector<SessionId>{kReader});

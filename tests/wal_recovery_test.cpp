@@ -54,6 +54,11 @@ std::vector<uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
+std::vector<uint8_t> file_bytes(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
 fs::path fresh_dir(const std::string& tag) {
   fs::path dir = fs::temp_directory_path() /
                  ("iw-wal-" + std::to_string(::getpid()) + "-" + tag);
@@ -108,34 +113,54 @@ TEST_F(WalLog, AppendAndReplayRoundTrip) {
   EXPECT_EQ(replay.valid_bytes, fs::file_size(log_path()));
 }
 
+/// The body of a commit or type record, decoded from its section envelope
+/// as recovery decodes it.
+std::vector<uint8_t> record_body(const WriteAheadLog::Record& rec) {
+  BufReader in(rec.payload.data(), rec.payload.size());
+  in.skip(4);
+  std::vector<uint8_t> scratch;
+  const auto body = read_record_section(in, scratch);
+  return {body.begin(), body.end()};
+}
+
+/// Whether a commit or type record's body is LZ-compressed.
+bool lz_record(const WriteAheadLog::Record& rec) {
+  return rec.payload.size() > 4 && rec.payload[4] == payload_method::kLz;
+}
+
 TEST_F(WalLog, MixedFormatJournalReplaysBothEncodings) {
-  // A journal written partly before compression existed and partly after:
-  // replay sniffs the tag flag per record and hands back raw payloads
-  // either way, so old, new, and mixed journals all replay unchanged.
+  // A journal whose commits carry their diffs raw and compressed: the log
+  // hands back each payload as written, and each body decodes through the
+  // one section decoder to the same raw bytes.
   std::vector<uint8_t> head = bytes_of("HEAD");
   std::vector<uint8_t> body(1024, 0x42);  // compressible
+  Buffer raw, packed;
+  raw.append(head);
+  raw.append_u8(payload_method::kRaw);
+  packed.append(head);
+  ASSERT_TRUE(compress_section(body, packed));
   {
     WriteAheadLog wal(log_path(), {});
-    wal.append(WalRecordType::kCommit, head, body);  // pre-compression form
-    Buffer packed;
-    ASSERT_TRUE(compress_record_payload(head, body, packed));
-    wal.append(WalRecordType::kCommit, packed.span(), {}, true);
-    wal.append(WalRecordType::kCommit, head, body);  // raw again
+    wal.append(WalRecordType::kCommit, raw.span(), body);
+    wal.append(WalRecordType::kCommit, packed.span());
+    wal.append(WalRecordType::kCommit, raw.span(), body);
   }
   auto replay = WriteAheadLog::replay(log_path());
   ASSERT_FALSE(replay.torn_tail);
   ASSERT_EQ(replay.records.size(), 3u);
-  std::vector<uint8_t> want(head);
-  want.insert(want.end(), body.begin(), body.end());
   for (const auto& rec : replay.records) {
     EXPECT_EQ(rec.type, WalRecordType::kCommit);
-    EXPECT_EQ(rec.payload, want);
+    EXPECT_EQ(record_body(rec), body);
   }
-  EXPECT_FALSE(replay.records[0].compressed);
-  EXPECT_TRUE(replay.records[1].compressed);
-  EXPECT_FALSE(replay.records[2].compressed);
+  EXPECT_FALSE(lz_record(replay.records[0]));
+  EXPECT_TRUE(lz_record(replay.records[1]));
+  EXPECT_FALSE(lz_record(replay.records[2]));
+  EXPECT_EQ(replay.records[1].payload,
+            std::vector<uint8_t>(packed.data(), packed.data() + packed.size()))
+      << "the log re-encoded a payload";
   // The compressed record actually paid less for the same raw bytes.
-  EXPECT_LT(replay.records[1].stored_bytes, replay.records[0].stored_bytes);
+  EXPECT_LT(replay.records[1].payload.size(),
+            replay.records[0].payload.size());
 }
 
 TEST_F(WalLog, TornTailIsDetectedAndTruncatedOnReopen) {
@@ -253,7 +278,7 @@ TEST_F(WalLog, FormatOneCheckpointChainIsRefused) {
   EXPECT_EQ(error_code_of([&] { server::scan_chain(chain); }),
             ErrorCode::kUnimplemented);
   // The current format scans.
-  write_versioned_file(chain, 0x49574943, 3);
+  write_versioned_file(chain, 0x49574943, 4);
   server::ChainScan scan = server::scan_chain(chain);
   EXPECT_FALSE(scan.torn);
 }
@@ -298,6 +323,46 @@ TEST_F(WalLog, FormatTwoFilesAreRefused) {
   write_versioned_file(snapshot.string(), 0x49575334, 0);
   EXPECT_EQ(recover_code(dir_), ErrorCode::kUnimplemented);
   EXPECT_TRUE(fs::exists(snapshot));
+}
+
+TEST_F(WalLog, FormatThreeFilesAreRefused) {
+  // Format 3 journals and chains mark a compressed payload with bit 7 of
+  // the record's tag and hold `u32 raw_len | lz(head ++ body)`; this build
+  // reads a head and then the body's section envelope (format 4). Each old
+  // file is refused whole, by the log, the chain scan and recovery.
+  auto recover_code = [&] {
+    SegmentServer::Options o;
+    o.checkpoint_dir = dir_.string();
+    SegmentServer server(o);
+    return error_code_of([&] { server.recover(); });
+  };
+  write_versioned_file(log_path(), 0x4957414C /* "IWAL" */, 3);
+  EXPECT_EQ(error_code_of([&] { WriteAheadLog::replay(log_path()); }),
+            ErrorCode::kUnimplemented);
+  EXPECT_EQ(recover_code(), ErrorCode::kUnimplemented);
+  EXPECT_TRUE(fs::exists(log_path()));
+  fs::remove(log_path());
+
+  // A chain is refused at recovery even with its snapshot in place.
+  {
+    SegmentServer::Options o;
+    o.checkpoint_dir = dir_.string();
+    SegmentServer server(o);
+    Client c([&](const std::string&) {
+      return std::make_shared<InProcChannel>(server);
+    });
+    ClientSegment* seg = c.open_segment("seg");
+    c.write_lock(seg);
+    c.malloc_block(seg, c.types().primitive(PrimitiveKind::kInt32), "x");
+    c.write_unlock(seg);
+    server.checkpoint();
+  }
+  const std::string chain = (dir_ / "seg.iwinc").string();
+  write_versioned_file(chain, 0x49574943 /* "IWIC" */, 3);
+  EXPECT_EQ(error_code_of([&] { server::scan_chain(chain); }),
+            ErrorCode::kUnimplemented);
+  EXPECT_EQ(recover_code(), ErrorCode::kUnimplemented);
+  EXPECT_TRUE(fs::exists(chain));
 }
 
 TEST_F(WalLog, TruncateAfterCheckpointDiscardsRecords) {
@@ -544,6 +609,60 @@ TEST_F(WalRecovery, MixedFormatJournalAcrossCompressionToggle) {
   expect_converged(revived, 10);
 }
 
+TEST_F(WalRecovery, UndecodableEnvelopeInCleanRecordStopsRecovery) {
+  // A CRC-clean commit whose section envelope does not decode stops
+  // recovery like a torn tail: the prefix before it is applied and served,
+  // and the reopened journal is cut where it stood.
+  {
+    SegmentServer server(server_options());
+    run_commits(server, 1, 5);
+  }
+  const fs::path log = dir_ / "host%2Fdurable.iwlog";
+  auto replay = WriteAheadLog::replay(log.string());
+  ASSERT_FALSE(replay.torn_tail);
+  // The commit of workload step 4: the fourth commit after the malloc's.
+  size_t bad = 0;
+  for (int commits = 0; bad < replay.records.size(); ++bad) {
+    if (replay.records[bad].type == WalRecordType::kCommit &&
+        commits++ == 4) {
+      break;
+    }
+  }
+  ASSERT_LT(bad, replay.records.size());
+  {
+    // Rewrite the journal with an unknown method byte in that record,
+    // framed with a valid CRC.
+    const std::vector<uint8_t> header = file_bytes(log);
+    Buffer bytes;
+    bytes.append(header.data(), WriteAheadLog::kHeaderSize);
+    for (size_t i = 0; i < replay.records.size(); ++i) {
+      std::vector<uint8_t> payload = replay.records[i].payload;
+      if (i == bad) payload[4] = 7;
+      append_framed_record(bytes, static_cast<uint8_t>(replay.records[i].type),
+                           payload);
+    }
+    std::ofstream f(log, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  }
+  ASSERT_FALSE(WriteAheadLog::replay(log.string()).torn_tail);
+  BufReader good(replay.records[bad - 1].payload.data(), 4);
+  const uint32_t good_version = good.read_u32();
+  {
+    SegmentServer revived(server_options());
+    revived.recover();  // must not throw
+    EXPECT_EQ(revived.stats().wal_replayed_records, bad);
+    EXPECT_EQ(revived.segment_version(kSegName), good_version);
+    expect_converged(revived, 3);
+    EXPECT_EQ(fs::file_size(log), replay.records[bad - 1].end_offset);
+    run_commits(revived, 4, 2);
+  }
+  SegmentServer third(server_options());
+  third.recover();
+  EXPECT_EQ(third.segment_version(kSegName), good_version + 2);
+  expect_converged(third, 5);
+}
+
 TEST_F(WalRecovery, QuarantinedCheckpointStopsReplayAtVersionGap) {
   // Checkpoint at step 4 (journal truncated), then more commits. Destroy
   // the snapshot: the journal tail's base version is now missing, so replay
@@ -642,11 +761,6 @@ std::vector<int32_t> read_big(Client& c, ClientSegment* seg) {
   return out;
 }
 
-std::vector<uint8_t> file_bytes(const fs::path& path) {
-  std::ifstream f(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
-}
-
 TEST_F(WalRecovery, WriterStreamIsJournaledReplicatedAndServedAsIs) {
   const fs::path replica_dir = dir_ / "replica";
   SegmentServer::Options ropts = server_options();
@@ -711,7 +825,7 @@ TEST_F(WalRecovery, WriterStreamIsJournaledReplicatedAndServedAsIs) {
   int compressed_commits = 0;
   for (const auto& rec : WriteAheadLog::replay((dir_ / log_name).string())
                              .records) {
-    if (rec.type == WalRecordType::kCommit && rec.compressed) {
+    if (rec.type == WalRecordType::kCommit && lz_record(rec)) {
       ++compressed_commits;
     }
   }
@@ -720,7 +834,7 @@ TEST_F(WalRecovery, WriterStreamIsJournaledReplicatedAndServedAsIs) {
   primary.reset();
   replica.reset();
 
-  // Both spliced journals replay to the same bytes.
+  // Both journals replay to the same bytes.
   for (const auto& opts : {server_options(), ropts}) {
     SegmentServer revived(opts);
     revived.recover();
@@ -754,7 +868,7 @@ TEST_F(WalRecovery, UncompressingServerJournalsAndSendsRaw) {
   }
   for (const auto& rec :
        WriteAheadLog::replay((dir_ / "host%2Fbig.iwlog").string()).records) {
-    EXPECT_FALSE(rec.compressed);
+    EXPECT_FALSE(lz_record(rec));
   }
   SegmentServer revived(opts);
   revived.recover();

@@ -13,8 +13,10 @@
 // Offline, --wal dumps a write-ahead journal record by record (type,
 // version, on-disk vs raw payload size, compression flag) and --chain
 // dumps an incremental checkpoint chain (base snapshot id, chain depth,
-// per-record version span and compressed/raw sizes). Both stop where
-// recovery would: at the first torn or corrupt record.
+// per-record version span and compressed/raw sizes). A record's body is
+// read through the codec's one section decoder, so both stop where
+// recovery would: at the first torn or corrupt record, or the first body
+// that does not decode.
 #include <cstdio>
 #include <cstring>
 
@@ -25,6 +27,7 @@
 #include "server/wal.hpp"
 #include "types/registry.hpp"
 #include "wire/frame.hpp"
+#include "wire/payload.hpp"
 
 namespace {
 
@@ -137,6 +140,20 @@ const char* wal_type_name(iw::server::WalRecordType type) {
   return "?";
 }
 
+/// The raw size of a record body in its section envelope, decoded as
+/// recovery decodes it; `compressed` is read from the method byte. Throws
+/// a typed Error for a body recovery would stop at.
+size_t section_raw_size(std::span<const uint8_t> body, bool* compressed) {
+  iw::BufReader in(body.data(), body.size());
+  std::vector<uint8_t> scratch;
+  *compressed = !body.empty() && body[0] == iw::payload_method::kLz;
+  return iw::read_record_section(in, scratch).size();
+}
+
+void print_undecodable(const iw::Error& e) {
+  std::printf("undecodable body (%s): recovery stops here\n", e.what());
+}
+
 int dump_wal(const std::string& path) {
   auto replay = iw::server::WriteAheadLog::replay(path);
   if (replay.missing) {
@@ -148,9 +165,23 @@ int dump_wal(const std::string& path) {
   uint64_t stored = 0, raw = 0, compressed = 0;
   size_t index = 0;
   for (const auto& rec : replay.records) {
-    stored += rec.stored_bytes;
-    raw += rec.payload.size();
-    if (rec.compressed) ++compressed;
+    const uint64_t on_disk = iw::kFramedPrefixBytes + rec.payload.size();
+    size_t raw_size = rec.payload.size();
+    bool packed = false;
+    if ((rec.type == iw::server::WalRecordType::kCommit ||
+         rec.type == iw::server::WalRecordType::kRegisterType) &&
+        rec.payload.size() >= 4) {
+      try {
+        raw_size = 4 + section_raw_size(
+                           std::span(rec.payload).subspan(4), &packed);
+      } catch (const iw::Error& e) {
+        print_undecodable(e);
+        break;
+      }
+    }
+    stored += on_disk;
+    raw += raw_size;
+    if (packed) ++compressed;
     std::printf("  [%zu] %-15s", index++, wal_type_name(rec.type));
     if (rec.type == iw::server::WalRecordType::kCommit &&
         rec.payload.size() >= 4) {
@@ -164,8 +195,8 @@ int dump_wal(const std::string& path) {
       std::printf("        ");
     }
     std::printf(" %6llu bytes on disk, %6zu raw%s\n",
-                static_cast<unsigned long long>(rec.stored_bytes),
-                rec.payload.size(), rec.compressed ? "  (compressed)" : "");
+                static_cast<unsigned long long>(on_disk), raw_size,
+                packed ? "  (compressed)" : "");
   }
   std::printf("compressed %llu/%zu records, %llu bytes on disk for %llu raw\n",
               static_cast<unsigned long long>(compressed),
@@ -193,13 +224,20 @@ int dump_chain(const std::string& path) {
   uint64_t stored = 0, raw = 0;
   size_t index = 0;
   for (const auto& rec : scan.records) {
+    bool packed = false;
+    size_t raw_size = 0;
+    try {
+      raw_size = section_raw_size(rec.body, &packed);
+    } catch (const iw::Error& e) {
+      print_undecodable(e);
+      break;
+    }
     stored += rec.stored_bytes;
-    raw += rec.sections.size();
+    raw += raw_size;
     std::printf("  [%zu] v%u -> v%u  %6llu bytes on disk, %6zu raw%s\n",
                 index++, rec.from_version, rec.to_version,
-                static_cast<unsigned long long>(rec.stored_bytes),
-                rec.sections.size(),
-                rec.compressed ? "  (compressed)" : "");
+                static_cast<unsigned long long>(rec.stored_bytes), raw_size,
+                packed ? "  (compressed)" : "");
   }
   std::printf("total    %llu bytes on disk for %llu raw\n",
               static_cast<unsigned long long>(stored),

@@ -1,16 +1,14 @@
 // iwserver — standalone InterWeave segment server.
 //
 // Usage: iwserver [--port=N] [--checkpoint-dir=PATH] [--checkpoint-every=N]
-//                 [--revoke-deadline-ms=N] [--grant-ttl-ms=N] [--verbose]
+//                 [--revoke-deadline-ms=N] [--verbose]
 //
 // Serves segments over TCP until SIGINT/SIGTERM; with a checkpoint
 // directory it recovers existing segments at startup, checkpoints every N
 // versions while running, and writes a final checkpoint on shutdown.
 // --revoke-deadline-ms bounds how long a writer waits for cached reader
 // locks to ack revocation (default 2000; 0 is refused, since every session
-// caches read locks); --grant-ttl-ms sweeps cached grants idle longer than
-// the TTL without a revoke round trip, so a crashed holder stops taxing
-// writers (0 disables the sweep).
+// caches read locks).
 #include <signal.h>
 
 #include <atomic>
@@ -31,7 +29,6 @@ int main(int argc, char** argv) {
   unsigned port = 7747;  // "IW" on a phone pad, roughly
   unsigned checkpoint_every = 0;
   unsigned revoke_deadline_ms = 0;
-  unsigned grant_ttl_ms = 0;
   iw::server::SegmentServer::Options options;
   for (int i = 1; i < argc; ++i) {
     char path[4096];
@@ -48,10 +45,6 @@ int main(int argc, char** argv) {
       options.revoke_deadline_ms = revoke_deadline_ms;
       continue;
     }
-    if (std::sscanf(argv[i], "--grant-ttl-ms=%u", &grant_ttl_ms) == 1) {
-      options.cached_grant_ttl_ms = grant_ttl_ms;
-      continue;
-    }
     if (std::strcmp(argv[i], "--verbose") == 0) {
       iw::set_log_level(iw::LogLevel::kDebug);
       continue;
@@ -59,7 +52,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--port=N] [--checkpoint-dir=PATH] "
                  "[--checkpoint-every=N] [--revoke-deadline-ms=N] "
-                 "[--grant-ttl-ms=N] [--verbose]\n",
+                 "[--verbose]\n",
                  argv[0]);
     return 2;
   }
@@ -81,19 +74,8 @@ int main(int argc, char** argv) {
     ::sigaction(SIGINT, &sa, nullptr);
     ::sigaction(SIGTERM, &sa, nullptr);
 
-    // Writers apply the grant TTL inline, but fully idle segments need this
-    // periodic sweep to reclaim grants from crashed holders.
-    auto last_sweep = std::chrono::steady_clock::now();
     while (!g_stop.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      if (options.cached_grant_ttl_ms != 0) {
-        auto now = std::chrono::steady_clock::now();
-        if (now - last_sweep >=
-            std::chrono::milliseconds(options.cached_grant_ttl_ms)) {
-          core.sweep_expired_grants();
-          last_sweep = now;
-        }
-      }
     }
     std::printf("shutting down...\n");
     server.shutdown();
