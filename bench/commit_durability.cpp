@@ -8,12 +8,12 @@
 // durability against OS/power failure.
 //
 // A second mode measures the payload pipeline: `--payload` runs the same
-// cycle with journaling under sync = batch and periodic incremental
-// checkpoints, over a {compression on/off} x {compressible/incompressible
-// diff content} matrix. Reported per cell: commit throughput/latency, the
-// journal's raw vs stored payload bytes (the compression win on disk),
-// checkpoint counts, and the time for a fresh SegmentServer::recover()
-// over the run's snapshot + chain + journal.
+// cycle with journaling under sync = batch and periodic checkpoints, over a
+// {compression on/off} x {compressible/incompressible diff content} matrix.
+// Reported per cell: commit throughput/latency, the journal's raw vs stored
+// payload bytes (the compression win on disk), the checkpoint count, and
+// the time for a fresh SegmentServer::recover() over the run's snapshot +
+// journal.
 //
 // Usage: commit_durability [cycles]             (default 2000)
 //        commit_durability --payload [cycles]   (default 2000)
@@ -152,11 +152,11 @@ struct PayloadResult {
   server::SegmentServer::Stats recovered;   // from the recovering server
 };
 
-/// One payload-pipeline cell: journaling under sync = batch, incremental
-/// checkpoints every 64 commits, and diff content that is either one
-/// constant per commit (compressible) or an xorshift stream (not). The
-/// directory outlives the workload server so a fresh server can time
-/// recover() over the snapshot + chain + journal the run left behind.
+/// One payload-pipeline cell: journaling under sync = batch, checkpoints
+/// every 64 commits, and diff content that is either one constant per
+/// commit (compressible) or an xorshift stream (not). The directory
+/// outlives the workload server so a fresh server can time recover() over
+/// the snapshot + journal the run left behind.
 PayloadResult run_payload(bool compress, bool compressible, int cycles) {
   namespace fs = std::filesystem;
   fs::path dir = fs::temp_directory_path() /
@@ -280,8 +280,7 @@ int run_payload_main(int cycles) {
           "\"commit_raw_bytes\": %llu, \"commit_stored_bytes\": %llu, "
           "\"stored_ratio\": %.3f, \"commits_compressed\": %llu, "
           "\"wal_bytes\": %llu, \"checkpoints_written\": %llu, "
-          "\"checkpoints_incremental\": %llu, \"recover_ms\": %.2f, "
-          "\"recovered_chain_folds\": %llu, \"recovered_wal_records\": %llu}",
+          "\"recover_ms\": %.2f, \"recovered_wal_records\": %llu}",
           first ? "" : ",\n", compress ? "on" : "off",
           compressible ? "compressible" : "incompressible", cycles,
           iw::kRunUnits * 4, r.commits_per_sec, r.p50_us, r.p99_us,
@@ -291,9 +290,7 @@ int run_payload_main(int cycles) {
           static_cast<unsigned long long>(r.stats.commits_compressed),
           static_cast<unsigned long long>(r.stats.wal_bytes_appended),
           static_cast<unsigned long long>(r.stats.checkpoints_written),
-          static_cast<unsigned long long>(r.stats.checkpoints_incremental),
           r.recover_ms,
-          static_cast<unsigned long long>(r.recovered.checkpoint_chain_folds),
           static_cast<unsigned long long>(r.recovered.wal_replayed_records));
       first = false;
     }

@@ -12,9 +12,10 @@
 # pipeline modes of the same binaries:
 #
 #   commit_durability --payload      — journal bytes raw vs stored, commit
-#                                      latency, incremental-checkpoint
-#                                      counts, and recover() time per
-#                                      {compression x compressibility} cell
+#                                      latency, checkpoint count, and
+#                                      recover() time (snapshot + journal)
+#                                      per {compression x compressibility}
+#                                      cell
 #   server_scaling --update-bytes    — update bytes raw vs on-the-wire in
 #                                      both directions for a client pair,
 #                                      same matrix (the setting is the

@@ -4,9 +4,10 @@
 # arithmetic is exactly what -fsanitize=undefined is good at catching),
 # with the wire decoder suites beside it (varint decoding, gap-coded diff
 # runs, the section envelope and the LZ codec: shift and bound arithmetic
-# over bytes off the network), the checkpoint suite (chain fold and
-# sync backfill share one decoder of on-disk tail bytes, and a chain
-# record's body is read through the section envelope's decoder), and the
+# over bytes off the network), the checkpoint suite (a WAL-tail sync's
+# fold-history tables and one diff are decoded from bytes off the network,
+# and a journal record's body is read through the section envelope's
+# decoder), and the
 # heterogeneity suite (pointer units swizzled through block-relative
 # tokens: offset arithmetic on 4-byte fields of a 64-bit process),
 # then the lock protocol's model check under UBSan (LockTable's lease and
@@ -31,10 +32,10 @@
 # locks (revokes arrive on each channel's receiver thread, and their acks
 # ride the client's background worker thread racing acquires, releases,
 # and channel teardown — TSan bait by design), the section envelope, the
-# LZ codec, and compressed journal/chain recovery (every journal,
-# replication and chain record carries its body in the same section
-# envelope, decoded where it is applied; the restart seeds in the recovery
-# soak replay it); the lock-cache suite runs under both sanitizers too.
+# LZ codec, and compressed journal recovery (every journal and replication
+# record carries its body in the same section envelope, decoded where it
+# is applied; the restart seeds in the recovery soak replay it); the
+# lock-cache suite runs under both sanitizers too.
 # The replication chaos suite (WAL streaming, directory failover, epoch
 # fencing, and the fork+SIGKILL zero-lost-acks matrix) runs under UBSan,
 # and its thread-safe subset plus a real-sockets failover lane under TSan —

@@ -293,8 +293,8 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
                 "diff base version " + std::to_string(reader.from_version()) +
                     " != current " + std::to_string(version_));
   }
-  // A commit diff steps one version; a folded diff (incremental checkpoint
-  // recovery) can span many. Land on what the diff header declares.
+  // A commit diff steps one version; a folded diff (a WAL-tail sync) can
+  // span many. Land on what the diff header declares.
   const uint32_t new_version =
       std::max(reader.to_version(), version_ + 1);
   scan_new_blocks(diff_bytes);
@@ -619,7 +619,7 @@ uint32_t SegmentStore::apply_fold(uint32_t to_version, BufReader& in) {
   uint32_t got = apply_diff(diff);
   if (got < to_version) {
     // Every change in the window was a create+free pair the diff omits;
-    // the version still advances so later chain records line up.
+    // the version still advances to where the sync landed.
     version_ = to_version;
     got = to_version;
   }

@@ -199,8 +199,8 @@ class SegmentStore {
   /// Records `section` for that same diff, if its entry is still cached.
   void cache_section(uint32_t from_version, SharedBytes section);
 
-  /// Writes the history tables an incremental checkpoint needs to make a
-  /// fold version-exact: the original created_version of every live block
+  /// Writes the history tables a WAL-tail sync needs to make its fold
+  /// version-exact: the original created_version of every live block
   /// newer than `from_version`, and every free since `from_version` —
   /// including blocks created *and* freed inside the window, which the
   /// diff omits entirely. Without these a recovered server would misdate
@@ -208,7 +208,7 @@ class SegmentStore {
   /// clients whose cached version lies inside the folded window.
   void collect_fold_history(uint32_t from_version, Buffer& out) const;
 
-  /// Applies one incremental-checkpoint record body: the tables written by
+  /// Applies one WAL-tail sync body: the tables written by
   /// collect_fold_history followed by a collect_diff(from_version) payload.
   /// Restores exact per-block creation dates and free history, then lands
   /// on `to_version` even when the window's only changes were create+free
@@ -228,7 +228,7 @@ class SegmentStore {
     }
   }
 
-  // --- checkpoint support (server/checkpoint.cpp) ---
+  // --- checkpoint support (the .iwseg snapshot) ---
   /// Serializes the full store state (not a diff) into `out`.
   void serialize(Buffer& out) const;
   /// Reconstructs a store from serialize() output.

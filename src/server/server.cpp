@@ -5,7 +5,6 @@
 #include <fstream>
 #include <vector>
 
-#include "server/checkpoint.hpp"
 #include "util/endian.hpp"
 #include "util/fsync.hpp"
 #include "util/logging.hpp"
@@ -60,6 +59,20 @@ std::string decode_file_name(const std::string& stem) {
   return out;
 }
 
+/// The whole content of `path`, in one sized read; throws kIo when it
+/// cannot be opened or read.
+std::vector<uint8_t> read_file(const std::filesystem::path& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = f ? static_cast<std::streamoff>(f.tellg()) : -1;
+  if (size < 0) throw Error(ErrorCode::kIo, "cannot read " + path.string());
+  std::vector<uint8_t> bytes(static_cast<size_t>(size));
+  f.seekg(0);
+  if (!f.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    throw Error(ErrorCode::kIo, "cannot read " + path.string());
+  }
+  return bytes;
+}
+
 Error gap_error(const SegmentStore& store, const char* what, uint32_t record,
                 uint32_t at) {
   return Error(ErrorCode::kProtocol,
@@ -75,10 +88,9 @@ Error unbound_handle(uint32_t handle) {
 }
 
 /// Writes what a store at (`from_version`, `from_types`) lacks to reach the
-/// store's head, in the layout a checkpoint delta record and a WAL-tail
-/// sync share (checkpoint.hpp): the type graphs registered since, the fold
-/// history, one diff. Throws when the store's history no longer reaches
-/// back to `from_version`.
+/// store's head, as a WAL-tail sync carries it: the type graphs registered
+/// since, the fold history, one diff. Throws when the store's history no
+/// longer reaches back to `from_version`.
 void append_tail(SegmentStore& store, uint32_t from_version,
                  uint32_t from_types, Buffer& out) {
   const uint32_t types = store.type_count();
@@ -1051,8 +1063,6 @@ bool SegmentServer::apply_record_locked(SegmentEntry& entry,
     case WalRecordType::kSegmentDestroy:
       entry.store = std::make_unique<SegmentStore>(store.name(),
                                                    options_.store);
-      // The reborn segment shares nothing with the old checkpoint chain.
-      entry.chain = {};
       return true;
     case WalRecordType::kEpochAdopt:
       entry.lineage_epoch = std::max(entry.lineage_epoch, in.read_u32());
@@ -1111,10 +1121,9 @@ Frame SegmentServer::serve_sync_request(SessionId session, BufReader& in) {
     Buffer tail;
     if (have_lineage == entry.lineage_epoch && have_version <= version &&
         have_types <= types) {
-      // Same lineage and not ahead of us: the requester's gap is exactly
-      // what an incremental checkpoint stores — the type graphs registered
-      // since, the fold history, one diff. Reuse that encoding as the sync
-      // tail; an equal-position requester gets an empty body.
+      // Same lineage and not ahead of us: the requester's gap is the type
+      // graphs registered since, the fold history and one diff (the sync
+      // tail); an equal-position requester gets an empty body.
       try {
         if (have_version != version || have_types != types) {
           append_tail(*entry.store, have_version, have_types, tail);
@@ -1251,13 +1260,12 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
     if (snapshot_mode || entry->store->version() != before_version ||
         entry->store->type_count() != before_types ||
         epoch != entry->lineage_epoch) {
-      // Make the install durable: adopt the sync's lineage, then a full
-      // checkpoint (the chain positions no longer describe the store) and
-      // the journal truncation that follows it retire any divergent unacked
-      // suffix this server's deposed incarnation may have journaled.
+      // Make the install durable: adopt the sync's lineage, then a
+      // checkpoint and the journal truncation that follows it retire any
+      // divergent unacked suffix this server's deposed incarnation may have
+      // journaled.
       entry->repl_epoch = std::max(entry->repl_epoch, epoch);
       entry->lineage_epoch = epoch;
-      entry->chain = {};
       checkpoint_segment_locked(*entry);
     }
     version = entry->store->version();
@@ -1278,78 +1286,21 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
   return version;
 }
 
-std::string SegmentServer::chain_file_path(const std::string& name) const {
-  namespace fs = std::filesystem;
-  return (fs::path(options_.checkpoint_dir) / encode_file_name(name, ".iwinc"))
-      .string();
-}
-
-void SegmentServer::checkpoint_full_locked(SegmentEntry& entry) {
-  Buffer out;
-  out.append_u32(kCheckpointMagic);
-  out.append_lp_string(entry.store->name());
-  entry.store->serialize(out);
-
-  namespace fs = std::filesystem;
-  fs::path dir(options_.checkpoint_dir);
-  fs::path final_path = dir / encode_file_name(entry.store->name(), ".iwseg");
-  // tmp + fdatasync + rename + parent fsync: the snapshot is durable before
-  // it becomes visible under its final name.
-  write_file_durable(final_path.string(), {out.data(), out.size()});
-  // The old chain extended the *previous* snapshot. Recovery would reject
-  // it anyway (base mismatch on the first record), so a crash between the
-  // rename above and this unlink is benign; removing it just reclaims the
-  // space and keeps the stale-chain path off the common recovery.
-  std::error_code ec;
-  if (fs::remove(chain_file_path(entry.store->name()), ec)) {
-    fsync_parent_dir(final_path.string());
-  }
-  entry.chain = {.base_version = entry.store->version(),
-                 .last_version = entry.store->version(),
-                 .types_recorded = entry.store->type_count()};
-  stats_.checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-}
-
 void SegmentServer::checkpoint_segment_locked(SegmentEntry& entry) {
   if (options_.checkpoint_dir.empty()) return;
   SegmentStore& store = *entry.store;
-  CheckpointChain& chain = entry.chain;
-  const uint32_t version = store.version();
-  const uint32_t types = store.type_count();
-  // A delta record only makes sense when this incarnation wrote the base
-  // it extends, the chain is under its rewrite bound, and the store has
-  // moved forward (a destroy/recover resets the chain state instead).
-  const bool chain_ok = options_.checkpoint_chain_limit != 0 &&
-                        chain.base_version != 0 &&
-                        chain.length < options_.checkpoint_chain_limit &&
-                        version >= chain.last_version &&
-                        types >= chain.types_recorded;
-  if (!chain_ok) {
-    checkpoint_full_locked(entry);
-  } else if (version != chain.last_version || types != chain.types_recorded) {
-    // Delta record: only what changed since the last checkpoint (the store
-    // tracks dirty subblocks, so this is proportional to what was touched,
-    // not to the segment). With nothing new, base + chain already cover the
-    // journal and only the truncation below remains.
-    Buffer tail;
-    append_tail(store, chain.last_version, chain.types_recorded, tail);
-    try {
-      append_chain_record(chain_file_path(store.name()), chain.base_version,
-                          chain.last_version, version, tail.span(),
-                          lz_pass(tail.size()));
-    } catch (...) {
-      // The failed append may have left a torn record, which would cut off
-      // every record after it at recovery: the next checkpoint rewrites the
-      // base and drops the chain instead.
-      chain = {};
-      throw;
-    }
-    chain.last_version = version;
-    chain.types_recorded = types;
-    ++chain.length;
-    stats_.checkpoints_incremental.fetch_add(1, std::memory_order_relaxed);
-    stats_.checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-  }
+  Buffer out;
+  out.append_u32(kCheckpointMagic);
+  out.append_lp_string(store.name());
+  store.serialize(out);
+  namespace fs = std::filesystem;
+  // tmp + fdatasync + rename + parent fsync: the snapshot is durable before
+  // it becomes visible under its final name.
+  write_file_durable(
+      (fs::path(options_.checkpoint_dir) /
+       encode_file_name(store.name(), ".iwseg")).string(),
+      {out.data(), out.size()});
+  stats_.checkpoints_written.fetch_add(1, std::memory_order_relaxed);
   // Only once the checkpoint is durably in place may the journal records it
   // supersedes be discarded. A crash between the two is benign: replay
   // skips records at or below the covered version. The truncation also
@@ -1375,74 +1326,6 @@ void SegmentServer::checkpoint() {
   }
 }
 
-void SegmentServer::fold_checkpoint_chain(
-    const std::string& name, std::unique_ptr<SegmentStore>& store) {
-  namespace fs = std::filesystem;
-  const std::string path = chain_file_path(name);
-  ChainScan scan = scan_chain(path);
-  if (scan.missing) return;
-  const uint32_t base = store->version();
-  uint64_t folded = 0;
-  bool stale = false;
-  bool corrupt = scan.torn;
-  std::string why = corrupt ? "torn or corrupt record framing" : "";
-  for (const ChainRecord& rec : scan.records) {
-    if (rec.base_version != base) {
-      if (folded == 0 && !corrupt) {
-        // The whole chain extends an older snapshot than the one we
-        // loaded: the residue of a crash between a full rewrite landing
-        // and the old chain's unlink. Expected, not corruption.
-        stale = true;
-      } else {
-        corrupt = true;
-        why = "base version changed mid-chain (v" +
-              std::to_string(rec.base_version) + " after v" +
-              std::to_string(base) + ")";
-      }
-      break;
-    }
-    if (rec.from_version != store->version()) {
-      corrupt = true;
-      why = "chain gap (record from v" + std::to_string(rec.from_version) +
-            ", store at v" + std::to_string(store->version()) + ")";
-      break;
-    }
-    try {
-      BufReader body(rec.body.data(), rec.body.size());
-      std::vector<uint8_t> scratch;
-      const auto sections = read_record_section(body, scratch);
-      BufReader in(sections.data(), sections.size());
-      apply_tail(*store, rec.to_version, in);
-    } catch (const std::exception& e) {
-      corrupt = true;
-      why = e.what();
-      break;
-    }
-    ++folded;
-  }
-  if (folded != 0) {
-    stats_.checkpoint_chain_folds.fetch_add(folded, std::memory_order_relaxed);
-    IW_LOG(kInfo) << "folded " << folded << " incremental checkpoints onto "
-                  << name << " (v" << base << " -> v" << store->version()
-                  << ")";
-  }
-  if (stale) {
-    std::error_code ec;
-    fs::remove(path, ec);
-    IW_LOG(kInfo) << "removed stale checkpoint chain for " << name
-                  << " (chain base v" << scan.records.front().base_version
-                  << ", snapshot v" << base << ")";
-    return;
-  }
-  if (corrupt) {
-    // Keep the good prefix we folded and set the rest aside, exactly like
-    // a quarantined snapshot; the journal replay that follows stops at the
-    // resulting version gap, so recovery lands on the last good fold.
-    quarantine(path, "checkpoint chain after " + std::to_string(folded) +
-                         " records: " + why);
-  }
-}
-
 void SegmentServer::quarantine(const std::string& path,
                                const std::string& why) {
   std::error_code ec;
@@ -1460,14 +1343,19 @@ void SegmentServer::recover() {
   // the directory iteration.
   std::vector<fs::path> snapshots;
   std::vector<fs::path> journals;
-  std::vector<fs::path> chains;
   for (const auto& dirent : fs::directory_iterator(options_.checkpoint_dir)) {
     if (dirent.path().extension() == ".iwseg") {
       snapshots.push_back(dirent.path());
     } else if (dirent.path().extension() == ".iwlog") {
       journals.push_back(dirent.path());
     } else if (dirent.path().extension() == ".iwinc") {
-      chains.push_back(dirent.path());
+      // An incremental checkpoint chain from an older build holds acked
+      // versions its journal was already truncated past: refuse, and leave
+      // it for an operator, rather than recover without them.
+      throw Error(ErrorCode::kUnimplemented,
+                  dirent.path().string() +
+                      ": incremental checkpoint chains are not read by this "
+                      "build");
     }
   }
 
@@ -1478,10 +1366,7 @@ void SegmentServer::recover() {
     std::string name;
     std::unique_ptr<SegmentStore> store;
     try {
-      std::ifstream f(path, std::ios::binary);
-      if (!f) throw Error(ErrorCode::kIo, "cannot read " + path.string());
-      std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                                 std::istreambuf_iterator<char>());
+      const std::vector<uint8_t> bytes = read_file(path);
       BufReader in(bytes.data(), bytes.size());
       const uint32_t magic = in.read_u32();
       if (magic != kCheckpointMagic &&
@@ -1502,9 +1387,6 @@ void SegmentServer::recover() {
       quarantine(path.string(), std::string("corrupt checkpoint: ") + e.what());
       continue;
     }
-    // Fold the segment's incremental chain (if any) onto the snapshot
-    // before the journal tail replays: base + chain + tail, in that order.
-    fold_checkpoint_chain(name, store);
     auto it = segments_.find(name);
     if (it != segments_.end()) {
       // Replace the store in place: entry addresses must stay stable.
@@ -1513,9 +1395,6 @@ void SegmentServer::recover() {
       it->second->versions_since_checkpoint = 0;
       it->second->wal.reset();  // reopened against the journal below
       it->second->wal_broken = false;
-      // Recovery never resumes an inherited chain; the next checkpoint
-      // lays down a fresh full base.
-      it->second->chain = {};
     } else {
       auto entry = std::make_unique<SegmentEntry>(name, options_);
       entry->store = std::move(store);
@@ -1524,28 +1403,12 @@ void SegmentServer::recover() {
     IW_LOG(kInfo) << "recovered segment " << path.filename().string();
   }
 
-  // A chain whose base snapshot is missing or was quarantined cannot be
-  // applied to anything; set it aside with the same discipline.
-  for (const fs::path& path : chains) {
-    std::string name = decode_file_name(path.stem().string());
-    if (segments_.count(name) != 0 || !fs::exists(path)) continue;
-    quarantine(path.string(), "orphan checkpoint chain: no base snapshot");
-  }
-
   // Pass 2: replay each journal's tail on top of its snapshot (or from
   // scratch for a segment that was never checkpointed), then reopen the log
-  // for appending at exactly the applied prefix. A torn tail — the expected
-  // residue of a crash mid-append — is cut off, never an error.
+  // for appending at exactly the applied prefix.
   for (const fs::path& path : journals) {
     std::string name = decode_file_name(path.stem().string());
     WriteAheadLog::Replay replay = WriteAheadLog::replay(path.string());
-    if (replay.torn_tail) {
-      IW_LOG(kWarn) << "journal " << path.filename().string()
-                    << " has a torn tail; truncating "
-                    << replay.truncated_bytes << " bytes";
-      stats_.wal_truncated_bytes.fetch_add(replay.truncated_bytes,
-                                           std::memory_order_relaxed);
-    }
     auto it = segments_.find(name);
     if (it == segments_.end()) {
       auto entry = std::make_unique<SegmentEntry>(name, options_);
@@ -1556,7 +1419,7 @@ void SegmentServer::recover() {
     // Records apply in order up to the first that cannot be (a version gap
     // after a quarantined checkpoint, a malformed payload): everything after
     // it depends on state we do not have. The prefix applied is kept and
-    // the reopened journal is truncated to match it.
+    // the reopened journal is cut to match it.
     uint64_t resume = 0;
     uint64_t applied = 0;
     for (const WriteAheadLog::Record& rec : replay.records) {
@@ -1577,6 +1440,26 @@ void SegmentServer::recover() {
     // not believe it still owns the segment's newest epoch.
     entry.repl_epoch = std::max(entry.repl_epoch, entry.lineage_epoch);
     if (!wal_on()) continue;  // journal preserved but not extended
+    // What the reopen below cuts: a torn tail (the expected residue of a
+    // crash mid-append), and every CRC-clean record past one that did not
+    // apply. Those may be acked commits, so the journal as found is first
+    // set aside whole, durably, beside the one that replaces it.
+    const uint64_t found = replay.valid_bytes + replay.truncated_bytes;
+    const uint64_t kept = applied == replay.records.size()
+                              ? replay.valid_bytes
+                              : std::max(resume, WriteAheadLog::kHeaderSize);
+    if (found > kept) {
+      const std::vector<uint8_t> bytes = read_file(path);
+      if (bytes.size() != found) {
+        throw Error(ErrorCode::kIo, path.string() + " changed during recovery");
+      }
+      write_file_durable(path.string() + ".corrupt", bytes);
+      IW_LOG(kWarn) << "journal " << path.filename().string() << " cut by "
+                    << found - kept << " bytes; copied whole to "
+                    << path.filename().string() << ".corrupt";
+      stats_.wal_truncated_bytes.fetch_add(found - kept,
+                                           std::memory_order_relaxed);
+    }
     if (resume >= WriteAheadLog::kHeaderSize) {
       entry.wal = std::make_unique<WriteAheadLog>(path.string(), wal_options(),
                                                   resume);

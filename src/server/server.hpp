@@ -51,13 +51,12 @@ namespace iw::server {
   X(revokes_expired)         /* cached locks reclaimed on deadline */    \
   /* Durability (write-ahead log + recovery). */                         \
   X(wal_replayed_records)    /* records applied by recover() */          \
-  X(wal_truncated_bytes)     /* torn-tail bytes cut at recover */        \
+  X(wal_truncated_bytes)     /* journal bytes cut at recover */          \
   X(recoveries_completed)    /* recover() invocations done */            \
-  X(checkpoints_quarantined) /* corrupt .iwseg/.iwinc files set aside */ \
-  X(checkpoints_incremental) /* delta records appended */                \
-  X(checkpoint_chain_folds)  /* delta records folded at recover */       \
+  X(checkpoints_quarantined) /* corrupt .iwseg files set aside */       \
+  X(checkpoints_incremental) /* always 0: kept only for perfbench */     \
   /* Payload pipeline: what the section envelope saved. */               \
-  X(lz_passes)               /* compressions run: updates, WAL, chain */ \
+  X(lz_passes)               /* compressions run: updates and WAL */     \
   X(updates_compressed)      /* update diffs sent compressed */          \
   X(update_raw_bytes)        /* diff bytes before the envelope */        \
   X(update_wire_bytes)       /* diff section bytes on the wire */        \
@@ -124,18 +123,10 @@ class SegmentServer : public ServerCore {
     /// full snapshot; small values force multi-chunk streaming (tests).
     uint32_t sync_chunk_bytes = 1u << 20;
     /// Payload compression (wire/payload.hpp) of what this server encodes:
-    /// update diff sections, journal and replication records and checkpoint
-    /// chains, each when the sampled ratio pays. It never limits what the
-    /// server accepts: a compressed commit is decoded either way.
+    /// update diff sections and journal and replication records, each when
+    /// the sampled ratio pays. It never limits what the server accepts: a
+    /// compressed commit is decoded either way.
     bool compress_payloads = true;
-    /// Incremental checkpoints: after `checkpoint_chain_limit` delta
-    /// records have accumulated in a segment's `.iwinc` chain, the next
-    /// checkpoint rewrites the full `.iwseg` snapshot and resets the chain
-    /// (bounding recovery to one snapshot load plus that many folds). The
-    /// first checkpoint of a segment's life is always a full rewrite. 0
-    /// disables incremental checkpoints — every checkpoint is a full
-    /// rewrite, the pre-chain behavior.
-    uint32_t checkpoint_chain_limit = 8;
     /// Store tuning (diff cache).
     SegmentStore::Options store;
   };
@@ -162,8 +153,11 @@ class SegmentServer : public ServerCore {
   /// Safe to call concurrently with request handling; each segment is
   /// checkpointed under its own lock.
   void checkpoint();
-  /// Loads all segments found in the checkpoint directory. Call before
-  /// serving; existing in-memory segments with the same name are replaced.
+  /// Loads all segments found in the checkpoint directory: snapshots, then
+  /// each journal's records on top. Call before serving; existing in-memory
+  /// segments with the same name are replaced. A file in a format this
+  /// build does not read (an older journal or snapshot, or any `.iwinc`
+  /// checkpoint chain) is left in place and refused with kUnimplemented.
   void recover();
 
   Stats stats() const;
@@ -220,21 +214,6 @@ class SegmentServer : public ServerCore {
     uint32_t sync_epoch = 0;    ///< placement epoch stamped on the cut
     Notifier notify;  // copied from the session record at first touch
   };
-  /// Incremental-checkpoint chain state (see checkpoint.hpp). The default
-  /// has no base, so the next checkpoint is a full rewrite — the state
-  /// after recover(), which never resumes an inherited chain, and after
-  /// anything that moves the store off the recorded positions.
-  struct CheckpointChain {
-    /// Version of the last full `.iwseg` this incarnation wrote (0 = none).
-    uint32_t base_version = 0;
-    /// Version covered by base + chain; the next delta record diffs from
-    /// here. Meaningful only when base_version != 0.
-    uint32_t last_version = 0;
-    /// Delta records in the live `.iwinc`; a full rewrite resets it.
-    uint32_t length = 0;
-    /// Type-table prefix already captured by base + chain.
-    uint32_t types_recorded = 0;
-  };
   /// One segment plus everything guarded by its lock. Heap-allocated and
   /// never removed from the directory, so raw pointers taken under the
   /// directory lock stay valid without holding it.
@@ -263,7 +242,6 @@ class SegmentServer : public ServerCore {
     /// WalRecordType::kEpochAdopt.
     uint32_t lineage_epoch = 1;
     uint32_t versions_since_checkpoint = 0;
-    CheckpointChain chain;
     /// Append-only diff journal; null when persistence is disabled. Guarded
     /// by `mu` like the store, so append-before-ack and
     /// truncate-on-checkpoint serialize naturally with commits.
@@ -335,15 +313,11 @@ class SegmentServer : public ServerCore {
   /// entry.mu, and holds it again on return.
   void carry_out(SegmentEntry& entry, const LockTable::Decision& d,
                  std::unique_lock<std::mutex>& el);
-  /// Checkpoints one segment: a delta record onto its `.iwinc` chain when
-  /// a base exists and the chain is under the limit, a full `.iwseg`
-  /// rewrite otherwise. Either way the journal is truncated after the
-  /// checkpoint lands durably, which also mends a broken journal; throws
-  /// when any step fails. Caller holds entry.mu.
+  /// Checkpoints one segment: writes its durable `.iwseg` snapshot, then
+  /// truncates the journal the snapshot supersedes (which also mends a
+  /// broken journal) and re-journals the lineage; throws when any step
+  /// fails. Caller holds entry.mu.
   void checkpoint_segment_locked(SegmentEntry& entry);
-  /// The full-rewrite half: durable snapshot, chain file removed, chain
-  /// state reset. Caller holds entry.mu.
-  void checkpoint_full_locked(SegmentEntry& entry);
   /// The one journal path of a record the store just applied on this
   /// primary (a commit or a new type): encodes it once as `u32 head` and
   /// `body` in its section envelope, journals it, replicates it, and
@@ -392,14 +366,6 @@ class SegmentServer : public ServerCore {
   bool wal_on() const noexcept;
   WriteAheadLog::Options wal_options();
   std::string wal_file_path(const std::string& name) const;
-  std::string chain_file_path(const std::string& name) const;
-  /// Folds a segment's `.iwinc` chain onto its freshly loaded snapshot
-  /// during recover(): applies every valid delta record whose base matches
-  /// the snapshot, removes a stale chain (base mismatch on the first
-  /// record — the residue of a crash between a full rewrite and the old
-  /// chain's unlink), and quarantines the tail past a mid-chain violation.
-  void fold_checkpoint_chain(const std::string& name,
-                             std::unique_ptr<SegmentStore>& store);
   /// Opens a brand-new journal for `entry` (discarding any stale log file
   /// left by an earlier incarnation) and records the segment's birth.
   void open_fresh_wal(SegmentEntry& entry, const std::string& name);

@@ -39,7 +39,9 @@
 // tail also stops replay — bytes after a bad record cannot be trusted
 // because record boundaries are lost. A CRC-clean record whose body does
 // not decode stops recovery the same way: recover() applies records up to
-// the first it cannot apply and truncates the reopened journal there.
+// the first it cannot apply and truncates the reopened journal there. Before
+// any cut, recover() copies the journal as found, whole and durably, to
+// `<segment>.iwlog.corrupt`, which replay() reads like any journal.
 //
 // Sync policies trade commit latency for durability against OS/power
 // failure (process death alone never loses a completed append):
@@ -124,8 +126,9 @@ class WriteAheadLog {
     /// crash mid-append.
     bool torn_tail = false;
     /// How many tail bytes did not parse (file size - valid_bytes when
-    /// torn_tail, else 0) — surfaced as the server's wal_truncated_bytes
-    /// stat so operators can see how much a crash actually cost.
+    /// torn_tail, else 0) — counted, with any CRC-clean records recovery
+    /// could not apply, in the server's wal_truncated_bytes stat so
+    /// operators can see how much a crash actually cost.
     uint64_t truncated_bytes = 0;
     /// True when the file does not exist (fresh segment, or WAL disabled
     /// when the state was written).

@@ -1,8 +1,8 @@
 // Shared record codec pipeline: encode → optional LZ compression → CRC32C
 // frame. Every byte path that persists or ships diff records — wire update
-// frames, the write-ahead log, the replication stream, and checkpoint
-// chains — encodes and decodes through this one module, so the framing and
-// compression rules exist in exactly one place.
+// frames, the write-ahead log and the replication stream — encodes and
+// decodes through this one module, so the framing and compression rules
+// exist in exactly one place.
 //
 // Three layers, separable because the byte paths compose them differently:
 //
@@ -18,18 +18,17 @@
 //     untouched (so the zero-copy iovec path survives), and kLz carries
 //     `varint comp_len | varint raw_len | bytes`, explicitly sized so
 //     trailing frame bytes still parse. Wire diff sections carry it, and so
-//     do the bodies of journal, replication and checkpoint-chain records
-//     (a record is its head, then its body in this envelope), so a diff a
+//     do the bodies of journal and replication records (a record is its
+//     head, then its body in this envelope), so a diff a
 //     writer compressed is journaled and replicated as the writer sent it.
 //     Compression is always *measured*: when the encoded bytes would not
 //     beat the raw bytes, the raw form is kept and the method says so.
 //
 //  3. CRC32C record framing: `u32 body_len | u32 crc | body` where
 //     `body := u8 tag | payload` and the CRC covers the whole body. This is
-//     the WAL's on-disk record format, reused verbatim by incremental
-//     checkpoint chains; RecordScanner is the one decoder (torn or corrupt
-//     tails are reported, never thrown) and build_record_prefix /
-//     append_framed_record are the one encoder.
+//     the WAL's on-disk record format; RecordScanner is the one decoder
+//     (torn or corrupt tails are reported, never thrown) and
+//     build_record_prefix / append_framed_record are the one encoder.
 #pragma once
 
 #include <cstdint>
@@ -143,10 +142,9 @@ struct ScannedRecord {
   uint64_t end_offset = 0;  ///< file offset just past this record
 };
 
-/// Streaming decoder over a run of framed records (a WAL journal body, a
-/// checkpoint chain body). Corruption and truncation surface as kTorn —
-/// the caller decides whether that means "truncate the tail" (WAL) or
-/// "quarantine the chain" (checkpoints); the scanner never throws.
+/// Streaming decoder over a run of framed records (a WAL journal body).
+/// Corruption and truncation surface as kTorn — the caller decides what
+/// that means (the WAL stops replay there); the scanner never throws.
 class RecordScanner {
  public:
   /// `data` is the byte run after any file header; `base_offset` is that

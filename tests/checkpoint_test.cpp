@@ -7,9 +7,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <vector>
 
 #include "interweave/interweave.hpp"
-#include "server/checkpoint.hpp"
 #include "wire/diff.hpp"
 #include "wire/payload.hpp"
 
@@ -373,10 +374,66 @@ TEST_F(Checkpoint, SegmentNamesAreEscapedInFileNames) {
   EXPECT_EQ(revived.segment_version("some.host/deep/path/segment"), 2u);
 }
 
-// ------------------------------------------- incremental checkpoint chains
+// ------------------------------------------ periodic checkpoints + journal
+
+std::vector<uint8_t> file_bytes(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const fs::path& path, const uint8_t* data, size_t size) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(data),
+          static_cast<std::streamsize>(size));
+}
+
+/// Reads slot 0 of block "d" in `name` through a fresh client.
+int32_t first_slot(server::SegmentServer& server, const std::string& name) {
+  Client c([&](const std::string&) {
+    return std::make_shared<InProcChannel>(server);
+  });
+  ClientSegment* seg = c.open_segment(name, false);
+  c.read_lock(seg);
+  auto* blk = seg->heap().find_by_name("d");
+  const int32_t value =
+      blk == nullptr ? -1 : reinterpret_cast<const int32_t*>(blk->data())[0];
+  c.read_unlock(seg);
+  return value;
+}
+
+/// Writes "host/<name>": a block "d" (v2), a checkpoint there, then three
+/// commits (v3..v5) that set slot 0 to 100, 200 and 300 and live only in
+/// the journal. Returns the journal's records as written.
+std::vector<server::WriteAheadLog::Record> journal_three_commits(
+    const server::SegmentServer::Options& options, const std::string& name,
+    const fs::path& journal) {
+  {
+    server::SegmentServer server(options);
+    Client c([&](const std::string&) {
+      return std::make_shared<InProcChannel>(server);
+    });
+    const TypeDescriptor* arr =
+        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 32);
+    ClientSegment* seg = c.open_segment(name);
+    c.write_lock(seg);
+    auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
+    c.write_unlock(seg);
+    server.checkpoint();  // snapshot at v2; the journal is cut to its header
+    for (int round = 1; round <= 3; ++round) {
+      c.write_lock(seg);
+      data[0] = round * 100;
+      c.write_unlock(seg);
+    }
+  }
+  return server::WriteAheadLog::replay(journal.string()).records;
+}
 
 TEST_F(Checkpoint, IncrementalCheckpointsFoldOnRecovery) {
+  // Periodic checkpoints each write one whole snapshot; the journal holds
+  // what came after the last one. Recovery is that snapshot plus the
+  // journal's records, and nothing else is written beside them.
   auto options = server_options();
+  options.checkpoint_every = 2;
   uint32_t final_version = 0;
   {
     server::SegmentServer server(options);
@@ -389,30 +446,28 @@ TEST_F(Checkpoint, IncrementalCheckpointsFoldOnRecovery) {
     c.write_lock(seg);
     auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
     c.write_unlock(seg);  // v2
-    server.checkpoint();  // first checkpoint: always a full snapshot
-    for (int round = 1; round <= 3; ++round) {
+    for (int round = 1; round <= 6; ++round) {
       c.write_lock(seg);
       data[round] = round * 11;
-      c.write_unlock(seg);
-      server.checkpoint();  // delta record, journal truncated each time
+      c.write_unlock(seg);  // v3..v8: checkpoints at v3, v5 and v7
     }
-    // One more commit lives only in the journal — the crash window between
-    // incremental checkpoint writes.
-    c.write_lock(seg);
-    data[10] = 77;
-    c.write_unlock(seg);
+    // The last commit lives only in the journal — the crash window between
+    // two periodic checkpoints.
     final_version = seg->version();
-    EXPECT_EQ(server.stats().checkpoints_incremental, 3u);
-    EXPECT_EQ(server.stats().checkpoints_written, 4u);
+    EXPECT_EQ(final_version, 8u);
+    EXPECT_EQ(server.stats().checkpoints_written, 3u);
+    EXPECT_EQ(server.stats().checkpoints_incremental, 0u);
   }
-  ASSERT_TRUE(fs::exists(dir_ / "host%2Finc.iwinc"));
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_NE(entry.path().extension(), ".iwinc") << entry.path();
+  }
 
   server::SegmentServer revived(server_options());
   revived.recover();
   EXPECT_EQ(revived.segment_version("host/inc"), final_version);
-  EXPECT_EQ(revived.stats().checkpoint_chain_folds, 3u);
   EXPECT_EQ(revived.stats().checkpoints_quarantined, 0u);
-  EXPECT_GT(revived.stats().wal_replayed_records, 0u);
+  EXPECT_EQ(revived.stats().wal_replayed_records, 1u);
+  EXPECT_EQ(revived.stats().checkpoints_incremental, 0u);
 
   Client c([&](const std::string&) {
     return std::make_shared<InProcChannel>(revived);
@@ -422,15 +477,15 @@ TEST_F(Checkpoint, IncrementalCheckpointsFoldOnRecovery) {
   auto* blk = seg->heap().find_by_name("d");
   ASSERT_NE(blk, nullptr);
   const auto* data = reinterpret_cast<const int32_t*>(blk->data());
-  for (int round = 1; round <= 3; ++round) EXPECT_EQ(data[round], round * 11);
-  EXPECT_EQ(data[10], 77);
+  for (int round = 1; round <= 6; ++round) EXPECT_EQ(data[round], round * 11);
   c.read_unlock(seg);
 }
 
 TEST_F(Checkpoint, FullRewriteBoundsTheChain) {
-  auto options = server_options();
-  options.checkpoint_chain_limit = 2;
-  server::SegmentServer server(options);
+  // Every checkpoint rewrites the whole `.iwseg` at the store's version and
+  // cuts the journal back to its header, so recovery reads one snapshot
+  // and the commits since it, never a growing history.
+  server::SegmentServer server(server_options());
   Client c([&](const std::string&) {
     return std::make_shared<InProcChannel>(server);
   });
@@ -440,198 +495,112 @@ TEST_F(Checkpoint, FullRewriteBoundsTheChain) {
   c.write_lock(seg);
   auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
   c.write_unlock(seg);
-  server.checkpoint();  // full
-  const fs::path chain = dir_ / "host%2Fbound.iwinc";
-  for (int round = 1; round <= 2; ++round) {
+  const fs::path snapshot = dir_ / "host%2Fbound.iwseg";
+  const fs::path journal = dir_ / "host%2Fbound.iwlog";
+  for (uint32_t round = 1; round <= 3; ++round) {
     c.write_lock(seg);
-    data[0] = round;
+    data[0] = static_cast<int32_t>(round);
     c.write_unlock(seg);
-    server.checkpoint();  // delta records while under the limit
+    EXPECT_GT(fs::file_size(journal), server::WriteAheadLog::kHeaderSize);
+    server.checkpoint();
+    EXPECT_EQ(server.stats().checkpoints_written, round);
+    EXPECT_EQ(fs::file_size(journal), server::WriteAheadLog::kHeaderSize)
+        << "round " << round;
+    // The snapshot names the segment and the version it now covers.
+    const std::vector<uint8_t> bytes = file_bytes(snapshot);
+    BufReader in(bytes.data(), bytes.size());
+    in.read_u32();  // magic
+    EXPECT_EQ(in.read_lp_string(), "host/bound");
+    EXPECT_EQ(in.read_u32(), seg->version()) << "round " << round;
   }
-  ASSERT_TRUE(fs::exists(chain));
-  EXPECT_EQ(server.stats().checkpoints_incremental, 2u);
-  c.write_lock(seg);
-  data[0] = 3;
-  c.write_unlock(seg);
-  server.checkpoint();  // limit hit: full rewrite deletes the chain
-  EXPECT_FALSE(fs::exists(chain));
-  EXPECT_EQ(server.stats().checkpoints_incremental, 2u);
+  EXPECT_EQ(server.stats().checkpoints_incremental, 0u);
 
   server::SegmentServer revived(server_options());
   revived.recover();
-  EXPECT_EQ(revived.stats().checkpoint_chain_folds, 0u);
+  EXPECT_EQ(revived.stats().wal_replayed_records, 0u);
   EXPECT_EQ(revived.segment_version("host/bound"), 5u);
+  EXPECT_EQ(first_slot(revived, "host/bound"), 3);
 }
 
 TEST_F(Checkpoint, CorruptMidChainRecordFallsBackToLastGoodFold) {
-  auto options = server_options();
-  uint32_t good_version = 0;
+  // A record whose CRC fails in the middle of the journal: recovery serves
+  // the snapshot plus the records before it, and the journal as found —
+  // the records past the damage included — is set aside whole in
+  // `.iwlog.corrupt` before the journal is cut.
+  const fs::path journal = dir_ / "host%2Fmidrot.iwlog";
+  const auto records =
+      journal_three_commits(server_options(), "host/midrot", journal);
+  ASSERT_EQ(records.size(), 3u);
   {
-    server::SegmentServer server(options);
-    Client c([&](const std::string&) {
-      return std::make_shared<InProcChannel>(server);
-    });
-    const TypeDescriptor* arr =
-        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 32);
-    ClientSegment* seg = c.open_segment("host/midrot");
-    c.write_lock(seg);
-    auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
-    c.write_unlock(seg);
-    server.checkpoint();  // full snapshot
-    for (int round = 1; round <= 3; ++round) {
-      c.write_lock(seg);
-      data[0] = round * 100;
-      c.write_unlock(seg);
-      server.checkpoint();
-      if (round == 1) good_version = seg->version();
-    }
+    // Flip a byte inside the second record's payload.
+    std::vector<uint8_t> bytes = file_bytes(journal);
+    bytes[records[0].end_offset + kFramedPrefixBytes + 2] ^= 0xFF;
+    write_bytes(journal, bytes.data(), bytes.size());
   }
-  const fs::path chain = dir_ / "host%2Fmidrot.iwinc";
-  ASSERT_TRUE(fs::exists(chain));
-
-  // Flip a byte inside the *second* delta record's payload. Record sizes
-  // come from the scanner itself, so the test stays valid if framing grows.
-  auto scan = server::scan_chain(chain.string());
-  ASSERT_EQ(scan.records.size(), 3u);
-  {
-    std::fstream f(chain, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(f.is_open());
-    f.seekp(static_cast<std::streamoff>(8 + scan.records[0].stored_bytes + 12));
-    f.put(static_cast<char>(0xFF));
-  }
+  const std::vector<uint8_t> found = file_bytes(journal);
 
   server::SegmentServer revived(server_options());
   revived.recover();  // must not throw
-  // The good prefix folded; the damaged tail is quarantined; the journal
-  // (truncated at the last checkpoint) has nothing to add — recovery lands
-  // on the last good fold.
-  EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
-  EXPECT_EQ(revived.stats().checkpoint_chain_folds, 1u);
-  EXPECT_TRUE(fs::exists(dir_ / "host%2Fmidrot.iwinc.corrupt"));
-  EXPECT_FALSE(fs::exists(chain));
-  EXPECT_EQ(revived.segment_version("host/midrot"), good_version);
-
-  Client c([&](const std::string&) {
-    return std::make_shared<InProcChannel>(revived);
-  });
-  ClientSegment* seg = c.open_segment("host/midrot", false);
-  c.read_lock(seg);
-  auto* blk = seg->heap().find_by_name("d");
-  ASSERT_NE(blk, nullptr);
-  EXPECT_EQ(reinterpret_cast<const int32_t*>(blk->data())[0], 100);
-  c.read_unlock(seg);
+  EXPECT_EQ(revived.stats().checkpoints_quarantined, 0u);
+  EXPECT_EQ(revived.stats().wal_replayed_records, 1u);
+  EXPECT_EQ(revived.segment_version("host/midrot"), 3u);
+  EXPECT_EQ(first_slot(revived, "host/midrot"), 100);
+  EXPECT_EQ(revived.stats().wal_truncated_bytes,
+            found.size() - records[0].end_offset);
+  EXPECT_EQ(fs::file_size(journal), records[0].end_offset);
+  const fs::path corrupt = dir_ / "host%2Fmidrot.iwlog.corrupt";
+  ASSERT_TRUE(fs::exists(corrupt));
+  EXPECT_EQ(file_bytes(corrupt), found);
 }
 
 TEST_F(Checkpoint, UndecodableChainEnvelopeQuarantinesTheTail) {
-  // The chain counterpart of a corrupt journal envelope: a CRC-clean delta
-  // record whose section envelope does not decode stops the fold there.
-  auto options = server_options();
-  uint32_t good_version = 0;
+  // A CRC-clean commit whose section envelope does not decode stops
+  // recovery there: the snapshot plus the records before it are served,
+  // and every record the journal held replays from `.iwlog.corrupt`.
+  const fs::path journal = dir_ / "host%2Fbadenv.iwlog";
+  auto records =
+      journal_three_commits(server_options(), "host/badenv", journal);
+  ASSERT_EQ(records.size(), 3u);
   {
-    server::SegmentServer server(options);
-    Client c([&](const std::string&) {
-      return std::make_shared<InProcChannel>(server);
-    });
-    const TypeDescriptor* arr =
-        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 32);
-    ClientSegment* seg = c.open_segment("host/badenv");
-    c.write_lock(seg);
-    auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
-    c.write_unlock(seg);
-    server.checkpoint();  // full snapshot
-    for (int round = 1; round <= 3; ++round) {
-      c.write_lock(seg);
-      data[0] = round * 100;
-      c.write_unlock(seg);
-      server.checkpoint();
-      if (round == 1) good_version = seg->version();
-    }
-  }
-  const fs::path chain = dir_ / "host%2Fbadenv.iwinc";
-  auto scan = server::scan_chain(chain.string());
-  ASSERT_EQ(scan.records.size(), 3u);
-  {
-    // Rewrite the chain with an unknown method byte in the second record,
-    // framed with a valid CRC.
-    std::ifstream in(chain, std::ios::binary);
-    std::vector<char> header(8);
-    in.read(header.data(), 8);
+    // Rewrite the journal with an unknown method byte in the second
+    // record, framed with a valid CRC.
+    const std::vector<uint8_t> header = file_bytes(journal);
     Buffer bytes;
-    bytes.append(header.data(), header.size());
-    for (size_t i = 0; i < scan.records.size(); ++i) {
-      const server::ChainRecord& rec = scan.records[i];
-      Buffer head;
-      head.append_u32(rec.base_version);
-      head.append_u32(rec.from_version);
-      head.append_u32(rec.to_version);
-      std::vector<uint8_t> body = rec.body;
-      if (i == 1) body[0] = 7;
-      append_framed_record(bytes, server::kChainDelta, head.span(), body);
+    bytes.append(header.data(), server::WriteAheadLog::kHeaderSize);
+    records[1].payload[4] = 7;
+    for (const auto& rec : records) {
+      append_framed_record(bytes, static_cast<uint8_t>(rec.type),
+                           rec.payload);
     }
-    std::ofstream out(chain, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    write_bytes(journal, bytes.data(), bytes.size());
   }
-  ASSERT_FALSE(server::scan_chain(chain.string()).torn);
+  const uint64_t found = fs::file_size(journal);
+  ASSERT_FALSE(server::WriteAheadLog::replay(journal.string()).torn_tail);
 
   server::SegmentServer revived(server_options());
   revived.recover();  // must not throw
-  EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
-  EXPECT_EQ(revived.stats().checkpoint_chain_folds, 1u);
-  EXPECT_TRUE(fs::exists(dir_ / "host%2Fbadenv.iwinc.corrupt"));
-  EXPECT_EQ(revived.segment_version("host/badenv"), good_version);
-
-  Client c([&](const std::string&) {
-    return std::make_shared<InProcChannel>(revived);
-  });
-  ClientSegment* seg = c.open_segment("host/badenv", false);
-  c.read_lock(seg);
-  auto* blk = seg->heap().find_by_name("d");
-  ASSERT_NE(blk, nullptr);
-  EXPECT_EQ(reinterpret_cast<const int32_t*>(blk->data())[0], 100);
-  c.read_unlock(seg);
+  EXPECT_EQ(revived.stats().checkpoints_quarantined, 0u);
+  EXPECT_EQ(revived.stats().wal_replayed_records, 1u);
+  EXPECT_EQ(revived.segment_version("host/badenv"), 3u);
+  EXPECT_EQ(first_slot(revived, "host/badenv"), 100);
+  EXPECT_EQ(revived.stats().wal_truncated_bytes,
+            found - records[0].end_offset);
+  auto set_aside = server::WriteAheadLog::replay(
+      (dir_ / "host%2Fbadenv.iwlog.corrupt").string());
+  EXPECT_FALSE(set_aside.missing);
+  EXPECT_FALSE(set_aside.torn_tail);
+  ASSERT_EQ(set_aside.records.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(set_aside.records[i].type, records[i].type);
+    EXPECT_EQ(set_aside.records[i].payload, records[i].payload);
+  }
 }
 
-TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
-  // A block created *and* freed between two incremental checkpoints leaves
-  // no trace in the window's diff — but a client whose cached version lies
-  // inside the window saw the creation, so the recovered server must still
-  // tell it about the free. The chain's fold-history tables carry exactly
-  // this.
-  auto options = server_options();
-  uint32_t mid_version = 0;
-  uint32_t victim_serial = 0;
-  {
-    server::SegmentServer server(options);
-    Client c([&](const std::string&) {
-      return std::make_shared<InProcChannel>(server);
-    });
-    const TypeDescriptor* arr =
-        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 16);
-    ClientSegment* seg = c.open_segment("host/ghost");
-    c.write_lock(seg);
-    c.malloc_block(seg, arr, "keep");
-    c.write_unlock(seg);  // v2
-    server.checkpoint();  // full snapshot, base v2
-    c.write_lock(seg);
-    void* victim = c.malloc_block(seg, arr, "victim");
-    victim_serial = client::BlockHeader::from_data(victim)->serial;
-    c.write_unlock(seg);  // v3 — a client could have cached this
-    mid_version = seg->version();
-    c.write_lock(seg);
-    c.free_block(seg, static_cast<uint8_t*>(victim));
-    c.write_unlock(seg);  // v4
-    server.checkpoint();  // delta v2 -> v4: create+free pair, empty diff
-  }
-
-  server::SegmentServer revived(server_options());
-  revived.recover();
-  EXPECT_EQ(revived.stats().checkpoints_quarantined, 0u);
-  EXPECT_EQ(revived.segment_version("host/ghost"), mid_version + 1);
-
-  // A surviving cache at the mid-window version asks for an update: the
-  // response diff must free the victim block.
-  InProcChannel channel(revived);
+/// Asks `server` for an update of "host/ghost" as a client whose cache is
+/// at `version`, and reports whether the answer frees block `serial`.
+bool update_frees(server::SegmentServer& server, uint32_t version,
+                  uint32_t serial) {
+  InProcChannel channel(server);
   channel.call(MsgType::kHello, hello_payload());
   Buffer open;
   open.append_varint(1);  // segment handle
@@ -640,12 +609,12 @@ TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
   channel.call(MsgType::kOpenSegment, std::move(open));
   Buffer payload;
   payload.append_varint(1);
-  payload.append_varint(mid_version);
+  payload.append_varint(version);
   payload.append_u8(static_cast<uint8_t>(CoherenceModel::kFull));
   payload.append_varint(0);
   Frame resp = channel.call(MsgType::kAcquireRead, std::move(payload));
   BufReader r = resp.reader();
-  ASSERT_EQ(r.read_u8(), 1) << "must be an update, not 'recent enough'";
+  EXPECT_EQ(r.read_u8(), 1) << "must be an update, not 'recent enough'";
   uint32_t n_types = r.read_varint32();
   for (uint32_t i = 0; i < n_types; ++i) {
     r.read_varint32();
@@ -659,12 +628,66 @@ TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
   DiffEntry entry;
   bool freed = false;
   while (reader.next(&entry)) {
-    if ((entry.flags & diff_flags::kFree) != 0 &&
-        entry.serial == victim_serial) {
+    if ((entry.flags & diff_flags::kFree) != 0 && entry.serial == serial) {
       freed = true;
     }
   }
-  EXPECT_TRUE(freed) << "recovered server lost the mid-window free";
+  return freed;
+}
+
+TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
+  // A block created *and* freed after the last checkpoint: a client whose
+  // cached version lies between the two saw the creation, so a recovered
+  // server must still tell it about the free. So must a replica that
+  // caught up over that window by a WAL-tail sync, whose one folded diff
+  // omits the pair and whose fold-history tables carry it.
+  auto options = server_options();
+  uint32_t mid_version = 0;
+  uint32_t victim_serial = 0;
+  {
+    server::SegmentServer server(options);
+    server::SegmentServer::Options replica_options;
+    replica_options.peer_dial = [&](const std::string&) {
+      return std::make_shared<InProcChannel>(server);
+    };
+    server::SegmentServer replica(replica_options);
+    Client c([&](const std::string&) {
+      return std::make_shared<InProcChannel>(server);
+    });
+    const TypeDescriptor* arr =
+        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 16);
+    ClientSegment* seg = c.open_segment("host/ghost");
+    c.write_lock(seg);
+    c.malloc_block(seg, arr, "keep");
+    c.write_unlock(seg);  // v2
+    server.checkpoint();  // snapshot at v2
+    EXPECT_EQ(replica.backfill_segment("host/ghost", "primary", 0), 2u);
+    c.write_lock(seg);
+    void* victim = c.malloc_block(seg, arr, "victim");
+    victim_serial = client::BlockHeader::from_data(victim)->serial;
+    c.write_unlock(seg);  // v3 — a client could have cached this
+    mid_version = seg->version();
+    c.write_lock(seg);
+    c.free_block(seg, static_cast<uint8_t*>(victim));
+    c.write_unlock(seg);  // v4: the journal holds v3 and v4
+
+    const auto before = server.stats();
+    EXPECT_EQ(replica.backfill_segment("host/ghost", "primary", 0),
+              mid_version + 1);
+    EXPECT_EQ(server.stats().sync_tails_served, before.sync_tails_served + 1);
+    EXPECT_EQ(server.stats().sync_snapshots_served,
+              before.sync_snapshots_served);
+    EXPECT_TRUE(update_frees(replica, mid_version, victim_serial))
+        << "the tail-synced replica lost the mid-window free";
+  }
+
+  server::SegmentServer revived(server_options());
+  revived.recover();
+  EXPECT_EQ(revived.stats().checkpoints_quarantined, 0u);
+  EXPECT_EQ(revived.stats().wal_replayed_records, 2u);
+  EXPECT_EQ(revived.segment_version("host/ghost"), mid_version + 1);
+  EXPECT_TRUE(update_frees(revived, mid_version, victim_serial))
+      << "recovered server lost the mid-window free";
 }
 
 }  // namespace

@@ -945,9 +945,6 @@ void start_node(ClusterNode& n, bool tcp,
   opts.checkpoint_dir = n.dir.string();
   opts.wal_sync = WriteAheadLog::Sync::kCommit;
   opts.writer_lease_ms = 1'500;
-  // Full checkpoints only, so the final byte-identity check compares one
-  // whole-store snapshot per node instead of a base + chain.
-  opts.checkpoint_chain_limit = 0;
   opts.replicator = n.replicator;
   opts.peer_dial = dial;
   n.server = std::make_unique<server::SegmentServer>(opts);

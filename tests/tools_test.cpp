@@ -115,8 +115,8 @@ TEST(Iwinspect, DumpsJournalAndCheckpointChain) {
   fs::path dir = fs::temp_directory_path() / "iw-tools-walchain";
   fs::remove_all(dir);
 
-  // A durable server under churn leaves behind a compressed journal and an
-  // incremental checkpoint chain for the offline modes to dump.
+  // A durable server under churn leaves behind a compressed journal for the
+  // offline mode to dump.
   {
     server::SegmentServer::Options sopts;
     sopts.checkpoint_dir = dir.string();
@@ -141,13 +141,12 @@ TEST(Iwinspect, DumpsJournalAndCheckpointChain) {
     }
   }
 
-  fs::path wal, chain;
+  fs::path wal;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() == ".iwlog") wal = entry.path();
-    if (entry.path().extension() == ".iwinc") chain = entry.path();
+    EXPECT_NE(entry.path().extension(), ".iwinc") << entry.path();
   }
   ASSERT_FALSE(wal.empty());
-  ASSERT_FALSE(chain.empty());
 
   int code = 0;
   std::string wal_out = run_command(
@@ -157,13 +156,34 @@ TEST(Iwinspect, DumpsJournalAndCheckpointChain) {
   EXPECT_NE(wal_out.find("commit"), std::string::npos) << wal_out;
   EXPECT_NE(wal_out.find("(compressed)"), std::string::npos) << wal_out;
 
+  // There are no checkpoint chains to dump: --chain is an unknown option.
   std::string chain_out = run_command(
-      std::string(IWINSPECT_PATH) + " --chain " + chain.string(), &code);
-  EXPECT_EQ(code, 0) << chain_out;
-  EXPECT_NE(chain_out.find("base     snapshot v"), std::string::npos)
-      << chain_out;
-  EXPECT_NE(chain_out.find("depth"), std::string::npos) << chain_out;
-  EXPECT_NE(chain_out.find(" -> v"), std::string::npos) << chain_out;
+      std::string(IWINSPECT_PATH) + " --chain " + wal.string(), &code);
+  EXPECT_EQ(code, 2) << chain_out;
+  EXPECT_NE(chain_out.find("usage:"), std::string::npos) << chain_out;
+  EXPECT_EQ(chain_out.find("--chain"), std::string::npos) << chain_out;
+
+  // A journal recovery cuts is first set aside whole as `.iwlog.corrupt`,
+  // which dumps like any journal, its torn tail included.
+  {
+    std::ofstream f(wal, std::ios::binary | std::ios::app);
+    const uint8_t torn[] = {0, 0, 0, 9, 1, 2, 3};
+    f.write(reinterpret_cast<const char*>(torn), sizeof torn);
+  }
+  {
+    server::SegmentServer::Options sopts;
+    sopts.checkpoint_dir = dir.string();
+    server::SegmentServer core(sopts);
+    core.recover();
+    EXPECT_EQ(core.stats().wal_truncated_bytes, 7u);
+  }
+  std::string corrupt_out = run_command(
+      std::string(IWINSPECT_PATH) + " --wal " + wal.string() + ".corrupt",
+      &code);
+  EXPECT_EQ(code, 0) << corrupt_out;
+  EXPECT_NE(corrupt_out.find("commit"), std::string::npos) << corrupt_out;
+  EXPECT_NE(corrupt_out.find("torn tail: 7 bytes"), std::string::npos)
+      << corrupt_out;
 
   std::string missing_out = run_command(
       std::string(IWINSPECT_PATH) + " --wal " + (dir / "nope.iwlog").string(),

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "interweave/interweave.hpp"
-#include "server/checkpoint.hpp"
 #include "server/replication.hpp"
 #include "server/wal.hpp"
 #include "wire/payload.hpp"
@@ -232,8 +231,8 @@ TEST_F(WalLog, GarbageFileReplaysAsEmpty) {
 }
 
 // Writes a file with `magic` and `format` as its 8-byte header followed by
-// one well-framed record: the shape of a journal or chain written by an
-// older build.
+// one well-framed record: the shape of a journal, snapshot or checkpoint
+// chain written by an older build.
 void write_versioned_file(const std::string& path, uint32_t magic,
                           uint32_t format) {
   Buffer bytes;
@@ -273,20 +272,40 @@ TEST_F(WalLog, FormatOneJournalIsRefused) {
 }
 
 TEST_F(WalLog, FormatOneCheckpointChainIsRefused) {
-  const std::string chain = (dir_ / "seg.iwinc").string();
-  write_versioned_file(chain, 0x49574943 /* "IWIC" */, 1);
-  EXPECT_EQ(error_code_of([&] { server::scan_chain(chain); }),
-            ErrorCode::kUnimplemented);
-  // The current format scans.
-  write_versioned_file(chain, 0x49574943, 4);
-  server::ChainScan scan = server::scan_chain(chain);
-  EXPECT_FALSE(scan.torn);
+  // Incremental checkpoint chains (.iwinc) are no longer written or read.
+  // A chain holds acked versions its journal was already truncated past,
+  // so recovery refuses any chain file, in any format, and leaves it for an
+  // operator rather than recover without those versions.
+  const fs::path chain = dir_ / "seg.iwinc";
+  auto recover_code = [&] {
+    SegmentServer::Options o;
+    o.checkpoint_dir = dir_.string();
+    SegmentServer server(o);
+    return error_code_of([&] { server.recover(); });
+  };
+  for (uint32_t format : {1u, 4u}) {
+    write_versioned_file(chain.string(), 0x49574943 /* "IWIC" */, format);
+    EXPECT_EQ(recover_code(), ErrorCode::kUnimplemented) << format;
+    EXPECT_TRUE(fs::exists(chain));
+  }
+  // Even an empty one.
+  std::ofstream(chain, std::ios::trunc).close();
+  EXPECT_EQ(recover_code(), ErrorCode::kUnimplemented);
+  EXPECT_TRUE(fs::exists(chain));
+  // A chain an older build already set aside is not read.
+  fs::rename(chain, dir_ / "seg.iwinc.corrupt");
+  EXPECT_NO_THROW({
+    SegmentServer::Options o;
+    o.checkpoint_dir = dir_.string();
+    SegmentServer server(o);
+    server.recover();
+  });
 }
 
 TEST_F(WalLog, FormatTwoFilesAreRefused) {
   // Format 2 journals, chains and snapshots carry pointers as MIP strings;
-  // this build reads tagged pointer units (journals and chains, format 3)
-  // and inline (serial, unit) fields (snapshots, "IWS3"). Each old file
+  // this build reads tagged pointer units (journals, format 4) and inline
+  // (serial, unit) fields (snapshots, "IWS3"), and no chains. Each old file
   // is refused whole, never misparsed, quarantined or discarded.
   auto recover_code = [&](const fs::path& dir) {
     SegmentServer::Options o;
@@ -301,10 +320,10 @@ TEST_F(WalLog, FormatTwoFilesAreRefused) {
   EXPECT_TRUE(fs::exists(log_path()));
   fs::remove(log_path());
 
-  const std::string chain = (dir_ / "seg.iwinc").string();
-  write_versioned_file(chain, 0x49574943 /* "IWIC" */, 2);
-  EXPECT_EQ(error_code_of([&] { server::scan_chain(chain); }),
-            ErrorCode::kUnimplemented);
+  const fs::path chain = dir_ / "seg.iwinc";
+  write_versioned_file(chain.string(), 0x49574943 /* "IWIC" */, 2);
+  EXPECT_EQ(recover_code(dir_), ErrorCode::kUnimplemented);
+  EXPECT_TRUE(fs::exists(chain));
   fs::remove(chain);
 
   // A format 2 snapshot: the bare "IWSE" magic, then the segment name.
@@ -328,8 +347,8 @@ TEST_F(WalLog, FormatTwoFilesAreRefused) {
 TEST_F(WalLog, FormatThreeFilesAreRefused) {
   // Format 3 journals and chains mark a compressed payload with bit 7 of
   // the record's tag and hold `u32 raw_len | lz(head ++ body)`; this build
-  // reads a head and then the body's section envelope (format 4). Each old
-  // file is refused whole, by the log, the chain scan and recovery.
+  // reads a head and then the body's section envelope (format 4), and no
+  // chains. Each old file is refused whole, by the log and recovery.
   auto recover_code = [&] {
     SegmentServer::Options o;
     o.checkpoint_dir = dir_.string();
@@ -359,8 +378,6 @@ TEST_F(WalLog, FormatThreeFilesAreRefused) {
   }
   const std::string chain = (dir_ / "seg.iwinc").string();
   write_versioned_file(chain, 0x49574943 /* "IWIC" */, 3);
-  EXPECT_EQ(error_code_of([&] { server::scan_chain(chain); }),
-            ErrorCode::kUnimplemented);
   EXPECT_EQ(recover_code(), ErrorCode::kUnimplemented);
   EXPECT_TRUE(fs::exists(chain));
 }
@@ -646,6 +663,7 @@ TEST_F(WalRecovery, UndecodableEnvelopeInCleanRecordStopsRecovery) {
             static_cast<std::streamsize>(bytes.size()));
   }
   ASSERT_FALSE(WriteAheadLog::replay(log.string()).torn_tail);
+  const uint64_t journal_size = fs::file_size(log);
   BufReader good(replay.records[bad - 1].payload.data(), 4);
   const uint32_t good_version = good.read_u32();
   {
@@ -655,6 +673,9 @@ TEST_F(WalRecovery, UndecodableEnvelopeInCleanRecordStopsRecovery) {
     EXPECT_EQ(revived.segment_version(kSegName), good_version);
     expect_converged(revived, 3);
     EXPECT_EQ(fs::file_size(log), replay.records[bad - 1].end_offset);
+    // Every byte cut counts, the CRC-clean records past the bad one too.
+    EXPECT_EQ(revived.stats().wal_truncated_bytes,
+              journal_size - replay.records[bad - 1].end_offset);
     run_commits(revived, 4, 2);
   }
   SegmentServer third(server_options());
@@ -678,12 +699,27 @@ TEST_F(WalRecovery, QuarantinedCheckpointStopsReplayAtVersionGap) {
                     std::ios::binary | std::ios::trunc);
     f << "zapped";
   }
+  const fs::path log = dir_ / "host%2Fdurable.iwlog";
+  const WriteAheadLog::Replay before = WriteAheadLog::replay(log.string());
+  ASSERT_FALSE(before.records.empty());
   SegmentServer revived(server_options());
   revived.recover();  // must not throw
   EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
   // The segment exists (its journal names it) but the tail could not be
   // applied onto a fresh store: it is back at the initial version.
   EXPECT_EQ(revived.segment_version(kSegName), 1u);
+  // The acked records the journal held are not gone: the journal as found
+  // is set aside, and every one of its records replays from the copy.
+  const WriteAheadLog::Replay copy =
+      WriteAheadLog::replay(log.string() + ".corrupt");
+  EXPECT_FALSE(copy.missing);
+  EXPECT_FALSE(copy.torn_tail);
+  ASSERT_EQ(copy.records.size(), before.records.size());
+  for (size_t i = 0; i < copy.records.size(); ++i) {
+    EXPECT_EQ(copy.records[i].type, before.records[i].type) << i;
+    EXPECT_EQ(copy.records[i].payload, before.records[i].payload) << i;
+    EXPECT_EQ(copy.records[i].end_offset, before.records[i].end_offset) << i;
+  }
 }
 
 TEST_F(WalRecovery, StatsSurfaceCounts) {

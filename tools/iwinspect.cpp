@@ -3,7 +3,6 @@
 //
 // Usage: iwinspect [--port=N] [--data] <segment-url>
 //        iwinspect --wal <file.iwlog>
-//        iwinspect --chain <file.iwinc>
 //
 // Online, prints the segment's version, registered types, and block
 // directory (serial, type, name) using the same wire protocol as any
@@ -11,19 +10,18 @@
 // and pretty-prints every block's contents (pointers shown as MIPs).
 //
 // Offline, --wal dumps a write-ahead journal record by record (type,
-// version, on-disk vs raw payload size, compression flag) and --chain
-// dumps an incremental checkpoint chain (base snapshot id, chain depth,
-// per-record version span and compressed/raw sizes). A record's body is
-// read through the codec's one section decoder, so both stop where
-// recovery would: at the first torn or corrupt record, or the first body
-// that does not decode.
+// version, on-disk vs raw payload size, compression flag); it reads the
+// `<file.iwlog>.corrupt` copy recovery sets aside before it cuts a journal
+// the same way. A record's body is read through the codec's one section
+// decoder, so the dump stops where recovery would: at the first torn or
+// corrupt record, or the first body that does not decode. Any other
+// `--` option prints the usage and exits 2.
 #include <cstdio>
 #include <cstring>
 
 #include "client/view.hpp"
 #include "interweave/interweave.hpp"
 #include "net/tcp.hpp"
-#include "server/checkpoint.hpp"
 #include "server/wal.hpp"
 #include "types/registry.hpp"
 #include "wire/frame.hpp"
@@ -150,10 +148,6 @@ size_t section_raw_size(std::span<const uint8_t> body, bool* compressed) {
   return iw::read_record_section(in, scratch).size();
 }
 
-void print_undecodable(const iw::Error& e) {
-  std::printf("undecodable body (%s): recovery stops here\n", e.what());
-}
-
 int dump_wal(const std::string& path) {
   auto replay = iw::server::WriteAheadLog::replay(path);
   if (replay.missing) {
@@ -175,7 +169,8 @@ int dump_wal(const std::string& path) {
         raw_size = 4 + section_raw_size(
                            std::span(rec.payload).subspan(4), &packed);
       } catch (const iw::Error& e) {
-        print_undecodable(e);
+        std::printf("undecodable body (%s): recovery stops here\n",
+                    e.what());
         break;
       }
     }
@@ -210,45 +205,6 @@ int dump_wal(const std::string& path) {
   return 0;
 }
 
-int dump_chain(const std::string& path) {
-  auto scan = iw::server::scan_chain(path);
-  if (scan.missing) {
-    std::fprintf(stderr, "iwinspect: no such chain: %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("chain    %s\n", path.c_str());
-  if (!scan.records.empty()) {
-    std::printf("base     snapshot v%u\n", scan.records.front().base_version);
-  }
-  std::printf("depth    %zu\n", scan.records.size());
-  uint64_t stored = 0, raw = 0;
-  size_t index = 0;
-  for (const auto& rec : scan.records) {
-    bool packed = false;
-    size_t raw_size = 0;
-    try {
-      raw_size = section_raw_size(rec.body, &packed);
-    } catch (const iw::Error& e) {
-      print_undecodable(e);
-      break;
-    }
-    stored += rec.stored_bytes;
-    raw += raw_size;
-    std::printf("  [%zu] v%u -> v%u  %6llu bytes on disk, %6zu raw%s\n",
-                index++, rec.from_version, rec.to_version,
-                static_cast<unsigned long long>(rec.stored_bytes), raw_size,
-                packed ? "  (compressed)" : "");
-  }
-  std::printf("total    %llu bytes on disk for %llu raw\n",
-              static_cast<unsigned long long>(stored),
-              static_cast<unsigned long long>(raw));
-  if (scan.torn) {
-    std::printf("torn tail: bytes past offset %llu do not parse\n",
-                static_cast<unsigned long long>(scan.valid_bytes));
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -256,7 +212,7 @@ int main(int argc, char** argv) {
   bool data = false;
   std::string url;
   std::string wal_path;
-  std::string chain_path;
+  bool bad_option = false;
   for (int i = 1; i < argc; ++i) {
     if (std::sscanf(argv[i], "--port=%u", &port) == 1) continue;
     if (std::strcmp(argv[i], "--data") == 0) {
@@ -267,30 +223,26 @@ int main(int argc, char** argv) {
       wal_path = argv[++i];
       continue;
     }
-    if (std::strcmp(argv[i], "--chain") == 0 && i + 1 < argc) {
-      chain_path = argv[++i];
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      bad_option = true;
       continue;
     }
     url = argv[i];
   }
-  if (!wal_path.empty() || !chain_path.empty()) {
+  if (bad_option || (url.empty() && wal_path.empty())) {
+    std::fprintf(stderr,
+                 "usage: %s [--port=N] [--data] <segment-url>\n"
+                 "       %s --wal <file.iwlog>\n",
+                 argv[0], argv[0]);
+    return 2;
+  }
+  if (!wal_path.empty()) {
     try {
-      int rc = 0;
-      if (!wal_path.empty()) rc = dump_wal(wal_path);
-      if (rc == 0 && !chain_path.empty()) rc = dump_chain(chain_path);
-      return rc;
+      return dump_wal(wal_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "iwinspect: %s\n", e.what());
       return 1;
     }
-  }
-  if (url.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s [--port=N] [--data] <segment-url>\n"
-                 "       %s --wal <file.iwlog>\n"
-                 "       %s --chain <file.iwinc>\n",
-                 argv[0], argv[0], argv[0]);
-    return 2;
   }
   if (data) {
     try {
