@@ -44,17 +44,26 @@
 # primary kills driven through the anti-entropy repair loop: promote,
 # deposed-primary rejoin, replica backfill, byte-identical convergence)
 # in-proc, over sockets, and against SIGKILLed forked processes.
-# Finally a recovery soak: repeated crash/restart cycles (the WAL crash
+# Then a recovery soak: repeated crash/restart cycles (the WAL crash
 # matrix plus the restart-chaos workload) under UBSan, so recovery's
 # byte-slicing replay path is exercised many times in one run.
+# An ASan lane runs the suites whose code copies bytes in fixed chunks or
+# into buffers sized ahead of their contents, which can go out of bounds in
+# ways UBSan does not see: the LZ decoder's chunk copies (codec fuzz and
+# end-of-output edges), the store's computed string/pointer slots, the
+# snapshot and journal readers, and the reactor receiving a large frame
+# straight into its payload buffer (plus the TCP client channel and the
+# heterogeneity suite over both).
 #
 # Usage: scripts/verify.sh [build-dir] [ubsan-build-dir] [tsan-build-dir]
+#                          [asan-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 UBSAN_BUILD="${2:-build-ubsan}"
 TSAN_BUILD="${3:-build-tsan}"
+ASAN_BUILD="${4:-build-asan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier-1: configure + build + ctest =="
@@ -114,6 +123,17 @@ for _ in $(seq "$SOAK"); do
       --gtest_brief=1
   UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/chaos_test \
       --gtest_filter='Seeds/RestartChaosTest.*' --gtest_brief=1
+done
+
+echo "== codec, store, recovery and transport tests under ASan =="
+cmake -B "$ASAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DIW_SANITIZE=address
+ASAN_TESTS="fuzz_protocol_test server_store_test checkpoint_test \
+    wal_recovery_test reactor_test net_tcp_test hetero_test"
+# shellcheck disable=SC2086
+cmake --build "$ASAN_BUILD" -j "$JOBS" --target $ASAN_TESTS
+for t in $ASAN_TESTS; do
+  ASAN_OPTIONS=halt_on_error=1 "$ASAN_BUILD"/tests/"$t"
 done
 
 echo "== fault/lease/chaos/concurrency tests under TSan =="

@@ -1095,6 +1095,7 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
   uint64_t units_sent = 0;
   uint64_t modified_units = 0;  // excludes newly created blocks
   auto emit_whole = [&](BlockHeader* block) {
+    Stopwatch translate_timer;
     uint8_t flags = diff_flags::kWhole;
     uint32_t type_serial = 0;
     std::string_view name;
@@ -1112,6 +1113,7 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
     encode_units(*block->type, rules, block->data(), 0, units, hooks,
                  writer.buffer());
     writer.end_block();
+    stats_.translate_ns += translate_timer.elapsed_ns();
     units_sent += units;
     if (!block->created_this_cs) modified_units += units;
   };
@@ -1259,9 +1261,11 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
   }
 
   writer.finish();
+  Stopwatch compress_timer;
   if (compress_section_in_place(payload, method_offset)) {
     ++stats_.diffs_compressed;
   }
+  stats_.compress_ns += compress_timer.elapsed_ns();
   stats_.units_sent += units_sent;
   ++stats_.diffs_collected;
   stats_.collect_ns += total.elapsed_ns();

@@ -63,8 +63,9 @@ struct ClientStats {
   uint64_t diffs_collected = 0;
   uint64_t diffs_compressed = 0;  ///< releases whose diff section shrank
   uint64_t word_diff_ns = 0;
-  uint64_t translate_ns = 0;
-  uint64_t collect_ns = 0;
+  uint64_t translate_ns = 0;  ///< wire translation, whole blocks and diffs
+  uint64_t compress_ns = 0;   ///< LZ over each release's diff section
+  uint64_t collect_ns = 0;    ///< the whole release payload, both above too
   uint64_t apply_ns = 0;
   uint64_t swizzles_out = 0;
   uint64_t swizzles_in = 0;

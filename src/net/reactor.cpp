@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
+#include <utility>
 
 #include "util/logging.hpp"
 #include "wire/frame.hpp"
@@ -32,6 +34,15 @@ constexpr size_t kWorkerFlushBytes = 256u << 10;
 /// back to its base size (elastic workers are for blocked-handler bursts,
 /// not steady state).
 constexpr auto kWorkerIdleRetire = std::chrono::seconds(2);
+
+/// Bytes one recv asks for while no large frame is in progress; a frame
+/// whose payload is larger is received straight into that payload.
+constexpr size_t kReadChunk = 64 * 1024;
+
+/// A large frame's payload buffer is never more than this many times the
+/// bytes of the frame received so far, so a header alone cannot make the
+/// server reserve the size it declares.
+constexpr size_t kRecvGrowth = 8;
 
 std::atomic<SessionId> g_next_reactor_session{1u << 20};
 
@@ -70,16 +81,16 @@ int make_listener(uint16_t port, uint16_t* bound_port) {
 struct TcpServer::AtomicStats {
   IW_COUNTER_ATOMICS(IW_REACTOR_COUNTERS)
 
-  void bump_queue_depth(uint64_t depth) {
-    uint64_t cur = worker_queue_depth_max.load(std::memory_order_relaxed);
-    while (depth > cur && !worker_queue_depth_max.compare_exchange_weak(
-                              cur, depth, std::memory_order_relaxed)) {
+  static void bump_max(std::atomic<uint64_t>& max, uint64_t v) {
+    uint64_t cur = max.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
 };
 
 /// One connection's session state machine. The reactor thread owns the
-/// read side (rdbuf) exclusively; everything else is guarded by `mu`,
+/// read side (rdbuf, large) exclusively; everything else is guarded by `mu`,
 /// which is a leaf lock — nothing else is ever acquired under it, so the
 /// notifier path (called under a segment entry lock) cannot deadlock.
 struct TcpServer::Conn {
@@ -98,6 +109,12 @@ struct TcpServer::Conn {
 
   // Read side: reactor thread only, no lock needed.
   std::vector<uint8_t> rdbuf;
+  /// A frame whose header is in and whose payload outgrows one read chunk:
+  /// the rest of it is received straight into `large.payload`, which holds
+  /// `large_have` of its `large_size` bytes (0: no such frame).
+  Frame large;
+  size_t large_have = 0;
+  size_t large_size = 0;
 
   std::deque<Frame> inbox;  // decoded requests awaiting a worker
   bool scheduled = false;   // queued on (or being drained by) a worker
@@ -341,6 +358,45 @@ void TcpServer::handle_accept() {
   }
 }
 
+void TcpServer::decode_frames(Conn& conn, std::vector<Frame>& decoded) {
+  // Every complete frame goes; a partial tail stays (a header may end
+  // mid-varint: it waits for the next read like a payload), unless it is
+  // the start of a large frame.
+  std::vector<uint8_t>& buf = conn.rdbuf;
+  size_t off = 0;
+  for (;;) {
+    const std::span<const uint8_t> rest{buf.data() + off, buf.size() - off};
+    Frame frame;
+    if (const size_t used = decode_frame(rest, &frame)) {
+      decoded.push_back(std::move(frame));
+      off += used;
+      continue;
+    }
+    FrameHeader h;
+    if (decode_frame_header(rest.data(), rest.size(), &h) &&
+        h.payload_size > kReadChunk) {
+      conn.large.type = h.type;
+      conn.large.request_id = h.request_id;
+      conn.large_size = h.payload_size;
+      conn.large_have = rest.size() - h.size;
+      reserve_large(conn, rest.size());
+      std::copy(rest.begin() + static_cast<ptrdiff_t>(h.size), rest.end(),
+                conn.large.payload.begin());
+      off = buf.size();
+    }
+    break;
+  }
+  buf.erase(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(off));
+}
+
+void TcpServer::reserve_large(Conn& conn, size_t received) {
+  const size_t size = std::min(conn.large_size, kRecvGrowth * received);
+  conn.large.payload.reserve(size);
+  conn.large.payload.resize(size);
+  AtomicStats::bump_max(stats_->recv_reserved_max,
+                        conn.large.payload.capacity());
+}
+
 void TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
   // The reactor thread is the only reader and the only closer, so the fd
   // can be used lock-free here; retire() only runs on this thread.
@@ -348,14 +404,24 @@ void TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
   if (fd < 0) return;
   bool eof = false;
   bool rearm = false;
-  uint8_t chunk[64 * 1024];
+  std::vector<Frame> decoded;
+  uint8_t chunk[kReadChunk];
   // Edge-triggered read: drain until EAGAIN — the kernel will not repeat
   // this event while data sits buffered. A chunk budget keeps one firehose
   // connection from starving the rest of the loop; on exhaustion the MOD
   // below re-arms the edge so epoll redelivers immediately.
   int budget = 16;
-  for (;;) {
-    ssize_t r = ::recv(fd, chunk, sizeof chunk, 0);
+  while (!eof) {
+    uint8_t* to = chunk;
+    size_t room = sizeof chunk;
+    if (conn->large_size != 0) {
+      if (conn->large_have == conn->large.payload.size()) {
+        reserve_large(*conn, conn->large_have);
+      }
+      to = conn->large.payload.data() + conn->large_have;
+      room = conn->large.payload.size() - conn->large_have;
+    }
+    ssize_t r = ::recv(fd, to, room, 0);
     if (r < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -367,7 +433,22 @@ void TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
       eof = true;
       break;
     }
-    conn->rdbuf.insert(conn->rdbuf.end(), chunk, chunk + r);
+    if (to != chunk) {
+      conn->large_have += static_cast<size_t>(r);
+      if (conn->large_have == conn->large_size) {
+        decoded.push_back(std::exchange(conn->large, Frame{}));
+        conn->large_size = conn->large_have = 0;
+      }
+    } else {
+      conn->rdbuf.insert(conn->rdbuf.end(), chunk, chunk + r);
+      try {
+        decode_frames(*conn, decoded);
+      } catch (const Error& e) {
+        IW_LOG(kDebug) << "protocol error from session " << conn->session
+                       << ": " << e.what();
+        eof = true;  // poisoned stream: tear the connection down
+      }
+    }
     if (--budget == 0) {
       rearm = true;
       break;
@@ -384,30 +465,6 @@ void TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
     }
   }
 
-  // Decode every complete frame in the buffer; keep the partial tail (a
-  // header may end mid-varint: it waits for the next read like a payload).
-  size_t off = 0;
-  std::vector<Frame> decoded;
-  for (;;) {
-    Frame frame;
-    size_t used;
-    try {
-      used = decode_frame({conn->rdbuf.data() + off, conn->rdbuf.size() - off},
-                          &frame);
-    } catch (const Error& e) {
-      IW_LOG(kDebug) << "protocol error from session " << conn->session
-                     << ": " << e.what();
-      eof = true;  // poisoned stream: tear the connection down
-      break;
-    }
-    if (used == 0) break;
-    decoded.push_back(std::move(frame));
-    off += used;
-  }
-  if (off > 0) {
-    conn->rdbuf.erase(conn->rdbuf.begin(),
-                      conn->rdbuf.begin() + static_cast<ptrdiff_t>(off));
-  }
   if (!decoded.empty()) {
     stats_->frames_received.fetch_add(decoded.size(),
                                       std::memory_order_relaxed);
@@ -468,7 +525,7 @@ void TcpServer::schedule(const std::shared_ptr<Conn>& conn) {
   {
     std::lock_guard lock(pool_mu_);
     ready_.push_back(conn);
-    stats_->bump_queue_depth(ready_.size());
+    AtomicStats::bump_max(stats_->worker_queue_depth_max, ready_.size());
     // Elastic growth: every existing worker is busy — typically blocked
     // inside a writer-lock acquire — so queued frames (possibly the very
     // release that would unblock them) must not wait for one to free up.

@@ -26,6 +26,13 @@
 //     iovec chain (frame coalescing). On EAGAIN the flusher arms EPOLLOUT
 //     and the reactor thread finishes the job when the socket drains.
 //
+// Receive copies: frames arrive through a 64 KiB read chunk and a per-
+// connection buffer, except the rest of a frame whose payload outgrows one
+// chunk: once its header is in, it is received straight into its payload
+// buffer. That buffer grows as bytes arrive, to at most 8x the frame's
+// bytes received so far and never past its declared size, so a header that
+// lies cannot make the server reserve memory the peer has not sent.
+//
 // Backpressure: when a connection's outbox exceeds `write_high_watermark`
 // (a slow reader), the reactor stops *reading* from that connection until
 // the outbox drains below `write_low_watermark` — the peer's TCP window
@@ -64,7 +71,8 @@ namespace iw {
   X(worker_queue_depth_max) /* high-water mark of ready queue */              \
   X(workers_spawned)        /* pool threads ever created */                   \
   X(backpressure_stalls)    /* reads paused on a full outbox */               \
-  X(accept_backoffs)        /* EMFILE/ENFILE listener pauses */
+  X(accept_backoffs)        /* EMFILE/ENFILE listener pauses */              \
+  X(recv_reserved_max)      /* largest payload buffer a large frame got */
 
 struct ReactorStats {
   IW_REACTOR_COUNTERS(IW_COUNTER_FIELD)
@@ -114,6 +122,13 @@ class TcpServer {
   void reactor_loop();
   void handle_accept();
   void handle_readable(const std::shared_ptr<Conn>& conn);
+  /// Moves the complete frames at the front of the connection's read
+  /// buffer into `decoded`, and starts a large frame (see Conn::large) when
+  /// the partial tail is one. Throws Error(kProtocol) on a bad header.
+  void decode_frames(Conn& conn, std::vector<Frame>& decoded);
+  /// Sizes the large frame's payload buffer to its declared size, or to
+  /// kRecvGrowth times the `received` bytes if that is less.
+  void reserve_large(Conn& conn, size_t received);
   void handle_writable(const std::shared_ptr<Conn>& conn);
   void pause_listener();
   void resume_listener();

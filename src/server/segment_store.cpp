@@ -30,18 +30,39 @@ void store_pointer(uint8_t* f, StoredPointer p) {
   store_be32(f, p.serial);
   store_be32(f + sizeof(uint32_t), p.unit);
 }
+
+/// The vardata slot of the string field at byte `offset` of a `type` block.
+uint32_t string_slot(const TypeDescriptor& type, uint32_t offset) {
+  const uint32_t index = type.var_unit_index(PrimitiveKind::kString, offset);
+  check_internal(index != TypeDescriptor::kNoVarUnit,
+                 "no string slot at offset");
+  return index;
+}
+
+/// The vardata slot of the pointer field at byte `offset` of a `type` block.
+uint32_t pointer_slot(const TypeDescriptor& type, uint32_t offset) {
+  const uint32_t index = type.var_unit_index(PrimitiveKind::kPointer, offset);
+  check_internal(index != TypeDescriptor::kNoVarUnit,
+                 "no pointer slot at offset");
+  return type.string_units() + index;
+}
+
+/// vardata slots a block of `type` may use: one per string and pointer.
+uint64_t var_slots(const TypeDescriptor& type) {
+  return uint64_t{type.string_units()} + type.pointer_units();
+}
 }  // namespace
 
 /// Translation hooks over a block's packed-canonical storage. A pointer
 /// field holds its unit inline (StoredPointer): an intra-segment pointer is
 /// copied in and out with no lookup. Strings and cross-segment MIPs live
-/// out-of-line in vardata, addressed by the per-type offset->slot maps
-/// (VarMap); a string field itself stores its slot id (deterministic
-/// bytes).
+/// out-of-line in vardata, in the slot the field's offset names
+/// (string_slot, pointer_slot); a string field itself stores its slot id
+/// (deterministic bytes).
 class ServerHooks final : public TranslationHooks {
  public:
-  ServerHooks(SegmentStore* store, SvrBlock* block, const VarMap* vm)
-      : store_(store), block_(block), vm_(vm) {}
+  ServerHooks(SegmentStore* store, SvrBlock* block)
+      : store_(store), block_(block) {}
 
   void swizzle_out(const void* field, Buffer& out) override {
     const StoredPointer p = load_pointer(static_cast<const uint8_t*>(field));
@@ -71,7 +92,7 @@ class ServerHooks final : public TranslationHooks {
         stored = {p.serial, p.unit};
         break;
       case PointerTag::kCross: {
-        const uint32_t s = store_->pointer_slot(block_->type, offset(field));
+        const uint32_t s = pointer_slot(*block_->type, offset(field));
         if (block_->vardata.size() <= s) block_->vardata.resize(s + 1);
         block_->vardata[s].assign(p.mip);
         stored.unit = s + 1;
@@ -86,10 +107,10 @@ class ServerHooks final : public TranslationHooks {
     store_pointer(f, stored);
   }
   std::string_view read_string(const void* field, uint32_t) override {
-    return block_->vardata[string_slot(field)];
+    return block_->vardata[string_slot(*block_->type, offset(field))];
   }
   void write_string(void* field, uint32_t, std::string_view content) override {
-    uint32_t s = string_slot(field);
+    const uint32_t s = string_slot(*block_->type, offset(field));
     block_->vardata[s].assign(content);
     store_be32(field, s);
   }
@@ -99,16 +120,8 @@ class ServerHooks final : public TranslationHooks {
     return static_cast<uint32_t>(static_cast<const uint8_t*>(field) -
                                  block_->data.data());
   }
-  uint32_t string_slot(const void* field) const {
-    auto it = vm_->string_slot_by_offset.find(offset(field));
-    check_internal(it != vm_->string_slot_by_offset.end(),
-                   "no string slot at offset");
-    return it->second;
-  }
-
   SegmentStore* store_;
   SvrBlock* block_;
-  const VarMap* vm_;
   uint32_t target_serial_ = 0;  // last intra-segment target checked
   uint64_t target_units_ = 0;   // its unit count; 0 = not a live block
 };
@@ -128,45 +141,6 @@ SegmentStore::~SegmentStore() {
   blocks_by_serial_.clear();
   markers_.clear();
   version_list_.clear();
-}
-
-const VarMap& SegmentStore::var_map(const TypeDescriptor* type) {
-  auto it = var_maps_.find(type);
-  if (it != var_maps_.end()) return it->second;
-  VarMap vm;
-  uint32_t pointers = 0;
-  type->visit_runs(0, type->prim_units(), [&](const PrimRun& run) {
-    if (run.kind == PrimitiveKind::kPointer) {
-      pointers += static_cast<uint32_t>(run.unit_count);
-    } else if (run.kind == PrimitiveKind::kString) {
-      uint32_t offset = run.local_offset;
-      for (uint64_t i = 0; i < run.unit_count;
-           ++i, offset += run.local_stride) {
-        vm.string_slot_by_offset.emplace(offset, vm.string_slots++);
-      }
-    }
-  });
-  vm.slot_count = vm.string_slots + pointers;
-  return var_maps_.emplace(type, std::move(vm)).first->second;
-}
-
-uint32_t SegmentStore::pointer_slot(const TypeDescriptor* type,
-                                    uint32_t offset) {
-  VarMap& vm = var_maps_.at(type);
-  if (vm.pointer_slot_by_offset.empty()) {
-    uint32_t slot = vm.string_slots;
-    type->visit_runs(0, type->prim_units(), [&](const PrimRun& run) {
-      if (run.kind != PrimitiveKind::kPointer) return;
-      uint32_t at = run.local_offset;
-      for (uint64_t i = 0; i < run.unit_count; ++i, at += run.local_stride) {
-        vm.pointer_slot_by_offset.emplace(at, slot++);
-      }
-    });
-  }
-  auto it = vm.pointer_slot_by_offset.find(offset);
-  check_internal(it != vm.pointer_slot_by_offset.end(),
-                 "no pointer slot at offset");
-  return it->second;
 }
 
 uint32_t SegmentStore::register_type(std::span<const uint8_t> graph) {
@@ -211,8 +185,7 @@ uint64_t SegmentStore::block_bytes(const SvrBlock& block) const {
   // tracking, which the paper computes conservatively anyway. It depends on
   // the type alone, so creating and destroying a block add and take away
   // the same amount.
-  return block.type->fixed_wire_size() +
-         8ull * var_maps_.at(block.type).slot_count;
+  return block.type->fixed_wire_size() + 8 * var_slots(*block.type);
 }
 
 SvrBlock* SegmentStore::create_block(uint32_t serial, uint32_t type_serial,
@@ -235,8 +208,7 @@ SvrBlock* SegmentStore::create_block(uint32_t serial, uint32_t type_serial,
   block->created_version = at_version;
   block->version = at_version;
   block->data.assign(block->type->local_size(), 0);
-  const VarMap& vm = var_map(block->type);
-  block->vardata.assign(vm.string_slots, std::string());
+  block->vardata.assign(block->type->string_units(), std::string());
   block->subblock_versions.assign(
       subblocks_for(block->type->prim_units()), at_version);
   if (!blocks_by_serial_.insert(*block)) {
@@ -310,7 +282,7 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
   SvrBlock* predicted = nullptr;
   DiffEntry entry;
   auto apply_runs = [&](SvrBlock* block) {
-    ServerHooks hooks(this, block, &var_map(block->type));
+    ServerHooks hooks(this, block);
     const uint64_t units = block->prim_units();
     while (!entry.runs.at_end()) {
       DiffRun run = entry.read_run();
@@ -439,7 +411,7 @@ uint64_t SegmentStore::check_pointer_target(uint32_t serial,
   return units;
 }
 
-void SegmentStore::check_stored_pointers(const SvrBlock& block) {
+void SegmentStore::check_stored_pointers(const SvrBlock& block) const {
   block.type->visit_runs(0, block.prim_units(), [&](const PrimRun& run) {
     if (run.kind != PrimitiveKind::kPointer) return;
     uint32_t at = run.local_offset;
@@ -449,7 +421,7 @@ void SegmentStore::check_stored_pointers(const SvrBlock& block) {
         check_pointer_target(p.serial, p.unit);
       } else if (p.unit != 0 &&
                  (p.unit > block.vardata.size() ||
-                  p.unit - 1 != pointer_slot(block.type, at) ||
+                  p.unit - 1 != pointer_slot(*block.type, at) ||
                   block.vardata[p.unit - 1].empty())) {
         throw Error(ErrorCode::kProtocol,
                     "checkpoint: pointer field of block " +
@@ -461,7 +433,7 @@ void SegmentStore::check_stored_pointers(const SvrBlock& block) {
 
 void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
                                        uint32_t from_version) {
-  ServerHooks hooks(this, &block, &var_map(block.type));
+  ServerHooks hooks(this, &block);
   const LayoutRules& rules = registry_.rules();
   const uint64_t units = block.prim_units();
   // Types without strings or pointers have a wire size known up front,
@@ -760,8 +732,7 @@ std::unique_ptr<SegmentStore> SegmentStore::deserialize(std::string name,
     }
     std::copy(data.begin(), data.end(), b->data.begin());
     uint32_t n_var = in.read_u32();
-    if (n_var < b->vardata.size() ||
-        n_var > store->var_map(b->type).slot_count) {
+    if (n_var < b->vardata.size() || n_var > var_slots(*b->type)) {
       throw Error(ErrorCode::kProtocol, "checkpoint: vardata size mismatch");
     }
     b->vardata.resize(n_var);

@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "types/registry.hpp"
@@ -63,7 +62,11 @@ struct SvrBlock : VersionNode {
   uint32_t version = 0;                  // last-modified segment version
 
   std::vector<uint8_t> data;             // fixed units, packed canonical
-  std::vector<std::string> vardata;      // strings, then cross-segment MIPs
+  /// Out-of-line values, numbered by the type's layout: string field n
+  /// (in visit order) holds slot n, which every block has, and pointer
+  /// field n slot string_units() + n, which a block grows into only when
+  /// that field holds a cross-segment MIP.
+  std::vector<std::string> vardata;
   std::vector<uint32_t> subblock_versions;
 
   AvlHook serial_hook;
@@ -72,19 +75,6 @@ struct SvrBlock : VersionNode {
   uint32_t subblock_count() const noexcept {
     return static_cast<uint32_t>(subblock_versions.size());
   }
-};
-
-/// Maps packed-canonical field offsets to slot indices in SvrBlock::vardata.
-/// String fields take slots [0, string_slots), which every block holds.
-/// Pointer fields take the slots after them, which a block grows into only
-/// when a field holds a cross-segment MIP; their map is built on the first
-/// such MIP, so types whose pointers stay in their segment never build it.
-/// One per type, cached.
-struct VarMap {
-  std::unordered_map<uint32_t, uint32_t> string_slot_by_offset;
-  std::unordered_map<uint32_t, uint32_t> pointer_slot_by_offset;
-  uint32_t string_slots = 0;
-  uint32_t slot_count = 0;  // string and pointer fields
 };
 
 /// A block freed at some version; stale clients must be told.
@@ -246,9 +236,6 @@ class SegmentStore {
     uint32_t operator()(const Marker& m) const { return m.version; }
   };
 
-  const VarMap& var_map(const TypeDescriptor* type);
-  /// The vardata slot of the pointer field at `offset` in blocks of `type`.
-  uint32_t pointer_slot(const TypeDescriptor* type, uint32_t offset);
   SvrBlock* create_block(uint32_t serial, uint32_t type_serial,
                          std::string name, uint32_t at_version);
   void destroy_block(SvrBlock* block, uint32_t at_version);
@@ -265,7 +252,7 @@ class SegmentStore {
   /// (dangling). Returns the target's unit count, or 0 for a freed one.
   uint64_t check_pointer_target(uint32_t serial, uint32_t unit) const;
   /// Checks every pointer field of a block read from a checkpoint.
-  void check_stored_pointers(const SvrBlock& block);
+  void check_stored_pointers(const SvrBlock& block) const;
   void cache_insert(uint32_t from_version, uint32_t to_version,
                     SharedBytes bytes, SharedBytes section = nullptr);
   void cache_trim();
@@ -280,7 +267,6 @@ class SegmentStore {
   std::vector<const TypeDescriptor*> types_;          // serial-1 -> type
   std::vector<std::vector<uint8_t>> type_graphs_;     // serial-1 -> encoding
   std::map<std::string, uint32_t> type_serial_by_key_;
-  std::unordered_map<const TypeDescriptor*, VarMap> var_maps_;
 
   AvlTree<SvrBlock, &SvrBlock::serial_hook, SerialOf> blocks_by_serial_;
   IntrusiveList<VersionNode, &VersionNode::version_hook> version_list_;

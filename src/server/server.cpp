@@ -73,6 +73,17 @@ std::vector<uint8_t> read_file(const std::filesystem::path& path) {
   return bytes;
 }
 
+/// Where a damaged `path` is set aside: the first of `<path>.corrupt`,
+/// `<path>.corrupt.1`, `<path>.corrupt.2`, ... that does not exist, so a
+/// later cut never replaces the copy an earlier one kept.
+std::string set_aside_name(const std::string& path) {
+  std::string name = path + ".corrupt";
+  for (int i = 1; std::filesystem::exists(name); ++i) {
+    name = path + ".corrupt." + std::to_string(i);
+  }
+  return name;
+}
+
 Error gap_error(const SegmentStore& store, const char* what, uint32_t record,
                 uint32_t at) {
   return Error(ErrorCode::kProtocol,
@@ -1055,7 +1066,19 @@ bool SegmentServer::apply_record_locked(SegmentEntry& entry,
       BufReader header(diff.data(), diff.size());
       const uint32_t lands =
           std::max(DiffReader(header).to_version(), store.version() + 1);
-      if (lands != version || store.apply_diff(diff) != version) {
+      if (lands != version) {
+        throw gap_error(store, "version", version, store.version());
+      }
+      // A body inflated into `scratch` is handed to the store's diff cache
+      // as is, as a release hands over the diff it inflated; moving the
+      // vector keeps `diff` pointing at the same bytes.
+      const uint32_t landed =
+          diff.data() == scratch.data()
+              ? store.apply_diff(std::make_shared<const std::vector<uint8_t>>(
+                                     std::move(scratch)),
+                                 nullptr)
+              : store.apply_diff(diff);
+      if (landed != version) {
         throw gap_error(store, "version", version, store.version());
       }
       return true;
@@ -1329,9 +1352,10 @@ void SegmentServer::checkpoint() {
 void SegmentServer::quarantine(const std::string& path,
                                const std::string& why) {
   std::error_code ec;
-  std::filesystem::rename(path, path + ".corrupt", ec);
-  IW_LOG(kWarn) << "quarantining " << path << " (" << why << ")"
-                << (ec ? "; rename failed: " + ec.message() : "");
+  const std::string to = set_aside_name(path);
+  std::filesystem::rename(path, to, ec);
+  IW_LOG(kWarn) << "quarantining " << path << " as " << to << " (" << why
+                << ")" << (ec ? "; rename failed: " + ec.message() : "");
   stats_.checkpoints_quarantined.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -1453,10 +1477,10 @@ void SegmentServer::recover() {
       if (bytes.size() != found) {
         throw Error(ErrorCode::kIo, path.string() + " changed during recovery");
       }
-      write_file_durable(path.string() + ".corrupt", bytes);
+      const std::string copy = set_aside_name(path.string());
+      write_file_durable(copy, bytes);
       IW_LOG(kWarn) << "journal " << path.filename().string() << " cut by "
-                    << found - kept << " bytes; copied whole to "
-                    << path.filename().string() << ".corrupt";
+                    << found - kept << " bytes; copied whole to " << copy;
       stats_.wal_truncated_bytes.fetch_add(found - kept,
                                            std::memory_order_relaxed);
     }

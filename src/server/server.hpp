@@ -369,7 +369,8 @@ class SegmentServer : public ServerCore {
   /// Opens a brand-new journal for `entry` (discarding any stale log file
   /// left by an earlier incarnation) and records the segment's birth.
   void open_fresh_wal(SegmentEntry& entry, const std::string& name);
-  /// Renames a corrupt checkpoint file to `<path>.corrupt` and counts it.
+  /// Renames a corrupt checkpoint file to its first free `<path>.corrupt`
+  /// name (`.corrupt`, `.corrupt.1`, ...) and counts it.
   void quarantine(const std::string& path, const std::string& why);
 
   Options options_;

@@ -41,7 +41,9 @@
 // not decode stops recovery the same way: recover() applies records up to
 // the first it cannot apply and truncates the reopened journal there. Before
 // any cut, recover() copies the journal as found, whole and durably, to
-// `<segment>.iwlog.corrupt`, which replay() reads like any journal.
+// the first free name of `<segment>.iwlog.corrupt`, `.corrupt.1`, ... (an
+// earlier cut's copy is never replaced), which replay() reads like any
+// journal.
 //
 // Sync policies trade commit latency for durability against OS/power
 // failure (process death alone never loses a completed append):

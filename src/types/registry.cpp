@@ -88,6 +88,7 @@ void TypeRegistry::compute_scalar_layout(TypeDescriptor* t) const {
       t->local_align_ = rules_.align[idx(PrimitiveKind::kChar)];
       t->prim_units_ = 1;
       t->fixed_wire_size_ = 0;
+      t->string_units_ = 1;
       t->variable_wire_ = true;
       break;
     case TypeKind::kPointer:
@@ -95,6 +96,7 @@ void TypeRegistry::compute_scalar_layout(TypeDescriptor* t) const {
       t->local_align_ = rules_.align[idx(PrimitiveKind::kPointer)];
       t->prim_units_ = 1;
       t->fixed_wire_size_ = 0;
+      t->pointer_units_ = 1;
       t->variable_wire_ = true;
       break;
     default:
@@ -168,6 +170,8 @@ const TypeDescriptor* TypeRegistry::array_of_unlocked(
   t->local_align_ = element->local_align();
   t->prim_units_ = element->prim_units() * count;
   t->fixed_wire_size_ = element->fixed_wire_size() * count;
+  t->string_units_ = static_cast<uint32_t>(element->string_units() * count);
+  t->pointer_units_ = static_cast<uint32_t>(element->pointer_units() * count);
   t->variable_wire_ = element->has_variable_wire_size();
   return intern(t, key);
 }
@@ -218,9 +222,13 @@ void TypeRegistry::layout_struct(
     f.type = ft;
     f.local_offset = offset;
     f.prim_offset = units;
+    f.strings_before = t->string_units_;
+    f.pointers_before = t->pointer_units_;
     t->fields_.push_back(std::move(f));
     offset += ft->local_size();
     units += ft->prim_units();
+    t->string_units_ += ft->string_units();
+    t->pointer_units_ += ft->pointer_units();
     align = std::max(align, ft->local_align());
     t->fixed_wire_size_ += ft->fixed_wire_size();
     t->variable_wire_ = t->variable_wire_ || ft->has_variable_wire_size();
@@ -303,6 +311,8 @@ TypeDescriptor* TypeRegistry::raw_array(const TypeDescriptor* element,
   t->local_align_ = element->local_align();
   t->prim_units_ = element->prim_units() * count;
   t->fixed_wire_size_ = element->fixed_wire_size() * count;
+  t->string_units_ = static_cast<uint32_t>(element->string_units() * count);
+  t->pointer_units_ = static_cast<uint32_t>(element->pointer_units() * count);
   t->variable_wire_ = element->has_variable_wire_size();
   serials_.emplace(t, serials_.size());
   return t;

@@ -85,6 +85,10 @@ class TypeDescriptor {
   /// they are length-prefixed individually).
   uint64_t fixed_wire_size() const noexcept { return fixed_wire_size_; }
 
+  /// String units, and pointer units, in one value of this type.
+  uint32_t string_units() const noexcept { return string_units_; }
+  uint32_t pointer_units() const noexcept { return pointer_units_; }
+
   // --- kString ---
   uint32_t string_capacity() const noexcept { return string_capacity_; }
 
@@ -103,6 +107,8 @@ class TypeDescriptor {
     const TypeDescriptor* type;
     uint32_t local_offset;  ///< platform-aligned byte offset
     uint64_t prim_offset;   ///< machine-independent unit offset
+    uint32_t strings_before = 0;   ///< string units in earlier fields
+    uint32_t pointers_before = 0;  ///< pointer units in earlier fields
   };
   const std::string& struct_name() const noexcept { return struct_name_; }
   const std::vector<Field>& fields() const noexcept { return fields_; }
@@ -120,6 +126,14 @@ class TypeDescriptor {
   /// Maps a local byte offset to the primitive unit containing it (padding
   /// bytes map to the *next* unit; offsets past the last unit clamp to it).
   UnitAtOffset unit_at_local_offset(uint32_t offset) const;
+
+  /// Visit-order index, among the units of `kind` (kString or kPointer) in
+  /// one value, of the unit that starts at local byte `offset`: the n-th
+  /// string (or pointer) visit_runs() meets is index n. Computed from the
+  /// layout, one division per array level and one binary search per struct
+  /// level. kNoVarUnit when no unit of that kind starts at `offset`.
+  uint32_t var_unit_index(PrimitiveKind kind, uint32_t offset) const noexcept;
+  static constexpr uint32_t kNoVarUnit = UINT32_MAX;
 
   /// Visits maximal homogeneous runs covering units [begin, end).
   /// Visitor signature: void(const PrimRun&).
@@ -225,6 +239,8 @@ class TypeDescriptor {
   uint32_t local_align_ = 1;
   uint64_t prim_units_ = 0;
   uint64_t fixed_wire_size_ = 0;
+  uint32_t string_units_ = 0;
+  uint32_t pointer_units_ = 0;
   bool variable_wire_ = false;
   std::vector<PrimRun> flat_runs_;
 

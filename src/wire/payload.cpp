@@ -65,13 +65,23 @@ inline uint8_t* put_length(uint8_t* op, size_t len) {
   return op;
 }
 
+// Bytes a short literal run or match is copied in, as one fixed-size copy
+// that may run past it: the codec writes output front to back, so whatever
+// lands past the run is overwritten next (or cut off by the caller).
+constexpr size_t kChunk = 16;
+
 // Writes a sequence's token, literal length extension and literals; the
-// caller adds the match offset and match extension, if any.
+// caller adds the match offset and match extension, if any. `src_end` ends
+// the input the literals come from; `op` has kChunk bytes of room past them.
 inline uint8_t* put_literals(uint8_t* op, const uint8_t* lits, size_t lit,
-                             size_t match_nib) {
+                             size_t match_nib, const uint8_t* src_end) {
   *op++ = static_cast<uint8_t>(((lit < 15 ? lit : 15) << 4) | match_nib);
   if (lit >= 15) op = put_length(op, lit - 15);
-  std::memcpy(op, lits, lit);
+  if (lit <= kChunk && static_cast<size_t>(src_end - lits) >= kChunk) {
+    std::memcpy(op, lits, kChunk);
+  } else {
+    std::memcpy(op, lits, lit);
+  }
   return op + lit;
 }
 
@@ -105,7 +115,10 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
 
   // Every sequence encodes at most its literals plus a 1/255 extension
   // overhead (a match never costs more than it covers), so this worst case
-  // is reserved once and tokens are written through a pointer.
+  // is reserved once and tokens are written through a pointer. Its 16 spare
+  // bytes also cover put_literals' chunk, which it copies only while 16
+  // input bytes remain.
+  static_assert(kChunk <= 16);
   uint8_t* const dst = out.extend(n + n / 255 + 16);
   uint8_t* op = dst;
   size_t ip = 0, anchor = 0;
@@ -125,7 +138,7 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
                                       n - ip - kMinMatch);
         const size_t extra = len - kMinMatch;
         op = put_literals(op, src + anchor, ip - anchor,
-                          extra < 15 ? extra : 15);
+                          extra < 15 ? extra : 15, src + n);
         *op++ = static_cast<uint8_t>(dist >> 8);
         *op++ = static_cast<uint8_t>(dist);
         if (extra >= 15) op = put_length(op, extra - 15);
@@ -145,7 +158,7 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
 
   // Final literals-only sequence (no offset follows; the decoder knows by
   // reaching the end of input).
-  op = put_literals(op, src + anchor, n - anchor, 0);
+  op = put_literals(op, src + anchor, n - anchor, 0, src + n);
   const size_t written = static_cast<size_t>(op - dst);
   if (written >= n) {
     out.truncate(start);
@@ -183,8 +196,13 @@ void lz_decompress(std::span<const uint8_t> comp, uint8_t* dst,
       corrupt("literal run past end of input");
     }
     if (lit > raw_len - written) corrupt("literal run past end of output");
-    // An empty output may have no storage at all (dst null).
-    if (lit != 0) std::memcpy(dst + written, in, lit);
+    // A short run is one fixed chunk while both sides have room for it.
+    if (lit <= kChunk && static_cast<size_t>(in_end - in) >= kChunk &&
+        raw_len - written >= kChunk) {
+      std::memcpy(dst + written, in, kChunk);
+    } else if (lit != 0) {  // an empty output may have no storage (dst null)
+      std::memcpy(dst + written, in, lit);
+    }
     in += lit;
     written += lit;
 
@@ -198,14 +216,22 @@ void lz_decompress(std::span<const uint8_t> comp, uint8_t* dst,
     if (match > raw_len - written) corrupt("match run past end of output");
     uint8_t* const to = dst + written;
     const uint8_t* const from = to - offset;
-    size_t i = 0;
-    if (offset >= 8) {
-      // Eight bytes at a time: each chunk's source ends before its
-      // destination begins, so no chunk reads bytes it writes.
-      for (; i + 8 <= match; i += 8) std::memcpy(to + i, from + i, 8);
+    // Whole chunks, the last running past the match, while the output has
+    // room for that: a chunk no longer than the offset reads only bytes
+    // already final, so no chunk reads bytes it writes.
+    const size_t room = raw_len - written;
+    if (offset >= 16 && room - match >= 15) {
+      for (size_t i = 0; i < match; i += 16) std::memcpy(to + i, from + i, 16);
+    } else if (offset >= 8 && room - match >= 7) {
+      for (size_t i = 0; i < match; i += 8) std::memcpy(to + i, from + i, 8);
+    } else {
+      size_t i = 0;
+      if (offset >= 8) {
+        for (; i + 8 <= match; i += 8) std::memcpy(to + i, from + i, 8);
+      }
+      // Byte-wise: a nearer match overlaps its own output (RLE-style).
+      for (; i < match; ++i) to[i] = from[i];
     }
-    // Byte-wise: a nearer match overlaps its own output (RLE-style).
-    for (; i < match; ++i) to[i] = from[i];
     written += match;
   }
   if (written != raw_len) corrupt("decompressed size mismatch");

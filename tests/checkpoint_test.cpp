@@ -12,6 +12,7 @@
 
 #include "interweave/interweave.hpp"
 #include "wire/diff.hpp"
+#include "util/crc32c.hpp"
 #include "wire/payload.hpp"
 
 namespace iw {
@@ -328,6 +329,67 @@ TEST_F(Checkpoint, CorruptPointerFieldQuarantined) {
     EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
     EXPECT_TRUE(fs::exists(dir_ / "host%2Fptrs.iwseg.corrupt"));
   }
+}
+
+TEST_F(Checkpoint, SnapshotBytesArePinned) {
+  // A snapshot's bytes are a format: string slot ids and cross-segment MIP
+  // slots are stored in the field bytes and in each block's vardata, so the
+  // store's slot numbering must never move. Pinned by size and CRC32C.
+  {
+    server::SegmentServer server(server_options());
+    Client c([&](const std::string&) {
+      return std::make_shared<InProcChannel>(server);
+    });
+    TypeRegistry& t = c.types();
+    const TypeDescriptor* ints =
+        t.array_of(t.primitive(PrimitiveKind::kInt32), 8);
+    const TypeDescriptor* rec = t.struct_builder("rec")
+        .field("id", t.primitive(PrimitiveKind::kInt32))
+        .field("tag", t.string_type(12))
+        .field("near", t.pointer_to(ints))
+        .field("far", t.pointer_to(ints))
+        .field("notes", t.array_of(t.string_type(6), 2))
+        .finish();
+    const TypeDescriptor* recs = t.array_of(rec, 5);
+    ClientSegment* other = c.open_segment("host/other");
+    c.write_lock(other);
+    auto* away = static_cast<int32_t*>(c.malloc_block(other, ints, "away"));
+    for (int32_t i = 0; i < 8; ++i) away[i] = 100 + i;
+    c.write_unlock(other);
+    ClientSegment* seg = c.open_segment("host/pinned");
+    c.write_lock(seg);
+    auto* d = static_cast<int32_t*>(c.malloc_block(seg, ints, "d"));
+    for (int32_t i = 0; i < 8; ++i) d[i] = i;
+    auto* r = static_cast<uint8_t*>(c.malloc_block(seg, recs, "recs"));
+    const auto& f = rec->fields();
+    // Native strings are inline, NUL-terminated char arrays.
+    auto put = [](uint8_t* field, const std::string& text) {
+      std::memcpy(field, text.c_str(), text.size() + 1);
+    };
+    for (uint32_t e = 0; e < 5; ++e) {
+      uint8_t* at = r + e * recs->element_stride();
+      const auto id = static_cast<int32_t>(e * 11);
+      std::memcpy(at + f[0].local_offset, &id, sizeof id);
+      put(at + f[1].local_offset, "tag-" + std::to_string(e));
+      int32_t* near = d + e;
+      std::memcpy(at + f[2].local_offset, &near, sizeof near);
+      // Every other record points across segments: a MIP in vardata.
+      int32_t* far = e % 2 == 0 ? away + e : nullptr;
+      std::memcpy(at + f[3].local_offset, &far, sizeof far);
+      const uint32_t stride = f[4].type->element_stride();
+      put(at + f[4].local_offset, "n" + std::to_string(e));
+      put(at + f[4].local_offset + stride, "m" + std::to_string(e));
+    }
+    c.write_unlock(seg);
+    server.checkpoint();
+  }
+  std::vector<uint8_t> bytes;
+  {
+    std::ifstream in(dir_ / "host%2Fpinned.iwseg", std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  EXPECT_EQ(bytes.size(), 671u);
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 4243832435u);
 }
 
 TEST_F(Checkpoint, CorruptCheckpointSkipped) {

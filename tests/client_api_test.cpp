@@ -131,6 +131,32 @@ TEST_F(ClientApi, StatsAndByteCountersMove) {
   EXPECT_EQ(c.stats().diffs_collected, 0u);
 }
 
+TEST_F(ClientApi, WholeBlockReleasesCountTranslation) {
+  // A block released whole (new, or under no-diff tracking) is translated
+  // like a diff is, and its LZ pass is timed on its own.
+  Client::Options options;
+  options.tracking = client::TrackingMode::kNoDiff;
+  Client c(factory_, options);
+  const TypeDescriptor* arr =
+      c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 4096);
+  ClientSegment* seg = c.open_segment("alpha/whole");
+  c.write_lock(seg);
+  auto* d = static_cast<int32_t*>(c.malloc_block(seg, arr));
+  for (int32_t i = 0; i < 4096; ++i) d[i] = i;
+  c.write_unlock(seg);
+  const ClientStats created = c.stats();
+  EXPECT_EQ(created.diff_releases, 0u);
+  EXPECT_GT(created.translate_ns, 0u);
+  EXPECT_GT(created.compress_ns, 0u);
+  EXPECT_LE(created.translate_ns + created.compress_ns, created.collect_ns);
+
+  c.write_lock(seg);
+  d[7] = -7;
+  c.write_unlock(seg);
+  EXPECT_EQ(c.stats().no_diff_releases, 2u);
+  EXPECT_GT(c.stats().translate_ns, created.translate_ns);
+}
+
 TEST_F(ClientApi, RaiiGuards) {
   Client c(factory_);
   ClientSegment* seg = c.open_segment("alpha/raii");

@@ -816,6 +816,105 @@ TEST(FuzzCodec, OverlappingMatchesDecodeByteExactly) {
   }
 }
 
+/// Appends one hand-built LZ sequence to `comp` and what it decodes to to
+/// `raw`: `lits`, then (unless `offset` is 0, a final literals-only
+/// sequence) a `match`-byte copy from `offset` bytes back.
+void put_sequence(Buffer& comp, std::vector<uint8_t>& raw,
+                  const std::vector<uint8_t>& lits, size_t offset = 0,
+                  size_t match = 0) {
+  auto nibble = [](size_t len) { return len < 15 ? len : 15; };
+  auto extend = [&](size_t len) {
+    if (len < 15) return;
+    for (len -= 15; len >= 255; len -= 255) comp.append_u8(255);
+    comp.append_u8(static_cast<uint8_t>(len));
+  };
+  comp.append_u8(static_cast<uint8_t>(
+      (nibble(lits.size()) << 4) | (offset != 0 ? nibble(match - 4) : 0)));
+  extend(lits.size());
+  comp.append(lits.data(), lits.size());
+  raw.insert(raw.end(), lits.begin(), lits.end());
+  if (offset == 0) return;
+  comp.append_u16(static_cast<uint16_t>(offset));
+  extend(match - 4);
+  for (size_t i = 0; i < match; ++i) raw.push_back(raw[raw.size() - offset]);
+}
+
+/// The message lz_decompress throws for these bytes, or "" when it decodes
+/// them to `want`.
+std::string decode_error(const std::vector<uint8_t>& comp, size_t raw_len,
+                         const std::vector<uint8_t>& want = {}) {
+  try {
+    // Exactly sized input and output: a chunk copy past either end is an
+    // out-of-bounds access the sanitizer lanes catch.
+    const std::vector<uint8_t> back = lz_decompress(comp, raw_len);
+    EXPECT_EQ(back, want);
+    return "";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptPayload) << e.what();
+    return e.what();
+  }
+}
+
+TEST(FuzzCodec, DecoderCopiesExactlyAtTheEndOfOutput) {
+  // Short literal runs and matches are copied in fixed chunks that may run
+  // past them, only while the output has room for the whole chunk; these
+  // streams end exactly at raw_len, where the decoder must copy exactly.
+  SplitMix64 rng(1201);
+  auto random_run = [&](size_t len) {
+    std::vector<uint8_t> v(len);
+    for (auto& b : v) b = static_cast<uint8_t>(rng());
+    return v;
+  };
+  struct Case {
+    std::vector<uint8_t> comp;
+    std::vector<uint8_t> raw;
+    bool ends_in_match;
+  };
+  std::vector<Case> cases;
+  for (size_t prefix : {0, 5, 40}) {
+    // A final literal run of 0, 14, 15, 16 and 17 bytes.
+    for (size_t lit : {0, 14, 15, 16, 17}) {
+      Buffer comp;
+      std::vector<uint8_t> raw;
+      if (prefix != 0) put_sequence(comp, raw, random_run(prefix), 1, 6);
+      put_sequence(comp, raw, random_run(lit));
+      cases.push_back({{comp.data(), comp.data() + comp.size()}, raw,
+                       lit == 0 && prefix != 0});
+    }
+    // A match at the very end, overlapping (offsets 1-9) or not.
+    for (size_t offset = 1; offset <= 17; ++offset) {
+      for (size_t match : {4, 7, 8, 9, 15, 16, 17, 24}) {
+        Buffer comp;
+        std::vector<uint8_t> raw;
+        put_sequence(comp, raw, random_run(prefix + offset), offset, match);
+        cases.push_back(
+            {{comp.data(), comp.data() + comp.size()}, raw, true});
+      }
+    }
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "raw " << c.raw.size() << ", comp " << c.comp.size());
+    ASSERT_EQ(decode_error(c.comp, c.raw.size(), c.raw), "");
+    // One byte short: the last copy overruns the output; one byte long:
+    // the stream ends early.
+    if (!c.raw.empty()) {
+      EXPECT_EQ(decode_error(c.comp, c.raw.size() - 1),
+                c.ends_in_match ? "CorruptPayload: match run past end of output"
+                                : "CorruptPayload: literal run past end of output");
+    }
+    EXPECT_EQ(decode_error(c.comp, c.raw.size() + 1),
+              "CorruptPayload: decompressed size mismatch");
+    // Every truncation is a typed error (or, when it cuts only an empty
+    // final sequence, the same output), never a read past the input.
+    for (size_t cut = 0; cut < c.comp.size(); ++cut) {
+      const std::vector<uint8_t> head(
+          c.comp.begin(), c.comp.begin() + static_cast<ptrdiff_t>(cut));
+      decode_error(head, c.raw.size(), c.raw);
+    }
+  }
+}
+
 TEST(FuzzCodec, LzOutputDoesNotDependOnEarlierCalls) {
   // The match table persists across calls on a thread; whatever earlier
   // inputs left in it must read as empty, so every input compresses to the

@@ -22,6 +22,7 @@
 #include "server/server.hpp"
 #include "types/registry.hpp"
 #include "util/logging.hpp"
+#include "util/rand.hpp"
 #include "wire/coherence.hpp"
 #include "wire/diff.hpp"
 #include "wire/payload.hpp"
@@ -174,6 +175,85 @@ bool closed_silently(int fd, milliseconds timeout) {
   uint8_t byte;
   ssize_t r = ::recv(fd, &byte, 1, 0);
   return r == 0 || (r < 0 && errno == ECONNRESET);
+}
+
+TEST(Reactor, MultiMegabyteFrameArrivesIntact) {
+  server::SegmentServer core;
+  TcpServer server(core, 0);
+  int fd = raw_connect(server.port());
+  raw_hello(fd);
+
+  // The rest of a frame whose payload outgrows a read chunk is received
+  // straight into its payload: a 3 MiB segment name, dribbled over many
+  // sends between two pings, must bind byte for byte.
+  SplitMix64 rng(77);
+  std::string name = "host/";
+  while (name.size() < (3u << 20)) {
+    name.push_back(static_cast<char>('a' + rng.below(26)));
+  }
+  Buffer open_payload;
+  open_payload.append_varint(1);
+  open_payload.append_vstring(name);
+  open_payload.append_u8(1);
+  Buffer stream = encode_request(MsgType::kPing, 2, Buffer());
+  const Buffer open = encode_request(MsgType::kOpenSegment, 3, open_payload);
+  stream.append(open.span());
+  stream.append(encode_request(MsgType::kPing, 4, Buffer()).span());
+  for (size_t at = 0, sends = 0; at < stream.size(); ++sends) {
+    const size_t n = std::min<size_t>(7919, stream.size() - at);
+    raw_send(fd, stream.data() + at, n);
+    at += n;
+    if (sends % 16 == 0) std::this_thread::sleep_for(milliseconds(1));
+  }
+  for (uint32_t id : {2u, 3u, 4u}) {
+    const Frame resp = raw_read_frame(fd);
+    EXPECT_EQ(resp.request_id, id);
+    EXPECT_EQ(resp.type, id == 3 ? MsgType::kOpenSegmentResp
+                                 : MsgType::kPingResp);
+  }
+  EXPECT_EQ(core.segment_version(name), 1u);
+  EXPECT_GT(server.stats().recv_calls, 10u);
+  // Its buffer grew to the frame's size and no further.
+  EXPECT_EQ(server.stats().recv_reserved_max, open_payload.size());
+  ::close(fd);
+}
+
+TEST(Reactor, LargeFrameBufferGrowsOnlyWithBytesReceived) {
+  server::SegmentServer core;
+  TcpServer server(core, 0);
+  int fd = raw_connect(server.port());
+
+  // A header that declares a payload just under the cap, then a trickle:
+  // the buffer the server reserves stays within 8x what has been sent.
+  Buffer head;
+  head.append_u8(static_cast<uint8_t>(MsgType::kPing));
+  head.append_varint(1);
+  head.append_varint(kMaxFramePayload - 1);
+  head.append(std::vector<uint8_t>(100, 0xAB));
+  raw_send(fd, head.data(), head.size());
+  size_t sent = head.size();
+  auto reserved_once_read = [&](uint64_t floor) {
+    const auto deadline = steady_clock::now() + std::chrono::seconds(5);
+    uint64_t got = 0;
+    while ((got = server.stats().recv_reserved_max) <= floor &&
+           steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    return got;
+  };
+  const uint64_t first = reserved_once_read(0);
+  EXPECT_GT(first, 0u);
+  EXPECT_LE(first, 8 * sent);
+
+  const std::vector<uint8_t> more(256 << 10, 0xCD);
+  raw_send(fd, more.data(), more.size());
+  sent += more.size();
+  const uint64_t second = reserved_once_read(first);
+  EXPECT_GT(second, first);
+  EXPECT_LE(second, 8 * sent);
+  // The connection is still waiting for the rest, not torn down.
+  EXPECT_FALSE(closed_silently(fd, milliseconds(50)));
+  ::close(fd);
 }
 
 TEST(Reactor, MalformedHeadersTearDownTheConnection) {

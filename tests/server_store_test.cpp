@@ -361,6 +361,141 @@ TEST(SegmentStore, StringsOutOfLineAndPointersInline) {
   EXPECT_EQ(std::vector<uint8_t>(back.begin(), back.end()), units);
 }
 
+// The slot numbering a store has always used, from a walk over every unit:
+// string n in visit order holds slot n, pointer n slot string_units() + n.
+struct VisitOrderSlot {
+  PrimitiveKind kind;
+  uint32_t offset;  // packed-canonical byte offset of the field
+  uint32_t slot;
+};
+std::vector<VisitOrderSlot> visit_order_slots(const TypeDescriptor& type) {
+  std::vector<VisitOrderSlot> strings, pointers;
+  type.visit_runs(0, type.prim_units(), [&](const PrimRun& run) {
+    auto& out = run.kind == PrimitiveKind::kString ? strings : pointers;
+    if (run.kind != PrimitiveKind::kString &&
+        run.kind != PrimitiveKind::kPointer) {
+      return;
+    }
+    for (uint64_t i = 0; i < run.unit_count; ++i) {
+      out.push_back({run.kind,
+                     run.local_offset +
+                         static_cast<uint32_t>(i * run.local_stride),
+                     0});
+    }
+  });
+  for (size_t i = 0; i < strings.size(); ++i) {
+    strings[i].slot = static_cast<uint32_t>(i);
+  }
+  for (size_t i = 0; i < pointers.size(); ++i) {
+    pointers[i].slot = static_cast<uint32_t>(strings.size() + i);
+  }
+  strings.insert(strings.end(), pointers.begin(), pointers.end());
+  return strings;
+}
+
+TEST(SegmentStore, VarSlotsFollowVisitOrder) {
+  TypeRegistry t(Platform::native().rules);
+  const TypeDescriptor* ptr = t.pointer_to(nullptr);
+  const TypeDescriptor* two_strings = t.struct_builder("two")
+      .field("a", t.primitive(PrimitiveKind::kInt32))
+      .field("s", t.string_type(8))
+      .field("d", t.primitive(PrimitiveKind::kFloat64))
+      .field("u", t.string_type(9))
+      .field("p", ptr)
+      .finish();
+  const TypeDescriptor* holds_array = t.struct_builder("holds")
+      .field("x", t.primitive(PrimitiveKind::kInt16))
+      .field("names", t.array_of(t.string_type(10), 4))
+      .field("p", ptr)
+      .field("q", ptr)
+      .finish();
+  const TypeDescriptor* cell = t.struct_builder("cell")
+      .field("p", ptr)
+      .field("s", t.string_type(12))
+      .field("v", t.primitive(PrimitiveKind::kInt32))
+      .finish();
+  const TypeDescriptor* flat = t.struct_builder("flat")
+      .field("a", t.string_type(16))
+      .field("b", t.primitive(PrimitiveKind::kInt32))
+      .field("p", ptr)
+      .field("c", t.string_type(9))
+      .finish();
+  const std::vector<const TypeDescriptor*> shapes = {
+      t.array_of(two_strings, 6), holds_array,
+      t.array_of(t.array_of(cell, 4), 3), t.array_of(t.string_type(11), 5),
+      flat};
+
+  for (const TypeDescriptor* shape : shapes) {
+    SegmentStore store("s", {});
+    Buffer graph;
+    TypeCodec::encode_graph(shape, graph);
+    const uint32_t type_serial = store.register_type(graph.span());
+    // Create one block: string n holds "s<n>", pointer n the MIP "m#<n>#0".
+    uint32_t strings = 0, pointers = 0;
+    Buffer out;
+    DiffWriter w(out, 1, 2);
+    w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "");
+    w.begin_run(0, static_cast<uint32_t>(shape->prim_units()));
+    shape->visit_runs(0, shape->prim_units(), [&](const PrimRun& run) {
+      for (uint64_t i = 0; i < run.unit_count; ++i) {
+        if (run.kind == PrimitiveKind::kString) {
+          out.append_vstring("s" + std::to_string(strings++));
+        } else if (run.kind == PrimitiveKind::kPointer) {
+          append_cross_pointer_tag(out);
+          out.append_vstring("m#" + std::to_string(pointers++) + "#0");
+        } else {
+          for (uint32_t b = 0; b < wire_size_of(run.kind); ++b) out.append_u8(0);
+        }
+      }
+    });
+    w.end_block();
+    w.finish();
+    ASSERT_EQ(store.apply_diff(out.span()), 2u);
+
+    const SvrBlock* blk = store.find_block(1);
+    ASSERT_NE(blk, nullptr);
+    const TypeDescriptor& type = *blk->type;
+    EXPECT_EQ(type.string_units(), strings);
+    EXPECT_EQ(type.pointer_units(), pointers);
+    EXPECT_EQ(store.total_data_bytes(),
+              type.fixed_wire_size() + 8ull * (strings + pointers));
+    const std::vector<VisitOrderSlot> slots = visit_order_slots(type);
+    ASSERT_EQ(slots.size(), strings + pointers);
+    ASSERT_EQ(blk->vardata.size(), strings + pointers);
+    for (const VisitOrderSlot& v : slots) {
+      const uint8_t* field = blk->data.data() + v.offset;
+      if (v.kind == PrimitiveKind::kString) {
+        EXPECT_EQ(type.var_unit_index(v.kind, v.offset), v.slot);
+        EXPECT_EQ(blk->vardata[v.slot], "s" + std::to_string(v.slot));
+        EXPECT_EQ(load_be32(field), v.slot);  // the field stores its slot
+      } else {
+        EXPECT_EQ(type.var_unit_index(v.kind, v.offset), v.slot - strings);
+        EXPECT_EQ(blk->vardata[v.slot],
+                  "m#" + std::to_string(v.slot - strings) + "#0");
+        EXPECT_EQ(load_be32(field), 0u);           // no block: a MIP
+        EXPECT_EQ(load_be32(field + 4), v.slot + 1);  // its slot, plus one
+      }
+      // No unit of either kind starts inside a field, and a field is not
+      // the other kind.
+      EXPECT_EQ(type.var_unit_index(v.kind, v.offset + 1), TypeDescriptor::kNoVarUnit);
+      const PrimitiveKind other = v.kind == PrimitiveKind::kString
+                                      ? PrimitiveKind::kPointer
+                                      : PrimitiveKind::kString;
+      EXPECT_EQ(type.var_unit_index(other, v.offset), TypeDescriptor::kNoVarUnit);
+    }
+    EXPECT_EQ(type.var_unit_index(PrimitiveKind::kString, type.local_size()),
+              TypeDescriptor::kNoVarUnit);
+
+    // Collect re-emits every string and MIP from its slot.
+    auto diff = store.collect_diff(1);
+    SegmentStore copy("t", {});
+    copy.register_type(graph.span());
+    copy.apply_diff(*diff);
+    EXPECT_EQ(copy.find_block(1)->vardata, blk->vardata);
+    EXPECT_EQ(copy.find_block(1)->data, blk->data);
+  }
+}
+
 TEST(SegmentStore, PointerTargetsAreChecked) {
   // Blocks of two pointer units each.
   TypeRegistry scratch(Platform::native().rules);

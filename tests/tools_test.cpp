@@ -185,6 +185,31 @@ TEST(Iwinspect, DumpsJournalAndCheckpointChain) {
   EXPECT_NE(corrupt_out.find("torn tail: 7 bytes"), std::string::npos)
       << corrupt_out;
 
+  // A second cut keeps that copy and sets its own aside as `.corrupt.1`.
+  {
+    std::ofstream f(wal, std::ios::binary | std::ios::app);
+    const uint8_t torn[] = {0, 0, 0, 9, 1, 2, 3, 4};
+    f.write(reinterpret_cast<const char*>(torn), sizeof torn);
+  }
+  {
+    server::SegmentServer::Options sopts;
+    sopts.checkpoint_dir = dir.string();
+    server::SegmentServer core(sopts);
+    core.recover();
+    EXPECT_EQ(core.stats().wal_truncated_bytes, 8u);
+  }
+  EXPECT_EQ(run_command(std::string(IWINSPECT_PATH) + " --wal " +
+                            wal.string() + ".corrupt",
+                        &code),
+            corrupt_out);
+  std::string second_out = run_command(
+      std::string(IWINSPECT_PATH) + " --wal " + wal.string() + ".corrupt.1",
+      &code);
+  EXPECT_EQ(code, 0) << second_out;
+  EXPECT_NE(second_out.find("commit"), std::string::npos) << second_out;
+  EXPECT_NE(second_out.find("torn tail: 8 bytes"), std::string::npos)
+      << second_out;
+
   std::string missing_out = run_command(
       std::string(IWINSPECT_PATH) + " --wal " + (dir / "nope.iwlog").string(),
       &code);

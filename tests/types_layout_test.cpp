@@ -195,6 +195,120 @@ TEST(TypeDescriptor, UnitAtLocalOffsetInverse) {
   EXPECT_EQ(s->unit_at_local_offset(31).local_offset, 28u);
 }
 
+// The unit-containing-offset walk as first written (per level: divide,
+// clamp the element index, clamp into the element or field), kept here as
+// the reference the direct arithmetic must agree with at every offset.
+UnitAtOffset reference_unit_at(const TypeDescriptor* type, uint32_t offset) {
+  const TypeDescriptor* t = type;
+  uint64_t unit = 0;
+  uint32_t base = 0;
+  if (offset >= type->local_size()) {
+    offset = type->local_size() ? type->local_size() - 1 : 0;
+  }
+  for (;;) {
+    const uint32_t rel = offset - base;
+    switch (t->kind()) {
+      case TypeKind::kPrimitive:
+      case TypeKind::kString:
+      case TypeKind::kPointer:
+        return {unit, base};
+      case TypeKind::kArray: {
+        uint64_t e = rel / t->element_stride();
+        if (e >= t->count()) e = t->count() - 1;
+        base += static_cast<uint32_t>(e * t->element_stride());
+        unit += e * t->element()->prim_units();
+        if (offset - base >= t->element()->local_size()) {
+          offset = base + t->element()->local_size() - 1;
+        }
+        t = t->element();
+        break;
+      }
+      case TypeKind::kStruct: {
+        const auto& fields = t->fields();
+        size_t i = 0;
+        while (i + 1 < fields.size() && fields[i + 1].local_offset <= rel) ++i;
+        if (rel >= fields[i].local_offset + fields[i].type->local_size() &&
+            i + 1 < fields.size()) {
+          ++i;
+        }
+        const auto& f = fields[i];
+        base += f.local_offset;
+        unit += f.prim_offset;
+        if (offset < base) offset = base;
+        if (offset - base >= f.type->local_size()) {
+          offset = base + f.type->local_size() - 1;
+        }
+        t = f.type;
+        break;
+      }
+    }
+  }
+}
+
+TEST(TypeDescriptor, UnitAtLocalOffsetPaddingAndClamping) {
+  TypeRegistry reg(Platform::native().rules);
+  const TypeDescriptor* rec = reg.struct_builder("rec")
+      .field("c", reg.primitive(PrimitiveKind::kChar))
+      .field("d", reg.primitive(PrimitiveKind::kFloat64))
+      .field("i", reg.primitive(PrimitiveKind::kInt32))
+      .finish();
+  // c@0, padding 1..7, d@8, i@16, tail padding 20..23; stride 24.
+  ASSERT_EQ(rec->local_size(), 24u);
+  const TypeDescriptor* recs = reg.array_of(rec, 3);
+  auto unit = [&](uint32_t off) { return recs->unit_at_local_offset(off); };
+  EXPECT_EQ(unit(0).unit_index, 0u);
+  for (uint32_t off = 1; off <= 15; ++off) {
+    EXPECT_EQ(unit(off).unit_index, 1u) << off;  // padding: the next unit
+    EXPECT_EQ(unit(off).local_offset, 8u) << off;
+  }
+  for (uint32_t off = 16; off <= 23; ++off) {
+    // An element's tail padding maps to its own last unit.
+    EXPECT_EQ(unit(off).unit_index, 2u) << off;
+    EXPECT_EQ(unit(off).local_offset, 16u) << off;
+  }
+  EXPECT_EQ(unit(24).unit_index, 3u);
+  EXPECT_EQ(unit(24 + 5).unit_index, 4u);
+  // Past the end clamps to the last unit.
+  for (uint32_t off : {71u, 72u, 1000u, UINT32_MAX}) {
+    EXPECT_EQ(unit(off).unit_index, 8u) << off;
+    EXPECT_EQ(unit(off).local_offset, 64u) << off;
+  }
+
+  // Every offset of a family of nested shapes, on every platform, agrees
+  // with the reference walk.
+  for (const Platform& platform :
+       {Platform::native(), Platform::sparc32(), Platform::big64(),
+        Platform::packed_le32()}) {
+    TypeRegistry r(platform.rules);
+    const TypeDescriptor* inner = r.struct_builder("inner")
+        .field("a", r.primitive(PrimitiveKind::kChar))
+        .field("s", r.string_type(5))
+        .field("b", r.primitive(PrimitiveKind::kInt64))
+        .field("c", r.primitive(PrimitiveKind::kInt16))
+        .finish();
+    const TypeDescriptor* shapes[] = {
+        r.array_of(inner, 4),
+        r.array_of(r.array_of(inner, 2), 3),
+        r.array_of(r.string_type(5), 6),
+        r.struct_builder("outer")
+            .field("x", r.primitive(PrimitiveKind::kInt16))
+            .field("arr", r.array_of(inner, 3))
+            .field("p", r.pointer_to(inner))
+            .field("tail", r.array_of(r.primitive(PrimitiveKind::kChar), 3))
+            .finish(),
+        r.primitive(PrimitiveKind::kFloat64),
+    };
+    for (const TypeDescriptor* shape : shapes) {
+      for (uint32_t off = 0; off < shape->local_size() + 9; ++off) {
+        const UnitAtOffset got = shape->unit_at_local_offset(off);
+        const UnitAtOffset want = reference_unit_at(shape, off);
+        ASSERT_EQ(got.unit_index, want.unit_index) << off;
+        ASSERT_EQ(got.local_offset, want.local_offset) << off;
+      }
+    }
+  }
+}
+
 // Property: for every unit, unit_at_local_offset(locate_prim(u)) == u, on
 // every platform, for a family of generated nested types.
 class LocateRoundTrip : public ::testing::TestWithParam<const char*> {};

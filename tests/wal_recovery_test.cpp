@@ -600,6 +600,89 @@ TEST_F(WalRecovery, TornJournalTailRecoversCleanly) {
   expect_converged(third, 8);
 }
 
+TEST_F(WalRecovery, SuccessiveCutsKeepEveryCopy) {
+  // Each cut sets the journal as found aside under the first free name, so
+  // the second cut keeps the first cut's copy beside its own.
+  const fs::path log = dir_ / "host%2Fdurable.iwlog";
+  auto tear = [&] {
+    std::ofstream f(log, std::ios::binary | std::ios::app);
+    const uint8_t torn[] = {0, 0, 0, 9, 1, 2, 3};
+    f.write(reinterpret_cast<const char*>(torn), sizeof torn);
+  };
+  {
+    SegmentServer server(server_options());
+    run_commits(server, 1, 3);
+  }
+  tear();
+  const std::vector<uint8_t> first_found = file_bytes(log);
+  {
+    SegmentServer revived(server_options());
+    revived.recover();
+    EXPECT_EQ(revived.stats().wal_truncated_bytes, 7u);
+    run_commits(revived, 4, 2);
+  }
+  tear();
+  const std::vector<uint8_t> second_found = file_bytes(log);
+  uint32_t final_version = 0;
+  {
+    SegmentServer revived(server_options());
+    revived.recover();
+    EXPECT_EQ(revived.stats().wal_truncated_bytes, 7u);
+    final_version = revived.segment_version(kSegName);
+    expect_converged(revived, 5);
+  }
+  const fs::path first = log.string() + ".corrupt";
+  const fs::path second = log.string() + ".corrupt.1";
+  EXPECT_EQ(file_bytes(first), first_found);
+  EXPECT_EQ(file_bytes(second), second_found);
+  EXPECT_FALSE(fs::exists(log.string() + ".corrupt.2"));
+  for (const fs::path& copy : {first, second}) {
+    const WriteAheadLog::Replay replay = WriteAheadLog::replay(copy.string());
+    EXPECT_FALSE(replay.missing) << copy;
+    EXPECT_TRUE(replay.torn_tail) << copy;
+    EXPECT_EQ(replay.truncated_bytes, 7u) << copy;
+    EXPECT_FALSE(replay.records.empty()) << copy;
+  }
+  EXPECT_LT(WriteAheadLog::replay(first.string()).records.size(),
+            WriteAheadLog::replay(second.string()).records.size());
+  // Recovery reads neither copy: a clean restart lands where the last one
+  // did, and cuts nothing.
+  SegmentServer third(server_options());
+  third.recover();
+  EXPECT_EQ(third.segment_version(kSegName), final_version);
+  EXPECT_EQ(third.stats().wal_truncated_bytes, 0u);
+  expect_converged(third, 5);
+}
+
+TEST_F(WalRecovery, SuccessiveQuarantinesKeepEveryCheckpoint) {
+  const fs::path snapshot = dir_ / "host%2Fdurable.iwseg";
+  auto zap = [&](const char* content) {
+    std::ofstream f(snapshot, std::ios::binary | std::ios::trunc);
+    f << content;
+  };
+  {
+    SegmentServer server(server_options());
+    run_commits(server, 1, 2);
+    server.checkpoint();
+  }
+  zap("first");
+  {
+    SegmentServer revived(server_options());
+    revived.recover();
+    EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
+    revived.checkpoint();
+  }
+  zap("second");
+  SegmentServer revived(server_options());
+  revived.recover();
+  EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
+  const std::vector<uint8_t> first = file_bytes(snapshot.string() + ".corrupt");
+  const std::vector<uint8_t> second =
+      file_bytes(snapshot.string() + ".corrupt.1");
+  EXPECT_EQ(std::string(first.begin(), first.end()), "first");
+  EXPECT_EQ(std::string(second.begin(), second.end()), "second");
+}
+
 TEST_F(WalRecovery, MixedFormatJournalAcrossCompressionToggle) {
   // A pre-compression server incarnation journals raw commits; a later
   // incarnation with compression on appends compressed ones to the same
