@@ -1332,10 +1332,14 @@ bool Client::apply_update_locked(ClientSegment* seg, BufReader& in) {
 void Client::apply_diff_locked(ClientSegment* seg, BufReader& in) {
   Stopwatch timer;
   DiffReader reader(in);
-  if (reader.from_version() != 0 && reader.from_version() != seg->version_) {
+  // A full sync lists every live block: the from-0 diff of a resync, or the
+  // diff from the empty segment that a copy holding nothing is sent.
+  const bool full_sync =
+      reader.from_version() == 0 ||
+      (seg->version_ == 0 && reader.from_version() == kEmptySegmentVersion);
+  if (!full_sync && reader.from_version() != seg->version_) {
     throw Error(ErrorCode::kProtocol, "diff base does not match cached copy");
   }
-  const bool full_sync = reader.from_version() == 0;
   if (full_sync && seg->version_ != 0) ++stats_.full_resyncs;
 
   std::vector<DiffEntry> entries;
@@ -1406,8 +1410,8 @@ void Client::apply_diff_locked(ClientSegment* seg, BufReader& in) {
   }
 
   if (full_sync) {
-    // The from-0 diff enumerates every live block; reserved blocks that
-    // were freed on the server in the meantime are swept here.
+    // A full sync enumerates every live block; reserved blocks that were
+    // freed on the server in the meantime are swept here.
     std::vector<BlockHeader*> dead;
     seg->heap_.for_each_block([&](BlockHeader* b) {
       if (!mentioned.count(b->serial)) dead.push_back(b);

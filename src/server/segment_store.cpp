@@ -689,6 +689,15 @@ std::unique_ptr<SegmentStore> SegmentStore::deserialize(std::string name,
                                                         Options options,
                                                         BufReader& in) {
   auto store = std::make_unique<SegmentStore>(std::move(name), options);
+  // Nothing is dated at or before the empty segment (see version_).
+  auto read_dated = [&in] {
+    const uint32_t v = in.read_u32();
+    if (v <= kEmptySegmentVersion) {
+      throw Error(ErrorCode::kProtocol, "checkpoint: change dated at v" +
+                                            std::to_string(v));
+    }
+    return v;
+  };
   store->version_ = in.read_u32();
   store->next_block_serial_ = in.read_u32();
   uint32_t n_types = in.read_u32();
@@ -701,8 +710,8 @@ std::unique_ptr<SegmentStore> SegmentStore::deserialize(std::string name,
   for (uint32_t i = 0; i < n_free; ++i) {
     FreeRecord fr;
     fr.serial = in.read_u32();
-    fr.created_version = in.read_u32();
-    fr.freed_version = in.read_u32();
+    fr.created_version = read_dated();
+    fr.freed_version = read_dated();
     store->free_history_.push_back(fr);
   }
   uint32_t n_nodes = in.read_u32();
@@ -720,8 +729,8 @@ std::unique_ptr<SegmentStore> SegmentStore::deserialize(std::string name,
     uint32_t serial = in.read_u32();
     std::string bname = in.read_lp_string();
     uint32_t type_serial = in.read_u32();
-    uint32_t created = in.read_u32();
-    uint32_t version = in.read_u32();
+    uint32_t created = read_dated();
+    uint32_t version = read_dated();
     SvrBlock* b =
         store->create_block(serial, type_serial, std::move(bname), created);
     b->version = version;
@@ -741,7 +750,7 @@ std::unique_ptr<SegmentStore> SegmentStore::deserialize(std::string name,
     if (n_sb != b->subblock_versions.size()) {
       throw Error(ErrorCode::kProtocol, "checkpoint: subblock count mismatch");
     }
-    for (uint32_t s = 0; s < n_sb; ++s) b->subblock_versions[s] = in.read_u32();
+    for (uint32_t s = 0; s < n_sb; ++s) b->subblock_versions[s] = read_dated();
   }
   // Field bytes are stored verbatim; a pointer field must name a live or
   // freed block, or its own MIP slot, before collect reads it.

@@ -259,7 +259,12 @@ class SegmentStore {
 
   std::string name_;
   Options options_;
-  uint32_t version_ = 1;
+  /// Starts at kEmptySegmentVersion, the empty segment. Every commit and
+  /// fold lands at 2 or above (deserialize refuses anything else), so no
+  /// block, subblock or free record is dated at or before 1, and
+  /// collect_diff(0) and collect_diff(1) list the same entries; only their
+  /// header base differs. So a version-0 fetch is sent the base-1 diff.
+  uint32_t version_ = kEmptySegmentVersion;
   uint32_t next_block_serial_ = 1;
   uint64_t total_data_bytes_ = 0;
 

@@ -480,6 +480,12 @@ bool SegmentServer::is_stale(SegmentEntry& entry, const SegmentSession& ss,
 bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
                                   uint32_t client_version,
                                   CoherencePolicy policy, Buffer& payload) {
+  // The base of the diff sent. A copy that holds nothing is sent the diff
+  // from the empty segment: it lists the same entries as one from 0, and a
+  // populate's readers find it cached with the writer's section, so they
+  // cost no collect and no LZ pass.
+  uint32_t base =
+      client_version == 0 ? kEmptySegmentVersion : client_version;
   if (client_version > entry.store->version()) {
     // The client is ahead of us — we recovered from an older checkpoint.
     // Force a full resync: the from-0 diff enumerates every live block and
@@ -488,6 +494,7 @@ bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
                   << " (v" << client_version << " > v"
                   << entry.store->version() << "); full resync";
     client_version = 0;
+    base = 0;
     ss.types_sent = 0;
   }
   if (!is_stale(entry, ss, client_version, policy)) {
@@ -506,7 +513,7 @@ bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
     payload.append(graph.data(), graph.size());
   }
   ss.types_sent = count;
-  auto diff = store.collect_diff(client_version);
+  auto diff = store.collect_diff(base);
   // The diff travels behind a method byte. With compress_payloads on, the
   // section is compressed once per diff and cached beside it (a commit's
   // arrives with it from the writer): every later reader of the same diff
@@ -518,13 +525,13 @@ bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
       std::make_shared<const std::vector<uint8_t>>(1, payload_method::kRaw);
   SharedBytes section;
   if (options_.compress_payloads) {
-    section = store.cached_section(client_version);
+    section = store.cached_section(base);
     if (section == nullptr) {
       Buffer lz;
       section = lz_pass(diff->size()) && compress_section(*diff, lz)
                     ? std::make_shared<const std::vector<uint8_t>>(lz.take())
                     : kRawSection;
-      store.cache_section(client_version, section);
+      store.cache_section(base, section);
     }
   }
   const size_t method_offset = payload.size();

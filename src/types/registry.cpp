@@ -7,8 +7,29 @@ namespace iw {
 namespace {
 constexpr int idx(PrimitiveKind kind) { return static_cast<int>(kind); }
 
-uint32_t round_up(uint32_t value, uint32_t align) {
+uint64_t round_up(uint64_t value, uint32_t align) {
   return (value + align - 1) / align * align;
+}
+
+[[noreturn]] void too_large(const char* what) {
+  throw Error(ErrorCode::kInvalidArgument,
+              std::string("type too large: its ") + what +
+                  " does not fit 32 bits");
+}
+
+/// `value` as a 32-bit size or unit count, or kInvalidArgument: every
+/// offset, run and slot number of a block is 32 bits on the wire and in the
+/// server store, so a type whose sizes do not fit is refused, never wrapped.
+uint32_t fit32(uint64_t value, const char* what) {
+  if (value > UINT32_MAX) too_large(what);
+  return static_cast<uint32_t>(value);
+}
+
+/// fit32(`per_element` * `count`), refused before the product can wrap.
+uint32_t fit32_product(uint64_t per_element, uint64_t count,
+                       const char* what) {
+  if (per_element != 0 && count > UINT32_MAX / per_element) too_large(what);
+  return static_cast<uint32_t>(per_element * count);
 }
 }  // namespace
 
@@ -161,19 +182,34 @@ const TypeDescriptor* TypeRegistry::array_of_unlocked(
   std::string key =
       "a" + std::to_string(count) + "," + std::to_string(serials_.at(element));
   if (auto it = interned_.find(key); it != interned_.end()) return it->second;
+  return intern(new_array(element, count), key);
+}
+
+TypeDescriptor* TypeRegistry::new_array(const TypeDescriptor* element,
+                                        uint64_t count) {
+  // Checked before the descriptor exists, so a refused array leaves none.
+  const uint64_t stride =
+      round_up(element->local_size(), element->local_align());
+  const uint32_t local_size = fit32_product(stride, count, "local size");
+  const uint32_t prim_units =
+      fit32_product(element->prim_units(), count, "primitive unit count");
+  const uint32_t string_units =
+      fit32_product(element->string_units(), count, "string unit count");
+  const uint32_t pointer_units =
+      fit32_product(element->pointer_units(), count, "pointer unit count");
   TypeDescriptor* t = alloc();
   t->kind_ = TypeKind::kArray;
   t->element_ = element;
   t->count_ = count;
-  t->element_stride_ = round_up(element->local_size(), element->local_align());
-  t->local_size_ = static_cast<uint32_t>(t->element_stride_ * count);
+  t->element_stride_ = static_cast<uint32_t>(stride);
+  t->local_size_ = local_size;
   t->local_align_ = element->local_align();
-  t->prim_units_ = element->prim_units() * count;
+  t->prim_units_ = prim_units;
   t->fixed_wire_size_ = element->fixed_wire_size() * count;
-  t->string_units_ = static_cast<uint32_t>(element->string_units() * count);
-  t->pointer_units_ = static_cast<uint32_t>(element->pointer_units() * count);
+  t->string_units_ = string_units;
+  t->pointer_units_ = pointer_units;
   t->variable_wire_ = element->has_variable_wire_size();
-  return intern(t, key);
+  return t;
 }
 
 StructBuilder TypeRegistry::struct_builder(std::string name) {
@@ -209,8 +245,12 @@ std::vector<StructBuilder::PendingField> TypeRegistry::apply_isomorphic(
 void TypeRegistry::layout_struct(
     TypeDescriptor* t, const std::vector<StructBuilder::PendingField>& fields,
     TypeDescriptor* self_ptr_type) {
-  uint32_t offset = 0;
+  // Summed in 64 bits and checked once at the end: the sums only grow, so
+  // every field's offset and counts fit whenever the totals do.
+  uint64_t offset = 0;
   uint64_t units = 0;
+  uint64_t strings = 0;
+  uint64_t pointers = 0;
   uint32_t align = 1;
   t->fields_.reserve(fields.size());
   for (const auto& pf : fields) {
@@ -220,23 +260,25 @@ void TypeRegistry::layout_struct(
     TypeDescriptor::Field f;
     f.name = pf.name;
     f.type = ft;
-    f.local_offset = offset;
+    f.local_offset = static_cast<uint32_t>(offset);
     f.prim_offset = units;
-    f.strings_before = t->string_units_;
-    f.pointers_before = t->pointer_units_;
+    f.strings_before = static_cast<uint32_t>(strings);
+    f.pointers_before = static_cast<uint32_t>(pointers);
     t->fields_.push_back(std::move(f));
     offset += ft->local_size();
     units += ft->prim_units();
-    t->string_units_ += ft->string_units();
-    t->pointer_units_ += ft->pointer_units();
+    strings += ft->string_units();
+    pointers += ft->pointer_units();
     align = std::max(align, ft->local_align());
     t->fixed_wire_size_ += ft->fixed_wire_size();
     t->variable_wire_ = t->variable_wire_ || ft->has_variable_wire_size();
   }
   t->kind_ = TypeKind::kStruct;
   t->local_align_ = align;
-  t->local_size_ = round_up(offset, align);
-  t->prim_units_ = units;
+  t->local_size_ = fit32(round_up(offset, align), "local size");
+  t->prim_units_ = fit32(units, "primitive unit count");
+  t->string_units_ = fit32(strings, "string unit count");
+  t->pointer_units_ = fit32(pointers, "pointer unit count");
 
   // Precompute the flat run list for fixed-size structs so translation can
   // iterate arrays of them without per-element tree walks (Fig. 4's
@@ -264,6 +306,7 @@ const TypeDescriptor* TypeRegistry::finish_struct(StructBuilder& builder) {
   key += '}';
   if (auto it = interned_.find(key); it != interned_.end()) return it->second;
 
+  const size_t owned_before = owned_.size();
   TypeDescriptor* t = alloc();
   t->struct_name_ = builder.name_;
 
@@ -284,7 +327,14 @@ const TypeDescriptor* TypeRegistry::finish_struct(StructBuilder& builder) {
     std::swap(owned_[owned_.size() - 1], owned_[owned_.size() - 2]);
   }
 
-  layout_struct(t, fields, self_ptr);
+  try {
+    layout_struct(t, fields, self_ptr);
+  } catch (const Error&) {
+    // Refused (too large): drop `t` and its self pointer again.
+    if (self_ptr != nullptr) serials_.erase(self_ptr);
+    owned_.resize(owned_before);
+    throw;
+  }
   return intern(t, key);
 }
 
@@ -302,18 +352,7 @@ TypeDescriptor* TypeRegistry::raw_pointer(const TypeDescriptor* pointee) {
 TypeDescriptor* TypeRegistry::raw_array(const TypeDescriptor* element,
                                         uint64_t count) {
   std::lock_guard lock(mu_);
-  TypeDescriptor* t = alloc();
-  t->kind_ = TypeKind::kArray;
-  t->element_ = element;
-  t->count_ = count;
-  t->element_stride_ = round_up(element->local_size(), element->local_align());
-  t->local_size_ = static_cast<uint32_t>(t->element_stride_ * count);
-  t->local_align_ = element->local_align();
-  t->prim_units_ = element->prim_units() * count;
-  t->fixed_wire_size_ = element->fixed_wire_size() * count;
-  t->string_units_ = static_cast<uint32_t>(element->string_units() * count);
-  t->pointer_units_ = static_cast<uint32_t>(element->pointer_units() * count);
-  t->variable_wire_ = element->has_variable_wire_size();
+  TypeDescriptor* t = new_array(element, count);
   serials_.emplace(t, serials_.size());
   return t;
 }
@@ -529,7 +568,14 @@ const TypeDescriptor* TypeCodec::decode_graph(BufReader& in,
     return t;
   };
 
-  for (uint32_t i = 0; i < n; ++i) build(build, i);
+  try {
+    for (uint32_t i = 0; i < n; ++i) build(build, i);
+  } catch (const Error& e) {
+    // A type the registry refuses (its sizes do not fit 32 bits, a string
+    // of capacity 0) is a malformed graph.
+    if (e.code() != ErrorCode::kInvalidArgument) throw;
+    throw Error(ErrorCode::kProtocol, e.what());
+  }
   for (auto [ptr_i, pointee_i] : pointer_fixups) {
     TypeRegistry::fix_pointee(built[ptr_i], built[pointee_i]);
   }

@@ -84,7 +84,9 @@ class TypeRegistry {
   /// Pointer to a completed type; pass nullptr for an opaque pointer.
   const TypeDescriptor* pointer_to(const TypeDescriptor* pointee);
 
-  /// Fixed-length array.
+  /// Fixed-length array. Throws kInvalidArgument when the array's local
+  /// size, primitive units, or string or pointer units do not fit 32 bits
+  /// (as finish() does for such a struct).
   const TypeDescriptor* array_of(const TypeDescriptor* element, uint64_t count);
 
   /// Starts building a struct named `name`.
@@ -116,6 +118,9 @@ class TypeRegistry {
   const TypeDescriptor* finish_struct(StructBuilder& builder);
   const TypeDescriptor* array_of_unlocked(const TypeDescriptor* element,
                                           uint64_t count);
+  /// A fresh (not interned) array descriptor; kInvalidArgument, with no
+  /// descriptor made, when its local size or unit counts overflow 32 bits.
+  TypeDescriptor* new_array(const TypeDescriptor* element, uint64_t count);
   void compute_scalar_layout(TypeDescriptor* t) const;
 
   // Non-interning creation paths used by TypeCodec when reconstructing a
@@ -154,7 +159,8 @@ class TypeCodec {
   static void encode_graph(const TypeDescriptor* root, Buffer& out);
 
   /// Decodes a graph into `registry` (fresh, non-interned nodes) and returns
-  /// the root. Throws Error(kProtocol) on malformed input.
+  /// the root. Throws Error(kProtocol) on malformed input, and on a type
+  /// whose local size or unit counts do not fit 32 bits.
   static const TypeDescriptor* decode_graph(BufReader& in,
                                             TypeRegistry& registry);
 };

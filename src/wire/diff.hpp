@@ -39,6 +39,11 @@ inline constexpr uint8_t kFree = 2;   ///< block deleted in this diff
 inline constexpr uint8_t kWhole = 4;  ///< runs cover the entire block
 }  // namespace diff_flags
 
+/// The version every segment is born at, empty. The diff from it lists the
+/// whole segment, as a diff from 0 would (SegmentStore::version_ says why),
+/// and it is what a copy that holds nothing (version 0) is sent.
+inline constexpr uint32_t kEmptySegmentVersion = 1;
+
 /// Streaming writer for one segment diff.
 class DiffWriter {
  public:

@@ -21,7 +21,7 @@ namespace iw {
 /// kHello. There is one dialect per version: every field below is required,
 /// and any change to a frame layout bumps this number. A server answers a
 /// hello carrying another version with a kProtocol error.
-inline constexpr uint8_t kProtocolVersion = 4;
+inline constexpr uint8_t kProtocolVersion = 5;
 
 // Field notation: u8/u32/u64 fixed width (big-endian), v LEB128 varint,
 // vs varint-length string, lp u32-length string. "envelope diff" is a diff

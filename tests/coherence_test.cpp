@@ -127,6 +127,32 @@ TEST_F(Coherence, TemporalRefreshesAfterWindow) {
   r->read_unlock(rs);
 }
 
+TEST_F(Coherence, FreshRelaxedReadersStillFetch) {
+  // A copy that holds nothing is stale under every model: a fresh Delta,
+  // Temporal or Diff reader is sent the whole segment on its first lock.
+  auto w = make_client();
+  auto [ws, data] = make_shared_array(*w, "host/fresh-relaxed");
+  bump(*w, ws, data, 42);
+  ASSERT_GE(ws->version(), 3u);
+  for (CoherencePolicy policy :
+       {CoherencePolicy::delta(100), CoherencePolicy::temporal(60'000),
+        CoherencePolicy::diff(90)}) {
+    auto r = make_client();
+    ClientSegment* rs = r->open_segment("host/fresh-relaxed", false);
+    r->set_coherence(rs, policy);
+    r->read_lock(rs);
+    EXPECT_EQ(rs->version(), ws->version());
+    auto* blk = rs->heap().find_by_name("a");
+    ASSERT_NE(blk, nullptr);
+    const auto* got = reinterpret_cast<const int32_t*>(blk->data());
+    EXPECT_EQ(got[0], 42);
+    EXPECT_EQ(got[1023], 1023);
+    r->read_unlock(rs);
+    EXPECT_EQ(r->stats().updates_applied, 1u);
+    EXPECT_EQ(r->stats().full_resyncs, 0u);
+  }
+}
+
 TEST_F(Coherence, DiffPercentTriggersOnVolume) {
   auto w = make_client();
   auto r = make_client();

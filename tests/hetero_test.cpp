@@ -224,6 +224,68 @@ TEST_F(Hetero, LinkedListAcrossThreePlatforms) {
   }
 }
 
+TEST_F(Hetero, FreshReadersShareTheWritersPopulate) {
+  // A native writer populates a segment in one commit. The diff it sends
+  // starts at the empty segment (version 1), so it is exactly what a
+  // reader holding nothing (version 0) needs: the server serves every fresh
+  // reader, of any platform, the writer's cached diff and compressed
+  // section, with no collect and no LZ pass of its own.
+  constexpr int kRecords = 1024;
+  auto native = make_client(Platform::native());
+  const TypeDescriptor* rec_n = record_type(*native);
+  ClientSegment* seg_n = native->open_segment("host/populate");
+  native->write_lock(seg_n);
+  uint8_t* prev = nullptr;
+  for (int i = 0; i < kRecords; ++i) {
+    auto* raw = static_cast<uint8_t*>(
+        native->malloc_block(seg_n, rec_n, i == kRecords - 1 ? "head" : ""));
+    View v(*native, raw, rec_n);
+    v.set_i32(0, i);
+    v.set_f64(1, i * 0.5);
+    std::snprintf(reinterpret_cast<char*>(raw) +
+                      rec_n->locate_prim(2).local_offset, 12, "rec%d", i);
+    v.set_ptr(3, prev);
+    prev = raw;
+  }
+  native->write_unlock(seg_n);
+  ASSERT_EQ(native->stats().diffs_compressed, 1u);
+  ASSERT_EQ(seg_n->version(), 2u);
+
+  const auto before = server_.stats();
+  const server::StoreStats store_before = server_.segment_stats("host/populate");
+  std::vector<std::unique_ptr<Client>> readers;
+  readers.push_back(make_client(Platform::native()));
+  readers.push_back(make_client(Platform::sparc32()));
+  readers.push_back(make_client(Platform::sparc32()));
+  for (auto& c : readers) {
+    SCOPED_TRACE(c->options().platform.name);
+    ClientSegment* seg = c->open_segment("host/populate", false);
+    c->read_lock(seg);
+    EXPECT_EQ(seg->version(), 2u);
+    EXPECT_EQ(seg->heap().block_count(), uint64_t{kRecords});
+    const client::BlockHeader* cur = seg->heap().find_by_name("head");
+    int expect = kRecords - 1;
+    for (; cur != nullptr; --expect) {
+      View v(*c, const_cast<uint8_t*>(cur->data()), cur->type);
+      ASSERT_EQ(v.get_i32(0), expect);
+      ASSERT_EQ(v.get_f64(1), expect * 0.5);
+      ASSERT_EQ(v.get_str(2), "rec" + std::to_string(expect));
+      void* next = v.get_ptr(3);
+      cur = next == nullptr ? nullptr : seg->heap().find_by_address(next);
+    }
+    EXPECT_EQ(expect, -1) << "the chain ends early";
+    c->read_unlock(seg);
+    EXPECT_EQ(c->stats().full_resyncs, 0u);
+  }
+  const auto after = server_.stats();
+  const server::StoreStats store_after = server_.segment_stats("host/populate");
+  EXPECT_EQ(after.lz_passes, before.lz_passes) << "a fresh read compressed";
+  EXPECT_EQ(after.updates_compressed - before.updates_compressed, 3u);
+  EXPECT_EQ(store_after.diff_cache_misses, store_before.diff_cache_misses);
+  EXPECT_EQ(store_after.diffs_collected, store_before.diffs_collected);
+  EXPECT_EQ(store_after.collect_ns, store_before.collect_ns);
+}
+
 TEST_F(Hetero, SparcModifiesNativeSeesDiff) {
   auto native = make_client(Platform::native());
   auto sparc = make_client(Platform::sparc32());

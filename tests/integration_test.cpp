@@ -269,6 +269,39 @@ TEST_F(Integration, CrossSegmentPointer) {
   b->read_unlock(data_b);
 }
 
+TEST_F(Integration, ReservedBlockFreedBeforeFirstLockIsSwept) {
+  auto a = make_client();
+  const TypeDescriptor* int_t = a->types().primitive(PrimitiveKind::kInt32);
+  ClientSegment* seg = a->open_segment("host/reserved-sweep");
+  a->write_lock(seg);
+  *static_cast<int32_t*>(a->malloc_block(seg, int_t, "keep")) = 5;
+  auto* gone = static_cast<int32_t*>(a->malloc_block(seg, int_t, "gone"));
+  a->write_unlock(seg);
+
+  // b resolves a MIP into the segment: it reserves both blocks through the
+  // segment's directory and fetches no data.
+  auto b = make_client();
+  ASSERT_NE(b->mip_to_ptr("host/reserved-sweep#keep#0"), nullptr);
+  ClientSegment* seg_b = b->open_segment("host/reserved-sweep", false);
+  ASSERT_EQ(seg_b->version(), 0u);
+  ASSERT_NE(seg_b->heap().find_by_name("gone"), nullptr);
+
+  a->write_lock(seg);
+  a->free_block(seg, gone);
+  a->write_unlock(seg);
+
+  // b's first lock fetches the whole segment, which no longer lists
+  // "gone": the reserved block is swept.
+  b->read_lock(seg_b);
+  EXPECT_EQ(seg_b->version(), seg->version());
+  EXPECT_EQ(seg_b->heap().find_by_name("gone"), nullptr);
+  auto* keep = seg_b->heap().find_by_name("keep");
+  ASSERT_NE(keep, nullptr);
+  EXPECT_EQ(*reinterpret_cast<const int32_t*>(keep->data()), 5);
+  b->read_unlock(seg_b);
+  EXPECT_EQ(b->stats().full_resyncs, 0u);
+}
+
 TEST_F(Integration, PtrToMipRoundTrip) {
   auto c = make_client();
   const TypeDescriptor* pair = c->types().struct_builder("pair")

@@ -180,6 +180,93 @@ TEST_F(Protocol, WriteLockFlowWithRealDiff) {
   EXPECT_EQ(e.name, "blk");
 }
 
+TEST_F(Protocol, FreshFetchIsTheDiffFromTheEmptySegment) {
+  InProcChannel writer(server_);
+  open(writer, "p/fresh");
+  const uint32_t type_serial = register_int_array(writer, "p/fresh", 4);
+  call(writer, MsgType::kAcquireWrite, [](Buffer& p) {
+    p.append_varint(handle_of("p/fresh"));
+    p.append_varint(0);
+  });
+  call(writer, MsgType::kReleaseWrite, [&](Buffer& p) {
+    p.append_varint(handle_of("p/fresh"));
+    p.append_u8(payload_method::kRaw);
+    DiffWriter w(p, 1, 2);
+    w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, type_serial, "b");
+    w.begin_run(0, 4);
+    for (int i = 0; i < 4; ++i) p.append_u32(i);
+    w.end_block();
+    w.finish();
+  });
+
+  // The base of the diff a reader reporting `version` is sent.
+  InProcChannel reader(server_);
+  open(reader, "p/fresh");
+  auto base_for = [&](uint32_t version, CoherencePolicy policy) {
+    Frame resp = call(reader, MsgType::kAcquireRead, [&](Buffer& p) {
+      p.append_varint(handle_of("p/fresh"));
+      p.append_varint(version);
+      p.append_u8(static_cast<uint8_t>(policy.model));
+      p.append_varint(policy.param);
+    });
+    BufReader r = resp.reader();
+    EXPECT_EQ(r.read_u8(), 1) << "a copy at v" << version << " must fetch";
+    for (uint32_t n = r.read_varint32(); n > 0; --n) {
+      r.read_varint32();
+      r.read_bytes(r.read_varint32());
+    }
+    EXPECT_EQ(r.read_u8(), payload_method::kRaw);
+    DiffReader dr(r);
+    EXPECT_EQ(dr.to_version(), 2u);
+    EXPECT_EQ(dr.entry_count(), 1u);
+    return dr.from_version();
+  };
+  // A copy that holds nothing is sent the diff from the empty segment
+  // (version 1), under every coherence model.
+  EXPECT_EQ(base_for(0, CoherencePolicy::full()), 1u);
+  EXPECT_EQ(base_for(0, CoherencePolicy::delta(5)), 1u);
+  EXPECT_EQ(base_for(0, CoherencePolicy::temporal(60'000)), 1u);
+  EXPECT_EQ(base_for(0, CoherencePolicy::diff(50)), 1u);
+  // A copy ahead of the server (it recovered an older state) is sent the
+  // from-0 resync.
+  EXPECT_EQ(base_for(9, CoherencePolicy::full()), 0u);
+}
+
+TEST_F(Protocol, OversizedTypeGraphIsRefused) {
+  InProcChannel ch(server_);
+  open(ch, "p/oversized");
+  // int32[2^30 + 1]: its 4 GiB + 4 local size would wrap to 4 bytes.
+  EXPECT_EQ(call_expect_error(ch, MsgType::kRegisterType, [](Buffer& p) {
+    p.append_varint(handle_of("p/oversized"));
+    p.append_u32(2);
+    p.append_u8(3);  // array
+    p.append_u64((uint64_t{1} << 30) + 1);
+    p.append_u32(1);
+    p.append_u8(0);  // primitive
+    p.append_u8(static_cast<uint8_t>(PrimitiveKind::kInt32));
+  }), ErrorCode::kProtocol);
+
+  // No type was registered, so no block of it can be made.
+  call(ch, MsgType::kAcquireWrite, [](Buffer& p) {
+    p.append_varint(handle_of("p/oversized"));
+    p.append_varint(0);
+  });
+  EXPECT_EQ(call_expect_error(ch, MsgType::kReleaseWrite, [](Buffer& p) {
+    p.append_varint(handle_of("p/oversized"));
+    p.append_u8(payload_method::kRaw);
+    DiffWriter w(p, 1, 2);
+    w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, 1, "");
+    w.begin_run(0, 2);
+    p.append_u32(1);
+    p.append_u32(2);
+    w.end_block();
+    w.finish();
+  }), ErrorCode::kProtocol);
+  EXPECT_EQ(server_.segment_version("p/oversized"), 1u);
+  EXPECT_EQ(register_int_array(ch, "p/oversized", 4), 1u)
+      << "the refused graph took a type serial";
+}
+
 TEST_F(Protocol, SecondSessionGetsTypeDefinitions) {
   InProcChannel a(server_);
   InProcChannel b(server_);
@@ -410,9 +497,11 @@ TEST_F(Protocol, TruncatedHelloIsProtocolError) {
 }
 
 TEST_F(Protocol, HelloWithProtocolVersionOneIsRefused) {
-  // Version 1 named segments by URL in every frame, and version 2 sent
-  // pointers as MIP strings; neither one's frames read as version 3 ones.
-  for (uint8_t version : {1, 2}) {
+  // Version 1 named segments by URL in every frame, version 2 sent
+  // pointers as MIP strings, version 3 journal records in their own
+  // envelope, and a version-4 client refuses the diff from the empty
+  // segment that a fresh fetch is sent now.
+  for (uint8_t version : {1, 2, 3, 4}) {
     InProcChannel ch(server_);
     EXPECT_EQ(call_expect_error(ch, MsgType::kHello, [&](Buffer& p) {
       p.append_u8(version);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "wire/translate.hpp"
 
 namespace iw::server {
@@ -614,6 +616,97 @@ TEST(SegmentStore, SerializeDeserializeRoundTrip) {
   auto d_rest = restored->collect_diff(3);
   ASSERT_EQ(d_orig->size(), d_rest->size());
   EXPECT_EQ(0, memcmp(d_orig->data(), d_rest->data(), d_orig->size()));
+}
+
+/// Checks that on `store` the diff from version 1, the empty segment, lists
+/// what the diff from 0 lists: the same entries, one per live block, with
+/// only the header's base differing.
+void expect_empty_segment_diff_is_whole(SegmentStore& store) {
+  auto from0 = store.collect_diff(0);
+  auto from1 = store.collect_diff(kEmptySegmentVersion);
+  BufReader in0(from0->data(), from0->size());
+  BufReader in1(from1->data(), from1->size());
+  DiffReader r0(in0);
+  DiffReader r1(in1);
+  EXPECT_EQ(r0.from_version(), 0u);
+  EXPECT_EQ(r1.from_version(), 1u);
+  EXPECT_EQ(r1.to_version(), store.version());
+  EXPECT_EQ(r0.to_version(), store.version());
+  EXPECT_EQ(r1.entry_count(), store.block_count());
+  EXPECT_EQ(r0.entry_count(), r1.entry_count());
+  auto entries0 = in0.read_bytes(in0.remaining());
+  auto entries1 = in1.read_bytes(in1.remaining());
+  EXPECT_TRUE(std::equal(entries0.begin(), entries0.end(), entries1.begin(),
+                         entries1.end()));
+}
+
+TEST(SegmentStore, DiffFromEmptySegmentListsWhatDiffFromZeroDoes) {
+  // Collected, not cached, so both diffs are built from the store's state.
+  SegmentStore::Options options;
+  options.enable_diff_cache = false;
+  SegmentStore store("s", options);
+  const uint32_t t = register_int_array(store, 40);
+  store.apply_diff(make_create_diff(store, 1, 40, t, "a"));  // v2
+  store.apply_diff(make_create_diff(store, 2, 40, t));       // v3
+  store.apply_diff(make_create_diff(store, 3, 40, t));       // v4
+  store.apply_diff(make_update_diff(store, 1, 20, 4, 9));    // v5
+  Buffer free_diff;
+  DiffWriter w(free_diff, store.version(), store.version() + 1);
+  w.add_free(2);
+  w.finish();
+  store.apply_diff(free_diff.span());  // v6
+  ASSERT_EQ(store.block_count(), 2u);
+
+  {
+    SCOPED_TRACE("by commits");
+    expect_empty_segment_diff_is_whole(store);
+  }
+  {
+    SCOPED_TRACE("by snapshot");
+    Buffer snapshot;
+    store.serialize(snapshot);
+    BufReader in(snapshot.span());
+    auto restored = SegmentStore::deserialize("s", options, in);
+    expect_empty_segment_diff_is_whole(*restored);
+  }
+  {
+    // A WAL-tail sync from the empty segment folds the whole window.
+    SCOPED_TRACE("by WAL-tail fold");
+    Buffer body;
+    store.collect_fold_history(kEmptySegmentVersion, body);
+    auto diff = store.collect_diff(kEmptySegmentVersion);
+    body.append(diff->data(), diff->size());
+    SegmentStore folded("s", options);
+    ASSERT_EQ(register_int_array(folded, 40), t);
+    BufReader in(body.span());
+    EXPECT_EQ(folded.apply_fold(store.version(), in), store.version());
+    expect_empty_segment_diff_is_whole(folded);
+  }
+}
+
+TEST(SegmentStore, SnapshotDatingAChangeAtTheEmptySegmentIsRefused) {
+  // A v3 snapshot with one free record (block 1, created at `created`,
+  // freed at v3) and no blocks.
+  auto load = [](uint32_t created) {
+    Buffer snapshot;
+    snapshot.append_u32(3);  // version
+    snapshot.append_u32(2);  // next serial
+    snapshot.append_u32(0);  // types
+    snapshot.append_u32(1);  // free records
+    snapshot.append_u32(1);
+    snapshot.append_u32(created);
+    snapshot.append_u32(3);
+    snapshot.append_u32(0);  // version-list nodes
+    BufReader in(snapshot.span());
+    return SegmentStore::deserialize("s", {}, in);
+  };
+  EXPECT_EQ(load(2)->version(), 3u);
+  try {
+    load(kEmptySegmentVersion);
+    ADD_FAILURE() << "a change dated at the empty segment was loaded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+  }
 }
 
 TEST(SegmentStore, LastBlockPredictionHitsOnSequentialDiffs) {

@@ -3,6 +3,8 @@
 // client-registers-types-with-server path.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "types/registry.hpp"
 #include "util/buffer.hpp"
 
@@ -147,6 +149,58 @@ TEST(TypeCodec, OutOfRangeIndexThrows) {
   buf.append_u32(7);      // element index out of range
   BufReader r(buf.span());
   EXPECT_THROW(TypeCodec::decode_graph(r, dst), Error);
+}
+
+/// A hand-built graph: entry 0 is a struct with one field of entry 1 per
+/// element of `fields` (or, when `fields` is 0, an array of 2 of entry 1),
+/// entry 1 is int32[`count`], entry 2 is int32.
+Buffer big_graph(uint64_t count, uint32_t fields) {
+  Buffer buf;
+  buf.append_u32(3);
+  if (fields == 0) {
+    buf.append_u8(3);  // array
+    buf.append_u64(2);
+    buf.append_u32(1);
+  } else {
+    buf.append_u8(4);  // struct
+    buf.append_lp_string("s");
+    buf.append_u32(fields);
+    for (uint32_t f = 0; f < fields; ++f) {
+      buf.append_lp_string("f" + std::to_string(f));
+      buf.append_u32(1);
+    }
+  }
+  buf.append_u8(3);  // array
+  buf.append_u64(count);
+  buf.append_u32(2);
+  buf.append_u8(0);  // primitive
+  buf.append_u8(static_cast<uint8_t>(PrimitiveKind::kInt32));
+  return buf;
+}
+
+/// Decodes `graph`; returns the error code, or none when it decoded.
+std::optional<ErrorCode> decode_error(const Buffer& graph) {
+  TypeRegistry dst(Platform::native().rules);
+  BufReader r(graph.span());
+  try {
+    TypeCodec::decode_graph(r, dst);
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
+TEST(TypeCodec, TypesTooLargeFor32BitsAreProtocolErrors) {
+  // One 2 GiB field decodes; two sum to 2^32 bytes and do not.
+  EXPECT_EQ(decode_error(big_graph(uint64_t{1} << 29, 1)), std::nullopt);
+  EXPECT_EQ(decode_error(big_graph(uint64_t{1} << 29, 2)),
+            ErrorCode::kProtocol);
+  // int32[2^30 + 1] would wrap to a 4-byte local size.
+  EXPECT_EQ(decode_error(big_graph((uint64_t{1} << 30) + 1, 1)),
+            ErrorCode::kProtocol);
+  // Each int32[2^30 - 1] fits; an array of two does not.
+  EXPECT_EQ(decode_error(big_graph((uint64_t{1} << 30) - 1, 0)),
+            ErrorCode::kProtocol);
 }
 
 TEST(TypeCodec, EncodeIsDeterministic) {

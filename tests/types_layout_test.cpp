@@ -3,6 +3,8 @@
 // the isomorphic-descriptor transform.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "types/registry.hpp"
 #include "util/rand.hpp"
 
@@ -401,6 +403,77 @@ TEST(TypeRegistry, ArrayValidation) {
   TypeRegistry reg(Platform::native().rules);
   EXPECT_THROW(reg.array_of(nullptr, 3), Error);
   EXPECT_THROW(reg.array_of(reg.primitive(PrimitiveKind::kChar), 0), Error);
+}
+
+ErrorCode error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected an error";
+  return ErrorCode::kInternal;
+}
+
+TEST(TypeRegistry, ArraySizesMustFit32Bits) {
+  TypeRegistry reg(Platform::native().rules);
+  const TypeDescriptor* i32 = reg.primitive(PrimitiveKind::kInt32);
+  const TypeDescriptor* chr = reg.primitive(PrimitiveKind::kChar);
+  const size_t types = reg.size();
+  // 4 * (2^30 + 1) bytes would wrap to a 4-byte local size.
+  EXPECT_EQ(error_of([&] { reg.array_of(i32, (uint64_t{1} << 30) + 1); }),
+            ErrorCode::kInvalidArgument);
+  // 2^32 one-byte units: the local size and the unit count overflow.
+  EXPECT_EQ(error_of([&] { reg.array_of(chr, uint64_t{1} << 32); }),
+            ErrorCode::kInvalidArgument);
+  // A count whose product wraps 64 bits as well.
+  EXPECT_EQ(error_of([&] { reg.array_of(i32, UINT64_MAX / 2); }),
+            ErrorCode::kInvalidArgument);
+  // Nested: 2^14 + 1 rows of 2^16 ints.
+  const TypeDescriptor* row = reg.array_of(i32, uint64_t{1} << 16);
+  EXPECT_EQ(error_of([&] { reg.array_of(row, (uint64_t{1} << 14) + 1); }),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(reg.size(), types + 1) << "a refused array left a descriptor";
+
+  // The largest that fits is built, with its exact sizes.
+  const TypeDescriptor* big = reg.array_of(i32, (uint64_t{1} << 30) - 1);
+  EXPECT_EQ(big->local_size(), UINT32_MAX - 3);
+  EXPECT_EQ(big->prim_units(), (uint64_t{1} << 30) - 1);
+  const TypeDescriptor* strings =
+      reg.array_of(reg.string_type(1), UINT32_MAX);
+  EXPECT_EQ(strings->string_units(), UINT32_MAX);
+}
+
+TEST(TypeRegistry, StructSizesMustFit32Bits) {
+  TypeRegistry reg(Platform::native().rules);
+  const TypeDescriptor* i32 = reg.primitive(PrimitiveKind::kInt32);
+  const TypeDescriptor* half = reg.array_of(i32, uint64_t{1} << 29);  // 2 GiB
+  const size_t types = reg.size();
+  // Two 2 GiB fields and one more int sum past 2^32.
+  EXPECT_EQ(error_of([&] {
+    reg.struct_builder("huge")
+        .field("a", half)
+        .field("b", half)
+        .field("c", i32)
+        .finish();
+  }), ErrorCode::kInvalidArgument);
+  // A self pointer is made beside the struct; it goes with it.
+  EXPECT_EQ(error_of([&] {
+    reg.struct_builder("huge_node")
+        .field("a", half)
+        .field("b", half)
+        .self_pointer_field("next")
+        .finish();
+  }), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(reg.size(), types) << "a refused struct left a descriptor";
+
+  // Just under 2^32 is built.
+  const TypeDescriptor* fits = reg.struct_builder("fits")
+      .field("a", half)
+      .field("b", reg.array_of(i32, (uint64_t{1} << 29) - 1))
+      .finish();
+  EXPECT_EQ(fits->local_size(), UINT32_MAX - 3);
+  EXPECT_EQ(fits->fields()[1].local_offset, uint32_t{1} << 31);
 }
 
 }  // namespace
