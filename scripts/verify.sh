@@ -53,9 +53,11 @@
 # end-of-output edges), the store's computed string/pointer slots, the
 # snapshot and journal readers, and the reactor receiving a large frame
 # straight into its payload buffer (plus the TCP client channel and the
-# heterogeneity suite over both), and the type registry's size checks: a
+# heterogeneity suite over both), the type registry's size checks (a
 # type whose size wrapped 32 bits would overflow a 4-byte block, which
-# ASan sees and UBSan does not.
+# ASan sees and UBSan does not), and the translation engine, whose element
+# loop writes through a raw cursor into room reserved ahead from the
+# plan's bound and copies strings in fixed-size chunks.
 #
 # Usage: scripts/verify.sh [build-dir] [ubsan-build-dir] [tsan-build-dir]
 #                          [asan-build-dir]
@@ -132,7 +134,8 @@ cmake -B "$ASAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=address
 ASAN_TESTS="fuzz_protocol_test server_store_test checkpoint_test \
     wal_recovery_test reactor_test net_tcp_test hetero_test \
-    types_layout_test types_codec_test server_protocol_test"
+    types_layout_test types_codec_test server_protocol_test \
+    wire_translate_test"
 # shellcheck disable=SC2086
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target $ASAN_TESTS
 for t in $ASAN_TESTS; do

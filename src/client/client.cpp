@@ -8,7 +8,7 @@
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 #include "wire/payload.hpp"
-#include "wire/translate.hpp"
+#include "wire/translate_engine.hpp"
 
 namespace iw::client {
 
@@ -30,26 +30,44 @@ std::string host_of(const std::string& url) {
 }  // namespace
 
 /// Translation hooks for one diff of one segment: pointer units swizzle
-/// through the client's metadata trees (intra-segment ones against `seg`);
-/// string units are inline char arrays.
-class ClientHooks final : public InlineStringHooks {
+/// through the client's metadata trees (intra-segment ones against `seg`),
+/// and a target's unit or byte offset comes from its type's plan. String
+/// units are inline char arrays, which the translator copies itself.
+class ClientHooks final : public TranslationHooks {
  public:
   ClientHooks(Client* client, ClientSegment* seg)
       : client_(client), seg_(seg) {}
-
-  void swizzle_out(const void* field, Buffer& out) override {
-    ++client_->stats_.swizzles_out;
-    client_->swizzle_out_locked(seg_, field, out);
+  ClientHooks(const ClientHooks&) = delete;
+  ClientHooks& operator=(const ClientHooks&) = delete;
+  /// Adds the diff's swizzle counts to the client's stats.
+  ~ClientHooks() override {
+    client_->stats_.swizzles_out += swizzles_out_;
+    client_->stats_.swizzles_in += swizzles_in_;
   }
 
-  void swizzle_in(BufReader& in, void* field) override {
-    ++client_->stats_.swizzles_in;
-    client_->swizzle_in_locked(seg_, in, field);
-  }
+  PointerUnit swizzle_out(const void* field, uint32_t) override;
+  void swizzle_in(BufReader& in, void* field, uint32_t) override;
 
  private:
+  /// What a pointer into `block` needs: whether the block is in this
+  /// diff's segment, and its type's plan. Kept while consecutive pointers
+  /// name one block.
+  void aim_at(BlockHeader* block) {
+    if (block == target_) return;
+    target_ = block;
+    target_intra_ = block->subseg->segment == seg_;
+    target_plan_ =
+        &TranslationPlan::of(*block->type, client_->options_.platform.rules);
+  }
+
   Client* client_;
   ClientSegment* seg_;
+  BlockHeader* target_ = nullptr;
+  bool target_intra_ = false;
+  const TranslationPlan* target_plan_ = nullptr;
+  uint64_t swizzles_out_ = 0;
+  uint64_t swizzles_in_ = 0;
+  std::string mip_;  // the last cross-segment unit's MIP
 };
 
 ClientSegment::ClientSegment(Client* client, std::string url, uint32_t handle,
@@ -430,47 +448,58 @@ void Client::write_pointer_field(void* field, void* addr) {
   store_token(field, token);
 }
 
-void Client::swizzle_out_locked(ClientSegment* seg, const void* field,
-                                Buffer& out) {
-  BlockHeader* block;
+PointerUnit ClientHooks::swizzle_out(const void* field, uint32_t) {
+  Client& c = *client_;
+  ++swizzles_out_;
   uint32_t offset = 0;
-  if (native_pointers_) {
+  if (c.native_pointers_) {
     const uint8_t* addr;
     std::memcpy(&addr, field, sizeof addr);
-    if (addr == nullptr) return append_null_pointer(out);
-    block = resolve_ptr_locked(addr);
-    offset = static_cast<uint32_t>(addr - block->data());
+    if (addr == nullptr) return {};
+    // Consecutive pointers usually name one block: try the last one first.
+    if (target_ == nullptr ||
+        reinterpret_cast<uintptr_t>(addr) -
+                reinterpret_cast<uintptr_t>(target_->data()) >=
+            target_->data_size) {
+      aim_at(c.resolve_ptr_locked(addr));
+    }
+    offset = static_cast<uint32_t>(addr - target_->data());
   } else {
-    block = token_target(field, &offset);
-    if (block == nullptr) return append_null_pointer(out);
+    BlockHeader* block = c.token_target(field, &offset);
+    if (block == nullptr) return {};
+    aim_at(block);
   }
-  if (block->subseg->segment != seg) {
-    append_cross_pointer_tag(out);
-    ptr_to_mip_append_locked(block->data() + offset, out);
-    return;
+  if (!target_intra_) {
+    c.format_mip_locked(target_->data() + offset, mip_);
+    return {PointerTag::kCross, 0, 0, mip_};
   }
-  const uint64_t unit = block->type->unit_at_local_offset(offset).unit_index;
-  append_intra_pointer(out, block->serial, static_cast<uint32_t>(unit));
+  uint64_t unit = target_plan_->unit_at(offset);
+  if (unit == TranslationPlan::kNoUnit) {  // inside a unit, or padding
+    unit = target_->type->unit_at_local_offset(offset).unit_index;
+  }
+  return {PointerTag::kIntra, target_->serial, static_cast<uint32_t>(unit),
+          {}};
 }
 
-void Client::swizzle_in_locked(ClientSegment* seg, BufReader& in,
-                               void* field) {
+void ClientHooks::swizzle_in(BufReader& in, void* field, uint32_t) {
+  Client& c = *client_;
+  ++swizzles_in_;
   const PointerUnit p = read_pointer_unit(in);
   switch (p.tag) {
     case PointerTag::kNull:
-      write_pointer_field(field, nullptr);
+      c.write_pointer_field(field, nullptr);
       return;
     case PointerTag::kIntra: {
       // Consecutive pointers usually name one block (a linked structure
       // inside one array): try the last block before the serial tree.
-      BlockHeader* block = mip_cache_block_;
+      BlockHeader* block = c.mip_cache_block_;
       if (block == nullptr || block->serial != p.serial ||
-          block->subseg->segment != seg) {
-        block = seg->heap_.find_by_serial(p.serial);
+          block->subseg->segment != seg_) {
+        block = seg_->heap_.find_by_serial(p.serial);
         // The server keeps a pointer whose target was freed since; a
         // reader with no such block reads it as null.
-        if (block == nullptr) return write_pointer_field(field, nullptr);
-        mip_cache_block_ = block;
+        if (block == nullptr) return c.write_pointer_field(field, nullptr);
+        c.mip_cache_block_ = block;
       }
       if (p.unit >= block->type->prim_units()) {
         throw Error(ErrorCode::kProtocol,
@@ -479,17 +508,18 @@ void Client::swizzle_in_locked(ClientSegment* seg, BufReader& in,
                         std::to_string(block->type->prim_units()) +
                         " units)");
       }
-      const uint32_t offset = block->type->locate_prim(p.unit).local_offset;
-      if (native_pointers_) {
+      aim_at(block);
+      const uint32_t offset = target_plan_->local_offset_of(p.unit);
+      if (c.native_pointers_) {
         uint8_t* addr = block->data() + offset;
         std::memcpy(field, &addr, sizeof addr);
       } else {
-        store_token(field, tokens_.token_of(block, offset));
+        c.store_token(field, c.tokens_.token_of(block, offset));
       }
       return;
     }
     case PointerTag::kCross:
-      write_pointer_field(field, mip_to_ptr_locked(p.mip));
+      c.write_pointer_field(field, c.mip_to_ptr_locked(p.mip));
       return;
   }
 }
@@ -540,44 +570,29 @@ BlockHeader* Client::block_at(const void* ptr) const {
   return block;
 }
 
-/// Formats "<url>#<block>#<unit>" for `ptr` into `out` (varint length
-/// first).
-void Client::ptr_to_mip_append_locked(const void* ptr, Buffer& out) {
+/// Formats "<url>#<block>#<unit>" for `ptr` into `mip`.
+void Client::format_mip_locked(const void* ptr, std::string& mip) {
   BlockHeader* block = resolve_ptr_locked(ptr);
   uint32_t byte_off =
       static_cast<uint32_t>(static_cast<const uint8_t*>(ptr) - block->data());
   uint64_t unit = block->type->unit_at_local_offset(byte_off).unit_index;
-  const std::string& url = block->subseg->segment->url_;
-  const std::string* name = block->name;
-
-  // Format the "#<serial>#<unit>" tail (or "#" + name + "#<unit>") first,
-  // so the length prefix is known before any byte is appended.
-  char digits[2 * 20 + 3];
-  char* d = digits;
-  *d++ = '#';
-  if (name == nullptr) {
-    d = std::to_chars(d, digits + sizeof digits, block->serial).ptr;
-  }
-  char* unit_start = d;
-  *d++ = '#';
-  d = std::to_chars(d, digits + sizeof digits, unit).ptr;
-  const size_t name_len = name != nullptr ? name->size() : 0;
-  out.append_varint(url.size() + name_len + static_cast<size_t>(d - digits));
-  out.append(url.data(), url.size());
-  if (name != nullptr) {
-    out.append(digits, 1);
-    out.append(name->data(), name->size());
-    out.append(unit_start, static_cast<size_t>(d - unit_start));
+  mip.assign(block->subseg->segment->url_);
+  mip += '#';
+  char digits[20];
+  if (block->name != nullptr) {
+    mip += *block->name;
   } else {
-    out.append(digits, static_cast<size_t>(d - digits));
+    mip.append(digits,
+               std::to_chars(digits, digits + sizeof digits, block->serial).ptr);
   }
+  mip += '#';
+  mip.append(digits, std::to_chars(digits, digits + sizeof digits, unit).ptr);
 }
 
 std::string Client::ptr_to_mip_locked(const void* ptr) {
-  Buffer tmp;
-  ptr_to_mip_append_locked(ptr, tmp);
-  BufReader r(tmp.span());
-  return r.read_vstring();
+  std::string mip;
+  format_mip_locked(ptr, mip);
+  return mip;
 }
 
 void* Client::mip_to_ptr_locked(std::string_view mip) {

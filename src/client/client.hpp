@@ -304,15 +304,13 @@ class Client {
   void end_tracking_locked(ClientSegment* seg);
   bool read_needs_server_locked(ClientSegment* seg) const;
   std::string ptr_to_mip_locked(const void* ptr);
-  void ptr_to_mip_append_locked(const void* ptr, Buffer& out);
+  /// Formats the MIP of `ptr` into `mip` (replacing its contents).
+  void format_mip_locked(const void* ptr, std::string& mip);
   BlockHeader* resolve_ptr_locked(const void* ptr);
   /// The block of this client whose data holds `ptr`; throws
   /// Error(kInvalidArgument) for any other address.
   BlockHeader* block_at(const void* ptr) const;
   void* mip_to_ptr_locked(std::string_view mip);
-  /// The pointer-unit hooks of a diff of `seg` (wire/translate.hpp).
-  void swizzle_out_locked(ClientSegment* seg, const void* field, Buffer& out);
-  void swizzle_in_locked(ClientSegment* seg, BufReader& in, void* field);
   /// Emulated pointer fields, per platform width and byte order: the block
   /// and byte offset the token at `field` names (nullptr for null; throws
   /// Error(kNotFound) when the block is gone), and storing a token.

@@ -17,9 +17,12 @@ namespace iw::client {
 namespace {
 size_t round_up(size_t v, size_t align) { return (v + align - 1) / align * align; }
 
+// Pre-faulted: a fresh subsegment is about to be written whole (the
+// allocator zeroes each block it carves, and a fetch then fills it), and
+// one populating mmap costs less than a page fault per page.
 void* map_pages(size_t bytes) {
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
   if (p == MAP_FAILED) throw_errno("mmap subsegment");
   return p;
 }

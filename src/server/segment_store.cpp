@@ -2,10 +2,11 @@
 #include "util/stopwatch.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/endian.hpp"
 #include "util/logging.hpp"
-#include "wire/translate.hpp"
+#include "wire/translate_engine.hpp"
 
 namespace iw::server {
 
@@ -31,14 +32,6 @@ void store_pointer(uint8_t* f, StoredPointer p) {
   store_be32(f + sizeof(uint32_t), p.unit);
 }
 
-/// The vardata slot of the string field at byte `offset` of a `type` block.
-uint32_t string_slot(const TypeDescriptor& type, uint32_t offset) {
-  const uint32_t index = type.var_unit_index(PrimitiveKind::kString, offset);
-  check_internal(index != TypeDescriptor::kNoVarUnit,
-                 "no string slot at offset");
-  return index;
-}
-
 /// The vardata slot of the pointer field at byte `offset` of a `type` block.
 uint32_t pointer_slot(const TypeDescriptor& type, uint32_t offset) {
   const uint32_t index = type.var_unit_index(PrimitiveKind::kPointer, offset);
@@ -56,26 +49,25 @@ uint64_t var_slots(const TypeDescriptor& type) {
 /// Translation hooks over a block's packed-canonical storage. A pointer
 /// field holds its unit inline (StoredPointer): an intra-segment pointer is
 /// copied in and out with no lookup. Strings and cross-segment MIPs live
-/// out-of-line in vardata, in the slot the field's offset names
-/// (string_slot, pointer_slot); a string field itself stores its slot id
-/// (deterministic bytes).
+/// out-of-line in vardata: the n-th string of the block in slot n, the n-th
+/// pointer's MIP in slot string_units() + n (pointer_slot), both positions
+/// as the translator hands them over. A string field itself stores its
+/// slot id (deterministic bytes).
 class ServerHooks final : public TranslationHooks {
  public:
-  ServerHooks(SegmentStore* store, SvrBlock* block)
-      : store_(store), block_(block) {}
+  /// With `undo` (false for a block the diff creates) each cross-segment
+  /// MIP slot the hooks overwrite is saved first (SegmentStore::save_slot);
+  /// the caller saves a run's string slots before decoding it.
+  ServerHooks(SegmentStore* store, SvrBlock* block, bool undo = false)
+      : store_(store), block_(block), undo_(undo) {}
 
-  void swizzle_out(const void* field, Buffer& out) override {
+  PointerUnit swizzle_out(const void* field, uint32_t) override {
     const StoredPointer p = load_pointer(static_cast<const uint8_t*>(field));
-    if (p.serial != 0) {
-      append_intra_pointer(out, p.serial, p.unit);
-    } else if (p.unit == 0) {
-      append_null_pointer(out);
-    } else {
-      append_cross_pointer_tag(out);
-      out.append_vstring(block_->vardata[p.unit - 1]);
-    }
+    if (p.serial != 0) return {PointerTag::kIntra, p.serial, p.unit, {}};
+    if (p.unit == 0) return {};
+    return {PointerTag::kCross, 0, 0, block_->vardata[p.unit - 1]};
   }
-  void swizzle_in(BufReader& in, void* field) override {
+  void swizzle_in(BufReader& in, void* field, uint32_t index) override {
     auto* f = static_cast<uint8_t*>(field);
     const PointerUnit p = read_pointer_unit(in);
     StoredPointer stored{0, 0};
@@ -92,8 +84,16 @@ class ServerHooks final : public TranslationHooks {
         stored = {p.serial, p.unit};
         break;
       case PointerTag::kCross: {
-        const uint32_t s = pointer_slot(*block_->type, offset(field));
-        if (block_->vardata.size() <= s) block_->vardata.resize(s + 1);
+        const uint32_t s = block_->type->string_units() + index;
+        if (block_->vardata.size() <= s) {
+          if (undo_) {
+            store_->undo_.push_back(
+                {SegmentStore::UndoStep::Kind::kSlots, block_, nullptr,
+                 static_cast<uint32_t>(block_->vardata.size())});
+          }
+          block_->vardata.resize(s + 1);
+        }
+        save_slot(s);
         block_->vardata[s].assign(p.mip);
         stored.unit = s + 1;
         break;
@@ -102,26 +102,29 @@ class ServerHooks final : public TranslationHooks {
     // A field that stops holding a cross-segment MIP frees its string.
     const StoredPointer old = load_pointer(f);
     if (old.serial == 0 && old.unit != 0 && stored.unit != old.unit) {
+      save_slot(old.unit - 1);
       std::string().swap(block_->vardata[old.unit - 1]);
     }
     store_pointer(f, stored);
   }
-  std::string_view read_string(const void* field, uint32_t) override {
-    return block_->vardata[string_slot(*block_->type, offset(field))];
+  std::string_view read_string(const void*, uint32_t,
+                               uint32_t index) override {
+    return block_->vardata[index];
   }
-  void write_string(void* field, uint32_t, std::string_view content) override {
-    const uint32_t s = string_slot(*block_->type, offset(field));
-    block_->vardata[s].assign(content);
-    store_be32(field, s);
+  void write_string(void* field, uint32_t, uint32_t index,
+                    std::string_view content) override {
+    block_->vardata[index].assign(content);
+    store_be32(field, index);
   }
 
  private:
-  uint32_t offset(const void* field) const {
-    return static_cast<uint32_t>(static_cast<const uint8_t*>(field) -
-                                 block_->data.data());
+  void save_slot(uint32_t slot) {
+    if (undo_) store_->save_slot(block_, slot);
   }
+
   SegmentStore* store_;
   SvrBlock* block_;
+  bool undo_;
   uint32_t target_serial_ = 0;  // last intra-segment target checked
   uint64_t target_units_ = 0;   // its unit count; 0 = not a live block
 };
@@ -222,15 +225,120 @@ SvrBlock* SegmentStore::create_block(uint32_t serial, uint32_t type_serial,
 }
 
 void SegmentStore::destroy_block(SvrBlock* block, uint32_t at_version) {
+  unlink_block(block, at_version);
+  release_block(block);
+}
+
+void SegmentStore::unlink_block(SvrBlock* block, uint32_t at_version) {
   total_data_bytes_ -= block_bytes(*block);
   free_history_.push_back(
       {block->serial, block->created_version, at_version});
   blocks_by_serial_.erase(*block);
   version_list_.erase(*block);
+}
+
+void SegmentStore::release_block(SvrBlock* block) {
   block->data.clear();
   block->vardata.clear();
   block->subblock_versions.clear();
   free_pool_.push_back(block);
+}
+
+void SegmentStore::save_bytes(SvrBlock* block, uint32_t lo, uint32_t hi) {
+  undo_.push_back({UndoStep::Kind::kBytes, block, nullptr, lo, hi - lo,
+                   undo_saved_.size()});
+  undo_saved_.insert(undo_saved_.end(), block->data.begin() + lo,
+                     block->data.begin() + hi);
+}
+
+void SegmentStore::save_strings(SvrBlock* block, uint32_t first,
+                                uint32_t count) {
+  undo_.push_back({UndoStep::Kind::kStrings, block, nullptr, first, count,
+                   undo_saved_.size()});
+  const std::string* texts = block->vardata.data() + first;
+  size_t bytes = 0;
+  for (uint32_t i = 0; i < count; ++i) bytes += sizeof(uint32_t) + texts[i].size();
+  const size_t at = undo_saved_.size();
+  undo_saved_.resize(at + bytes);
+  uint8_t* p = undo_saved_.data() + at;
+  for (uint32_t i = 0; i < count; ++i) {
+    const auto len = static_cast<uint32_t>(texts[i].size());
+    std::memcpy(p, &len, sizeof len);
+    std::memcpy(p + sizeof len, texts[i].data(), len);
+    p += sizeof len + len;
+  }
+}
+
+void SegmentStore::save_slot(SvrBlock* block, uint32_t slot) {
+  const std::string& text = block->vardata[slot];
+  undo_.push_back({UndoStep::Kind::kSlot, block, nullptr, slot,
+                   static_cast<uint32_t>(text.size()), undo_saved_.size()});
+  undo_saved_.insert(undo_saved_.end(), text.begin(), text.end());
+}
+
+void SegmentStore::undo_entries() {
+  // Newest first: when a step is taken back, the segment is as it was
+  // right after that step, so a block moved or unlinked from before `next`
+  // goes back before `next` (or last, when nothing followed it).
+  auto relink = [&](SvrBlock* block, VersionNode* next) {
+    if (next == nullptr) {
+      version_list_.push_back(*block);
+    } else if (VersionNode* prev = version_list_.prev(*next)) {
+      version_list_.insert_after(*prev, *block);
+    } else {
+      version_list_.push_front(*block);
+    }
+  };
+  for (auto step = undo_.rbegin(); step != undo_.rend(); ++step) {
+    SvrBlock* block = step->block;
+    switch (step->kind) {
+      case UndoStep::Kind::kCreated:
+        blocks_by_serial_.erase(*block);
+        version_list_.erase(*block);
+        release_block(block);
+        break;
+      case UndoStep::Kind::kUnlinked:
+        check_internal(blocks_by_serial_.insert(*block), "undo of a free");
+        relink(block, step->next);
+        break;
+      case UndoStep::Kind::kMoved:
+        version_list_.erase(*block);
+        relink(block, step->next);
+        break;
+      case UndoStep::Kind::kBytes:
+        std::memcpy(block->data.data() + step->at,
+                    undo_saved_.data() + step->saved, step->len);
+        break;
+      case UndoStep::Kind::kSubblocks:
+        std::memcpy(block->subblock_versions.data() + step->at,
+                    undo_saved_.data() + step->saved,
+                    step->len * sizeof(uint32_t));
+        break;
+      case UndoStep::Kind::kVersion:
+        block->version = step->at;
+        break;
+      case UndoStep::Kind::kStrings: {
+        const uint8_t* p = undo_saved_.data() + step->saved;
+        for (uint32_t i = step->at; i < step->at + step->len; ++i) {
+          uint32_t len;
+          std::memcpy(&len, p, sizeof len);
+          block->vardata[i].assign(reinterpret_cast<const char*>(p) +
+                                       sizeof len,
+                                   len);
+          p += sizeof len + len;
+        }
+        break;
+      }
+      case UndoStep::Kind::kSlot:
+        block->vardata[step->at].assign(
+            reinterpret_cast<const char*>(undo_saved_.data() + step->saved),
+            step->len);
+        break;
+      case UndoStep::Kind::kSlots:
+        block->vardata.resize(step->at);
+        break;
+    }
+  }
 }
 
 uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
@@ -270,6 +378,11 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
   const uint32_t new_version =
       std::max(reader.to_version(), version_ + 1);
   scan_new_blocks(diff_bytes);
+  undo_.clear();
+  undo_saved_.clear();
+  const uint32_t next_serial_before = next_block_serial_;
+  const uint64_t data_bytes_before = total_data_bytes_;
+  const size_t frees_before = free_history_.size();
 
   owned_markers_.push_back(std::make_unique<Marker>(new_version));
   Marker* marker = owned_markers_.back().get();
@@ -281,20 +394,38 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
   // version list — captured *before* move_to_back rearranges the list.
   SvrBlock* predicted = nullptr;
   DiffEntry entry;
-  auto apply_runs = [&](SvrBlock* block) {
-    ServerHooks hooks(this, block);
+  // `fresh`: the block is new in this diff, and needs no undo steps.
+  auto apply_runs = [&](SvrBlock* block, bool fresh) {
+    ServerHooks hooks(this, block, !fresh);
     const uint64_t units = block->prim_units();
+    const TranslationPlan& plan =
+        TranslationPlan::of(*block->type, registry_.rules());
     while (!entry.runs.at_end()) {
       DiffRun run = entry.read_run();
-      if (run.start_unit + static_cast<uint64_t>(run.unit_count) > units) {
+      const uint64_t run_end = run.start_unit + uint64_t{run.unit_count};
+      if (run_end > units) {
         throw Error(ErrorCode::kProtocol, "diff run out of block bounds");
       }
-      decode_units(*block->type, registry_.rules(), block->data.data(),
-                   run.start_unit, run.start_unit + run.unit_count, hooks,
-                   entry.runs);
       uint32_t first_sb = run.start_unit / kSubblockUnits;
       uint32_t last_sb =
           (run.start_unit + run.unit_count - 1) / kSubblockUnits;
+      if (!fresh && run.unit_count != 0) {
+        save_bytes(block, plan.local_offset_of(run.start_unit),
+                   run_end < units
+                       ? plan.local_offset_of(run_end)
+                       : static_cast<uint32_t>(block->data.size()));
+        const uint32_t n_sb = last_sb - first_sb + 1;
+        undo_.push_back({UndoStep::Kind::kSubblocks, block, nullptr, first_sb,
+                         n_sb, undo_saved_.size()});
+        const auto* v = reinterpret_cast<const uint8_t*>(
+            block->subblock_versions.data() + first_sb);
+        undo_saved_.insert(undo_saved_.end(), v, v + n_sb * sizeof(uint32_t));
+        const uint32_t s0 = plan.strings_before(run.start_unit);
+        const uint32_t s1 = plan.strings_before(run_end);
+        if (s1 > s0) save_strings(block, s0, s1 - s0);
+      }
+      decode_units(*block->type, registry_.rules(), block->data.data(),
+                   run.start_unit, run_end, hooks, entry.runs);
       for (uint32_t sb = first_sb; sb <= last_sb; ++sb) {
         block->subblock_versions[sb] = new_version;
       }
@@ -309,7 +440,9 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
           throw Error(ErrorCode::kProtocol, "free of unknown block");
         }
         if (predicted == block) predicted = nullptr;
-        destroy_block(block, new_version);
+        undo_.push_back({UndoStep::Kind::kUnlinked, block,
+                         version_list_.next(*block)});
+        unlink_block(block, new_version);
         continue;
       }
       if (entry.flags & diff_flags::kNew) {
@@ -318,7 +451,8 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
         }
         SvrBlock* block = create_block(entry.serial, entry.type_serial,
                                        std::move(entry.name), new_version);
-        apply_runs(block);
+        undo_.push_back({UndoStep::Kind::kCreated, block});
+        apply_runs(block, true);
         predicted = nullptr;  // new blocks sit at the tail already
         continue;
       }
@@ -341,25 +475,29 @@ void SegmentStore::apply_entries(std::span<const uint8_t> diff_bytes) {
         node = version_list_.next(*node);
       }
       predicted = static_cast<SvrBlock*>(node);
-      apply_runs(block);
+      undo_.push_back({UndoStep::Kind::kVersion, block, nullptr,
+                       block->version});
+      apply_runs(block, false);
+      undo_.push_back({UndoStep::Kind::kMoved, block,
+                       version_list_.next(*block)});
       version_list_.move_to_back(*block);
       block->version = new_version;
     }
   } catch (...) {
-    // A malformed diff must not leave its marker behind: the next commit
-    // claims the same version, and a duplicate marker would refuse it.
-    // (Blocks the diff touched before the bad entry keep their new bytes.)
-    // A pointer it stored may name a block it meant to create later: that
-    // serial counts as allocated, so such a pointer dangles instead of
-    // naming whatever block a later commit creates under it.
-    if (!new_blocks_.empty()) {
-      next_block_serial_ =
-          std::max(next_block_serial_, new_blocks_.back().first + 1);
-    }
+    // A refused diff leaves the store as it was: no reader may fetch, and
+    // no replica miss, bytes of a commit that was never acknowledged. Its
+    // marker goes last, after every block placed before it is back.
+    undo_entries();
+    next_block_serial_ = next_serial_before;
+    total_data_bytes_ = data_bytes_before;
+    free_history_.resize(frees_before);
     markers_.erase(*marker);
     version_list_.erase(*marker);
     owned_markers_.pop_back();
     throw;
+  }
+  for (const UndoStep& step : undo_) {
+    if (step.kind == UndoStep::Kind::kUnlinked) release_block(step.block);
   }
 
   version_ = new_version;

@@ -239,6 +239,11 @@ class SegmentStore {
   SvrBlock* create_block(uint32_t serial, uint32_t type_serial,
                          std::string name, uint32_t at_version);
   void destroy_block(SvrBlock* block, uint32_t at_version);
+  /// destroy_block in two halves: unlink_block takes the block out of the
+  /// segment, and release_block, once the diff freeing it is applied,
+  /// drops its contents and pools it.
+  void unlink_block(SvrBlock* block, uint32_t at_version);
+  void release_block(SvrBlock* block);
   uint64_t block_bytes(const SvrBlock& block) const;
   void append_block_update(DiffWriter& writer, SvrBlock& block,
                            uint32_t from_version);
@@ -281,6 +286,41 @@ class SegmentStore {
   std::vector<SvrBlock*> free_pool_;  // reusable destroyed blocks
 
   std::vector<FreeRecord> free_history_;
+
+  /// One change apply_entries made to a block that existed before the
+  /// diff, or the creation or unlinking of a block, so that a refused diff
+  /// can be taken back (undo_entries, newest first). A new block's bytes
+  /// need no undo: taking back its creation drops them.
+  struct UndoStep {
+    enum class Kind : uint8_t {
+      kCreated,    ///< block created (and listed last)
+      kUnlinked,   ///< block freed; `next` followed it in the version list
+      kMoved,      ///< block moved to the list's back from before `next`
+      kBytes,      ///< data bytes [at, at + len) were saved_[saved, +len)
+      kSubblocks,  ///< subblock versions [at, at + len) were at saved_
+      kVersion,    ///< block version was `at`
+      kStrings,    ///< vardata slots [at, at + len) held the texts at saved
+      kSlot,       ///< vardata slot `at` held the `len` bytes at saved
+      kSlots,      ///< vardata had `at` slots
+    };
+    Kind kind;
+    SvrBlock* block;
+    VersionNode* next = nullptr;
+    uint32_t at = 0;
+    uint32_t len = 0;
+    size_t saved = 0;
+  };
+  /// Save what a step overwrites into undo_saved_: block bytes [lo, hi),
+  /// the texts of vardata slots [first, first + count), one slot's text.
+  void save_bytes(SvrBlock* block, uint32_t lo, uint32_t hi);
+  void save_strings(SvrBlock* block, uint32_t first, uint32_t count);
+  void save_slot(SvrBlock* block, uint32_t slot);
+  /// Takes back every step in undo_, newest first.
+  void undo_entries();
+  std::vector<UndoStep> undo_;
+  /// What the steps saved: bytes, subblock versions, and texts (each a
+  /// native u32 length, then its bytes).
+  std::vector<uint8_t> undo_saved_;
   /// (serial, unit count) of each block the diff being applied creates,
   /// by serial.
   std::vector<std::pair<uint32_t, uint64_t>> new_blocks_;

@@ -18,20 +18,6 @@ const char* primitive_kind_name(PrimitiveKind kind) noexcept {
   return "?";
 }
 
-uint32_t wire_size_of(PrimitiveKind kind) noexcept {
-  switch (kind) {
-    case PrimitiveKind::kChar: return 1;
-    case PrimitiveKind::kInt16: return 2;
-    case PrimitiveKind::kInt32: return 4;
-    case PrimitiveKind::kInt64: return 8;
-    case PrimitiveKind::kFloat32: return 4;
-    case PrimitiveKind::kFloat64: return 8;
-    case PrimitiveKind::kPointer: return 4;  // placeholder/slot cost
-    case PrimitiveKind::kString: return 4;   // placeholder/slot cost
-  }
-  return 1;
-}
-
 namespace {
 constexpr int k(PrimitiveKind kind) { return static_cast<int>(kind); }
 

@@ -38,7 +38,12 @@ const char* primitive_kind_name(PrimitiveKind kind) noexcept;
 /// Canonical (wire) byte size of one unit of `kind`. Pointer and string are
 /// variable-length on the wire; this returns their *placeholder* cost used
 /// for diff-length bookkeeping (they are length-prefixed separately).
-uint32_t wire_size_of(PrimitiveKind kind) noexcept;
+constexpr uint32_t wire_size_of(PrimitiveKind kind) noexcept {
+  // char, int16, int32, int64, float32, float64, then the placeholder
+  // (slot) cost of pointer and string.
+  constexpr uint8_t kSizes[kNumPrimitiveKinds] = {1, 2, 4, 8, 4, 8, 4, 4};
+  return kSizes[static_cast<int>(kind)];
+}
 
 enum class ByteOrder : uint8_t { kLittle = 0, kBig = 1 };
 

@@ -441,6 +441,19 @@ void TypeCodec::encode_graph(const TypeDescriptor* root, Buffer& out) {
 
 const TypeDescriptor* TypeCodec::decode_graph(BufReader& in,
                                               TypeRegistry& registry) {
+  // A graph is refused part-way, with some of its descriptors built. So it
+  // is built in a throwaway registry first, and in `registry` only once
+  // that succeeded: a peer sending refused graphs cannot grow it.
+  {
+    BufReader trial = in;
+    TypeRegistry scratch(registry.rules(), registry.options());
+    build_graph(trial, scratch);
+  }
+  return build_graph(in, registry);
+}
+
+const TypeDescriptor* TypeCodec::build_graph(BufReader& in,
+                                             TypeRegistry& registry) {
   struct Parsed {
     uint8_t tag = 0;
     uint8_t prim = 0;

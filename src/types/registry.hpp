@@ -160,9 +160,15 @@ class TypeCodec {
 
   /// Decodes a graph into `registry` (fresh, non-interned nodes) and returns
   /// the root. Throws Error(kProtocol) on malformed input, and on a type
-  /// whose local size or unit counts do not fit 32 bits.
+  /// whose local size or unit counts do not fit 32 bits; a refused graph
+  /// leaves `registry` as it was.
   static const TypeDescriptor* decode_graph(BufReader& in,
                                             TypeRegistry& registry);
+
+ private:
+  /// decode_graph's work, which leaves what it built before a refusal.
+  static const TypeDescriptor* build_graph(BufReader& in,
+                                           TypeRegistry& registry);
 };
 
 }  // namespace iw

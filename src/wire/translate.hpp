@@ -7,15 +7,20 @@
 // behind a varint length; pointers are swizzled to and from the pointer-unit
 // wire form below through the caller-supplied hooks (the client library
 // implements them with its segment metadata, the server with its inline
-// (serial, unit) fields, tests with fakes).
+// (serial, unit) fields, tests with fakes). The server's out-of-line
+// strings go through the hooks too; a client's inline strings do not.
 //
 // Both directions execute the type's compiled TranslationPlan (see
 // types/translation_plan.hpp): a flattened run program cached per
 // (descriptor, LayoutRules), binary-searched to the first requested unit and
-// then run as straight-line copy/swap loops. When the plan proves the local
-// layout byte-identical to wire format (§3.3 isomorphism), any unit range
-// encodes or decodes as a single memcpy. This is what makes InterWeave
-// competitive with rpcgen-generated marshaling (Fig. 4).
+// then run as straight-line copy/swap loops. An array of aggregate elements
+// runs as one element loop, strings and pointers included: each element's
+// output is reserved once from the plan's bound, and each string or
+// pointer unit is handed to the hooks with its position from the plan.
+// When the plan proves the local layout byte-identical to wire format
+// (§3.3 isomorphism), any unit range encodes or decodes as a single memcpy.
+// This is what makes InterWeave competitive with rpcgen-generated
+// marshaling (Fig. 4).
 #pragma once
 
 #include <optional>
@@ -23,6 +28,7 @@
 #include <string_view>
 
 #include "types/registry.hpp"
+#include "types/translation_plan.hpp"
 #include "util/buffer.hpp"
 
 namespace iw {
@@ -50,13 +56,19 @@ struct PointerUnit {
 
 inline void append_null_pointer(Buffer& out) { out.append_u8(0); }
 
+/// Writes an intra-segment pointer unit at `dst`, which has room for
+/// kMaxIntraPointerBytes (types/translation_plan.hpp); returns its end.
+inline uint8_t* put_intra_pointer(uint8_t* dst, uint32_t serial,
+                                  uint32_t unit) noexcept {
+  dst += encode_varint(uint64_t{serial} << 2 | 1, dst);
+  return dst + encode_varint(unit, dst);
+}
+
 inline void append_intra_pointer(Buffer& out, uint32_t serial,
                                  uint32_t unit) {
-  constexpr size_t kMax = 2 * kMaxVarintBytes;
-  uint8_t* p = out.extend(kMax);
-  size_t n = encode_varint(uint64_t{serial} << 2 | 1, p);
-  n += encode_varint(unit, p + n);
-  out.truncate(out.size() - (kMax - n));
+  uint8_t* p = out.extend(kMaxIntraPointerBytes);
+  out.truncate(out.size() - kMaxIntraPointerBytes +
+               static_cast<size_t>(put_intra_pointer(p, serial, unit) - p));
 }
 
 /// Appends the cross-segment tag; the caller appends the `vs` MIP.
@@ -80,47 +92,49 @@ inline PointerUnit read_pointer_unit(BufReader& in) {
 }
 
 /// Callbacks that localize the representation-specific pieces of
-/// translation: pointer swizzling and string storage.
+/// translation: pointer swizzling and out-of-line string storage. The
+/// translator owns the wire form of both; a hook only maps a unit to and
+/// from its local representation. A string of a layout with inline strings
+/// (LayoutRules::inline_strings: a NUL-padded char[capacity] in the value)
+/// is the translator's own business and never reaches the hooks.
+///
+/// Every call names its unit twice: by `field`, the unit's address, and by
+/// `index`, its position among the value's units of its kind in visit
+/// order (the n-th string, or the n-th pointer, of the block being
+/// translated; TypeDescriptor::var_unit_index of the field's offset). The
+/// compiled plan computes the index as it goes, so a hook that keeps
+/// per-unit state out of line (the server's string slots) needs no type
+/// walk to find it.
 class TranslationHooks {
  public:
   virtual ~TranslationHooks() = default;
 
-  /// Reads the local pointer representation at `field` and appends its
-  /// pointer unit to `out`.
-  virtual void swizzle_out(const void* field, Buffer& out) = 0;
+  /// The pointer unit for the local pointer at `field`. A kCross unit's
+  /// `mip` must stay valid until the next call on this object.
+  virtual PointerUnit swizzle_out(const void* field, uint32_t index) = 0;
 
-  /// Reads one pointer unit from `in` and stores the local pointer
-  /// representation at `field`.
-  virtual void swizzle_in(BufReader& in, void* field) = 0;
+  /// Reads one pointer unit from `in` (read_pointer_unit) and stores its
+  /// local representation at `field`.
+  virtual void swizzle_in(BufReader& in, void* field, uint32_t index) = 0;
 
-  /// Reads the string unit stored at `field`.
-  virtual std::string_view read_string(const void* field,
-                                       uint32_t capacity) = 0;
+  /// Reads the out-of-line string unit stored at `field`; the view must
+  /// stay valid until the next call on this object. The default throws
+  /// Error(kState): hooks for layouts with inline strings need none.
+  virtual std::string_view read_string(const void* field, uint32_t capacity,
+                                       uint32_t index);
 
-  /// Stores `content` into the string unit at `field` (truncating to the
-  /// representation's capacity where applicable).
-  virtual void write_string(void* field, uint32_t capacity,
-                            std::string_view content) = 0;
+  /// Stores `content` into the out-of-line string unit at `field`. The
+  /// default throws Error(kState), as read_string.
+  virtual void write_string(void* field, uint32_t capacity, uint32_t index,
+                            std::string_view content);
 };
 
-/// Hooks for the client-side inline representation: a string unit is a
-/// NUL-padded char[capacity] stored directly in the block. Pointer ops are
-/// left abstract.
-class InlineStringHooks : public TranslationHooks {
- public:
-  std::string_view read_string(const void* field, uint32_t capacity) override;
-  void write_string(void* field, uint32_t capacity,
-                    std::string_view content) override;
-};
-
-/// Hooks that reject pointers and strings outright; usable for purely
-/// numeric types (and as a guard in tests).
+/// Hooks that reject pointers (and out-of-line strings) outright; usable
+/// for types without them (and as a guard in tests).
 class NumericOnlyHooks : public TranslationHooks {
  public:
-  void swizzle_out(const void*, Buffer&) override;
-  void swizzle_in(BufReader&, void*) override;
-  std::string_view read_string(const void*, uint32_t) override;
-  void write_string(void*, uint32_t, std::string_view) override;
+  PointerUnit swizzle_out(const void*, uint32_t) override;
+  void swizzle_in(BufReader&, void*, uint32_t) override;
 };
 
 /// Encodes primitive units [begin, end) of the value at `base` (laid out per
@@ -144,8 +158,8 @@ std::optional<uint64_t> fixed_wire_size(const TypeDescriptor& type,
 
 /// Wire size in bytes that units [begin, end) of `type` would occupy, given
 /// the actual current contents at `base` (strings/pointers are variable).
-/// Fixed-size runs are measured arithmetically from the plan — no hook is
-/// invoked for them, only strings/pointers are read.
+/// A fixed-size type is measured arithmetically from the plan, with no
+/// hook call; any other range is measured by encoding it.
 uint64_t measure_units(const TypeDescriptor& type, const LayoutRules& rules,
                        const void* base, uint64_t begin, uint64_t end,
                        TranslationHooks& hooks);

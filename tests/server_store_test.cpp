@@ -531,29 +531,81 @@ TEST(SegmentStore, PointerTargetsAreChecked) {
 
   {
     // A pointer past a block the same diff creates later is refused before
-    // it is stored, and that block's serial then counts as allocated.
-    SegmentStore store("s", {});
+    // it is stored, and the store is left as it was: the diff's free, its
+    // writes to an existing block (a cross-segment MIP among them) and the
+    // block it created before the bad unit are all taken back. The diff
+    // cache is off, so every collect below is built from the store.
+    SegmentStore::Options options;
+    options.enable_diff_cache = false;
+    SegmentStore store("s", options);
     uint32_t t = store.register_type(graph.span());
-    Buffer out;
-    DiffWriter w(out, 1, 2);
-    w.begin_block(1, diff_flags::kNew | diff_flags::kWhole, t, "");
-    w.begin_run(0, 2);
-    append_intra_pointer(out, 2, 0);
-    append_intra_pointer(out, 2, 2);
-    w.end_block();
-    w.begin_block(2, diff_flags::kNew | diff_flags::kWhole, t, "");
-    w.begin_run(0, 2);
-    append_null_pointer(out);
-    append_null_pointer(out);
-    w.end_block();
-    w.finish();
-    EXPECT_THROW(store.apply_diff(out.span()), Error);
-    EXPECT_EQ(store.version(), 1u);
-    EXPECT_EQ(store.next_block_serial(), 3u);
-    const SvrBlock* b1 = store.find_block(1);
-    ASSERT_NE(b1, nullptr);  // blocks before the bad unit keep their bytes
-    EXPECT_EQ(std::vector<uint8_t>(b1->data.begin() + 8, b1->data.end()),
-              std::vector<uint8_t>(8, 0));
+    Buffer first;  // 1 -> 2: blocks 1 and 2
+    DiffWriter w1(first, 1, 2);
+    for (uint32_t serial : {1u, 2u}) {
+      w1.begin_block(serial, diff_flags::kNew | diff_flags::kWhole, t, "");
+      w1.begin_run(0, 2);
+      append_null_pointer(first);
+      append_intra_pointer(first, 3 - serial, 1);
+      w1.end_block();
+    }
+    w1.finish();
+    ASSERT_EQ(store.apply_diff(first.span()), 2u);
+    Buffer second;  // 2 -> 3: block 1 points at block 2
+    DiffWriter w2(second, 2, 3);
+    w2.begin_block(1, 0);
+    w2.begin_run(0, 1);
+    append_intra_pointer(second, 2, 0);
+    w2.end_block();
+    w2.finish();
+    ASSERT_EQ(store.apply_diff(second.span()), 3u);
+
+    auto state = [&] {
+      Buffer snapshot;
+      store.serialize(snapshot);
+      std::vector<std::vector<uint8_t>> collects;
+      for (uint32_t v = 0; v <= store.version(); ++v) {
+        collects.push_back(*store.collect_diff(v));
+      }
+      return std::make_pair(snapshot.take(), collects);
+    };
+    const auto before = state();
+    const uint32_t next_serial = store.next_block_serial();
+
+    Buffer bad;  // 3 -> 4, refused at block 3's second unit
+    DiffWriter w3(bad, 3, 4);
+    w3.add_free(2);
+    w3.begin_block(1, 0);
+    w3.begin_run(0, 2);
+    append_cross_pointer_tag(bad);
+    bad.append_vstring("other#1#0");
+    append_intra_pointer(bad, 1, 0);
+    w3.end_block();
+    w3.begin_block(3, diff_flags::kNew | diff_flags::kWhole, t, "");
+    w3.begin_run(0, 2);
+    append_intra_pointer(bad, 4, 0);
+    append_intra_pointer(bad, 4, 2);
+    w3.end_block();
+    w3.begin_block(4, diff_flags::kNew | diff_flags::kWhole, t, "");
+    w3.begin_run(0, 2);
+    append_null_pointer(bad);
+    append_null_pointer(bad);
+    w3.end_block();
+    w3.finish();
+    EXPECT_THROW(store.apply_diff(bad.span()), Error);
+    EXPECT_EQ(store.version(), 3u);
+    EXPECT_EQ(store.next_block_serial(), next_serial);
+    EXPECT_EQ(store.find_block(3), nullptr);
+    EXPECT_NE(store.find_block(2), nullptr);
+    EXPECT_EQ(state(), before);
+    // The store still takes the next commit, at the version it refused.
+    Buffer next;
+    DiffWriter w4(next, 3, 4);
+    w4.begin_block(1, 0);
+    w4.begin_run(1, 1);
+    append_null_pointer(next);
+    w4.end_block();
+    w4.finish();
+    EXPECT_EQ(store.apply_diff(next.span()), 4u);
   }
 
   SegmentStore store("s", {});
@@ -583,6 +635,57 @@ TEST(SegmentStore, PointerTargetsAreChecked) {
   fw.end_block();
   fw.finish();
   EXPECT_EQ(store.apply_diff(free_diff.span()), 3u);
+}
+
+TEST(SegmentStore, RefusedDiffRestoresStrings) {
+  // Records {string<8>, pointer}: a refused diff first rewrites block 1's
+  // strings (one longer than its capacity, which a store keeps) and then
+  // names a unit block 1 does not have; the strings come back too.
+  TypeRegistry scratch(Platform::native().rules);
+  Buffer graph;
+  TypeCodec::encode_graph(
+      scratch.array_of(scratch.struct_builder("r")
+                           .field("s", scratch.string_type(8))
+                           .field("p", scratch.pointer_to(nullptr))
+                           .finish(),
+                       3),
+      graph);
+  SegmentStore::Options options;
+  options.enable_diff_cache = false;
+  SegmentStore store("s", options);
+  const uint32_t t = store.register_type(graph.span());
+  Buffer first;
+  DiffWriter w1(first, 1, 2);
+  w1.begin_block(1, diff_flags::kNew | diff_flags::kWhole, t, "");
+  w1.begin_run(0, 6);
+  for (const char* text : {"a", "bb", "ccc"}) {
+    first.append_vstring(text);
+    append_null_pointer(first);
+  }
+  w1.end_block();
+  w1.finish();
+  ASSERT_EQ(store.apply_diff(first.span()), 2u);
+  Buffer before;
+  store.serialize(before);
+  const std::vector<uint8_t> collect_before = *store.collect_diff(0);
+
+  Buffer bad;
+  DiffWriter w2(bad, 2, 3);
+  w2.begin_block(1, 0);
+  w2.begin_run(0, 4);
+  bad.append_vstring("xxxxxxxxxxxx");
+  append_intra_pointer(bad, 1, 5);
+  bad.append_vstring("y");
+  append_intra_pointer(bad, 1, 6);  // block 1 has 6 units
+  w2.end_block();
+  w2.finish();
+  EXPECT_THROW(store.apply_diff(bad.span()), Error);
+  Buffer after;
+  store.serialize(after);
+  EXPECT_EQ(after.take(), before.take());
+  EXPECT_EQ(*store.collect_diff(0), collect_before);
+  EXPECT_EQ(store.find_block(1)->vardata,
+            (std::vector<std::string>{"a", "bb", "ccc"}));
 }
 
 TEST(SegmentStore, SerializeDeserializeRoundTrip) {

@@ -5,6 +5,7 @@
 // only ships the plan-compiled engine (wire/translate.hpp).
 #include "translate_legacy.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/endian.hpp"
@@ -12,6 +13,56 @@
 namespace iw {
 
 namespace {
+
+/// The position the hooks are handed for the unit at `p`: the legacy path
+/// asks the type for it, unit by unit.
+uint32_t var_index(const TypeDescriptor& type, PrimitiveKind kind,
+                   const uint8_t* base, const uint8_t* p) {
+  return type.var_unit_index(kind, static_cast<uint32_t>(p - base));
+}
+
+/// A string unit: inline, or through the hooks (the translation contract of
+/// wire/translate.hpp).
+std::string_view read_string(const TypeDescriptor& type,
+                             const LayoutRules& rules, const uint8_t* base,
+                             const uint8_t* p, uint32_t capacity,
+                             TranslationHooks& hooks) {
+  if (rules.inline_strings) {
+    const char* s = reinterpret_cast<const char*>(p);
+    return {s, strnlen(s, capacity)};
+  }
+  return hooks.read_string(p, capacity,
+                           var_index(type, PrimitiveKind::kString, base, p));
+}
+
+void write_string(const TypeDescriptor& type, const LayoutRules& rules,
+                  const uint8_t* base, uint8_t* p, uint32_t capacity,
+                  std::string_view content, TranslationHooks& hooks) {
+  if (rules.inline_strings) {
+    const size_t n = std::min<size_t>(content.size(), capacity);
+    std::memcpy(p, content.data(), n);
+    std::memset(p + n, 0, capacity - n);
+    return;
+  }
+  hooks.write_string(p, capacity,
+                     var_index(type, PrimitiveKind::kString, base, p),
+                     content);
+}
+
+void append_pointer(Buffer& out, const PointerUnit& u) {
+  switch (u.tag) {
+    case PointerTag::kNull:
+      append_null_pointer(out);
+      break;
+    case PointerTag::kIntra:
+      append_intra_pointer(out, u.serial, u.unit);
+      break;
+    case PointerTag::kCross:
+      append_cross_pointer_tag(out);
+      out.append_vstring(u.mip);
+      break;
+  }
+}
 
 template <typename U, bool kSwap>
 void encode_numeric_run(const uint8_t* p, uint64_t count, uint32_t stride,
@@ -255,11 +306,13 @@ void encode_units_legacy(const TypeDescriptor& type, const LayoutRules& rules,
         break;
       case PrimitiveKind::kPointer:
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          hooks.swizzle_out(p, out);
+          append_pointer(out, hooks.swizzle_out(
+                                  p, var_index(type, run.kind, b, p)));
         break;
       case PrimitiveKind::kString:
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          out.append_vstring(hooks.read_string(p, run.string_capacity));
+          out.append_vstring(
+              read_string(type, rules, b, p, run.string_capacity, hooks));
         break;
     }
   });
@@ -340,12 +393,13 @@ void decode_units_legacy(const TypeDescriptor& type, const LayoutRules& rules,
         break;
       case PrimitiveKind::kPointer:
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride) {
-          hooks.swizzle_in(in, p);
+          hooks.swizzle_in(in, p, var_index(type, run.kind, b, p));
         }
         break;
       case PrimitiveKind::kString:
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride) {
-          hooks.write_string(p, run.string_capacity, in.read_vstring_view());
+          write_string(type, rules, b, p, run.string_capacity,
+                       in.read_vstring_view(), hooks);
         }
         break;
     }
@@ -356,7 +410,6 @@ uint64_t measure_units_legacy(const TypeDescriptor& type,
                               const LayoutRules& rules, const void* base,
                               uint64_t begin, uint64_t end,
                               TranslationHooks& hooks) {
-  (void)rules;
   const auto* b = static_cast<const uint8_t*>(base);
   uint64_t total = 0;
   type.visit_runs(begin, end, [&](const PrimRun& run) {
@@ -366,7 +419,8 @@ uint64_t measure_units_legacy(const TypeDescriptor& type,
         Buffer unit;
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride) {
           unit.clear();
-          hooks.swizzle_out(p, unit);
+          append_pointer(unit,
+                         hooks.swizzle_out(p, var_index(type, run.kind, b, p)));
           total += unit.size();
         }
         break;
@@ -374,8 +428,9 @@ uint64_t measure_units_legacy(const TypeDescriptor& type,
       case PrimitiveKind::kString: {
         const uint8_t* p = b + run.local_offset;
         for (uint64_t i = 0; i < run.unit_count; ++i, p += run.local_stride)
-          total +=
-              vstring_size(hooks.read_string(p, run.string_capacity).size());
+          total += vstring_size(
+              read_string(type, rules, b, p, run.string_capacity, hooks)
+                  .size());
         break;
       }
       default:

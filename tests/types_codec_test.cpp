@@ -203,6 +203,38 @@ TEST(TypeCodec, TypesTooLargeFor32BitsAreProtocolErrors) {
             ErrorCode::kProtocol);
 }
 
+TEST(TypeCodec, RefusedGraphsLeaveTheRegistryUnchanged) {
+  TypeRegistry dst(Platform::native().rules);
+  dst.array_of(dst.primitive(PrimitiveKind::kInt32), 3);
+  const size_t before = dst.size();
+  // Each graph is refused after some of its descriptors were built: a
+  // struct whose two 2 GiB fields overflow, a struct whose array field
+  // wraps 32 bits, and a struct whose second field names no entry.
+  Buffer bad_index;
+  bad_index.append_u32(2);
+  bad_index.append_u8(4);  // struct
+  bad_index.append_lp_string("s");
+  bad_index.append_u32(2);
+  bad_index.append_lp_string("a");
+  bad_index.append_u32(1);
+  bad_index.append_lp_string("b");
+  bad_index.append_u32(9);  // out of range
+  bad_index.append_u8(0);   // primitive
+  bad_index.append_u8(static_cast<uint8_t>(PrimitiveKind::kInt64));
+  for (const Buffer& graph :
+       {big_graph(uint64_t{1} << 29, 2), big_graph((uint64_t{1} << 30) + 1, 1),
+        bad_index}) {
+    BufReader r(graph.span());
+    EXPECT_THROW(TypeCodec::decode_graph(r, dst), Error);
+    EXPECT_EQ(dst.size(), before);
+  }
+  // The registry still takes a good graph.
+  Buffer good = big_graph(4, 1);
+  BufReader r(good.span());
+  EXPECT_EQ(TypeCodec::decode_graph(r, dst)->prim_units(), 4u);
+  EXPECT_TRUE(r.at_end());
+}
+
 TEST(TypeCodec, EncodeIsDeterministic) {
   TypeRegistry src(Platform::native().rules);
   const TypeDescriptor* s = src.struct_builder("s")

@@ -15,20 +15,18 @@ namespace {
 /// Test pointer representation: a pointer field holds an integer token. On
 /// the wire 0 is null, an even token an intra-segment pointer (serial
 /// token / 2, unit 3) and an odd one a cross-segment MIP "mip:<token>", so
-/// every round trip crosses all three pointer-unit forms.
-void append_token(Buffer& out, uint64_t token) {
-  if (token == 0) {
-    append_null_pointer(out);
-  } else if (token % 2 == 0) {
-    append_intra_pointer(out, static_cast<uint32_t>(token / 2), 3);
-  } else {
-    append_cross_pointer_tag(out);
-    out.append_vstring("mip:" + std::to_string(token));
+/// every round trip crosses all three pointer-unit forms. A cross unit's
+/// MIP is formatted into `mip`.
+PointerUnit unit_of_token(uint64_t token, std::string& mip) {
+  if (token == 0) return {};
+  if (token % 2 == 0) {
+    return {PointerTag::kIntra, static_cast<uint32_t>(token / 2), 3, {}};
   }
+  mip = "mip:" + std::to_string(token);
+  return {PointerTag::kCross, 0, 0, mip};
 }
 
-uint64_t read_token(BufReader& in) {
-  PointerUnit p = read_pointer_unit(in);
+uint64_t token_of_unit(const PointerUnit& p) {
   switch (p.tag) {
     case PointerTag::kNull:
       return 0;
@@ -41,21 +39,31 @@ uint64_t read_token(BufReader& in) {
   return 0;
 }
 
-/// Fake swizzler over integer tokens (see append_token).
-class FakeHooks : public InlineStringHooks {
+/// Stores `content` into the inline string unit at `field`: NUL-padded to
+/// `capacity`, as a client platform lays it out.
+void put_inline_string(void* field, uint32_t capacity,
+                       std::string_view content) {
+  auto* p = static_cast<char*>(field);
+  const size_t n = std::min<size_t>(content.size(), capacity);
+  std::memcpy(p, content.data(), n);
+  std::memset(p + n, 0, capacity - n);
+}
+
+/// Fake swizzler over integer tokens (see unit_of_token).
+class FakeHooks : public TranslationHooks {
  public:
   explicit FakeHooks(const LayoutRules& rules) : rules_(rules) {}
 
-  void swizzle_out(const void* field, Buffer& out) override {
+  PointerUnit swizzle_out(const void* field, uint32_t) override {
     uint64_t token = 0;
     std::memcpy(&token, field, rules_.size[static_cast<int>(PrimitiveKind::kPointer)]);
     ++swizzles_out;
-    append_token(out, token);
+    return unit_of_token(token, mip_);
   }
 
-  void swizzle_in(BufReader& in, void* field) override {
+  void swizzle_in(BufReader& in, void* field, uint32_t) override {
     ++swizzles_in;
-    uint64_t token = read_token(in);
+    uint64_t token = token_of_unit(read_pointer_unit(in));
     std::memcpy(field, &token, rules_.size[static_cast<int>(PrimitiveKind::kPointer)]);
   }
 
@@ -64,6 +72,7 @@ class FakeHooks : public InlineStringHooks {
 
  private:
   LayoutRules rules_;
+  std::string mip_;
 };
 
 TEST(Translate, IntArrayRoundTripNative) {
@@ -400,7 +409,7 @@ TEST_P(CrossPlatformRoundTrip, RandomRanges) {
       }
       case PrimitiveKind::kString: {
         std::string s = "s" + std::to_string(rng.below(1000));
-        src_hooks.write_string(p, loc.string_capacity, s);
+        put_inline_string(p, loc.string_capacity, s);
         break;
       }
       default:
@@ -444,28 +453,31 @@ INSTANTIATE_TEST_SUITE_P(
 // randomized types, every platform layout, and arbitrary unit subranges.
 // ===========================================================================
 
-/// Hooks usable under every layout, including out-of-line string layouts
-/// (packed_canonical): strings live in a side map keyed by field address,
+/// Hooks usable under every layout: the strings of an out-of-line string
+/// layout (packed_canonical) live in a side map keyed by field address,
 /// pointers are integer tokens read straight from the field bytes. Both are
-/// deterministic functions of the same inputs the legacy path sees.
+/// deterministic functions of the same inputs the legacy path sees. Inline
+/// strings never reach the hooks.
 class MapHooks : public TranslationHooks {
  public:
   explicit MapHooks(const LayoutRules& rules) : rules_(rules) {}
 
-  void swizzle_out(const void* field, Buffer& out) override {
+  PointerUnit swizzle_out(const void* field, uint32_t) override {
     uint64_t token = 0;
     std::memcpy(&token, field, ptr_size());
-    append_token(out, token);
+    return unit_of_token(token, mip_);
   }
-  void swizzle_in(BufReader& in, void* field) override {
-    uint64_t token = read_token(in);
+  void swizzle_in(BufReader& in, void* field, uint32_t) override {
+    uint64_t token = token_of_unit(read_pointer_unit(in));
     std::memcpy(field, &token, ptr_size());
   }
-  std::string_view read_string(const void* field, uint32_t) override {
+  std::string_view read_string(const void* field, uint32_t,
+                               uint32_t) override {
     auto it = strings_.find(field);
     return it == strings_.end() ? std::string_view{} : std::string_view(it->second);
   }
-  void write_string(void* field, uint32_t, std::string_view content) override {
+  void write_string(void* field, uint32_t, uint32_t,
+                    std::string_view content) override {
     strings_[field] = std::string(content);
   }
 
@@ -475,6 +487,7 @@ class MapHooks : public TranslationHooks {
   }
   LayoutRules rules_;
   std::map<const void*, std::string> strings_;
+  std::string mip_;
 };
 
 struct NamedRules {
@@ -523,7 +536,8 @@ const TypeDescriptor* random_type(TypeRegistry& reg, SplitMix64& rng,
 }
 
 /// Fills every unit of `mem` with valid random content: numeric units get
-/// random bytes, pointers small random tokens, strings go through the hooks.
+/// random bytes, pointers small random tokens, strings are stored inline or,
+/// for an out-of-line string layout, through the hooks.
 void random_fill(const TypeDescriptor& type, const LayoutRules& rules,
                  uint8_t* mem, MapHooks& hooks, SplitMix64& rng) {
   for (uint64_t u = 0; u < type.prim_units(); ++u) {
@@ -536,7 +550,14 @@ void random_fill(const TypeDescriptor& type, const LayoutRules& rules,
         for (uint64_t i = 0; i < len; ++i) {
           s.push_back(static_cast<char>('a' + rng.below(26)));
         }
-        hooks.write_string(p, loc.string_capacity, s);
+        if (rules.inline_strings) {
+          put_inline_string(p, loc.string_capacity, s);
+        } else {
+          hooks.write_string(
+              p, loc.string_capacity,
+              type.var_unit_index(PrimitiveKind::kString, loc.local_offset),
+              s);
+        }
         break;
       }
       case PrimitiveKind::kPointer: {
@@ -618,6 +639,161 @@ TEST(TranslatePlanDifferential, RandomTypesMatchLegacyByteForByte) {
         ASSERT_EQ(0, std::memcmp(re1.data(), re2.data(), re1.size()));
       }
     }
+  }
+}
+
+/// Units [a, b) of `mem` (a value of `type`, filled through `fill_hooks`)
+/// translate byte for byte as the legacy walk translates them: encoded,
+/// measured, decoded and re-encoded.
+void expect_range_matches_legacy(const TypeDescriptor& type,
+                                 const LayoutRules& rules,
+                                 const std::vector<uint8_t>& mem,
+                                 MapHooks& fill_hooks, uint64_t a, uint64_t b) {
+  SCOPED_TRACE("units " + std::to_string(a) + ".." + std::to_string(b));
+  Buffer planned, legacy;
+  encode_units(type, rules, mem.data(), a, b, fill_hooks, planned);
+  encode_units_legacy(type, rules, mem.data(), a, b, fill_hooks, legacy);
+  ASSERT_EQ(planned.size(), legacy.size());
+  ASSERT_EQ(0, std::memcmp(planned.data(), legacy.data(), planned.size()));
+  EXPECT_EQ(measure_units(type, rules, mem.data(), a, b, fill_hooks),
+            planned.size());
+
+  std::vector<uint8_t> mem1(mem.size(), 0xCC), mem2(mem.size(), 0xCC);
+  MapHooks hooks1(rules), hooks2(rules);
+  BufReader r1(planned.span());
+  decode_units(type, rules, mem1.data(), a, b, hooks1, r1);
+  EXPECT_TRUE(r1.at_end());
+  BufReader r2(planned.span());
+  decode_units_legacy(type, rules, mem2.data(), a, b, hooks2, r2);
+  EXPECT_TRUE(r2.at_end());
+  ASSERT_EQ(0, std::memcmp(mem1.data(), mem2.data(), mem1.size()));
+  Buffer re1, re2;
+  encode_units(type, rules, mem1.data(), a, b, hooks1, re1);
+  encode_units_legacy(type, rules, mem2.data(), a, b, hooks2, re2);
+  ASSERT_EQ(re1.size(), re2.size());
+  ASSERT_EQ(0, std::memcmp(re1.data(), re2.data(), re1.size()));
+}
+
+TEST(TranslatePlanDifferential, NestedVariableArraysMatchLegacyInEveryRange) {
+  // Hundreds of records whose strings and pointers sit two array levels
+  // deep: the element loop's variable path, its nested loops, and ranges
+  // that start and end inside an element (of either level).
+  SplitMix64 rng(20261019);
+  for (const NamedRules& layout : all_layouts()) {
+    SCOPED_TRACE(layout.name);
+    TypeRegistry reg(layout.rules);
+    const TypeDescriptor* inner =
+        reg.struct_builder("inner")
+            .field("p", reg.pointer_to(nullptr))
+            .field("d", reg.primitive(PrimitiveKind::kFloat64))
+            .field("s", reg.string_type(7))
+            .field("c", reg.primitive(PrimitiveKind::kChar))
+            .finish();
+    const TypeDescriptor* outer =
+        reg.struct_builder("outer")
+            .field("i", reg.primitive(PrimitiveKind::kInt16))
+            .field("in", reg.array_of(inner, 3))
+            .field("t", reg.string_type(20))
+            .field("q", reg.pointer_to(nullptr))
+            .finish();
+    const TypeDescriptor* type = reg.array_of(outer, 300);
+    const uint64_t upe = outer->prim_units();  // 15
+    const uint64_t units = type->prim_units();
+    std::vector<uint8_t> mem(type->local_size(), 0);
+    MapHooks fill_hooks(layout.rules);
+    random_fill(*type, layout.rules, mem.data(), fill_hooks, rng);
+
+    expect_range_matches_legacy(*type, layout.rules, mem, fill_hooks, 0,
+                                units);
+    // Ranges inside one record, across a record boundary, and spanning
+    // hundreds of records, each starting and ending mid-record.
+    expect_range_matches_legacy(*type, layout.rules, mem, fill_hooks,
+                                5 * upe + 2, 5 * upe + 9);
+    expect_range_matches_legacy(*type, layout.rules, mem, fill_hooks,
+                                7 * upe + 13, 8 * upe + 3);
+    expect_range_matches_legacy(*type, layout.rules, mem, fill_hooks,
+                                upe + 1, 290 * upe + 14);
+    for (int trial = 0; trial < 20; ++trial) {
+      const uint64_t a = rng.below(units);
+      const uint64_t b = a + 1 + rng.below(units - a);
+      expect_range_matches_legacy(*type, layout.rules, mem, fill_hooks, a, b);
+    }
+  }
+}
+
+/// Hooks that record, for every string and pointer unit they are handed,
+/// its offset in the value and the position the translator gave it.
+class PositionHooks : public TranslationHooks {
+ public:
+  explicit PositionHooks(const uint8_t* base) : base_(base) {}
+
+  struct Call {
+    PrimitiveKind kind;
+    uint32_t offset;
+    uint32_t index;
+  };
+
+  PointerUnit swizzle_out(const void* field, uint32_t index) override {
+    record(PrimitiveKind::kPointer, field, index);
+    return {};
+  }
+  void swizzle_in(BufReader& in, void* field, uint32_t index) override {
+    read_pointer_unit(in);
+    record(PrimitiveKind::kPointer, field, index);
+  }
+  std::string_view read_string(const void* field, uint32_t,
+                               uint32_t index) override {
+    record(PrimitiveKind::kString, field, index);
+    return {};
+  }
+  void write_string(void* field, uint32_t, uint32_t index,
+                    std::string_view) override {
+    record(PrimitiveKind::kString, field, index);
+  }
+
+  std::vector<Call> calls;
+
+ private:
+  void record(PrimitiveKind kind, const void* field, uint32_t index) {
+    calls.push_back(
+        {kind,
+         static_cast<uint32_t>(static_cast<const uint8_t*>(field) - base_),
+         index});
+  }
+  const uint8_t* base_;
+};
+
+TEST(TranslatePlan, HookPositionsAreVarUnitIndexes) {
+  // The position handed with each string and pointer unit is the one
+  // TypeDescriptor::var_unit_index computes from the unit's offset, for
+  // whole values and sub-ranges, encoding and decoding, on every layout
+  // (strings reach the hooks only where they are stored out of line).
+  SplitMix64 rng(1019);
+  for (const NamedRules& layout : all_layouts()) {
+    SCOPED_TRACE(layout.name);
+    TypeRegistry reg(layout.rules);
+    int name_counter = 0;
+    size_t checked = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+      const TypeDescriptor* type = random_type(reg, rng, 0, name_counter);
+      if (trial % 2 == 0) type = reg.array_of(type, 1 + rng.below(40));
+      std::vector<uint8_t> mem(std::max<size_t>(type->local_size(), 1), 0);
+      const uint64_t units = type->prim_units();
+      const uint64_t a = trial % 3 == 0 ? 0 : rng.below(units);
+      const uint64_t b = trial % 3 == 0 ? units : a + 1 + rng.below(units - a);
+      PositionHooks hooks(mem.data());
+      Buffer wire;
+      encode_units(*type, layout.rules, mem.data(), a, b, hooks, wire);
+      BufReader in(wire.span());
+      decode_units(*type, layout.rules, mem.data(), a, b, hooks, in);
+      EXPECT_TRUE(in.at_end());
+      for (const PositionHooks::Call& call : hooks.calls) {
+        ASSERT_EQ(call.index, type->var_unit_index(call.kind, call.offset))
+            << "trial " << trial << " offset " << call.offset;
+      }
+      checked += hooks.calls.size();
+    }
+    EXPECT_GT(checked, 0u);
   }
 }
 
