@@ -16,20 +16,21 @@
 # under UBSan and TSan — the chaos workload's reconnect/lease
 # interleavings are exactly what -fsanitize=thread is good at catching —
 # plus the reactor transport suite (partial frames,
-# server-side response coalescing, backpressure, worker-pool elasticity)
-# and the TCP client channel suite (concurrent callers share one send
-# mutex and a sticky send error, with no client-side coalescing; its
-# receive loop decodes header varints off the socket, races the callers it
-# hands frames to, and runs notify handlers itself) under both sanitizers, and the chaos/lease suites again over
-# TCP, so the epoll reactor's cross-thread outbox/retirement protocol is
-# raced under TSan. The server concurrency suite runs under TSan as well:
+# server-side response coalescing, backpressure, leader/follower hand-offs
+# past blocked handlers) and the TCP client channel suite (concurrent
+# callers share one send mutex and a sticky send error, with no
+# client-side coalescing; callers and the receiver pass one read token,
+# decode header varints off the socket, route each other's responses and
+# run notify handlers) under both sanitizers, and the chaos/lease suites
+# again over TCP, so the epoll reactor's cross-thread outbox/retirement
+# protocol is raced under TSan, as is the two-writer TCP stress test. The server concurrency suite runs under TSan as well:
 # its raw TCP clients count notifications on the receiver thread while
 # their own calls are in flight. So does the client heap's fault-registry
 # concurrency test: two threads map and unmap client heaps while a third
 # takes write faults, whose SIGSEGV handler reads the same registry.
 # Lock caching and payload compression are part of the one protocol
 # version, so every chaos/lease run above already carries cached reader
-# locks (revokes arrive on each channel's receiver thread, and their acks
+# locks (revokes arrive on each channel's receiver or calling thread, and their acks
 # ride the client's background worker thread racing acquires, releases,
 # and channel teardown — TSan bait by design), the section envelope, the
 # LZ codec, and compressed journal recovery (every journal and replication
@@ -148,11 +149,16 @@ cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$TSAN_BUILD" -j "$JOBS" \
       --target fault_test lease_test chaos_test reactor_test net_tcp_test \
       lock_cache_test server_concurrency_test replication_chaos_test \
-      client_heap_test
+      client_heap_test stress_test
 for t in fault_test lease_test chaos_test reactor_test net_tcp_test \
          lock_cache_test server_concurrency_test; do
   TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD"/tests/"$t"
 done
+# Two writers alternating over real sockets: handlers run on the thread
+# that read their request while leadership passes between pool threads,
+# and each caller reads its own response off its socket.
+TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD"/tests/stress_test \
+    --gtest_filter='Stress.TwoWritersAlternateOverTcp'
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD"/tests/client_heap_test \
     --gtest_filter='FaultRegistryConcurrency.*'
 # The SIGKILL suite forks a multi-threaded child, which TSan's runtime

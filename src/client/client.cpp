@@ -83,7 +83,6 @@ Client::Client(ChannelFactory factory, Options options)
   const LayoutRules native = Platform::native().rules;
   native_pointers_ = rules.size[kPtrIdx] == native.size[kPtrIdx] &&
                      rules.byte_order == native.byte_order;
-  revoke_ack_worker_ = std::thread([this] { revoke_ack_loop(); });
 }
 
 Client::~Client() {
@@ -99,7 +98,8 @@ Client::~Client() {
     revoke_ack_stop_ = true;
   }
   revoke_ack_cv_.notify_all();
-  revoke_ack_worker_.join();
+  // Nothing starts the worker once revoke_ack_stop_ is set.
+  if (revoke_ack_worker_.joinable()) revoke_ack_worker_.join();
   {
     std::lock_guard cl(lock_cache_mu_);
     unsent.swap(revoke_ack_queue_);
@@ -191,13 +191,19 @@ void Client::handle_revoke(const std::string& url, uint32_t gen,
     if (it != lock_cache_.end() && it->second.revoke(gen) &&
         !revoke_ack_stop_) {
       if (std::shared_ptr<ClientChannel> strong = ch.lock()) {
-        revoke_ack_queue_.push_back(
-            {it->second.handle, gen, std::move(strong)});
+        queue_revoke_ack_locked({it->second.handle, gen, std::move(strong)});
         ack_now = true;
       }
     }
   }
   if (ack_now) revoke_ack_cv_.notify_one();
+}
+
+void Client::queue_revoke_ack_locked(RevokeAck ack) {
+  revoke_ack_queue_.push_back(std::move(ack));
+  if (!revoke_ack_worker_.joinable()) {
+    revoke_ack_worker_ = std::thread([this] { revoke_ack_loop(); });
+  }
 }
 
 void Client::revoke_ack_loop() {
@@ -844,8 +850,7 @@ void Client::read_unlock(ClientSegment* seg) {
     // The last reader out honours a deferred revoke (the worker sends the
     // ack: the waiting writer is unblocked by it, not by this thread).
     if (cache.leave()) {
-      revoke_ack_queue_.push_back(
-          {cache.handle, cache.revoke_gen, seg->channel_});
+      queue_revoke_ack_locked({cache.handle, cache.revoke_gen, seg->channel_});
       ack = true;
     }
   }

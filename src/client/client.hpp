@@ -321,9 +321,10 @@ class Client {
   /// kRevokeRead arrived for `url`: surrender the cached lock immediately
   /// when no local reader holds it, else mark it for release (and ack) at
   /// critical-section exit. Runs on the notifying thread (a TCP channel's
-  /// receiver, or the writer's thread in-proc), so it must not take mu_,
-  /// call the channel, or end up holding its last reference: it pins `ch`
-  /// only to enqueue the ack for revoke_ack_loop(), the channel's sender.
+  /// receiver or a thread inside a call on that channel, which may hold
+  /// mu_; in-proc the writer's thread), so it must not take mu_, call the
+  /// channel, or end up holding its last reference: it pins `ch` only to
+  /// enqueue the ack for revoke_ack_loop(), the channel's sender.
   void handle_revoke(const std::string& url, uint32_t gen,
                      const std::weak_ptr<ClientChannel>& ch);
   /// Dedicated ack thread: sends kRevokeAck for each queued revoke,
@@ -378,15 +379,21 @@ class Client {
   /// lock_cache_mu_ (the enqueue sites already hold it). The shared_ptr
   /// keeps the channel alive until the ack lands; if the worker (or ~Client,
   /// dropping unsent acks) ends up holding the last reference, the channel
-  /// is destroyed there — never on its own receiver thread.
+  /// is destroyed there — never on a thread that is reading it.
   struct RevokeAck {
     uint32_t handle = 0;
     uint32_t gen = 0;  ///< server's revocation generation, echoed back
     std::shared_ptr<ClientChannel> channel;
   };
+  /// Queues an ack for revoke_ack_loop(), starting its thread at the first
+  /// ack. Caller holds lock_cache_mu_ and notifies revoke_ack_cv_ after
+  /// unlocking.
+  void queue_revoke_ack_locked(RevokeAck ack);
   std::deque<RevokeAck> revoke_ack_queue_;
   std::condition_variable revoke_ack_cv_;
   bool revoke_ack_stop_ = false;
+  /// Started at the first ack (guarded by lock_cache_mu_), so a client
+  /// that is never revoked never runs it.
   std::thread revoke_ack_worker_;
 
   ClientStats stats_;

@@ -25,15 +25,15 @@ namespace {
 /// slices (header, payload), so this stays far below IOV_MAX.
 constexpr size_t kMaxFramesPerSendmsg = 64;
 
-/// Worker-side flush trigger: responses accumulated past this many bytes
+/// Run-side flush trigger: responses accumulated past this many bytes
 /// are flushed even though more decoded frames are waiting, so a long
 /// request burst cannot balloon the outbox unboundedly between flushes.
-constexpr size_t kWorkerFlushBytes = 256u << 10;
+constexpr size_t kRunFlushBytes = 256u << 10;
 
-/// A worker retires itself after this long idle, once the pool has shrunk
-/// back to its base size (elastic workers are for blocked-handler bursts,
-/// not steady state).
-constexpr auto kWorkerIdleRetire = std::chrono::seconds(2);
+/// A follower retires after this long idle while `Options::workers` others
+/// are idle (extra threads are for bursts and blocked handlers, not steady
+/// state).
+constexpr auto kFollowerIdleRetire = std::chrono::seconds(2);
 
 /// Bytes one recv asks for while no large frame is in progress; a frame
 /// whose payload is larger is received straight into that payload.
@@ -89,8 +89,8 @@ struct TcpServer::AtomicStats {
   }
 };
 
-/// One connection's session state machine. The reactor thread owns the
-/// read side (rdbuf, large) exclusively; everything else is guarded by `mu`,
+/// One connection's session state machine. The leader owns the read side
+/// (rdbuf, large) exclusively; everything else is guarded by `mu`,
 /// which is a leaf lock — nothing else is ever acquired under it, so the
 /// notifier path (called under a segment entry lock) cannot deadlock.
 struct TcpServer::Conn {
@@ -107,7 +107,7 @@ struct TcpServer::Conn {
   int fd = -1;    // -1 once closed by retire()
   SessionId session = 0;
 
-  // Read side: reactor thread only, no lock needed.
+  // Read side: the leader only, no lock needed.
   std::vector<uint8_t> rdbuf;
   /// A frame whose header is in and whose payload outgrows one read chunk:
   /// the rest of it is received straight into `large.payload`, which holds
@@ -116,8 +116,8 @@ struct TcpServer::Conn {
   size_t large_have = 0;
   size_t large_size = 0;
 
-  std::deque<Frame> inbox;  // decoded requests awaiting a worker
-  bool scheduled = false;   // queued on (or being drained by) a worker
+  std::deque<Frame> inbox;  // decoded requests awaiting their turn
+  bool scheduled = false;   // queued for (or being run by) a pool thread
   bool eof = false;         // peer closed, read failed, or protocol error
   bool dead = false;        // write side failed; responses undeliverable
   bool disconnected = false;  // core_.on_disconnect already ran
@@ -131,11 +131,10 @@ struct TcpServer::Conn {
 
 TcpServer::TcpServer(ServerCore& core, uint16_t port, Options options)
     : core_(core), options_(options), stats_(std::make_unique<AtomicStats>()) {
-  if (options_.workers <= 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    options_.workers = static_cast<int>(std::clamp(hw, 2u, 8u));
-  }
-  options_.max_workers = std::max(options_.max_workers, options_.workers);
+  options_.workers = std::max(options_.workers, 0);
+  // A leader hands off only to another thread, so the pool needs two.
+  options_.max_workers =
+      std::max({options_.max_workers, options_.workers + 1, 2});
   options_.write_low_watermark =
       std::min(options_.write_low_watermark, options_.write_high_watermark);
 
@@ -160,20 +159,16 @@ TcpServer::TcpServer(ServerCore& core, uint16_t port, Options options)
   ev.data.fd = timer_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &ev);
 
-  {
-    std::lock_guard lock(pool_mu_);
-    for (int i = 0; i < options_.workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-      ++live_workers_;
-      stats_->workers_spawned.fetch_add(1, std::memory_order_relaxed);
-    }
+  std::lock_guard lock(pool_mu_);
+  if (!spawn_locked()) {
+    for (int fd : {listen_fd_, epoll_fd_, wake_fd_, timer_fd_}) ::close(fd);
+    throw Error(ErrorCode::kIo, "reactor setup: cannot start a thread");
   }
-  reactor_thread_ = std::thread([this] { reactor_loop(); });
 }
 
 TcpServer::~TcpServer() { shutdown(); }
 
-void TcpServer::wake_reactor() {
+void TcpServer::wake_leader() {
   uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
@@ -181,20 +176,21 @@ void TcpServer::wake_reactor() {
 void TcpServer::shutdown() {
   std::call_once(shutdown_once_, [this] {
     stopping_.store(true, std::memory_order_release);
-    wake_reactor();
-    // The reactor thread runs the drain: it closes the listener, shuts
-    // every socket down (so blocked-in-core handlers unblock via their
-    // peers' disconnects), processes the resulting EOFs, and exits once
-    // the last connection has been retired.
-    if (reactor_thread_.joinable()) reactor_thread_.join();
+    wake_leader();
+    // The leader runs the drain: it closes the listener, shuts every
+    // socket down (so blocked-in-core handlers unblock via their peers'
+    // disconnects), retires the resulting EOFs, and stops the pool once
+    // the last connection has been retired. Every thread then exits.
+    ThreadList threads;
+    std::thread retired;
     {
-      std::lock_guard lock(pool_mu_);
-      pool_stopping_ = true;
+      std::unique_lock lock(pool_mu_);
+      pool_cv_.wait(lock, [this] { return pool_stopping_ && live_ == 0; });
+      threads.swap(threads_);
+      retired = std::move(retired_);
     }
-    pool_cv_.notify_all();
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
+    for (auto& t : threads) t.join();
+    if (retired.joinable()) retired.join();
     for (int fd : {epoll_fd_, wake_fd_, timer_fd_}) {
       if (fd >= 0) ::close(fd);
     }
@@ -207,17 +203,130 @@ ReactorStats TcpServer::stats() const {
   return s;
 }
 
-// --- reactor thread -------------------------------------------------------
+// --- pool -----------------------------------------------------------------
 
-void TcpServer::reactor_loop() {
-  bool draining = false;
-  epoll_event events[128];
+bool TcpServer::spawn_locked() {
+  auto it = threads_.emplace(threads_.end());
+  try {
+    // The thread reads `it` under pool_mu_, which the caller holds.
+    *it = std::thread([this, it] { thread_main(it); });
+  } catch (const std::system_error& e) {
+    threads_.erase(it);
+    IW_LOG(kWarn) << "reactor: cannot start a thread: " << e.what();
+    return false;
+  }
+  ++live_;
+  stats_->workers_spawned.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool TcpServer::recruit_locked(int& notify) {
+  if (pool_stopping_) return false;  // shutdown() joins a closed set
+  if (idle_ > 0) {
+    --idle_;
+    ++claimed_;
+    ++notify;
+    return true;
+  }
+  return live_ < options_.max_workers && spawn_locked();
+}
+
+void TcpServer::thread_main(ThreadList::iterator self) {
+  std::unique_lock lock(pool_mu_);
   for (;;) {
+    if (!ready_.empty()) {
+      std::shared_ptr<Conn> conn = std::move(ready_.front());
+      ready_.pop_front();
+      lock.unlock();
+      process(conn, false);
+      lock.lock();
+      continue;
+    }
+    if (pool_stopping_) break;
+    if (!leader_present_) {
+      leader_present_ = true;
+      lock.unlock();
+      if (std::shared_ptr<Conn> conn = lead()) process(conn, true);
+      lock.lock();
+      continue;
+    }
+    ++idle_;
+    const bool claimed = pool_cv_.wait_for(lock, kFollowerIdleRetire, [this] {
+      return claimed_ > 0 || pool_stopping_;
+    });
+    if (claimed_ > 0) {
+      --claimed_;  // whoever claimed a follower already took it off idle_
+      continue;
+    }
+    --idle_;
+    if (!claimed && ready_.empty() && leader_present_ &&
+        idle_ >= options_.workers) {
+      // Retire: park this thread's handle for the next one to join.
+      --live_;
+      std::thread me = std::move(*self);
+      threads_.erase(self);
+      std::swap(me, retired_);
+      lock.unlock();
+      if (me.joinable()) me.join();
+      return;
+    }
+  }
+  if (--live_ == 0) pool_cv_.notify_all();  // shutdown() waits for this
+}
+
+std::shared_ptr<TcpServer::Conn> TcpServer::hand_off(
+    std::vector<std::shared_ptr<Conn>>& to_run) {
+  std::shared_ptr<Conn> mine;
+  int notify = 0;
+  {
+    std::lock_guard lock(pool_mu_);
+    if (recruit_locked(notify)) {
+      leader_present_ = false;
+      stats_->leader_handoffs.fetch_add(1, std::memory_order_relaxed);
+      mine = std::move(to_run.front());
+    }
+    for (auto& conn : to_run) {
+      if (conn != nullptr) queue_locked(std::move(conn), notify);
+    }
+  }
+  for (int i = 0; i < notify; ++i) pool_cv_.notify_one();
+  to_run.clear();
+  return mine;
+}
+
+void TcpServer::queue_locked(std::shared_ptr<Conn> conn, int& notify) {
+  ready_.push_back(std::move(conn));
+  AtomicStats::bump_max(stats_->worker_queue_depth_max, ready_.size());
+  recruit_locked(notify);
+}
+
+void TcpServer::schedule(const std::shared_ptr<Conn>& conn) {
+  int notify = 0;
+  {
+    std::lock_guard lock(pool_mu_);
+    queue_locked(conn, notify);
+  }
+  if (notify > 0) pool_cv_.notify_one();
+}
+
+// --- leader ---------------------------------------------------------------
+
+std::shared_ptr<TcpServer::Conn> TcpServer::lead() {
+  epoll_event events[128];
+  std::vector<std::shared_ptr<Conn>> to_run;
+  for (;;) {
+    if (stopping_.load(std::memory_order_acquire) && !draining_) {
+      start_drain();
+    }
+    if (draining_) {
+      std::lock_guard lock(conns_mu_);
+      if (conns_.empty()) break;
+    }
     int n = ::epoll_wait(epoll_fd_, events, 128, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       IW_LOG(kWarn) << "epoll_wait: " << std::strerror(errno);
-      return;
+      break;
     }
     stats_->epoll_wakeups.fetch_add(1, std::memory_order_relaxed);
     for (int i = 0; i < n; ++i) {
@@ -236,7 +345,7 @@ void TcpServer::reactor_loop() {
         continue;
       }
       if (fd == listen_fd_) {
-        if (!draining) handle_accept();
+        if (!draining_) handle_accept();
         continue;
       }
       std::shared_ptr<Conn> conn;
@@ -246,14 +355,16 @@ void TcpServer::reactor_loop() {
         if (it == conns_.end()) continue;  // retired earlier in this batch
         conn = it->second;
       }
-      if (events[i].events & (EPOLLOUT)) handle_writable(conn);
-      if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
-        handle_readable(conn);
+      if (events[i].events & EPOLLOUT) flush(conn);
+      if ((events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) &&
+          handle_readable(conn)) {
+        to_run.push_back(std::move(conn));
       }
     }
-    // Retire connections whose teardown was requested by workers. Only
-    // this thread touches epoll registration and closes fds, so a stale
-    // epoll event can never race a descriptor being reused.
+    // Retire connections whose teardown other threads requested. Only the
+    // leader touches epoll registration and closes fds, and it hands off
+    // only between batches, so a stale epoll event can never race a
+    // descriptor being reused.
     std::vector<std::shared_ptr<Conn>> retire_now;
     {
       std::lock_guard lock(retire_mu_);
@@ -261,30 +372,37 @@ void TcpServer::reactor_loop() {
     }
     for (auto& conn : retire_now) retire(conn);
 
-    if (stopping_.load(std::memory_order_acquire) && !draining) {
-      draining = true;
-      if (listen_fd_ >= 0) {
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-      }
-      std::vector<std::shared_ptr<Conn>> all;
-      {
-        std::lock_guard lock(conns_mu_);
-        for (auto& [_, c] : conns_) all.push_back(c);
-      }
-      // Shut every socket down before waiting on any teardown: a worker
-      // can be blocked in the core waiting for a writer lock that only
-      // drops when the holder's connection disconnects.
-      for (auto& conn : all) {
-        std::lock_guard lock(conn->mu);
-        if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-      }
+    if (!to_run.empty()) {
+      if (std::shared_ptr<Conn> mine = hand_off(to_run)) return mine;
     }
-    if (draining) {
-      std::lock_guard lock(conns_mu_);
-      if (conns_.empty()) return;
-    }
+  }
+  {
+    std::lock_guard lock(pool_mu_);
+    pool_stopping_ = true;
+    leader_present_ = false;
+  }
+  pool_cv_.notify_all();
+  return nullptr;
+}
+
+void TcpServer::start_drain() {
+  draining_ = true;
+  if (listen_fd_ >= 0) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  std::vector<std::shared_ptr<Conn>> all;
+  {
+    std::lock_guard lock(conns_mu_);
+    for (auto& [_, c] : conns_) all.push_back(c);
+  }
+  // Shut every socket down before waiting on any teardown: a thread can
+  // be blocked in the core waiting for a writer lock that only drops when
+  // the holder's connection disconnects.
+  for (auto& conn : all) {
+    std::lock_guard lock(conn->mu);
+    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
   }
 }
 
@@ -397,11 +515,11 @@ void TcpServer::reserve_large(Conn& conn, size_t received) {
                         conn.large.payload.capacity());
 }
 
-void TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
-  // The reactor thread is the only reader and the only closer, so the fd
-  // can be used lock-free here; retire() only runs on this thread.
+bool TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
+  // The leader is the only reader and the only closer, so the fd can be
+  // used lock-free here; retire() only runs on the leader.
   const int fd = conn->fd;
-  if (fd < 0) return;
+  if (fd < 0) return false;
   bool eof = false;
   bool rearm = false;
   std::vector<Frame> decoded;
@@ -469,7 +587,7 @@ void TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
     stats_->frames_received.fetch_add(decoded.size(),
                                       std::memory_order_relaxed);
   }
-  if (decoded.empty() && !eof) return;
+  if (decoded.empty() && !eof) return false;
 
   bool need_schedule = false;
   {
@@ -485,11 +603,7 @@ void TcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
     // Stop watching a half-closed socket; writes may still proceed.
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   }
-  if (need_schedule) schedule(conn);
-}
-
-void TcpServer::handle_writable(const std::shared_ptr<Conn>& conn) {
-  flush(conn);
+  return need_schedule;
 }
 
 void TcpServer::request_retire(const std::shared_ptr<Conn>& conn) {
@@ -497,7 +611,7 @@ void TcpServer::request_retire(const std::shared_ptr<Conn>& conn) {
     std::lock_guard lock(retire_mu_);
     retire_queue_.push_back(conn);
   }
-  wake_reactor();
+  wake_leader();
 }
 
 void TcpServer::retire(const std::shared_ptr<Conn>& conn) {
@@ -518,61 +632,14 @@ void TcpServer::retire(const std::shared_ptr<Conn>& conn) {
   stats_->connections_closed.fetch_add(1, std::memory_order_relaxed);
 }
 
-// --- worker pool ----------------------------------------------------------
-
-void TcpServer::schedule(const std::shared_ptr<Conn>& conn) {
-  bool spawn = false;
-  {
-    std::lock_guard lock(pool_mu_);
-    ready_.push_back(conn);
-    AtomicStats::bump_max(stats_->worker_queue_depth_max, ready_.size());
-    // Elastic growth: every existing worker is busy — typically blocked
-    // inside a writer-lock acquire — so queued frames (possibly the very
-    // release that would unblock them) must not wait for one to free up.
-    if (idle_workers_ == 0 && live_workers_ < options_.max_workers &&
-        !pool_stopping_) {
-      workers_.emplace_back([this] { worker_loop(); });
-      ++live_workers_;
-      stats_->workers_spawned.fetch_add(1, std::memory_order_relaxed);
-      spawn = true;
-    }
+void TcpServer::process(const std::shared_ptr<Conn>& conn, bool reader) {
+  // The frames in the inbox now are the ones a reader decoded itself;
+  // frames the next leader adds meanwhile are not.
+  size_t read_here = 0;
+  if (reader) {
+    std::lock_guard lock(conn->mu);
+    read_here = conn->inbox.size();
   }
-  if (!spawn) pool_cv_.notify_one();
-}
-
-void TcpServer::worker_loop() {
-  for (;;) {
-    std::shared_ptr<Conn> conn;
-    {
-      std::unique_lock lock(pool_mu_);
-      ++idle_workers_;
-      bool timed_out = !pool_cv_.wait_for(lock, kWorkerIdleRetire, [this] {
-        return pool_stopping_ || !ready_.empty();
-      });
-      --idle_workers_;
-      if (timed_out) {
-        // Shrink the elastic pool back toward its base size.
-        if (live_workers_ > options_.workers) {
-          --live_workers_;
-          return;
-        }
-        continue;
-      }
-      if (ready_.empty()) {
-        if (pool_stopping_) {
-          --live_workers_;
-          return;
-        }
-        continue;
-      }
-      conn = std::move(ready_.front());
-      ready_.pop_front();
-    }
-    process(conn);
-  }
-}
-
-void TcpServer::process(const std::shared_ptr<Conn>& conn) {
   for (;;) {
     Frame request;
     bool run_disconnect = false;
@@ -616,6 +683,10 @@ void TcpServer::process(const std::shared_ptr<Conn>& conn) {
     }
     response.request_id = request.request_id;
     enqueue_frame(conn, std::move(response));
+    if (read_here > 0) {
+      --read_here;
+      stats_->frames_run_by_reader.fetch_add(1, std::memory_order_relaxed);
+    }
     bool inbox_empty;
     size_t out_bytes;
     {
@@ -626,7 +697,7 @@ void TcpServer::process(const std::shared_ptr<Conn>& conn) {
     // Coalesce: while more requests are already decoded, let responses
     // pile up and ride one sendmsg when the burst is drained (or the
     // outbox grows past the flush threshold).
-    if (inbox_empty || out_bytes >= kWorkerFlushBytes) flush(conn);
+    if (inbox_empty || out_bytes >= kRunFlushBytes) flush(conn);
   }
 }
 
@@ -724,8 +795,8 @@ void TcpServer::flush(const std::shared_ptr<Conn>& conn) {
           }
           break;
         }
-        // Peer is gone: responses are undeliverable. Tear down via the
-        // worker path so on_disconnect runs exactly once.
+        // Peer is gone: responses are undeliverable. Tear down through
+        // process() so on_disconnect runs exactly once.
         conn->dead = true;
         conn->outbox.clear();
         conn->out_bytes = 0;

@@ -5,11 +5,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "util/logging.hpp"
 
@@ -49,8 +51,8 @@ void write_all_vec(int fd, const IoChain& chain) {
   }
 }
 
-/// Receive buffer of a client channel: grows only for a frame larger than
-/// it, and shrinks back once such a frame has been delivered.
+/// Receive buffer of a client channel. A frame larger than it is received
+/// straight into its payload.
 constexpr size_t kRecvBufferBytes = 64 * 1024;
 
 /// "kAcquireWrite req#42 after 123ms" — the request context every transport
@@ -98,12 +100,12 @@ void connect_with_timeout(int fd, const sockaddr_in& addr,
 // --- client ---------------------------------------------------------------
 
 TcpClientChannel::TcpClientChannel(uint16_t port, Options options)
-    : options_(options) {
+    : options_(options), rbuf_(new uint8_t[kRecvBufferBytes]) {
   if (options_.call_timeout_ms == 0 || options_.connect_timeout_ms == 0) {
     throw Error(ErrorCode::kInvalidArgument,
                 "call_timeout_ms and connect_timeout_ms must be positive");
   }
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_errno("socket");
   // Socket options before connect, so they apply from the first byte.
   int one = 1;
@@ -114,7 +116,16 @@ TcpClientChannel::TcpClientChannel(uint16_t port, Options options)
   addr.sin_port = htons(port);
   try {
     connect_with_timeout(fd_, addr, options_.connect_timeout_ms);
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) throw_errno("epoll_create1");
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd_;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd_, &ev) < 0) {
+      throw_errno("epoll_ctl");
+    }
   } catch (...) {
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
     ::close(fd_);
     throw;
   }
@@ -124,69 +135,161 @@ TcpClientChannel::TcpClientChannel(uint16_t port, Options options)
 TcpClientChannel::~TcpClientChannel() {
   ::shutdown(fd_, SHUT_RDWR);
   if (receiver_.joinable()) receiver_.join();
+  ::close(epoll_fd_);
   ::close(fd_);
 }
 
 void TcpClientChannel::receive_loop() {
-  std::string reason = "connection closed by server";
-  try {
-    // One recv takes whatever the socket holds; every complete frame in
-    // it is delivered before the next recv, and a partial one (a header
-    // may end mid-varint) waits at the front of the buffer for its rest.
-    std::vector<uint8_t> buf(kRecvBufferBytes);
-    size_t begin = 0;
-    size_t end = 0;
-    for (;;) {
-      Frame frame;
-      while (size_t used = decode_frame({buf.data() + begin, end - begin},
-                                        &frame)) {
-        begin += used;
-        bytes_received_.fetch_add(used, std::memory_order_relaxed);
-        deliver(std::move(frame));
-      }
-      if (begin == end) {
-        begin = end = 0;
-        if (buf.size() > kRecvBufferBytes) {
-          buf.assign(kRecvBufferBytes, 0);
-          buf.shrink_to_fit();
-        }
-      } else if (end == buf.size()) {
-        std::memmove(buf.data(), buf.data() + begin, end - begin);
-        end -= begin;
-        begin = 0;
-        // A frame that alone fills the buffer: its header is in, so grow
-        // to exactly its size.
-        FrameHeader h;
-        if (end == buf.size() && decode_frame_header(buf.data(), end, &h)) {
-          buf.resize(h.size + h.payload_size);
-        }
-      }
-      ssize_t r = ::recv(fd_, buf.data() + end, buf.size() - end, 0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("recv");
-      }
-      if (r == 0) {
-        if (begin == end) break;  // clean EOF at a frame boundary
-        throw Error::transport(ErrorCode::kConnReset,
-                               "connection closed mid-frame");
-      }
-      end += static_cast<size_t>(r);
+  for (;;) {
+    epoll_event ev{};
+    if (::epoll_wait(epoll_fd_, &ev, 1, -1) < 0) {
+      if (errno == EINTR) continue;
+      fail_channel(Error::transport(ErrorCode::kIo,
+                                    std::string("epoll_wait: ") +
+                                        std::strerror(errno)));
+      return;
     }
-  } catch (const Error& e) {
-    IW_LOG(kDebug) << "tcp receive loop: " << e.what();
-    reason = e.what();
-  } catch (const std::exception& e) {
-    // A non-Error exception (an allocation failure) must still drain every
-    // in-flight call, not kill the process via an escaped thread
-    // exception.
-    IW_LOG(kWarn) << "tcp receive loop: " << e.what();
-    reason = e.what();
+    {
+      std::unique_lock lock(mu_);
+      if (outstanding_ > 0 && !closed_) {
+        // Woken by a hang-up (reported whatever the interest) or by bytes
+        // that came just as a call began: the callers read the socket now.
+        receiver_parked_ = true;
+        receiver_cv_.wait(lock, [this] { return closed_ || outstanding_ == 0; });
+        receiver_parked_ = false;
+        if (!closed_) continue;
+      }
+      if (closed_) return;
+      reading_ = true;
+    }
+    const bool ok = read_idle();
+    {
+      std::lock_guard lock(mu_);
+      reading_ = false;
+    }
+    cv_.notify_all();  // a call that began meanwhile waits for the token
+    if (!ok) return;
   }
-  fail_channel(Error::transport(ErrorCode::kConnReset, reason));
 }
 
-void TcpClientChannel::deliver(Frame&& frame) {
+bool TcpClientChannel::read_idle() {
+  try {
+    for (bool more = true; more;) {
+      more = receive_some();
+      deliver_buffered(0, nullptr);
+    }
+    return true;
+  } catch (const std::exception& e) {
+    fail_read(e);
+    return false;
+  }
+}
+
+void TcpClientChannel::fail_read(const std::exception& e) {
+  // A non-Error exception (an allocation failure) must still drain every
+  // in-flight call, not kill the process via an escaped thread exception.
+  if (dynamic_cast<const Error*>(&e) != nullptr) {
+    IW_LOG(kDebug) << "tcp read: " << e.what();
+  } else {
+    IW_LOG(kWarn) << "tcp read: " << e.what();
+  }
+  fail_channel(Error::transport(ErrorCode::kConnReset, e.what()));
+}
+
+std::optional<Frame> TcpClientChannel::read_own(
+    uint32_t request_id, std::chrono::steady_clock::time_point deadline) {
+  std::optional<Frame> mine;
+  try {
+    while (!mine) {
+      const auto left = deadline - std::chrono::steady_clock::now();
+      if (left <= left.zero()) break;
+      const auto ms = std::chrono::ceil<std::chrono::milliseconds>(left);
+      pollfd pfd{fd_, POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, static_cast<int>(ms.count()));
+      if (ready < 0 && errno != EINTR) throw_errno("poll");
+      for (bool more = ready > 0; more && !mine;) {
+        more = receive_some();
+        deliver_buffered(request_id, &mine);
+      }
+    }
+  } catch (const std::exception& e) {
+    fail_read(e);
+  }
+  return mine;
+}
+
+bool TcpClientChannel::receive_some() {
+  const bool large = large_size_ != 0;
+  uint8_t* to = large ? large_.payload.data() + large_have_ : rbuf_.get() + rend_;
+  const size_t room = large ? large_size_ - large_have_ : kRecvBufferBytes - rend_;
+  for (;;) {
+    const ssize_t r = ::recv(fd_, to, room, MSG_DONTWAIT);
+    if (r > 0) {
+      (large ? large_have_ : rend_) += static_cast<size_t>(r);
+      return static_cast<size_t>(r) == room;
+    }
+    if (r == 0) {
+      throw Error::transport(ErrorCode::kConnReset,
+                             !large && rbegin_ == rend_
+                                 ? "connection closed by server"
+                                 : "connection closed mid-frame");
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
+    throw_errno("recv");
+  }
+}
+
+void TcpClientChannel::deliver_buffered(uint32_t want,
+                                        std::optional<Frame>* mine) {
+  auto deliver = [&](Frame&& frame) {
+    if (want != 0 && frame.request_id == want) {
+      mine->emplace(std::move(frame));
+    } else {
+      route(std::move(frame));
+    }
+  };
+  if (large_size_ != 0) {
+    if (large_have_ < large_size_) return;
+    bytes_received_.fetch_add(large_header_ + large_size_,
+                              std::memory_order_relaxed);
+    large_size_ = large_have_ = 0;
+    deliver(std::exchange(large_, Frame{}));
+  }
+  // Every complete frame goes; a partial tail (a header may end mid-varint)
+  // waits at the front of the buffer for its rest.
+  for (;;) {
+    Frame frame;
+    const size_t used =
+        decode_frame({rbuf_.get() + rbegin_, rend_ - rbegin_}, &frame);
+    if (used == 0) break;
+    rbegin_ += used;
+    bytes_received_.fetch_add(used, std::memory_order_relaxed);
+    deliver(std::move(frame));
+  }
+  const size_t tail = rend_ - rbegin_;
+  const uint8_t* at = rbuf_.get() + rbegin_;
+  FrameHeader h;
+  if (tail > 0 && decode_frame_header(at, tail, &h) &&
+      h.size + h.payload_size > kRecvBufferBytes) {
+    // A frame that cannot fit the buffer: the rest of it is received
+    // straight into its payload.
+    large_.type = h.type;
+    large_.request_id = h.request_id;
+    large_.payload.resize(h.payload_size);
+    large_header_ = h.size;
+    large_size_ = h.payload_size;
+    large_have_ = tail - h.size;
+    std::memcpy(large_.payload.data(), at + h.size, large_have_);
+    rbegin_ = rend_ = 0;
+  } else if (rbegin_ > 0) {
+    std::memmove(rbuf_.get(), at, tail);
+    rbegin_ = 0;
+    rend_ = tail;
+  }
+}
+
+void TcpClientChannel::route(Frame&& frame) {
   if (frame.request_id == 0) {
     std::function<void(const Frame&)> fn;
     {
@@ -203,21 +306,36 @@ void TcpClientChannel::deliver(Frame&& frame) {
     }
     return;
   }
-  std::lock_guard lock(mu_);
-  // Late response to a call whose caller already hit its deadline: discard
-  // rather than park it in `responses_` forever.
-  if (abandoned_.erase(frame.request_id) > 0) return;
-  responses_.emplace(frame.request_id, std::move(frame));
+  {
+    std::lock_guard lock(mu_);
+    // Late response to a call whose caller already hit its deadline:
+    // discard rather than park it in `responses_` forever.
+    if (abandoned_.erase(frame.request_id) > 0) return;
+    responses_.emplace(frame.request_id, std::move(frame));
+  }
   cv_.notify_all();
+}
+
+void TcpClientChannel::end_call_locked() {
+  if (--outstanding_ > 0 || closed_) return;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd_, &ev);
+  if (receiver_parked_) receiver_cv_.notify_one();
 }
 
 void TcpClientChannel::fail_channel(const Error& reason) {
   {
     std::lock_guard lock(mu_);
+    if (closed_) return;
     closed_ = true;
     close_reason_ = reason.what();
   }
   cv_.notify_all();
+  receiver_cv_.notify_all();
+  // A hang-up reaches the receiver's epoll set whatever its interest.
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
 void TcpClientChannel::send_frame(const uint8_t* header, size_t header_len,
@@ -250,6 +368,13 @@ Frame TcpClientChannel::call(MsgType type, Buffer& payload) {
               call_context(type, next_request_id_, start) + ")");
     }
     request.request_id = next_request_id_++;
+    if (outstanding_++ == 0) {
+      // Calls read the socket themselves from now on: take it from the
+      // receiver, so a response wakes only the thread waiting for it.
+      epoll_event ev{};
+      ev.data.fd = fd_;
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd_, &ev);
+    }
   }
   uint8_t header[kMaxFrameHeaderSize];
   const size_t header_len = encode_frame_header(
@@ -257,38 +382,64 @@ Frame TcpClientChannel::call(MsgType type, Buffer& payload) {
   try {
     send_frame(header, header_len, payload);
   } catch (const Error& e) {
+    {
+      std::lock_guard lock(mu_);
+      end_call_locked();
+    }
     throw Error::transport(e.code(),
                            std::string(e.what()) + " (sending " +
                                call_context(type, request.request_id, start) +
                                ")");
   }
   payload.clear();
+  return check_response(await_response(
+      request.request_id,
+      start + std::chrono::milliseconds(options_.call_timeout_ms), type,
+      start));
+}
 
+Frame TcpClientChannel::await_response(
+    uint32_t request_id, std::chrono::steady_clock::time_point deadline,
+    MsgType type, std::chrono::steady_clock::time_point start) {
   std::unique_lock lock(mu_);
-  auto ready = [&] {
-    return closed_ || responses_.count(request.request_id) > 0;
-  };
-  if (!cv_.wait_for(lock, std::chrono::milliseconds(options_.call_timeout_ms),
-                   ready)) {
-    abandoned_.insert(request.request_id);
-    faults_.call_timeouts.fetch_add(1, std::memory_order_relaxed);
-    throw Error::transport(ErrorCode::kTimedOut,
-                           "call deadline exceeded (" +
-                               call_context(type, request.request_id, start) +
-                               ")");
+  for (;;) {
+    auto it = responses_.find(request_id);
+    if (it != responses_.end()) {
+      Frame response = std::move(it->second);
+      responses_.erase(it);
+      end_call_locked();
+      return response;
+    }
+    if (closed_) {
+      end_call_locked();
+      throw Error::transport(ErrorCode::kConnReset,
+                             "connection closed awaiting response: " +
+                                 close_reason_ + " (" +
+                                 call_context(type, request_id, start) + ")");
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      abandoned_.insert(request_id);
+      end_call_locked();
+      faults_.call_timeouts.fetch_add(1, std::memory_order_relaxed);
+      throw Error::transport(ErrorCode::kTimedOut,
+                             "call deadline exceeded (" +
+                                 call_context(type, request_id, start) + ")");
+    }
+    if (reading_) {
+      cv_.wait_until(lock, deadline);
+      continue;
+    }
+    reading_ = true;
+    lock.unlock();
+    std::optional<Frame> mine = read_own(request_id, deadline);
+    lock.lock();
+    reading_ = false;
+    cv_.notify_all();  // the token is free for the next waiting caller
+    if (mine) {
+      end_call_locked();
+      return std::move(*mine);
+    }
   }
-  auto it = responses_.find(request.request_id);
-  if (it == responses_.end()) {
-    throw Error::transport(ErrorCode::kConnReset,
-                           "connection closed awaiting response: " +
-                               close_reason_ + " (" +
-                               call_context(type, request.request_id, start) +
-                               ")");
-  }
-  Frame response = std::move(it->second);
-  responses_.erase(it);
-  lock.unlock();
-  return check_response(std::move(response));
 }
 
 void TcpClientChannel::set_notify_handler(std::function<void(const Frame&)> fn) {

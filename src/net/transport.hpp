@@ -8,9 +8,10 @@
 //     thread; notifications are direct callbacks. Zero I/O noise, which is
 //     what the paper-shape benchmarks measure, and still byte-accounted as
 //     if frames had crossed a wire.
-//   * Tcp — real sockets: one receiver thread per client channel, which
-//     also delivers its notifications, and an epoll reactor with a worker
-//     pool on the server (net/tcp.hpp, net/reactor.hpp).
+//   * Tcp — real sockets: a calling thread reads its own response, and one
+//     receiver thread per client channel reads what arrives between calls;
+//     on the server an epoll leader/follower pool whose reading thread runs
+//     the request (net/tcp.hpp, net/reactor.hpp).
 //
 // Byte counters on every channel feed the bandwidth experiments (Fig. 7).
 #pragma once
@@ -61,14 +62,22 @@ class ClientChannel {
   }
 
   /// Installs the handler invoked for unsolicited notifications. It runs on
-  /// the thread that delivers them: TCP's receiver thread, or in-proc the
+  /// the thread that reads them: on TCP the channel's receiver thread, or a
+  /// thread inside call() on this channel, which handles the notifications
+  /// ahead of its response in stream order before it returns; in-proc the
   /// server thread that notifies (often inside another session's call()).
-  /// A handler must therefore not call this channel — on TCP its response
-  /// would wait behind the handler — and must not drop the last reference
-  /// to it, which would destroy the channel on its own receiver. Work of
-  /// that kind goes to another thread, as the Client's revoke-ack worker
-  /// does. Handlers should be quick: delivery is serialized with the
-  /// responses, so a slow handler delays every later frame.
+  /// So:
+  ///   * A handler must not call this channel — on TCP its response would
+  ///     wait behind the handler — and must not drop the last reference to
+  ///     it, which would destroy the channel under its own reader. Work of
+  ///     that kind goes to another thread, as the Client's revoke-ack
+  ///     worker does.
+  ///   * No thread may hold a lock the handler takes while it calls this
+  ///     channel: the handler may run on that very thread. The Client's
+  ///     handler takes `notify_mu_` and `lock_cache_mu_`, and the Client
+  ///     never holds either across a call.
+  ///   * Handlers should be quick: delivery is serialized with the
+  ///     responses, so a slow handler delays every later frame.
   virtual void set_notify_handler(std::function<void(const Frame&)> fn) = 0;
 
   virtual uint64_t bytes_sent() const = 0;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "interweave/interweave.hpp"
+#include "support/thread_count.hpp"
 #include "wire/payload.hpp"
 
 namespace iw {
@@ -138,6 +139,35 @@ class RevokeBeforeResponseChannel final : public ClientChannel {
   std::shared_ptr<ClientChannel> inner_;
   std::function<void()>* race_;
 };
+
+TEST(LockCache, AckThreadStartsAtTheFirstRevoke) {
+  // In-proc channels run no threads, so every thread that appears is a
+  // client's revoke-ack worker.
+  server::SegmentServer core;
+  const std::string url = "host/ack-thread";
+  const size_t before = thread_count();
+  Client writer(inproc_factory(core));
+  ClientSegment* ws = writer.open_segment(url);
+  seed_segment(writer, ws, 1);
+  {
+    Client reader(inproc_factory(core));
+    ClientSegment* rs = reader.open_segment(url);
+    EXPECT_EQ(read_value(reader, rs, url), 1);  // caches the read lock
+    EXPECT_EQ(thread_count(), before)
+        << "a client that has acked nothing started its ack thread";
+
+    seed_segment(writer, ws, 2);  // revokes the reader's cached lock
+    EXPECT_EQ(core.stats().revokes_acked, 1u);
+    EXPECT_EQ(thread_count(), before + 1)
+        << "the revoked reader acks on a thread of its own; the writer, "
+           "never revoked, runs none";
+  }
+  // A joined thread can linger in the task list for a moment.
+  for (int spin = 0; spin < 200 && thread_count() != before; ++spin) {
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  EXPECT_EQ(thread_count(), before);
+}
 
 TEST(LockCache, RevokeOvertakingItsGrantIsNotCached) {
   server::SegmentServer core;
@@ -419,11 +449,124 @@ TEST(LockCacheTcp, RevokeRoundTripOverSockets) {
   EXPECT_EQ(sstats.revokes_expired, 0u);
 }
 
+/// Forwards to `inner` and tells `seen` about each notification, on the
+/// thread that handles it, before the client's handler runs.
+class NotifySpyChannel final : public ClientChannel {
+ public:
+  NotifySpyChannel(std::shared_ptr<ClientChannel> inner,
+                   std::function<void(const Frame&)> seen)
+      : inner_(std::move(inner)), seen_(std::move(seen)) {}
+
+  using ClientChannel::call;
+  Frame call(MsgType type, Buffer& payload) override {
+    return inner_->call(type, payload);
+  }
+  void set_notify_handler(std::function<void(const Frame&)> fn) override {
+    if (fn == nullptr) {
+      inner_->set_notify_handler(nullptr);
+      return;
+    }
+    inner_->set_notify_handler([seen = seen_, fn](const Frame& frame) {
+      seen(frame);
+      fn(frame);
+    });
+  }
+  uint64_t bytes_sent() const override { return inner_->bytes_sent(); }
+  uint64_t bytes_received() const override { return inner_->bytes_received(); }
+  void shutdown() noexcept override { inner_->shutdown(); }
+
+ private:
+  std::shared_ptr<ClientChannel> inner_;
+  std::function<void(const Frame&)> seen_;
+};
+
+TEST(LockCacheTcp, RevokeReadByACallingThreadIsHandledWithoutDeadlock) {
+  // A revoke that lands while the reader's thread is inside a call on the
+  // same channel is read, and handled, by that thread: it holds the
+  // reader's Client lock, so the handler must take neither it nor any lock
+  // held across a call. Its ack is then a second call on the channel while
+  // the first is still outstanding.
+  server::SegmentServer::Options sopts;
+  sopts.revoke_deadline_ms = 30'000;  // a lost ack would stall visibly
+  server::SegmentServer core(sopts);
+  TcpServer server(core, 0);
+  const uint16_t port = server.port();
+  auto factory = [port](const std::string&) {
+    return std::make_shared<TcpClientChannel>(port);
+  };
+  const std::string a = "host/caller-revoke-a";
+  const std::string b = "host/caller-revoke-b";
+  Client writer(factory);
+  ClientSegment* wa = writer.open_segment(a);
+  seed_segment(writer, wa, 1);
+  Client holder(factory);
+  ClientSegment* hb = holder.open_segment(b);
+  seed_segment(holder, hb, 1);
+
+  std::mutex mu;
+  std::condition_variable revoked_cv;
+  std::vector<std::thread::id> revoked_on;
+  Client reader([&](const std::string&) {
+    return std::make_shared<NotifySpyChannel>(
+        std::make_shared<TcpClientChannel>(port), [&](const Frame& frame) {
+          if (frame.type != MsgType::kRevokeRead) return;
+          {
+            std::lock_guard lock(mu);
+            revoked_on.push_back(std::this_thread::get_id());
+          }
+          revoked_cv.notify_all();
+        });
+  });
+  ClientSegment* ra = reader.open_segment(a);
+  ClientSegment* rb = reader.open_segment(b);
+  EXPECT_EQ(read_value(reader, ra, a), 1);  // caches the read lock on a
+
+  // The reader's write acquire on b waits behind the holder's lock.
+  holder.write_lock(hb);
+  std::thread::id caller_id;
+  std::atomic<bool> acquired{false};
+  std::thread caller([&] {
+    caller_id = std::this_thread::get_id();
+    reader.write_lock(rb);
+    acquired.store(true);
+    reader.write_unlock(rb);
+  });
+  std::this_thread::sleep_for(milliseconds(100));
+  EXPECT_FALSE(acquired.load());
+
+  // A commit on a revokes the reader's cached lock while its thread waits.
+  // The server runs the ack after the blocked acquire (one session's
+  // requests run in order), so b is released once the revoke is in.
+  const auto start = steady_clock::now();
+  std::thread commit([&] { seed_segment(writer, wa, 2); });
+  {
+    std::unique_lock lock(mu);
+    EXPECT_TRUE(revoked_cv.wait_for(lock, std::chrono::seconds(5),
+                                    [&] { return !revoked_on.empty(); }))
+        << "the revoke never arrived";
+  }
+  holder.write_unlock(hb);
+  caller.join();
+  commit.join();
+  EXPECT_TRUE(acquired.load());
+  EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(10))
+      << "the writer waited toward the revocation deadline";
+  {
+    std::lock_guard lock(mu);
+    ASSERT_EQ(revoked_on.size(), 1u);
+    EXPECT_EQ(revoked_on[0], caller_id)
+        << "the revoke was not read by the thread inside the call";
+  }
+  EXPECT_EQ(core.stats().revokes_acked, 1u);
+  EXPECT_EQ(core.stats().revokes_expired, 0u);
+  EXPECT_EQ(read_value(reader, ra, a), 2);
+}
+
 TEST(LockCacheTcp, ClientDestroyedWhileRevokesArrive) {
-  // Revokes run on each channel's receiver thread. Destroying a reader
-  // while a writer's kRevokeRead frames are landing must neither hang nor
-  // leave the last channel reference on that receiver (which would have
-  // the channel join its own thread).
+  // Revokes run on each channel's receiver thread (or a thread inside a
+  // call on it). Destroying a reader while a writer's kRevokeRead frames
+  // are landing must neither hang nor leave the last channel reference on
+  // that receiver (which would have the channel join its own thread).
   server::SegmentServer::Options sopts;
   sopts.revoke_deadline_ms = 1'000;  // bounds a writer whose revoke is lost
   server::SegmentServer core(sopts);

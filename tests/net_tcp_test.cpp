@@ -1,5 +1,7 @@
 // TCP transport tests: framing over real sockets, concurrent clients,
-// notifications via the receiver thread, and full client/server operation
+// notifications read by the receiver or a calling thread, calls that time
+// out while reading, frames larger than the receive buffer, the threads
+// each end runs, and full client/server operation
 // over TCP (the "separate processes" deployment shape). A hand-driven
 // server end checks how the client channel decodes what it receives, and a
 // cutting core checks that a replayed call finds its segment handle bound
@@ -23,6 +25,7 @@
 #include "interweave/interweave.hpp"
 #include "net/inproc.hpp"
 #include "server/replication.hpp"
+#include "support/thread_count.hpp"
 #include "wire/diff.hpp"
 #include "wire/payload.hpp"
 
@@ -337,6 +340,49 @@ TEST(Tcp, ClientDecodesFramesDeliveredOneByteAtATime) {
   EXPECT_EQ(notified, (std::vector<uint32_t>{7, 8}));
 }
 
+TEST(Tcp, FramesLargerThanTheReceiveBufferArriveIntact) {
+  RawServer raw;
+  TcpClientChannel channel(raw.port());
+  raw.accept_one();
+  std::atomic<int> notified{0};
+  channel.set_notify_handler([&](const Frame&) { notified.fetch_add(1); });
+  Buffer note_payload;
+  note_payload.append_vstring("host/large");
+  note_payload.append_varint(9);
+  const Buffer note = encoded(MsgType::kNotifyVersion, 0, note_payload);
+
+  // Payloads around the 64 KiB buffer and well past it, each behind a
+  // notification and sent in uneven pieces: a frame that cannot fit the
+  // buffer is received straight into its payload.
+  uint64_t sent = 0;
+  for (const size_t size : {size_t{65'530}, size_t{65'536}, size_t{300'001},
+                            size_t{3u << 20}}) {
+    Buffer body;
+    for (size_t i = 0; i < size; ++i) {
+      body.append_u8(static_cast<uint8_t>(i * 131 + size));
+    }
+    Frame got;
+    std::thread caller([&] { got = channel.call(MsgType::kPing, Buffer()); });
+    const Frame req = raw.read_request();
+    Buffer stream = note;
+    stream.append(encoded(MsgType::kPingResp, req.request_id, body).span());
+    for (size_t at = 0; at < stream.size();) {
+      const size_t n = std::min<size_t>(at % 3 == 0 ? 7 : 40'000,
+                                        stream.size() - at);
+      raw.send(stream.data() + at, n);
+      at += n;
+    }
+    sent += stream.size();
+    caller.join();
+    EXPECT_EQ(got.type, MsgType::kPingResp) << size;
+    EXPECT_TRUE(got.payload == std::vector<uint8_t>(body.data(),
+                                                     body.data() + size))
+        << size;
+  }
+  EXPECT_EQ(notified.load(), 4);
+  EXPECT_EQ(channel.bytes_received(), sent);
+}
+
 TEST(Tcp, ThrowingNotifyHandlerLeavesChannelUsable) {
   RawServer raw;
   TcpClientChannel channel(raw.port());
@@ -370,14 +416,113 @@ TEST(Tcp, ThrowingNotifyHandlerLeavesChannelUsable) {
   }
 }
 
-/// Threads of this process, as the kernel lists them.
-size_t thread_count() {
-  size_t n = 0;
-  for ([[maybe_unused]] const auto& task :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    ++n;
+TEST(Tcp, CallTimesOutWhileItsCallerHoldsTheReadToken) {
+  RawServer raw;
+  TcpClientChannel::Options copts;
+  copts.call_timeout_ms = 100;
+  TcpClientChannel channel(raw.port(), copts);
+  raw.accept_one();
+
+  // The lone caller reads the socket itself; no response ever comes.
+  std::optional<Error> failure;
+  const auto start = std::chrono::steady_clock::now();
+  std::thread caller([&] {
+    try {
+      channel.call(MsgType::kPing, Buffer());
+    } catch (const Error& e) {
+      failure = e;
+    }
+  });
+  const Frame ignored = raw.read_request();
+  caller.join();
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_TRUE(failure->is_transport());
+  EXPECT_EQ(failure->code(), ErrorCode::kTimedOut);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+  EXPECT_EQ(channel.fault_stats().call_timeouts, 1u);
+
+  // Its late response is discarded, and the channel still serves calls.
+  Frame got;
+  std::thread next([&] { got = channel.call(MsgType::kPing, Buffer()); });
+  const Frame req = raw.read_request();
+  Buffer late = encoded(MsgType::kPingResp, ignored.request_id, Buffer());
+  Buffer answer;
+  answer.append_u8(42);
+  late.append(encoded(MsgType::kPingResp, req.request_id, answer).span());
+  raw.send(late);
+  next.join();
+  EXPECT_EQ(got.type, MsgType::kPingResp);
+  EXPECT_EQ(got.payload, std::vector<uint8_t>{42});
+  EXPECT_EQ(channel.fault_stats().call_timeouts, 1u);
+}
+
+TEST(Tcp, TwoCallersOnOneChannelEachGetTheirOwnResponse) {
+  // As the client's revoke-ack worker and an application thread do: two
+  // calls outstanding at once, answered out of order with a notification
+  // between. One caller reads both responses; each returns its own.
+  RawServer raw;
+  TcpClientChannel channel(raw.port());
+  raw.accept_one();
+  std::atomic<int> notified{0};
+  channel.set_notify_handler([&](const Frame&) { notified.fetch_add(1); });
+  Buffer note_payload;
+  note_payload.append_vstring("host/two-callers");
+  note_payload.append_varint(1);
+  const Buffer note = encoded(MsgType::kNotifyVersion, 0, note_payload);
+  for (int round = 0; round < 20; ++round) {
+    Frame got[2];
+    std::thread callers[2];
+    for (int t = 0; t < 2; ++t) {
+      callers[t] = std::thread([&, t] {
+        Buffer mark;
+        mark.append_u8(static_cast<uint8_t>(t));
+        got[t] = channel.call(MsgType::kPing, std::move(mark));
+      });
+    }
+    auto echo = [](const Frame& req) {
+      Buffer payload;
+      payload.append(req.payload.data(), req.payload.size());
+      return encoded(MsgType::kPingResp, req.request_id, payload);
+    };
+    const Frame first = raw.read_request();
+    const Frame second = raw.read_request();
+    Buffer burst = echo(second);
+    burst.append(note.span());
+    burst.append(echo(first).span());
+    raw.send(burst);
+    for (int t = 0; t < 2; ++t) {
+      callers[t].join();
+      EXPECT_EQ(got[t].type, MsgType::kPingResp) << "round " << round;
+      EXPECT_EQ(got[t].payload, std::vector<uint8_t>{static_cast<uint8_t>(t)})
+          << "round " << round << ": a caller got another's response";
+    }
   }
-  return n;
+  for (int spin = 0; spin < 400 && notified.load() < 20; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(notified.load(), 20);
+}
+
+TEST(Tcp, IdleServerRunsOneThread) {
+  server::SegmentServer core;
+  const size_t before = thread_count();
+  TcpServer server(core, 0);
+  EXPECT_EQ(thread_count(), before + 1) << "the leader is an idle server's "
+                                           "only thread";
+  {
+    TcpClientChannel channel(server.port());
+    channel.call(MsgType::kPing, Buffer());
+    // The channel's receiver, the leader, and the follower it handed
+    // leadership to.
+    EXPECT_LE(thread_count(), before + 3);
+  }
+  // Followers retire after 2 s idle.
+  for (int spin = 0; spin < 1000 && thread_count() != before + 1; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(thread_count(), before + 1);
+  EXPECT_GE(server.stats().workers_spawned, 2u);
 }
 
 TEST(Tcp, ChannelRunsOneThread) {

@@ -1,8 +1,10 @@
 // TcpServer (reactor) transport tests: frame reassembly across partial
 // reads, response coalescing (many tiny frames -> few syscalls),
 // write-buffer backpressure against a slow reader, EMFILE accept backoff,
-// elastic worker-pool growth past blocked handlers, concurrent client
-// calls, and the all-in-flight-calls-drain-on-EOF client regression.
+// leader/follower pool growth past blocked handlers (which never stall
+// accept, reads or other connections), in-order answers to pipelined
+// frames, concurrent client calls, and the all-in-flight-calls-drain-on-EOF
+// client regression.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -336,7 +338,7 @@ TEST(Reactor, ManyTinyFramesInOneWriteAreBatched) {
   // regression to one-wakeup-per-frame polling would blow well past this.
   EXPECT_LT(stats.epoll_wakeups, kPings / 4)
       << "burst not amortized into few epoll wakeups";
-  EXPECT_GE(stats.worker_queue_depth_max, 1u);
+  EXPECT_GE(stats.frames_run_by_reader, 1u);
 }
 
 // --- backpressure ---------------------------------------------------------
@@ -485,7 +487,7 @@ TEST(Reactor, AcceptBacksOffOnFdExhaustion) {
   ::close(fd);
 }
 
-// --- worker pool ----------------------------------------------------------
+// --- thread pool ----------------------------------------------------------
 
 TEST(Reactor, ElasticWorkersOutliveBlockedHandlers) {
   // A lease longer than the test: if the pool could not grow past a
@@ -548,6 +550,115 @@ TEST(Reactor, ElasticWorkersOutliveBlockedHandlers) {
   rel2.append_u8(payload_method::kRaw);
   DiffWriter(rel2, 0, 0).finish();
   b.call(MsgType::kReleaseWrite, std::move(rel2));
+}
+
+TEST(Reactor, BlockedAcquireNeverStallsAcceptReadsOrOtherPings) {
+  // The thread that reads a request runs it, but hands leadership on
+  // first: a handler blocked on a contended writer lock must leave accept,
+  // reads and every other connection's requests moving.
+  server::SegmentServer::Options sopts;
+  sopts.writer_lease_ms = 60'000;
+  server::SegmentServer core(sopts);
+  TcpServer server(core, 0);
+  const std::string seg = "host/blocked";
+  auto open = [&](int fd, uint32_t id) {
+    Buffer p;
+    p.append_varint(1);
+    p.append_vstring(seg);
+    p.append_u8(1);
+    const Buffer req = encode_request(MsgType::kOpenSegment, id, p);
+    raw_send(fd, req.data(), req.size());
+    EXPECT_EQ(raw_read_frame(fd).type, MsgType::kOpenSegmentResp);
+  };
+  Buffer acquire_payload;
+  acquire_payload.append_varint(1);
+  acquire_payload.append_varint(0);
+  const Buffer acquire =
+      encode_request(MsgType::kAcquireWrite, 3, acquire_payload);
+
+  int holder = raw_connect(server.port());
+  raw_hello(holder);
+  open(holder, 2);
+  raw_send(holder, acquire.data(), acquire.size());
+  EXPECT_EQ(raw_read_frame(holder).type, MsgType::kAcquireWriteResp);
+
+  int waiter = raw_connect(server.port());
+  raw_hello(waiter);
+  open(waiter, 2);
+  raw_send(waiter, acquire.data(), acquire.size());  // blocks in the core
+  std::this_thread::sleep_for(milliseconds(50));
+
+  int other = raw_connect(server.port());
+  for (uint32_t i = 1; i <= 20; ++i) {
+    // A new connection each time, and a ping dribbled in two reads.
+    int fresh = raw_connect(server.port());
+    const Buffer ping = encode_request(MsgType::kPing, i, Buffer());
+    raw_send(fresh, ping.data(), 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    raw_send(fresh, ping.data() + 1, ping.size() - 1);
+    raw_send(other, ping.data(), ping.size());
+    for (int fd : {fresh, other}) {
+      const Frame resp = raw_read_frame(fd);
+      EXPECT_EQ(resp.type, MsgType::kPingResp);
+      EXPECT_EQ(resp.request_id, i);
+    }
+    ::close(fresh);
+  }
+  pollfd pfd{waiter, POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "the blocked acquire answered early";
+
+  Buffer rel;
+  rel.append_varint(1);
+  rel.append_u8(payload_method::kRaw);
+  DiffWriter(rel, 0, 0).finish();
+  const Buffer release = encode_request(MsgType::kReleaseWrite, 4, rel);
+  raw_send(holder, release.data(), release.size());
+  EXPECT_EQ(raw_read_frame(holder).type, MsgType::kReleaseWriteResp);
+  const Frame granted = raw_read_frame(waiter);
+  EXPECT_EQ(granted.type, MsgType::kAcquireWriteResp);
+  EXPECT_EQ(granted.request_id, 3u);
+  for (int fd : {holder, waiter, other}) ::close(fd);
+}
+
+TEST(Reactor, PipelinedFramesAreAnsweredInOrder) {
+  server::SegmentServer core;
+  TcpServer server(core, 0);
+  int fd = raw_connect(server.port());
+  raw_hello(fd);
+
+  // Pings and segment opens in bursts sent while earlier ones still run:
+  // frames the leader decodes join the inbox of the thread running the
+  // connection, and every response comes back in request order.
+  constexpr uint32_t kFrames = 300;
+  Buffer stream;
+  for (uint32_t id = 2; id < 2 + kFrames; ++id) {
+    if (id % 3 == 0) {
+      Buffer p;
+      p.append_varint(0);  // binds no handle
+      p.append_vstring("host/pipelined" + std::to_string(id % 7));
+      p.append_u8(1);
+      stream.append(encode_request(MsgType::kOpenSegment, id, p).span());
+    } else {
+      stream.append(encode_request(MsgType::kPing, id, Buffer()).span());
+    }
+  }
+  for (size_t at = 0; at < stream.size();) {
+    const size_t n = std::min<size_t>(97, stream.size() - at);
+    raw_send(fd, stream.data() + at, n);
+    at += n;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  for (uint32_t id = 2; id < 2 + kFrames; ++id) {
+    const Frame resp = raw_read_frame(fd);
+    ASSERT_EQ(resp.request_id, id);
+    EXPECT_EQ(resp.type, id % 3 == 0 ? MsgType::kOpenSegmentResp
+                                     : MsgType::kPingResp);
+  }
+  ::close(fd);
+  const ReactorStats stats = server.stats();
+  EXPECT_GE(stats.leader_handoffs, 1u);
+  EXPECT_GE(stats.frames_run_by_reader, 1u);
+  EXPECT_LE(stats.frames_run_by_reader, stats.frames_received);
 }
 
 // --- concurrent client calls ---------------------------------------------
